@@ -137,7 +137,7 @@ func TestPublicAPIContextSemantics(t *testing.T) {
 		t.Fatalf("cancelled Apply = (%d, %v), want Canceled", n, err)
 	}
 	for _, st := range ix.Stats().Shards {
-		if st.Cracks != 0 || st.Pieces != 0 {
+		if st.Cracks != 0 || st.Pieces != 1 {
 			t.Fatalf("cancelled queries refined shard %d: %+v", st.Shard, st)
 		}
 	}

@@ -541,21 +541,18 @@ func BenchmarkContextOverhead_Deadline(b *testing.B) {
 
 // --- Epoch write path: writer latency during group-apply merges ---
 
-// benchWriteDuringMerge measures routed-write latency while a
+// BenchmarkEpochWrite_DuringMerge measures routed-write latency while a
 // background goroutine forces group-apply merges continuously — the
-// scenario the epoch chain exists for. With park=false a merge seals
-// only the current epoch and a writer pays an epoch append; with
-// park=true (the legacy sealed-differential baseline) a writer racing
-// a merge parks for the whole shard rebuild, which shows up as a heavy
-// latency tail.
-func benchWriteDuringMerge(b *testing.B, park bool) {
+// scenario the epoch chain exists for: a merge seals only the current
+// epoch and a writer pays an epoch append, never the shard rebuild.
+func BenchmarkEpochWrite_DuringMerge(b *testing.B) {
 	d := benchData()
 	col := shard.New(d.Values, shard.Options{
 		Shards: 4, Seed: 5,
 		Index: crackindex.Options{Latching: crackindex.LatchPiece},
 	})
 	g := ingest.New(col, ingest.Options{
-		ApplyThreshold: 1 << 30, MinShardRows: 1 << 30, ParkOnApply: park,
+		ApplyThreshold: 1 << 30, MinShardRows: 1 << 30,
 	})
 	stop := make(chan struct{})
 	var merger sync.WaitGroup
@@ -569,11 +566,7 @@ func benchWriteDuringMerge(b *testing.B, park bool) {
 			default:
 			}
 			for s := 0; s < col.NumShards(); s++ {
-				if park {
-					col.ApplyShardParked(s)
-				} else {
-					col.ApplyShard(s)
-				}
+				col.ApplyShard(s)
 			}
 		}
 	}()
@@ -592,10 +585,6 @@ func benchWriteDuringMerge(b *testing.B, park bool) {
 	close(stop)
 	merger.Wait()
 }
-
-func BenchmarkEpochWrite_DuringMerge(b *testing.B) { benchWriteDuringMerge(b, false) }
-
-func BenchmarkEpochWrite_DuringMerge_Parked(b *testing.B) { benchWriteDuringMerge(b, true) }
 
 // --- Observability overhead: none vs disabled tracing vs enabled ---
 

@@ -4,16 +4,14 @@
 //
 // The paper's §4.2 argues adaptive indexes can absorb high update
 // rates through differential files while system transactions do the
-// structural work. This example makes that concrete — twice. The same
-// skewed insert storm (8 writers pouring into one narrow value band
-// while 4 readers keep querying a quiet range whose answer must never
-// waver) runs first with the legacy parked group-apply, where a writer
-// racing a merge parks for the whole shard rebuild, and then with the
-// epoch write path (internal/epoch), where a merge seals only the
-// current epoch and writers roll over without parking. The per-insert
-// latency histograms are the aha moment: the stall tail collapses from
-// ~rebuild latency to ~an epoch append. See examples/recovery for the
-// durable lifecycle of the same handle.
+// structural work. This example makes that concrete: a skewed insert
+// storm (8 writers pouring into one narrow value band while 4 readers
+// keep querying a quiet range whose answer must never waver) runs
+// against the epoch write path (internal/epoch), where a group-apply
+// merge seals only the current epoch and writers roll over without
+// parking. The per-insert latency histogram is the point: no insert
+// ever waits for a shard rebuild. See examples/recovery for the durable
+// lifecycle of the same handle.
 //
 // Run: go run ./examples/ingest
 package main
@@ -50,7 +48,7 @@ type stormResult struct {
 
 // runStorm pours the skewed insert storm into a fresh index while
 // readers assert the quiet range, measuring every insert.
-func runStorm(data *adaptix.Dataset, park bool) stormResult {
+func runStorm(data *adaptix.Dataset) stormResult {
 	log := adaptix.NewStructuralLog()
 	ix, err := adaptix.New(data.Values,
 		adaptix.WithShards(4), adaptix.WithSeed(5),
@@ -58,7 +56,6 @@ func runStorm(data *adaptix.Dataset, park bool) stormResult {
 		adaptix.WithIngestOptions(adaptix.IngestOptions{
 			Name: "R.A", Log: log,
 			ApplyThreshold: 4096, MinShardRows: 1 << 14, SplitFactor: 1.5,
-			ParkOnApply: park,
 		}),
 	)
 	if err != nil {
@@ -177,20 +174,11 @@ func main() {
 	fmt.Printf("== ingest: skewed insert storm, %d writers x %d inserts, %d readers, %d rows ==\n",
 		writers, perW, readers, n)
 
-	// Before: the legacy parked group-apply. A writer racing a merge
-	// parks for the full shard rebuild — watch the p99/max.
-	parked := runStorm(data, true)
-	report("parked apply (before epochs)", parked)
-	parked.ix.Close()
-
-	// After: the epoch write path. A merge seals only the current
-	// epoch; writers roll over and the stall tail collapses.
-	epoch := runStorm(data, false)
+	// A merge seals only the current epoch; writers roll over, so the
+	// stall tail is an epoch append, not a rebuild.
+	epoch := runStorm(data)
 	defer epoch.ix.Close()
-	report("epoch chains (after)", epoch)
-
-	fmt.Printf("writer-stall p99: parked %v -> epochs %v\n",
-		pct(parked.lats, 0.99), pct(epoch.lats, 0.99))
+	report("epoch chains", epoch)
 
 	for _, s := range epoch.stats.Shards {
 		fmt.Printf("  shard %d: [%d, %d) rows=%-8d pieces=%-5d pending=%d epochs=%d\n",

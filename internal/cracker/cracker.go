@@ -63,22 +63,42 @@ type Array struct {
 // rowIDs assigned positionally (0-based), in the given layout. The
 // input slice is not retained or modified.
 func New(values []int64, layout Layout) *Array {
-	a := &Array{layout: layout, n: len(values)}
-	switch layout {
-	case LayoutPairs:
-		a.pairs = make([]Pair, len(values))
+	if layout == LayoutPairs {
+		a := &Array{layout: layout, n: len(values), pairs: make([]Pair, len(values))}
 		for i, v := range values {
 			a.pairs[i] = Pair{Value: v, RowID: uint32(i)}
 		}
-	default:
-		a.vals = make([]int64, len(values))
-		copy(a.vals, values)
-		a.ids = make([]uint32, len(values))
-		for i := range a.ids {
-			a.ids[i] = uint32(i)
-		}
+		return a
 	}
+	a := &Array{layout: layout, n: len(values)}
+	a.vals = make([]int64, len(values))
+	copy(a.vals, values)
+	a.ids = positionalIDs(len(values))
 	return a
+}
+
+// NewOwned builds a cracker array that takes ownership of values, with
+// rowIDs assigned positionally. In the split layout values itself
+// becomes the value array — no copy, so the caller must not touch the
+// slice afterwards; the pairs layout interleaves it into a fresh pair
+// array. It is the constructor for callers that assembled the physical
+// order themselves (a shard rebuild that carries an earlier array's
+// pieces over): New's defensive copy would be a second copy of the
+// column for nothing.
+func NewOwned(values []int64, layout Layout) *Array {
+	if layout == LayoutPairs {
+		return New(values, layout)
+	}
+	return &Array{layout: layout, n: len(values), vals: values, ids: positionalIDs(len(values))}
+}
+
+// positionalIDs returns the rowIDs 0..n-1.
+func positionalIDs(n int) []uint32 {
+	ids := make([]uint32, n)
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	return ids
 }
 
 // Len returns the number of entries.
@@ -362,6 +382,23 @@ func (s *splitSorter) Less(i, j int) bool { return s.vals[i] < s.vals[j] }
 func (s *splitSorter) Swap(i, j int) {
 	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+}
+
+// View returns the values at positions [lo, hi) in physical order
+// without copying where the layout allows it: in the split layout the
+// result is a window onto the array itself, which the caller must treat
+// as read-only and may use only while it excludes reorganization of
+// those positions (the piece's read latch); in the pairs layout the
+// values are gathered into buf, grown as needed.
+func (a *Array) View(lo, hi int, buf []int64) []int64 {
+	if a.layout != LayoutPairs {
+		return a.vals[lo:hi:hi]
+	}
+	buf = buf[:0]
+	for _, p := range a.pairs[lo:hi] {
+		buf = append(buf, p.Value)
+	}
+	return buf
 }
 
 // Values returns a copy of the value array in current physical order.

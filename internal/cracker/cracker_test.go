@@ -341,3 +341,38 @@ func TestRowIDsCopy(t *testing.T) {
 		t.Fatal("RowIDs did not copy")
 	}
 }
+
+func TestNewOwnedAdoptsSplitValuesAndViewsBothLayouts(t *testing.T) {
+	for _, layout := range bothLayouts {
+		vals := []int64{30, 10, 20, 10}
+		a := NewOwned(vals, layout)
+		if a.Len() != 4 || a.Layout() != layout {
+			t.Fatalf("%v: bad shape", layout)
+		}
+		for i, want := range []int64{30, 10, 20, 10} {
+			if a.Value(i) != want || a.RowID(i) != uint32(i) {
+				t.Fatalf("%v: pos %d = (%d,%d)", layout, i, a.Value(i), a.RowID(i))
+			}
+		}
+		// Split adopts the slice itself (the point of owning: no second
+		// copy); pairs has to interleave it into its own array.
+		vals[0] = 99
+		if adopted := a.Value(0) == 99; adopted != (layout == LayoutSplit) {
+			t.Fatalf("%v: adopted input = %v", layout, adopted)
+		}
+		vals[0] = 30
+		pos := a.CrackInTwo(0, 4, 20)
+		lo, hi := a.View(0, pos, nil), a.View(pos, 4, nil)
+		if len(lo) != 2 || lo[0] != 10 || lo[1] != 10 {
+			t.Fatalf("%v: view below the crack = %v", layout, lo)
+		}
+		for _, v := range hi {
+			if v < 20 {
+				t.Fatalf("%v: view above the crack = %v", layout, hi)
+			}
+		}
+		if got := a.View(1, 1, nil); len(got) != 0 {
+			t.Fatalf("%v: empty view = %v", layout, got)
+		}
+	}
+}

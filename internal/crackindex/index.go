@@ -223,7 +223,7 @@ func (o *OpStats) addWait(w time.Duration) {
 // Index is a cracked column: the primary adaptive-indexing structure.
 type Index struct {
 	opts Options
-	base []int64 // base column; copied lazily on first query
+	base []int64 // base column, copied lazily on first query; nil when the index owns its array (NewOwned)
 
 	// mu is the short-term structure latch protecting toc, the piece
 	// list links, and piece bounds. It is held only during lookups and
@@ -268,6 +268,43 @@ func New(base []int64, opts Options) *Index {
 	return ix
 }
 
+// NewOwned creates an initialized index over an array it owns: values
+// becomes the cracker array itself (cracker.NewOwned — no copy, no lazy
+// initialization for a first query to pay), and the table of contents
+// is seeded with the given boundaries instead of starting from one
+// monolithic piece. It is the constructor for rebuilds that carry an
+// earlier index's pieces over (shard group-apply, split, merge): the
+// caller lays values out piece by piece and records where each piece
+// starts, so the successor is born with the refinement its predecessor
+// earned and not one partition pass is repeated.
+//
+// seeds must be strictly increasing in Value and non-decreasing in Pos,
+// and values must already satisfy every boundary (positions < Pos hold
+// values < Value, the others values >= Value); Validate checks exactly
+// that. RowIDs are positional in the array as handed over: an owned
+// array has no separate base column to stay aligned with.
+func NewOwned(values []int64, seeds []BoundaryPosition, opts Options) *Index {
+	ix := New(nil, opts)
+	ix.installArray(cracker.NewOwned(values, opts.Layout))
+	tail := ix.head
+	for _, b := range seeds {
+		if b.Value <= tail.loVal || b.Pos < tail.lo || b.Pos > tail.hi {
+			panic(fmt.Sprintf("crackindex: seed boundary (%d at %d) out of order after (%d at %d)",
+				b.Value, b.Pos, tail.loVal, tail.lo))
+		}
+		tail = ix.splitTwoLocked(tail, b.Value, b.Pos)
+	}
+	return ix
+}
+
+// Len returns the number of rows the index covers.
+func (ix *Index) Len() int {
+	if ix.base != nil || !ix.initDone.Load() {
+		return len(ix.base)
+	}
+	return ix.arr.Len()
+}
+
 // newLatch creates a latch wired to the index's wait observer. Every
 // latch creation site (column latch, head piece, split pieces) must go
 // through it so waits on pieces born from future cracks are observed
@@ -301,16 +338,23 @@ func (ix *Index) ensureInitLocked() {
 		return
 	}
 	start := time.Now()
-	ix.arr = cracker.New(ix.base, ix.opts.Layout)
+	ix.installArray(cracker.New(ix.base, ix.opts.Layout))
+	ix.stats.InitTime.Add(time.Since(start))
+}
+
+// installArray makes arr the index's cracker array under one
+// monolithic head piece and marks the index initialized. Caller must
+// hold the structure latch (or be otherwise exclusive).
+func (ix *Index) installArray(arr *cracker.Array) {
+	ix.arr = arr
 	ix.head = &piece{
-		lo: 0, hi: ix.arr.Len(),
+		lo: 0, hi: arr.Len(),
 		loVal: minKey, hiVal: maxKey,
 		latch: ix.newLatch(),
 	}
 	ix.pieces = 1
 	ix.init = true
 	ix.initDone.Store(true)
-	ix.stats.InitTime.Add(time.Since(start))
 }
 
 // findPieceLocked returns the piece containing value v. Caller must
@@ -550,8 +594,10 @@ func (ix *Index) Profile() PieceProfile {
 //     value bounds are strictly increasing;
 //   - the AVL table of contents maps exactly the piece boundaries;
 //   - every piece physically contains only values in [loVal, hiVal);
-//   - the cracker array holds a permutation of the base column with
-//     rowID alignment intact.
+//   - the rowIDs are a permutation of the positions, and — for an
+//     index built over a base column (New) — every rowID still maps to
+//     its base value. An owned array (NewOwned) has no base to align
+//     with: its values are checked against the piece bounds only.
 func (ix *Index) Validate() error {
 	ix.structLock()
 	defer ix.structUnlock()
@@ -604,17 +650,18 @@ func (ix *Index) Validate() error {
 		return tocErr
 	}
 	// Permutation + alignment with the base column.
-	if ix.arr.Len() != len(ix.base) {
+	owned := ix.base == nil
+	if !owned && ix.arr.Len() != len(ix.base) {
 		return fmt.Errorf("crackindex: array length %d != base %d", ix.arr.Len(), len(ix.base))
 	}
-	seen := make([]bool, len(ix.base))
+	seen := make([]bool, ix.arr.Len())
 	for i := 0; i < ix.arr.Len(); i++ {
 		id := ix.arr.RowID(i)
-		if int(id) >= len(ix.base) || seen[id] {
+		if int(id) >= len(seen) || seen[id] {
 			return fmt.Errorf("crackindex: rowID %d out of range or duplicated", id)
 		}
 		seen[id] = true
-		if ix.base[id] != ix.arr.Value(i) {
+		if !owned && ix.base[id] != ix.arr.Value(i) {
 			return fmt.Errorf("crackindex: rowID %d maps to %d, base has %d",
 				id, ix.arr.Value(i), ix.base[id])
 		}

@@ -302,6 +302,44 @@ func (ix *Index) walkPieces(lo int64, posHi int, ctx *opCtx, visit func(start, e
 	}
 }
 
+// WalkPieces visits every piece in key order, handing visit the piece's
+// value bounds [loVal, hiVal) and a read-only view of its values in
+// physical order (cracker.Array.View: valid only until visit returns).
+// It is the export side of a structure-preserving rebuild: the visitor
+// copies each piece into a successor array and records where it starts,
+// so the piece table carries over without one partition pass.
+//
+// The walk runs under the same latches as an aggregation and so never
+// stops the index: in LatchPiece mode each piece is visited under its
+// own read latch, one at a time, while queries keep reading and
+// cracking every other piece; in LatchColumn mode the whole walk holds
+// the column read latch; LatchNone takes none. A crack that splits a
+// piece the walk has already passed is simply not seen — the visitor
+// got that piece whole, which is a coarser but equally valid partition.
+// The multiset the walk delivers is always the full column: cracks only
+// permute values inside one write-latched piece.
+func (ix *Index) WalkPieces(visit func(loVal, hiVal int64, vals []int64)) {
+	oc := opCtx{}
+	ix.ensureInit(&oc)
+	var vals []int64 // doubles as the pairs layout's gather buffer, reused across pieces
+	if ix.opts.Latching == LatchColumn {
+		ix.columnReadLock(&oc)
+		defer ix.columnReadUnlock(&oc)
+	}
+	for p := ix.head; p != nil; { // head is never replaced: splits keep the left part
+		if ix.opts.Latching == LatchPiece {
+			ix.pieceReadLock(p, &oc) // cannot fail: no context to expire
+		}
+		vals = ix.arr.View(p.lo, p.hi, vals) // hi, hiVal, next: stable under the read latch
+		visit(p.loVal, p.hiVal, vals)
+		np := p.next
+		if ix.opts.Latching == LatchPiece {
+			ix.pieceReadUnlock(&oc, p)
+		}
+		p = np
+	}
+}
+
 // fallbackScanPiece answers a query without refining the index: the
 // optional crack was forgone (conflict avoidance), so the answer is
 // computed by predicate scans over the read-latched pieces overlapping

@@ -15,9 +15,6 @@ import (
 
 // CollisionCell is one run of the single-writer collision harness.
 type CollisionCell struct {
-	// Parked selects the legacy parked group-apply (the baseline); the
-	// default is the epoch write path.
-	Parked bool
 	// Inserts is the number of routed writes the single writer issued.
 	Inserts int
 	// Applies counts the group-apply rebuilds the forcer committed —
@@ -34,64 +31,45 @@ type CollisionCell struct {
 	TotalStall time.Duration
 }
 
-// stallThreshold separates a parked (or otherwise delayed) insert from
-// an ordinary epoch append in the collision harness.
+// stallThreshold separates a delayed insert from an ordinary epoch
+// append in the collision harness.
 const stallThreshold = 100 * time.Microsecond
-
-// CollisionReport is the outcome of WriterCollision: the same forced
-// collision schedule under the epoch write path and the parked
-// baseline.
-type CollisionReport struct {
-	Epoch  CollisionCell
-	Parked CollisionCell
-}
 
 // WriterCollision is the dedicated single-writer collision harness.
 //
-// The ReadWriteMix ablation shows the epoch-vs-parked stall collapse
-// clearly at 4 and 16 clients, but a single writer rarely happens to
-// race a group-apply rebuild, so the 1-client cells under-represent
-// the win. This harness removes the luck: ONE writer streams inserts
-// into one shard while a forcer goroutine group-applies that same
-// shard continuously, so nearly every rebuild overlaps the write
-// stream. Under the parked baseline the writer parks for whole
-// rebuilds (p99 ~ rebuild latency); under the epoch path it rolls
-// over to the next epoch file (p99 ~ an epoch append).
-func WriterCollision(cfg Config, w io.Writer) *CollisionReport {
+// The ReadWriteMix ablation shows the writer-stall tail at 4 and 16
+// clients, but a single writer rarely happens to race a group-apply
+// rebuild, so the 1-client cells under-represent it. This harness
+// removes the luck: ONE writer streams inserts into one shard while a
+// forcer goroutine group-applies that same shard continuously, so
+// nearly every rebuild overlaps the write stream. The writer never
+// parks — it rolls over to the next epoch file — so its p99 stays near
+// an epoch append however long a rebuild takes.
+func WriterCollision(cfg Config, w io.Writer) *CollisionCell {
 	cfg = cfg.Defaults()
-	d := cfg.dataset()
-	rep := &CollisionReport{
-		Epoch:  runCollisionCell(cfg, d, false),
-		Parked: runCollisionCell(cfg, d, true),
-	}
+	c := runCollisionCell(cfg, cfg.dataset())
 	if w != nil {
-		t := &metrics.Table{Header: []string{"apply path", "inserts", "applies", "p50", "p99", "max", "stalled", "total stall"}}
-		for _, c := range []CollisionCell{rep.Epoch, rep.Parked} {
-			name := "epoch"
-			if c.Parked {
-				name = "parked"
-			}
-			t.Add(name, fmt.Sprint(c.Inserts), fmt.Sprint(c.Applies),
-				metrics.FormatDuration(c.P50),
-				metrics.FormatDuration(c.P99),
-				metrics.FormatDuration(c.Max),
-				fmt.Sprint(c.Stalled),
-				metrics.FormatDuration(c.TotalStall))
-		}
+		t := &metrics.Table{Header: []string{"inserts", "applies", "p50", "p99", "max", "stalled", "total stall"}}
+		t.Add(fmt.Sprint(c.Inserts), fmt.Sprint(c.Applies),
+			metrics.FormatDuration(c.P50),
+			metrics.FormatDuration(c.P99),
+			metrics.FormatDuration(c.Max),
+			fmt.Sprint(c.Stalled),
+			metrics.FormatDuration(c.TotalStall))
 		fmt.Fprintf(w, "Single-writer collision harness: 1 writer vs a continuous group-apply forcer, %d rows\n%s\n",
 			cfg.Rows, t)
 	}
-	return rep
+	return &c
 }
 
-func runCollisionCell(cfg Config, d *workload.Dataset, parked bool) CollisionCell {
+func runCollisionCell(cfg Config, d *workload.Dataset) CollisionCell {
 	// Two fat shards: the rebuild of the written shard is expensive
-	// enough that parking inside it is clearly visible.
+	// enough that a writer stalled behind it would be clearly visible.
 	col := shard.New(d.Values, shard.Options{
 		Shards: 2, Seed: cfg.Seed,
 		Index: crackindex.Options{Latching: crackindex.LatchPiece},
 	})
-	cell := CollisionCell{Parked: parked, Inserts: cfg.Queries * 8}
+	cell := CollisionCell{Inserts: cfg.Queries * 8}
 
 	// The forcer group-applies shard 0 — the only shard written — as
 	// soon as a realistic batch of pending writes accumulates (the
@@ -114,21 +92,14 @@ func runCollisionCell(cfg Config, d *workload.Dataset, parked bool) CollisionCel
 				return
 			default:
 			}
-			st := col.Snapshot()[0]
-			if st.PendingInserts+st.PendingDeletes < applyBatch {
-				// Back off instead of busy-polling: Snapshot allocates,
-				// and a hot spin loop would pollute the very latency
-				// distribution the harness measures.
+			if col.Loads()[0].Pending < applyBatch {
+				// Back off instead of busy-polling: a hot spin loop would
+				// pollute the very latency distribution the harness
+				// measures.
 				time.Sleep(100 * time.Microsecond)
 				continue
 			}
-			var ok bool
-			if parked {
-				_, ok = col.ApplyShardParked(0)
-			} else {
-				_, ok = col.ApplyShard(0)
-			}
-			if ok {
+			if _, ok := col.ApplyShard(0); ok {
 				applies.Add(1)
 			}
 		}

@@ -227,33 +227,19 @@ func TestWriterCollisionShapes(t *testing.T) {
 	cfg := testCfg()
 	cfg.Rows = 1 << 16
 	cfg.Queries = 512
-	rep := WriterCollision(cfg, &buf)
-	for _, c := range []CollisionCell{rep.Epoch, rep.Parked} {
-		if c.Inserts == 0 || c.P50 <= 0 {
-			t.Fatalf("degenerate cell: %+v", c)
-		}
-		if c.Applies == 0 {
-			t.Fatalf("forcer committed no rebuilds (parked=%v): the collision never happened", c.Parked)
-		}
+	c := WriterCollision(cfg, &buf)
+	if c.Inserts == 0 || c.P50 <= 0 {
+		t.Fatalf("degenerate cell: %+v", c)
+	}
+	if c.Applies == 0 {
+		t.Fatal("forcer committed no rebuilds: the collision never happened")
 	}
 	// The harness's reason to exist: with forced collisions even a
-	// single writer shows the parked-stall tail the epoch path removes.
-	// The parked writer parks for whole rebuilds, so its accumulated
-	// stall time dominates the epoch path's. The contrast needs real
-	// parallelism — on a single-CPU machine the rebuild and the writer
-	// share the core, so both cells degenerate to scheduler noise and
-	// only the harness mechanics are asserted.
-	if runtime.GOMAXPROCS(0) > 1 {
-		if rep.Parked.TotalStall <= rep.Epoch.TotalStall {
-			t.Errorf("parked total stall %v not above epoch total stall %v",
-				rep.Parked.TotalStall, rep.Epoch.TotalStall)
-		}
-		if rep.Parked.Stalled == 0 {
-			t.Error("parked cell recorded no stalled inserts despite forced rebuild collisions")
-		}
-	} else {
-		t.Logf("GOMAXPROCS=1: stall contrast not asserted (epoch %v vs parked %v)",
-			rep.Epoch.TotalStall, rep.Parked.TotalStall)
+	// single writer would show a rebuild-sized stall tail if writers
+	// waited on rebuilds. They roll over to the next epoch instead, so
+	// the median insert stays far below the stall threshold.
+	if c.P50 >= stallThreshold {
+		t.Errorf("median insert %v at or above the stall threshold %v", c.P50, stallThreshold)
 	}
 	if !strings.Contains(buf.String(), "collision harness") {
 		t.Fatal("missing output header")

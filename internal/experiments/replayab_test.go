@@ -15,8 +15,8 @@ func TestReplayABShapes(t *testing.T) {
 		t.Fatalf("capture leg: captured %d dropped %d, want %d / 0",
 			rep.Signature.Captured, rep.Signature.Dropped, cfg.Queries)
 	}
-	if len(rep.Cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(rep.Cells))
+	if len(rep.Cells) != 3 {
+		t.Fatalf("got %d cells, want 3", len(rep.Cells))
 	}
 	for _, c := range rep.Cells {
 		if c.Records != cfg.Queries {

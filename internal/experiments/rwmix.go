@@ -37,16 +37,11 @@ type RWMixCell struct {
 	// Critical is the summed fan-out critical-path time of the read
 	// queries (the latency-oriented view; Wait/Crack sum total work).
 	Critical time.Duration
-	// WriterP99 is the 99th-percentile routed-write latency under the
-	// epoch write path: a group-apply seals only the current epoch, so
-	// writers roll over instead of parking and the tail collapses to
-	// the cost of an epoch append.
+	// WriterP99 is the 99th-percentile routed-write latency: a
+	// group-apply seals only the current epoch, so writers roll over
+	// instead of parking and the tail stays at the cost of an epoch
+	// append. Zero for read-only cells (nothing to measure).
 	WriterP99 time.Duration
-	// WriterP99Parked is the same percentile under the legacy
-	// sealed-differential group-apply (ingest Options.ParkOnApply),
-	// where a writer unlucky enough to hit a merge parks for the whole
-	// shard rebuild. Zero for read-only cells (nothing to measure).
-	WriterP99Parked time.Duration
 }
 
 // RWMixReport is the outcome of the read/write mix ablation.
@@ -60,27 +55,20 @@ type RWMixReport struct {
 // epoch chains; the coordinator group-applies and rebalances in the
 // background, so the cells quantify how much a live write path costs
 // the read side (the paper's §4.2 differential-file claim, measured).
-// Write cells run twice — once with the epoch write path, once with
-// the legacy parked group-apply — and report the writer-stall p99 of
-// both: the epoch path's whole point is that the p99 drops from
-// ~rebuild latency to ~an epoch append.
+// Write cells report the writer-stall p99: the epoch path's whole point
+// is that it stays near an epoch append however long a rebuild takes.
 func ReadWriteMix(cfg Config, w io.Writer) *RWMixReport {
 	cfg = cfg.Defaults()
 	d := cfg.dataset()
 	rep := &RWMixReport{}
 	for _, frac := range []float64{0, 0.1, 0.5} {
 		for _, clients := range []int{1, 4, 16} {
-			cell := runRWMixCell(cfg, d, frac, clients, false)
-			if frac > 0 {
-				parked := runRWMixCell(cfg, d, frac, clients, true)
-				cell.WriterP99Parked = parked.WriterP99
-			}
-			rep.Cells = append(rep.Cells, cell)
+			rep.Cells = append(rep.Cells, runRWMixCell(cfg, d, frac, clients))
 		}
 	}
 	if w != nil {
 		t := &metrics.Table{Header: []string{
-			"write%", "clients", "total time", "ops/s", "shards", "applies", "splits", "merges", "critical", "stall p99", "p99 parked",
+			"write%", "clients", "total time", "ops/s", "shards", "applies", "splits", "merges", "critical", "stall p99",
 		}}
 		for _, c := range rep.Cells {
 			t.Add(
@@ -94,16 +82,15 @@ func ReadWriteMix(cfg Config, w io.Writer) *RWMixReport {
 				fmt.Sprint(c.Merges),
 				metrics.FormatDuration(c.Critical),
 				metrics.FormatDuration(c.WriterP99),
-				metrics.FormatDuration(c.WriterP99Parked),
 			)
 		}
-		fmt.Fprintf(w, "Read/write mix: %d ops per client, %d rows, sharded+ingest (epoch vs parked apply)\n%s\n",
+		fmt.Fprintf(w, "Read/write mix: %d ops per client, %d rows, sharded+ingest\n%s\n",
 			cfg.Queries, cfg.Rows, t)
 	}
 	return rep
 }
 
-func runRWMixCell(cfg Config, d *workload.Dataset, frac float64, clients int, park bool) RWMixCell {
+func runRWMixCell(cfg Config, d *workload.Dataset, frac float64, clients int) RWMixCell {
 	col := shard.New(d.Values, shard.Options{
 		Shards: 8, Seed: cfg.Seed,
 		Index: crackindex.Options{Latching: crackindex.LatchPiece},
@@ -111,7 +98,7 @@ func runRWMixCell(cfg Config, d *workload.Dataset, frac float64, clients int, pa
 	// A low apply threshold keeps group-apply merges colliding with the
 	// write stream — the stall scenario the WriterP99 columns measure.
 	g := ingest.New(col, ingest.Options{
-		ApplyThreshold: 64, CheckEvery: 32, MinShardRows: 1 << 12, ParkOnApply: park,
+		ApplyThreshold: 64, CheckEvery: 32, MinShardRows: 1 << 12,
 	})
 	g.Start()
 	cell := RWMixCell{

@@ -22,12 +22,11 @@
 //     is sealed (one system transaction, wal.EpochSeal — writers roll
 //     over to the next epoch without parking) and the sealed prefix is
 //     merged into a rebuilt cracker array (a second system
-//     transaction, wal.EpochApply), with the old index's crack
-//     boundaries replayed so refinement knowledge earned by earlier
-//     queries survives (the group-apply analogue of the paper's §7
-//     group cracking: many queued updates, one structural pass).
-//     Options.ParkOnApply selects the legacy single-differential
-//     rebuild that parks writers — the measurement baseline.
+//     transaction, wal.EpochApply), with the old index's
+//     piece table carried over so refinement knowledge earned by
+//     earlier queries survives (the group-apply analogue of the
+//     paper's §7 group cracking: many queued updates, one structural
+//     pass).
 //   - The rebalancer watches per-shard row counts — and refinement
 //     traffic, with Options.LoadWeight — and splits shards that
 //     drifted above SplitFactor times the mean weight (wal.ShardSplit)
@@ -128,12 +127,6 @@ type Options struct {
 	// the write rate is too low to reach SyncEvery. Zero disables the
 	// ticker. The ticker runs between Start and Close.
 	SyncInterval time.Duration
-	// ParkOnApply selects the legacy sealed-differential group-apply:
-	// the shard parks its writers for the full rebuild instead of
-	// sealing only the current epoch. It exists as the measurement
-	// baseline for the epoch write path (experiments.ReadWriteMix
-	// reports the writer-stall p99 of both).
-	ParkOnApply bool
 	// LoadWeight enables load-aware rebalancing: split and merge
 	// decisions weigh each shard's observed refinement traffic (the
 	// Cracks and Conflicts counters in shard.ShardStat) on top of its
@@ -518,9 +511,9 @@ func (g *Coordinator) Maintain() int {
 	ops := 0
 	// Descending ordinals: a structural change at shard i never moves
 	// the ordinals of shards below i.
-	stats := g.col.Snapshot()
-	for i := len(stats) - 1; i >= 0; i-- {
-		if stats[i].PendingInserts+stats[i].PendingDeletes >= g.opts.ApplyThreshold {
+	loads := g.col.Loads()
+	for i := len(loads) - 1; i >= 0; i-- {
+		if loads[i].Pending >= g.opts.ApplyThreshold {
 			if g.applyShard(i) {
 				ops++
 			}
@@ -532,29 +525,14 @@ func (g *Coordinator) Maintain() int {
 	return total
 }
 
-// applyShard group-applies shard i. The epoch write path (default)
-// runs it as two system transactions mirroring the two structural
-// steps: an EpochSeal (the open epoch rolls over; writers never park)
-// and, once the background merge has published the rebuilt part, an
-// EpochApply with the merged watermark. A crash between the two leaves
-// a sealed epoch with no committed apply — recovery sees exactly that
-// (wal.Catalog.SealedEpochs vs AppliedEpoch) and does not assume the
-// base incorporates it. With Options.ParkOnApply the legacy
-// single-transaction parked rebuild runs instead (wal.ShardInsert).
+// applyShard group-applies shard i as two system transactions
+// mirroring the two structural steps: an EpochSeal (the open epoch
+// rolls over; writers never park) and, once the background merge has
+// published the rebuilt part, an EpochApply with the merged watermark.
+// A crash between the two leaves a sealed epoch with no committed apply
+// — recovery sees exactly that (wal.Catalog.SealedEpochs vs
+// AppliedEpoch) and does not assume the base incorporates it.
 func (g *Coordinator) applyShard(i int) bool {
-	if g.opts.ParkOnApply {
-		return g.structural(func() ([]wal.Record, bool) {
-			ap, ok := g.col.ApplyShardParked(i)
-			if !ok {
-				return nil, false
-			}
-			g.applied.Add(1)
-			return []wal.Record{{
-				Kind: wal.ShardInsert,
-				A:    int64(ap.Shard), B: int64(ap.Inserts), C: int64(ap.Deletes),
-			}}, true
-		})
-	}
 	g.structural(func() ([]wal.Record, bool) {
 		se, ok := g.col.SealEpoch(i)
 		if !ok {

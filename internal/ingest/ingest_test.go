@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"context"
+	"slices"
 	"testing"
+	"time"
 
 	"adaptix/internal/crackindex"
 	"adaptix/internal/lockmgr"
@@ -197,7 +199,7 @@ func TestApplyBatchesAndGroupApplyPreserveAnswers(t *testing.T) {
 	}
 }
 
-func TestGroupApplyReplaysBoundaryKnowledge(t *testing.T) {
+func TestGroupApplyCarriesBoundaryKnowledgeOver(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<13, 13)
 	col := shard.New(d.Values, pieceOpts())
 	g := New(col, Options{ApplyThreshold: 8})
@@ -206,26 +208,38 @@ func TestGroupApplyReplaysBoundaryKnowledge(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		col.Count(qctx, int64(i*8), int64(i*8+4))
 	}
-	boundariesBefore := 0
-	for _, s := range col.Snapshot() {
-		boundariesBefore += s.Pieces
-	}
+	before := col.CrackBoundaries()
 	for i := int64(0); i < 64; i++ {
 		if err := g.Insert(qctx, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g.Maintain()
-	boundariesAfter := 0
-	for _, s := range col.Snapshot() {
-		boundariesAfter += s.Pieces
+	if g.Maintain() == 0 {
+		t.Fatal("no group apply ran")
 	}
-	// The rebuilt shard must keep (most of) its piece structure: a
-	// group apply replays crack boundaries instead of resetting the
-	// index to a single piece.
-	if boundariesAfter < boundariesBefore/2 {
-		t.Errorf("pieces after group apply = %d, before = %d: boundary knowledge lost",
-			boundariesAfter, boundariesBefore)
+	// The rebuilt shard must keep its whole piece structure — a group
+	// apply carries the piece table over instead of resetting the index
+	// to a single piece — and must not have cracked anything to get it.
+	after := col.CrackBoundaries()
+	for i := range before {
+		if !slices.Equal(before[i], after[i]) {
+			t.Errorf("shard %d: boundaries after group apply = %v, before = %v", i, after[i], before[i])
+		}
+	}
+	applied := 0
+	for _, s := range col.Snapshot() {
+		if s.BaseEpoch > 0 && s.PendingInserts == 0 {
+			applied++
+			if s.Cracks != 0 {
+				t.Errorf("shard %d: rebuild cracked %d times; the piece table must be carried over", s.Shard, s.Cracks)
+			}
+		}
+	}
+	if applied == 0 {
+		t.Error("no shard shows an applied epoch")
+	}
+	if err := col.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -360,5 +374,55 @@ func TestMaintenanceRespectsUserLocks(t *testing.T) {
 	}
 	if ops := g.Maintain(); ops == 0 {
 		t.Error("Maintain still idle after the user lock was released")
+	}
+}
+
+// TestManyDistinctDeleteKeysDoNotStallMaintenance: every Delete cracks
+// at its key, so a stream of distinct delete keys grows one shard's
+// boundary set without bound. A group-apply that re-earned those
+// boundaries one crack at a time cost boundaries x rows and left
+// Maintain — and Close, which runs a final Maintain — stuck for minutes;
+// carrying the piece table over makes the rebuild independent of the
+// boundary count.
+func TestManyDistinctDeleteKeysDoNotStallMaintenance(t *testing.T) {
+	const rows, deletes = 1 << 20, 20000
+	d := workload.NewUniqueUniform(rows, 41)
+	col := shard.New(d.Values, shard.Options{Shards: 1, Index: crackindex.Options{Latching: crackindex.LatchPiece}})
+	g := New(col, Options{})
+	// The worker starts after the deletes: a rebuild racing them would
+	// publish a successor without the cracks that landed behind its walk,
+	// and the boundary set would not build up.
+	for i := int64(0); i < deletes; i++ {
+		// Scattered, not ascending: an ascending sweep would make the
+		// deletes themselves the sequential-cracking adversary.
+		k := i * 7919 % deletes * (rows / deletes)
+		if ok, err := g.DeleteValue(qctx, k); err != nil || !ok {
+			t.Fatalf("delete %d = (%v, %v)", k, ok, err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Start()
+		g.Maintain()
+		g.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Maintain+Close still running after 10s with %d crack boundaries in one shard",
+			len(col.CrackBoundaries()[0]))
+	}
+	if n := len(col.CrackBoundaries()[0]); n < deletes {
+		t.Errorf("only %d boundaries for %d distinct delete keys: the scenario did not build up", n, deletes)
+	}
+	if got := col.Rows(); got != rows-deletes {
+		t.Errorf("rows = %d, want %d", got, rows-deletes)
+	}
+	if st := col.Snapshot()[0]; st.PendingDeletes != 0 {
+		t.Errorf("%d deletes still pending after Close", st.PendingDeletes)
+	}
+	if err := col.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

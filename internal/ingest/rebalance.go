@@ -20,7 +20,7 @@ import (
 // mean are merged. With LoadWeight zero a shard's weight is its row
 // count; otherwise the weight is load-aware — rows scaled by the
 // shard's share of the column's observed refinement traffic (the
-// Cracks and Conflicts counters in shard.ShardStat) — so a hot shard
+// Cracks and Conflicts counters in shard.ShardLoad) — so a hot shard
 // splits before it dominates a latch domain and two shards still
 // taking fire are not merged back together. The thresholds are
 // hysteretic by construction — a fresh split yields halves of roughly
@@ -28,7 +28,7 @@ import (
 // cannot oscillate. Each operation is one system transaction with one
 // wal.ShardSplit / wal.ShardMerge record.
 func (g *Coordinator) Rebalance() (splits, merges int) {
-	stats := g.col.Snapshot()
+	stats := g.col.Loads()
 	if len(stats) == 0 {
 		return 0, 0
 	}
@@ -62,12 +62,14 @@ func (g *Coordinator) Rebalance() (splits, merges int) {
 		}
 	}
 
-	// Merges, on a fresh snapshot (splits shifted ordinals). After a
-	// merge at i the pair (i-1, i) is re-examined next iteration with
+	// Merges, on a fresh view when splits shifted the ordinals. After
+	// a merge at i the pair (i-1, i) is re-examined next iteration with
 	// a stale weight for the merged shard; skipping one extra ordinal
 	// keeps the pass conservative.
-	stats = g.col.Snapshot()
-	weight = g.weights(stats)
+	if splits > 0 {
+		stats = g.col.Loads()
+		weight = g.weights(stats)
+	}
 	for i := len(stats) - 2; i >= 0 && len(stats)-merges > 1; i-- {
 		if weight[i]+weight[i+1] >= g.opts.MergeFraction*mean {
 			continue
@@ -87,7 +89,7 @@ func (g *Coordinator) Rebalance() (splits, merges int) {
 // reset on every rebuild, so the signal tracks recent heat, not
 // lifetime totals). A shard with mean traffic keeps weight rows*(1+w);
 // an idle one decays toward its plain row count.
-func (g *Coordinator) weights(stats []shard.ShardStat) []float64 {
+func (g *Coordinator) weights(stats []shard.ShardLoad) []float64 {
 	out := make([]float64, len(stats))
 	if g.opts.LoadWeight <= 0 {
 		for i, s := range stats {

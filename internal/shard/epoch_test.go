@@ -237,53 +237,3 @@ func TestStructuralOpsCutEpochChainsConsistently(t *testing.T) {
 		}
 	}
 }
-
-// TestParkedApplyMatchesEpochApply: the legacy baseline path must
-// produce the same logical contents as the epoch path.
-func TestParkedApplyMatchesEpochApply(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 17)
-	mk := func() *Column {
-		return New(d.Values, Options{Shards: 2, Seed: 17, Index: crackindex.Options{Latching: crackindex.LatchPiece}})
-	}
-	a, b := mk(), mk()
-	for i := 0; i < 600; i++ {
-		v := int64(i * 3 % int(d.Domain))
-		if i%5 == 4 {
-			a.DeleteValue(qctx, v)
-			b.DeleteValue(qctx, v)
-		} else {
-			a.Insert(qctx, v)
-			b.Insert(qctx, v)
-		}
-	}
-	for s := 0; s < a.NumShards(); s++ {
-		a.ApplyShard(s)
-	}
-	parked := 0
-	for s := 0; s < b.NumShards(); s++ {
-		if _, ok := b.ApplyShardParked(s); ok {
-			parked++
-		}
-	}
-	if parked == 0 {
-		t.Error("no ApplyShardParked found pending writes")
-	}
-	for _, q := range [][2]int64{{0, 100}, {100, 2000}, {-1 << 40, 1 << 40}} {
-		na, _, _ := a.Count(qctx, q[0], q[1])
-		nb, _, _ := b.Count(qctx, q[0], q[1])
-		if na != nb {
-			t.Errorf("count[%d,%d): epoch=%d parked=%d", q[0], q[1], na, nb)
-		}
-		sa, _, _ := a.Sum(qctx, q[0], q[1])
-		sb, _, _ := b.Sum(qctx, q[0], q[1])
-		if sa != sb {
-			t.Errorf("sum[%d,%d): epoch=%d parked=%d", q[0], q[1], sa, sb)
-		}
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -42,6 +42,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,7 +91,8 @@ type Options struct {
 	// DeleteValue route into the owning shard's differential epochs,
 	// group-applies rebuild the shard through the Source factory, and
 	// splits/merges work unchanged — every method is writable. Only
-	// crack-boundary warm replay is specific to cracked shards.
+	// carrying refinement over a rebuild is specific to cracked shards
+	// (a source exposes no piece table).
 	Source func(values []int64) engine.AggregateSource
 	// Obs, when non-nil, receives the column's runtime observations:
 	// per-query cost breakdowns, writer parks, and structural-operation
@@ -134,8 +136,8 @@ func (o Options) withDefaults() Options {
 // group-apply publishes: the merge changes the physical layout, never
 // the logical contents, so the aggregates carry over exactly and a
 // writer racing the publish updates the same counters either way.
-// Split, merge, and the parked apply — which drain writers first —
-// compute fresh exact aggregates instead.
+// Split and merge — which drain writers first — compute fresh exact
+// aggregates instead.
 type partAgg struct {
 	rows  atomic.Int64
 	total atomic.Int64
@@ -144,22 +146,28 @@ type partAgg struct {
 }
 
 // part is one shard: a contiguous value range [loVal, hiVal) backed by
-// its own index. The assigned range, the base slice and the index
+// its own index. The assigned range, the base multiset and the index
 // identity are immutable after the part is published in a shard map;
 // contents change only through the epoch-chain write path, and the
 // precomputed aggregates track them atomically (see update.go for the
 // ordering contract readers rely on).
+//
+// A cracked shard keeps ONE copy of its base: the cracker array its
+// index owns (crackindex.NewOwned), which queries permute piece by
+// piece and every reader of the contents — rebuilds, snapshots,
+// Validate — reaches through the latched piece walk. Only custom-source
+// shards, whose sources expose no piece table, keep a base slice.
 type part struct {
 	loVal, hiVal int64                  // assigned range [loVal, hiVal); sentinels at the ends
-	base         []int64                // slice the index was built over (immutable)
+	base         []int64                // custom-source shards only: the slice the source was built over (immutable)
 	ix           *crackindex.Index      // nil for custom-source shards
 	src          engine.AggregateSource // query surface (adapts ix for cracked shards)
 
 	// chain is the shard's versioned differential: pending writes in
 	// an append-only chain of epoch files (every shard has one,
 	// including custom-source shards). baseEpoch is the epoch
-	// watermark the base slice incorporates: the chain holds exactly
-	// the epochs after it.
+	// watermark the base incorporates: the chain holds exactly the
+	// epochs after it.
 	chain     *epoch.Chain
 	baseEpoch int64
 
@@ -169,8 +177,8 @@ type part struct {
 
 	// Write gate. Writers hold wmu.RLock around a routed update and
 	// re-check sealed; a structural operation that must reroute
-	// writers (split, merge, parked apply — NOT the epoch-chain
-	// group-apply) seals the part (blocking until in-flight writers
+	// writers (split, merge — NOT the epoch-chain group-apply) seals
+	// the part (blocking until in-flight writers
 	// drain), rebuilds a successor, publishes the new shard map, and
 	// closes replaced to wake parked writers.
 	wmu      sync.RWMutex
@@ -232,10 +240,11 @@ func (c *Column) AdvanceEpoch(seq int64) {
 
 // New builds a sharded column over values. Boundary selection samples
 // the input (O(SampleSize log SampleSize)) and partitioning copies each
-// value into its shard's slice (O(n log P)); the per-shard cracker
-// arrays themselves are built lazily by the first query touching each
-// shard, preserving the paper's "index initialization is a query side
-// effect" discipline per shard.
+// value into its shard's slice (O(n log P)) — and that slice IS the
+// shard's cracker array: the per-shard index owns it, so the column
+// holds one copy of the data and no first query pays an initialization
+// copy. All refinement stays a query side effect: a fresh shard is one
+// unrefined piece.
 func New(values []int64, opts Options) *Column {
 	opts = opts.withDefaults()
 	return build(values, chooseBounds(values, opts.Shards, opts.SampleSize, opts.Seed), opts)
@@ -276,22 +285,42 @@ func NewWithBoundsAndCracks(values []int64, bounds []int64, cracks [][]int64, op
 		return c
 	}
 	m := c.m.Load()
+	perShard := make([][]int64, len(m.shards))
 	for _, set := range cracks {
 		for _, b := range set {
 			i := m.route(b)
-			m.shards[i].ix.CrackAt(b)
+			perShard[i] = append(perShard[i], b)
 			// A boundary exactly at a shard cut is also the left
-			// neighbor's top edge (newPart's warm replay is inclusive
-			// of shard edges for the same reason): replaying it there
-			// spares that shard's first edge-clamped query a partition
-			// pass. CrackAt is idempotent, so a boundary both shards
-			// checkpointed costs only a second TOC lookup.
+			// neighbor's top edge: replaying it there spares that
+			// shard's first edge-clamped query a partition pass.
 			if i > 0 && b == m.shards[i].loVal {
-				m.shards[i-1].ix.CrackAt(b)
+				perShard[i-1] = append(perShard[i-1], b)
 			}
 		}
 	}
+	for i, bs := range perShard {
+		slices.Sort(bs)
+		replayCracks(m.shards[i].ix, slices.Compact(bs))
+	}
 	return c
+}
+
+// replayCracks re-cracks ix at the sorted boundaries bs, median first
+// and then each half within its own side (the recursion order of
+// cracker.CrackMulti): every level partitions each row once, so the
+// replay costs O(rows · log b) where ascending order — each crack
+// re-partitioning everything to its right — costs O(rows · b). Recovery
+// has only boundary values, no positions, so this is the one rebuild
+// that still cracks; every other rebuild carries the piece table over
+// (update.go).
+func replayCracks(ix *crackindex.Index, bs []int64) {
+	if len(bs) == 0 {
+		return
+	}
+	m := len(bs) / 2
+	ix.CrackAt(bs[m])
+	replayCracks(ix, bs[:m])
+	replayCracks(ix, bs[m+1:])
 }
 
 func build(values []int64, bounds []int64, opts Options) *Column {
@@ -334,15 +363,15 @@ func build(values []int64, bounds []int64, opts Options) *Column {
 }
 
 // newPart builds one shard over vals with assigned range [loVal,
-// hiVal), computing exact aggregates. warm, when non-empty, is a list
-// of crack-boundary values replayed into the fresh index so the
-// refinement knowledge of a predecessor part survives a rebuild
-// (paper §4.2: "the side effects of earlier queries may be re-created
-// in the new index").
-func (c *Column) newPart(loVal, hiVal int64, vals []int64, warm []int64) *part {
+// hiVal), computing exact aggregates. The part takes ownership of vals.
+// seeds, when non-empty, is the piece table vals is already laid out in
+// (carryOver): the fresh index is seeded with it, so the refinement
+// knowledge of a predecessor part survives the rebuild (paper §4.2:
+// "the side effects of earlier queries may be re-created in the new
+// index" — here they are carried over, at no cost).
+func (c *Column) newPart(loVal, hiVal int64, vals []int64, seeds []crackindex.BoundaryPosition) *part {
 	p := &part{
 		loVal: loVal, hiVal: hiVal,
-		base:     vals,
 		agg:      new(partAgg),
 		replaced: make(chan struct{}),
 	}
@@ -357,28 +386,21 @@ func (c *Column) newPart(loVal, hiVal int64, vals []int64, warm []int64) *part {
 	}
 	p.chain = epoch.NewChain(c.nextEpochID)
 	p.baseEpoch = p.chain.OpenID() - 1
-	if c.opts.Source != nil {
-		p.src = c.opts.Source(vals)
-		return p
-	}
-	p.buildIndex(vals, warm, c.opts.Index)
+	p.setBase(vals, seeds, c.opts)
 	return p
 }
 
-// buildIndex builds the part's cracked index over vals and warm-replays
-// the given crack boundaries into it.
-func (p *part) buildIndex(vals []int64, warm []int64, opts crackindex.Options) {
-	p.ix = crackindex.New(vals, opts)
-	p.src = engine.SourceFromIndex(p.ix)
-	for _, b := range warm {
-		// Inclusive of the shard edges: queries clamped at loVal/hiVal
-		// crack exactly there (an empty edge piece), and replaying that
-		// boundary spares the successor a full partition pass on its
-		// first edge-clamped query.
-		if b >= p.loVal && b <= p.hiVal {
-			p.ix.CrackAt(b)
-		}
+// setBase installs the part's base and query surface: a custom source
+// built over vals, or a cracked index that owns vals as its array with
+// its table of contents seeded from seeds.
+func (p *part) setBase(vals []int64, seeds []crackindex.BoundaryPosition, opts Options) {
+	if opts.Source != nil {
+		p.base = vals
+		p.src = opts.Source(vals)
+		return
 	}
+	p.ix = crackindex.NewOwned(vals, seeds, opts.Index)
+	p.src = engine.SourceFromIndex(p.ix)
 }
 
 // chooseBounds picks up to shards-1 strictly increasing cut values
@@ -491,8 +513,7 @@ type ShardStat struct {
 	// order (id, pending counts, sealed flag).
 	EpochStats []epoch.Stat
 	// Pieces is the current piece count of the shard's cracked index
-	// (0 until the first query initializes it, and for custom-source
-	// shards).
+	// (1 for an unrefined shard; 0 for custom-source shards).
 	Pieces int
 	// Cracks counts the shard's physical reorganization actions.
 	Cracks int64
@@ -506,8 +527,8 @@ type ShardStat struct {
 	// partitioning tree that would produce the current piece count
 	// (ceil(log2(Pieces)); 0 for an unrefined shard).
 	Depth int
-	// MaxPiece is the widest index piece in rows (0 until the index
-	// initializes; convergence telemetry).
+	// MaxPiece is the widest index piece in rows (convergence
+	// telemetry; 0 for custom-source shards).
 	MaxPiece int
 	// MaxPieceFrac is MaxPiece as a fraction of the shard's indexed
 	// rows: near 1 means one unrefined piece still dominates the shard
@@ -519,8 +540,7 @@ type ShardStat struct {
 }
 
 // CrackBoundaries returns every shard's current crack boundary values
-// in shard ordinal order (nil for uninitialized or custom-source
-// shards). This is the structure a checkpoint persists: together with
+// in shard ordinal order (nil for custom-source shards). This is the structure a checkpoint persists: together with
 // Bounds it captures the column's complete refinement knowledge, and
 // NewWithBoundsAndCracks rebuilds an equivalent column from the two.
 // Each shard's list is an atomic snapshot; concurrent queries may add
@@ -537,7 +557,7 @@ func (c *Column) CrackBoundaries() [][]int64 {
 }
 
 // Values materializes the column's logical contents: every shard's
-// base slice with its full epoch chain applied, concatenated in shard
+// base with its full epoch chain applied, concatenated in shard
 // order. Each shard's contribution is internally consistent (each
 // epoch file is snapshotted under its latch); a writer racing with the
 // dump is either fully included or fully excluded per shard.
@@ -546,7 +566,8 @@ func (c *Column) Values() []int64 {
 }
 
 // ValuesAt materializes the column's logical contents as of the epoch
-// watermark: every shard's base slice plus only the epochs with id <=
+// watermark: every shard's base (read through the latched piece walk,
+// so queries keep cracking meanwhile) plus only the epochs with id <=
 // maxEpoch. With maxEpoch from SealAllEpochs the cut is exact — every
 // epoch at or below the watermark is sealed (immutable), every write
 // beyond it is excluded deterministically — which is what makes the
@@ -558,12 +579,8 @@ func (c *Column) ValuesAt(maxEpoch int64) []int64 {
 	m := c.m.Load()
 	out := make([]int64, 0, c.Rows())
 	for _, p := range m.shards {
-		if p.chain == nil {
-			out = append(out, p.base...)
-			continue
-		}
 		ins, del := p.chain.Collect(maxEpoch)
-		out = append(out, p.mergedValues(ins, del)...)
+		out, _ = p.carryOver(out, nil, ins, del)
 	}
 	return out
 }
@@ -617,6 +634,38 @@ func (c *Column) StatView() StatView {
 // Snapshot returns a per-shard statistics snapshot, in shard order.
 func (c *Column) Snapshot() []ShardStat {
 	return snapshotOf(c.m.Load())
+}
+
+// ShardLoad is the maintenance view of one shard: exactly what the
+// group-apply and rebalancing decisions read, and nothing that costs
+// more than a few atomic loads to produce. Maintenance wakes every few
+// hundred writes; the full ShardStat — per-epoch breakdown, piece
+// profile under the structure latch — is for the observability
+// surfaces, not for that hot a loop.
+type ShardLoad struct {
+	// Rows is the number of logical rows in the shard.
+	Rows int
+	// Pending counts differential updates (inserts plus deletes) not
+	// yet group-applied, across the whole epoch chain.
+	Pending int
+	// Cracks and Conflicts are the refinement-traffic counters of the
+	// shard's current index incarnation (see ShardStat).
+	Cracks, Conflicts int64
+}
+
+// Loads returns the maintenance view of every shard, in shard order.
+func (c *Column) Loads() []ShardLoad {
+	m := c.m.Load()
+	out := make([]ShardLoad, len(m.shards))
+	for i, s := range m.shards {
+		nIns, nDel := s.chain.Pending()
+		out[i] = ShardLoad{Rows: int(s.agg.rows.Load()), Pending: nIns + nDel}
+		if s.ix != nil {
+			st := s.ix.Stats()
+			out[i].Cracks, out[i].Conflicts = st.Cracks.Load(), st.Conflicts.Load()
+		}
+	}
+	return out
 }
 
 func snapshotOf(m *shardMap) []ShardStat {
@@ -694,9 +743,9 @@ func (c *Column) Validate() error {
 		}
 		if s.chain != nil {
 			nIns, nDel := s.chain.Pending()
-			if want := int64(len(s.base) + nIns - nDel); s.agg.rows.Load() != want {
+			if want := int64(s.baseRows() + nIns - nDel); s.agg.rows.Load() != want {
 				return fmt.Errorf("shard %d: rows %d, base %d + %d pending inserts - %d pending deletes = %d",
-					i, s.agg.rows.Load(), len(s.base), nIns, nDel, want)
+					i, s.agg.rows.Load(), s.baseRows(), nIns, nDel, want)
 			}
 		}
 		if s.ix != nil {

@@ -37,25 +37,38 @@
 //     to the same (shared) open epoch file, so no write is ever lost
 //     to the swap.
 //
-//   - Rerouting operations (SplitShard, MergeShards, and the legacy
-//     ApplyShardParked) follow the full seal-rebuild-publish protocol:
-//     seal the part (drain in-flight writers; parked writers wait on
-//     the part's replaced channel), close the epoch chain so writers
-//     holding a stale pre-fork part cut over too, snapshot the logical
-//     contents, build replacement part(s) — replaying the old index's
-//     crack boundaries so refinement knowledge survives — and
-//     atomically publish a new shard map.
+//   - Rerouting operations (SplitShard, MergeShards) follow the full
+//     seal-rebuild-publish protocol: seal the part (drain in-flight
+//     writers; parked writers wait on the part's replaced channel),
+//     close the epoch chain so writers holding a stale pre-fork part
+//     cut over too, carry the logical contents over into replacement
+//     part(s), and atomically publish a new shard map.
+//
+// Both shapes rebuild through one helper, carryOver: a piece-preserving
+// merge that walks the predecessor's pieces in key order under their
+// read latches and copies each piece — minus its anti-matter deletes,
+// plus the pending inserts of its key range — straight into the
+// successor's array, recording where each piece starts. The successor's
+// table of contents is seeded from those positions, so a rebuild costs
+// O(rows + pending) and repeats not one partition pass: the refinement
+// earlier queries earned is carried over, not re-earned (paper §4.2
+// separates index structure from index contents; the rebuild changes
+// only the contents).
 //
 // Readers never block on either shape: a query holding the old map
 // keeps using the old parts, which stay intact and correct (sealed
-// epochs are immutable, the shared open epoch only grows).
+// epochs are immutable, the shared open epoch only grows, and the walk
+// holds nothing but one piece's read latch at a time).
 package shard
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
+	"adaptix/internal/crackindex"
+	"adaptix/internal/kernel"
 	"adaptix/internal/metrics"
 )
 
@@ -182,11 +195,11 @@ func (p *part) tryInsert(v int64) (epochID int64, ok bool, wait <-chan struct{})
 }
 
 func (p *part) tryDelete(ctx context.Context, v int64) (epochID int64, deleted, ok bool, wait <-chan struct{}, err error) {
-	// The existence check against the immutable base cracks (or
-	// merges, for custom-source shards) the shard's index as a side
-	// effect — one user operation both querying and optimizing (paper
-	// §3). It runs outside every latch: the base multiset never
-	// changes, so the count stays valid. It honours the caller's
+	// The existence check against the part's base cracks (or merges,
+	// for custom-source shards) the shard's index as a side effect —
+	// one user operation both querying and optimizing (paper §3). It
+	// runs outside every latch: cracks permute the base, its multiset
+	// never changes, so the count stays valid. It honours the caller's
 	// context — a deadline expiring while the probe is parked on a
 	// piece latch aborts the delete with the write not applied.
 	baseN, err := p.baseCount(ctx, v)
@@ -212,7 +225,7 @@ func (p *part) tryDelete(ctx context.Context, v int64) (epochID int64, deleted, 
 	return eid, deleted, true, nil, nil
 }
 
-// baseCount counts the instances of v in the shard's immutable base —
+// baseCount counts the instances of v in the shard's base multiset —
 // the delete-existence witness. Cracked shards probe their index;
 // custom-source shards ask their AggregateSource (refining it as a
 // side effect, like any query). The probe is bounded by the caller's
@@ -280,52 +293,103 @@ func (p *part) retire() {
 	close(p.replaced)
 }
 
-// warmBoundaries returns the crack boundaries to replay into a rebuilt
-// successor: the cracked index's earned refinement, or nil for
-// custom-source shards (their refinement state is internal to the
-// source and is re-earned after a rebuild).
-func (p *part) warmBoundaries() []int64 {
+// baseRows is the row count of the part's base: the array its index
+// owns, or the base slice of a custom-source shard.
+func (p *part) baseRows() int {
+	if p.ix != nil {
+		return p.ix.Len()
+	}
+	return len(p.base)
+}
+
+// carryOver is the one rebuild primitive: it appends the part's base
+// with a differential snapshot applied (pending inserts ins and
+// anti-matter deletes del, any order; both are sorted in place) to dst,
+// piece by piece in key order, and appends one seed per piece boundary
+// — its value and the position in dst where the piece starts — to
+// seeds. The caller builds the successor over dst and seeds its table
+// of contents from them (newPart).
+//
+// Within a piece the order is: surviving base values in their current
+// physical order, then the surviving inserts of the piece's key range.
+// Deletes cancel base instances first and pending inserts second (a
+// delete can only ever have been admitted against one of the two). The
+// differential is consumed in step with the walk, so the whole merge is
+// O(rows + pending log pending), and a piece without deletes is one
+// memcpy.
+//
+// The walk takes one piece read latch at a time (crackindex.WalkPieces),
+// so queries keep reading and cracking the old part throughout. A crack
+// that lands behind the walk is not carried over — the successor holds
+// that piece unsplit, a coarser but valid partition: every value copied
+// for a piece lies inside that piece's bounds whatever happened inside
+// it before or after. Custom-source shards have no piece table; their
+// base slice is carried as one piece and seeds comes back unchanged.
+func (p *part) carryOver(dst []int64, seeds []crackindex.BoundaryPosition, ins, del []int64) ([]int64, []crackindex.BoundaryPosition) {
+	slices.Sort(ins)
+	slices.Sort(del)
 	if p.ix == nil {
-		return nil
+		return mergePiece(dst, p.base, ins, del), seeds
 	}
-	return p.ix.Boundaries()
+	p.ix.WalkPieces(func(loVal, hiVal int64, vals []int64) {
+		if loVal != minKey { // every piece but the head starts at a boundary
+			seeds = append(seeds, crackindex.BoundaryPosition{Value: loVal, Pos: len(dst)})
+		}
+		ni, nd := len(ins), len(del) // the tail piece takes whatever is left
+		if hiVal != maxKey {
+			ni, _ = slices.BinarySearch(ins, hiVal)
+			nd, _ = slices.BinarySearch(del, hiVal)
+		}
+		dst = mergePiece(dst, vals, ins[:ni], del[:nd])
+		ins, del = ins[ni:], del[nd:]
+	})
+	return dst, seeds
 }
 
-// logicalValues materializes the shard's logical contents: the
-// immutable base slice with the full epoch chain applied (deletes
-// cancel base instances first, then pending inserts). Caller must have
-// sealed the part so the chain is stable.
-func (p *part) logicalValues() []int64 {
+// logicalValues carries over the part's full logical contents: its base
+// with the whole epoch chain applied (dst nil allocates exactly). Caller
+// must have sealed the part, so the chain is stable and the aggregate
+// row count exact.
+func (p *part) logicalValues(dst []int64, seeds []crackindex.BoundaryPosition) ([]int64, []crackindex.BoundaryPosition) {
+	if dst == nil {
+		dst = make([]int64, 0, p.agg.rows.Load())
+	}
 	ins, del := p.chain.Collect(int64(maxKey))
-	return p.mergedValues(ins, del)
+	return p.carryOver(dst, seeds, ins, del)
 }
 
-// mergedValues applies a differential snapshot (pending inserts and
-// anti-matter deletes, any order) to the part's base slice.
-func (p *part) mergedValues(ins, del []int64) []int64 {
-	if len(ins) == 0 && len(del) == 0 {
-		return append([]int64(nil), p.base...)
+// mergePiece appends vals minus the deletes in del plus the inserts in
+// ins (both sorted) to dst: each delete cancels one base instance of
+// its key if one is left, else one pending insert.
+func mergePiece(dst, vals, ins, del []int64) []int64 {
+	if len(del) == 0 {
+		return append(append(dst, vals...), ins...)
 	}
-	cancel := make(map[int64]int, len(del))
-	for _, v := range del {
-		cancel[v]++
-	}
-	out := make([]int64, 0, len(p.base)+len(ins)-len(del))
-	for _, v := range p.base {
-		if cancel[v] > 0 {
-			cancel[v]--
-			continue
+	// taken[i], at the first index of a run of equal delete keys, counts
+	// how many of the run's deletes found a base instance.
+	taken := make([]int, len(del))
+	for _, v := range vals {
+		if i, found := slices.BinarySearch(del, v); found {
+			if j := i + taken[i]; j < len(del) && del[j] == v {
+				taken[i]++
+				continue
+			}
 		}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
-	for _, v := range ins {
-		if cancel[v] > 0 {
-			cancel[v]--
-			continue
+	for i := 0; i < len(del); {
+		key, run := del[i], i
+		for i < len(del) && del[i] == key {
+			i++
 		}
-		out = append(out, v)
+		n, _ := slices.BinarySearch(ins, key)
+		dst = append(dst, ins[:n]...)
+		ins = ins[n:]
+		for left := i - run - taken[run]; left > 0 && len(ins) > 0 && ins[0] == key; left-- {
+			ins = ins[1:]
+		}
 	}
-	return out
+	return append(dst, ins...)
 }
 
 // publish swaps old.shards[i:i+n] for repl under the given bounds and
@@ -378,8 +442,8 @@ type Applied struct {
 	Inserts, Deletes int
 	// Rows is the shard's base row count after the merge.
 	Rows int
-	// Boundaries is the number of crack boundaries replayed into the
-	// rebuilt index.
+	// Boundaries is the number of crack boundaries carried over into
+	// the rebuilt index.
 	Boundaries int
 	// Epoch is the watermark merged into the base: every epoch up to
 	// it is applied, every later one survives in the successor chain.
@@ -389,11 +453,12 @@ type Applied struct {
 }
 
 // ApplySealed group-applies shard i's sealed epochs into its cracker
-// array: the shard is rebuilt over its base merged with every sealed
-// epoch, the old index's crack boundaries are replayed into the fresh
-// index, and the shard map is republished with a successor that shares
-// the ancestor's aggregates and forks the chain past the applied
-// watermark. Reports false when no sealed epochs exist.
+// array: the shard's pieces are carried over into a successor array
+// with every sealed epoch merged in (carryOver), the successor's table
+// of contents is seeded with the old index's piece boundaries, and the
+// shard map is republished with a successor that shares the ancestor's
+// aggregates and forks the chain past the applied watermark. Reports
+// false when no sealed epochs exist.
 //
 // Nobody blocks: readers holding the previous map keep using the old
 // part (its sealed epochs stay visible through its own chain), and
@@ -433,69 +498,26 @@ func (c *Column) applySealedLocked(i int) (Applied, bool) {
 		return Applied{}, false
 	}
 	t0 := time.Now()
-	vals := p.mergedValues(ins, del)
-	warm := p.warmBoundaries()
+	vals, seeds := p.carryOver(make([]int64, 0, max(0, p.baseRows()+len(ins)-len(del))), nil, ins, del)
 	q := &part{
 		loVal: p.loVal, hiVal: p.hiVal,
-		base:      vals,
 		agg:       p.agg, // shared: logical contents are unchanged
 		chain:     p.chain.Fork(watermark),
 		baseEpoch: watermark,
 		replaced:  make(chan struct{}),
 	}
-	if c.opts.Source != nil {
-		// Custom-source shards rebuild through the factory: the merged
-		// base feeds a fresh amerge/hybrid/sort/scan source. Refinement
-		// earned by the old source does not replay (only cracked shards
-		// have exportable boundary knowledge) — the fresh source
-		// re-earns it from subsequent queries.
-		q.src = c.opts.Source(vals)
-	} else {
-		q.buildIndex(vals, warm, c.opts.Index)
-	}
+	// Custom-source shards rebuild through the factory: refinement
+	// earned by the old source is internal to it and is re-earned from
+	// subsequent queries.
+	q.setBase(vals, seeds, c.opts)
 	c.publish(m, i, 1, []*part{q}, m.bounds)
 	// No retire(): nothing parks on an epoch-chain apply. The old part
 	// stays intact for readers (and stale writers) still holding it.
 	c.opts.Obs.RecordStructural(metrics.EvApply, int32(i), time.Since(t0), int64(len(ins)+len(del)))
 	return Applied{
 		Shard: i, Inserts: len(ins), Deletes: len(del),
-		Rows: len(vals), Boundaries: len(warm),
+		Rows: len(vals), Boundaries: len(seeds),
 		Epoch: watermark, Epochs: sealed,
-	}, true
-}
-
-// ApplyShardParked is the legacy single-differential group-apply: the
-// shard is sealed for writers for the full rebuild (parked writers pay
-// the rebuild latency — the stall the epoch chain exists to remove;
-// experiments.ReadWriteMix measures the difference). It folds every
-// epoch, sealed and open, into the rebuilt array and publishes a
-// successor with a fresh chain and exact aggregates. Reports false
-// when the shard has no pending updates.
-func (c *Column) ApplyShardParked(i int) (Applied, bool) {
-	c.structMu.Lock()
-	defer c.structMu.Unlock()
-	m := c.m.Load()
-	if i < 0 || i >= len(m.shards) {
-		return Applied{}, false
-	}
-	p := m.shards[i]
-	if nIns, nDel := p.chain.Pending(); nIns == 0 && nDel == 0 {
-		return Applied{}, false
-	}
-	epochs := p.chain.Len()
-	t0 := time.Now()
-	p.seal()
-	ins, del := p.chain.Collect(int64(maxKey))
-	vals := p.mergedValues(ins, del)
-	warm := p.warmBoundaries()
-	q := c.newPart(p.loVal, p.hiVal, vals, warm)
-	c.publish(m, i, 1, []*part{q}, m.bounds)
-	p.retire()
-	c.opts.Obs.RecordStructural(metrics.EvApply, int32(i), time.Since(t0), int64(len(ins)+len(del)))
-	return Applied{
-		Shard: i, Inserts: len(ins), Deletes: len(del),
-		Rows: len(vals), Boundaries: len(warm),
-		Epoch: q.baseEpoch, Epochs: epochs,
 	}, true
 }
 
@@ -514,11 +536,12 @@ type Split struct {
 // publishing a shard map with one more shard. The full epoch chain is
 // group-applied as part of the rebuild — a split cuts the chain
 // consistently: both successors start with fresh, empty chains over
-// bases that incorporate every pending write — and the old index's
-// crack boundaries are replayed into whichever side owns them (cracked
-// shards; custom-source shards rebuild through the factory). Reports
-// false when the shard cannot be split (fewer than two distinct
-// values).
+// bases that incorporate every pending write. The shard's pieces are
+// carried over (carryOver); the cut becomes a boundary — only the one
+// piece it falls into is partitioned — and each half keeps the pieces
+// on its side, rebased to its own array (custom-source shards rebuild
+// through the factory). Reports false when the shard cannot be split
+// (fewer than two distinct values).
 func (c *Column) SplitShard(i int) (Split, bool) {
 	c.structMu.Lock()
 	defer c.structMu.Unlock()
@@ -530,14 +553,14 @@ func (c *Column) SplitShard(i int) (Split, bool) {
 	// Cheap pre-check: a shard whose value envelope has collapsed to a
 	// single value (a storm of one repeated key) can never be split.
 	// Rejecting here keeps the rebalancer from sealing the hot shard
-	// and sorting its full contents on every maintenance pass.
+	// and merging its full contents on every maintenance pass.
 	if p.agg.minA.Load() >= p.agg.maxA.Load() {
 		return Split{}, false
 	}
 	t0 := time.Now()
 	p.seal()
-	vals := p.logicalValues()
-	cut, ok := chooseCut(vals)
+	vals, seeds := p.logicalValues(nil, nil)
+	cut, mn, mx, ok := chooseCut(vals, seeds)
 	if !ok {
 		// All remaining values are equal but the widen-only envelope
 		// was stale (deletes removed the extrema). The part is sealed
@@ -545,33 +568,40 @@ func (c *Column) SplitShard(i int) (Split, bool) {
 		// actual min/max is safe and lets the pre-check above reject
 		// the next attempt in O(1).
 		if len(vals) > 0 {
-			mn, mx := vals[0], vals[0]
-			for _, v := range vals {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
 			p.agg.minA.Store(mn)
 			p.agg.maxA.Store(mx)
 		}
 		p.unseal()
 		return Split{}, false
 	}
-	left := make([]int64, 0, len(vals)/2)
-	right := make([]int64, 0, len(vals)/2)
-	for _, v := range vals {
-		if v < cut {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
+	// Make the cut a boundary: partition the one piece it falls into
+	// (nothing at all when an earlier crack already sits there).
+	k := sort.Search(len(seeds), func(j int) bool { return seeds[j].Value >= cut })
+	right := seeds[k:]
+	var pos int
+	if len(right) > 0 && right[0].Value == cut {
+		pos, right = right[0].Pos, right[1:]
+	} else {
+		lo, hi := 0, len(vals)
+		if k > 0 {
+			lo = seeds[k-1].Pos
 		}
+		if k < len(seeds) {
+			hi = seeds[k].Pos
+		}
+		pos = lo + partition(vals[lo:hi], cut)
 	}
-	warm := p.warmBoundaries()
-	lp := c.newPart(p.loVal, cut, left, warm)
-	rp := c.newPart(cut, p.hiVal, right, warm)
+	// Each half keeps the cut as an edge boundary (an empty edge
+	// piece): queries clamped to the shard's range crack exactly there,
+	// and finding the boundary in place spares them a partition pass.
+	edge := crackindex.BoundaryPosition{Value: cut}
+	rseeds := append(make([]crackindex.BoundaryPosition, 0, len(right)+1), edge)
+	for _, b := range right {
+		rseeds = append(rseeds, crackindex.BoundaryPosition{Value: b.Value, Pos: b.Pos - pos})
+	}
+	edge.Pos = pos
+	lp := c.newPart(p.loVal, cut, vals[:pos:pos], append(seeds[:k:k], edge))
+	rp := c.newPart(cut, p.hiVal, vals[pos:], rseeds)
 	bounds := make([]int64, 0, len(m.bounds)+1)
 	bounds = append(bounds, m.bounds[:i]...)
 	bounds = append(bounds, cut)
@@ -579,30 +609,61 @@ func (c *Column) SplitShard(i int) (Split, bool) {
 	c.publish(m, i, 1, []*part{lp, rp}, bounds)
 	p.retire()
 	c.opts.Obs.RecordStructural(metrics.EvSplit, int32(i), time.Since(t0), int64(len(vals)))
-	return Split{Shard: i, Cut: cut, LeftRows: len(left), RightRows: len(right)}, true
+	return Split{Shard: i, Cut: cut, LeftRows: pos, RightRows: len(vals) - pos}, true
 }
 
 // chooseCut picks the median value of vals as a split cut, adjusted so
-// both sides are non-empty. Reports false when vals holds fewer than
-// two distinct values. O(n log n); splits are rare structural events.
-func chooseCut(vals []int64) (int64, bool) {
+// both sides are non-empty, and returns the value envelope alongside.
+// Reports false when vals holds fewer than two distinct values. The
+// piece table narrows the selection to the one piece holding the median
+// position — pieces are range-partitioned, so the median of the whole
+// is the right rank inside that piece — and only that piece is sorted.
+func chooseCut(vals []int64, seeds []crackindex.BoundaryPosition) (cut, mn, mx int64, ok bool) {
 	if len(vals) < 2 {
-		return 0, false
+		if len(vals) == 1 {
+			mn, mx = vals[0], vals[0]
+		}
+		return 0, mn, mx, false
 	}
-	s := append([]int64(nil), vals...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	cut := s[len(s)/2]
-	if cut > s[0] {
-		return cut, true
+	mn, mx, _ = kernel.MinMaxSum(vals)
+	mid := len(vals) / 2
+	k := sort.Search(len(seeds), func(j int) bool { return seeds[j].Pos > mid })
+	lo, hi := 0, len(vals)
+	if k > 0 {
+		lo = seeds[k-1].Pos
+	}
+	if k < len(seeds) {
+		hi = seeds[k].Pos
+	}
+	piece := slices.Clone(vals[lo:hi])
+	slices.Sort(piece)
+	if cut = piece[mid-lo]; cut > mn {
+		return cut, mn, mx, true
 	}
 	// Degenerate lower half (duplicates of the minimum): cut at the
 	// first larger value so the left side keeps the minimum run.
-	for _, v := range s[len(s)/2:] {
-		if v > cut {
-			return v, true
+	cut, ok = mx, mx > mn
+	for _, v := range vals {
+		if v > mn && v < cut {
+			cut = v
 		}
 	}
-	return 0, false
+	return cut, mn, mx, ok
+}
+
+// partition reorders vals so that all values < pivot precede all values
+// >= pivot and returns the split position (cracker.CrackInTwo's Lomuto
+// pass, on a plain slice that has no rowIDs yet).
+func partition(vals []int64, pivot int64) int {
+	j := 0
+	for i, v := range vals {
+		vals[i] = vals[j]
+		vals[j] = v
+		if v < pivot {
+			j++
+		}
+	}
+	return j
 }
 
 // Merged describes one merge of two adjacent shards (MergeShards).
@@ -618,10 +679,10 @@ type Merged struct {
 // MergeShards merges adjacent shards i and i+1 into one, publishing a
 // shard map with one fewer shard. Both epoch chains are cut
 // consistently — every pending write of either side is folded into the
-// merged base, and the successor starts a fresh chain — and the
-// removed cut value plus both old indexes' crack boundaries are
-// replayed into the merged index (cracked shards), so no refinement
-// knowledge is lost. Reports false when i is out of range.
+// merged base, and the successor starts a fresh chain — and the merged
+// index is the two piece tables concatenated (carryOver twice into one
+// array) with the removed cut kept as a boundary between them, so no
+// refinement knowledge is lost. Reports false when i is out of range.
 func (c *Column) MergeShards(i int) (Merged, bool) {
 	c.structMu.Lock()
 	defer c.structMu.Unlock()
@@ -633,10 +694,14 @@ func (c *Column) MergeShards(i int) (Merged, bool) {
 	t0 := time.Now()
 	l.seal()
 	r.seal()
-	vals := append(l.logicalValues(), r.logicalValues()...)
-	warm := append(l.warmBoundaries(), r.warmBoundaries()...)
-	warm = append(warm, m.bounds[i]) // keep the removed cut as a crack boundary
-	q := c.newPart(l.loVal, r.hiVal, vals, warm)
+	vals, seeds := l.logicalValues(make([]int64, 0, l.agg.rows.Load()+r.agg.rows.Load()), nil)
+	seeds = append(seeds, crackindex.BoundaryPosition{Value: m.bounds[i], Pos: len(vals)})
+	vals, seeds = r.logicalValues(vals, seeds)
+	// Both sides may have recorded the cut themselves (the left as its
+	// top edge, the right as its bottom edge): the merged table needs
+	// it once.
+	seeds = slices.CompactFunc(seeds, func(a, b crackindex.BoundaryPosition) bool { return a.Value == b.Value })
+	q := c.newPart(l.loVal, r.hiVal, vals, seeds)
 	bounds := make([]int64, 0, len(m.bounds)-1)
 	bounds = append(bounds, m.bounds[:i]...)
 	bounds = append(bounds, m.bounds[i+1:]...)

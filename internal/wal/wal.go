@@ -527,7 +527,7 @@ func removeCut(cuts []int64, v int64) []int64 {
 // exists, the owning shard's boundaries are divided between the two
 // halves. A boundary equal to the cut goes to BOTH halves — it becomes
 // the left shard's top edge and the right shard's bottom edge, exactly
-// what shard.SplitShard's inclusive warm replay produces in memory.
+// what shard.SplitShard produces in memory.
 func (cat *Catalog) splitShard(obj string, cut int64) {
 	cuts := cat.ShardBounds[obj]
 	i := sort.Search(len(cuts), func(i int) bool { return cuts[i] >= cut })
@@ -555,7 +555,7 @@ func (cat *Catalog) splitShard(obj string, cut int64) {
 
 // mergeShard applies a committed ShardMerge that removed cut: the two
 // adjacent shards' crack sets are concatenated with the removed cut
-// kept as a crack boundary (mirroring shard.MergeShards' warm replay).
+// kept as a crack boundary (mirroring shard.MergeShards).
 func (cat *Catalog) mergeShard(obj string, cut int64) {
 	cuts := cat.ShardBounds[obj]
 	i := sort.Search(len(cuts), func(i int) bool { return cuts[i] >= cut })
