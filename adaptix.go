@@ -372,7 +372,9 @@ type ObsSnapshot struct {
 // the /snapshot document): how fast queries stop touching unrefined
 // data. A converging index shows Series decaying and CoveredFrac
 // rising; a stagnating one (the watchdog's convergence-stagnation
-// rule) shows Series flat while TouchedP50 stays high.
+// rule) shows Series flat while TouchedP50 stays high — which no read
+// workload should produce on a Crack index, a sequential sweep
+// included.
 type ConvergenceStats struct {
 	// Series is the mean rows touched per query, one point per window
 	// of queries (oldest first, bounded ring — see the watchdog's

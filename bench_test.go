@@ -268,16 +268,6 @@ func BenchmarkMethod_Hybrid(b *testing.B) {
 		benchQuerySet(workload.Sum, 0.001), 4)
 }
 
-func BenchmarkAblation_Stochastic_Off(b *testing.B) {
-	runEngine(b, crackEngine(crackindex.Options{Latching: crackindex.LatchPiece}),
-		benchQuerySet(workload.Count, 0.0001), 1)
-}
-
-func BenchmarkAblation_Stochastic_On(b *testing.B) {
-	runEngine(b, crackEngine(crackindex.Options{Latching: crackindex.LatchPiece, Stochastic: true}),
-		benchQuerySet(workload.Count, 0.0001), 1)
-}
-
 // Sideways cracking vs the Figure 6 fetch plan for
 // select sum(B) where lo <= A < hi.
 func benchTwoColumnPlan(b *testing.B, useSideways bool) {

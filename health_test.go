@@ -246,12 +246,15 @@ func TestHealthWALGrowthDegrades(t *testing.T) {
 }
 
 // TestHealthConvergenceStagnation runs the workload the stagnation
-// rule exists for: a strictly sequential scan of the key space over a
-// cracked index. Every query cracks the predicate's fringe off the one
-// big unrefined piece, so rows touched per query barely decays, and
-// the convergence-stagnation rule must fire.
+// rule was written for: a strictly sequential scan of the key space
+// over a cracked index. Cracking at the query bounds alone would cut
+// the predicate's fringe off the one big unrefined piece every time and
+// keep rows touched per query flat near the column size; because every
+// crack of a large piece also cuts it at sampled quantiles, the sweep
+// converges: the series decays and the rule stays ok. (The rule itself
+// is exercised by a synthetic flat series in internal/health.)
 func TestHealthConvergenceStagnation(t *testing.T) {
-	const n = 50_000
+	const n = 1 << 20
 	ix, err := adaptix.New(seqValues(n),
 		adaptix.WithShards(1), // one latch domain: the paper's original setting
 		adaptix.WithHealth(adaptix.HealthOptions{Interval: -1, StagnationWindows: 2}),
@@ -262,10 +265,10 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 	defer ix.Close()
 
 	ctx := context.Background()
-	// 512 queries fill two convergence windows; each touches the
-	// ~n-sized unrefined tail, so the series stays flat near n.
+	// 512 queries fill two convergence windows; at the query bounds
+	// alone each would touch the ~n-sized unrefined tail.
 	for i := int64(0); i < 512; i++ {
-		if _, err := ix.Count(ctx, i*10, i*10+10); err != nil {
+		if _, err := ix.Count(ctx, i*100, i*100+100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,23 +279,19 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 			conv = r
 		}
 	}
-	if conv.Status != adaptix.HealthDegraded {
-		t.Fatalf("sequential workload did not trip stagnation: %+v (series %v)",
-			conv, ix.Stats().Convergence.Series)
+	series := ix.Stats().Convergence.Series
+	if conv.Status != adaptix.HealthOK {
+		t.Fatalf("sequential workload tripped stagnation: %+v (series %v)", conv, series)
 	}
-	if conv.Evidence["late_mean_rows"] < 4096 {
-		t.Fatalf("late mean %d too low to have been a real stagnation", conv.Evidence["late_mean_rows"])
+	early, late := conv.Evidence["early_mean_rows"], conv.Evidence["late_mean_rows"]
+	if late >= early || late > conv.Evidence["min_rows"] {
+		t.Fatalf("rows touched per query did not decay below the floor: %d -> %d (series %v)", early, late, series)
 	}
-	if code, _ := getJSON(t, ix, "/health"); code != 503 {
-		t.Fatal("/health not 503 under stagnation")
+	if len(series) < 2 || series[len(series)-1] != late {
+		t.Fatalf("series %v inconsistent with the verdict's evidence %+v", series, conv.Evidence)
 	}
-
-	// Contrast: the same index under a uniform workload converges —
-	// the series decays and the rule clears only once the late half
-	// genuinely drops (regression guard for the 80% decay test).
-	cs := ix.Stats().Convergence
-	if len(cs.Series) < 2 || cs.Series[len(cs.Series)-1] < 4096 {
-		t.Fatalf("series %v inconsistent with the degraded verdict", cs.Series)
+	if code, _ := getJSON(t, ix, "/health"); code != 200 {
+		t.Fatal("/health not 200 under a sequential sweep")
 	}
 }
 

@@ -11,9 +11,10 @@
 //     values — the later design with better cache locality for
 //     operators that touch only one of the two.
 //
-// The two reorganization kernels are crack-in-two (one pivot, at most
-// one piece split per bound) and crack-in-three (both query bounds fall
-// into the same piece and are applied in a single pass).
+// The reorganization kernels are crack-in-two (one pivot) and the
+// multi-pivot crack built from it (CrackMulti: both query bounds, queued
+// waiters' bounds and sampled quantiles applied to one piece in
+// O(n log k)); crack-in-three is its two-pivot case.
 //
 // The package performs no synchronization: callers (the cracked-column
 // index) latch the pieces they reorganize or read.
@@ -21,6 +22,7 @@ package cracker
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"adaptix/internal/kernel"
@@ -172,8 +174,8 @@ func crackInTwoPairs(pairs []Pair, lo, hi int, pivot int64) int {
 // CrackInThree partitions positions [lo, hi) in place into three
 // regions — values < a, values in [a, b), values >= b — and returns
 // (posA, posB): the first position >= a and the first position >= b.
-// It requires a <= b. Used when both bounds of a range predicate fall
-// into the same uncracked piece, saving one pass (paper §5.3).
+// It requires a <= b. It is CrackMulti on the two bounds: a pass on b,
+// then a pass on a over the below-b region only.
 func (a *Array) CrackInThree(lo, hi int, va, vb int64) (posA, posB int) {
 	if va > vb {
 		panic("cracker: CrackInThree requires va <= vb")
@@ -182,63 +184,58 @@ func (a *Array) CrackInThree(lo, hi int, va, vb int64) (posA, posB int) {
 		p := a.CrackInTwo(lo, hi, va)
 		return p, p
 	}
-	if a.layout == LayoutPairs {
-		return crackInThreePairs(a.pairs, lo, hi, va, vb)
-	}
-	return crackInThreeSplit(a.vals, a.ids, lo, hi, va, vb)
-}
-
-// crackInThreeSplit runs two branch-free crack-in-two passes instead
-// of a Dutch-national-flag single pass: partition on b, then partition
-// the lower region on a. The flag pass touches each element once but
-// its three-way branch is unpredictable on random piece contents, and
-// the mispredict stalls cost far more than the second pass's extra
-// reads — the two branch-free passes (~1.5 passes of work, since the
-// second covers only the below-b region) run several times faster on
-// an uncracked piece.
-func crackInThreeSplit(vals []int64, ids []uint32, lo, hi int, va, vb int64) (int, int) {
-	posB := crackInTwoSplit(vals, ids, lo, hi, vb)
-	posA := crackInTwoSplit(vals, ids, lo, posB, va)
-	return posA, posB
-}
-
-func crackInThreePairs(pairs []Pair, lo, hi int, va, vb int64) (int, int) {
-	posB := crackInTwoPairs(pairs, lo, hi, vb)
-	posA := crackInTwoPairs(pairs, lo, posB, va)
-	return posA, posB
+	var out [2]int
+	a.crackMultiRec(lo, hi, []int64{va, vb}, out[:], nil)
+	return out[0], out[1]
 }
 
 // CrackMulti partitions positions [lo, hi) on all pivots at once and
-// returns one split position per pivot (the first position whose value
-// is >= that pivot). Pivots must be sorted ascending. The recursion
-// cracks on the median pivot first and then handles each half within
-// its sub-range, so the whole group costs O(n log k) — one pass per
-// recursion level instead of one pass per pivot.
+// stores one split position per pivot in out (the first position whose
+// value is >= that pivot; len(out) must equal len(pivots)). Pivots must
+// be sorted ascending. Nothing is allocated: the index cracks through
+// this kernel on every refinement, with pivots and out in fixed arrays
+// on its stack.
 //
-// This is the kernel of the "dynamic algorithms" extension sketched in
-// the paper's §7: when several queries wait to crack the same piece,
-// the query holding the latch can refine the index for all waiting
-// requests in one step.
-func (a *Array) CrackMulti(lo, hi int, pivots []int64) []int {
-	for i := 1; i < len(pivots); i++ {
-		if pivots[i-1] > pivots[i] {
-			panic("cracker: CrackMulti pivots not sorted")
-		}
+// Every level is one branch-free crack-in-two pass over its range and
+// the two sides recurse within their sub-ranges, so k pivots cost
+// O(n log k), not k passes. Which pivot a level cracks on decides how
+// many rows the deeper levels touch again: sample, when non-empty, is a
+// sorted sample of the range's values, and each level cracks on the
+// pivot next to the median of the sample values in its range — the one
+// expected to halve it; with no sample it is the median pivot. A level
+// fused over several pivots (one pass, one conditional swap per pivot
+// and row) was measured against this recursion on the 1 Mi-row rung
+// column and lost: 273 against 328 Mrows/s on two pivots, 152 against
+// 291 on three — the partition is bound by its swaps, not by memory, so
+// a second branch-free pass is cheaper than a second swap per row (and
+// far cheaper than a Dutch-national-flag pass, whose three-way branch
+// mispredicts on an uncracked piece's random order).
+//
+// This is also the kernel of the "dynamic algorithms" extension
+// sketched in the paper's §7: when several queries wait to crack the
+// same piece, the query holding the latch refines the index for all
+// waiting requests in one step.
+func (a *Array) CrackMulti(lo, hi int, pivots []int64, out []int, sample []int64) {
+	if !slices.IsSorted(pivots) {
+		panic("cracker: CrackMulti pivots not sorted")
 	}
-	out := make([]int, len(pivots))
-	a.crackMultiRec(lo, hi, pivots, out)
-	return out
+	a.crackMultiRec(lo, hi, pivots, out[:len(pivots)], sample)
 }
 
-func (a *Array) crackMultiRec(lo, hi int, pivots []int64, out []int) {
+func (a *Array) crackMultiRec(lo, hi int, pivots []int64, out []int, sample []int64) {
 	if len(pivots) == 0 {
 		return
 	}
 	m := len(pivots) / 2
+	if len(sample) > 0 {
+		m, _ = slices.BinarySearch(pivots, sample[len(sample)/2])
+		m = min(m, len(pivots)-1)
+	}
 	pos := a.CrackInTwo(lo, hi, pivots[m])
 	out[m] = pos
-	a.crackMultiRec(lo, pos, pivots[:m], out[:m])
-	a.crackMultiRec(pos, hi, pivots[m+1:], out[m+1:])
+	k, _ := slices.BinarySearch(sample, pivots[m])
+	a.crackMultiRec(lo, pos, pivots[:m], out[:m], sample[:k])
+	a.crackMultiRec(pos, hi, pivots[m+1:], out[m+1:], sample[k:])
 }
 
 // b2u converts a bool to 0/1 branch-free (the pairs-layout twin of the

@@ -376,3 +376,70 @@ func TestNewOwnedAdoptsSplitValuesAndViewsBothLayouts(t *testing.T) {
 		}
 	}
 }
+
+// TestCrackMultiPostcondition: every pivot gets the position its own
+// crack-in-two would have found, whatever sample steers the recursion —
+// none, a faithful one, or one that has nothing to do with the data.
+func TestCrackMultiPostcondition(t *testing.T) {
+	d := workload.NewDuplicates(5000, 700, 7)
+	sorted := append([]int64(nil), d.Values...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	pivots := []int64{-5, 0, 13, 13, 250, 251, 699, 700, 9000}
+	samples := map[string][]int64{
+		"none":      nil,
+		"faithful":  {40, 120, 200, 270, 350, 430, 500, 580, 660},
+		"unrelated": {-90, -80, 5000, 6000, 7000},
+		"unsorted":  {600, 3, 400},
+	}
+	for _, layout := range bothLayouts {
+		for name, sample := range samples {
+			a := New(d.Values, layout)
+			out := make([]int, len(pivots))
+			a.CrackMulti(0, a.Len(), pivots, out, sample)
+			for i, p := range pivots {
+				if want := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= p }); out[i] != want {
+					t.Fatalf("%v/%s: pivot %d at %d, want %d", layout, name, p, out[i], want)
+				}
+				for j := 0; j < a.Len(); j++ {
+					if (a.Value(j) < p) != (j < out[i]) {
+						t.Fatalf("%v/%s: value %d at pos %d on the wrong side of pivot %d", layout, name, a.Value(j), j, p)
+					}
+				}
+			}
+			checkAlignment(t, a, d.Values)
+			checkMultiset(t, a, d.Values)
+		}
+	}
+}
+
+// TestCrackMultiPanicsOnUnsortedPivots: the positions of unsorted
+// pivots would be silently wrong.
+func TestCrackMultiPanicsOnUnsortedPivots(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	New([]int64{1, 2, 3}, LayoutSplit).CrackMulti(0, 3, []int64{2, 1}, make([]int, 2), nil)
+}
+
+// TestCrackMultiAllocatesNothing: the index cracks through this kernel
+// on every refinement, with pivots and positions in arrays on its stack.
+func TestCrackMultiAllocatesNothing(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<10, 5)
+	for _, layout := range bothLayouts {
+		a := New(d.Values, layout)
+		allocs := testing.AllocsPerRun(20, func() {
+			var pivots = [5]int64{100, 300, 500, 700, 900}
+			var sample = [9]int64{50, 150, 250, 350, 450, 550, 650, 750, 850}
+			var out [5]int
+			a.CrackMulti(0, a.Len(), pivots[:], out[:], sample[:])
+			if pa, pb := a.CrackInThree(0, a.Len(), 200, 800); pa != 200 || pb != 800 {
+				t.Fatalf("CrackInThree = %d, %d", pa, pb)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: %v allocations per multi-pivot crack", layout, allocs)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package crackindex
 import (
 	"context"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -11,11 +10,14 @@ import (
 // by the trace hook (Figure 8 timelines), and the caller's context: a
 // nil ctx means context.Background semantics (never cancelled), and the
 // first context error observed while parked on a latch is recorded in
-// err so the query paths can abandon remaining work promptly.
+// err so the query paths can abandon remaining work promptly. replay
+// marks the replay of a recorded boundary (CrackAt): the crack adds
+// that boundary and nothing else.
 type opCtx struct {
-	tag string
-	ctx context.Context
-	err error
+	tag    string
+	ctx    context.Context
+	err    error
+	replay bool
 	OpStats
 }
 
@@ -44,7 +46,9 @@ func (c *opCtx) canceled() bool {
 // navigate to the piece under the structure latch, block on (or, under
 // conflict avoidance, try) the piece's write latch, re-determine the
 // bound after waking up if the piece was split in the meantime
-// (Figure 10), physically partition, then publish the split.
+// (Figure 10), refine, publish the splits. In the exclusive modes
+// (LatchColumn: the caller holds the column write latch; LatchNone:
+// single-threaded) the piece latch is not taken and the loop runs once.
 //
 // ok is false only when refinement was forgone (conflict avoidance or
 // a conflicting user-transaction lock).
@@ -56,12 +60,9 @@ func (ix *Index) crackBound(v int64, ctx *opCtx) (pos int, ok bool) {
 	if v == maxKey {
 		return ix.arr.Len(), true
 	}
-	if ix.opts.Latching != LatchPiece {
-		return ix.crackBoundExclusive(v, ctx), true
-	}
-	ix.mu.Lock()
+	ix.structLock()
 	p := ix.findPieceLocked(v)
-	ix.mu.Unlock()
+	ix.structUnlock()
 	for {
 		// Exact match: the boundary already exists. lo and loVal are
 		// immutable after publication (splits keep the left part), so
@@ -81,132 +82,145 @@ func (ix *Index) crackBound(v int64, ctx *opCtx) (pos int, ok bool) {
 		ix.pieceWriteUnlock(ctx, p)
 		p = ix.redetermine(p, v)
 	}
-	// p is write-latched and v falls strictly inside it: crack.
-	start := time.Now()
-	ctx.Touched += int64(p.hi - p.lo)
-	switch {
-	case ix.opts.GroupCracking && ix.groupCrack(p, v, &pos):
-		// grouped multi-pivot crack done
-	case ix.opts.Stochastic && ix.stochasticCrack(p, v, &pos):
-		// crack plus a random auxiliary pivot done
-	default:
-		pos = ix.arr.CrackInTwo(p.lo, p.hi, v)
-		ix.mu.Lock()
-		ix.splitTwoLocked(p, v, pos)
-		ix.mu.Unlock()
-	}
-	d := time.Since(start)
-	ctx.Crack += d
-	ix.stats.CrackTime.Add(d)
-	ix.stats.Cracks.Inc()
-	ix.traceCrack(ctx, p, v)
+	pos, _, _ = ix.refine(p, v, v, false, ctx)
 	ix.pieceWriteUnlock(ctx, p)
 	return pos, true
 }
 
-// groupCrack implements the §7 "dynamic algorithms" extension: the
-// holder of p's write latch cracks not only for its own bound v but
-// for the bounds of every crack currently queued on p, in a single
-// multi-pivot pass. It reports false (and does nothing) when no other
-// bound falls inside the piece. Caller holds p's write latch; *pos
-// receives the split position of v.
+// auxMinPiece is the piece size, in rows, from which a crack also cuts
+// the piece at sampled quantiles: 16 Ki rows, about what stays resident
+// in L2 while it is partitioned. Below it a crack costs microseconds
+// whatever the workload does and extra boundaries would only grow the
+// table of contents. It is a constant, not an option: swept over
+// 1 Ki / 4 Ki / 16 Ki / 64 Ki, the sequential adversary runs within a
+// tenth of its best up to 16 Ki and a quarter slower at 64 Ki, and the
+// mixed read/write workload pays for the extra pieces below 16 Ki.
+const auxMinPiece = 16 << 10
+
+// refine is the one refinement step every crack goes through. p is held
+// exclusively (its write latch in LatchPiece mode) and the required
+// bounds a <= b fall strictly inside it (a == b: one bound). One pivot
+// set is assembled —
 //
-// Safety of the chained structural splits: the intermediate pieces
-// created here become reachable only through the structure latch
-// (held for the whole chain) or through p.next (readable only under
-// p's latch, which we hold exclusively), so no other thread can
-// observe a partially split chain.
-func (ix *Index) groupCrack(p *piece, v int64, pos *int) bool {
-	pivots := append([]int64{v}, p.latch.WaiterBounds()...)
-	sort.Slice(pivots, func(i, j int) bool { return pivots[i] < pivots[j] })
-	// Keep pivots strictly inside the piece, deduplicated.
-	kept := pivots[:0]
-	for _, b := range pivots {
-		if b > p.loVal && b < p.hiVal && (len(kept) == 0 || kept[len(kept)-1] != b) {
-			kept = append(kept, b)
+//   - the required bounds;
+//   - under GroupCracking, the bounds of every crack queued on p (§7
+//     "dynamic algorithms": the waiters find their boundary in place
+//     when granted the latch);
+//   - when p holds at least auxMin rows, three quantiles of its values,
+//     estimated from nine values at hashed positions (the robustness of
+//     stochastic cracking [16]: whatever bounds the workload asks for,
+//     a large piece is cut into near-quarters, so the piece ahead of a
+//     sequential sweep shrinks geometrically and no latch is long-held
+//     twice). Quantiles, not one random pivot: a single draw leaves up
+//     to the whole far side uncut, and a sweep never touches the far
+//     side again. The hash makes the positions deterministic per piece
+//     state, so a replayed workload rebuilds the same index;
+//
+// — then partitioned in one multi-pivot pass and published as one chain
+// of splits under the structure latch. keepMiddle (LatchPiece only)
+// returns the piece between the two required bounds write-latched —
+// latched before anyone can reach it — for the §3.3 downgrade; it must
+// then be exactly the qualifying range, so an optional pivot inside
+// [a, b] is dropped. That costs no robustness: the caller is about to
+// read every row of that piece anyway. Without keepMiddle such pivots
+// stay, which is what keeps a zoom-in of ever narrower nested counts
+// from re-partitioning the whole middle every time. A replay (CrackAt)
+// takes no optional pivot at all.
+//
+// Safety of the chain: the pieces created here become reachable only
+// through the structure latch (held for the whole chain) or through
+// p.next (readable only under p's latch, held exclusively), so no other
+// thread can observe a partially split chain.
+func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (posA, posB int, mid *piece) {
+	start := time.Now()
+	ctx.Touched += int64(p.hi - p.lo)
+	var (
+		pvBuf  [5]int64 // two bounds and three quantiles: no allocation without waiters
+		posBuf [5]int
+		sample []int64
+	)
+	pv := append(pvBuf[:0], a)
+	if b != a {
+		pv = append(pv, b)
+	}
+	if !ctx.replay {
+		required := len(pv)
+		if ix.opts.GroupCracking && ix.opts.Latching == LatchPiece {
+			pv = p.latch.WaiterBounds(pv)
+		}
+		waiters := len(pv)
+		if p.hi-p.lo >= ix.auxMin {
+			s := ix.samplePiece(p)
+			sample = s[:]
+			pv = append(pv, s[2], s[4], s[6])
+		}
+		kept := pv[:required]
+		var grouped, aux int64
+		for i, v := range pv[required:] {
+			if v <= p.loVal || v >= p.hiVal || (keepMiddle && a <= v && v <= b) || slices.Contains(kept, v) {
+				continue
+			}
+			kept = append(kept, v)
+			if required+i < waiters {
+				grouped++
+			} else {
+				aux++
+			}
+		}
+		pv = kept
+		slices.Sort(pv)
+		if grouped > 0 {
+			ix.stats.GroupCracks.Inc()
+			ix.stats.GroupedBounds.Add(grouped)
+		}
+		if aux > 0 {
+			ix.stats.AuxCuts.Add(aux)
 		}
 	}
-	if len(kept) <= 1 {
-		return false
+	pos := posBuf[:]
+	if len(pv) > len(pos) {
+		pos = make([]int, len(pv))
 	}
-	positions := ix.arr.CrackMulti(p.lo, p.hi, kept)
-	ix.mu.Lock()
+	ix.arr.CrackMulti(p.lo, p.hi, pv, pos, sample)
+	ix.structLock()
 	cur := p
-	for i, pv := range kept {
-		cur = ix.splitTwoLocked(cur, pv, positions[i])
-	}
-	ix.mu.Unlock()
-	for i, pv := range kept {
-		if pv == v {
-			*pos = positions[i]
+	for i, v := range pv {
+		cur = ix.splitTwoLocked(cur, v, pos[i])
+		if v == a {
+			posA = pos[i]
+			if keepMiddle && a != b {
+				mid = cur
+				mid.latch.TryLock() // cannot fail: nobody can reach the piece yet
+			}
+		}
+		if v == b {
+			posB = pos[i]
 		}
 	}
-	ix.stats.GroupCracks.Inc()
-	ix.stats.GroupedBounds.Add(int64(len(kept) - 1))
-	return true
+	ix.structUnlock()
+	d := time.Since(start)
+	ctx.Crack += d
+	ix.stats.CrackTime.Add(d)
+	ix.stats.Cracks.Inc()
+	ix.traceCrack(ctx, p, a)
+	return posA, posB, mid
 }
 
-// stochasticCrack implements the DDR flavour of stochastic cracking
-// [16]: alongside the query's own bound v, crack at a pseudo-random
-// value sampled from the piece, so that skewed or sequential workloads
-// still cut large pieces down geometrically. Returns false when the
-// piece is already small (plain crack suffices). Caller holds p's
-// write latch; *pos receives v's split position.
-func (ix *Index) stochasticCrack(p *piece, v int64, pos *int) bool {
-	minPiece := ix.opts.StochasticMinPiece
-	if minPiece <= 0 {
-		minPiece = 1024
-	}
-	if p.hi-p.lo < minPiece {
-		return false
-	}
-	// Estimate the piece's value quartiles from nine values at hashed
-	// positions and crack at all three alongside the query's own
-	// bound. A single random pivot leaves up to the whole far side of
-	// the piece uncut — and under a sequential sweep the far side is
-	// never touched again, so one unlucky draw pins the worst case
-	// near the plain-cracking one. Three quartile pivots bound the
-	// largest residual chunk near a quarter of the piece with high
-	// probability, whatever physical order earlier partition passes
-	// left behind. The xorshifted offset hash keeps the sampled
-	// positions deterministic per piece state yet well spread.
+// samplePiece returns nine values of p from hashed positions, sorted.
+// The xorshifted hash of the piece's extent keeps the positions
+// deterministic per piece state yet well spread, whatever physical
+// order earlier partition passes left behind. Caller holds p
+// exclusively; p is not empty.
+func (ix *Index) samplePiece(p *piece) (s [9]int64) {
 	h := uint64(p.lo)*0x9e3779b97f4a7c15 + uint64(p.hi)*0xbf58476d1ce4e5b9
 	n := uint64(p.hi - p.lo)
-	var s [9]int64
 	for i := range s {
 		h ^= h >> 29
 		h *= 0xff51afd7ed558ccd
 		s[i] = ix.arr.Value(p.lo + int(h%n))
 	}
-	sort.Slice(s[:], func(i, j int) bool { return s[i] < s[j] })
-	pivots := make([]int64, 1, 4)
-	pivots[0] = v
-	for _, r := range [3]int64{s[2], s[4], s[6]} {
-		if r <= p.loVal || r >= p.hiVal || r == v {
-			continue
-		}
-		pivots = append(pivots, r)
-	}
-	if len(pivots) == 1 {
-		return false // every sample degenerate: plain crack
-	}
-	sort.Slice(pivots, func(i, j int) bool { return pivots[i] < pivots[j] })
-	pivots = slices.Compact(pivots)
-	positions := ix.arr.CrackMulti(p.lo, p.hi, pivots)
-	ix.mu.Lock()
-	cur := p
-	for i, pv := range pivots {
-		cur = ix.splitTwoLocked(cur, pv, positions[i])
-	}
-	ix.mu.Unlock()
-	for i, pv := range pivots {
-		if pv == v {
-			*pos = positions[i]
-			break
-		}
-	}
-	ix.stats.StochasticCracks.Inc()
-	return true
+	slices.Sort(s[:])
+	return s
 }
 
 // redetermine walks the piece list from p to the piece currently
@@ -215,7 +229,7 @@ func (ix *Index) stochasticCrack(p *piece, v int64, pos *int) bool {
 // they tried to latch". Since splits keep the left part, the target is
 // always reachable by walking right; the prev walk is defensive.
 func (ix *Index) redetermine(p *piece, v int64) *piece {
-	ix.mu.Lock()
+	ix.structLock()
 	ix.stats.Redeterminations.Inc()
 	for v >= p.hiVal && p.next != nil {
 		p = p.next
@@ -223,7 +237,7 @@ func (ix *Index) redetermine(p *piece, v int64) *piece {
 	for v < p.loVal && p.prev != nil {
 		p = p.prev
 	}
-	ix.mu.Unlock()
+	ix.structUnlock()
 	return p
 }
 
@@ -231,8 +245,13 @@ func (ix *Index) redetermine(p *piece, v int64) *piece {
 // policy, recording wait time and conflicts. It consults the user-lock
 // probe first: a system transaction must verify that no concurrent
 // user transaction holds conflicting locks and, refinement being
-// optional, it simply forgoes the work if one does (§3.3).
+// optional, it simply forgoes the work if one does (§3.3). In the
+// exclusive modes the caller already excludes every other thread and
+// there is nothing to acquire.
 func (ix *Index) pieceWriteLock(p *piece, bound int64, ctx *opCtx) bool {
+	if ix.opts.Latching != LatchPiece {
+		return true
+	}
 	if ix.opts.LockProbe != nil && ix.opts.LockProbe() {
 		ctx.Skipped = true
 		ix.stats.Skipped.Inc()
@@ -268,6 +287,9 @@ func (ix *Index) pieceWriteLock(p *piece, bound int64, ctx *opCtx) bool {
 }
 
 func (ix *Index) pieceWriteUnlock(ctx *opCtx, p *piece) {
+	if ix.opts.Latching != LatchPiece {
+		return
+	}
 	ix.traceRelease(ctx, p, true)
 	p.latch.Unlock()
 }
@@ -298,69 +320,38 @@ func (ix *Index) pieceReadUnlock(ctx *opCtx, p *piece) {
 	p.latch.RUnlock()
 }
 
-// crackBoundExclusive is the structurally-exclusive variant used by
-// LatchColumn mode (caller holds the column write latch) and LatchNone
-// mode (single-threaded). The structure latch is still taken around
-// TOC updates in LatchColumn mode so that concurrent read-side piece
-// walks observe consistent links.
-func (ix *Index) crackBoundExclusive(v int64, ctx *opCtx) int {
-	if v == maxKey { // sentinel: the array end (see crackBound)
-		return ix.arr.Len()
-	}
-	ix.structLock()
-	p := ix.findPieceLocked(v)
-	ix.structUnlock()
-	if p.loVal == v {
-		return p.lo
-	}
-	start := time.Now()
-	ctx.Touched += int64(p.hi - p.lo)
-	var pos int
-	if !(ix.opts.Stochastic && ix.stochasticCrack(p, v, &pos)) {
-		pos = ix.arr.CrackInTwo(p.lo, p.hi, v)
-		ix.structLock()
-		ix.splitTwoLocked(p, v, pos)
-		ix.structUnlock()
-	}
-	d := time.Since(start)
-	ctx.Crack += d
-	ix.stats.CrackTime.Add(d)
-	ix.stats.Cracks.Inc()
-	ix.traceCrack(ctx, p, v)
-	return pos
-}
-
-// crackPair ensures boundaries exist at both lo and hi, preferring the
-// single-pass crack-in-three when both bounds fall into the same piece.
-// On success it returns the two positions. If keepMiddle is true and
-// the crack-in-three path was taken, the middle piece is returned
-// still write-latched (LatchPiece mode only) so the caller may
+// crackPair ensures boundaries exist at both lo and hi, in one refine
+// step when both bounds fall into the same piece. On success it returns
+// the two positions. If keepMiddle is true (LatchPiece mode only) and
+// the single-step path was taken, the piece holding exactly the
+// qualifying range is returned still write-latched so the caller may
 // downgrade it and aggregate in place; otherwise mid is nil.
 //
 // ok is false only when refinement was skipped (the caller then
-// answers by scanning).
+// answers by scanning); it is always true in the exclusive modes.
 func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, posHi int, mid *piece, ok bool) {
-	if ix.opts.Latching != LatchPiece {
-		posLo, posHi = ix.crackPairExclusive(lo, hi, ctx)
-		return posLo, posHi, nil, true
-	}
-
-	// Crack-in-three fast path when both bounds are strictly inside
-	// the same piece.
-	ix.mu.Lock()
+	ix.structLock()
 	p := ix.findPieceLocked(lo)
 	same := p.loVal < lo && hi < p.hiVal
-	ix.mu.Unlock()
+	ix.structUnlock()
 	if same {
-		posLo, posHi, mid, ok, done := ix.crackThreePiece(p, lo, hi, keepMiddle, ctx)
-		if done {
-			return posLo, posHi, mid, ok
+		if !ix.pieceWriteLock(p, lo, ctx) {
+			return 0, 0, nil, false
 		}
-		// The piece was split while waiting and the bounds no longer
-		// share a piece: fall through to independent bound cracks.
+		// Still strictly inside p? It may have been split while this
+		// query waited; the bounds then no longer share a piece and are
+		// cracked independently below.
+		same = hi < p.hiVal
+		if same {
+			posLo, posHi, mid = ix.refine(p, lo, hi, keepMiddle, ctx)
+		}
+		ix.pieceWriteUnlock(ctx, p)
+		if same {
+			return posLo, posHi, mid, true
+		}
 	}
 
-	if ix.opts.ParallelBounds {
+	if ix.opts.ParallelBounds && ix.opts.Latching == LatchPiece {
 		// The two cracking actions are independent when they operate
 		// on different pieces, and may be performed concurrently
 		// (§5.3 "Optimizations"). Even if a concurrent split moves
@@ -410,62 +401,4 @@ func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, po
 		return 0, 0, nil, false
 	}
 	return posLo, posHi, nil, true
-}
-
-// crackThreePiece attempts the latched crack-in-three of piece p at
-// (lo, hi). done is false when, after acquiring the latch, the bounds
-// no longer fall strictly inside p and the caller must fall back; ok
-// is false when refinement was skipped. When keepMiddle and ok, mid is
-// returned write-latched.
-func (ix *Index) crackThreePiece(p *piece, lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, posHi int, mid *piece, ok, done bool) {
-	if !ix.pieceWriteLock(p, lo, ctx) {
-		return 0, 0, nil, false, true
-	}
-	if !(p.loVal < lo && hi < p.hiVal) {
-		ix.pieceWriteUnlock(ctx, p)
-		return 0, 0, nil, false, false
-	}
-	start := time.Now()
-	ctx.Touched += int64(p.hi - p.lo)
-	posLo, posHi = ix.arr.CrackInThree(p.lo, p.hi, lo, hi)
-	ix.mu.Lock()
-	mid = ix.splitThreeLocked(p, lo, hi, posLo, posHi, keepMiddle)
-	ix.mu.Unlock()
-	d := time.Since(start)
-	ctx.Crack += d
-	ix.stats.CrackTime.Add(d)
-	ix.stats.Cracks.Inc()
-	ix.traceCrack(ctx, p, lo)
-	ix.pieceWriteUnlock(ctx, p)
-	if keepMiddle {
-		// mid was created already write-latched; the caller downgrades
-		// it and aggregates the qualifying range in place.
-		return posLo, posHi, mid, true, true
-	}
-	return posLo, posHi, nil, true, true
-}
-
-// crackPairExclusive is the LatchColumn/LatchNone variant of crackPair.
-func (ix *Index) crackPairExclusive(lo, hi int64, ctx *opCtx) (posLo, posHi int) {
-	ix.structLock()
-	p := ix.findPieceLocked(lo)
-	same := p.loVal < lo && hi < p.hiVal
-	ix.structUnlock()
-	if same {
-		start := time.Now()
-		ctx.Touched += int64(p.hi - p.lo)
-		posLo, posHi = ix.arr.CrackInThree(p.lo, p.hi, lo, hi)
-		ix.structLock()
-		ix.splitThreeLocked(p, lo, hi, posLo, posHi, false)
-		ix.structUnlock()
-		d := time.Since(start)
-		ctx.Crack += d
-		ix.stats.CrackTime.Add(d)
-		ix.stats.Cracks.Inc()
-		ix.traceCrack(ctx, p, lo)
-		return posLo, posHi
-	}
-	posLo = ix.crackBoundExclusive(lo, ctx)
-	posHi = ix.crackBoundExclusive(hi, ctx)
-	return posLo, posHi
 }

@@ -110,20 +110,28 @@ func TestEdgeRanges(t *testing.T) {
 }
 
 func TestRepeatedIdenticalQueries(t *testing.T) {
-	d := workload.NewUniqueUniform(2000, 8)
-	ix := New(d.Values, Options{Latching: LatchPiece})
-	for i := 0; i < 5; i++ {
-		if got, _ := ix.Count(100, 900); got != 800 {
-			t.Fatalf("iteration %d: Count = %d", i, got)
+	// Small enough for a plain crack, then large enough for the first
+	// crack to add quantile cuts: repeats must add nothing either way.
+	for _, n := range []int{2000, 4 * auxMinPiece} {
+		d := workload.NewUniqueUniform(n, 8)
+		ix := New(d.Values, Options{Latching: LatchPiece})
+		for i := 0; i < 5; i++ {
+			if got, _ := ix.Count(100, 900); got != 800 {
+				t.Fatalf("n %d iteration %d: Count = %d", n, i, got)
+			}
 		}
-	}
-	// After the first query, boundaries exist; piece count must not
-	// grow on repeats.
-	if p := ix.NumPieces(); p != 3 {
-		t.Fatalf("pieces = %d, want 3 after one crack-in-three", p)
-	}
-	if c := ix.Stats().Cracks.Load(); c != 1 {
-		t.Fatalf("cracks = %d, want 1 (repeats are exact-match lookups)", c)
+		// After the first query, boundaries exist; piece count must not
+		// grow on repeats.
+		aux := int(ix.Stats().AuxCuts.Load())
+		if (aux > 0) != (n >= auxMinPiece) {
+			t.Fatalf("n %d: %d auxiliary cuts", n, aux)
+		}
+		if p := ix.NumPieces(); p != 3+aux {
+			t.Fatalf("n %d: pieces = %d, want 3 after one crack at two bounds, plus %d auxiliary", n, p, aux)
+		}
+		if c := ix.Stats().Cracks.Load(); c != 1 {
+			t.Fatalf("n %d: cracks = %d, want 1 (repeats are exact-match lookups)", n, c)
+		}
 	}
 }
 

@@ -292,14 +292,16 @@ func TestPendingSnapshotDoesNotDrain(t *testing.T) {
 }
 
 func TestCrackAtReplaysBoundaries(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 61)
+	// A column large enough that a query's crack would add quantile
+	// cuts: replay must restore the recorded table and nothing more.
+	d := workload.NewUniqueUniform(4*auxMinPiece, 61)
 	for _, mode := range []LatchMode{LatchPiece, LatchColumn, LatchNone} {
-		ix := New(d.Values, Options{Latching: mode})
+		ix := New(d.Values, Options{Latching: mode, GroupCracking: true})
 		for _, b := range []int64{100, 500, 900, 100} { // duplicate is a no-op
 			ix.CrackAt(b)
 		}
 		bs := ix.Boundaries()
-		if len(bs) != 3 {
+		if len(bs) != 3 || ix.Stats().AuxCuts.Load() != 0 {
 			t.Fatalf("mode %v: %d boundaries, want 3 (%v)", mode, len(bs), bs)
 		}
 		if err := ix.Validate(); err != nil {

@@ -112,16 +112,6 @@ type Options struct {
 	// in one multi-pivot pass. Waiters then find their boundary
 	// already in place when granted the latch.
 	GroupCracking bool
-	// Stochastic enables stochastic cracking [16] (cited in §2):
-	// whenever a crack would split a piece larger than
-	// StochasticMinPiece, an additional random pivot inside the piece
-	// is cracked in the same pass. This bounds worst-case convergence
-	// under adversarial (e.g. strictly sequential) workloads at a
-	// small constant extra cost per crack.
-	Stochastic bool
-	// StochasticMinPiece is the piece size below which no random
-	// pivot is added (default 1024).
-	StochasticMinPiece int
 	// Tracer, when non-nil, receives latch/crack trace events
 	// (used by the Figure 8 walk-through example).
 	Tracer func(TraceEvent)
@@ -174,8 +164,10 @@ type Stats struct {
 	GroupCracks metrics.Counter
 	// GroupedBounds counts waiter bounds satisfied by group cracks.
 	GroupedBounds metrics.Counter
-	// StochasticCracks counts cracks that added a random pivot [16].
-	StochasticCracks metrics.Counter
+	// AuxCuts counts the boundaries cracks added at sampled quantiles
+	// of large pieces, beyond the bounds any query asked for (the
+	// robust-cracking policy, see refine).
+	AuxCuts metrics.Counter
 	// WaitTime accumulates latch wait time.
 	WaitTime metrics.DurationCounter
 	// CrackTime accumulates physical reorganization time.
@@ -239,6 +231,7 @@ type Index struct {
 
 	colLatch *latch.Latch
 	pieces   int
+	auxMin   int // auxMinPiece; a field so in-package tests can lower it
 
 	// onWait is the single shared latch-wait observer closure handed to
 	// every latch this index creates (allocated once in New, not per
@@ -257,9 +250,10 @@ type Index struct {
 // itself a query side effect, paper §5.3 "Column latches").
 func New(base []int64, opts Options) *Index {
 	ix := &Index{
-		opts: opts,
-		base: base,
-		toc:  &avltree.Tree[*piece]{},
+		opts:   opts,
+		base:   base,
+		toc:    &avltree.Tree[*piece]{},
+		auxMin: auxMinPiece,
 	}
 	if ob := opts.Obs; ob != nil {
 		ix.onWait = ob.RecordLatchWait
@@ -388,46 +382,6 @@ func (ix *Index) splitTwoLocked(p *piece, v int64, pos int) *piece {
 	ix.pieces++
 	ix.stats.Boundaries.Inc()
 	return q
-}
-
-// splitThreeLocked records a crack-in-three of p at values (a, b) with
-// result positions (posA, posB). p keeps the left part [p.lo, posA);
-// new pieces are created for the middle [posA, posB) — the qualifying
-// range — and the right part [posB, p.hi). If lockMid is true the
-// middle piece's latch is acquired exclusively *before* the piece is
-// published, so the caller can downgrade it to a shared latch and
-// aggregate the qualifying range in place without a release window
-// (the downgrade technique of §3.3). Caller must hold the structure
-// latch and p's write latch (or be otherwise exclusive).
-func (ix *Index) splitThreeLocked(p *piece, a, b int64, posA, posB int, lockMid bool) *piece {
-	mid := &piece{
-		lo: posA, hi: posB,
-		loVal: a, hiVal: b,
-		prev:  p,
-		latch: ix.newLatch(),
-	}
-	if lockMid {
-		// Cannot fail: the piece is not yet visible to anyone else.
-		mid.latch.TryLock()
-	}
-	right := &piece{
-		lo: posB, hi: p.hi,
-		loVal: b, hiVal: p.hiVal,
-		prev: mid, next: p.next,
-		latch: ix.newLatch(),
-	}
-	mid.next = right
-	if p.next != nil {
-		p.next.prev = right
-	}
-	p.next = mid
-	p.hi = posA
-	p.hiVal = a
-	ix.toc.Insert(a, mid)
-	ix.toc.Insert(b, right)
-	ix.pieces += 2
-	ix.stats.Boundaries.Add(2)
-	return mid
 }
 
 // LifecycleState is the index life-cycle state of the paper's

@@ -81,11 +81,11 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 		} else if !ix.columnWriteLock(lo, oc) {
 			return 0
 		}
-		posLo, posHi := ix.crackPairExclusive(lo, hi, oc)
+		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
 		ix.columnWriteUnlock(oc)
 		return int64(posHi - posLo)
 	case LatchNone:
-		posLo, posHi := ix.crackPairExclusive(lo, hi, oc)
+		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
 		return int64(posHi - posLo)
 	default: // LatchPiece
 		posLo, posHi, _, ok := ix.crackPair(lo, hi, false, oc)
@@ -147,7 +147,7 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 		} else if !ix.columnWriteLock(lo, oc) {
 			return 0
 		}
-		posLo, posHi := ix.crackPairExclusive(lo, hi, oc)
+		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
 		ix.columnWriteUnlock(oc)
 		// The aggregation operator runs under a separate read latch:
 		// multiple aggregations proceed in parallel, but no cracking
@@ -160,7 +160,7 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 		ix.columnReadUnlock(oc)
 		return s
 	case LatchNone:
-		posLo, posHi := ix.crackPairExclusive(lo, hi, oc)
+		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
 		oc.Touched += int64(posHi - posLo)
 		return ix.arr.Sum(posLo, posHi)
 	default: // LatchPiece
@@ -206,14 +206,14 @@ func (ix *Index) SelectRowIDs(lo, hi int64) ([]uint32, OpStats) {
 		} else {
 			ix.columnWriteLock(lo, &ctx)
 		}
-		posLo, posHi := ix.crackPairExclusive(lo, hi, &ctx)
+		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, &ctx)
 		ix.columnWriteUnlock(&ctx)
 		ix.columnReadLock(&ctx)
 		ids := ix.arr.AppendRowIDs(make([]uint32, 0, posHi-posLo), posLo, posHi)
 		ix.columnReadUnlock(&ctx)
 		return ids, ctx.OpStats
 	case LatchNone:
-		posLo, posHi := ix.crackPairExclusive(lo, hi, &ctx)
+		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, &ctx)
 		return ix.arr.AppendRowIDs(make([]uint32, 0, posHi-posLo), posLo, posHi), ctx.OpStats
 	default:
 		posLo, posHi, mid, ok := ix.crackPair(lo, hi, true, &ctx)

@@ -17,18 +17,22 @@ func TestValidateAfterSequentialWorkload(t *testing.T) {
 		{Latching: LatchNone},
 		{Latching: LatchPiece},
 		{Latching: LatchPiece, GroupCracking: true},
-		{Latching: LatchPiece, Stochastic: true, StochasticMinPiece: 64},
 		{Latching: LatchColumn, Layout: cracker.LayoutPairs},
 	} {
-		ix := New(d.Values, opts)
-		qs := workload.Fixed(workload.NewUniform(workload.Sum, 5000, 0.01, 5), 200)
-		for _, q := range qs {
-			if got, _ := ix.Sum(q.Lo, q.Hi); got != d.TrueSum(q.Lo, q.Hi) {
-				t.Fatalf("%+v: sum mismatch", opts)
+		// At the default threshold only the first cracks of the 30000
+		// rows add quantile cuts; at 64 nearly every crack does.
+		for _, auxMin := range []int{auxMinPiece, 64} {
+			ix := New(d.Values, opts)
+			ix.auxMin = auxMin
+			qs := workload.Fixed(workload.NewUniform(workload.Sum, 5000, 0.01, 5), 200)
+			for _, q := range qs {
+				if got, _ := ix.Sum(q.Lo, q.Hi); got != d.TrueSum(q.Lo, q.Hi) {
+					t.Fatalf("%+v auxMin %d: sum mismatch", opts, auxMin)
+				}
 			}
-		}
-		if err := ix.Validate(); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			if err := ix.Validate(); err != nil {
+				t.Fatalf("%+v auxMin %d: %v", opts, auxMin, err)
+			}
 		}
 	}
 }
@@ -51,7 +55,7 @@ func TestStressAllOperationsConcurrent(t *testing.T) {
 	for _, opts := range []Options{
 		{Latching: LatchPiece},
 		{Latching: LatchPiece, GroupCracking: true, ParallelBounds: true},
-		{Latching: LatchPiece, OnConflict: Skip, Stochastic: true},
+		{Latching: LatchPiece, OnConflict: Skip},
 	} {
 		opts := opts
 		ix := New(d.Values, opts)
@@ -115,26 +119,17 @@ func TestStressAllOperationsConcurrent(t *testing.T) {
 }
 
 // TestStochasticCrackingBoundsSequentialWorst: under a strictly
-// sequential sweep, plain cracking leaves one huge uncracked piece
-// ahead of the sweep; stochastic cracking keeps cutting it, so the
-// largest remaining piece must be much smaller.
+// sequential sweep, cracking at the query bounds alone leaves one huge
+// uncracked piece ahead of the sweep — 95% of the column here, the
+// sweep covering 5% of the domain. The quantile cuts every crack of a
+// large piece adds must bound the largest piece at half the column,
+// whatever the sweep asked for.
 func TestStochasticCrackingBoundsSequentialWorst(t *testing.T) {
 	d := workload.NewUniqueUniform(100000, 17)
-	largestPiece := func(ix *Index) int {
-		max := 0
-		ix.mu.Lock()
-		for p := ix.head; p != nil; p = p.next {
-			if p.hi-p.lo > max {
-				max = p.hi - p.lo
-			}
-		}
-		ix.mu.Unlock()
-		return max
-	}
-	run := func(opts Options) int {
-		ix := New(d.Values, opts)
+	for _, mode := range []LatchMode{LatchNone, LatchColumn, LatchPiece} {
+		ix := New(d.Values, Options{Latching: mode})
 		gen := workload.NewSequential(workload.Count, d.Domain, 0.001)
-		for i := 0; i < 50; i++ { // sweep covers only 5% of the domain
+		for i := 0; i < 50; i++ {
 			q := gen.Next()
 			if got, _ := ix.Count(q.Lo, q.Hi); got != q.Hi-q.Lo {
 				t.Fatal("count mismatch")
@@ -143,25 +138,27 @@ func TestStochasticCrackingBoundsSequentialWorst(t *testing.T) {
 		if err := ix.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return largestPiece(ix)
-	}
-	plain := run(Options{Latching: LatchNone})
-	stoch := run(Options{Latching: LatchNone, Stochastic: true, StochasticMinPiece: 256})
-	if stoch*2 > plain {
-		t.Fatalf("stochastic largest piece %d not well below plain %d", stoch, plain)
+		if largest := ix.Profile().MaxPiece; largest > len(d.Values)/2 {
+			t.Fatalf("mode %v: largest piece %d of %d rows after the sweep", mode, largest, len(d.Values))
+		}
 	}
 }
 
-// TestStochasticStatsCounted ensures the auxiliary pivots are counted.
+// TestStochasticStatsCounted ensures the auxiliary cuts are counted,
+// and are the only boundaries beyond the query bounds.
 func TestStochasticStatsCounted(t *testing.T) {
 	d := workload.NewUniqueUniform(50000, 19)
-	ix := New(d.Values, Options{Latching: LatchPiece, Stochastic: true, StochasticMinPiece: 128})
+	ix := New(d.Values, Options{Latching: LatchPiece})
 	qs := workload.Fixed(workload.NewUniform(workload.Count, d.Domain, 0.01, 7), 40)
 	for _, q := range qs {
 		ix.Count(q.Lo, q.Hi)
 	}
-	if ix.Stats().StochasticCracks.Load() == 0 {
-		t.Fatal("no stochastic cracks recorded")
+	aux := ix.Stats().AuxCuts.Load()
+	if aux == 0 {
+		t.Fatal("no auxiliary cuts recorded")
+	}
+	if got := ix.Stats().Boundaries.Load(); got > aux+2*int64(len(qs)) {
+		t.Fatalf("%d boundaries from %d queries and %d auxiliary cuts", got, len(qs), aux)
 	}
 }
 

@@ -91,16 +91,14 @@ func (ix *Index) PendingSnapshot() (ins, del []int64) {
 
 // CrackAt ensures a crack boundary exists at value v, refining the
 // index without answering a query. It is the replay primitive for
-// boundary knowledge: recovery and shard rebuilds re-crack a fresh
-// index at the boundaries an earlier index had earned, so the side
-// effects of earlier queries survive a rebuild (paper §4.2).
+// boundary knowledge: recovery re-cracks a fresh index at the boundaries
+// an earlier index had earned, so the side effects of earlier queries
+// survive a restart (paper §4.2). It adds exactly that boundary — no
+// waiter's bound, no auxiliary quantile — so a replayed table is the
+// recorded table.
 func (ix *Index) CrackAt(v int64) {
-	ctx := opCtx{}
+	ctx := opCtx{replay: true}
 	ix.ensureInit(&ctx)
-	if ix.opts.Latching != LatchPiece {
-		ix.crackBoundExclusive(v, &ctx)
-		return
-	}
 	ix.crackBound(v, &ctx)
 }
 

@@ -74,7 +74,10 @@ type Options struct {
 	// fewer points recorded).
 	StagnationWindows int
 	// StagnationMinRows is the mean rows-touched floor below which the
-	// index counts as converged regardless of trend (default 4096).
+	// index counts as converged regardless of trend (default 16384: the
+	// piece size below which a crack stops cutting ahead of demand, so
+	// a sweep through pieces that small stays flat by design and costs
+	// microseconds a query).
 	StagnationMinRows int64
 }
 
@@ -101,7 +104,7 @@ func (o Options) withDefaults() Options {
 		o.StagnationWindows = 8
 	}
 	if o.StagnationMinRows <= 0 {
-		o.StagnationMinRows = 4096
+		o.StagnationMinRows = 16 << 10
 	}
 	return o
 }

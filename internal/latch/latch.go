@@ -392,17 +392,17 @@ func (l *Latch) QueuedWriters() int {
 	return len(l.writeQ)
 }
 
-// WaiterBounds returns a snapshot of the crack bounds of all queued
-// writers. The current latch holder uses it for group cracking (the
-// paper's §7 "dynamic algorithms"): refine the index for every waiting
-// request in one step, so the waiters find their boundary already in
-// place when they are granted the latch.
-func (l *Latch) WaiterBounds() []int64 {
+// WaiterBounds appends a snapshot of the crack bounds of all queued
+// writers to dst and returns the extended slice. The current latch
+// holder uses it for group cracking (the paper's §7 "dynamic
+// algorithms"): refine the index for every waiting request in one step,
+// so the waiters find their boundary already in place when they are
+// granted the latch.
+func (l *Latch) WaiterBounds(dst []int64) []int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]int64, len(l.writeQ))
-	for i, w := range l.writeQ {
-		out[i] = w.bound
+	for _, w := range l.writeQ {
+		dst = append(dst, w.bound)
 	}
-	return out
+	return dst
 }

@@ -14,10 +14,10 @@
 // different shards never touch a common latch, and a single broad
 // query recruits several cores through the fan-out executor
 // (executor.go). Within each shard the full per-piece protocol of the
-// paper still applies, so per-shard refinement stays robust under
-// skewed ranges (compare "Stochastic Database Cracking", Halim et al.,
-// 2012 — stochastic cracking can be enabled per shard through
-// Options.Index).
+// paper still applies, and per-shard refinement is robust under skewed
+// and sequential ranges by default: every crack of a large piece also
+// cuts it at sampled quantiles (compare "Stochastic Database Cracking",
+// Halim et al., 2012; see crackindex's refine step).
 //
 // Shard boundaries are chosen from a seeded sample of the input
 // (quantile cuts), so shards are balanced for any input distribution
@@ -79,7 +79,7 @@ type Options struct {
 	// Seed drives the boundary sample. Default 1.
 	Seed uint64
 	// Index configures every per-shard cracked index (latching mode,
-	// layout, scheduling, conflict policy, stochastic cracking, ...).
+	// layout, scheduling, conflict policy, group cracking, ...).
 	// Ignored when Source is set.
 	Index crackindex.Options
 	// Source, when non-nil, builds each per-shard index from the
@@ -532,7 +532,7 @@ type ShardStat struct {
 	MaxPiece int
 	// MaxPieceFrac is MaxPiece as a fraction of the shard's indexed
 	// rows: near 1 means one unrefined piece still dominates the shard
-	// (the stagnation signature under sequential workloads).
+	// (a shard few queries have reached yet).
 	MaxPieceFrac float64
 	// PieceEntropy is the normalized Shannon entropy of the
 	// piece-size distribution (1 = perfectly uniform pieces).

@@ -41,9 +41,12 @@ type Signature struct {
 	Locality float64 `json:"locality"`
 	// SeqScore is the sequentiality score: the fraction of consecutive
 	// read pairs whose lower bound lands within one predicate width of
-	// the previous read's upper bound. A sequential range sweep — the
-	// stochastic-cracking adversary, standard cracking's worst case —
-	// scores near 1; uniform random scores near 0.
+	// the previous read's upper bound. A sequential range sweep scores
+	// near 1; uniform random scores near 0. (The sweep is the worst
+	// case of cracking at the query bounds alone, and the reason every
+	// crack of a large piece also cuts it at sampled quantiles: a high
+	// score describes the workload, it does not call for a change of
+	// policy.)
 	SeqScore float64 `json:"seq_score"`
 }
 

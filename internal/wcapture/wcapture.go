@@ -27,9 +27,10 @@
 // On top of the raw records a streaming characterizer maintains the
 // live workload signature (Signature): read/write mix, the selectivity
 // and predicate-width distribution, inter-query key locality, and a
-// sequentiality score — the stochastic-cracking adversary detector
-// (sequential range sweeps are standard cracking's worst case; a
-// seq_score near 1 is the signal to switch crack policies).
+// sequentiality score (a sequential range sweep, the worst case of
+// cracking at the query bounds alone, scores near 1; the index's crack
+// policy is robust to it by default — see crackindex's refine step — so
+// the score describes the workload, it is not a call to reconfigure).
 package wcapture
 
 import (

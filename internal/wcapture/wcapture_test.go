@@ -171,8 +171,7 @@ func TestTraceRotation(t *testing.T) {
 
 // TestSignatureDiscriminatesPatterns feeds the characterizer a
 // sequential sweep and a pseudo-random roam: the sequentiality score
-// must separate them decisively (it is the stochastic-cracking
-// adversary detector).
+// must separate them decisively.
 func TestSignatureDiscriminatesPatterns(t *testing.T) {
 	seq, err := New(Options{Ring: 64}, true, nil)
 	if err != nil {

@@ -207,8 +207,8 @@ func WithSeed(seed uint64) Option {
 
 // WithCrackOptions configures the per-shard cracked indexes of a Crack
 // index: latching mode, layout, scheduling, conflict policy, parallel
-// bound cracking, group cracking, stochastic cracking, tracing. It
-// has no effect on other methods.
+// bound cracking, group cracking, tracing. It has no effect on other
+// methods.
 func WithCrackOptions(o CrackOptions) Option {
 	return func(c *config) error {
 		c.shard.Index = o

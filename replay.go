@@ -15,7 +15,7 @@ import (
 // Workload returns the live workload signature the capture recorder
 // has characterized: read/write mix, selectivity and predicate-width
 // quantiles, inter-query key locality, and the sequentiality score
-// (the stochastic-cracking adversary detector). Without
+// (near 1 for a sequential range sweep). Without
 // WithWorkloadCapture it returns the schema-complete zero value.
 func (ix *Index) Workload() WorkloadStats { return ix.cap.Signature() }
 
