@@ -131,6 +131,15 @@ func (a *Array) RowID(i int) uint32 {
 // This is one step of the "incremental quicksort" that cracking
 // performs (paper §2, Figure 2).
 func (a *Array) CrackInTwo(lo, hi int, pivot int64) int {
+	pos, _ := a.crackInTwo(lo, hi, pivot)
+	return pos
+}
+
+// crackInTwo is CrackInTwo that also returns the sum of the values
+// below the split position, accumulated in the partition pass itself
+// (one AND and one ADD on a value and flag the loop already holds): the
+// index keeps it with the boundary and never reads those rows to sum.
+func (a *Array) crackInTwo(lo, hi int, pivot int64) (pos int, below int64) {
 	if a.layout == LayoutPairs {
 		return crackInTwoPairs(a.pairs, lo, hi, pivot)
 	}
@@ -149,26 +158,32 @@ func (a *Array) CrackInTwo(lo, hi int, pivot int64) int {
 // preserves it in both cases — if v < pivot the first >=pivot element
 // moves to i and j extends over v; if v >= pivot both touched slots
 // hold >=pivot values and j stays.
-func crackInTwoSplit(vals []int64, ids []uint32, lo, hi int, pivot int64) int {
+func crackInTwoSplit(vals []int64, ids []uint32, lo, hi int, pivot int64) (int, int64) {
 	j := lo
+	var below int64
 	for i := lo; i < hi; i++ {
 		v, id := vals[i], ids[i]
 		vals[i], ids[i] = vals[j], ids[j]
 		vals[j], ids[j] = v, id
-		j += int(b2u(v < pivot))
+		lt := b2u(v < pivot)
+		j += int(lt)
+		below += v & -int64(lt)
 	}
-	return j
+	return j, below
 }
 
-func crackInTwoPairs(pairs []Pair, lo, hi int, pivot int64) int {
+func crackInTwoPairs(pairs []Pair, lo, hi int, pivot int64) (int, int64) {
 	j := lo
+	var below int64
 	for i := lo; i < hi; i++ {
 		p := pairs[i]
 		pairs[i] = pairs[j]
 		pairs[j] = p
-		j += int(b2u(p.Value < pivot))
+		lt := b2u(p.Value < pivot)
+		j += int(lt)
+		below += p.Value & -int64(lt)
 	}
-	return j
+	return j, below
 }
 
 // CrackInThree partitions positions [lo, hi) in place into three
@@ -184,17 +199,24 @@ func (a *Array) CrackInThree(lo, hi int, va, vb int64) (posA, posB int) {
 		p := a.CrackInTwo(lo, hi, va)
 		return p, p
 	}
-	var out [2]int
-	a.crackMultiRec(lo, hi, []int64{va, vb}, out[:], nil)
-	return out[0], out[1]
+	var out [2]Split
+	a.crackMultiRec(lo, hi, 0, []int64{va, vb}, out[:], nil)
+	return out[0].Pos, out[1].Pos
+}
+
+// Split is one boundary CrackMulti made in positions [lo, hi): Pos is
+// the first position whose value is >= the pivot, Sum the sum of the
+// values at positions [lo, Pos) (wrapping like any int64 sum).
+type Split struct {
+	Pos int
+	Sum int64
 }
 
 // CrackMulti partitions positions [lo, hi) on all pivots at once and
-// stores one split position per pivot in out (the first position whose
-// value is >= that pivot; len(out) must equal len(pivots)). Pivots must
-// be sorted ascending. Nothing is allocated: the index cracks through
-// this kernel on every refinement, with pivots and out in fixed arrays
-// on its stack.
+// stores one Split per pivot in out (len(out) must equal len(pivots)).
+// Pivots must be sorted ascending. Nothing is allocated: the index
+// cracks through this kernel on every refinement, with pivots and out
+// in fixed arrays on its stack.
 //
 // Every level is one branch-free crack-in-two pass over its range and
 // the two sides recurse within their sub-ranges, so k pivots cost
@@ -215,14 +237,16 @@ func (a *Array) CrackInThree(lo, hi int, va, vb int64) (posA, posB int) {
 // sketched in the paper's §7: when several queries wait to crack the
 // same piece, the query holding the latch refines the index for all
 // waiting requests in one step.
-func (a *Array) CrackMulti(lo, hi int, pivots []int64, out []int, sample []int64) {
+func (a *Array) CrackMulti(lo, hi int, pivots []int64, out []Split, sample []int64) {
 	if !slices.IsSorted(pivots) {
 		panic("cracker: CrackMulti pivots not sorted")
 	}
-	a.crackMultiRec(lo, hi, pivots, out[:len(pivots)], sample)
+	a.crackMultiRec(lo, hi, 0, pivots, out[:len(pivots)], sample)
 }
 
-func (a *Array) crackMultiRec(lo, hi int, pivots []int64, out []int, sample []int64) {
+// crackMultiRec cracks [lo, hi); base is the sum of the values between
+// the outermost lo and this one, so every Split.Sum counts from there.
+func (a *Array) crackMultiRec(lo, hi int, base int64, pivots []int64, out []Split, sample []int64) {
 	if len(pivots) == 0 {
 		return
 	}
@@ -231,11 +255,11 @@ func (a *Array) crackMultiRec(lo, hi int, pivots []int64, out []int, sample []in
 		m, _ = slices.BinarySearch(pivots, sample[len(sample)/2])
 		m = min(m, len(pivots)-1)
 	}
-	pos := a.CrackInTwo(lo, hi, pivots[m])
-	out[m] = pos
+	pos, below := a.crackInTwo(lo, hi, pivots[m])
+	out[m] = Split{Pos: pos, Sum: base + below}
 	k, _ := slices.BinarySearch(sample, pivots[m])
-	a.crackMultiRec(lo, pos, pivots[:m], out[:m], sample[:k])
-	a.crackMultiRec(pos, hi, pivots[m+1:], out[m+1:], sample[k:])
+	a.crackMultiRec(lo, pos, base, pivots[:m], out[:m], sample[:k])
+	a.crackMultiRec(pos, hi, base+below, pivots[m+1:], out[m+1:], sample[k:])
 }
 
 // b2u converts a bool to 0/1 branch-free (the pairs-layout twin of the

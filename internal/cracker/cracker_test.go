@@ -378,8 +378,9 @@ func TestNewOwnedAdoptsSplitValuesAndViewsBothLayouts(t *testing.T) {
 }
 
 // TestCrackMultiPostcondition: every pivot gets the position its own
-// crack-in-two would have found, whatever sample steers the recursion —
-// none, a faithful one, or one that has nothing to do with the data.
+// crack-in-two would have found and the sum of the values below it,
+// whatever sample steers the recursion — none, a faithful one, or one
+// that has nothing to do with the data — and wherever the range starts.
 func TestCrackMultiPostcondition(t *testing.T) {
 	d := workload.NewDuplicates(5000, 700, 7)
 	sorted := append([]int64(nil), d.Values...)
@@ -394,20 +395,33 @@ func TestCrackMultiPostcondition(t *testing.T) {
 	for _, layout := range bothLayouts {
 		for name, sample := range samples {
 			a := New(d.Values, layout)
-			out := make([]int, len(pivots))
+			out := make([]Split, len(pivots))
 			a.CrackMulti(0, a.Len(), pivots, out, sample)
 			for i, p := range pivots {
-				if want := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= p }); out[i] != want {
-					t.Fatalf("%v/%s: pivot %d at %d, want %d", layout, name, p, out[i], want)
+				if want := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= p }); out[i].Pos != want {
+					t.Fatalf("%v/%s: pivot %d at %d, want %d", layout, name, p, out[i].Pos, want)
 				}
 				for j := 0; j < a.Len(); j++ {
-					if (a.Value(j) < p) != (j < out[i]) {
+					if (a.Value(j) < p) != (j < out[i].Pos) {
 						t.Fatalf("%v/%s: value %d at pos %d on the wrong side of pivot %d", layout, name, a.Value(j), j, p)
 					}
+				}
+				if want := a.Sum(0, out[i].Pos); out[i].Sum != want {
+					t.Fatalf("%v/%s: pivot %d carries sum %d, the values below it sum to %d", layout, name, p, out[i].Sum, want)
 				}
 			}
 			checkAlignment(t, a, d.Values)
 			checkMultiset(t, a, d.Values)
+
+			// An inner range: sums count from its own start.
+			lo, hi := out[2].Pos, out[6].Pos // values in [13, 699)
+			inner := make([]Split, 2)
+			a.CrackMulti(lo, hi, []int64{100, 400}, inner, sample)
+			for i, sp := range inner {
+				if want := a.Sum(lo, sp.Pos); sp.Sum != want {
+					t.Fatalf("%v/%s: inner split %d carries sum %d, want %d", layout, name, i, sp.Sum, want)
+				}
+			}
 		}
 	}
 }
@@ -420,7 +434,7 @@ func TestCrackMultiPanicsOnUnsortedPivots(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New([]int64{1, 2, 3}, LayoutSplit).CrackMulti(0, 3, []int64{2, 1}, make([]int, 2), nil)
+	New([]int64{1, 2, 3}, LayoutSplit).CrackMulti(0, 3, []int64{2, 1}, make([]Split, 2), nil)
 }
 
 // TestCrackMultiAllocatesNothing: the index cracks through this kernel
@@ -432,7 +446,7 @@ func TestCrackMultiAllocatesNothing(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, func() {
 			var pivots = [5]int64{100, 300, 500, 700, 900}
 			var sample = [9]int64{50, 150, 250, 350, 450, 550, 650, 750, 850}
-			var out [5]int
+			var out [5]Split
 			a.CrackMulti(0, a.Len(), pivots[:], out[:], sample[:])
 			if pa, pb := a.CrackInThree(0, a.Len(), 200, 800); pa != 200 || pb != 800 {
 				t.Fatalf("CrackInThree = %d, %d", pa, pb)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"slices"
 	"time"
+
+	"adaptix/internal/cracker"
 )
 
 // opCtx carries the per-operation cost accumulator, the query tag used
@@ -36,11 +38,20 @@ func (c *opCtx) canceled() bool {
 	return false
 }
 
-// crackBound ensures a crack boundary exists at value v and returns its
-// array position: every value at a position < pos is < v, every value
-// at a position >= pos is >= v. Once created, a boundary position never
-// changes (later cracks only subdivide pieces), so returned positions
-// are valid forever.
+// bound is a crack boundary as a query reads it off the piece starting
+// there: array position (piece.lo) and prefix sum (piece.loSum). Later
+// cracks only subdivide pieces and permute rows inside them, so a bound
+// never changes once it exists and is read without a latch.
+type bound struct {
+	pos int
+	sum int64
+}
+
+// crackBound ensures a crack boundary exists at value v and returns it:
+// every value at a position < pos is < v, every value at a position
+// >= pos is >= v, and sum is the sum of the former. p is the piece a
+// table-of-contents lookup found for v — possibly split since, the loop
+// below re-determines — or nil to look it up here.
 //
 // In LatchPiece mode this implements the full protocol of §5.3:
 // navigate to the piece under the structure latch, block on (or, under
@@ -52,26 +63,28 @@ func (c *opCtx) canceled() bool {
 //
 // ok is false only when refinement was forgone (conflict avoidance or
 // a conflicting user-transaction lock).
-func (ix *Index) crackBound(v int64, ctx *opCtx) (pos int, ok bool) {
+func (ix *Index) crackBound(p *piece, v int64, ctx *opCtx) (at bound, ok bool) {
 	// The maxKey sentinel is the tail piece's open upper bound: the
 	// "boundary" is the array end, and no piece can ever contain it
 	// strictly (a query like DeleteValue(maxKey-1) probes [v, v+1) =
 	// [maxKey-1, maxKey) and reaches here).
 	if v == maxKey {
-		return ix.arr.Len(), true
+		return bound{ix.arr.Len(), ix.total}, true
 	}
-	ix.structLock()
-	p := ix.findPieceLocked(v)
-	ix.structUnlock()
+	if p == nil {
+		ix.structLock()
+		p = ix.findPieceLocked(v)
+		ix.structUnlock()
+	}
 	for {
-		// Exact match: the boundary already exists. lo and loVal are
-		// immutable after publication (splits keep the left part), so
-		// no latch is needed for this check or the returned position.
+		// Exact match: the boundary already exists. lo, loVal and loSum
+		// are immutable after publication (splits keep the left part),
+		// so no latch is needed for this check or the returned bound.
 		if p.loVal == v {
-			return p.lo, true
+			return bound{p.lo, p.loSum}, true
 		}
 		if !ix.pieceWriteLock(p, v, ctx) {
-			return 0, false
+			return bound{}, false
 		}
 		// Re-validate under the piece latch: the piece may have been
 		// split (hiVal narrowed) while this query waited (Figure 10).
@@ -82,9 +95,9 @@ func (ix *Index) crackBound(v int64, ctx *opCtx) (pos int, ok bool) {
 		ix.pieceWriteUnlock(ctx, p)
 		p = ix.redetermine(p, v)
 	}
-	pos, _, _ = ix.refine(p, v, v, false, ctx)
+	at, _, _ = ix.refine(p, v, v, false, ctx)
 	ix.pieceWriteUnlock(ctx, p)
-	return pos, true
+	return at, true
 }
 
 // auxMinPiece is the piece size, in rows, from which a crack also cuts
@@ -117,9 +130,10 @@ const auxMinPiece = 16 << 10
 //     state, so a replayed workload rebuilds the same index;
 //
 // — then partitioned in one multi-pivot pass and published as one chain
-// of splits under the structure latch. keepMiddle (LatchPiece only)
-// returns the piece between the two required bounds write-latched —
-// latched before anyone can reach it — for the §3.3 downgrade; it must
+// of splits under the structure latch, each boundary with its prefix sum
+// (p's own plus what the pass summed below the pivot). keepMiddle
+// (LatchPiece only) returns the piece between the two required bounds
+// write-latched — before anyone can reach it — for the §3.3 downgrade; it must
 // then be exactly the qualifying range, so an optional pivot inside
 // [a, b] is dropped. That costs no robustness: the caller is about to
 // read every row of that piece anyway. Without keepMiddle such pivots
@@ -131,12 +145,12 @@ const auxMinPiece = 16 << 10
 // through the structure latch (held for the whole chain) or through
 // p.next (readable only under p's latch, held exclusively), so no other
 // thread can observe a partially split chain.
-func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (posA, posB int, mid *piece) {
+func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA, atB bound, mid *piece) {
 	start := time.Now()
 	ctx.Touched += int64(p.hi - p.lo)
 	var (
 		pvBuf  [5]int64 // two bounds and three quantiles: no allocation without waiters
-		posBuf [5]int
+		posBuf [5]cracker.Split
 		sample []int64
 	)
 	pv := append(pvBuf[:0], a)
@@ -179,22 +193,23 @@ func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (posA
 	}
 	pos := posBuf[:]
 	if len(pv) > len(pos) {
-		pos = make([]int, len(pv))
+		pos = make([]cracker.Split, len(pv))
 	}
 	ix.arr.CrackMulti(p.lo, p.hi, pv, pos, sample)
 	ix.structLock()
 	cur := p
 	for i, v := range pv {
-		cur = ix.splitTwoLocked(cur, v, pos[i])
+		at := bound{pos[i].Pos, p.loSum + pos[i].Sum}
+		cur = ix.splitTwoLocked(cur, v, at.pos, at.sum)
 		if v == a {
-			posA = pos[i]
+			atA = at
 			if keepMiddle && a != b {
 				mid = cur
 				mid.latch.TryLock() // cannot fail: nobody can reach the piece yet
 			}
 		}
 		if v == b {
-			posB = pos[i]
+			atB = at
 		}
 	}
 	ix.structUnlock()
@@ -203,7 +218,7 @@ func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (posA
 	ix.stats.CrackTime.Add(d)
 	ix.stats.Cracks.Inc()
 	ix.traceCrack(ctx, p, a)
-	return posA, posB, mid
+	return atA, atB, mid
 }
 
 // samplePiece returns nine values of p from hashed positions, sorted.
@@ -321,34 +336,48 @@ func (ix *Index) pieceReadUnlock(ctx *opCtx, p *piece) {
 }
 
 // crackPair ensures boundaries exist at both lo and hi, in one refine
-// step when both bounds fall into the same piece. On success it returns
-// the two positions. If keepMiddle is true (LatchPiece mode only) and
-// the single-step path was taken, the piece holding exactly the
-// qualifying range is returned still write-latched so the caller may
-// downgrade it and aggregate in place; otherwise mid is nil.
+// step when both bounds fall into the same piece, and returns them. If
+// keepMiddle is true (LatchPiece mode only) and the single-step path
+// was taken, the piece holding exactly the qualifying range is returned
+// still write-latched so the caller may downgrade it and aggregate in
+// place; otherwise mid is nil.
+//
+// One visit to the table of contents looks up both bounds' pieces. When
+// both boundaries exist — every query on a converged index — that visit
+// is the whole query and nothing is latched. Otherwise the pieces go to
+// the cracking protocol, whose re-determination covers a split between
+// this lookup and the latch just as it covers one during the wait.
 //
 // ok is false only when refinement was skipped (the caller then
 // answers by scanning); it is always true in the exclusive modes.
-func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, posHi int, mid *piece, ok bool) {
+func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (atLo, atHi bound, mid *piece, ok bool) {
 	ix.structLock()
 	p := ix.findPieceLocked(lo)
 	same := p.loVal < lo && hi < p.hiVal
+	q := p
+	if !same {
+		q = ix.findPieceLocked(hi)
+	}
 	ix.structUnlock()
+	if p.loVal == lo && q.loVal == hi {
+		return bound{p.lo, p.loSum}, bound{q.lo, q.loSum}, nil, true
+	}
 	if same {
 		if !ix.pieceWriteLock(p, lo, ctx) {
-			return 0, 0, nil, false
+			return bound{}, bound{}, nil, false
 		}
 		// Still strictly inside p? It may have been split while this
 		// query waited; the bounds then no longer share a piece and are
 		// cracked independently below.
 		same = hi < p.hiVal
 		if same {
-			posLo, posHi, mid = ix.refine(p, lo, hi, keepMiddle, ctx)
+			atLo, atHi, mid = ix.refine(p, lo, hi, keepMiddle, ctx)
 		}
 		ix.pieceWriteUnlock(ctx, p)
 		if same {
-			return posLo, posHi, mid, true
+			return atLo, atHi, mid, true
 		}
+		p, q = nil, nil // split while waiting: look both up again rather than queue on p's latch to find out
 	}
 
 	if ix.opts.ParallelBounds && ix.opts.Latching == LatchPiece {
@@ -361,9 +390,9 @@ func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, po
 		// there is a conflict for one of them the query actually
 		// proceeds with the second bound").
 		type res struct {
-			pos int
-			ok  bool
-			st  opCtx
+			at bound
+			ok bool
+			st opCtx
 		}
 		ch := make(chan res, 1)
 		// Capture the tag and context values, not ctx itself: a
@@ -373,10 +402,10 @@ func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, po
 		tag, cctx := ctx.tag, ctx.ctx
 		go func() {
 			sub := opCtx{tag: tag, ctx: cctx}
-			pos, ok := ix.crackBound(hi, &sub)
-			ch <- res{pos, ok, sub}
+			at, ok := ix.crackBound(q, hi, &sub)
+			ch <- res{at, ok, sub}
 		}()
-		posLo, okLo := ix.crackBound(lo, ctx)
+		atLo, okLo := ix.crackBound(p, lo, ctx)
 		r := <-ch
 		ctx.Wait += r.st.Wait
 		ctx.Crack += r.st.Crack
@@ -387,18 +416,18 @@ func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (posLo, po
 			ctx.err = r.st.err
 		}
 		if !okLo || !r.ok {
-			return 0, 0, nil, false
+			return bound{}, bound{}, nil, false
 		}
-		return posLo, r.pos, nil, true
+		return atLo, r.at, nil, true
 	}
 
-	posLo, okLo := ix.crackBound(lo, ctx)
+	atLo, okLo := ix.crackBound(p, lo, ctx)
 	if !okLo {
-		return 0, 0, nil, false
+		return bound{}, bound{}, nil, false
 	}
-	posHi, okHi := ix.crackBound(hi, ctx)
+	atHi, okHi := ix.crackBound(q, hi, ctx)
 	if !okHi {
-		return 0, 0, nil, false
+		return bound{}, bound{}, nil, false
 	}
-	return posLo, posHi, nil, true
+	return atLo, atHi, nil, true
 }

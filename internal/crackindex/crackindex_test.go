@@ -176,7 +176,8 @@ func TestBoundariesSortedAndPiecesConsistent(t *testing.T) {
 	}
 	// Verify the physical array respects every boundary.
 	for _, b := range bs {
-		pos, _ := ix.crackBound(b, &opCtx{})
+		at, _ := ix.crackBound(nil, b, &opCtx{})
+		pos := at.pos
 		for i := 0; i < pos; i++ {
 			if ix.arr.Value(i) >= b {
 				t.Fatalf("value %d at pos %d >= boundary %d", ix.arr.Value(i), i, b)

@@ -81,14 +81,18 @@ func fuzzOpts(mode byte) Options {
 
 func FuzzCountSumVsReference(f *testing.F) {
 	// Seeds: empty column, extreme values with MaxInt64-1 bounds, a
-	// duplicate-heavy column queried at its single hot value, and
-	// inverted bounds.
+	// duplicate-heavy column queried at its single hot value, inverted
+	// bounds, and a narrow crack followed by a wide sum.
 	f.Add([]byte{}, byte(0), int64(0), int64(10), int64(-5), int64(5))
 	f.Add(fuzzSeed(math.MaxInt64-1, math.MaxInt64-2, 0, -1, math.MinInt64),
 		byte(0), int64(math.MaxInt64-1), int64(math.MaxInt64), int64(math.MinInt64), int64(math.MaxInt64))
 	f.Add(fuzzSeed(5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5),
 		byte(4), int64(5), int64(6), int64(0), int64(5))
 	f.Add(fuzzSeed(3, 1, 4, 1, 5, 9, 2, 6), byte(1), int64(3), int64(1), int64(1), int64(6))
+	// Crack narrowly, then sum widely across the pieces that left: the
+	// wide answer is read off boundary prefix sums.
+	f.Add(fuzzSeed(31, -4, 15, 9, -26, 5, 3, 58, -9, 7, 9, 32, -3, 8, 46, 2),
+		byte(0), int64(7), int64(9), int64(-10), int64(40))
 
 	f.Fuzz(func(t *testing.T, data []byte, mode byte, lo1, hi1, lo2, hi2 int64) {
 		vals := fuzzVals(data)

@@ -131,8 +131,13 @@ type Options struct {
 // in [loVal, hiVal). prev/next form the ordered piece list. Each piece
 // owns its latch (used in LatchPiece mode).
 //
+// loSum, the wrapping sum of all values at positions < lo, belongs to
+// the piece's starting boundary, not to its contents: a crack permutes
+// rows inside one piece only, so nothing below an existing boundary ever
+// changes and the sum is filled once, where the boundary is born.
+//
 // Synchronization discipline (race-freedom relies on it):
-//   - lo and loVal are immutable after the piece is published;
+//   - lo, loVal and loSum are immutable after the piece is published;
 //   - hi, hiVal and next are mutated only while holding BOTH the
 //     piece's write latch and the structure latch mu, so holding
 //     either one is sufficient to read them;
@@ -142,6 +147,7 @@ type Options struct {
 type piece struct {
 	lo, hi       int   // array positions [lo, hi)
 	loVal, hiVal int64 // value bounds [loVal, hiVal)
+	loSum        int64 // sum of the values at positions [0, lo)
 	prev, next   *piece
 	latch        *latch.Latch
 }
@@ -199,7 +205,10 @@ type OpStats struct {
 	// Touched counts the rows the operation physically visited:
 	// positions partitioned by cracks plus positions scanned to answer
 	// the aggregate. This is the live form of the paper's per-query
-	// cost that decays toward O(result size) as the index converges.
+	// cost. Under piece latches it decays to 0 as the index converges:
+	// once both bounds of a Count or Sum are boundaries, the answer is
+	// read off them (positions, prefix sums). Only the column-latch and
+	// no-latch baselines keep scanning the result range of a Sum.
 	Touched int64
 	// Skipped reports that refinement was forgone due to contention.
 	Skipped bool
@@ -226,6 +235,7 @@ type Index struct {
 	toc      *avltree.Tree[*piece]
 	head     *piece
 	arr      *cracker.Array
+	total    int64 // sum of the whole array: the prefix sum of the maxKey sentinel boundary (immutable once initialized)
 	init     bool
 	initDone atomic.Bool // fast-path mirror of init
 
@@ -280,14 +290,15 @@ func New(base []int64, opts Options) *Index {
 func NewOwned(values []int64, seeds []BoundaryPosition, opts Options) *Index {
 	ix := New(nil, opts)
 	ix.installArray(cracker.NewOwned(values, opts.Layout))
-	tail := ix.head
+	tail := ix.head // one running sum: every seed's prefix, then the total
 	for _, b := range seeds {
 		if b.Value <= tail.loVal || b.Pos < tail.lo || b.Pos > tail.hi {
 			panic(fmt.Sprintf("crackindex: seed boundary (%d at %d) out of order after (%d at %d)",
 				b.Value, b.Pos, tail.loVal, tail.lo))
 		}
-		tail = ix.splitTwoLocked(tail, b.Value, b.Pos)
+		tail = ix.splitTwoLocked(tail, b.Value, b.Pos, tail.loSum+ix.arr.Sum(tail.lo, b.Pos))
 	}
+	ix.total = tail.loSum + ix.arr.Sum(tail.lo, tail.hi)
 	return ix
 }
 
@@ -332,13 +343,16 @@ func (ix *Index) ensureInitLocked() {
 		return
 	}
 	start := time.Now()
-	ix.installArray(cracker.New(ix.base, ix.opts.Layout))
+	arr := cracker.New(ix.base, ix.opts.Layout)
+	ix.total = arr.Sum(0, arr.Len())
+	ix.installArray(arr)
 	ix.stats.InitTime.Add(time.Since(start))
 }
 
 // installArray makes arr the index's cracker array under one
 // monolithic head piece and marks the index initialized. Caller must
-// hold the structure latch (or be otherwise exclusive).
+// hold the structure latch (or be otherwise exclusive), and must have
+// set ix.total unless nobody else can reach the index yet (NewOwned).
 func (ix *Index) installArray(arr *cracker.Array) {
 	ix.arr = arr
 	ix.head = &piece{
@@ -363,13 +377,14 @@ func (ix *Index) findPieceLocked(v int64) *piece {
 
 // splitTwoLocked records the crack of p at value v / position pos:
 // p keeps the left part [p.lo, pos), a new piece q takes [pos, p.hi).
-// Caller must hold the structure latch and p's write latch (or be
-// otherwise exclusive).
-func (ix *Index) splitTwoLocked(p *piece, v int64, pos int) *piece {
+// sum is the new boundary's prefix sum (piece.loSum). Caller must hold
+// the structure latch and p's write latch (or be otherwise exclusive).
+func (ix *Index) splitTwoLocked(p *piece, v int64, pos int, sum int64) *piece {
 	q := &piece{
 		lo: pos, hi: p.hi,
 		loVal: v, hiVal: p.hiVal,
-		prev: p, next: p.next,
+		loSum: sum,
+		prev:  p, next: p.next,
 		latch: ix.newLatch(),
 	}
 	if p.next != nil {
@@ -548,6 +563,8 @@ func (ix *Index) Profile() PieceProfile {
 //     value bounds are strictly increasing;
 //   - the AVL table of contents maps exactly the piece boundaries;
 //   - every piece physically contains only values in [loVal, hiVal);
+//   - every boundary's prefix sum (piece.loSum, and the total behind the
+//     maxKey sentinel) equals the sum of the values below it;
 //   - the rowIDs are a permutation of the positions, and — for an
 //     index built over a base column (New) — every rowID still maps to
 //     its base value. An owned array (NewOwned) has no base to align
@@ -561,6 +578,7 @@ func (ix *Index) Validate() error {
 	// Piece chain.
 	pos, nPieces := 0, 0
 	prevHi := int64(minKey)
+	var running int64
 	for p := ix.head; p != nil; p = p.next {
 		nPieces++
 		if p.lo != pos {
@@ -569,11 +587,15 @@ func (ix *Index) Validate() error {
 		if p.hi < p.lo {
 			return fmt.Errorf("crackindex: negative piece [%d,%d)", p.lo, p.hi)
 		}
+		if p.loSum != running {
+			return fmt.Errorf("crackindex: boundary %d carries prefix sum %d, the values below it sum to %d", p.loVal, p.loSum, running)
+		}
 		if p != ix.head && p.loVal != prevHi {
 			return fmt.Errorf("crackindex: piece loVal %d != previous hiVal %d", p.loVal, prevHi)
 		}
 		for i := p.lo; i < p.hi; i++ {
 			v := ix.arr.Value(i)
+			running += v
 			if v < p.loVal || v >= p.hiVal {
 				return fmt.Errorf("crackindex: value %d at pos %d outside piece [%d,%d)",
 					v, i, p.loVal, p.hiVal)
@@ -584,6 +606,9 @@ func (ix *Index) Validate() error {
 	}
 	if pos != ix.arr.Len() {
 		return fmt.Errorf("crackindex: piece chain covers %d of %d positions", pos, ix.arr.Len())
+	}
+	if ix.total != running {
+		return fmt.Errorf("crackindex: total %d, the array sums to %d", ix.total, running)
 	}
 	if nPieces != ix.pieces {
 		return fmt.Errorf("crackindex: pieces counter %d, chain has %d", ix.pieces, nPieces)

@@ -81,14 +81,14 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 		} else if !ix.columnWriteLock(lo, oc) {
 			return 0
 		}
-		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
+		atLo, atHi, _, _ := ix.crackPair(lo, hi, false, oc)
 		ix.columnWriteUnlock(oc)
-		return int64(posHi - posLo)
+		return int64(atHi.pos - atLo.pos)
 	case LatchNone:
-		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
-		return int64(posHi - posLo)
+		atLo, atHi, _, _ := ix.crackPair(lo, hi, false, oc)
+		return int64(atHi.pos - atLo.pos)
 	default: // LatchPiece
-		posLo, posHi, _, ok := ix.crackPair(lo, hi, false, oc)
+		atLo, atHi, _, ok := ix.crackPair(lo, hi, false, oc)
 		if !ok {
 			if oc.err != nil {
 				return 0
@@ -99,13 +99,15 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 		// cracked, the count is derived purely from the index
 		// structure, with no further latching (the "continuously
 		// reduced conflicts" effect of §5.3).
-		return int64(posHi - posLo)
+		return int64(atHi.pos - atLo.pos)
 	}
 }
 
 // Sum executes query type Q2 —
 // select sum(A) from R where lo <= A < hi — cracking the column as a
-// side effect and aggregating under read latches.
+// side effect. Under piece latches the answer is the difference of the
+// two boundaries' prefix sums; the baseline modes aggregate the range
+// under the column read latch (LatchColumn) or unlatched (LatchNone).
 func (ix *Index) Sum(lo, hi int64) (int64, OpStats) {
 	return ix.SumTagged("", lo, hi)
 }
@@ -133,6 +135,12 @@ func (ix *Index) SumTagged(tag string, lo, hi int64) (int64, OpStats) {
 
 // sumBase answers from the physical index only, ignoring the
 // differential file (see countBase for the context-error contract).
+//
+// LatchColumn and LatchNone keep the paper's Figure 8 (top) protocol
+// verbatim — crack, then aggregate the range under the column read
+// latch, or with no concurrency control — although their boundaries
+// carry prefix sums too: they are the baselines of Figures 13 and 14,
+// which measure precisely the cost of aggregating under a column latch.
 func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 	if lo >= hi {
 		return 0
@@ -147,7 +155,7 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 		} else if !ix.columnWriteLock(lo, oc) {
 			return 0
 		}
-		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
+		atLo, atHi, _, _ := ix.crackPair(lo, hi, false, oc)
 		ix.columnWriteUnlock(oc)
 		// The aggregation operator runs under a separate read latch:
 		// multiple aggregations proceed in parallel, but no cracking
@@ -155,16 +163,16 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 		if !ix.columnReadLock(oc) {
 			return 0
 		}
-		oc.Touched += int64(posHi - posLo)
-		s := ix.arr.Sum(posLo, posHi)
+		oc.Touched += int64(atHi.pos - atLo.pos)
+		s := ix.arr.Sum(atLo.pos, atHi.pos)
 		ix.columnReadUnlock(oc)
 		return s
 	case LatchNone:
-		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, oc)
-		oc.Touched += int64(posHi - posLo)
-		return ix.arr.Sum(posLo, posHi)
+		atLo, atHi, _, _ := ix.crackPair(lo, hi, false, oc)
+		oc.Touched += int64(atHi.pos - atLo.pos)
+		return ix.arr.Sum(atLo.pos, atHi.pos)
 	default: // LatchPiece
-		posLo, posHi, mid, ok := ix.crackPair(lo, hi, true, oc)
+		atLo, atHi, mid, ok := ix.crackPair(lo, hi, true, oc)
 		if !ok {
 			if oc.err != nil {
 				return 0
@@ -177,12 +185,15 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 			// to a read latch and aggregate in place (§3.3).
 			ix.traceDowngrade(oc, mid)
 			mid.latch.Downgrade()
-			oc.Touched += int64(posHi - posLo)
-			s := ix.arr.Sum(posLo, posHi)
+			oc.Touched += int64(atHi.pos - atLo.pos)
+			s := ix.arr.Sum(atLo.pos, atHi.pos)
 			ix.pieceReadUnlock(oc, mid)
 			return s
 		}
-		return ix.sumWalk(lo, posLo, posHi, oc)
+		// Prefix sums are as permanent as positions: like the count,
+		// the sum is read off the two boundaries — no piece latched, no
+		// row visited, however wide the range.
+		return atHi.sum - atLo.sum
 	}
 }
 
@@ -206,29 +217,29 @@ func (ix *Index) SelectRowIDs(lo, hi int64) ([]uint32, OpStats) {
 		} else {
 			ix.columnWriteLock(lo, &ctx)
 		}
-		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, &ctx)
+		atLo, atHi, _, _ := ix.crackPair(lo, hi, false, &ctx)
 		ix.columnWriteUnlock(&ctx)
 		ix.columnReadLock(&ctx)
-		ids := ix.arr.AppendRowIDs(make([]uint32, 0, posHi-posLo), posLo, posHi)
+		ids := ix.arr.AppendRowIDs(make([]uint32, 0, atHi.pos-atLo.pos), atLo.pos, atHi.pos)
 		ix.columnReadUnlock(&ctx)
 		return ids, ctx.OpStats
 	case LatchNone:
-		posLo, posHi, _, _ := ix.crackPair(lo, hi, false, &ctx)
-		return ix.arr.AppendRowIDs(make([]uint32, 0, posHi-posLo), posLo, posHi), ctx.OpStats
+		atLo, atHi, _, _ := ix.crackPair(lo, hi, false, &ctx)
+		return ix.arr.AppendRowIDs(make([]uint32, 0, atHi.pos-atLo.pos), atLo.pos, atHi.pos), ctx.OpStats
 	default:
-		posLo, posHi, mid, ok := ix.crackPair(lo, hi, true, &ctx)
+		atLo, atHi, mid, ok := ix.crackPair(lo, hi, true, &ctx)
 		if !ok {
 			return ix.fallbackCollectPiece(lo, hi, &ctx), ctx.OpStats
 		}
 		if mid != nil {
 			ix.traceDowngrade(&ctx, mid)
 			mid.latch.Downgrade()
-			ids := ix.arr.AppendRowIDs(make([]uint32, 0, posHi-posLo), posLo, posHi)
+			ids := ix.arr.AppendRowIDs(make([]uint32, 0, atHi.pos-atLo.pos), atLo.pos, atHi.pos)
 			ix.pieceReadUnlock(&ctx, mid)
 			return ids, ctx.OpStats
 		}
-		ids := make([]uint32, 0, posHi-posLo)
-		ix.walkPieces(lo, posHi, &ctx, func(start, end int) {
+		ids := make([]uint32, 0, atHi.pos-atLo.pos)
+		ix.walkPieces(lo, atHi.pos, &ctx, func(start, end int) {
 			ids = ix.arr.AppendRowIDs(ids, start, end)
 		})
 		return ids, ctx.OpStats
@@ -256,22 +267,6 @@ func (ix *Index) ensureInit(ctx *opCtx) {
 	}
 	ix.mu.Unlock()
 	ctx.addWait(time.Since(start))
-}
-
-// sumWalk aggregates positions [posLo, posHi) by walking the piece
-// list from the piece starting at value lo, read-latching one piece at
-// a time. Holding at most one latch keeps the protocol deadlock-free
-// and lets cracking of other pieces proceed concurrently (Figure 8,
-// middle and bottom).
-func (ix *Index) sumWalk(lo int64, posLo, posHi int, ctx *opCtx) int64 {
-	var s int64
-	ix.walkPieces(lo, posHi, ctx, func(start, end int) {
-		if start < posLo {
-			start = posLo
-		}
-		s += ix.arr.Sum(start, end)
-	})
-	return s
 }
 
 // walkPieces visits the pieces covering positions up to posHi,
@@ -343,8 +338,8 @@ func (ix *Index) WalkPieces(visit func(loVal, hiVal int64, vals []int64)) {
 // fallbackScanPiece answers a query without refining the index: the
 // optional crack was forgone (conflict avoidance), so the answer is
 // computed by predicate scans over the read-latched pieces overlapping
-// [lo, hi). Pieces fully covered by the predicate use position-based
-// aggregation.
+// [lo, hi). Pieces fully covered by the predicate are answered from
+// their boundaries, without a scan.
 func (ix *Index) fallbackScanPiece(wantSum bool, lo, hi int64, ctx *opCtx) int64 {
 	var res int64
 	ix.mu.Lock()
@@ -354,8 +349,7 @@ func (ix *Index) fallbackScanPiece(wantSum bool, lo, hi int64, ctx *opCtx) int64
 		if !ix.pieceReadLock(p, ctx) {
 			return 0
 		}
-		ctx.Touched += int64(p.hi - p.lo)
-		res += ix.scanPieceLocked(p, wantSum, lo, hi)
+		res += ix.scanPieceLocked(p, wantSum, lo, hi, ctx)
 		np := p.next
 		ix.pieceReadUnlock(ctx, p)
 		p = np
@@ -364,15 +358,21 @@ func (ix *Index) fallbackScanPiece(wantSum bool, lo, hi int64, ctx *opCtx) int64
 }
 
 // scanPieceLocked aggregates the qualifying values of p; caller holds
-// p's read latch (or has exclusive access).
-func (ix *Index) scanPieceLocked(p *piece, wantSum bool, lo, hi int64) int64 {
+// p's read latch (or has exclusive access), so p.hi, p.hiVal and p.next
+// are stable.
+func (ix *Index) scanPieceLocked(p *piece, wantSum bool, lo, hi int64, ctx *opCtx) int64 {
 	if p.loVal >= lo && p.hiVal <= hi {
-		// Fully covered: no predicate needed.
-		if wantSum {
-			return ix.arr.Sum(p.lo, p.hi)
+		// Fully covered: the piece's two boundaries hold the answer
+		// (the array total stands in behind the tail piece).
+		if !wantSum {
+			return int64(p.hi - p.lo)
 		}
-		return int64(p.hi - p.lo)
+		if p.next == nil {
+			return ix.total - p.loSum
+		}
+		return p.next.loSum - p.loSum
 	}
+	ctx.Touched += int64(p.hi - p.lo)
 	if wantSum {
 		return ix.arr.ScanSum(p.lo, p.hi, lo, hi)
 	}
@@ -392,8 +392,7 @@ func (ix *Index) fallbackScanColumn(wantSum bool, lo, hi int64, ctx *opCtx) int6
 	p := ix.findPieceLocked(lo)
 	ix.structUnlock()
 	for p != nil && p.loVal < hi {
-		ctx.Touched += int64(p.hi - p.lo)
-		res += ix.scanPieceLocked(p, wantSum, lo, hi)
+		res += ix.scanPieceLocked(p, wantSum, lo, hi, ctx)
 		p = p.next
 	}
 	return res

@@ -99,7 +99,7 @@ func (ix *Index) PendingSnapshot() (ins, del []int64) {
 func (ix *Index) CrackAt(v int64) {
 	ctx := opCtx{replay: true}
 	ix.ensureInit(&ctx)
-	ix.crackBound(v, &ctx)
+	ix.crackBound(nil, v, &ctx)
 }
 
 // pendingCountAdj returns the count adjustment for [lo, hi).

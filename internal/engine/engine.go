@@ -33,6 +33,10 @@ type Result struct {
 	// snapshot read consulted (deepest per-shard chain; zero for
 	// single-domain engines — see internal/epoch).
 	Epochs int
+	// Touched counts the rows the query physically visited (partitioned
+	// or scanned; see crackindex.OpStats.Touched). Zero for engines that
+	// do not report it.
+	Touched int64
 	// Skipped reports that an optional refinement was forgone.
 	Skipped bool
 }
@@ -82,6 +86,7 @@ func fromOpStats(v int64, st crackindex.OpStats) Result {
 		Critical:  st.Critical,
 		Conflicts: st.Conflicts,
 		Epochs:    st.Epochs,
+		Touched:   st.Touched,
 		Skipped:   st.Skipped,
 	}
 }

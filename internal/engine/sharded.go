@@ -111,6 +111,7 @@ func toOpStats(r Result, err error) (int64, crackindex.OpStats, error) {
 		Critical:  r.Critical,
 		Conflicts: r.Conflicts,
 		Epochs:    r.Epochs,
+		Touched:   r.Touched,
 		Skipped:   r.Skipped,
 	}, nil
 }

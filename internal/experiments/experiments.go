@@ -293,9 +293,13 @@ type Fig15Report struct {
 	// order.
 	CrackTime []time.Duration
 	WaitTime  []time.Duration
+	// Touched[i] is the number of rows query i partitioned or scanned:
+	// the same decay as CrackTime, as a count no scheduler can blur.
+	Touched []int64
 	// Decay ratios: mean of last quarter / mean of first quarter.
-	CrackDecay float64
-	WaitDecay  float64
+	CrackDecay   float64
+	WaitDecay    float64
+	TouchedDecay float64
 }
 
 // Fig15 runs the experiment.
@@ -308,9 +312,11 @@ func Fig15(cfg Config, w io.Writer) *Fig15Report {
 	for _, c := range run.Series.Costs {
 		rep.CrackTime = append(rep.CrackTime, c.Crack)
 		rep.WaitTime = append(rep.WaitTime, c.Wait)
+		rep.Touched = append(rep.Touched, c.Touched)
 	}
 	rep.CrackDecay = decay(rep.CrackTime)
 	rep.WaitDecay = decay(rep.WaitTime)
+	rep.TouchedDecay = decay(rep.Touched)
 	if w != nil {
 		t := &metrics.Table{Header: []string{"query", "crack (refinement)", "wait"}}
 		// Log-spaced sample of the sequence, like the paper's log axis.
@@ -321,20 +327,20 @@ func Fig15(cfg Config, w io.Writer) *Fig15Report {
 		}
 		fmt.Fprintf(w, "Figure 15: per-query breakdown, 8 clients, sel 50%%, piece latches, %d rows\n%s",
 			cfg.Rows, t)
-		fmt.Fprintf(w, "decay (last quarter / first quarter): crack %.3f, wait %.3f\n\n",
-			rep.CrackDecay, rep.WaitDecay)
+		fmt.Fprintf(w, "decay (last quarter / first quarter): crack %.3f, wait %.3f, rows touched %.3f\n\n",
+			rep.CrackDecay, rep.WaitDecay, rep.TouchedDecay)
 	}
 	return rep
 }
 
 // decay returns mean(last quarter)/mean(first quarter); < 1 means the
 // series decreases over the sequence.
-func decay(xs []time.Duration) float64 {
+func decay[T time.Duration | int64](xs []T) float64 {
 	if len(xs) < 8 {
 		return 1
 	}
 	q := len(xs) / 4
-	var first, last time.Duration
+	var first, last T
 	for _, x := range xs[:q] {
 		first += x
 	}

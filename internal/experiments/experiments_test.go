@@ -158,14 +158,20 @@ func TestFig15Shapes(t *testing.T) {
 	cfg := testCfg()
 	cfg.Queries = 256
 	rep := Fig15(cfg, &buf)
-	if len(rep.CrackTime) != cfg.Queries || len(rep.WaitTime) != cfg.Queries {
+	if len(rep.CrackTime) != cfg.Queries || len(rep.WaitTime) != cfg.Queries || len(rep.Touched) != cfg.Queries {
 		t.Fatal("wrong series length")
 	}
-	// Crack time decays strongly over the sequence (the adaptive
-	// property under concurrency).
-	if rep.CrackDecay >= 0.5 {
-		t.Fatalf("crack time did not decay: ratio %.3f", rep.CrackDecay)
+	// Refinement work decays strongly over the sequence (the adaptive
+	// property under concurrency). Asserted on the rows each query
+	// touched: the first quarter partitions the column several times
+	// over and the last quarter only small pieces, whatever the
+	// interleaving of the eight clients. The time ratio says the same
+	// but the whole run lasts milliseconds, so one descheduled crack
+	// can tip it; it is logged.
+	if rep.TouchedDecay >= 0.5 {
+		t.Fatalf("rows touched did not decay: ratio %.3f", rep.TouchedDecay)
 	}
+	t.Logf("crack time decay %.3f, wait decay %.3f, rows touched decay %.3f", rep.CrackDecay, rep.WaitDecay, rep.TouchedDecay)
 	if !strings.Contains(buf.String(), "Figure 15") {
 		t.Fatal("missing output header")
 	}

@@ -95,6 +95,7 @@ func Execute(e engine.Engine, queries []workload.Query, clients int) *Run {
 					Crack:     res.Refine,
 					Critical:  res.Critical,
 					Conflicts: res.Conflicts,
+					Touched:   res.Touched,
 					Skipped:   res.Skipped,
 				})
 				checksum += res.Value

@@ -65,6 +65,9 @@ type QueryCost struct {
 	// Conflicts is the number of latch acquisitions that could not be
 	// granted immediately.
 	Conflicts int64
+	// Touched is the number of rows the query physically visited
+	// (partitioned by its cracks or scanned for its answer).
+	Touched int64
 	// Skipped reports whether the query forwent refinement due to a
 	// conflict (conflict-avoidance mode).
 	Skipped bool
