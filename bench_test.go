@@ -16,10 +16,10 @@ import (
 
 	"adaptix"
 	"adaptix/internal/amerge"
-	"adaptix/internal/avltree"
 	"adaptix/internal/baseline"
 	"adaptix/internal/cracker"
 	"adaptix/internal/crackindex"
+	"adaptix/internal/directory"
 	"adaptix/internal/engine"
 	"adaptix/internal/harness"
 	"adaptix/internal/hybrid"
@@ -427,13 +427,96 @@ func BenchmarkMicro_CrackInThree(b *testing.B) {
 	b.SetBytes(int64(benchRows * 8))
 }
 
-func BenchmarkMicro_AVLInsert(b *testing.B) {
-	r := workload.NewRNG(5)
-	tr := &avltree.Tree[int]{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(r.Int63()%1_000_000, i)
+// dirRungBoundaries is the table-of-contents size of the directory and
+// converged-count rungs: what one shard of the warm_point workload holds.
+const dirRungBoundaries = 32 << 10
+
+// BenchmarkDirectory measures the table of contents on its own at 32 Ki
+// boundaries (keys 0, 1024, 2048, ...): a converged query's pair of
+// floor lookups (run with -cpu 1,2: readers share nothing but read-only
+// memory), a crack's publish of one or two cuts inside one piece — each
+// copies one chunk; the table is rebuilt, untimed, whenever it has
+// doubled — and a rebuilt shard's bulk build from sorted seeds.
+func BenchmarkDirectory(b *testing.B) {
+	const gap = 1024
+	entries := make([]directory.Entry, dirRungBoundaries)
+	for i := range entries {
+		entries[i] = directory.Entry{Key: int64(i) * gap, Pos: i * gap, Sum: int64(i)}
 	}
+	b.Run("lookup", func(b *testing.B) {
+		var d directory.Dir
+		d.Build(entries)
+		var seed atomic.Uint64
+		b.RunParallel(func(pb *testing.PB) {
+			r := workload.NewRNG(seed.Add(1))
+			var sink int
+			for pb.Next() {
+				lo := r.Int64n(dirRungBoundaries-1) * gap
+				p, q := d.Floor2(lo, lo+gap)
+				sink += q.Pos() - p.Pos()
+			}
+			if sink < 0 {
+				b.Error("positions decreased")
+			}
+		})
+	})
+	publish := func(cuts int) func(b *testing.B) {
+		return func(b *testing.B) {
+			var d directory.Dir
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i % dirRungBoundaries
+				if j == 0 {
+					b.StopTimer()
+					d.Build(entries)
+					b.StartTimer()
+				}
+				// A permutation of the pieces (the multiplier is odd), so
+				// successive publishes land in unrelated chunks.
+				k := int64(j*40503%dirRungBoundaries)*gap + 1
+				cut := [2]directory.Entry{{Key: k, Pos: int(k)}, {Key: k + 1, Pos: int(k) + 1}}
+				d.Publish(cut[:cuts])
+			}
+		}
+	}
+	b.Run("publish_1cut", publish(1))
+	b.Run("publish_2cut", publish(2))
+	b.Run("bulk_build", func(b *testing.B) {
+		var d directory.Dir
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.Build(entries)
+		}
+	})
+}
+
+// BenchmarkConvergedCount is the contended converged-read rung: every
+// client of ONE shared index of 32 Ki boundaries counts ranges whose two
+// bounds are boundaries already. Run with -cpu 1,2: whatever the read
+// path still shares between clients shows as the gap between the two.
+func BenchmarkConvergedCount(b *testing.B) {
+	const gap = 64
+	vals := make([]int64, dirRungBoundaries*gap)
+	seeds := make([]crackindex.BoundaryPosition, 0, dirRungBoundaries-1)
+	for i := range vals {
+		vals[i] = int64(i)
+		if i > 0 && i%gap == 0 {
+			seeds = append(seeds, crackindex.BoundaryPosition{Value: int64(i), Pos: i})
+		}
+	}
+	ix := crackindex.NewOwned(vals, seeds, crackindex.Options{})
+	var seed atomic.Uint64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		r := workload.NewRNG(seed.Add(1))
+		for pb.Next() {
+			lo := (1 + r.Int64n(dirRungBoundaries-2)) * gap
+			if n, _ := ix.Count(lo, lo+gap); n != gap {
+				b.Errorf("Count[%d,%d) = %d", lo, lo+gap, n)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkMicro_PBTreeInsert(b *testing.B) {

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
+	"adaptix/internal/latch"
 )
 
 // opCtx carries the per-operation cost accumulator, the query tag used
@@ -38,66 +40,63 @@ func (c *opCtx) canceled() bool {
 	return false
 }
 
-// bound is a crack boundary as a query reads it off the piece starting
-// there: array position (piece.lo) and prefix sum (piece.loSum). Later
-// cracks only subdivide pieces and permute rows inside them, so a bound
-// never changes once it exists and is read without a latch.
+// bound is a crack boundary as a query reads it off its directory
+// entry: array position and prefix sum. Later cracks only subdivide
+// pieces and permute rows inside them, so a bound never changes once it
+// exists and is read without a latch.
 type bound struct {
 	pos int
 	sum int64
 }
 
+func boundOf(r directory.Ref) bound { return bound{r.Pos(), r.Sum()} }
+
 // crackBound ensures a crack boundary exists at value v and returns it:
 // every value at a position < pos is < v, every value at a position
-// >= pos is >= v, and sum is the sum of the former. p is the piece a
-// table-of-contents lookup found for v — possibly split since, the loop
-// below re-determines — or nil to look it up here.
+// >= pos is >= v, and sum is the sum of the former. p is the entry a
+// directory lookup found for v (its floor) — possibly stale by now, the
+// loop below re-determines — or the zero Ref to look it up here.
 //
-// In LatchPiece mode this implements the full protocol of §5.3:
-// navigate to the piece under the structure latch, block on (or, under
-// conflict avoidance, try) the piece's write latch, re-determine the
-// bound after waking up if the piece was split in the meantime
-// (Figure 10), refine, publish the splits. In the exclusive modes
-// (LatchColumn: the caller holds the column write latch; LatchNone:
-// single-threaded) the piece latch is not taken and the loop runs once.
+// In LatchPiece mode this implements the full protocol of §5.3: find
+// the piece in the directory, block on (or, under conflict avoidance,
+// try) the piece's write latch, re-determine the bound after waking up
+// if the piece was split in the meantime (Figure 10: the piece's extent
+// is re-read from the current directory once the latch is held), refine,
+// publish the cuts. In the exclusive modes (LatchColumn: the caller
+// holds the column write latch; LatchNone: single-threaded) the piece
+// latch is not taken and the loop runs once.
 //
 // ok is false only when refinement was forgone (conflict avoidance or
 // a conflicting user-transaction lock).
-func (ix *Index) crackBound(p *piece, v int64, ctx *opCtx) (at bound, ok bool) {
-	// The maxKey sentinel is the tail piece's open upper bound: the
-	// "boundary" is the array end, and no piece can ever contain it
-	// strictly (a query like DeleteValue(maxKey-1) probes [v, v+1) =
-	// [maxKey-1, maxKey) and reaches here).
-	if v == maxKey {
-		return bound{ix.arr.Len(), ix.total}, true
-	}
-	if p == nil {
-		ix.structLock()
-		p = ix.findPieceLocked(v)
-		ix.structUnlock()
+func (ix *Index) crackBound(p directory.Ref, v int64, ctx *opCtx) (at bound, ok bool) {
+	if !p.OK() {
+		p = ix.dir.Floor(v)
 	}
 	for {
-		// Exact match: the boundary already exists. lo, loVal and loSum
-		// are immutable after publication (splits keep the left part),
-		// so no latch is needed for this check or the returned bound.
-		if p.loVal == v {
-			return bound{p.lo, p.loSum}, true
+		// Exact match: the boundary already exists (v == maxKey always
+		// matches the tail sentinel: the "boundary" is the array end).
+		// Entries are immutable, so no latch is needed for this check or
+		// the returned bound.
+		if p.Key() == v {
+			return boundOf(p), true
 		}
-		if !ix.pieceWriteLock(p, v, ctx) {
+		l, granted := ix.pieceWriteLock(p, v, ctx)
+		if !granted {
 			return bound{}, false
 		}
-		// Re-validate under the piece latch: the piece may have been
-		// split (hiVal narrowed) while this query waited (Figure 10).
-		// loVal < v still holds: loVal is immutable and was checked.
-		if v < p.hiVal {
-			break
+		// Re-determine under the latch: the piece may have been cut
+		// below v while this query waited (Figure 10). p.Key() < v still
+		// holds: a piece never loses its starting boundary.
+		h := ix.pin(p, l)
+		if v < h.hiVal() {
+			at, _, _ = ix.refine(h, v, v, false, ctx)
+			ix.pieceWriteUnlock(ctx, h)
+			return at, true
 		}
-		ix.pieceWriteUnlock(ctx, p)
-		p = ix.redetermine(p, v)
+		ix.pieceWriteUnlock(ctx, h)
+		ix.stats.Redeterminations.Inc()
+		p = ix.dir.Floor(v)
 	}
-	at, _, _ = ix.refine(p, v, v, false, ctx)
-	ix.pieceWriteUnlock(ctx, p)
-	return at, true
 }
 
 // auxMinPiece is the piece size, in rows, from which a crack also cuts
@@ -129,29 +128,34 @@ const auxMinPiece = 16 << 10
 //     side again. The hash makes the positions deterministic per piece
 //     state, so a replayed workload rebuilds the same index;
 //
-// — then partitioned in one multi-pivot pass and published as one chain
-// of splits under the structure latch, each boundary with its prefix sum
-// (p's own plus what the pass summed below the pivot). keepMiddle
-// (LatchPiece only) returns the piece between the two required bounds
-// write-latched — before anyone can reach it — for the §3.3 downgrade; it must
-// then be exactly the qualifying range, so an optional pivot inside
-// [a, b] is dropped. That costs no robustness: the caller is about to
-// read every row of that piece anyway. Without keepMiddle such pivots
-// stay, which is what keeps a zoom-in of ever narrower nested counts
-// from re-partitioning the whole middle every time. A replay (CrackAt)
-// takes no optional pivot at all.
+// — then partitioned in one multi-pivot pass and published as ONE
+// directory publish under the publishers' mutex: all cuts fall inside p,
+// hence into one chunk, which is copied once with every cut merged in,
+// each boundary with its prefix sum (p's own plus what the pass summed
+// below the pivot). keepMiddle (LatchPiece only) returns the piece
+// between the two required bounds write-latched — its entry is born
+// with an already-held latch, so nobody can reach it first — for the
+// §3.3 downgrade; it must then be exactly the qualifying range, so an
+// optional pivot inside [a, b] is dropped. That costs no robustness: the
+// caller is about to read every row of that piece anyway. Without
+// keepMiddle such pivots stay, which is what keeps a zoom-in of ever
+// narrower nested counts from re-partitioning the whole middle every
+// time. A replay (CrackAt) takes no optional pivot at all.
 //
-// Safety of the chain: the pieces created here become reachable only
-// through the structure latch (held for the whole chain) or through
-// p.next (readable only under p's latch, held exclusively), so no other
-// thread can observe a partially split chain.
-func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA, atB bound, mid *piece) {
+// Safety of the publish: a reader sees the chunk before or after it,
+// never part of it; and the new pieces lie inside p, whose latch the
+// caller holds exclusively, so whoever needs their extent waits on p's
+// latch or re-reads the directory after it.
+func (ix *Index) refine(p piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA, atB bound, mid piece) {
 	start := time.Now()
-	ctx.Touched += int64(p.hi - p.lo)
+	lo, hi := p.lo(), p.hi()
+	ctx.Touched += int64(hi - lo)
 	var (
 		pvBuf  [5]int64 // two bounds and three quantiles: no allocation without waiters
 		posBuf [5]cracker.Split
+		cutBuf [5]directory.Entry
 		sample []int64
+		held   *latch.Latch // the middle piece's latch, taken before the piece exists
 	)
 	pv := append(pvBuf[:0], a)
 	if b != a {
@@ -163,15 +167,15 @@ func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA,
 			pv = p.latch.WaiterBounds(pv)
 		}
 		waiters := len(pv)
-		if p.hi-p.lo >= ix.auxMin {
-			s := ix.samplePiece(p)
+		if hi-lo >= ix.auxMin {
+			s := ix.samplePiece(lo, hi)
 			sample = s[:]
 			pv = append(pv, s[2], s[4], s[6])
 		}
 		kept := pv[:required]
 		var grouped, aux int64
 		for i, v := range pv[required:] {
-			if v <= p.loVal || v >= p.hiVal || (keepMiddle && a <= v && v <= b) || slices.Contains(kept, v) {
+			if v <= p.loVal() || v >= p.hiVal() || (keepMiddle && a <= v && v <= b) || slices.Contains(kept, v) {
 				continue
 			}
 			kept = append(kept, v)
@@ -195,143 +199,130 @@ func (ix *Index) refine(p *piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA,
 	if len(pv) > len(pos) {
 		pos = make([]cracker.Split, len(pv))
 	}
-	ix.arr.CrackMulti(p.lo, p.hi, pv, pos, sample)
-	ix.structLock()
-	cur := p
+	ix.arr.CrackMulti(lo, hi, pv, pos, sample)
+	cuts := cutBuf[:0]
 	for i, v := range pv {
-		at := bound{pos[i].Pos, p.loSum + pos[i].Sum}
-		cur = ix.splitTwoLocked(cur, v, at.pos, at.sum)
+		e := directory.Entry{Key: v, Pos: pos[i].Pos, Sum: p.at.Sum() + pos[i].Sum}
 		if v == a {
-			atA = at
+			atA = bound{e.Pos, e.Sum}
 			if keepMiddle && a != b {
-				mid = cur
-				mid.latch.TryLock() // cannot fail: nobody can reach the piece yet
+				held = ix.newLatch()
+				held.TryLock() // cannot fail: nobody can reach the piece yet
+				e.Latch = held
 			}
 		}
 		if v == b {
-			atB = at
+			atB = bound{e.Pos, e.Sum}
 		}
+		cuts = append(cuts, e)
 	}
-	ix.structUnlock()
+	ix.publish(cuts)
+	if held != nil {
+		mid = ix.pin(ix.dir.Floor(a), held)
+	}
 	d := time.Since(start)
 	ctx.Crack += d
 	ix.stats.CrackTime.Add(d)
 	ix.stats.Cracks.Inc()
-	ix.traceCrack(ctx, p, a)
+	ix.trace(ctx, TraceCracked, p.at, a)
 	return atA, atB, mid
 }
 
-// samplePiece returns nine values of p from hashed positions, sorted.
-// The xorshifted hash of the piece's extent keeps the positions
-// deterministic per piece state yet well spread, whatever physical
-// order earlier partition passes left behind. Caller holds p
-// exclusively; p is not empty.
-func (ix *Index) samplePiece(p *piece) (s [9]int64) {
-	h := uint64(p.lo)*0x9e3779b97f4a7c15 + uint64(p.hi)*0xbf58476d1ce4e5b9
-	n := uint64(p.hi - p.lo)
+// samplePiece returns nine values of the piece [lo, hi) from hashed
+// positions, sorted. The xorshifted hash of the piece's extent keeps the
+// positions deterministic per piece state yet well spread, whatever
+// physical order earlier partition passes left behind. Caller holds the
+// piece exclusively; it is not empty.
+func (ix *Index) samplePiece(lo, hi int) (s [9]int64) {
+	h := uint64(lo)*0x9e3779b97f4a7c15 + uint64(hi)*0xbf58476d1ce4e5b9
+	n := uint64(hi - lo)
 	for i := range s {
 		h ^= h >> 29
 		h *= 0xff51afd7ed558ccd
-		s[i] = ix.arr.Value(p.lo + int(h%n))
+		s[i] = ix.arr.Value(lo + int(h%n))
 	}
 	slices.Sort(s[:])
 	return s
 }
 
-// redetermine walks the piece list from p to the piece currently
-// containing v, as in Figure 10: "every query achieves that by walking
-// through the pieces of the array starting from the original piece
-// they tried to latch". Since splits keep the left part, the target is
-// always reachable by walking right; the prev walk is defensive.
-func (ix *Index) redetermine(p *piece, v int64) *piece {
-	ix.structLock()
-	ix.stats.Redeterminations.Inc()
-	for v >= p.hiVal && p.next != nil {
-		p = p.next
-	}
-	for v < p.loVal && p.prev != nil {
-		p = p.prev
-	}
-	ix.structUnlock()
-	return p
-}
-
-// pieceWriteLock acquires p's write latch according to the conflict
-// policy, recording wait time and conflicts. It consults the user-lock
-// probe first: a system transaction must verify that no concurrent
-// user transaction holds conflicting locks and, refinement being
-// optional, it simply forgoes the work if one does (§3.3). In the
-// exclusive modes the caller already excludes every other thread and
-// there is nothing to acquire.
-func (ix *Index) pieceWriteLock(p *piece, bound int64, ctx *opCtx) bool {
+// pieceWriteLock acquires the write latch of the piece starting at p
+// according to the conflict policy, recording wait time and conflicts,
+// and returns it. It consults the user-lock probe first: a system
+// transaction must verify that no concurrent user transaction holds
+// conflicting locks and, refinement being optional, it simply forgoes
+// the work if one does (§3.3). In the exclusive modes the caller already
+// excludes every other thread and there is nothing to acquire (nil, true).
+func (ix *Index) pieceWriteLock(p directory.Ref, bound int64, ctx *opCtx) (*latch.Latch, bool) {
 	if ix.opts.Latching != LatchPiece {
-		return true
+		return nil, true
 	}
 	if ix.opts.LockProbe != nil && ix.opts.LockProbe() {
 		ctx.Skipped = true
 		ix.stats.Skipped.Inc()
-		return false
+		return nil, false
 	}
-	ix.traceWant(ctx, p, true, bound)
+	ix.trace(ctx, TraceWantWrite, p, bound)
+	l := ix.latchOf(p)
 	if ix.opts.OnConflict == Skip {
-		if !p.latch.TryLock() {
+		if !l.TryLock() {
 			ctx.Conflicts++
 			ctx.Skipped = true
 			ix.stats.Conflicts.Inc()
 			ix.stats.Skipped.Inc()
-			return false
+			return nil, false
 		}
-		ix.traceAcquired(ctx, p, true)
-		return true
+		ix.trace(ctx, TraceAcquireWrite, p, 0)
+		return l, true
 	}
-	w, err := p.latch.LockCtx(ctx.ctx, bound)
+	if w, err := l.LockCtx(ctx.ctx, bound); !ix.waited(ctx, w, err) {
+		return nil, false
+	}
+	ix.trace(ctx, TraceAcquireWrite, p, 0)
+	return l, true
+}
+
+// waited books the wait of one blocking latch acquisition against the
+// operation and the index. It reports false when the deadline expired or
+// the query was cancelled while parked: the latch was never acquired,
+// and the query abandons its optional refinement and its answer alike.
+func (ix *Index) waited(ctx *opCtx, w time.Duration, err error) bool {
 	ctx.addWait(w)
 	if w > 0 {
 		ix.stats.Conflicts.Inc()
 		ix.stats.WaitTime.Add(w)
 	}
 	if err != nil {
-		// Deadline expired or the query was cancelled while parked:
-		// the latch was never acquired, and the query abandons its
-		// optional refinement and its answer alike.
 		ctx.err = err
-		return false
 	}
-	ix.traceAcquired(ctx, p, true)
-	return true
+	return err == nil
 }
 
-func (ix *Index) pieceWriteUnlock(ctx *opCtx, p *piece) {
-	if ix.opts.Latching != LatchPiece {
+func (ix *Index) pieceWriteUnlock(ctx *opCtx, p piece) {
+	if p.latch == nil {
 		return
 	}
-	ix.traceRelease(ctx, p, true)
+	ix.trace(ctx, TraceReleaseWrite, p.at, 0)
 	p.latch.Unlock()
 }
 
-// pieceReadLock acquires p's read latch, recording wait time.
-// Aggregation reads are never skipped: they are required for the
-// answer, and they conflict only with an active crack of this piece.
-// It reports false only when the operation's context expired while
-// parked — the answer is abandoned, not merely unrefined.
-func (ix *Index) pieceReadLock(p *piece, ctx *opCtx) bool {
-	ix.traceWant(ctx, p, false, 0)
-	w, err := p.latch.RLockCtx(ctx.ctx)
-	ctx.addWait(w)
-	if w > 0 {
-		ix.stats.Conflicts.Inc()
-		ix.stats.WaitTime.Add(w)
+// pieceReadLock acquires the read latch of the piece starting at p,
+// recording wait time, and returns the piece pinned. Aggregation reads
+// are never skipped: they are required for the answer, and they conflict
+// only with an active crack of this piece. It reports false only when
+// the operation's context expired while parked — the answer is
+// abandoned, not merely unrefined.
+func (ix *Index) pieceReadLock(p directory.Ref, ctx *opCtx) (piece, bool) {
+	ix.trace(ctx, TraceWantRead, p, 0)
+	l := ix.latchOf(p)
+	if w, err := l.RLockCtx(ctx.ctx); !ix.waited(ctx, w, err) {
+		return piece{}, false
 	}
-	if err != nil {
-		ctx.err = err
-		return false
-	}
-	ix.traceAcquired(ctx, p, false)
-	return true
+	ix.trace(ctx, TraceAcquireRead, p, 0)
+	return ix.pin(p, l), true
 }
 
-func (ix *Index) pieceReadUnlock(ctx *opCtx, p *piece) {
-	ix.traceRelease(ctx, p, false)
+func (ix *Index) pieceReadUnlock(ctx *opCtx, p piece) {
+	ix.trace(ctx, TraceReleaseRead, p.at, 0)
 	p.latch.RUnlock()
 }
 
@@ -342,42 +333,38 @@ func (ix *Index) pieceReadUnlock(ctx *opCtx, p *piece) {
 // still write-latched so the caller may downgrade it and aggregate in
 // place; otherwise mid is nil.
 //
-// One visit to the table of contents looks up both bounds' pieces. When
-// both boundaries exist — every query on a converged index — that visit
-// is the whole query and nothing is latched. Otherwise the pieces go to
-// the cracking protocol, whose re-determination covers a split between
-// this lookup and the latch just as it covers one during the wait.
+// One latch-free visit to the table of contents looks up both bounds.
+// When both boundaries exist — every query on a converged index — that
+// visit is the whole query: two binary searches over an immutable
+// version, no mutex, no latch. Otherwise the entries go to the cracking
+// protocol, whose re-determination covers a split between this lookup
+// and the latch just as it covers one during the wait.
 //
 // ok is false only when refinement was skipped (the caller then
 // answers by scanning); it is always true in the exclusive modes.
-func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (atLo, atHi bound, mid *piece, ok bool) {
-	ix.structLock()
-	p := ix.findPieceLocked(lo)
-	same := p.loVal < lo && hi < p.hiVal
-	q := p
-	if !same {
-		q = ix.findPieceLocked(hi)
+func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (atLo, atHi bound, mid piece, ok bool) {
+	p, q := ix.dir.Floor2(lo, hi)
+	if p.Key() == lo && q.Key() == hi {
+		return boundOf(p), boundOf(q), piece{}, true
 	}
-	ix.structUnlock()
-	if p.loVal == lo && q.loVal == hi {
-		return bound{p.lo, p.loSum}, bound{q.lo, q.loSum}, nil, true
-	}
-	if same {
-		if !ix.pieceWriteLock(p, lo, ctx) {
-			return bound{}, bound{}, nil, false
+	if p.Key() < lo && q.Key() == p.Key() { // both strictly inside one piece
+		l, granted := ix.pieceWriteLock(p, lo, ctx)
+		if !granted {
+			return bound{}, bound{}, piece{}, false
 		}
 		// Still strictly inside p? It may have been split while this
 		// query waited; the bounds then no longer share a piece and are
 		// cracked independently below.
-		same = hi < p.hiVal
+		h := ix.pin(p, l)
+		same := hi < h.hiVal()
 		if same {
-			atLo, atHi, mid = ix.refine(p, lo, hi, keepMiddle, ctx)
+			atLo, atHi, mid = ix.refine(h, lo, hi, keepMiddle, ctx)
 		}
-		ix.pieceWriteUnlock(ctx, p)
+		ix.pieceWriteUnlock(ctx, h)
 		if same {
 			return atLo, atHi, mid, true
 		}
-		p, q = nil, nil // split while waiting: look both up again rather than queue on p's latch to find out
+		p, q = directory.Ref{}, directory.Ref{} // split while waiting: look both up again rather than queue on p's latch to find out
 	}
 
 	if ix.opts.ParallelBounds && ix.opts.Latching == LatchPiece {
@@ -416,18 +403,18 @@ func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (atLo, atH
 			ctx.err = r.st.err
 		}
 		if !okLo || !r.ok {
-			return bound{}, bound{}, nil, false
+			return bound{}, bound{}, piece{}, false
 		}
-		return atLo, r.at, nil, true
+		return atLo, r.at, piece{}, true
 	}
 
 	atLo, okLo := ix.crackBound(p, lo, ctx)
 	if !okLo {
-		return bound{}, bound{}, nil, false
+		return bound{}, bound{}, piece{}, false
 	}
 	atHi, okHi := ix.crackBound(q, hi, ctx)
 	if !okHi {
-		return bound{}, bound{}, nil, false
+		return bound{}, bound{}, piece{}, false
 	}
-	return atLo, atHi, nil, true
+	return atLo, atHi, piece{}, true
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 	"adaptix/internal/latch"
 	"adaptix/internal/workload"
 )
@@ -176,7 +177,7 @@ func TestBoundariesSortedAndPiecesConsistent(t *testing.T) {
 	}
 	// Verify the physical array respects every boundary.
 	for _, b := range bs {
-		at, _ := ix.crackBound(nil, b, &opCtx{})
+		at, _ := ix.crackBound(directory.Ref{}, b, &opCtx{})
 		pos := at.pos
 		for i := 0; i < pos; i++ {
 			if ix.arr.Value(i) >= b {
@@ -308,12 +309,10 @@ func TestSkipModeForgoesRefinement(t *testing.T) {
 	// bounds fall into. The optional crack (write latch) must be
 	// forgone, while the fallback scan shares the read latch.
 	ix.Count(10, 20) // initialize + create boundaries
-	ix.mu.Lock()
-	p := ix.findPieceLocked(30000)
-	ix.mu.Unlock()
-	p.latch.RLock()
+	l := ix.latchOf(ix.dir.Floor(30000))
+	l.RLock()
 	n, st := ix.Count(25000, 35000)
-	p.latch.RUnlock()
+	l.RUnlock()
 	if n != 10000 {
 		t.Fatalf("skip-mode Count = %d, want 10000", n)
 	}

@@ -7,11 +7,17 @@
 //
 //   - a cracker array (internal/cracker): a dense auxiliary copy of the
 //     column, continuously reorganized in place;
-//   - an AVL tree (internal/avltree) as table of contents, mapping
-//     crack boundary values to pieces of the array;
-//   - a doubly-linked list of piece descriptors, each owning a
-//     short-term read/write latch and a sorted waiter queue
-//     (internal/latch).
+//   - a table of contents (internal/directory) mapping every crack
+//     boundary value to its array position and the prefix sum of the
+//     rows below it. The paper keeps an AVL tree under a structure
+//     latch; boundaries are only ever added and never change, so here
+//     they live in sorted copy-on-write chunks behind one atomic
+//     pointer, and a lookup takes no latch of any kind;
+//   - per piece, a short-term read/write latch with a sorted waiter
+//     queue (internal/latch), created when a query first has to latch
+//     the piece and reached through the piece's directory entry. A piece
+//     is nothing but two adjacent entries: it starts at one boundary and
+//     ends at the next.
 //
 // Three concurrency-control modes are provided (paper §5.3):
 //
@@ -37,8 +43,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptix/internal/avltree"
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 	"adaptix/internal/latch"
 	"adaptix/internal/metrics"
 )
@@ -127,37 +133,49 @@ type Options struct {
 	Obs *metrics.Observer
 }
 
-// piece is one contiguous segment of the cracker array holding values
-// in [loVal, hiVal). prev/next form the ordered piece list. Each piece
-// owns its latch (used in LatchPiece mode).
-//
-// loSum, the wrapping sum of all values at positions < lo, belongs to
-// the piece's starting boundary, not to its contents: a crack permutes
-// rows inside one piece only, so nothing below an existing boundary ever
-// changes and the sum is filled once, where the boundary is born.
+// piece is one contiguous segment of the cracker array as its holder
+// sees it: the boundary it starts at, the boundary it ends at, and its
+// latch (nil in the exclusive modes). It is a view assembled from the
+// directory, not a stored object.
 //
 // Synchronization discipline (race-freedom relies on it):
-//   - lo, loVal and loSum are immutable after the piece is published;
-//   - hi, hiVal and next are mutated only while holding BOTH the
-//     piece's write latch and the structure latch mu, so holding
-//     either one is sufficient to read them;
-//   - prev is mutated and read only under mu;
-//   - splits keep the existing piece as the LEFT part, so a piece
-//     never loses its starting boundary.
+//   - a directory entry — boundary value, position, prefix sum — is
+//     immutable from the moment it is published, and entries are never
+//     removed. The prefix sum belongs to the boundary, not to the piece's
+//     contents: a crack permutes rows inside one piece only, so nothing
+//     below an existing boundary ever changes. Reading an entry therefore
+//     needs no latch, and a stale version of the directory is safe to
+//     answer from: it can only lack boundaries (a coarser, equally valid
+//     table), never hold a wrong one;
+//   - where a piece ENDS is not a property of its entry but whatever
+//     entry comes next, and only the holder of the piece's write latch
+//     (or of the column write latch; LatchNone is single-threaded) may
+//     publish a cut inside it. So `next` is read from the current
+//     directory AFTER the latch is granted (pin) and is then stable until
+//     the latch is released; every cut made by an earlier holder was
+//     published before that holder let go. That re-read is the
+//     re-determination of Figure 10;
+//   - a piece's latch is created when a query first has to latch it and
+//     installed in the current version of its entry under mu; every later
+//     version carries it over, so all queries meet on the same latch;
+//   - mu serializes the publishers (cuts, latch installs) among
+//     themselves and nothing else. No lookup ever takes it.
 type piece struct {
-	lo, hi       int   // array positions [lo, hi)
-	loVal, hiVal int64 // value bounds [loVal, hiVal)
-	loSum        int64 // sum of the values at positions [0, lo)
-	prev, next   *piece
-	latch        *latch.Latch
+	at, next directory.Ref
+	latch    *latch.Latch
 }
+
+func (p piece) lo() int      { return p.at.Pos() }
+func (p piece) hi() int      { return p.next.Pos() }
+func (p piece) loVal() int64 { return p.at.Key() }
+func (p piece) hiVal() int64 { return p.next.Key() }
 
 // Stats aggregates index-wide counters.
 type Stats struct {
 	// Cracks counts physical reorganization actions (a crack-in-three
 	// counts once).
 	Cracks metrics.Counter
-	// Boundaries counts crack boundaries inserted into the AVL tree.
+	// Boundaries counts crack boundaries added to the table of contents.
 	Boundaries metrics.Counter
 	// Conflicts counts latch acquisitions that blocked or failed.
 	Conflicts metrics.Counter
@@ -226,26 +244,27 @@ type Index struct {
 	opts Options
 	base []int64 // base column, copied lazily on first query; nil when the index owns its array (NewOwned)
 
-	// mu is the short-term structure latch protecting toc, the piece
-	// list links, and piece bounds. It is held only during lookups and
-	// boundary insertion, never during data reorganization. LatchNone
-	// mode (single-threaded by contract) skips it entirely so that the
+	// dir is the table of contents. It always starts with the minKey
+	// sentinel (position 0, sum 0) and ends with the maxKey sentinel
+	// (position Len, the sum of the whole array), so every value has a
+	// floor entry and every piece a successor. Lookups are latch-free.
+	dir directory.Dir
+	// mu is the publishers' mutex: it serializes changes to dir (a
+	// crack's cuts, a piece's first latch) and the one-off
+	// initialization. It is held for a chunk copy, never during data
+	// reorganization, and never by a lookup. LatchNone mode
+	// (single-threaded by contract) skips it entirely so that the
 	// Figure 13 "CC disabled" run truly performs no synchronization.
 	mu       sync.Mutex
-	toc      *avltree.Tree[*piece]
-	head     *piece
 	arr      *cracker.Array
-	total    int64 // sum of the whole array: the prefix sum of the maxKey sentinel boundary (immutable once initialized)
-	init     bool
-	initDone atomic.Bool // fast-path mirror of init
+	initDone atomic.Bool // set once arr and dir are in place
 
 	colLatch *latch.Latch
-	pieces   int
 	auxMin   int // auxMinPiece; a field so in-package tests can lower it
 
 	// onWait is the single shared latch-wait observer closure handed to
 	// every latch this index creates (allocated once in New, not per
-	// piece: pieces are born on the crack hot path).
+	// latch: latches are born on the crack hot path).
 	onWait func(d time.Duration, reader bool)
 
 	// Differential updates (see updates.go).
@@ -262,7 +281,6 @@ func New(base []int64, opts Options) *Index {
 	ix := &Index{
 		opts:   opts,
 		base:   base,
-		toc:    &avltree.Tree[*piece]{},
 		auxMin: auxMinPiece,
 	}
 	if ob := opts.Obs; ob != nil {
@@ -275,7 +293,7 @@ func New(base []int64, opts Options) *Index {
 // NewOwned creates an initialized index over an array it owns: values
 // becomes the cracker array itself (cracker.NewOwned — no copy, no lazy
 // initialization for a first query to pay), and the table of contents
-// is seeded with the given boundaries instead of starting from one
+// is bulk-built from the given boundaries instead of starting from one
 // monolithic piece. It is the constructor for rebuilds that carry an
 // earlier index's pieces over (shard group-apply, split, merge): the
 // caller lays values out piece by piece and records where each piece
@@ -289,16 +307,20 @@ func New(base []int64, opts Options) *Index {
 // array has no separate base column to stay aligned with.
 func NewOwned(values []int64, seeds []BoundaryPosition, opts Options) *Index {
 	ix := New(nil, opts)
-	ix.installArray(cracker.NewOwned(values, opts.Layout))
-	tail := ix.head // one running sum: every seed's prefix, then the total
+	arr := cracker.NewOwned(values, opts.Layout)
+	entries := make([]directory.Entry, 1, len(seeds)+2)
+	entries[0].Key = minKey
+	tail := entries[0] // one running sum: every seed's prefix, then the total
 	for _, b := range seeds {
-		if b.Value <= tail.loVal || b.Pos < tail.lo || b.Pos > tail.hi {
+		if b.Value <= tail.Key || b.Value == maxKey || b.Pos < tail.Pos || b.Pos > arr.Len() {
 			panic(fmt.Sprintf("crackindex: seed boundary (%d at %d) out of order after (%d at %d)",
-				b.Value, b.Pos, tail.loVal, tail.lo))
+				b.Value, b.Pos, tail.Key, tail.Pos))
 		}
-		tail = ix.splitTwoLocked(tail, b.Value, b.Pos, tail.loSum+ix.arr.Sum(tail.lo, b.Pos))
+		tail = directory.Entry{Key: b.Value, Pos: b.Pos, Sum: tail.Sum + arr.Sum(tail.Pos, b.Pos)}
+		entries = append(entries, tail)
 	}
-	ix.total = tail.loSum + ix.arr.Sum(tail.lo, tail.hi)
+	ix.install(arr, append(entries, directory.Entry{Key: maxKey, Pos: arr.Len(), Sum: tail.Sum + arr.Sum(tail.Pos, arr.Len())}))
+	ix.stats.Boundaries.Add(int64(len(seeds)))
 	return ix
 }
 
@@ -311,9 +333,9 @@ func (ix *Index) Len() int {
 }
 
 // newLatch creates a latch wired to the index's wait observer. Every
-// latch creation site (column latch, head piece, split pieces) must go
-// through it so waits on pieces born from future cracks are observed
-// too.
+// latch creation site (column latch, a piece's first latching, the
+// middle piece of a crack-in-three) must go through it so waits on
+// pieces born from future cracks are observed too.
 func (ix *Index) newLatch() *latch.Latch {
 	l := latch.New(ix.opts.Scheduling)
 	if ix.onWait != nil {
@@ -322,81 +344,53 @@ func (ix *Index) newLatch() *latch.Latch {
 	return l
 }
 
-// structLock / structUnlock guard the table of contents; LatchNone
-// mode skips them (see the mu field comment).
-func (ix *Index) structLock() {
+// publish adds a crack's cuts to the table of contents under the
+// publishers' mutex; LatchNone mode skips it (see the mu field comment).
+func (ix *Index) publish(cuts []directory.Entry) {
 	if ix.opts.Latching != LatchNone {
 		ix.mu.Lock()
+		defer ix.mu.Unlock()
 	}
+	ix.dir.Publish(cuts)
+	ix.stats.Boundaries.Add(int64(len(cuts)))
 }
 
-func (ix *Index) structUnlock() {
-	if ix.opts.Latching != LatchNone {
-		ix.mu.Unlock()
-	}
-}
-
-// ensureInitLocked builds the cracker array and head piece on first
-// use. Caller must hold the structure latch (or be otherwise exclusive).
-func (ix *Index) ensureInitLocked() {
-	if ix.init {
-		return
-	}
-	start := time.Now()
-	arr := cracker.New(ix.base, ix.opts.Layout)
-	ix.total = arr.Sum(0, arr.Len())
-	ix.installArray(arr)
-	ix.stats.InitTime.Add(time.Since(start))
-}
-
-// installArray makes arr the index's cracker array under one
-// monolithic head piece and marks the index initialized. Caller must
-// hold the structure latch (or be otherwise exclusive), and must have
-// set ix.total unless nobody else can reach the index yet (NewOwned).
-func (ix *Index) installArray(arr *cracker.Array) {
+// install makes arr the index's cracker array under the given table of
+// contents (sentinels included) and marks the index initialized. Caller
+// must hold mu unless nobody else can reach the index yet (NewOwned).
+func (ix *Index) install(arr *cracker.Array, entries []directory.Entry) {
 	ix.arr = arr
-	ix.head = &piece{
-		lo: 0, hi: arr.Len(),
-		loVal: minKey, hiVal: maxKey,
-		latch: ix.newLatch(),
-	}
-	ix.pieces = 1
-	ix.init = true
+	ix.dir.Build(entries)
 	ix.initDone.Store(true)
 }
 
-// findPieceLocked returns the piece containing value v. Caller must
-// hold the structure latch (LatchPiece) or otherwise exclude
-// structural changes.
-func (ix *Index) findPieceLocked(v int64) *piece {
-	if _, p, ok := ix.toc.Floor(v); ok {
-		return p
+// latchOf returns the latch of the piece starting at p (LatchPiece
+// mode), creating it on the piece's first latching. The install happens
+// under mu in the CURRENT version of p's entry — p itself may be stale —
+// and later versions carry the latch over, so racing first-latchers and
+// queries holding any older version all end up on one latch.
+func (ix *Index) latchOf(p directory.Ref) *latch.Latch {
+	if l := p.Latch(); l != nil {
+		return l
 	}
-	return ix.head
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	cur := ix.dir.Current(p)
+	l := cur.Latch()
+	if l == nil {
+		l = ix.newLatch()
+		cur.SetLatch(l)
+	}
+	return l
 }
 
-// splitTwoLocked records the crack of p at value v / position pos:
-// p keeps the left part [p.lo, pos), a new piece q takes [pos, p.hi).
-// sum is the new boundary's prefix sum (piece.loSum). Caller must hold
-// the structure latch and p's write latch (or be otherwise exclusive).
-func (ix *Index) splitTwoLocked(p *piece, v int64, pos int, sum int64) *piece {
-	q := &piece{
-		lo: pos, hi: p.hi,
-		loVal: v, hiVal: p.hiVal,
-		loSum: sum,
-		prev:  p, next: p.next,
-		latch: ix.newLatch(),
-	}
-	if p.next != nil {
-		p.next.prev = q
-	}
-	p.next = q
-	p.hi = pos
-	p.hiVal = v
-	ix.toc.Insert(v, q)
-	ix.pieces++
-	ix.stats.Boundaries.Inc()
-	return q
+// pin returns the piece starting at p with its extent read from the
+// current directory. The caller must hold what makes that extent stable:
+// l, the piece's latch (either mode), or — l nil — the column latch or
+// single-threaded access.
+func (ix *Index) pin(p directory.Ref, l *latch.Latch) piece {
+	p = ix.dir.Current(p)
+	return piece{at: p, next: p.Next(), latch: l}
 }
 
 // LifecycleState is the index life-cycle state of the paper's
@@ -437,45 +431,47 @@ func (s LifecycleState) String() string {
 // refinement work per query is bounded by this constant.
 const OptimizedPieceSize = 64
 
-// Lifecycle reports the index's Figure 5 state.
+// Lifecycle reports the index's Figure 5 state. Like every inspection
+// of the table of contents (NumPieces, Boundaries, BoundaryPositions,
+// Profile) it reads the directory without a latch and stops no query.
 func (ix *Index) Lifecycle() LifecycleState {
-	ix.structLock()
-	defer ix.structUnlock()
-	if !ix.init {
+	if !ix.initDone.Load() {
 		return StateNonexistent
 	}
-	for p := ix.head; p != nil; p = p.next {
-		if p.hi-p.lo > OptimizedPieceSize {
+	lo := 0
+	for e := range ix.dir.Ascend {
+		if e.Pos-lo > OptimizedPieceSize {
 			return StateAdaptive
 		}
+		lo = e.Pos
 	}
 	return StateOptimized
 }
 
 // NumPieces returns the current number of pieces (1 + #boundaries).
 func (ix *Index) NumPieces() int {
-	ix.structLock()
-	defer ix.structUnlock()
-	if !ix.init {
+	if !ix.initDone.Load() {
 		return 0
 	}
-	return ix.pieces
+	return ix.dir.Len() - 1 // entries: the boundaries and the two sentinels
 }
 
 // Boundaries returns the crack boundary values in increasing order.
 func (ix *Index) Boundaries() []int64 {
-	ix.structLock()
-	defer ix.structUnlock()
-	return ix.toc.Keys()
+	out := make([]int64, 0, max(ix.dir.Len()-2, 0))
+	for e := range ix.dir.Ascend {
+		if e.Key != minKey && e.Key != maxKey {
+			out = append(out, e.Key)
+		}
+	}
+	return out
 }
 
 // PhysicalValues returns a copy of the cracker array's values in
 // their current physical order. For inspection and visualization;
 // callers should quiesce concurrent queries first.
 func (ix *Index) PhysicalValues() []int64 {
-	ix.structLock()
-	defer ix.structUnlock()
-	if !ix.init {
+	if !ix.initDone.Load() {
 		return nil
 	}
 	return ix.arr.Values()
@@ -491,13 +487,12 @@ type BoundaryPosition struct {
 // BoundaryPositions returns the crack boundaries with their array
 // positions, in increasing value order.
 func (ix *Index) BoundaryPositions() []BoundaryPosition {
-	ix.structLock()
-	defer ix.structUnlock()
-	out := make([]BoundaryPosition, 0, ix.toc.Len())
-	ix.toc.Ascend(func(k int64, p *piece) bool {
-		out = append(out, BoundaryPosition{Value: k, Pos: p.lo})
-		return true
-	})
+	out := make([]BoundaryPosition, 0, max(ix.dir.Len()-2, 0))
+	for e := range ix.dir.Ascend {
+		if e.Key != minKey && e.Key != maxKey {
+			out = append(out, BoundaryPosition{Value: e.Key, Pos: e.Pos})
+		}
+	}
 	return out
 }
 
@@ -522,23 +517,24 @@ type PieceProfile struct {
 	Entropy float64
 }
 
-// Profile computes the current piece-size distribution summary by
-// walking the piece list under the structure latch (a cold-path read;
-// cost is O(pieces), no piece latches taken).
+// Profile computes the current piece-size distribution summary from one
+// latch-free pass over the table of contents (cost O(pieces); no query
+// waits for it). Pieces is counted in that same pass, so the count and
+// the distribution always describe the same table.
 func (ix *Index) Profile() PieceProfile {
-	ix.structLock()
-	defer ix.structUnlock()
-	if !ix.init {
-		return PieceProfile{}
-	}
-	total := ix.arr.Len()
-	pr := PieceProfile{Pieces: ix.pieces}
-	if total == 0 {
+	var pr PieceProfile
+	if !ix.initDone.Load() {
 		return pr
 	}
+	total, lo := ix.arr.Len(), 0
 	var h float64
-	for p := ix.head; p != nil; p = p.next {
-		w := p.hi - p.lo
+	for e := range ix.dir.Ascend {
+		if e.Key == minKey {
+			continue
+		}
+		pr.Pieces++
+		w := e.Pos - lo
+		lo = e.Pos
 		if w <= 0 {
 			continue
 		}
@@ -547,6 +543,9 @@ func (ix *Index) Profile() PieceProfile {
 		}
 		f := float64(w) / float64(total)
 		h -= f * math.Log2(f)
+	}
+	if total == 0 {
+		return pr
 	}
 	pr.MaxPieceFrac = float64(pr.MaxPiece) / float64(total)
 	if pr.Pieces > 1 {
@@ -559,74 +558,53 @@ func (ix *Index) Profile() PieceProfile {
 // an error describing the first violation. It must be called while no
 // queries are in flight (it takes no piece latches). Checked:
 //
-//   - the piece list is contiguous, starts at 0, ends at Len, and its
-//     value bounds are strictly increasing;
-//   - the AVL table of contents maps exactly the piece boundaries;
+//   - the table of contents is well formed (directory.Validate: chunk
+//     sizes, key order within and across chunks, top-level first keys,
+//     entry count);
+//   - it starts with the minKey sentinel at position 0 and ends with the
+//     maxKey sentinel at position Len, and positions never decrease;
 //   - every piece physically contains only values in [loVal, hiVal);
-//   - every boundary's prefix sum (piece.loSum, and the total behind the
-//     maxKey sentinel) equals the sum of the values below it;
+//   - every boundary's prefix sum (the maxKey sentinel's is the total)
+//     equals the sum of the values below it;
 //   - the rowIDs are a permutation of the positions, and — for an
 //     index built over a base column (New) — every rowID still maps to
 //     its base value. An owned array (NewOwned) has no base to align
 //     with: its values are checked against the piece bounds only.
 func (ix *Index) Validate() error {
-	ix.structLock()
-	defer ix.structUnlock()
-	if !ix.init {
+	if !ix.initDone.Load() {
 		return nil
 	}
-	// Piece chain.
-	pos, nPieces := 0, 0
-	prevHi := int64(minKey)
+	if err := ix.dir.Validate(); err != nil {
+		return fmt.Errorf("crackindex: %w", err)
+	}
+	prev := directory.Entry{Key: minKey}
 	var running int64
-	for p := ix.head; p != nil; p = p.next {
-		nPieces++
-		if p.lo != pos {
-			return fmt.Errorf("crackindex: piece chain gap at pos %d (piece.lo=%d)", pos, p.lo)
+	for e := range ix.dir.Ascend {
+		if e.Key == minKey {
+			if e.Pos != 0 || e.Sum != 0 {
+				return fmt.Errorf("crackindex: minKey sentinel at pos %d with prefix sum %d", e.Pos, e.Sum)
+			}
+			continue
 		}
-		if p.hi < p.lo {
-			return fmt.Errorf("crackindex: negative piece [%d,%d)", p.lo, p.hi)
+		if e.Pos < prev.Pos || e.Pos > ix.arr.Len() {
+			return fmt.Errorf("crackindex: boundary %d at pos %d after boundary %d at pos %d (array length %d)",
+				e.Key, e.Pos, prev.Key, prev.Pos, ix.arr.Len())
 		}
-		if p.loSum != running {
-			return fmt.Errorf("crackindex: boundary %d carries prefix sum %d, the values below it sum to %d", p.loVal, p.loSum, running)
-		}
-		if p != ix.head && p.loVal != prevHi {
-			return fmt.Errorf("crackindex: piece loVal %d != previous hiVal %d", p.loVal, prevHi)
-		}
-		for i := p.lo; i < p.hi; i++ {
+		for i := prev.Pos; i < e.Pos; i++ {
 			v := ix.arr.Value(i)
 			running += v
-			if v < p.loVal || v >= p.hiVal {
-				return fmt.Errorf("crackindex: value %d at pos %d outside piece [%d,%d)",
-					v, i, p.loVal, p.hiVal)
+			if v < prev.Key || v >= e.Key {
+				return fmt.Errorf("crackindex: value %d at pos %d outside piece [%d,%d)", v, i, prev.Key, e.Key)
 			}
 		}
-		prevHi = p.hiVal
-		pos = p.hi
-	}
-	if pos != ix.arr.Len() {
-		return fmt.Errorf("crackindex: piece chain covers %d of %d positions", pos, ix.arr.Len())
-	}
-	if ix.total != running {
-		return fmt.Errorf("crackindex: total %d, the array sums to %d", ix.total, running)
-	}
-	if nPieces != ix.pieces {
-		return fmt.Errorf("crackindex: pieces counter %d, chain has %d", ix.pieces, nPieces)
-	}
-	// TOC consistency.
-	if ix.toc.Len() != nPieces-1 {
-		return fmt.Errorf("crackindex: TOC has %d boundaries for %d pieces", ix.toc.Len(), nPieces)
-	}
-	var tocErr error
-	ix.toc.Ascend(func(k int64, p *piece) bool {
-		if p.loVal != k {
-			tocErr = fmt.Errorf("crackindex: TOC key %d maps to piece starting at %d", k, p.loVal)
-			return false
+		if e.Sum != running {
+			return fmt.Errorf("crackindex: boundary %d carries prefix sum %d, the values below it sum to %d", e.Key, e.Sum, running)
 		}
-		return true
-	})
-	if tocErr != nil {
-		return tocErr
+		prev = e
+	}
+	if first := ix.dir.Floor(minKey); !first.OK() || prev.Key != maxKey || prev.Pos != ix.arr.Len() {
+		return fmt.Errorf("crackindex: table of contents runs from a minKey sentinel (%t) to (%d at %d), want (%d at %d)",
+			first.OK(), prev.Key, prev.Pos, int64(maxKey), ix.arr.Len())
 	}
 	// Permutation + alignment with the base column.
 	owned := ix.base == nil
@@ -652,11 +630,7 @@ func (ix *Index) Validate() error {
 func (ix *Index) Options() Options { return ix.opts }
 
 // Initialized reports whether the cracker array has been built.
-func (ix *Index) Initialized() bool {
-	ix.structLock()
-	defer ix.structUnlock()
-	return ix.init
-}
+func (ix *Index) Initialized() bool { return ix.initDone.Load() }
 
 // Registry tracks which cracker indexes exist, keyed by column name.
 // It models the paper's "global data structure that keeps track of

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 	"adaptix/internal/latch"
 	"adaptix/internal/workload"
 )
@@ -211,14 +212,14 @@ func TestNarrowQueryServesWaitersAndCutsQuantiles(t *testing.T) {
 	d := workload.NewUniqueUniform(4*auxMinPiece, 67)
 	ix := New(d.Values, Options{Latching: LatchPiece, GroupCracking: true, Scheduling: latch.FIFO})
 	ix.ensureInit(&opCtx{})
-	head := ix.head
-	head.latch.Lock(0) // park everyone on the one piece
+	head := ix.latchOf(ix.dir.Floor(minKey))
+	head.Lock(0) // park everyone on the one piece
 	var wg sync.WaitGroup
 	queue := func(f func()) {
-		queued := head.latch.QueuedWriters()
+		queued := head.QueuedWriters()
 		wg.Add(1)
 		go func() { defer wg.Done(); f() }()
-		for head.latch.QueuedWriters() == queued {
+		for head.QueuedWriters() == queued {
 			runtime.Gosched()
 		}
 	}
@@ -229,9 +230,9 @@ func TestNarrowQueryServesWaitersAndCutsQuantiles(t *testing.T) {
 	})
 	waiters := []int64{100, 20000, 40000, 60000}
 	for _, v := range waiters {
-		queue(func() { ix.crackBound(nil, v, &opCtx{}) })
+		queue(func() { ix.crackBound(directory.Ref{}, v, &opCtx{}) })
 	}
-	head.latch.Unlock()
+	head.Unlock()
 	wg.Wait()
 	st := ix.Stats()
 	if st.Cracks.Load() != 1 || st.GroupedBounds.Load() != int64(len(waiters)) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 	"adaptix/internal/workload"
 )
 
@@ -108,17 +109,18 @@ func TestSumFromBoundariesMatchesReference(t *testing.T) {
 			// Park three cracks on the one piece; the first granted
 			// cracks for all of them and adds quantile cuts.
 			ix.ensureInit(&opCtx{})
-			ix.head.latch.Lock(0)
+			head := ix.latchOf(ix.dir.Floor(minKey))
+			head.Lock(0)
 			var wg sync.WaitGroup
 			for _, v := range []int64{-4000, 300, 4100} {
-				queued := ix.head.latch.QueuedWriters()
+				queued := head.QueuedWriters()
 				wg.Add(1)
-				go func() { defer wg.Done(); ix.crackBound(nil, v, &opCtx{}) }()
-				for ix.head.latch.QueuedWriters() == queued {
+				go func() { defer wg.Done(); ix.crackBound(directory.Ref{}, v, &opCtx{}) }()
+				for head.QueuedWriters() == queued {
 					runtime.Gosched()
 				}
 			}
-			ix.head.latch.Unlock()
+			head.Unlock()
 			wg.Wait()
 			return ix
 		}},
@@ -211,17 +213,19 @@ func TestValidateCatchesCorruptPrefixSum(t *testing.T) {
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := ix.head.next
-	p.loSum++
-	if err := ix.Validate(); err == nil || !strings.Contains(err.Error(), "prefix sum") {
-		t.Fatalf("corrupt loSum passed Validate: %v", err)
+	// Entries are immutable: corrupt one by rebuilding the table with it
+	// changed — entry 1 is the first real boundary, the last the maxKey
+	// sentinel whose prefix sum is the total.
+	entries := slices.Collect(ix.dir.Ascend)
+	for _, i := range []int{1, len(entries) - 1} {
+		entries[i].Sum++
+		ix.dir.Build(entries)
+		if err := ix.Validate(); err == nil || !strings.Contains(err.Error(), "prefix sum") {
+			t.Fatalf("corrupt prefix sum of entry %d passed Validate: %v", i, err)
+		}
+		entries[i].Sum--
 	}
-	p.loSum--
-	ix.total--
-	if err := ix.Validate(); err == nil || !strings.Contains(err.Error(), "total") {
-		t.Fatalf("corrupt total passed Validate: %v", err)
-	}
-	ix.total++
+	ix.dir.Build(entries)
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}

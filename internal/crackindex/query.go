@@ -2,7 +2,11 @@ package crackindex
 
 import (
 	"context"
+	"iter"
 	"time"
+
+	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 )
 
 // tagKey keys the query tag carried by a context (WithTag).
@@ -76,7 +80,7 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 	case LatchColumn:
 		if ix.opts.OnConflict == Skip {
 			if !ix.tryColumnWrite(oc) {
-				return ix.fallbackScanColumn(false, lo, hi, oc)
+				return ix.fallbackScan(false, lo, hi, oc)
 			}
 		} else if !ix.columnWriteLock(lo, oc) {
 			return 0
@@ -93,7 +97,7 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 			if oc.err != nil {
 				return 0
 			}
-			return ix.fallbackScanPiece(false, lo, hi, oc)
+			return ix.fallbackScan(false, lo, hi, oc)
 		}
 		// Boundary positions are permanent: once both bounds are
 		// cracked, the count is derived purely from the index
@@ -101,6 +105,29 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 		// reduced conflicts" effect of §5.3).
 		return int64(atHi.pos - atLo.pos)
 	}
+}
+
+// Peek answers Count and Sum over [lo, hi) from the table of contents
+// alone when both bounds are boundaries already — the converged case —
+// and reports ok false, having done nothing, otherwise: no refinement,
+// no latch, no trace event, not even a cost breakdown to fill in. It is
+// for callers that would rather decide where to run a query than run it
+// (the shard fan-out answers the hits inline and hands only the misses
+// to workers). It declines whenever Count and Sum would do more than
+// read two entries: outside LatchPiece mode, whose baselines latch and
+// scan by design, and while differential updates are pending.
+func (ix *Index) Peek(lo, hi int64) (count, sum int64, ok bool) {
+	if ix.opts.Latching != LatchPiece || !ix.initDone.Load() || ix.pendN.n.Load() != 0 {
+		return 0, 0, false
+	}
+	if lo >= hi {
+		return 0, 0, true
+	}
+	p, q := ix.dir.Floor2(lo, hi)
+	if p.Key() != lo || q.Key() != hi {
+		return 0, 0, false
+	}
+	return int64(q.Pos() - p.Pos()), q.Sum() - p.Sum(), true
 }
 
 // Sum executes query type Q2 —
@@ -150,7 +177,7 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 	case LatchColumn:
 		if ix.opts.OnConflict == Skip {
 			if !ix.tryColumnWrite(oc) {
-				return ix.fallbackScanColumn(true, lo, hi, oc)
+				return ix.fallbackScan(true, lo, hi, oc)
 			}
 		} else if !ix.columnWriteLock(lo, oc) {
 			return 0
@@ -177,13 +204,13 @@ func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
 			if oc.err != nil {
 				return 0
 			}
-			return ix.fallbackScanPiece(true, lo, hi, oc)
+			return ix.fallbackScan(true, lo, hi, oc)
 		}
-		if mid != nil {
+		if mid.latch != nil {
 			// Crack-in-three path: the middle piece holds exactly the
 			// qualifying range and is still write-latched; downgrade
 			// to a read latch and aggregate in place (§3.3).
-			ix.traceDowngrade(oc, mid)
+			ix.trace(oc, TraceDowngraded, mid.at, 0)
 			mid.latch.Downgrade()
 			oc.Touched += int64(atHi.pos - atLo.pos)
 			s := ix.arr.Sum(atLo.pos, atHi.pos)
@@ -211,8 +238,7 @@ func (ix *Index) SelectRowIDs(lo, hi int64) ([]uint32, OpStats) {
 	case LatchColumn:
 		if ix.opts.OnConflict == Skip {
 			if !ix.tryColumnWrite(&ctx) {
-				ids := ix.fallbackCollectColumn(lo, hi, &ctx)
-				return ids, ctx.OpStats
+				return ix.fallbackCollect(lo, hi, &ctx), ctx.OpStats
 			}
 		} else {
 			ix.columnWriteLock(lo, &ctx)
@@ -229,19 +255,20 @@ func (ix *Index) SelectRowIDs(lo, hi int64) ([]uint32, OpStats) {
 	default:
 		atLo, atHi, mid, ok := ix.crackPair(lo, hi, true, &ctx)
 		if !ok {
-			return ix.fallbackCollectPiece(lo, hi, &ctx), ctx.OpStats
+			return ix.fallbackCollect(lo, hi, &ctx), ctx.OpStats
 		}
-		if mid != nil {
-			ix.traceDowngrade(&ctx, mid)
+		if mid.latch != nil {
+			ix.trace(&ctx, TraceDowngraded, mid.at, 0)
 			mid.latch.Downgrade()
 			ids := ix.arr.AppendRowIDs(make([]uint32, 0, atHi.pos-atLo.pos), atLo.pos, atHi.pos)
 			ix.pieceReadUnlock(&ctx, mid)
 			return ids, ctx.OpStats
 		}
 		ids := make([]uint32, 0, atHi.pos-atLo.pos)
-		ix.walkPieces(lo, atHi.pos, &ctx, func(start, end int) {
-			ids = ix.arr.AppendRowIDs(ids, start, end)
-		})
+		for p := range ix.pieces(lo, hi, &ctx) { // they tile [atLo.pos, atHi.pos) exactly: both bounds are boundaries
+			ctx.Touched += int64(p.hi() - p.lo())
+			ids = ix.arr.AppendRowIDs(ids, p.lo(), p.hi())
+		}
 		return ids, ctx.OpStats
 	}
 }
@@ -256,44 +283,47 @@ func (ix *Index) ensureInit(ctx *opCtx) {
 	}
 	start := time.Now()
 	ix.mu.Lock()
-	if !ix.init {
-		ix.ensureInitLocked()
+	if ix.initDone.Load() {
 		ix.mu.Unlock()
-		d := time.Since(start)
-		ctx.Crack += d
-		ctx.Touched += int64(len(ix.base))
-		ix.stats.CrackTime.Add(d)
+		ctx.addWait(time.Since(start))
 		return
 	}
+	locked := time.Now()
+	arr := cracker.New(ix.base, ix.opts.Layout)
+	ix.install(arr, []directory.Entry{{Key: minKey}, {Key: maxKey, Pos: arr.Len(), Sum: arr.Sum(0, arr.Len())}})
+	ix.stats.InitTime.Add(time.Since(locked))
 	ix.mu.Unlock()
-	ctx.addWait(time.Since(start))
+	d := time.Since(start)
+	ctx.Crack += d
+	ctx.Touched += int64(len(ix.base))
+	ix.stats.CrackTime.Add(d)
 }
 
-// walkPieces visits the pieces covering positions up to posHi,
-// starting at the piece whose loVal boundary is <= lo, invoking visit
-// with each piece's clamped [start, end) position range while holding
-// that piece's read latch. The walk stops early when the operation's
-// context expires (ctx.err set; the partial visit is discarded by the
-// caller).
-func (ix *Index) walkPieces(lo int64, posHi int, ctx *opCtx, visit func(start, end int)) {
-	ix.mu.Lock()
-	p := ix.findPieceLocked(lo)
-	ix.mu.Unlock()
-	for p != nil && p.lo < posHi { // p.lo is immutable: safe unlatched
-		if !ix.pieceReadLock(p, ctx) {
-			return
+// pieces yields, in key order and pinned, the pieces holding the values
+// of [lo, hi). In LatchPiece mode each piece is yielded under its own
+// read latch, held for the loop body only; in the other modes the caller
+// holds the column latch or runs single-threaded. The walk ends early
+// when the operation's context expires while parked (ctx.err set; the
+// caller discards what it gathered).
+func (ix *Index) pieces(lo, hi int64, ctx *opCtx) iter.Seq[piece] {
+	return func(yield func(piece) bool) {
+		for p := ix.dir.Floor(lo); p.Key() < hi; { // the tail sentinel's maxKey ends it at the latest
+			h := ix.pin(p, nil)
+			if ix.opts.Latching == LatchPiece {
+				var ok bool
+				if h, ok = ix.pieceReadLock(p, ctx); !ok {
+					return
+				}
+			}
+			more := yield(h)
+			if h.latch != nil {
+				ix.pieceReadUnlock(ctx, h)
+			}
+			if !more {
+				return
+			}
+			p = h.next
 		}
-		end := p.hi // stable under the read latch
-		if end > posHi {
-			end = posHi
-		}
-		if p.lo < end {
-			ctx.Touched += int64(end - p.lo)
-			visit(p.lo, end)
-		}
-		np := p.next // stable under the read latch
-		ix.pieceReadUnlock(ctx, p)
-		p = np
 	}
 }
 
@@ -321,115 +351,55 @@ func (ix *Index) WalkPieces(visit func(loVal, hiVal int64, vals []int64)) {
 		ix.columnReadLock(&oc)
 		defer ix.columnReadUnlock(&oc)
 	}
-	for p := ix.head; p != nil; { // head is never replaced: splits keep the left part
-		if ix.opts.Latching == LatchPiece {
-			ix.pieceReadLock(p, &oc) // cannot fail: no context to expire
-		}
-		vals = ix.arr.View(p.lo, p.hi, vals) // hi, hiVal, next: stable under the read latch
-		visit(p.loVal, p.hiVal, vals)
-		np := p.next
-		if ix.opts.Latching == LatchPiece {
-			ix.pieceReadUnlock(&oc, p)
-		}
-		p = np
+	for p := range ix.pieces(minKey, maxKey, &oc) { // no context to expire: the walk is complete
+		vals = ix.arr.View(p.lo(), p.hi(), vals)
+		visit(p.loVal(), p.hiVal(), vals)
 	}
 }
 
-// fallbackScanPiece answers a query without refining the index: the
-// optional crack was forgone (conflict avoidance), so the answer is
-// computed by predicate scans over the read-latched pieces overlapping
-// [lo, hi). Pieces fully covered by the predicate are answered from
-// their boundaries, without a scan.
-func (ix *Index) fallbackScanPiece(wantSum bool, lo, hi int64, ctx *opCtx) int64 {
-	var res int64
-	ix.mu.Lock()
-	p := ix.findPieceLocked(lo)
-	ix.mu.Unlock()
-	for p != nil && p.loVal < hi { // p.loVal is immutable: safe unlatched
-		if !ix.pieceReadLock(p, ctx) {
+// fallbackScan answers a query without refining the index: the optional
+// crack was forgone (conflict avoidance), so the answer is computed by
+// predicate scans over the pieces overlapping [lo, hi) — each under its
+// read latch, or all under the column read latch. Pieces fully covered
+// by the predicate are answered from their two boundaries, without a
+// scan.
+func (ix *Index) fallbackScan(wantSum bool, lo, hi int64, ctx *opCtx) int64 {
+	if ix.opts.Latching == LatchColumn {
+		if !ix.columnReadLock(ctx) {
 			return 0
 		}
-		res += ix.scanPieceLocked(p, wantSum, lo, hi, ctx)
-		np := p.next
-		ix.pieceReadUnlock(ctx, p)
-		p = np
+		defer ix.columnReadUnlock(ctx)
 	}
-	return res
-}
-
-// scanPieceLocked aggregates the qualifying values of p; caller holds
-// p's read latch (or has exclusive access), so p.hi, p.hiVal and p.next
-// are stable.
-func (ix *Index) scanPieceLocked(p *piece, wantSum bool, lo, hi int64, ctx *opCtx) int64 {
-	if p.loVal >= lo && p.hiVal <= hi {
-		// Fully covered: the piece's two boundaries hold the answer
-		// (the array total stands in behind the tail piece).
-		if !wantSum {
-			return int64(p.hi - p.lo)
-		}
-		if p.next == nil {
-			return ix.total - p.loSum
-		}
-		return p.next.loSum - p.loSum
-	}
-	ctx.Touched += int64(p.hi - p.lo)
-	if wantSum {
-		return ix.arr.ScanSum(p.lo, p.hi, lo, hi)
-	}
-	return ix.arr.ScanCount(p.lo, p.hi, lo, hi)
-}
-
-// fallbackScanColumn is the LatchColumn variant: one read latch over
-// the whole column, then an unlatched piece walk (structure is stable
-// under the column read latch).
-func (ix *Index) fallbackScanColumn(wantSum bool, lo, hi int64, ctx *opCtx) int64 {
-	if !ix.columnReadLock(ctx) {
-		return 0
-	}
-	defer ix.columnReadUnlock(ctx)
 	var res int64
-	ix.structLock()
-	p := ix.findPieceLocked(lo)
-	ix.structUnlock()
-	for p != nil && p.loVal < hi {
-		res += ix.scanPieceLocked(p, wantSum, lo, hi, ctx)
-		p = p.next
+	for p := range ix.pieces(lo, hi, ctx) {
+		switch covered := p.loVal() >= lo && p.hiVal() <= hi; {
+		case covered && wantSum:
+			res += p.next.Sum() - p.at.Sum()
+		case covered:
+			res += int64(p.hi() - p.lo())
+		case wantSum:
+			ctx.Touched += int64(p.hi() - p.lo())
+			res += ix.arr.ScanSum(p.lo(), p.hi(), lo, hi)
+		default:
+			ctx.Touched += int64(p.hi() - p.lo())
+			res += ix.arr.ScanCount(p.lo(), p.hi(), lo, hi)
+		}
 	}
 	return res
 }
 
-// fallbackCollectPiece collects qualifying rowIDs without refinement.
-func (ix *Index) fallbackCollectPiece(lo, hi int64, ctx *opCtx) []uint32 {
-	var ids []uint32
-	ix.mu.Lock()
-	p := ix.findPieceLocked(lo)
-	ix.mu.Unlock()
-	for p != nil && p.loVal < hi {
-		if !ix.pieceReadLock(p, ctx) {
+// fallbackCollect collects the qualifying rowIDs without refinement,
+// under the same latches as fallbackScan.
+func (ix *Index) fallbackCollect(lo, hi int64, ctx *opCtx) []uint32 {
+	if ix.opts.Latching == LatchColumn {
+		if !ix.columnReadLock(ctx) {
 			return nil
 		}
-		ids = ix.arr.AppendRowIDsWhere(ids, p.lo, p.hi, lo, hi)
-		np := p.next
-		ix.pieceReadUnlock(ctx, p)
-		p = np
+		defer ix.columnReadUnlock(ctx)
 	}
-	return ids
-}
-
-// fallbackCollectColumn collects qualifying rowIDs under the column
-// read latch.
-func (ix *Index) fallbackCollectColumn(lo, hi int64, ctx *opCtx) []uint32 {
-	if !ix.columnReadLock(ctx) {
-		return nil
-	}
-	defer ix.columnReadUnlock(ctx)
 	var ids []uint32
-	ix.structLock()
-	p := ix.findPieceLocked(lo)
-	ix.structUnlock()
-	for p != nil && p.loVal < hi {
-		ids = ix.arr.AppendRowIDsWhere(ids, p.lo, p.hi, lo, hi)
-		p = p.next
+	for p := range ix.pieces(lo, hi, ctx) {
+		ids = ix.arr.AppendRowIDsWhere(ids, p.lo(), p.hi(), lo, hi)
 	}
 	return ids
 }
@@ -439,23 +409,16 @@ func (ix *Index) fallbackCollectColumn(lo, hi int64, ctx *opCtx) []uint32 {
 // (the latch is then not held).
 
 func (ix *Index) columnWriteLock(bound int64, ctx *opCtx) bool {
-	ix.traceWant(ctx, nil, true, bound)
-	w, err := ix.colLatch.LockCtx(ctx.ctx, bound)
-	ctx.addWait(w)
-	if w > 0 {
-		ix.stats.Conflicts.Inc()
-		ix.stats.WaitTime.Add(w)
-	}
-	if err != nil {
-		ctx.err = err
+	ix.trace(ctx, TraceWantWrite, directory.Ref{}, bound)
+	if w, err := ix.colLatch.LockCtx(ctx.ctx, bound); !ix.waited(ctx, w, err) {
 		return false
 	}
-	ix.traceAcquired(ctx, nil, true)
+	ix.trace(ctx, TraceAcquireWrite, directory.Ref{}, 0)
 	return true
 }
 
 func (ix *Index) tryColumnWrite(ctx *opCtx) bool {
-	ix.traceWant(ctx, nil, true, 0)
+	ix.trace(ctx, TraceWantWrite, directory.Ref{}, 0)
 	if !ix.colLatch.TryLock() {
 		ctx.Conflicts++
 		ctx.Skipped = true
@@ -463,32 +426,25 @@ func (ix *Index) tryColumnWrite(ctx *opCtx) bool {
 		ix.stats.Skipped.Inc()
 		return false
 	}
-	ix.traceAcquired(ctx, nil, true)
+	ix.trace(ctx, TraceAcquireWrite, directory.Ref{}, 0)
 	return true
 }
 
 func (ix *Index) columnWriteUnlock(ctx *opCtx) {
-	ix.traceRelease(ctx, nil, true)
+	ix.trace(ctx, TraceReleaseWrite, directory.Ref{}, 0)
 	ix.colLatch.Unlock()
 }
 
 func (ix *Index) columnReadLock(ctx *opCtx) bool {
-	ix.traceWant(ctx, nil, false, 0)
-	w, err := ix.colLatch.RLockCtx(ctx.ctx)
-	ctx.addWait(w)
-	if w > 0 {
-		ix.stats.Conflicts.Inc()
-		ix.stats.WaitTime.Add(w)
-	}
-	if err != nil {
-		ctx.err = err
+	ix.trace(ctx, TraceWantRead, directory.Ref{}, 0)
+	if w, err := ix.colLatch.RLockCtx(ctx.ctx); !ix.waited(ctx, w, err) {
 		return false
 	}
-	ix.traceAcquired(ctx, nil, false)
+	ix.trace(ctx, TraceAcquireRead, directory.Ref{}, 0)
 	return true
 }
 
 func (ix *Index) columnReadUnlock(ctx *opCtx) {
-	ix.traceRelease(ctx, nil, false)
+	ix.trace(ctx, TraceReleaseRead, directory.Ref{}, 0)
 	ix.colLatch.RUnlock()
 }

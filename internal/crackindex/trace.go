@@ -3,6 +3,8 @@ package crackindex
 import (
 	"fmt"
 	"time"
+
+	"adaptix/internal/directory"
 )
 
 // TraceKind identifies a latch/crack trace event.
@@ -84,60 +86,18 @@ func (e TraceEvent) String() string {
 	return fmt.Sprintf("%-4s %-9s %s", e.Query, e.Kind, target)
 }
 
-func (ix *Index) emit(ctx *opCtx, kind TraceKind, p *piece, bound int64) {
+// trace delivers one event to the Tracer, if any; p is the entry the
+// piece starts at, or the zero Ref for the column latch.
+func (ix *Index) trace(ctx *opCtx, kind TraceKind, p directory.Ref, bound int64) {
+	if ix.opts.Tracer == nil {
+		return
+	}
 	ev := TraceEvent{Time: time.Now(), Query: ctx.tag, Kind: kind, Bound: bound}
-	if p == nil {
+	if !p.OK() {
 		ev.Column = true
 	} else {
-		ev.PieceLo = p.lo
-		ev.PieceLoVal = p.loVal
+		ev.PieceLo = p.Pos()
+		ev.PieceLoVal = p.Key()
 	}
 	ix.opts.Tracer(ev)
-}
-
-func (ix *Index) traceWant(ctx *opCtx, p *piece, write bool, bound int64) {
-	if ix.opts.Tracer == nil {
-		return
-	}
-	if write {
-		ix.emit(ctx, TraceWantWrite, p, bound)
-	} else {
-		ix.emit(ctx, TraceWantRead, p, 0)
-	}
-}
-
-func (ix *Index) traceAcquired(ctx *opCtx, p *piece, write bool) {
-	if ix.opts.Tracer == nil {
-		return
-	}
-	if write {
-		ix.emit(ctx, TraceAcquireWrite, p, 0)
-	} else {
-		ix.emit(ctx, TraceAcquireRead, p, 0)
-	}
-}
-
-func (ix *Index) traceRelease(ctx *opCtx, p *piece, write bool) {
-	if ix.opts.Tracer == nil {
-		return
-	}
-	if write {
-		ix.emit(ctx, TraceReleaseWrite, p, 0)
-	} else {
-		ix.emit(ctx, TraceReleaseRead, p, 0)
-	}
-}
-
-func (ix *Index) traceCrack(ctx *opCtx, p *piece, bound int64) {
-	if ix.opts.Tracer == nil {
-		return
-	}
-	ix.emit(ctx, TraceCracked, p, bound)
-}
-
-func (ix *Index) traceDowngrade(ctx *opCtx, p *piece) {
-	if ix.opts.Tracer == nil {
-		return
-	}
-	ix.emit(ctx, TraceDowngraded, p, 0)
 }

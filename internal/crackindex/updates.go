@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adaptix/internal/directory"
 	"adaptix/internal/epoch"
 )
 
@@ -99,7 +100,7 @@ func (ix *Index) PendingSnapshot() (ins, del []int64) {
 func (ix *Index) CrackAt(v int64) {
 	ctx := opCtx{replay: true}
 	ix.ensureInit(&ctx)
-	ix.crackBound(nil, v, &ctx)
+	ix.crackBound(directory.Ref{}, v, &ctx)
 }
 
 // pendingCountAdj returns the count adjustment for [lo, hi).

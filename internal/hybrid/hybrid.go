@@ -31,8 +31,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptix/internal/avltree"
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 	"adaptix/internal/engine"
 	"adaptix/internal/latch"
 	"adaptix/internal/ranges"
@@ -65,25 +65,19 @@ type Options struct {
 // table of contents (boundary value -> local position).
 type part struct {
 	arr *cracker.Array
-	toc *avltree.Tree[int]
+	toc directory.Dir
 }
 
 // crackBound ensures a local crack boundary at v and returns its
 // position within the partition. Single-threaded use only (the index
 // write latch serializes refinement).
 func (p *part) crackBound(v int64) int {
-	if pos, ok := p.toc.Get(v); ok {
-		return pos
-	}
-	lo, hi := 0, p.arr.Len()
-	if _, fp, ok := p.toc.Floor(v); ok {
-		lo = fp
-	}
-	if _, cp, ok := p.toc.Ceiling(v); ok {
-		hi = cp
+	lo, hi, exact := p.toc.Span(v, p.arr.Len())
+	if exact {
+		return lo
 	}
 	pos := p.arr.CrackInTwo(lo, hi, v)
-	p.toc.Insert(v, pos)
+	p.toc.Insert(v, pos, 0)
 	return pos
 }
 
@@ -314,10 +308,7 @@ func (ix *Index) ensureInit(ctx context.Context, res *engine.Result) error {
 		if end > len(ix.base) {
 			end = len(ix.base)
 		}
-		ix.parts = append(ix.parts, &part{
-			arr: cracker.New(ix.base[off:end], ix.opts.Layout),
-			toc: &avltree.Tree[int]{},
-		})
+		ix.parts = append(ix.parts, &part{arr: cracker.New(ix.base[off:end], ix.opts.Layout)})
 	}
 	ix.initOnce.Store(true)
 	res.Refine += time.Since(start)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"adaptix/internal/avltree"
 	"adaptix/internal/cracker"
 	"adaptix/internal/engine"
 	"adaptix/internal/workload"
@@ -173,7 +172,7 @@ func TestEmptyAndInvertedRanges(t *testing.T) {
 func TestCrackBoundLocal(t *testing.T) {
 	// Unit test of the per-partition cracker bookkeeping.
 	vals := []int64{9, 2, 7, 4, 1, 8, 3, 6, 5, 0}
-	p := &part{arr: cracker.New(vals, cracker.LayoutSplit), toc: &avltree.Tree[int]{}}
+	p := &part{arr: cracker.New(vals, cracker.LayoutSplit)}
 	pos5 := p.crackBound(5)
 	if pos5 != 5 {
 		t.Fatalf("crackBound(5) = %d", pos5)

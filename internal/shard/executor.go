@@ -132,8 +132,15 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 	// query only pays index work in its two fringe shards. The load
 	// order (rows/total before min/max) is the reader half of the
 	// ordering contract in update.go.
+	//
+	// A fringe shard whose two clamped bounds are crack boundaries
+	// already is answered right here as well, from its table of contents
+	// (part.peek: two latch-free lookups): a goroutine spawn and a
+	// WaitGroup round cost several times what such a sub-query does.
+	// Only the shards that still have to crack become fan-out targets.
 	var total int64
-	var covered int64
+	var covered, hits int64
+	var t0 time.Time // first index touch: the start of the critical path
 	sc := scratchPool.Get().(*queryScratch)
 	defer sc.release()
 	targets := sc.targets
@@ -157,76 +164,67 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 			covered++
 			continue
 		}
+		if t0.IsZero() {
+			t0 = time.Now()
+		}
+		if v, epochs, ok := s.peek(wantSum, lo, hi); ok {
+			total += v
+			merged.Epochs = max(merged.Epochs, epochs)
+			hits++
+			continue
+		}
 		targets = append(targets, s)
 	}
 	sc.targets = targets // keep any growth for the next query
 
-	switch len(targets) {
-	case 0:
-		ob.RecordQueryProfile(lo, hi, covered, covered, 0)
-		ob.RecordQuery(span, 0, 0, 0)
-		c.capture(ctx, wantSum, lo, hi, total, 0, 0)
-		return total, merged, nil
-	case 1:
-		t0 := time.Now()
-		v, st, err := targets[0].sub(ctx, wantSum, lo, hi)
-		if err != nil {
-			return 0, st, err
-		}
-		st.Critical = time.Since(t0)
-		ob.RecordQueryProfile(lo, hi, covered+1, covered, st.Touched)
-		ob.RecordQuery(span, st.Wait, st.Crack, st.Critical)
-		c.capture(ctx, wantSum, lo, hi, total+v, st.Touched, st.Epochs)
-		return total + v, st, nil
-	}
-
-	// Fan out: the caller's goroutine executes the first sub-query
-	// itself; the rest run on pool workers. Workers acquire a slot
-	// before touching their shard and release it when done, bounding
+	// Fan out what must crack: the caller's goroutine executes the first
+	// sub-query itself; the rest run on pool workers. Workers acquire a
+	// slot before touching their shard and release it when done, bounding
 	// the fan-out amplification across all concurrent queries without
 	// ever throttling the clients themselves (deadlock-free: a caller
 	// waiting in wg.Wait holds no slot). A worker whose context is
 	// cancelled before it wins a slot — or before it starts — skips its
 	// shard entirely: the remaining sub-queries of a cancelled query
 	// are never executed.
-	res := sc.res
-	if cap(res) >= len(targets) {
-		res = res[:len(targets)]
-	} else {
-		res = make([]subResult, len(targets))
-	}
-	sc.res = res
-	sc.ctx, sc.done = ctx, ctx.Done()
-	sc.wantSum, sc.lo, sc.hi = wantSum, lo, hi
-	for i := 1; i < len(targets); i++ {
-		sc.wg.Add(1)
-		go c.runSub(sc, i)
-	}
-	t0 := time.Now()
-	v, st, err := targets[0].sub(ctx, wantSum, lo, hi)
-	res[0] = subResult{val: v, st: st, err: err, elapsed: time.Since(t0)}
-	sc.wg.Wait()
+	if len(targets) > 0 {
+		res := sc.res
+		if cap(res) >= len(targets) {
+			res = res[:len(targets)]
+		} else {
+			res = make([]subResult, len(targets))
+		}
+		sc.res = res
+		if len(targets) > 1 {
+			sc.ctx, sc.done = ctx, ctx.Done()
+			sc.wantSum, sc.lo, sc.hi = wantSum, lo, hi
+			for i := 1; i < len(targets); i++ {
+				sc.wg.Add(1)
+				go c.runSub(sc, i)
+			}
+		}
+		v, st, err := targets[0].sub(ctx, wantSum, lo, hi)
+		res[0] = subResult{val: v, st: st, err: err, elapsed: time.Since(t0)} // the inline hits are on this path too
+		sc.wg.Wait()
 
-	for _, r := range res {
-		total += r.val
-		merged.Wait += r.st.Wait
-		merged.Crack += r.st.Crack
-		merged.Touched += r.st.Touched
-		merged.Conflicts += r.st.Conflicts
-		merged.Skipped = merged.Skipped || r.st.Skipped
-		if r.st.Epochs > merged.Epochs {
-			merged.Epochs = r.st.Epochs
+		for _, r := range res {
+			total += r.val
+			merged.Wait += r.st.Wait
+			merged.Crack += r.st.Crack
+			merged.Touched += r.st.Touched
+			merged.Conflicts += r.st.Conflicts
+			merged.Skipped = merged.Skipped || r.st.Skipped
+			merged.Epochs = max(merged.Epochs, r.st.Epochs)
+			merged.Critical = max(merged.Critical, r.elapsed)
 		}
-		if r.elapsed > merged.Critical {
-			merged.Critical = r.elapsed
+		for _, r := range res {
+			if r.err != nil {
+				return 0, merged, r.err
+			}
 		}
+	} else if hits > 0 {
+		merged.Critical = time.Since(t0)
 	}
-	for _, r := range res {
-		if r.err != nil {
-			return 0, merged, r.err
-		}
-	}
-	ob.RecordQueryProfile(lo, hi, covered+int64(len(targets)), covered, merged.Touched)
+	ob.RecordQueryProfile(lo, hi, covered+hits+int64(len(targets)), covered, merged.Touched)
 	ob.RecordQuery(span, merged.Wait, merged.Crack, merged.Critical)
 	c.capture(ctx, wantSum, lo, hi, total, merged.Touched, merged.Epochs)
 	return total, merged, nil
@@ -243,19 +241,45 @@ func (c *Column) capture(ctx context.Context, wantSum bool, lo, hi, result, touc
 	}
 }
 
+// adjust returns what the shard's epoch chain adds to a base answer over
+// the clamped range — the snapshot-read rule: base part plus every
+// visible epoch, exact even while a sealed prefix is being merged in the
+// background — and the chain depth it consulted.
+func (s *part) adjust(wantSum bool, lo, hi int64) (int64, int) {
+	if s.chain == nil {
+		return 0, 0
+	}
+	if wantSum {
+		return s.chain.SumAdj(lo, hi)
+	}
+	return s.chain.CountAdj(lo, hi)
+}
+
+// peek answers the per-shard sub-query (see sub) without running it, when
+// the shard's index finds both clamped bounds among its boundaries
+// (crackindex.Peek); ok is false, and nothing was touched, otherwise.
+func (s *part) peek(wantSum bool, lo, hi int64) (v int64, epochs int, ok bool) {
+	if s.ix == nil {
+		return 0, 0, false
+	}
+	lo, hi = max(lo, s.loVal), min(hi, s.hiVal)
+	n, sum, ok := s.ix.Peek(lo, hi)
+	if !ok {
+		return 0, 0, false
+	}
+	if wantSum {
+		n = sum
+	}
+	adj, epochs := s.adjust(wantSum, lo, hi)
+	return n + adj, epochs, true
+}
+
 // sub runs one per-shard sub-query with the predicate clamped to the
 // shard's assigned range, so crack boundaries always land inside the
-// shard's own value domain. The base answer from the shard's index is
-// adjusted by the shard's epoch chain — the snapshot-read rule: base
-// part plus every visible epoch, exact even while a sealed prefix is
-// being merged in the background.
+// shard's own value domain: the base answer from the shard's index,
+// adjusted by the shard's epoch chain.
 func (s *part) sub(ctx context.Context, wantSum bool, lo, hi int64) (int64, crackindex.OpStats, error) {
-	if lo < s.loVal {
-		lo = s.loVal
-	}
-	if hi > s.hiVal {
-		hi = s.hiVal
-	}
+	lo, hi = max(lo, s.loVal), min(hi, s.hiVal)
 	var v int64
 	var st crackindex.OpStats
 	var err error
@@ -267,14 +291,7 @@ func (s *part) sub(ctx context.Context, wantSum bool, lo, hi int64) (int64, crac
 	if err != nil {
 		return 0, st, err
 	}
-	if s.chain != nil {
-		var adj int64
-		if wantSum {
-			adj, st.Epochs = s.chain.SumAdj(lo, hi)
-		} else {
-			adj, st.Epochs = s.chain.CountAdj(lo, hi)
-		}
-		v += adj
-	}
-	return v, st, nil
+	adj, epochs := s.adjust(wantSum, lo, hi)
+	st.Epochs = epochs
+	return v + adj, st, nil
 }

@@ -7,7 +7,7 @@
 // The paper's concurrency-control techniques let many clients refine
 // one cracked column safely, but that column remains a single latch
 // domain and a single memory region; on a multi-core machine the
-// structure latch and the hot head pieces serialize early refinement
+// publishers' mutex and the hot head pieces serialize early refinement
 // ("Main Memory Adaptive Indexing for Multi-core Systems", Alvarez et
 // al., 2014, makes the same observation). Range partitioning removes
 // the shared bottleneck at its root: queries whose ranges fall into
@@ -639,9 +639,9 @@ func (c *Column) Snapshot() []ShardStat {
 // ShardLoad is the maintenance view of one shard: exactly what the
 // group-apply and rebalancing decisions read, and nothing that costs
 // more than a few atomic loads to produce. Maintenance wakes every few
-// hundred writes; the full ShardStat — per-epoch breakdown, piece
-// profile under the structure latch — is for the observability
-// surfaces, not for that hot a loop.
+// hundred writes; the full ShardStat — per-epoch breakdown, an
+// O(pieces) piece profile — is for the observability surfaces, not for
+// that hot a loop.
 type ShardLoad struct {
 	// Rows is the number of logical rows in the shard.
 	Rows int
@@ -694,15 +694,18 @@ func snapshotOf(m *shardMap) []ShardStat {
 		}
 		if s.ix != nil {
 			ixStats := s.ix.Stats()
-			st.Pieces = s.ix.NumPieces()
 			st.Cracks = ixStats.Cracks.Load()
 			st.Boundaries = ixStats.Boundaries.Load()
 			st.Conflicts = ixStats.Conflicts.Load()
 			st.Skipped = ixStats.Skipped.Load()
+			// One latch-free pass over the table of contents yields the
+			// piece count and the size distribution together: they cannot
+			// disagree, and no query waits for a scrape.
+			pr := s.ix.Profile()
+			st.Pieces = pr.Pieces
 			if st.Pieces > 1 {
 				st.Depth = bits.Len(uint(st.Pieces - 1))
 			}
-			pr := s.ix.Profile()
 			st.MaxPiece = pr.MaxPiece
 			st.MaxPieceFrac = pr.MaxPieceFrac
 			st.PieceEntropy = pr.Entropy

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"adaptix/internal/crackindex"
 	"adaptix/internal/workload"
@@ -238,6 +239,50 @@ func TestWorkerPoolBounded(t *testing.T) {
 		if n, _, _ := c.Count(qctx, lo, hi); n != d.TrueCount(lo, hi) {
 			t.Fatalf("Count[%d,%d) = %d, want %d", lo, hi, n, d.TrueCount(lo, hi))
 		}
+	}
+}
+
+// TestConvergedFanOutRunsInline: a query whose fringe shards both find
+// their clamped bounds among their boundaries is answered on the caller's
+// goroutine — with every worker slot taken it still returns, where a
+// spawned sub-query would wait for a slot forever — and reads no row.
+// The same range with one bound moved has to crack one shard and only
+// that one: it needs no worker either (the caller runs the one target).
+func TestConvergedFanOutRunsInline(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<14, 31)
+	c := New(d.Values, Options{Shards: 4, Workers: 1, Index: pieceOpts()})
+	b := c.Bounds()
+	lo, hi := b[0]-100, b[1]+100 // fringes in shards 0 and 2, shard 1 fully covered
+	c.Sum(qctx, lo, hi)
+	c.sem <- struct{}{} // the pool is exhausted from here on
+	defer func() { <-c.sem }()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, wantSum := range []bool{false, true} {
+			got, st, err := c.query(qctx, wantSum, lo, hi)
+			want := d.TrueCount(lo, hi)
+			if wantSum {
+				want = d.TrueSum(lo, hi)
+			}
+			if err != nil || got != want {
+				t.Errorf("converged query (sum %t) = %d, %v; want %d", wantSum, got, err, want)
+			}
+			if st.Touched != 0 || st.Crack != 0 || st.Critical <= 0 {
+				t.Errorf("converged query (sum %t) cost %+v: want no row touched and a critical path", wantSum, st)
+			}
+		}
+		if got, st, err := c.Count(qctx, lo, hi+7); err != nil || got != d.TrueCount(lo, hi+7) || st.Touched == 0 {
+			t.Errorf("one-miss query = %d, %v, touched %d", got, err, st.Touched)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a converged fan-out waited for a worker slot")
+	}
+	if cracks := c.Snapshot()[0].Cracks; cracks != 1 {
+		t.Errorf("shard 0 cracked %d times: the inline answer must not refine", cracks)
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptix/internal/avltree"
 	"adaptix/internal/cracker"
+	"adaptix/internal/directory"
 	"adaptix/internal/latch"
 )
 
@@ -73,7 +73,7 @@ type Map struct {
 	// Structure: guarded by the write latch (mutations) and readable
 	// under either latch mode; toc maps boundary value -> position.
 	arr *cracker.DualArray
-	toc *avltree.Tree[int]
+	toc directory.Dir
 
 	cracks atomic.Int64
 }
@@ -90,7 +90,6 @@ func NewMap(head, tail []int64, opts Options) *Map {
 		hdr:  head,
 		tlr:  tail,
 		lt:   latch.New(latch.MiddleFirst),
-		toc:  &avltree.Tree[int]{},
 	}
 }
 
@@ -129,18 +128,12 @@ func (m *Map) ensureInit(st *OpStats) {
 // crackBoundLocked ensures a boundary at v; caller holds the write
 // latch.
 func (m *Map) crackBoundLocked(v int64) int {
-	if pos, ok := m.toc.Get(v); ok {
-		return pos
-	}
-	lo, hi := 0, m.arr.Len()
-	if _, p, ok := m.toc.Floor(v); ok {
-		lo = p
-	}
-	if _, p, ok := m.toc.Ceiling(v); ok {
-		hi = p
+	lo, hi, exact := m.toc.Span(v, m.arr.Len())
+	if exact {
+		return lo
 	}
 	pos := m.arr.CrackInTwo(lo, hi, v)
-	m.toc.Insert(v, pos)
+	m.toc.Insert(v, pos, 0)
 	m.cracks.Add(1)
 	return pos
 }
@@ -167,13 +160,8 @@ func (m *Map) SumTargetWhere(lo, hi int64) (int64, OpStats) {
 		// nearest existing boundaries; no refinement.
 		st.Skipped = true
 		st.Wait += m.lt.RLock()
-		a, b := 0, m.arr.Len()
-		if _, p, ok := m.toc.Floor(lo); ok {
-			a = p
-		}
-		if _, p, ok := m.toc.Ceiling(hi); ok {
-			b = p
-		}
+		a, _, _ := m.toc.Span(lo, m.arr.Len())
+		_, b, _ := m.toc.Span(hi, m.arr.Len())
 		s := m.arr.ScanSumTail(a, b, lo, hi)
 		m.lt.RUnlock()
 		return s, st
@@ -207,13 +195,8 @@ func (m *Map) CountWhere(lo, hi int64) (int64, OpStats) {
 	if !acquired {
 		st.Skipped = true
 		st.Wait += m.lt.RLock()
-		a, b := 0, m.arr.Len()
-		if _, p, ok := m.toc.Floor(lo); ok {
-			a = p
-		}
-		if _, p, ok := m.toc.Ceiling(hi); ok {
-			b = p
-		}
+		a, _, _ := m.toc.Span(lo, m.arr.Len())
+		_, b, _ := m.toc.Span(hi, m.arr.Len())
 		n := m.arr.ScanCountHead(a, b, lo, hi)
 		m.lt.RUnlock()
 		return n, st
