@@ -501,7 +501,7 @@ func BenchmarkConvergedCount(b *testing.B) {
 	for i := range vals {
 		vals[i] = int64(i)
 		if i > 0 && i%gap == 0 {
-			seeds = append(seeds, crackindex.BoundaryPosition{Value: int64(i), Pos: i})
+			seeds = append(seeds, crackindex.BoundaryPosition{Value: int64(i), Pos: i, Sum: int64(i) * int64(i-1) / 2})
 		}
 	}
 	ix := crackindex.NewOwned(vals, seeds, crackindex.Options{})
@@ -517,6 +517,45 @@ func BenchmarkConvergedCount(b *testing.B) {
 			}
 		}
 	})
+}
+
+// buildRungData is the repo benchmark's shape: 4 Mi unique rows in
+// random order.
+var buildRungData = sync.OnceValue(func() *workload.Dataset {
+	return workload.NewUniqueUniform(4<<20, 42)
+})
+
+// BenchmarkShardBuild is the set-up rung: shard.New over 4 Mi rows and 4
+// shards — sample, route, scatter, per-shard index. (The two passes alone:
+// BenchmarkBuildPass in internal/shard.)
+func BenchmarkShardBuild(b *testing.B) {
+	vals := buildRungData().Values
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := shard.New(vals, shard.Options{Shards: 4}).NumShards(); n != 4 {
+			b.Fatalf("%d shards", n)
+		}
+	}
+}
+
+// BenchmarkColdFirstQuery is the first Count of a 1 % range on a fresh
+// 4-shard column (the build is untimed): what a fresh index's first
+// crack has to partition.
+func BenchmarkColdFirstQuery(b *testing.B) {
+	ds := buildRungData()
+	qs := workload.Fixed(workload.NewUniform(workload.Count, ds.Domain, 0.01, 7), 64)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		col := shard.New(ds.Values, shard.Options{Shards: 4})
+		q := qs[i%len(qs)]
+		b.StartTimer()
+		if _, _, err := col.Count(ctx, q.Lo, q.Hi); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkMicro_PBTreeInsert(b *testing.B) {

@@ -249,10 +249,14 @@ func TestHealthWALGrowthDegrades(t *testing.T) {
 // rule was written for: a strictly sequential scan of the key space
 // over a cracked index. Cracking at the query bounds alone would cut
 // the predicate's fringe off the one big unrefined piece every time and
-// keep rows touched per query flat near the column size; because every
-// crack of a large piece also cuts it at sampled quantiles, the sweep
-// converges: the series decays and the rule stays ok. (The rule itself
-// is exercised by a synthetic flat series in internal/health.)
+// keep rows touched per query flat near the column size. It cannot
+// happen to a fresh column: the build lays it out in pieces of a few
+// thousand rows, so a sweep re-cracks the rest of one such piece at
+// worst, every window's mean stays under the rule's floor from the
+// first, and the rule stays ok. (What keeps a sweep over one large piece
+// from stagnating — the sampled quantile cuts — is crackindex's policy
+// test; the rule itself is exercised by a synthetic flat series in
+// internal/health.)
 func TestHealthConvergenceStagnation(t *testing.T) {
 	const n = 1 << 20
 	ix, err := adaptix.New(seqValues(n),
@@ -265,8 +269,8 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 	defer ix.Close()
 
 	ctx := context.Background()
-	// 512 queries fill two convergence windows; at the query bounds
-	// alone each would touch the ~n-sized unrefined tail.
+	// 512 queries fill two convergence windows; on one unrefined piece
+	// each would touch the ~n-sized tail.
 	for i := int64(0); i < 512; i++ {
 		if _, err := ix.Count(ctx, i*100, i*100+100); err != nil {
 			t.Fatal(err)
@@ -284,8 +288,8 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 		t.Fatalf("sequential workload tripped stagnation: %+v (series %v)", conv, series)
 	}
 	early, late := conv.Evidence["early_mean_rows"], conv.Evidence["late_mean_rows"]
-	if late >= early || late > conv.Evidence["min_rows"] {
-		t.Fatalf("rows touched per query did not decay below the floor: %d -> %d (series %v)", early, late, series)
+	if floor := conv.Evidence["min_rows"]; early == 0 || early > floor || late > floor {
+		t.Fatalf("rows touched per query left the floor of %d: %d -> %d (series %v)", floor, early, late, series)
 	}
 	if len(series) < 2 || series[len(series)-1] != late {
 		t.Fatalf("series %v inconsistent with the verdict's evidence %+v", series, conv.Evidence)

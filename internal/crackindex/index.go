@@ -294,29 +294,31 @@ func New(base []int64, opts Options) *Index {
 // becomes the cracker array itself (cracker.NewOwned — no copy, no lazy
 // initialization for a first query to pay), and the table of contents
 // is bulk-built from the given boundaries instead of starting from one
-// monolithic piece. It is the constructor for rebuilds that carry an
-// earlier index's pieces over (shard group-apply, split, merge): the
-// caller lays values out piece by piece and records where each piece
-// starts, so the successor is born with the refinement its predecessor
-// earned and not one partition pass is repeated.
+// monolithic piece. It is the constructor for whoever lays the values
+// out piece by piece and records where each piece starts: the shard
+// build's range scatter, and the rebuilds that carry an earlier index's
+// pieces over (shard group-apply, split, merge) so that not one
+// partition pass is repeated.
 //
 // seeds must be strictly increasing in Value and non-decreasing in Pos,
-// and values must already satisfy every boundary (positions < Pos hold
-// values < Value, the others values >= Value); Validate checks exactly
-// that. RowIDs are positional in the array as handed over: an owned
+// values must already satisfy every boundary (positions < Pos hold
+// values < Value, the others values >= Value), and a seed's Sum must be
+// the sum of values[:Pos]: the caller has just passed over every piece,
+// so the constructor reads only the tail piece. Validate checks all
+// three. RowIDs are positional in the array as handed over: an owned
 // array has no separate base column to stay aligned with.
 func NewOwned(values []int64, seeds []BoundaryPosition, opts Options) *Index {
 	ix := New(nil, opts)
 	arr := cracker.NewOwned(values, opts.Layout)
 	entries := make([]directory.Entry, 1, len(seeds)+2)
 	entries[0].Key = minKey
-	tail := entries[0] // one running sum: every seed's prefix, then the total
+	tail := entries[0]
 	for _, b := range seeds {
 		if b.Value <= tail.Key || b.Value == maxKey || b.Pos < tail.Pos || b.Pos > arr.Len() {
 			panic(fmt.Sprintf("crackindex: seed boundary (%d at %d) out of order after (%d at %d)",
 				b.Value, b.Pos, tail.Key, tail.Pos))
 		}
-		tail = directory.Entry{Key: b.Value, Pos: b.Pos, Sum: tail.Sum + arr.Sum(tail.Pos, b.Pos)}
+		tail = directory.Entry{Key: b.Value, Pos: b.Pos, Sum: b.Sum}
 		entries = append(entries, tail)
 	}
 	ix.install(arr, append(entries, directory.Entry{Key: maxKey, Pos: arr.Len(), Sum: tail.Sum + arr.Sum(tail.Pos, arr.Len())}))
@@ -478,19 +480,21 @@ func (ix *Index) PhysicalValues() []int64 {
 }
 
 // BoundaryPosition is one crack boundary: all values at positions
-// < Pos are < Value, all others are >= Value.
+// < Pos are < Value, all others are >= Value, and the values at
+// positions < Pos add up to Sum.
 type BoundaryPosition struct {
 	Value int64
 	Pos   int
+	Sum   int64
 }
 
 // BoundaryPositions returns the crack boundaries with their array
-// positions, in increasing value order.
+// positions and prefix sums, in increasing value order.
 func (ix *Index) BoundaryPositions() []BoundaryPosition {
 	out := make([]BoundaryPosition, 0, max(ix.dir.Len()-2, 0))
 	for e := range ix.dir.Ascend {
 		if e.Key != minKey && e.Key != maxKey {
-			out = append(out, BoundaryPosition{Value: e.Key, Pos: e.Pos})
+			out = append(out, BoundaryPosition{Value: e.Key, Pos: e.Pos, Sum: e.Sum})
 		}
 	}
 	return out

@@ -21,6 +21,20 @@ func everyMode() []Options {
 	return out
 }
 
+// summed fills in every seed's prefix sum from the values, for tests
+// that lay pieces out by hand without tracking it.
+func summed(vals []int64, seeds []BoundaryPosition) []BoundaryPosition {
+	var sum int64
+	pos := 0
+	for i := range seeds {
+		for ; pos < seeds[i].Pos; pos++ {
+			sum += vals[pos]
+		}
+		seeds[i].Sum = sum
+	}
+	return seeds
+}
+
 // carry copies ix piece by piece into a successor index, the way a
 // shard rebuild does: the walk's pieces laid end to end, one seed per
 // piece boundary.
@@ -38,7 +52,7 @@ func carry(ix *Index) *Index {
 		}
 		vals = append(vals, piece...)
 	})
-	return NewOwned(vals, seeds, ix.Options())
+	return NewOwned(vals, summed(vals, seeds), ix.Options())
 }
 
 // TestWalkAndSeedRoundTrip: walking an index and seeding a successor
@@ -124,6 +138,13 @@ func TestNewOwnedRejectsDisorderedSeeds(t *testing.T) {
 	// Validate, not the constructor, checks the values against the seeds.
 	if err := NewOwned([]int64{9, 1}, []BoundaryPosition{{Value: 5, Pos: 1}}, Options{}).Validate(); err == nil {
 		t.Error("Validate accepted values on the wrong side of a seed")
+	}
+	// Nor does the constructor re-sum what the caller says it summed.
+	if err := NewOwned([]int64{1, 9}, []BoundaryPosition{{Value: 5, Pos: 1, Sum: 2}}, Options{}).Validate(); err == nil {
+		t.Error("Validate accepted a seed whose prefix sum disagrees with the values")
+	}
+	if err := NewOwned([]int64{1, 9}, []BoundaryPosition{{Value: 5, Pos: 1, Sum: 1}}, Options{}).Validate(); err != nil {
+		t.Errorf("a correctly summed seed: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func seeded(vals []int64, cuts []int64, top int64, opts Options) *Index {
 		seeds = append(seeds, BoundaryPosition{Value: hi, Pos: len(out)})
 		lo = hi
 	}
-	return NewOwned(out, seeds, opts)
+	return NewOwned(out, summed(out, seeds), opts)
 }
 
 // TestSumFromBoundariesMatchesReference: however the boundaries of an
@@ -248,7 +248,7 @@ func TestConvergedSumTakesNoLatch(t *testing.T) {
 		}
 	}
 	var events atomic.Int64
-	ix := NewOwned(vals, seeds, Options{Tracer: func(TraceEvent) { events.Add(1) }})
+	ix := NewOwned(vals, summed(vals, seeds), Options{Tracer: func(TraceEvent) { events.Add(1) }})
 	if ix.NumPieces() < 10000 {
 		t.Fatalf("only %d pieces", ix.NumPieces())
 	}

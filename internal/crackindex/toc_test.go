@@ -67,7 +67,7 @@ func TestFirstLatchersMeetOnOneLatch(t *testing.T) {
 			seeds = append(seeds, BoundaryPosition{Value: int64(i), Pos: i})
 		}
 	}
-	ix := NewOwned(vals, seeds, Options{Latching: LatchPiece})
+	ix := NewOwned(vals, summed(vals, seeds), Options{Latching: LatchPiece})
 	stale := make([]directory.Ref, n)
 	for i := range stale {
 		stale[i] = ix.dir.Floor(int64(i) * gap) // all taken before any publish

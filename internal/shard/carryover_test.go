@@ -10,6 +10,7 @@ import (
 
 	"adaptix/internal/cracker"
 	"adaptix/internal/crackindex"
+	"adaptix/internal/kernel"
 	"adaptix/internal/workload"
 )
 
@@ -74,7 +75,7 @@ func randomPart(c *Column, r *workload.RNG) (p *part, base []int64) {
 	for _, b := range bounds {
 		pos, _ := slices.BinarySearch(vals, b)
 		r.Shuffle(vals[start:pos])
-		seeds = append(seeds, crackindex.BoundaryPosition{Value: b, Pos: pos})
+		seeds = append(seeds, crackindex.BoundaryPosition{Value: b, Pos: pos, Sum: kernel.Sum(vals[:pos])})
 		start = pos
 	}
 	r.Shuffle(vals[start:])
@@ -106,15 +107,21 @@ func TestCarryOverMatchesNaiveMerge(t *testing.T) {
 			del := slices.Clone(pool[:r.Intn(len(pool)+1)])
 			want := naiveMerge(base, ins, del)
 
-			// A prefix already in dst: seed positions must be absolute.
-			prefix := []int64{math.MinInt64, math.MinInt64}[:r.Intn(3)]
-			got, seeds := p.carryOver(slices.Clone(prefix), nil, slices.Clone(ins), slices.Clone(del))
-			if !slices.Equal(got[:len(prefix)], prefix) {
-				t.Fatalf("%+v iter %d: carryOver disturbed dst's prefix", ixOpts, iter)
+			// A prefix already laid out: seed positions and sums must be
+			// absolute.
+			prefix := []int64{math.MinInt64, 7}[:r.Intn(3)]
+			l := layout{vals: slices.Clone(prefix), sum: kernel.Sum(prefix)}
+			p.carryOver(&l, slices.Clone(ins), slices.Clone(del))
+			if !slices.Equal(l.vals[:len(prefix)], prefix) {
+				t.Fatalf("%+v iter %d: carryOver disturbed the layout's prefix", ixOpts, iter)
 			}
-			got = got[len(prefix):]
+			if l.sum != kernel.Sum(l.vals) {
+				t.Fatalf("%+v iter %d: layout sum %d, values sum to %d", ixOpts, iter, l.sum, kernel.Sum(l.vals))
+			}
+			got, seeds := l.vals[len(prefix):], l.seeds
 			for i := range seeds {
 				seeds[i].Pos -= len(prefix)
+				seeds[i].Sum -= kernel.Sum(prefix)
 			}
 			if sorted := slices.Sorted(slices.Values(got)); !slices.Equal(sorted, want) {
 				t.Fatalf("%+v iter %d: merged multiset differs from the naive merge\nbase %v\nins  %v\ndel  %v\n got %v\nwant %v",

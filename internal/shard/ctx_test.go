@@ -22,7 +22,7 @@ func TestQueryCancelledBeforeDispatch(t *testing.T) {
 		t.Fatalf("Count = %v, want Canceled", err)
 	}
 	for _, st := range c.Snapshot() {
-		if st.Cracks != 0 || st.Pieces != 1 {
+		if st.Cracks != 0 {
 			t.Fatalf("shard %d refined by a cancelled query: %+v", st.Shard, st)
 		}
 	}
@@ -82,7 +82,7 @@ func TestFanOutCancelSkipsRemainingSubQueries(t *testing.T) {
 	if stats[0].Cracks == 0 {
 		t.Fatal("first sub-query never cracked; the schedule broke")
 	}
-	if stats[1].Cracks != 0 || stats[1].Pieces != 1 {
+	if stats[1].Cracks != 0 {
 		t.Fatalf("remaining sub-query ran after cancellation: %+v", stats[1])
 	}
 

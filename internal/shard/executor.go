@@ -13,7 +13,6 @@ package shard
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -144,10 +143,8 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 	sc := scratchPool.Get().(*queryScratch)
 	defer sc.release()
 	targets := sc.targets
-	// First shard whose upper bound exceeds lo: the first shard that
-	// can contain values >= lo.
-	start := sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i] > lo })
-	for i := start; i < len(m.shards) && m.shards[i].loVal < hi; i++ {
+	// From the shard owning lo: the first that can contain values >= lo.
+	for i := m.route(lo); i < len(m.shards) && m.shards[i].loVal < hi; i++ {
 		s := m.shards[i]
 		rows := s.agg.rows.Load()
 		tot := s.agg.total.Load()

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"adaptix/internal/workload"
@@ -84,9 +85,22 @@ func TestValuesMaterializesLogicalContents(t *testing.T) {
 	}
 }
 
+// Run at a size the build leaves as one piece per shard and at one it
+// lays out in pieces itself: the recovered boundaries are then replayed
+// on top of the build's seeds, and the result holds both.
 func TestNewWithBoundsAndCracksPreCracks(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<13, 17)
+	for _, rows := range []int{1 << 13, 1 << 16} {
+		testNewWithBoundsAndCracksPreCracks(t, rows)
+	}
+}
+
+func testNewWithBoundsAndCracksPreCracks(t *testing.T, rows int) {
+	d := workload.NewUniqueUniform(rows, 17)
 	warm := New(d.Values, Options{Shards: 4, Seed: 7, Index: pieceOpts()})
+	seeded := len(slices.Concat(warm.CrackBoundaries()...))
+	if (seeded > 0) != (rows >= 8*pieceTarget) {
+		t.Fatalf("%d rows: a fresh column has %d boundaries", rows, seeded)
+	}
 	warmUp(t, warm, d.Domain)
 
 	bounds, cracks := warm.Bounds(), warm.CrackBoundaries()

@@ -21,7 +21,10 @@
 //
 // Shard boundaries are chosen from a seeded sample of the input
 // (quantile cuts), so shards are balanced for any input distribution
-// without a full sort. The column is mutable and self-adjusting: the
+// without a full sort, and the one copy a column makes of its input is a
+// range scatter (build.go) that also cuts every shard into pieces of a
+// few thousand rows for queries to refine. The column is mutable and
+// self-adjusting: the
 // write path (update.go) routes inserts and deletes to the owning
 // shard's epoch chain (internal/epoch) — an append-only chain of
 // versioned differential files — and structural operations swap parts
@@ -43,7 +46,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +55,6 @@ import (
 	"adaptix/internal/kernel"
 	"adaptix/internal/metrics"
 	"adaptix/internal/wcapture"
-	"adaptix/internal/workload"
 )
 
 // Sentinel value bounds of the first and last shards.
@@ -192,13 +193,17 @@ type part struct {
 // pointer; readers load it once per query and keep a consistent view.
 type shardMap struct {
 	bounds []int64 // len(shards)-1 strictly increasing cut values
+	rt     router  // bounds, laid out for the search
 	shards []*part
 }
 
-// route returns the ordinal of the shard owning value v.
-func (m *shardMap) route(v int64) int {
-	return sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i] > v })
+func newShardMap(bounds []int64, shards []*part) *shardMap {
+	return &shardMap{bounds: bounds, rt: newRouter(bounds), shards: shards}
 }
+
+// route returns the ordinal of the shard owning value v: the first shard
+// whose upper bound exceeds it.
+func (m *shardMap) route(v int64) int { return m.rt.of(v) }
 
 // Column is a range-partitioned adaptive index over one column.
 // It is safe for concurrent use, including concurrent updates and
@@ -239,15 +244,21 @@ func (c *Column) AdvanceEpoch(seq int64) {
 }
 
 // New builds a sharded column over values. Boundary selection samples
-// the input (O(SampleSize log SampleSize)) and partitioning copies each
-// value into its shard's slice (O(n log P)) — and that slice IS the
-// shard's cracker array: the per-shard index owns it, so the column
+// the input (O(SampleSize log SampleSize)); one range scatter (build)
+// then copies each value once, into its shard's slice — and that slice IS
+// the shard's cracker array: the per-shard index owns it, so the column
 // holds one copy of the data and no first query pays an initialization
-// copy. All refinement stays a query side effect: a fresh shard is one
-// unrefined piece.
+// copy. The scatter's ranges are finer than the shards: sampled quantiles
+// cut each shard's range into pieces of about pieceTarget rows, so a
+// fresh shard of two such pieces or more starts with a table of contents,
+// not as one unrefined piece — for the price of a deeper cut table under
+// a branch-free search (router), far less than a first query's crack of
+// a whole shard. Nothing is sorted: below the target, all refinement
+// stays a query side effect. (Custom-source shards get no pieces.)
 func New(values []int64, opts Options) *Column {
 	opts = opts.withDefaults()
-	return build(values, chooseBounds(values, opts.Shards, opts.SampleSize, opts.Seed), opts)
+	bounds := chooseBounds(values, opts.Shards, opts.SampleSize, opts.Seed)
+	return build(values, bounds, opts, pieceTarget, buildWorkers(len(values)))
 }
 
 // NewWithBounds builds a sharded column with an explicit shard map:
@@ -258,15 +269,9 @@ func New(values []int64, opts Options) *Column {
 // deduplicated) first.
 func NewWithBounds(values []int64, bounds []int64, opts Options) *Column {
 	opts = opts.withDefaults()
-	b := append([]int64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	dedup := b[:0]
-	for _, v := range b {
-		if len(dedup) == 0 || v > dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return build(values, dedup, opts)
+	b := slices.Clone(bounds)
+	slices.Sort(b)
+	return build(values, slices.Compact(b), opts, pieceTarget, buildWorkers(len(values)))
 }
 
 // NewWithBoundsAndCracks builds a sharded column with an explicit
@@ -276,9 +281,10 @@ func NewWithBounds(values []int64, bounds []int64, opts Options) *Column {
 // boundary is routed to the shard whose recovered range contains it,
 // so a misaligned or flattened list still lands correctly. The first
 // query after reopen finds the refinement earned before the crash
-// already in place instead of starting from one monolithic piece per
-// shard (paper §4.2: "the side effects of earlier queries may be
-// re-created in the new index even without merging").
+// already in place — on top of the pieces every build lays out —
+// instead of starting from those alone (paper §4.2: "the side effects
+// of earlier queries may be re-created in the new index even without
+// merging").
 func NewWithBoundsAndCracks(values []int64, bounds []int64, cracks [][]int64, opts Options) *Column {
 	c := NewWithBounds(values, bounds, opts)
 	if c.opts.Source != nil {
@@ -323,52 +329,13 @@ func replayCracks(ix *crackindex.Index, bs []int64) {
 	replayCracks(ix, bs[m+1:])
 }
 
-func build(values []int64, bounds []int64, opts Options) *Column {
-	n := len(bounds) + 1
-
-	// Two passes: exact per-shard counts, then fill.
-	route := func(v int64) int {
-		return sort.Search(len(bounds), func(i int) bool { return bounds[i] > v })
-	}
-	counts := make([]int, n)
-	for _, v := range values {
-		counts[route(v)]++
-	}
-	slices := make([][]int64, n)
-	for i := range slices {
-		slices[i] = make([]int64, 0, counts[i])
-	}
-	for _, v := range values {
-		i := route(v)
-		slices[i] = append(slices[i], v)
-	}
-
-	c := &Column{
-		opts: opts,
-		sem:  make(chan struct{}, opts.Workers),
-	}
-	shards := make([]*part, n)
-	for i := range shards {
-		lo, hi := int64(minKey), int64(maxKey)
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i < len(bounds) {
-			hi = bounds[i]
-		}
-		shards[i] = c.newPart(lo, hi, slices[i], nil)
-	}
-	c.m.Store(&shardMap{bounds: bounds, shards: shards})
-	return c
-}
-
 // newPart builds one shard over vals with assigned range [loVal,
 // hiVal), computing exact aggregates. The part takes ownership of vals.
 // seeds, when non-empty, is the piece table vals is already laid out in
-// (carryOver): the fresh index is seeded with it, so the refinement
-// knowledge of a predecessor part survives the rebuild (paper §4.2:
-// "the side effects of earlier queries may be re-created in the new
-// index" — here they are carried over, at no cost).
+// (build, carryOver): the fresh index is seeded with it, so the
+// refinement knowledge of a predecessor part survives the rebuild (paper
+// §4.2: "the side effects of earlier queries may be re-created in the
+// new index" — here they are carried over, at no cost).
 func (c *Column) newPart(loVal, hiVal int64, vals []int64, seeds []crackindex.BoundaryPosition) *part {
 	p := &part{
 		loVal: loVal, hiVal: hiVal,
@@ -378,7 +345,7 @@ func (c *Column) newPart(loVal, hiVal int64, vals []int64, seeds []crackindex.Bo
 	p.agg.minA.Store(maxKey)
 	p.agg.maxA.Store(minKey)
 	if len(vals) > 0 {
-		mn, mx, total := kernel.MinMaxSum(vals)
+		mn, mx, total := envelope(vals, seeds)
 		p.agg.rows.Store(int64(len(vals)))
 		p.agg.total.Store(total)
 		p.agg.minA.Store(mn)
@@ -388,6 +355,27 @@ func (c *Column) newPart(loVal, hiVal int64, vals []int64, seeds []crackindex.Bo
 	p.baseEpoch = p.chain.OpenID() - 1
 	p.setBase(vals, seeds, c.opts)
 	return p
+}
+
+// envelope returns the extremes and the sum of the non-empty vals laid
+// out in the pieces of seeds: the minimum stands in the first non-empty
+// piece, the maximum in the last, whose seed carries the sum of all
+// before it, so only those two are read (one and the same, unseeded).
+func envelope(vals []int64, seeds []crackindex.BoundaryPosition) (mn, mx, total int64) {
+	head, tail := len(vals), crackindex.BoundaryPosition{}
+	for _, b := range seeds {
+		if head == len(vals) && b.Pos > 0 {
+			head = b.Pos
+		}
+		if b.Pos < len(vals) {
+			tail = b
+		}
+	}
+	mn, mx, total = kernel.MinMaxSum(vals[tail.Pos:])
+	if head <= tail.Pos {
+		mn, _, _ = kernel.MinMaxSum(vals[:head])
+	}
+	return mn, mx, tail.Sum + total
 }
 
 // setBase installs the part's base and query surface: a custom source
@@ -412,17 +400,7 @@ func chooseBounds(values []int64, shards, sampleSize int, seed uint64) []int64 {
 	if shards <= 1 || len(values) == 0 {
 		return nil
 	}
-	var sample []int64
-	if len(values) <= sampleSize {
-		sample = append([]int64(nil), values...)
-	} else {
-		r := workload.NewRNG(seed)
-		sample = make([]int64, sampleSize)
-		for i := range sample {
-			sample[i] = values[r.Intn(len(values))]
-		}
-	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
+	sample := sortedSample(values, sampleSize, seed)
 	cuts := make([]int64, 0, shards-1)
 	for i := 1; i < shards; i++ {
 		cut := sample[i*len(sample)/shards]
@@ -512,8 +490,9 @@ type ShardStat struct {
 	// EpochStats is the per-epoch breakdown of the chain, in chain
 	// order (id, pending counts, sealed flag).
 	EpochStats []epoch.Stat
-	// Pieces is the current piece count of the shard's cracked index
-	// (1 for an unrefined shard; 0 for custom-source shards).
+	// Pieces is the current piece count of the shard's cracked index: what
+	// the build laid out (one piece, for a small shard) plus what queries
+	// have cut since — Cracks tells the two apart; 0 for custom sources.
 	Pieces int
 	// Cracks counts the shard's physical reorganization actions.
 	Cracks int64
@@ -525,14 +504,14 @@ type ShardStat struct {
 	Skipped int64
 	// Depth is the refinement depth: the height of the binary
 	// partitioning tree that would produce the current piece count
-	// (ceil(log2(Pieces)); 0 for an unrefined shard).
+	// (ceil(log2(Pieces)); 0 for a one-piece shard).
 	Depth int
 	// MaxPiece is the widest index piece in rows (convergence
 	// telemetry; 0 for custom-source shards).
 	MaxPiece int
 	// MaxPieceFrac is MaxPiece as a fraction of the shard's indexed
-	// rows: near 1 means one unrefined piece still dominates the shard
-	// (a shard few queries have reached yet).
+	// rows: near 1 means one unrefined piece dominates the shard (small
+	// and unqueried, or one repeated value); a large shard starts low.
 	MaxPieceFrac float64
 	// PieceEntropy is the normalized Shannon entropy of the
 	// piece-size distribution (1 = perfectly uniform pieces).
@@ -577,12 +556,12 @@ func (c *Column) Values() []int64 {
 // accompanying a checkpoint.
 func (c *Column) ValuesAt(maxEpoch int64) []int64 {
 	m := c.m.Load()
-	out := make([]int64, 0, c.Rows())
+	out := layout{vals: make([]int64, 0, c.Rows())}
 	for _, p := range m.shards {
 		ins, del := p.chain.Collect(maxEpoch)
-		out, _ = p.carryOver(out, nil, ins, del)
+		p.carryOver(&out, ins, del)
 	}
-	return out
+	return out.vals
 }
 
 // SealAllEpochs rolls every shard's open epoch past a common cut and

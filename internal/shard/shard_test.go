@@ -104,7 +104,7 @@ func TestFullyCoveredShardsAnswerWithoutIndexWork(t *testing.T) {
 	d := workload.NewUniqueUniform(4096, 2)
 	c := New(d.Values, Options{Shards: 4, Index: pieceOpts()})
 	// The whole domain covers every shard: the precomputed aggregates
-	// answer, and every shard index stays one unrefined piece.
+	// answer, and no shard index is touched.
 	if n, _, _ := c.Count(qctx, minKey, maxKey); n != int64(len(d.Values)) {
 		t.Fatalf("Count = %d, want %d", n, len(d.Values))
 	}
@@ -112,9 +112,8 @@ func TestFullyCoveredShardsAnswerWithoutIndexWork(t *testing.T) {
 		t.Fatalf("Sum mismatch")
 	}
 	for _, st := range c.Snapshot() {
-		if st.Pieces != 1 || st.Cracks != 0 {
-			t.Errorf("shard %d refined (pieces=%d cracks=%d) by a fully-covering query",
-				st.Shard, st.Pieces, st.Cracks)
+		if st.Cracks != 0 {
+			t.Errorf("shard %d refined (cracks=%d) by a fully-covering query", st.Shard, st.Cracks)
 		}
 	}
 }

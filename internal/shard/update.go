@@ -302,13 +302,32 @@ func (p *part) baseRows() int {
 	return len(p.base)
 }
 
+// layout is a successor's cracker array being laid out piece by piece:
+// the values so far, one seed per piece boundary (newPart seeds the table
+// of contents from them), and the values' sum — the next seed's prefix.
+type layout struct {
+	vals  []int64
+	seeds []crackindex.BoundaryPosition
+	sum   int64
+}
+
+// cut starts a new piece at boundary value v.
+func (l *layout) cut(v int64) {
+	l.seeds = append(l.seeds, crackindex.BoundaryPosition{Value: v, Pos: len(l.vals), Sum: l.sum})
+}
+
+// add appends one piece — vals with its share of the differential
+// applied (mergePiece) — and sums it while the copy is still in cache.
+func (l *layout) add(vals, ins, del []int64) {
+	from := len(l.vals)
+	l.vals = mergePiece(l.vals, vals, ins, del)
+	l.sum += kernel.Sum(l.vals[from:])
+}
+
 // carryOver is the one rebuild primitive: it appends the part's base
 // with a differential snapshot applied (pending inserts ins and
-// anti-matter deletes del, any order; both are sorted in place) to dst,
-// piece by piece in key order, and appends one seed per piece boundary
-// — its value and the position in dst where the piece starts — to
-// seeds. The caller builds the successor over dst and seeds its table
-// of contents from them (newPart).
+// anti-matter deletes del, any order; both are sorted in place) to l,
+// piece by piece in key order, cutting l at every piece boundary.
 //
 // Within a piece the order is: surviving base values in their current
 // physical order, then the surviving inserts of the piece's key range.
@@ -324,38 +343,38 @@ func (p *part) baseRows() int {
 // that piece unsplit, a coarser but valid partition: every value copied
 // for a piece lies inside that piece's bounds whatever happened inside
 // it before or after. Custom-source shards have no piece table; their
-// base slice is carried as one piece and seeds comes back unchanged.
-func (p *part) carryOver(dst []int64, seeds []crackindex.BoundaryPosition, ins, del []int64) ([]int64, []crackindex.BoundaryPosition) {
+// base slice is carried as one piece.
+func (p *part) carryOver(l *layout, ins, del []int64) {
 	slices.Sort(ins)
 	slices.Sort(del)
 	if p.ix == nil {
-		return mergePiece(dst, p.base, ins, del), seeds
+		l.add(p.base, ins, del)
+		return
 	}
 	p.ix.WalkPieces(func(loVal, hiVal int64, vals []int64) {
 		if loVal != minKey { // every piece but the head starts at a boundary
-			seeds = append(seeds, crackindex.BoundaryPosition{Value: loVal, Pos: len(dst)})
+			l.cut(loVal)
 		}
 		ni, nd := len(ins), len(del) // the tail piece takes whatever is left
 		if hiVal != maxKey {
 			ni, _ = slices.BinarySearch(ins, hiVal)
 			nd, _ = slices.BinarySearch(del, hiVal)
 		}
-		dst = mergePiece(dst, vals, ins[:ni], del[:nd])
+		l.add(vals, ins[:ni], del[:nd])
 		ins, del = ins[ni:], del[nd:]
 	})
-	return dst, seeds
 }
 
 // logicalValues carries over the part's full logical contents: its base
-// with the whole epoch chain applied (dst nil allocates exactly). Caller
-// must have sealed the part, so the chain is stable and the aggregate
-// row count exact.
-func (p *part) logicalValues(dst []int64, seeds []crackindex.BoundaryPosition) ([]int64, []crackindex.BoundaryPosition) {
-	if dst == nil {
-		dst = make([]int64, 0, p.agg.rows.Load())
+// with the whole epoch chain applied (a nil l.vals is allocated exactly).
+// Caller must have sealed the part, so the chain is stable and the
+// aggregate row count exact.
+func (p *part) logicalValues(l *layout) {
+	if l.vals == nil {
+		l.vals = make([]int64, 0, p.agg.rows.Load())
 	}
 	ins, del := p.chain.Collect(int64(maxKey))
-	return p.carryOver(dst, seeds, ins, del)
+	p.carryOver(l, ins, del)
 }
 
 // mergePiece appends vals minus the deletes in del plus the inserts in
@@ -399,7 +418,7 @@ func (c *Column) publish(old *shardMap, i, n int, repl []*part, bounds []int64) 
 	shards = append(shards, old.shards[:i]...)
 	shards = append(shards, repl...)
 	shards = append(shards, old.shards[i+n:]...)
-	c.m.Store(&shardMap{bounds: bounds, shards: shards})
+	c.m.Store(newShardMap(bounds, shards))
 }
 
 // SealedEpoch describes one epoch sealed by SealEpoch.
@@ -498,7 +517,8 @@ func (c *Column) applySealedLocked(i int) (Applied, bool) {
 		return Applied{}, false
 	}
 	t0 := time.Now()
-	vals, seeds := p.carryOver(make([]int64, 0, max(0, p.baseRows()+len(ins)-len(del))), nil, ins, del)
+	l := layout{vals: make([]int64, 0, max(0, p.baseRows()+len(ins)-len(del)))}
+	p.carryOver(&l, ins, del)
 	q := &part{
 		loVal: p.loVal, hiVal: p.hiVal,
 		agg:       p.agg, // shared: logical contents are unchanged
@@ -509,14 +529,14 @@ func (c *Column) applySealedLocked(i int) (Applied, bool) {
 	// Custom-source shards rebuild through the factory: refinement
 	// earned by the old source is internal to it and is re-earned from
 	// subsequent queries.
-	q.setBase(vals, seeds, c.opts)
+	q.setBase(l.vals, l.seeds, c.opts)
 	c.publish(m, i, 1, []*part{q}, m.bounds)
 	// No retire(): nothing parks on an epoch-chain apply. The old part
 	// stays intact for readers (and stale writers) still holding it.
 	c.opts.Obs.RecordStructural(metrics.EvApply, int32(i), time.Since(t0), int64(len(ins)+len(del)))
 	return Applied{
 		Shard: i, Inserts: len(ins), Deletes: len(del),
-		Rows: len(vals), Boundaries: len(seeds),
+		Rows: len(l.vals), Boundaries: len(l.seeds),
 		Epoch: watermark, Epochs: sealed,
 	}, true
 }
@@ -559,7 +579,9 @@ func (c *Column) SplitShard(i int) (Split, bool) {
 	}
 	t0 := time.Now()
 	p.seal()
-	vals, seeds := p.logicalValues(nil, nil)
+	var l layout
+	p.logicalValues(&l)
+	vals, seeds := l.vals, l.seeds
 	cut, mn, mx, ok := chooseCut(vals, seeds)
 	if !ok {
 		// All remaining values are equal but the widen-only envelope
@@ -578,28 +600,29 @@ func (c *Column) SplitShard(i int) (Split, bool) {
 	// (nothing at all when an earlier crack already sits there).
 	k := sort.Search(len(seeds), func(j int) bool { return seeds[j].Value >= cut })
 	right := seeds[k:]
-	var pos int
+	edge := crackindex.BoundaryPosition{Value: cut}
 	if len(right) > 0 && right[0].Value == cut {
-		pos, right = right[0].Pos, right[1:]
+		edge, right = right[0], right[1:]
 	} else {
-		lo, hi := 0, len(vals)
+		var lo crackindex.BoundaryPosition
+		hi := len(vals)
 		if k > 0 {
-			lo = seeds[k-1].Pos
+			lo = seeds[k-1]
 		}
 		if k < len(seeds) {
 			hi = seeds[k].Pos
 		}
-		pos = lo + partition(vals[lo:hi], cut)
+		edge.Pos = lo.Pos + partition(vals[lo.Pos:hi], cut)
+		edge.Sum = lo.Sum + kernel.Sum(vals[lo.Pos:edge.Pos])
 	}
+	pos := edge.Pos
 	// Each half keeps the cut as an edge boundary (an empty edge
 	// piece): queries clamped to the shard's range crack exactly there,
 	// and finding the boundary in place spares them a partition pass.
-	edge := crackindex.BoundaryPosition{Value: cut}
-	rseeds := append(make([]crackindex.BoundaryPosition, 0, len(right)+1), edge)
+	rseeds := append(make([]crackindex.BoundaryPosition, 0, len(right)+1), crackindex.BoundaryPosition{Value: cut})
 	for _, b := range right {
-		rseeds = append(rseeds, crackindex.BoundaryPosition{Value: b.Value, Pos: b.Pos - pos})
+		rseeds = append(rseeds, crackindex.BoundaryPosition{Value: b.Value, Pos: b.Pos - pos, Sum: b.Sum - edge.Sum})
 	}
-	edge.Pos = pos
 	lp := c.newPart(p.loVal, cut, vals[:pos:pos], append(seeds[:k:k], edge))
 	rp := c.newPart(cut, p.hiVal, vals[pos:], rseeds)
 	bounds := make([]int64, 0, len(m.bounds)+1)
@@ -625,7 +648,7 @@ func chooseCut(vals []int64, seeds []crackindex.BoundaryPosition) (cut, mn, mx i
 		}
 		return 0, mn, mx, false
 	}
-	mn, mx, _ = kernel.MinMaxSum(vals)
+	mn, mx, _ = envelope(vals, seeds)
 	mid := len(vals) / 2
 	k := sort.Search(len(seeds), func(j int) bool { return seeds[j].Pos > mid })
 	lo, hi := 0, len(vals)
@@ -694,13 +717,15 @@ func (c *Column) MergeShards(i int) (Merged, bool) {
 	t0 := time.Now()
 	l.seal()
 	r.seal()
-	vals, seeds := l.logicalValues(make([]int64, 0, l.agg.rows.Load()+r.agg.rows.Load()), nil)
-	seeds = append(seeds, crackindex.BoundaryPosition{Value: m.bounds[i], Pos: len(vals)})
-	vals, seeds = r.logicalValues(vals, seeds)
+	both := layout{vals: make([]int64, 0, l.agg.rows.Load()+r.agg.rows.Load())}
+	l.logicalValues(&both)
+	both.cut(m.bounds[i])
+	r.logicalValues(&both)
 	// Both sides may have recorded the cut themselves (the left as its
 	// top edge, the right as its bottom edge): the merged table needs
 	// it once.
-	seeds = slices.CompactFunc(seeds, func(a, b crackindex.BoundaryPosition) bool { return a.Value == b.Value })
+	vals := both.vals
+	seeds := slices.CompactFunc(both.seeds, func(a, b crackindex.BoundaryPosition) bool { return a.Value == b.Value })
 	q := c.newPart(l.loVal, r.hiVal, vals, seeds)
 	bounds := make([]int64, 0, len(m.bounds)-1)
 	bounds = append(bounds, m.bounds[:i]...)
