@@ -81,8 +81,7 @@ type Index struct {
 	method Method
 	col    *shard.Column
 	ing    *ingest.Coordinator
-	dur    *durable.Column // nil for in-memory indexes
-	eng    engine.Engine
+	dur    *durable.Column    // nil for in-memory indexes
 	obs    *metrics.Observer  // always non-nil
 	wd     *health.Watchdog   // always non-nil; background loop under WithHealth
 	cap    *wcapture.Recorder // always non-nil; recording under WithWorkloadCapture
@@ -175,7 +174,6 @@ func newIndex(cfg *config, col *shard.Column, ing *ingest.Coordinator, dur *dura
 		col:    col,
 		ing:    ing,
 		dur:    dur,
-		eng:    engine.NewShardedNamed(col, cfg.method.String()),
 		obs:    ob,
 		cap:    cap,
 	}
@@ -206,13 +204,31 @@ func (ix *Index) Method() Method { return ix.method }
 // is parked on a latch unparks it promptly; a query returning a
 // non-nil error returns no answer.
 func (ix *Index) Count(ctx context.Context, lo, hi int64) (Result, error) {
-	return ix.eng.Count(ctx, lo, hi)
+	return result(ix.col.Count(ctx, lo, hi))
 }
 
 // Sum evaluates Q2 — select sum(A) where lo <= A < hi — with the same
 // refinement side effects and context semantics as Count.
 func (ix *Index) Sum(ctx context.Context, lo, hi int64) (Result, error) {
-	return ix.eng.Sum(ctx, lo, hi)
+	return result(ix.col.Sum(ctx, lo, hi))
+}
+
+// Result is one query's outcome: the count or sum, and the query's cost
+// record as the sharded column merged it (wait vs refine time, fan-out
+// critical path, epoch depth, conflicts, rows touched).
+type Result struct {
+	// Value is the count or sum.
+	Value int64
+	OpStats
+}
+
+// result builds the Result of one query; a query that failed returns no
+// answer.
+func result(v int64, st OpStats, err error) (Result, error) {
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Value: v, OpStats: st}, nil
 }
 
 // Insert adds one logical instance of v. The write lands in the owning
@@ -506,20 +522,20 @@ func (c *config) newSource() func(values []int64) engine.AggregateSource {
 	case AMerge:
 		mo := c.merge
 		return func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(amerge.New(values, mo))
+			return amerge.New(values, mo)
 		}
 	case Hybrid:
 		ho := c.hybrid
 		return func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(hybrid.New(values, ho))
+			return hybrid.New(values, ho)
 		}
 	case Sort:
 		return func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(baseline.NewFullSort(values))
+			return baseline.NewFullSort(values)
 		}
 	case Scan:
 		return func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(baseline.NewScan(values))
+			return baseline.NewScan(values)
 		}
 	default:
 		return nil

@@ -47,7 +47,7 @@ func benchQuerySet(kind workload.QueryKind, sel float64) []workload.Query {
 
 func crackEngine(opts crackindex.Options) func() engine.Engine {
 	return func() engine.Engine {
-		return engine.NewCrack(crackindex.New(benchData().Values, opts))
+		return engine.Named(engine.SourceFromIndex(crackindex.New(benchData().Values, opts)), "crack")
 	}
 }
 
@@ -161,11 +161,11 @@ func BenchmarkFig15_Breakdown(b *testing.B) {
 		q := len(run.Series.Costs) / 4
 		var cf, cl, wf, wl int64
 		for _, c := range run.Series.Costs[:q] {
-			cf += int64(c.Crack)
+			cf += int64(c.Refine)
 			wf += int64(c.Wait)
 		}
 		for _, c := range run.Series.Costs[len(run.Series.Costs)-q:] {
-			cl += int64(c.Crack)
+			cl += int64(c.Refine)
 			wl += int64(c.Wait)
 		}
 		if cf > 0 {
@@ -231,26 +231,6 @@ func BenchmarkAblation_GroupCracking_On(b *testing.B) {
 		benchQuerySet(workload.Sum, 0.001), 8)
 }
 
-// BenchmarkUpdates_MixedWorkload interleaves differential updates with
-// range queries: the structure keeps refining while contents change.
-func BenchmarkUpdates_MixedWorkload(b *testing.B) {
-	d := benchData()
-	qs := benchQuerySet(workload.Sum, 0.001)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix := crackindex.New(d.Values, crackindex.Options{Latching: crackindex.LatchPiece})
-		for j, q := range qs {
-			ix.Sum(q.Lo, q.Hi)
-			if j%8 == 0 {
-				ix.Insert(q.Lo)
-			}
-			if j%16 == 0 {
-				ix.DeleteValue(q.Hi - 1)
-			}
-		}
-	}
-}
-
 // --- Adaptive method comparison on one concurrent workload ---
 
 func BenchmarkMethod_Crack(b *testing.B) {
@@ -310,10 +290,10 @@ func BenchmarkPlan_Sideways(b *testing.B)       { benchTwoColumnPlan(b, true) }
 
 func benchShardedEngine(shards int) func() engine.Engine {
 	return func() engine.Engine {
-		return engine.NewSharded(shard.New(benchData().Values, shard.Options{
+		return engine.Named(shard.New(benchData().Values, shard.Options{
 			Shards: shards, Seed: 77,
 			Index: crackindex.Options{Latching: crackindex.LatchPiece},
-		}))
+		}), "sharded")
 	}
 }
 

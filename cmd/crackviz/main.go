@@ -119,12 +119,12 @@ func showMerging() {
 	}
 
 	// Query 0 creates the sorted runs (first query side effect).
-	n, _ := ix.Count(context.Background(), int64('d'), int64('i')+1)
-	fmt.Printf("\nQ1: between 'd' and 'i' -> %d (runs sorted in memory, range merged out)\n", n.Value)
+	n, _, _ := ix.Count(context.Background(), int64('d'), int64('i')+1)
+	fmt.Printf("\nQ1: between 'd' and 'i' -> %d (runs sorted in memory, range merged out)\n", n)
 	show()
 
-	n, _ = ix.Count(context.Background(), int64('f'), int64('m')+1)
-	fmt.Printf("\nQ2: between 'f' and 'm' -> %d (merged out of runs into final)\n", n.Value)
+	n, _, _ = ix.Count(context.Background(), int64('f'), int64('m')+1)
+	fmt.Printf("\nQ2: between 'f' and 'm' -> %d (merged out of runs into final)\n", n)
 	show()
 	fmt.Println()
 }
@@ -152,12 +152,12 @@ func showHybrid() {
 		fmt.Println()
 	}
 
-	n, _ := ix.Count(context.Background(), int64('d'), int64('i')+1)
-	fmt.Printf("\nQ1: between 'd' and 'i' -> %d (partitions cracked, range moved to sorted final)\n", n.Value)
+	n, _, _ := ix.Count(context.Background(), int64('d'), int64('i')+1)
+	fmt.Printf("\nQ1: between 'd' and 'i' -> %d (partitions cracked, range moved to sorted final)\n", n)
 	show()
 
-	n, _ = ix.Count(context.Background(), int64('f'), int64('m')+1)
-	fmt.Printf("\nQ2: between 'f' and 'm' -> %d\n", n.Value)
+	n, _, _ = ix.Count(context.Background(), int64('f'), int64('m')+1)
+	fmt.Printf("\nQ2: between 'f' and 'm' -> %d\n", n)
 	show()
 	fmt.Println()
 }

@@ -69,7 +69,7 @@ func main() {
 	fmt.Printf("%8s  %14s  %14s\n", "query", "crack", "wait")
 	for i := 1; i <= len(run.Series.Costs); i *= 2 {
 		c := run.Series.Costs[i-1]
-		fmt.Printf("%8d  %14v  %14v\n", i, c.Crack.Round(time.Microsecond), c.Wait.Round(time.Microsecond))
+		fmt.Printf("%8d  %14v  %14v\n", i, c.Refine.Round(time.Microsecond), c.Wait.Round(time.Microsecond))
 	}
 	q := len(run.Series.Costs) / 4
 	var firstW, lastW time.Duration

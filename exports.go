@@ -25,10 +25,6 @@ import (
 	"adaptix/internal/workload"
 )
 
-// Result is one query's outcome and cost breakdown (wait vs refine
-// time, fan-out critical path, epoch depth, conflict counters).
-type Result = engine.Result
-
 // Op is one batched write operation (Index.Apply).
 type Op = ingest.Op
 
@@ -63,8 +59,9 @@ type (
 	// IngestStats counts the write path's routed writes and structural
 	// operations.
 	IngestStats = ingest.Stats
-	// OpStats is the merged per-operation cost breakdown of the
-	// internal aggregate surface (most callers want Result instead).
+	// OpStats is the per-query cost record every method reports and
+	// Result embeds: latch wait, refinement time, fan-out critical
+	// path, conflicts, epoch depth, rows touched, skipped refinement.
 	OpStats = crackindex.OpStats
 	// TraceEvent is a latch/crack trace record (Figure 8 timelines),
 	// delivered to CrackOptions.Tracer.
@@ -242,7 +239,7 @@ type RunResult = harness.Run
 // Run drives the index with the query sequence split across the given
 // number of concurrent clients, as in the paper's experiments.
 func Run(ix *Index, queries []Query, clients int) *RunResult {
-	return harness.Execute(ix.eng, queries, clients)
+	return harness.Execute(engine.Named(ix.col, ix.method.String()), queries, clients)
 }
 
 // Transactions and locks (paper §3, Table 1).

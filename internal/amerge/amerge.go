@@ -40,7 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptix/internal/engine"
+	"adaptix/internal/crackindex"
 	"adaptix/internal/latch"
 	"adaptix/internal/pbtree"
 	"adaptix/internal/ranges"
@@ -170,34 +170,33 @@ func (ix *Index) SkippedMerges() int64 { return ix.skipped.Load() }
 // the MVCC snapshot.
 func (ix *Index) SnapshotHits() int64 { return ix.snapshotHits.Load() }
 
-// Count implements engine.Engine (Q1).
-func (ix *Index) Count(ctx context.Context, lo, hi int64) (engine.Result, error) {
+// Count implements engine.AggregateSource (Q1).
+func (ix *Index) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	return ix.query(ctx, lo, hi, false)
 }
 
-// Sum implements engine.Engine (Q2).
-func (ix *Index) Sum(ctx context.Context, lo, hi int64) (engine.Result, error) {
+// Sum implements engine.AggregateSource (Q2).
+func (ix *Index) Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	return ix.query(ctx, lo, hi, true)
 }
 
-func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.Result, error) {
-	var res engine.Result
+func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (int64, crackindex.OpStats, error) {
+	var st crackindex.OpStats
 	if lo >= hi {
-		return res, nil
+		return 0, st, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return 0, st, err
 	}
-	if err := ix.ensureInit(ctx, &res); err != nil {
-		return res, err
+	if err := ix.ensureInit(ctx, &st); err != nil {
+		return 0, st, err
 	}
 
 	// MVCC fast path: a fully merged range is immutable in every
 	// snapshot at least as new as its merge; read it without latches.
 	if s := ix.snap.Load(); s.covered.Covers(lo, hi) {
 		ix.snapshotHits.Add(1)
-		res.Value = s.aggregate(lo, hi, wantSum)
-		return res, nil
+		return s.aggregate(lo, hi, wantSum), st, nil
 	}
 
 	// Try to refine: one merge step for this key range.
@@ -205,18 +204,18 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 	if ix.opts.OnConflict == Skip {
 		acquired = ix.lt.TryLock()
 		if !acquired {
-			res.Conflicts++
-			res.Skipped = true
+			st.Conflicts++
+			st.Skipped = true
 			ix.skipped.Add(1)
 		}
 	} else {
 		w, err := ix.lt.LockCtx(ctx, lo)
 		if w > 0 {
-			res.Wait += w
-			res.Conflicts++
+			st.Wait += w
+			st.Conflicts++
 		}
 		if err != nil {
-			return res, err
+			return 0, st, err
 		}
 		acquired = true
 	}
@@ -224,16 +223,16 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 	if acquired {
 		start := time.Now()
 		ix.mergeStepLocked(lo, hi)
-		res.Refine += time.Since(start)
+		st.Refine += time.Since(start)
 		ix.lt.Downgrade()
 	} else {
 		w, err := ix.lt.RLockCtx(ctx)
 		if w > 0 {
-			res.Wait += w
-			res.Conflicts++
+			st.Wait += w
+			st.Conflicts++
 		}
 		if err != nil {
-			return res, err
+			return 0, st, err
 		}
 	}
 
@@ -249,31 +248,29 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 	ix.lt.RUnlock()
 
 	if wantSum {
-		res.Value = sum
-	} else {
-		res.Value = count
+		return sum, st, nil
 	}
-	return res, nil
+	return count, st, nil
 }
 
 // ensureInit builds the sorted runs on first use, under the write
 // latch: concurrent first queries wait, exactly as with full sorting.
 // A context error while parked behind the builder abandons the query
 // (the build itself, once started, always completes).
-func (ix *Index) ensureInit(ctx context.Context, res *engine.Result) error {
+func (ix *Index) ensureInit(ctx context.Context, st *crackindex.OpStats) error {
 	if ix.initOnce.Load() {
 		return nil
 	}
 	w, err := ix.lt.LockCtx(ctx, 0)
 	if err != nil {
-		res.Wait += w
-		res.Conflicts++
+		st.Wait += w
+		st.Conflicts++
 		return err
 	}
 	if ix.initOnce.Load() {
 		ix.lt.Unlock()
-		res.Wait += w
-		res.Conflicts++
+		st.Wait += w
+		st.Conflicts++
 		return nil
 	}
 	start := time.Now()
@@ -298,7 +295,7 @@ func (ix *Index) ensureInit(ctx context.Context, res *engine.Result) error {
 	ix.tree = pbtree.BulkLoad(entries)
 	ix.numRuns = run
 	ix.initOnce.Store(true)
-	res.Refine += time.Since(start)
+	st.Refine += time.Since(start)
 	ix.lt.Unlock()
 	return nil
 }

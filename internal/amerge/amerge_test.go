@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptix/internal/crackindex"
 	"adaptix/internal/engine"
 	"adaptix/internal/txn"
 	"adaptix/internal/wal"
@@ -163,7 +164,7 @@ func TestSkipPolicyCountsSkips(t *testing.T) {
 	qCount(ix, 0, 10) // init
 	// Hold the index latch as a concurrent merge would.
 	ix.lt.Lock(0)
-	done := make(chan engine.Result, 1)
+	done := make(chan result, 1)
 	go func() { done <- qCount(ix, 5000, 6000) }()
 	// Wait until the query has decided to skip (counted before its
 	// read latch), then release so its read can proceed.
@@ -232,14 +233,20 @@ func TestNameAndAccessors(t *testing.T) {
 	}
 }
 
-// qCount / qSum drive the context-aware Engine surface with
-// context.Background(), the uncancellable fast path the tests measure.
-func qCount(e engine.Engine, lo, hi int64) engine.Result {
-	r, _ := e.Count(context.Background(), lo, hi)
-	return r
+// result is one query's answer with its cost record.
+type result struct {
+	Value int64
+	crackindex.OpStats
 }
 
-func qSum(e engine.Engine, lo, hi int64) engine.Result {
-	r, _ := e.Sum(context.Background(), lo, hi)
-	return r
+// qCount / qSum drive the context-aware Engine surface with
+// context.Background(), the uncancellable fast path the tests measure.
+func qCount(e engine.Engine, lo, hi int64) result {
+	v, st, _ := e.Count(context.Background(), lo, hi)
+	return result{v, st}
+}
+
+func qSum(e engine.Engine, lo, hi int64) result {
+	v, st, _ := e.Sum(context.Background(), lo, hi)
+	return result{v, st}
 }

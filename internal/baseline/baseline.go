@@ -21,7 +21,7 @@ import (
 	"sync"
 	"time"
 
-	"adaptix/internal/engine"
+	"adaptix/internal/crackindex"
 	"adaptix/internal/kernel"
 )
 
@@ -30,10 +30,14 @@ import (
 // of a millisecond of overshoot, rare enough to cost nothing.
 const scanCheckEvery = 1 << 16
 
-// scanVals aggregates the qualifying values of vals with the
+// scanVals answers one query by a predicate scan of vals with the
 // branch-free chunked kernels, one scanCheckEvery-sized block at a
-// time so the context check stays off the per-value path.
-func scanVals(ctx context.Context, vals []int64, lo, hi int64, wantSum bool) (int64, error) {
+// time so the context check stays off the per-value path. A scan
+// refines nothing and waits on nothing: its cost record stays zero.
+func scanVals(ctx context.Context, vals []int64, lo, hi int64, wantSum bool) (int64, crackindex.OpStats, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, crackindex.OpStats{}, err
+	}
 	var res int64
 	done := ctx.Done()
 	for len(vals) > 0 {
@@ -49,11 +53,11 @@ func scanVals(ctx context.Context, vals []int64, lo, hi int64, wantSum bool) (in
 		vals = vals[len(blk):]
 		if done != nil && len(vals) > 0 {
 			if err := ctx.Err(); err != nil {
-				return 0, err
+				return 0, crackindex.OpStats{}, err
 			}
 		}
 	}
-	return res, nil
+	return res, crackindex.OpStats{}, nil
 }
 
 // Scan answers every query by a full predicate scan of the column.
@@ -68,22 +72,14 @@ func NewScan(vals []int64) *Scan { return &Scan{vals: vals} }
 // Name implements engine.Engine.
 func (s *Scan) Name() string { return "scan" }
 
-// Count implements engine.Engine by a full scan.
-func (s *Scan) Count(ctx context.Context, lo, hi int64) (engine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.Result{}, err
-	}
-	n, err := scanVals(ctx, s.vals, lo, hi, false)
-	return engine.Result{Value: n}, err
+// Count implements engine.AggregateSource by a full scan.
+func (s *Scan) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	return scanVals(ctx, s.vals, lo, hi, false)
 }
 
-// Sum implements engine.Engine by a full scan.
-func (s *Scan) Sum(ctx context.Context, lo, hi int64) (engine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.Result{}, err
-	}
-	sum, err := scanVals(ctx, s.vals, lo, hi, true)
-	return engine.Result{Value: sum}, err
+// Sum implements engine.AggregateSource by a full scan.
+func (s *Scan) Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	return scanVals(ctx, s.vals, lo, hi, true)
 }
 
 // Mutable is a scan engine whose contents can change: one mutex, one
@@ -124,26 +120,18 @@ func (m *Mutable) DeleteValue(v int64) bool {
 	return false
 }
 
-// Count implements engine.Engine by a locked full scan.
-func (m *Mutable) Count(ctx context.Context, lo, hi int64) (engine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.Result{}, err
-	}
+// Count implements engine.AggregateSource by a locked full scan.
+func (m *Mutable) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n, err := scanVals(ctx, m.vals, lo, hi, false)
-	return engine.Result{Value: n}, err
+	return scanVals(ctx, m.vals, lo, hi, false)
 }
 
-// Sum implements engine.Engine by a locked full scan.
-func (m *Mutable) Sum(ctx context.Context, lo, hi int64) (engine.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return engine.Result{}, err
-	}
+// Sum implements engine.AggregateSource by a locked full scan.
+func (m *Mutable) Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	sum, err := scanVals(ctx, m.vals, lo, hi, true)
-	return engine.Result{Value: sum}, err
+	return scanVals(ctx, m.vals, lo, hi, true)
 }
 
 // FullSort sorts a copy of the column on first access, then answers
@@ -164,7 +152,7 @@ func (f *FullSort) Name() string { return "sort" }
 
 // ensure builds the sorted copy exactly once; the builder charges the
 // sort to its refinement time, concurrent callers charge wait time.
-func (f *FullSort) ensure(res *engine.Result) []int64 {
+func (f *FullSort) ensure(st *crackindex.OpStats) []int64 {
 	f.mu.RLock()
 	s := f.sorted
 	f.mu.RUnlock()
@@ -179,39 +167,37 @@ func (f *FullSort) ensure(res *engine.Result) []int64 {
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 		f.sorted = s
 		f.mu.Unlock()
-		res.Refine = time.Since(start)
+		st.Refine = time.Since(start)
 		return s
 	}
 	s = f.sorted
 	f.mu.Unlock()
-	res.Wait = time.Since(start)
-	res.Conflicts = 1
+	st.Wait = time.Since(start)
+	st.Conflicts = 1
 	return s
 }
 
-// Count implements engine.Engine by two binary searches.
-func (f *FullSort) Count(ctx context.Context, lo, hi int64) (engine.Result, error) {
-	var res engine.Result
+// Count implements engine.AggregateSource by two binary searches.
+func (f *FullSort) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	var st crackindex.OpStats
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return 0, st, err
 	}
-	s := f.ensure(&res)
+	s := f.ensure(&st)
 	a := sort.Search(len(s), func(i int) bool { return s[i] >= lo })
 	b := sort.Search(len(s), func(i int) bool { return s[i] >= hi })
-	res.Value = int64(b - a)
-	return res, nil
+	return int64(b - a), st, nil
 }
 
-// Sum implements engine.Engine by binary search plus a scan of the
-// qualifying sorted range.
-func (f *FullSort) Sum(ctx context.Context, lo, hi int64) (engine.Result, error) {
-	var res engine.Result
+// Sum implements engine.AggregateSource by binary search plus a scan of
+// the qualifying sorted range.
+func (f *FullSort) Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	var st crackindex.OpStats
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return 0, st, err
 	}
-	s := f.ensure(&res)
+	s := f.ensure(&st)
 	a := sort.Search(len(s), func(i int) bool { return s[i] >= lo })
 	b := sort.Search(len(s), func(i int) bool { return s[i] >= hi })
-	res.Value = kernel.Sum(s[a:b])
-	return res, nil
+	return kernel.Sum(s[a:b]), st, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"adaptix/internal/crackindex"
 	"adaptix/internal/engine"
 	"adaptix/internal/workload"
 )
@@ -65,7 +66,7 @@ func TestFullSortConcurrentFirstQueries(t *testing.T) {
 	f := NewFullSort(d.Values)
 	const clients = 8
 	var wg sync.WaitGroup
-	results := make([]engine.Result, clients)
+	results := make([]result, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -113,14 +114,20 @@ func TestScanIsStateless(t *testing.T) {
 	wg.Wait()
 }
 
-// qCount / qSum drive the context-aware Engine surface with
-// context.Background(), the uncancellable fast path the tests measure.
-func qCount(e engine.Engine, lo, hi int64) engine.Result {
-	r, _ := e.Count(context.Background(), lo, hi)
-	return r
+// result is one query's answer with its cost record.
+type result struct {
+	Value int64
+	crackindex.OpStats
 }
 
-func qSum(e engine.Engine, lo, hi int64) engine.Result {
-	r, _ := e.Sum(context.Background(), lo, hi)
-	return r
+// qCount / qSum drive the context-aware Engine surface with
+// context.Background(), the uncancellable fast path the tests measure.
+func qCount(e engine.Engine, lo, hi int64) result {
+	v, st, _ := e.Count(context.Background(), lo, hi)
+	return result{v, st}
+}
+
+func qSum(e engine.Engine, lo, hi int64) result {
+	v, st, _ := e.Sum(context.Background(), lo, hi)
+	return result{v, st}
 }

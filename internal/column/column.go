@@ -153,14 +153,14 @@ func (e *Executor) SumWhere(selCol string, lo, hi int64) (int64, crackindex.OpSt
 // the aggregation values along every crack, so once refined the plan
 // reads one contiguous run of tail values instead of doing a
 // positional fetch (reference [22]; see internal/sideways).
-func (e *Executor) SumSidewaysWhere(aggCol, selCol string, lo, hi int64) (int64, sideways.OpStats, error) {
+func (e *Executor) SumSidewaysWhere(aggCol, selCol string, lo, hi int64) (int64, crackindex.OpStats, error) {
 	sel, err := e.tab.Column(selCol)
 	if err != nil {
-		return 0, sideways.OpStats{}, err
+		return 0, crackindex.OpStats{}, err
 	}
 	agg, err := e.tab.Column(aggCol)
 	if err != nil {
-		return 0, sideways.OpStats{}, err
+		return 0, crackindex.OpStats{}, err
 	}
 	skipPolicy := sideways.Wait
 	if e.opts.OnConflict == crackindex.Skip {

@@ -165,7 +165,7 @@ func crackInTwoSplit(vals []int64, ids []uint32, lo, hi int, pivot int64) (int, 
 		v, id := vals[i], ids[i]
 		vals[i], ids[i] = vals[j], ids[j]
 		vals[j], ids[j] = v, id
-		lt := b2u(v < pivot)
+		lt := kernel.B2U(v < pivot)
 		j += int(lt)
 		below += v & -int64(lt)
 	}
@@ -179,7 +179,7 @@ func crackInTwoPairs(pairs []Pair, lo, hi int, pivot int64) (int, int64) {
 		p := pairs[i]
 		pairs[i] = pairs[j]
 		pairs[j] = p
-		lt := b2u(p.Value < pivot)
+		lt := kernel.B2U(p.Value < pivot)
 		j += int(lt)
 		below += p.Value & -int64(lt)
 	}
@@ -262,15 +262,6 @@ func (a *Array) crackMultiRec(lo, hi int, base int64, pivots []int64, out []Spli
 	a.crackMultiRec(pos, hi, base+below, pivots[m+1:], out[m+1:], sample[k:])
 }
 
-// b2u converts a bool to 0/1 branch-free (the pairs-layout twin of the
-// helper inside internal/kernel, which only speaks []int64).
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Sum returns the sum of values at positions [lo, hi).
 func (a *Array) Sum(lo, hi int) int64 {
 	if a.layout == LayoutPairs {
@@ -297,7 +288,7 @@ func (a *Array) ScanCount(lo, hi int, va, vb int64) int64 {
 	if a.layout == LayoutPairs {
 		var c int64
 		for _, p := range a.pairs[lo:hi] {
-			c += int64(b2u(p.Value >= va) & b2u(p.Value < vb))
+			c += int64(kernel.B2U(p.Value >= va) & kernel.B2U(p.Value < vb))
 		}
 		return c
 	}
@@ -311,7 +302,7 @@ func (a *Array) ScanSum(lo, hi int, va, vb int64) int64 {
 		var s int64
 		for _, p := range a.pairs[lo:hi] {
 			v := p.Value
-			s += v & -int64(b2u(v >= va)&b2u(v < vb))
+			s += v & -int64(kernel.B2U(v >= va)&kernel.B2U(v < vb))
 		}
 		return s
 	}
@@ -376,7 +367,7 @@ func maskPairs64(ps []Pair, lo, hi int64) uint64 {
 	var m uint64
 	for j := range ps {
 		v := ps[j].Value
-		m |= (b2u(v >= lo) & b2u(v < hi)) << uint(j)
+		m |= (kernel.B2U(v >= lo) & kernel.B2U(v < hi)) << uint(j)
 	}
 	return m
 }

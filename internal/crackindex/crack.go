@@ -25,21 +25,6 @@ type opCtx struct {
 	OpStats
 }
 
-// canceled reports whether the operation's context is done, latching
-// the error into err on first observation.
-func (c *opCtx) canceled() bool {
-	if c.err != nil {
-		return true
-	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			return true
-		}
-	}
-	return false
-}
-
 // bound is a crack boundary as a query reads it off its directory
 // entry: array position and prefix sum. Later cracks only subdivide
 // pieces and permute rows inside them, so a bound never changes once it
@@ -97,6 +82,19 @@ func (ix *Index) crackBound(p directory.Ref, v int64, ctx *opCtx) (at bound, ok 
 		ix.stats.Redeterminations.Inc()
 		p = ix.dir.Floor(v)
 	}
+}
+
+// CrackAt ensures a crack boundary exists at value v, refining the
+// index without answering a query. It is the replay primitive for
+// boundary knowledge: recovery re-cracks a fresh index at the boundaries
+// an earlier index had earned, so the side effects of earlier queries
+// survive a restart (paper §4.2). It adds exactly that boundary — no
+// waiter's bound, no auxiliary quantile — so a replayed table is the
+// recorded table.
+func (ix *Index) CrackAt(v int64) {
+	ctx := opCtx{replay: true}
+	ix.ensureInit(&ctx)
+	ix.crackBound(directory.Ref{}, v, &ctx)
 }
 
 // auxMinPiece is the piece size, in rows, from which a crack also cuts
@@ -223,7 +221,7 @@ func (ix *Index) refine(p piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA, 
 		mid = ix.pin(ix.dir.Floor(a), held)
 	}
 	d := time.Since(start)
-	ctx.Crack += d
+	ctx.Refine += d
 	ix.stats.CrackTime.Add(d)
 	ix.stats.Cracks.Inc()
 	ix.trace(ctx, TraceCracked, p.at, a)
@@ -397,7 +395,7 @@ func (ix *Index) crackPair(lo, hi int64, keepMiddle bool, ctx *opCtx) (atLo, atH
 		atLo, okLo := ix.crackBound(p, lo, ctx)
 		r := <-ch
 		ctx.Wait += r.st.Wait
-		ctx.Crack += r.st.Crack
+		ctx.Refine += r.st.Refine
 		ctx.Touched += r.st.Touched
 		ctx.Conflicts += r.st.Conflicts
 		ctx.Skipped = ctx.Skipped || r.st.Skipped

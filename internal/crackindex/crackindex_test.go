@@ -1,6 +1,7 @@
 package crackindex
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,9 +150,9 @@ func TestAdaptiveConvergence(t *testing.T) {
 		_, st := ix.Count(q.Lo, q.Hi)
 		switch {
 		case i < quarter:
-			firstQ += int64(st.Crack)
+			firstQ += int64(st.Refine)
 		case i >= 3*quarter:
-			lastQ += int64(st.Crack)
+			lastQ += int64(st.Refine)
 		}
 	}
 	if lastQ*2 >= firstQ {
@@ -355,7 +356,7 @@ func TestTraceEventsEmitted(t *testing.T) {
 		Latching: LatchPiece,
 		Tracer:   func(e TraceEvent) { events = append(events, e) },
 	})
-	ix.SumTagged("Q1", 100, 200)
+	ix.SumCtx(WithTag(context.Background(), "Q1"), 100, 200)
 	if len(events) == 0 {
 		t.Fatal("no trace events")
 	}
@@ -413,7 +414,7 @@ func TestLazyInitialization(t *testing.T) {
 	if !ix.Initialized() {
 		t.Fatal("index not initialized by first query")
 	}
-	if st.Crack == 0 {
+	if st.Refine == 0 {
 		t.Fatal("first query should charge initialization to crack time")
 	}
 	if ix.Stats().InitTime.Load() == 0 {

@@ -130,167 +130,6 @@ func TestCrackMultiMatchesRepeatedCrackInTwo(t *testing.T) {
 	}
 }
 
-// --- Differential updates ([22]/[30] extension) ---
-
-func TestInsertDeleteBasic(t *testing.T) {
-	d := workload.NewUniqueUniform(10000, 7)
-	ix := New(d.Values, Options{Latching: LatchPiece})
-	// Baseline.
-	if n, _ := ix.Count(1000, 2000); n != 1000 {
-		t.Fatal("baseline count")
-	}
-	ix.Insert(1500)
-	ix.Insert(1500)
-	ix.Insert(5)
-	if n, _ := ix.Count(1000, 2000); n != 1002 {
-		t.Fatalf("count after inserts = %d", n)
-	}
-	wantSum := (1000+1999)*1000/2 + 2*1500
-	if s, _ := ix.Sum(1000, 2000); s != int64(wantSum) {
-		t.Fatalf("sum after inserts = %d, want %d", s, wantSum)
-	}
-	// Delete one base value and one inserted value.
-	if !ix.DeleteValue(1500) || !ix.DeleteValue(1500) || !ix.DeleteValue(1500) {
-		t.Fatal("deletes of existing instances failed")
-	}
-	// 1500 had base 1 + ins 2 = 3 instances; all gone now.
-	if ix.DeleteValue(1500) {
-		t.Fatal("deleted a 4th instance of 1500 (only 3 existed)")
-	}
-	if n, _ := ix.Count(1000, 2000); n != 999 {
-		t.Fatalf("count after deletes = %d", n)
-	}
-	ins, dels := ix.PendingUpdates()
-	if ins != 3 || dels != 3 {
-		t.Fatalf("pending = %d,%d", ins, dels)
-	}
-}
-
-func TestDeleteNonexistent(t *testing.T) {
-	d := workload.NewUniqueUniform(100, 9)
-	ix := New(d.Values, Options{Latching: LatchPiece})
-	if ix.DeleteValue(5000) {
-		t.Fatal("deleted a value outside the domain")
-	}
-	if !ix.DeleteValue(50) {
-		t.Fatal("failed to delete an existing value")
-	}
-	if ix.DeleteValue(50) {
-		t.Fatal("double-deleted a unique value")
-	}
-}
-
-func TestUpdatesDoNotTouchStructure(t *testing.T) {
-	d := workload.NewUniqueUniform(10000, 11)
-	ix := New(d.Values, Options{Latching: LatchPiece})
-	ix.Count(2000, 8000)
-	cracks := ix.Stats().Cracks.Load()
-	pieces := ix.NumPieces()
-	for i := int64(0); i < 100; i++ {
-		ix.Insert(3000 + i)
-	}
-	if ix.Stats().Cracks.Load() != cracks || ix.NumPieces() != pieces {
-		t.Fatal("inserts changed the physical index structure")
-	}
-	// Queries after updates remain exact and keep refining.
-	if n, _ := ix.Count(3000, 3100); n != 200 {
-		t.Fatalf("count = %d, want 200 (100 base + 100 inserted)", n)
-	}
-}
-
-func TestUpdatesConcurrentWithQueries(t *testing.T) {
-	d := workload.NewUniqueUniform(50000, 13)
-	ix := New(d.Values, Options{Latching: LatchPiece})
-	var wg sync.WaitGroup
-	// Writer: inserts 1000 values into [10000, 11000) and deletes 500
-	// base values from [20000, 20500).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := int64(0); i < 1000; i++ {
-			ix.Insert(10000 + (i % 1000))
-		}
-		for i := int64(0); i < 500; i++ {
-			if !ix.DeleteValue(20000 + i) {
-				panic("delete failed")
-			}
-		}
-	}()
-	// Readers: ranges untouched by the writer stay exact throughout.
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			gen := workload.NewUniform(workload.Sum, 9000, 0.05, uint64(c+1))
-			for i := 0; i < 50; i++ {
-				q := gen.Next() // entirely below 10000
-				if got, _ := ix.Count(q.Lo, q.Hi); got != q.Hi-q.Lo {
-					panic("count mismatch in untouched range")
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	// Final state exact everywhere.
-	if n, _ := ix.Count(10000, 11000); n != 2000 {
-		t.Fatalf("inserted range count = %d, want 2000", n)
-	}
-	if n, _ := ix.Count(20000, 20500); n != 0 {
-		t.Fatalf("deleted range count = %d, want 0", n)
-	}
-	if n, _ := ix.Count(0, 50000); n != 50000+1000-500 {
-		t.Fatalf("total count = %d", n)
-	}
-}
-
-func TestUpdatesWithGroupCrackingAndSkip(t *testing.T) {
-	// Updates compose with every CC configuration.
-	d := workload.NewDuplicates(5000, 200, 15)
-	for _, opts := range []Options{
-		{Latching: LatchPiece, GroupCracking: true},
-		{Latching: LatchPiece, OnConflict: Skip},
-		{Latching: LatchColumn},
-		{Latching: LatchNone},
-	} {
-		ix := New(d.Values, opts)
-		ix.Insert(50)
-		ix.Insert(50)
-		ix.DeleteValue(100)
-		want := d.TrueCount(0, 200) + 2
-		if d.TrueCount(100, 101) > 0 {
-			want--
-		}
-		if n, _ := ix.Count(0, 200); n != want {
-			t.Fatalf("%v: total = %d, want %d", opts.Latching, n, want)
-		}
-	}
-}
-
-// --- Write-path primitives used by internal/shard rebuilds ---
-
-func TestPendingSnapshotDoesNotDrain(t *testing.T) {
-	ix := New([]int64{5, 1, 9, 3}, Options{Latching: LatchPiece})
-	ix.Insert(7)
-	ix.Insert(2)
-	if !ix.DeleteValue(9) {
-		t.Fatal("DeleteValue(9) = false, want true")
-	}
-	ins, del := ix.PendingSnapshot()
-	if len(ins) != 2 || ins[0] != 2 || ins[1] != 7 {
-		t.Fatalf("snapshot ins = %v, want [2 7]", ins)
-	}
-	if len(del) != 1 || del[0] != 9 {
-		t.Fatalf("snapshot del = %v, want [9]", del)
-	}
-	// The differential stays in place: answers are unchanged.
-	if n, _ := ix.Count(0, 100); n != 5 {
-		t.Fatalf("Count after snapshot = %d, want 5", n)
-	}
-	if nIns, nDel := ix.PendingUpdates(); nIns != 2 || nDel != 1 {
-		t.Fatalf("pending drained by snapshot: %d/%d", nIns, nDel)
-	}
-}
-
 func TestCrackAtReplaysBoundaries(t *testing.T) {
 	// A column large enough that a query's crack would add quantile
 	// cuts: replay must restore the recorded table and nothing more.
@@ -314,19 +153,20 @@ func TestCrackAtReplaysBoundaries(t *testing.T) {
 }
 
 func TestDeleteValueNearSentinel(t *testing.T) {
-	// DeleteValue(v) probes [v, v+1); for v = maxKey-1 the upper bound
-	// is the maxKey sentinel, which must resolve to the array end
-	// instead of looping in bound re-determination.
+	// A delete's existence probe (shard.DeleteValue -> baseCount) counts
+	// [v, v+1); for v = maxKey-1 the upper bound is the maxKey sentinel,
+	// which must resolve to the array end instead of looping in bound
+	// re-determination.
 	for _, mode := range []LatchMode{LatchPiece, LatchColumn, LatchNone} {
 		ix := New([]int64{math.MaxInt64 - 1, 5, -3}, Options{Latching: mode})
-		if !ix.DeleteValue(math.MaxInt64 - 1) {
-			t.Fatalf("mode %v: DeleteValue(maxKey-1) = false, want true", mode)
+		if n, _ := ix.Count(math.MaxInt64-1, math.MaxInt64); n != 1 {
+			t.Fatalf("mode %v: Count[maxKey-1, maxKey) = %d, want 1", mode, n)
 		}
-		if ix.DeleteValue(math.MaxInt64 - 1) {
-			t.Fatalf("mode %v: second delete found a ghost instance", mode)
+		if n, _ := ix.Count(math.MaxInt64-2, math.MaxInt64-1); n != 0 {
+			t.Fatalf("mode %v: Count just below the top value = %d, want 0", mode, n)
 		}
-		if n, _ := ix.Count(math.MaxInt64-2, math.MaxInt64); n != 0 {
-			t.Fatalf("mode %v: Count near sentinel = %d, want 0", mode, n)
+		if err := ix.Validate(); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
 		}
 	}
 }

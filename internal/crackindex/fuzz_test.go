@@ -1,8 +1,7 @@
 // Fuzz target for the full index query surface: an arbitrary column is
 // cracked by an arbitrary pair of range queries under a fuzzed
 // layout / latch-mode / conflict-policy configuration, and every Count
-// and Sum answer — before and after a differential insert — must match
-// a naive predicate scan. Validate audits the piece structure after
+// and Sum answer must match a naive predicate scan. Validate audits the piece structure after
 // each refinement, so a crack that produces the right aggregate but a
 // corrupt piece list still fails.
 package crackindex
@@ -101,9 +100,9 @@ func FuzzCountSumVsReference(f *testing.F) {
 		}
 		ix := New(vals, fuzzOpts(mode))
 		ix.auxMin = 8 // columns here hold at most 4096 rows: let them take quantile cuts
-		check := func(phase string, ref []int64, lo, hi int64) {
+		check := func(phase string, lo, hi int64) {
 			t.Helper()
-			wantN, wantS := refCountSum(ref, lo, hi)
+			wantN, wantS := refCountSum(vals, lo, hi)
 			if got, _ := ix.Count(lo, hi); got != wantN {
 				t.Fatalf("%s: Count(%d,%d) = %d, want %d", phase, lo, hi, got, wantN)
 			}
@@ -114,20 +113,10 @@ func FuzzCountSumVsReference(f *testing.F) {
 				t.Fatalf("%s: after (%d,%d): %v", phase, lo, hi, err)
 			}
 		}
-		check("q1", vals, lo1, hi1)
-		check("q2", vals, lo2, hi2)
+		check("q1", lo1, hi1)
+		check("q2", lo2, hi2)
 		// Repeat q1 on the now-cracked structure: boundaries exist, so
 		// the answer comes purely from piece positions.
-		check("q1-warm", vals, lo1, hi1)
-
-		// A differential insert must be folded into every later answer.
-		ins := lo1 ^ hi2 ^ 0x5bd1e995
-		if ins == math.MaxInt64 {
-			ins-- // sentinel value, outside the index's domain
-		}
-		ix.Insert(ins)
-		ref := append(append([]int64(nil), vals...), ins)
-		check("post-insert-q1", ref, lo1, hi1)
-		check("post-insert-q2", ref, lo2, hi2)
+		check("q1-warm", lo1, hi1)
 	})
 }

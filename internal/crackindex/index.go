@@ -201,15 +201,21 @@ type Stats struct {
 	InitTime metrics.DurationCounter
 }
 
-// OpStats is the per-operation cost breakdown returned by Count / Sum.
+// OpStats is the per-operation cost breakdown — the paper's per-query
+// record of latch wait versus refinement time plus conflicts (Figures
+// 13-15). It is the one cost record of the whole stack: every method's
+// Count / Sum returns it, the shard fan-out merges it, the harness row
+// and the facade's Result embed it.
 type OpStats struct {
 	// Wait is time spent blocked on latches.
 	Wait time.Duration
-	// Crack is time spent physically refining the index.
-	Crack time.Duration
+	// Refine is time spent refining the index as a side effect of the
+	// query: cracking here, sorting runs or merging in the other
+	// methods.
+	Refine time.Duration
 	// Critical is the critical-path time of a fan-out execution: the
 	// slowest sub-query's elapsed time (shard.Column sets it; Wait and
-	// Crack sum total work across all sub-queries instead). Zero for
+	// Refine sum total work across all sub-queries instead). Zero for
 	// single-domain operations.
 	Critical time.Duration
 	// Conflicts counts latch acquisitions that were not granted
@@ -266,10 +272,6 @@ type Index struct {
 	// every latch this index creates (allocated once in New, not per
 	// latch: latches are born on the crack hot path).
 	onWait func(d time.Duration, reader bool)
-
-	// Differential updates (see updates.go).
-	pend  pendingUpdates
-	pendN pendingCounter
 
 	stats Stats
 }

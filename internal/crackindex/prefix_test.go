@@ -258,7 +258,7 @@ func TestConvergedSumTakesNoLatch(t *testing.T) {
 		if want := (lo + hi - 1) * (hi - lo) / 2; got != want {
 			t.Fatalf("Sum[%d,%d) = %d, want %d", q[0], q[1], got, want)
 		}
-		if st.Touched != 0 || st.Conflicts != 0 || st.Crack != 0 {
+		if st.Touched != 0 || st.Conflicts != 0 || st.Refine != 0 {
 			t.Fatalf("Sum[%d,%d) on existing bounds: %+v", q[0], q[1], st)
 		}
 	}

@@ -12,11 +12,10 @@ import (
 // tagKey keys the query tag carried by a context (WithTag).
 type tagKey struct{}
 
-// WithTag returns a context carrying a query tag: the ctx-aware query
-// surface (CountCtx / SumCtx) labels its trace events with it, the way
-// CountTagged / SumTagged do on the plain surface. The tag rides the
-// context so it survives the fan-out executor and the engine adapters
-// without widening any signature.
+// WithTag returns a context carrying a query tag: CountCtx / SumCtx
+// label their trace events with it (the Figure 8 timeline labels). The
+// tag rides the context so it survives the fan-out executor and the
+// engine adapters without widening any signature.
 func WithTag(ctx context.Context, tag string) context.Context {
 	return context.WithValue(ctx, tagKey{}, tag)
 }
@@ -24,54 +23,55 @@ func WithTag(ctx context.Context, tag string) context.Context {
 // Tag returns the query tag ctx carries ("" when none) — the same tag
 // WithTag attached. The workload recorder (internal/wcapture) stamps
 // it into captured records via the shard executor.
-func Tag(ctx context.Context) string { return tagFrom(ctx) }
-
-// tagFrom extracts the query tag from ctx ("" when none).
-func tagFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	if t, ok := ctx.Value(tagKey{}).(string); ok {
-		return t
-	}
-	return ""
+func Tag(ctx context.Context) string {
+	t, _ := ctx.Value(tagKey{}).(string)
+	return t
 }
 
 // Count executes query type Q1 of the paper's §6 —
 // select count(*) from R where lo <= A < hi — cracking the column as a
-// side effect. It returns the count and the operation's cost breakdown.
+// side effect. It returns the count and the operation's cost breakdown;
+// it is CountCtx under context.Background, untagged, which never fails.
 func (ix *Index) Count(lo, hi int64) (int64, OpStats) {
-	return ix.CountTagged("", lo, hi)
+	n, st, _ := ix.answer(nil, false, lo, hi)
+	return n, st
 }
 
 // CountCtx is Count bounded by a context: cancellation before any work
 // returns ctx.Err() with no refinement side effects, and a deadline
 // expiring while the query is parked on a piece latch unparks it
 // promptly. A query that returns a non-nil error returns no answer.
+// Trace events carry the query tag of ctx (WithTag).
 func (ix *Index) CountCtx(ctx context.Context, lo, hi int64) (int64, OpStats, error) {
-	oc := opCtx{ctx: ctx, tag: tagFrom(ctx)}
-	if oc.canceled() {
-		return 0, oc.OpStats, oc.err
+	return ix.answer(ctx, false, lo, hi)
+}
+
+// answer runs one aggregate under the context contract CountCtx and
+// SumCtx share. A nil ctx is context.Background without a tag (see
+// opCtx): the plain Count and Sum pass it and skip two interface calls.
+func (ix *Index) answer(ctx context.Context, wantSum bool, lo, hi int64) (int64, OpStats, error) {
+	oc := opCtx{ctx: ctx}
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return 0, oc.OpStats, err
+		}
+		oc.tag = Tag(ctx)
 	}
-	n := ix.countBase(&oc, lo, hi)
+	var v int64
+	if wantSum {
+		v = ix.sum(&oc, lo, hi)
+	} else {
+		v = ix.count(&oc, lo, hi)
+	}
 	if oc.err != nil {
 		return 0, oc.OpStats, oc.err
 	}
-	return n + ix.pendingCountAdj(lo, hi), oc.OpStats, nil
+	return v, oc.OpStats, nil
 }
 
-// CountTagged is Count with a query tag for the trace hook. The result
-// merges any pending differential updates (see updates.go).
-func (ix *Index) CountTagged(tag string, lo, hi int64) (int64, OpStats) {
-	oc := opCtx{tag: tag}
-	n := ix.countBase(&oc, lo, hi)
-	return n + ix.pendingCountAdj(lo, hi), oc.OpStats
-}
-
-// countBase answers from the physical index only, ignoring the
-// differential file. On a context error (oc.err set) the partial
+// count computes Count. On a context error (oc.err set) the partial
 // result is meaningless and must be discarded by the caller.
-func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
+func (ix *Index) count(oc *opCtx, lo, hi int64) int64 {
 	if lo >= hi {
 		return 0
 	}
@@ -115,9 +115,9 @@ func (ix *Index) countBase(oc *opCtx, lo, hi int64) int64 {
 // (the shard fan-out answers the hits inline and hands only the misses
 // to workers). It declines whenever Count and Sum would do more than
 // read two entries: outside LatchPiece mode, whose baselines latch and
-// scan by design, and while differential updates are pending.
+// scan by design.
 func (ix *Index) Peek(lo, hi int64) (count, sum int64, ok bool) {
-	if ix.opts.Latching != LatchPiece || !ix.initDone.Load() || ix.pendN.n.Load() != 0 {
+	if ix.opts.Latching != LatchPiece || !ix.initDone.Load() {
 		return 0, 0, false
 	}
 	if lo >= hi {
@@ -135,40 +135,25 @@ func (ix *Index) Peek(lo, hi int64) (count, sum int64, ok bool) {
 // side effect. Under piece latches the answer is the difference of the
 // two boundaries' prefix sums; the baseline modes aggregate the range
 // under the column read latch (LatchColumn) or unlatched (LatchNone).
+// Like Count, it is SumCtx under context.Background, untagged.
 func (ix *Index) Sum(lo, hi int64) (int64, OpStats) {
-	return ix.SumTagged("", lo, hi)
+	s, st, _ := ix.answer(nil, true, lo, hi)
+	return s, st
 }
 
 // SumCtx is Sum bounded by a context (see CountCtx for the semantics).
 func (ix *Index) SumCtx(ctx context.Context, lo, hi int64) (int64, OpStats, error) {
-	oc := opCtx{ctx: ctx, tag: tagFrom(ctx)}
-	if oc.canceled() {
-		return 0, oc.OpStats, oc.err
-	}
-	s := ix.sumBase(&oc, lo, hi)
-	if oc.err != nil {
-		return 0, oc.OpStats, oc.err
-	}
-	return s + ix.pendingSumAdj(lo, hi), oc.OpStats, nil
+	return ix.answer(ctx, true, lo, hi)
 }
 
-// SumTagged is Sum with a query tag for the trace hook. The result
-// merges any pending differential updates (see updates.go).
-func (ix *Index) SumTagged(tag string, lo, hi int64) (int64, OpStats) {
-	oc := opCtx{tag: tag}
-	s := ix.sumBase(&oc, lo, hi)
-	return s + ix.pendingSumAdj(lo, hi), oc.OpStats
-}
-
-// sumBase answers from the physical index only, ignoring the
-// differential file (see countBase for the context-error contract).
+// sum computes Sum (see count for the context-error contract).
 //
 // LatchColumn and LatchNone keep the paper's Figure 8 (top) protocol
 // verbatim — crack, then aggregate the range under the column read
 // latch, or with no concurrency control — although their boundaries
 // carry prefix sums too: they are the baselines of Figures 13 and 14,
 // which measure precisely the cost of aggregating under a column latch.
-func (ix *Index) sumBase(oc *opCtx, lo, hi int64) int64 {
+func (ix *Index) sum(oc *opCtx, lo, hi int64) int64 {
 	if lo >= hi {
 		return 0
 	}
@@ -294,7 +279,7 @@ func (ix *Index) ensureInit(ctx *opCtx) {
 	ix.stats.InitTime.Add(time.Since(locked))
 	ix.mu.Unlock()
 	d := time.Since(start)
-	ctx.Crack += d
+	ctx.Refine += d
 	ctx.Touched += int64(len(ix.base))
 	ix.stats.CrackTime.Add(d)
 }

@@ -57,7 +57,7 @@ func (k TraceKind) String() string {
 type TraceEvent struct {
 	// Time is the event timestamp.
 	Time time.Time
-	// Query is the tag supplied via CountTagged / SumTagged.
+	// Query is the tag the query's context carries (WithTag).
 	Query string
 	// Kind is the event type.
 	Kind TraceKind

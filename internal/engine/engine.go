@@ -1,92 +1,69 @@
-// Package engine defines the common query-engine interface shared by
-// the three approaches compared throughout the paper's §6 — plain
-// scans, full indexing (sort once, then binary search), and adaptive
-// indexing (database cracking) — plus adapters over the concrete
-// implementations. The harness drives any Engine with the same
-// deterministic query streams.
+// Package engine defines the one query interface shared by the three
+// approaches compared throughout the paper's §6 — plain scans, full
+// indexing (sort once, then binary search), and adaptive indexing
+// (database cracking, adaptive merging, hybrid crack-sort) — and by the
+// sharded column that fans out over any of them. The harness drives any
+// Engine with the same deterministic query streams.
 package engine
 
 import (
 	"context"
-	"time"
 
 	"adaptix/internal/crackindex"
 )
 
-// Result is the outcome of one query against an engine, with the cost
-// breakdown the experiments plot (Figures 13 and 15).
-type Result struct {
-	// Value is the count or sum.
-	Value int64
-	// Wait is time spent blocked on latches.
-	Wait time.Duration
-	// Refine is time spent refining the index (cracking, sorting runs,
-	// merging) as a side effect of the query.
-	Refine time.Duration
-	// Critical is the critical-path time of a fan-out execution — the
-	// slowest per-shard sub-query — as opposed to Wait+Refine, which
-	// sum total work across cores. Zero for single-domain engines.
-	Critical time.Duration
-	// Conflicts counts latch acquisitions that were not immediate.
-	Conflicts int64
-	// Epochs is the number of differential epoch files the answer's
-	// snapshot read consulted (deepest per-shard chain; zero for
-	// single-domain engines — see internal/epoch).
-	Epochs int
-	// Touched counts the rows the query physically visited (partitioned
-	// or scanned; see crackindex.OpStats.Touched). Zero for engines that
-	// do not report it.
-	Touched int64
-	// Skipped reports that an optional refinement was forgone.
-	Skipped bool
-}
-
-// Engine answers the paper's two query templates over one column.
-// Implementations must be safe for concurrent use.
+// AggregateSource answers the paper's two query templates over one
+// column with the one cost record of the stack, crackindex.OpStats.
+// Adaptive merging, hybrid crack-sort, the baselines and shard.Column
+// implement it as they are; a cracked column goes through
+// SourceFromIndex. Implementations must be safe for concurrent use.
 //
 // Every query carries a context: cancellation before any work returns
 // ctx.Err() with no refinement side effects, a deadline expiring while
 // the query is parked on a latch unparks it promptly, and a query that
 // returns a non-nil error returns no answer. context.Background()
 // follows the uncancellable fast path throughout.
+type AggregateSource interface {
+	// Count evaluates Q1: select count(*) where lo <= A < hi.
+	Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error)
+	// Sum evaluates Q2: select sum(A) where lo <= A < hi.
+	Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error)
+}
+
+// Engine is an AggregateSource with a display name: what the harness,
+// the experiments and the benchmarks drive.
 type Engine interface {
+	AggregateSource
 	// Name identifies the engine in experiment output.
 	Name() string
-	// Count evaluates Q1: select count(*) where lo <= A < hi.
-	Count(ctx context.Context, lo, hi int64) (Result, error)
-	// Sum evaluates Q2: select sum(A) where lo <= A < hi.
-	Sum(ctx context.Context, lo, hi int64) (Result, error)
 }
 
-// Crack adapts a cracked-column index to the Engine interface.
-type Crack struct {
-	adapter
-	ix *crackindex.Index
+// Named presents src as an Engine called name: a cracked column
+// (SourceFromIndex), a sharded column, or a method under a
+// configuration-specific label.
+func Named(src AggregateSource, name string) Engine { return named{src, name} }
+
+type named struct {
+	AggregateSource
+	name string
 }
 
-// NewCrack wraps ix; name defaults to "crack".
-func NewCrack(ix *crackindex.Index) *Crack {
-	return &Crack{adapter: adapter{src: SourceFromIndex(ix), name: "crack"}, ix: ix}
+// Name implements Engine.
+func (n named) Name() string { return n.name }
+
+// SourceFromIndex presents a cracked-column index as an
+// AggregateSource: the index's own Count and Sum take no context (its
+// paper-figure callers have none), CountCtx and SumCtx do.
+func SourceFromIndex(ix *crackindex.Index) AggregateSource { return indexSource{ix} }
+
+type indexSource struct{ ix *crackindex.Index }
+
+// Count implements AggregateSource.
+func (s indexSource) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	return s.ix.CountCtx(ctx, lo, hi)
 }
 
-// NewCrackNamed wraps ix with an explicit display name (used by the
-// ablation benchmarks to distinguish configurations).
-func NewCrackNamed(ix *crackindex.Index, name string) *Crack {
-	return &Crack{adapter: adapter{src: SourceFromIndex(ix), name: name}, ix: ix}
-}
-
-// Index returns the wrapped cracked-column index.
-func (c *Crack) Index() *crackindex.Index { return c.ix }
-
-func fromOpStats(v int64, st crackindex.OpStats) Result {
-	return Result{
-		Value:     v,
-		Wait:      st.Wait,
-		Refine:    st.Crack,
-		Critical:  st.Critical,
-		Conflicts: st.Conflicts,
-		Epochs:    st.Epochs,
-		Touched:   st.Touched,
-		Skipped:   st.Skipped,
-	}
+// Sum implements AggregateSource.
+func (s indexSource) Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	return s.ix.SumCtx(ctx, lo, hi)
 }

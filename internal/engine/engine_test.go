@@ -11,33 +11,33 @@ import (
 func TestCrackAdapter(t *testing.T) {
 	d := workload.NewUniqueUniform(5000, 3)
 	ix := crackindex.New(d.Values, crackindex.Options{Latching: crackindex.LatchPiece})
-	e := NewCrack(ix)
+	e := Named(SourceFromIndex(ix), "crack")
 	if e.Name() != "crack" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if e.Index() != ix {
-		t.Fatal("Index accessor lost the index")
-	}
-	r, err := e.Count(context.Background(), 100, 600)
+	n, st, err := e.Count(context.Background(), 100, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Value != 500 {
-		t.Fatalf("Count = %d", r.Value)
+	if n != 500 {
+		t.Fatalf("Count = %d", n)
 	}
-	if r.Refine == 0 {
+	if st.Refine == 0 {
 		t.Fatal("first query should report refinement time")
 	}
-	r, _ = e.Sum(context.Background(), 100, 600)
-	if want := int64((100 + 599) * 500 / 2); r.Value != want {
-		t.Fatalf("Sum = %d, want %d", r.Value, want)
+	s, _, _ := e.Sum(context.Background(), 100, 600)
+	if want := int64((100 + 599) * 500 / 2); s != want {
+		t.Fatalf("Sum = %d, want %d", s, want)
+	}
+	if ix.NumPieces() < 3 {
+		t.Fatalf("the adapter did not reach the index: %d pieces", ix.NumPieces())
 	}
 }
 
 func TestNamedAdapter(t *testing.T) {
 	d := workload.NewUniqueUniform(100, 5)
 	ix := crackindex.New(d.Values, crackindex.Options{})
-	e := NewCrackNamed(ix, "crack-fifo")
+	e := Named(SourceFromIndex(ix), "crack-fifo")
 	if e.Name() != "crack-fifo" {
 		t.Fatalf("Name = %q", e.Name())
 	}
@@ -49,10 +49,16 @@ func TestResultCarriesBreakdown(t *testing.T) {
 		Latching:   crackindex.LatchPiece,
 		OnConflict: crackindex.Skip,
 	})
-	e := NewCrack(ix)
+	e := Named(SourceFromIndex(ix), "crack")
 	// Without contention nothing is skipped and conflicts are zero.
-	r, _ := e.Count(context.Background(), 10, 500)
-	if r.Skipped || r.Conflicts != 0 {
-		t.Fatalf("unexpected contention markers: %+v", r)
+	_, st, _ := e.Count(context.Background(), 10, 500)
+	if st.Skipped || st.Conflicts != 0 {
+		t.Fatalf("unexpected contention markers: %+v", st)
+	}
+	// A cancelled context returns its error and no work.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, st, err := e.Sum(ctx, 600, 700); err != context.Canceled || st.Refine != 0 {
+		t.Fatalf("cancelled Sum: err %v, cost %+v", err, st)
 	}
 }

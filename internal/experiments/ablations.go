@@ -34,7 +34,7 @@ type AblationReport struct {
 // range partitions over the dataset (piece latches inside each shard).
 func shardedVariant(d *workload.Dataset, p int, seed uint64) func() engine.Engine {
 	return func() engine.Engine {
-		return engine.NewShardedNamed(shard.New(d.Values, shard.Options{
+		return engine.Named(shard.New(d.Values, shard.Options{
 			Shards: p, Seed: seed,
 			Index: crackindex.Options{Latching: crackindex.LatchPiece},
 		}), fmt.Sprintf("sharded/P=%d", p))
@@ -60,39 +60,39 @@ func Ablations(cfg Config, clients int, w io.Writer) *AblationReport {
 		mk   func() engine.Engine
 	}{
 		{"crack/piece/middle-first", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, Scheduling: latch.MiddleFirst}))
 		}},
 		{"crack/piece/fifo", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, Scheduling: latch.FIFO}))
 		}},
 		{"crack/serial-bounds", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece}))
 		}},
 		{"crack/parallel-bounds", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, ParallelBounds: true}))
 		}},
 		{"crack/layout-split", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, Layout: cracker.LayoutSplit}))
 		}},
 		{"crack/layout-pairs", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, Layout: cracker.LayoutPairs}))
 		}},
 		{"crack/wait", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, OnConflict: crackindex.Wait}))
 		}},
 		{"crack/skip(avoidance)", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, OnConflict: crackindex.Skip}))
 		}},
 		{"crack/group-cracking", func() engine.Engine {
-			return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+			return crack(crackindex.New(d.Values, crackindex.Options{
 				Latching: crackindex.LatchPiece, GroupCracking: true}))
 		}},
 		{"amerge", func() engine.Engine {

@@ -58,8 +58,13 @@ func (c Config) dataset() *workload.Dataset {
 	return workload.NewUniqueUniform(c.Rows, c.Seed)
 }
 
+// crack presents a cracked column as the "crack" engine.
+func crack(ix *crackindex.Index) engine.Engine {
+	return engine.Named(engine.SourceFromIndex(ix), "crack")
+}
+
 func pieceCrack(d *workload.Dataset) engine.Engine {
-	return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+	return crack(crackindex.New(d.Values, crackindex.Options{
 		Latching: crackindex.LatchPiece,
 	}))
 }
@@ -188,7 +193,7 @@ func Fig13(cfg Config, w io.Writer) *Fig13Report {
 	d := cfg.dataset()
 	qs := workload.Fixed(workload.NewUniform(workload.Sum, d.Domain, 0.0001, cfg.Seed+3), cfg.Queries)
 	run := func(mode crackindex.LatchMode) time.Duration {
-		e := engine.NewCrack(crackindex.New(d.Values, crackindex.Options{Latching: mode}))
+		e := crack(crackindex.New(d.Values, crackindex.Options{Latching: mode}))
 		return harness.Sequential(e, qs).Elapsed
 	}
 	rep := &Fig13Report{}
@@ -253,7 +258,7 @@ func Fig14(cfg Config, w io.Writer) *Fig14Report {
 		for si, sel := range rep.Selectivities {
 			qs := workload.Fixed(workload.NewUniform(p.kind, d.Domain, sel, cfg.Seed+4+uint64(si)), cfg.Queries)
 			runs := harness.Sweep(func() engine.Engine {
-				return engine.NewCrack(crackindex.New(d.Values, crackindex.Options{Latching: p.mode}))
+				return crack(crackindex.New(d.Values, crackindex.Options{Latching: p.mode}))
 			}, qs, cfg.Clients)
 			row := make([]time.Duration, len(runs))
 			for i, r := range runs {
@@ -310,7 +315,7 @@ func Fig15(cfg Config, w io.Writer) *Fig15Report {
 	run := harness.Execute(pieceCrack(d), qs, 8)
 	rep := &Fig15Report{}
 	for _, c := range run.Series.Costs {
-		rep.CrackTime = append(rep.CrackTime, c.Crack)
+		rep.CrackTime = append(rep.CrackTime, c.Refine)
 		rep.WaitTime = append(rep.WaitTime, c.Wait)
 		rep.Touched = append(rep.Touched, c.Touched)
 	}

@@ -35,7 +35,7 @@ type RWMixCell struct {
 	// operations during the run.
 	Applied, Splits, Merges int64
 	// Critical is the summed fan-out critical-path time of the read
-	// queries (the latency-oriented view; Wait/Crack sum total work).
+	// queries (the latency-oriented view; Wait/Refine sum total work).
 	Critical time.Duration
 	// WriterP99 is the 99th-percentile routed-write latency: a
 	// group-apply seals only the current epoch, so writers roll over

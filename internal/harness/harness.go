@@ -10,14 +10,101 @@ package harness
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"adaptix/internal/crackindex"
 	"adaptix/internal/engine"
-	"adaptix/internal/metrics"
 	"adaptix/internal/workload"
 )
+
+// QueryCost is one query's row of a run: when it ran, who ran it, how
+// long it took end to end, and the engine's own cost record for it —
+// latch wait, refinement, fan-out critical path, conflicts, epoch depth,
+// rows touched — exactly as the engine returned it.
+type QueryCost struct {
+	// Seq is the global sequence number of the query (arrival order
+	// across all clients, 0-based).
+	Seq int
+	// Client identifies the submitting client (0-based).
+	Client int
+	// Response is the end-to-end latency of the query.
+	Response time.Duration
+	crackindex.OpStats
+}
+
+// Series is an ordered collection of per-query costs.
+type Series struct {
+	Costs []QueryCost
+}
+
+// Total returns the sum of response times (NOT wall-clock; use the
+// harness elapsed time for concurrent runs).
+func (s *Series) Total() time.Duration {
+	var t time.Duration
+	for _, c := range s.Costs {
+		t += c.Response
+	}
+	return t
+}
+
+// RunningAverage returns the running average response time after each
+// query, i.e. the series of Figure 11(b).
+func (s *Series) RunningAverage() []time.Duration {
+	out := make([]time.Duration, len(s.Costs))
+	var sum time.Duration
+	for i, c := range s.Costs {
+		sum += c.Response
+		out[i] = sum / time.Duration(i+1)
+	}
+	return out
+}
+
+// SortBySeq orders the costs by global sequence number.
+func (s *Series) SortBySeq() {
+	sort.Slice(s.Costs, func(i, j int) bool { return s.Costs[i].Seq < s.Costs[j].Seq })
+}
+
+// TotalWait returns the summed latch wait time across all queries.
+func (s *Series) TotalWait() time.Duration {
+	var t time.Duration
+	for _, c := range s.Costs {
+		t += c.Wait
+	}
+	return t
+}
+
+// TotalRefine returns the summed index-refinement time across all
+// queries.
+func (s *Series) TotalRefine() time.Duration {
+	var t time.Duration
+	for _, c := range s.Costs {
+		t += c.Refine
+	}
+	return t
+}
+
+// TotalCritical returns the summed fan-out critical-path time across
+// all queries (the latency-oriented counterpart of TotalWait +
+// TotalRefine, which measure total work).
+func (s *Series) TotalCritical() time.Duration {
+	var t time.Duration
+	for _, c := range s.Costs {
+		t += c.Critical
+	}
+	return t
+}
+
+// TotalConflicts returns the summed conflict count.
+func (s *Series) TotalConflicts() int64 {
+	var n int64
+	for _, c := range s.Costs {
+		n += c.Conflicts
+	}
+	return n
+}
 
 // Run is the outcome of one experiment run.
 type Run struct {
@@ -30,7 +117,7 @@ type Run struct {
 	// answers for all its queries").
 	Elapsed time.Duration
 	// Series holds one cost record per query, ordered by completion.
-	Series metrics.Series
+	Series Series
 	// Checksum folds all query results together, letting callers
 	// verify that every engine computed identical answers.
 	Checksum int64
@@ -62,7 +149,7 @@ func Execute(e engine.Engine, queries []workload.Query, clients int) *Run {
 	}
 	per := len(queries) / clients
 
-	costs := make([][]metrics.QueryCost, clients)
+	costs := make([][]QueryCost, clients)
 	sums := make([]int64, clients)
 	var seq atomic.Int64
 
@@ -77,28 +164,24 @@ func Execute(e engine.Engine, queries []workload.Query, clients int) *Run {
 		wg.Add(1)
 		go func(c int, qs []workload.Query) {
 			defer wg.Done()
-			local := make([]metrics.QueryCost, 0, len(qs))
+			local := make([]QueryCost, 0, len(qs))
 			var checksum int64
 			for _, q := range qs {
 				t0 := time.Now()
-				var res engine.Result
+				var v int64
+				var st crackindex.OpStats
 				if q.Kind == workload.Count {
-					res, _ = e.Count(context.Background(), q.Lo, q.Hi)
+					v, st, _ = e.Count(context.Background(), q.Lo, q.Hi)
 				} else {
-					res, _ = e.Sum(context.Background(), q.Lo, q.Hi)
+					v, st, _ = e.Sum(context.Background(), q.Lo, q.Hi)
 				}
-				local = append(local, metrics.QueryCost{
-					Seq:       int(seq.Add(1) - 1),
-					Client:    c,
-					Response:  time.Since(t0),
-					Wait:      res.Wait,
-					Crack:     res.Refine,
-					Critical:  res.Critical,
-					Conflicts: res.Conflicts,
-					Touched:   res.Touched,
-					Skipped:   res.Skipped,
+				local = append(local, QueryCost{
+					Seq:      int(seq.Add(1) - 1),
+					Client:   c,
+					Response: time.Since(t0),
+					OpStats:  st,
 				})
-				checksum += res.Value
+				checksum += v
 			}
 			costs[c] = local
 			sums[c] = checksum

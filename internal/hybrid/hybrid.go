@@ -32,8 +32,8 @@ import (
 	"time"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/crackindex"
 	"adaptix/internal/directory"
-	"adaptix/internal/engine"
 	"adaptix/internal/latch"
 	"adaptix/internal/ranges"
 )
@@ -177,50 +177,49 @@ func (ix *Index) SkippedMoves() int64 { return ix.skipped.Load() }
 // SnapshotHits returns how many queries were served latch-free.
 func (ix *Index) SnapshotHits() int64 { return ix.snapHits.Load() }
 
-// Count implements engine.Engine (Q1).
-func (ix *Index) Count(ctx context.Context, lo, hi int64) (engine.Result, error) {
+// Count implements engine.AggregateSource (Q1).
+func (ix *Index) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	return ix.query(ctx, lo, hi, false)
 }
 
-// Sum implements engine.Engine (Q2).
-func (ix *Index) Sum(ctx context.Context, lo, hi int64) (engine.Result, error) {
+// Sum implements engine.AggregateSource (Q2).
+func (ix *Index) Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	return ix.query(ctx, lo, hi, true)
 }
 
-func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.Result, error) {
-	var res engine.Result
+func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (int64, crackindex.OpStats, error) {
+	var st crackindex.OpStats
 	if lo >= hi {
-		return res, nil
+		return 0, st, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return 0, st, err
 	}
-	if err := ix.ensureInit(ctx, &res); err != nil {
-		return res, err
+	if err := ix.ensureInit(ctx, &st); err != nil {
+		return 0, st, err
 	}
 
 	if s := ix.snap.Load(); s.covered.Covers(lo, hi) {
 		ix.snapHits.Add(1)
-		res.Value = s.aggregate(lo, hi, wantSum)
-		return res, nil
+		return s.aggregate(lo, hi, wantSum), st, nil
 	}
 
 	acquired := false
 	if ix.opts.OnConflict == Skip {
 		acquired = ix.lt.TryLock()
 		if !acquired {
-			res.Conflicts++
-			res.Skipped = true
+			st.Conflicts++
+			st.Skipped = true
 			ix.skipped.Add(1)
 		}
 	} else {
 		w, err := ix.lt.LockCtx(ctx, lo)
 		if w > 0 {
-			res.Wait += w
-			res.Conflicts++
+			st.Wait += w
+			st.Conflicts++
 		}
 		if err != nil {
-			return res, err
+			return 0, st, err
 		}
 		acquired = true
 	}
@@ -228,13 +227,12 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 	if acquired {
 		start := time.Now()
 		ix.extendLocked(lo, hi)
-		res.Refine += time.Since(start)
+		st.Refine += time.Since(start)
 		ix.lt.Downgrade()
 		// The range is now fully in the final partition.
-		s := ix.snap.Load()
-		res.Value = s.aggregate(lo, hi, wantSum)
+		v := ix.snap.Load().aggregate(lo, hi, wantSum)
 		ix.lt.RUnlock()
-		return res, nil
+		return v, st, nil
 	}
 
 	// Refinement skipped: answer from the final partition plus
@@ -242,11 +240,11 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 	// gaps, all under the read latch.
 	w, err := ix.lt.RLockCtx(ctx)
 	if w > 0 {
-		res.Wait += w
-		res.Conflicts++
+		st.Wait += w
+		st.Conflicts++
 	}
 	if err != nil {
-		return res, err
+		return 0, st, err
 	}
 	s := ix.snap.Load()
 	var total int64
@@ -277,8 +275,7 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 		}
 	}
 	ix.lt.RUnlock()
-	res.Value = total
-	return res, nil
+	return total, st, nil
 }
 
 // ensureInit builds the unsorted initial partitions on first use.
@@ -286,20 +283,20 @@ func (ix *Index) query(ctx context.Context, lo, hi int64, wantSum bool) (engine.
 // "first touch" of cracking (Figure 4: "data loaded into initial
 // partitions, without sorting"). A context error while parked behind
 // the builder abandons the query.
-func (ix *Index) ensureInit(ctx context.Context, res *engine.Result) error {
+func (ix *Index) ensureInit(ctx context.Context, st *crackindex.OpStats) error {
 	if ix.initOnce.Load() {
 		return nil
 	}
 	w, err := ix.lt.LockCtx(ctx, 0)
 	if err != nil {
-		res.Wait += w
-		res.Conflicts++
+		st.Wait += w
+		st.Conflicts++
 		return err
 	}
 	if ix.initOnce.Load() {
 		ix.lt.Unlock()
-		res.Wait += w
-		res.Conflicts++
+		st.Wait += w
+		st.Conflicts++
 		return nil
 	}
 	start := time.Now()
@@ -311,7 +308,7 @@ func (ix *Index) ensureInit(ctx context.Context, res *engine.Result) error {
 		ix.parts = append(ix.parts, &part{arr: cracker.New(ix.base[off:end], ix.opts.Layout)})
 	}
 	ix.initOnce.Store(true)
-	res.Refine += time.Since(start)
+	st.Refine += time.Since(start)
 	ix.lt.Unlock()
 	return nil
 }

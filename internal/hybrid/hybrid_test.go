@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/crackindex"
 	"adaptix/internal/engine"
 	"adaptix/internal/workload"
 )
@@ -140,7 +141,7 @@ func TestSkipPolicy(t *testing.T) {
 	ix := New(d.Values, Options{PartitionSize: 1 << 10, OnConflict: Skip})
 	qCount(ix, 0, 10) // init
 	ix.lt.Lock(0)
-	done := make(chan engine.Result, 1)
+	done := make(chan result, 1)
 	go func() { done <- qCount(ix, 5000, 6000) }()
 	for ix.SkippedMoves() == 0 {
 		time.Sleep(time.Millisecond)
@@ -202,14 +203,20 @@ func TestCrackBoundLocal(t *testing.T) {
 	}
 }
 
-// qCount / qSum drive the context-aware Engine surface with
-// context.Background(), the uncancellable fast path the tests measure.
-func qCount(e engine.Engine, lo, hi int64) engine.Result {
-	r, _ := e.Count(context.Background(), lo, hi)
-	return r
+// result is one query's answer with its cost record.
+type result struct {
+	Value int64
+	crackindex.OpStats
 }
 
-func qSum(e engine.Engine, lo, hi int64) engine.Result {
-	r, _ := e.Sum(context.Background(), lo, hi)
-	return r
+// qCount / qSum drive the context-aware Engine surface with
+// context.Background(), the uncancellable fast path the tests measure.
+func qCount(e engine.Engine, lo, hi int64) result {
+	v, st, _ := e.Count(context.Background(), lo, hi)
+	return result{v, st}
+}
+
+func qSum(e engine.Engine, lo, hi int64) result {
+	v, st, _ := e.Sum(context.Background(), lo, hi)
+	return result{v, st}
 }

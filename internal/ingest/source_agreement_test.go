@@ -34,10 +34,10 @@ func TestSourceShardWriteAgreement(t *testing.T) {
 		mk   func(values []int64) engine.AggregateSource
 	}{
 		{"amerge", func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(amerge.New(values, amerge.Options{RunSize: 1 << 10}))
+			return amerge.New(values, amerge.Options{RunSize: 1 << 10})
 		}},
 		{"hybrid", func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(hybrid.New(values, hybrid.Options{PartitionSize: 1 << 10}))
+			return hybrid.New(values, hybrid.Options{PartitionSize: 1 << 10})
 		}},
 	}
 	for _, src := range sources {

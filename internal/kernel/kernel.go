@@ -25,10 +25,12 @@ import "math"
 // uint64 bit per row.
 const ChunkSize = 64
 
-// b2u converts a bool to 0/1. The compiler lowers this pattern to a
+// B2U converts a bool to 0/1. The compiler lowers this pattern to a
 // flag-materializing instruction (SETcc on amd64, CSET on arm64), so
-// predicates built from it evaluate without a data-dependent branch.
-func b2u(b bool) uint64 {
+// predicates built from it evaluate without a data-dependent branch —
+// the one helper behind every branch-free loop: these kernels, the
+// cracker's partition passes, and the shard build's cut search.
+func B2U(b bool) uint64 {
 	if b {
 		return 1
 	}
@@ -45,13 +47,13 @@ func Mask64(v []int64, lo, hi int64) uint64 {
 	var m uint64
 	var j int
 	for ; j+4 <= len(v); j += 4 {
-		m |= (b2u(v[j] >= lo) & b2u(v[j] < hi)) << uint(j)
-		m |= (b2u(v[j+1] >= lo) & b2u(v[j+1] < hi)) << uint(j+1)
-		m |= (b2u(v[j+2] >= lo) & b2u(v[j+2] < hi)) << uint(j+2)
-		m |= (b2u(v[j+3] >= lo) & b2u(v[j+3] < hi)) << uint(j+3)
+		m |= (B2U(v[j] >= lo) & B2U(v[j] < hi)) << uint(j)
+		m |= (B2U(v[j+1] >= lo) & B2U(v[j+1] < hi)) << uint(j+1)
+		m |= (B2U(v[j+2] >= lo) & B2U(v[j+2] < hi)) << uint(j+2)
+		m |= (B2U(v[j+3] >= lo) & B2U(v[j+3] < hi)) << uint(j+3)
 	}
 	for ; j < len(v); j++ {
-		m |= (b2u(v[j] >= lo) & b2u(v[j] < hi)) << uint(j)
+		m |= (B2U(v[j] >= lo) & B2U(v[j] < hi)) << uint(j)
 	}
 	return m
 }
@@ -66,14 +68,14 @@ func CountRange(v []int64, lo, hi int64) int64 {
 	var j int
 	for ; j+4 <= len(v); j += 4 {
 		x0, x1, x2, x3 := v[j], v[j+1], v[j+2], v[j+3]
-		c0 += int64(b2u(x0 >= lo) & b2u(x0 < hi))
-		c1 += int64(b2u(x1 >= lo) & b2u(x1 < hi))
-		c2 += int64(b2u(x2 >= lo) & b2u(x2 < hi))
-		c3 += int64(b2u(x3 >= lo) & b2u(x3 < hi))
+		c0 += int64(B2U(x0 >= lo) & B2U(x0 < hi))
+		c1 += int64(B2U(x1 >= lo) & B2U(x1 < hi))
+		c2 += int64(B2U(x2 >= lo) & B2U(x2 < hi))
+		c3 += int64(B2U(x3 >= lo) & B2U(x3 < hi))
 	}
 	for ; j < len(v); j++ {
 		x := v[j]
-		c0 += int64(b2u(x >= lo) & b2u(x < hi))
+		c0 += int64(B2U(x >= lo) & B2U(x < hi))
 	}
 	return c0 + c1 + c2 + c3
 }
@@ -86,14 +88,14 @@ func SumRange(v []int64, lo, hi int64) int64 {
 	var j int
 	for ; j+4 <= len(v); j += 4 {
 		x0, x1, x2, x3 := v[j], v[j+1], v[j+2], v[j+3]
-		s0 += x0 & -int64(b2u(x0 >= lo)&b2u(x0 < hi))
-		s1 += x1 & -int64(b2u(x1 >= lo)&b2u(x1 < hi))
-		s2 += x2 & -int64(b2u(x2 >= lo)&b2u(x2 < hi))
-		s3 += x3 & -int64(b2u(x3 >= lo)&b2u(x3 < hi))
+		s0 += x0 & -int64(B2U(x0 >= lo)&B2U(x0 < hi))
+		s1 += x1 & -int64(B2U(x1 >= lo)&B2U(x1 < hi))
+		s2 += x2 & -int64(B2U(x2 >= lo)&B2U(x2 < hi))
+		s3 += x3 & -int64(B2U(x3 >= lo)&B2U(x3 < hi))
 	}
 	for ; j < len(v); j++ {
 		x := v[j]
-		s0 += x & -int64(b2u(x >= lo)&b2u(x < hi))
+		s0 += x & -int64(B2U(x >= lo)&B2U(x < hi))
 	}
 	return s0 + s1 + s2 + s3
 }

@@ -4,17 +4,12 @@
 // "what was the index doing right before the stall?" without any
 // prior configuration — the events are already there.
 //
-// Recording is wait-free: a writer claims a slot with one atomic add
-// and publishes through per-field atomics guarded by a slot sequence
-// number (even = stable, odd = being written), so a concurrent Dump
-// observes either the old event, the new event, or skips the slot —
-// never a torn mix. No locks, no allocation, race-detector clean.
+// Recording is wait-free and allocation-free: the events live in a Ring
+// (ring.go), so a concurrent Dump observes either the old event, the
+// new event, or skips the slot — never a torn mix.
 package metrics
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // EventKind classifies a flight-recorder event.
 type EventKind int32
@@ -99,24 +94,14 @@ type Event struct {
 	B int64 `json:"b"`
 }
 
-// flightSlot stores one event entirely in atomics so concurrent
-// record/dump stays race-free. seq doubles as the publication guard:
-// odd while a writer is mid-update, even (and equal to 2*(eventSeq+1))
-// once stable.
-type flightSlot struct {
-	seq       atomic.Uint64
-	when      atomic.Int64 // unix nanos
-	dur       atomic.Int64
-	kindShard atomic.Int64 // kind<<32 | uint32(shard)
-	a         atomic.Int64
-	b         atomic.Int64
-}
+// flightWords is the width of one event in the ring: when (unix nanos),
+// dur, kind<<32 | uint32(shard), a, b.
+const flightWords = 5
 
-// Flight is the ring buffer itself. The zero value is unusable; use
+// Flight is the flight recorder itself. The zero value is unusable; use
 // NewFlight.
 type Flight struct {
-	slots []flightSlot
-	next  atomic.Uint64 // next event sequence number
+	ring *Ring
 }
 
 // NewFlight returns a recorder retaining the last n events (n is
@@ -125,67 +110,42 @@ func NewFlight(n int) *Flight {
 	if n < 16 {
 		n = 16
 	}
-	return &Flight{slots: make([]flightSlot, n)}
+	return &Flight{ring: NewRing(n, flightWords)}
 }
-
-// Cap returns the ring capacity.
-func (f *Flight) Cap() int { return len(f.slots) }
 
 // Record captures one event, overwriting the oldest when the ring is
 // full. Wait-free and allocation-free.
 func (f *Flight) Record(kind EventKind, shard int32, dur time.Duration, a, b int64) {
-	seq := f.next.Add(1) - 1
-	s := &f.slots[seq%uint64(len(f.slots))]
-	// Mark the slot in-progress (odd), fill, then publish (even). A
-	// dump that reads an odd or changed seq discards the slot.
-	s.seq.Store(2*seq + 1)
-	s.when.Store(time.Now().UnixNano())
-	s.dur.Store(int64(dur))
-	s.kindShard.Store(int64(kind)<<32 | int64(uint32(shard)))
-	s.a.Store(a)
-	s.b.Store(b)
-	s.seq.Store(2 * (seq + 1))
+	f.ring.Push(time.Now().UnixNano(), int64(dur), int64(kind)<<32|int64(uint32(shard)), a, b)
 }
 
 // Len returns the number of events currently retained.
 func (f *Flight) Len() int {
-	n := f.next.Load()
-	if n > uint64(len(f.slots)) {
-		return len(f.slots)
-	}
-	return int(n)
+	lo, hi := f.ring.Window()
+	return int(hi - lo)
 }
 
 // Dump returns the retained events oldest first. Slots being
 // concurrently overwritten are skipped rather than returned torn.
 func (f *Flight) Dump() []Event {
-	hi := f.next.Load()
-	lo := uint64(0)
-	if hi > uint64(len(f.slots)) {
-		lo = hi - uint64(len(f.slots))
-	}
+	lo, hi := f.ring.Window()
 	out := make([]Event, 0, hi-lo)
+	var w [flightWords]int64
 	for seq := lo; seq < hi; seq++ {
-		s := &f.slots[seq%uint64(len(f.slots))]
-		want := 2 * (seq + 1)
-		if s.seq.Load() != want {
+		if f.ring.Read(seq, w[:]) != 0 {
 			continue // unwritten, in-progress, or already overwritten
 		}
-		ks := s.kindShard.Load()
-		ev := Event{
-			Seq:   seq,
-			When:  time.Unix(0, s.when.Load()),
-			Dur:   time.Duration(s.dur.Load()),
-			A:     s.a.Load(),
-			B:     s.b.Load(),
-			Shard: int32(uint32(ks)),
-			Kind:  EventKind(ks >> 32),
-		}
-		if s.seq.Load() != want {
-			continue // overwritten while decoding: discard the torn read
-		}
-		ev.KindName = ev.Kind.String()
-		out = append(out, ev)
+		kind := EventKind(w[2] >> 32)
+		out = append(out, Event{
+			Seq:      seq,
+			When:     time.Unix(0, w[0]),
+			Kind:     kind,
+			KindName: kind.String(),
+			Shard:    int32(uint32(w[2])),
+			Dur:      time.Duration(w[1]),
+			A:        w[3],
+			B:        w[4],
+		})
 	}
 	return out
 }

@@ -43,34 +43,6 @@ func TestDurationCounter(t *testing.T) {
 	}
 }
 
-func TestSeriesAggregates(t *testing.T) {
-	s := Series{Costs: []QueryCost{
-		{Seq: 2, Response: 30 * time.Millisecond, Wait: 3 * time.Millisecond, Crack: 1 * time.Millisecond, Conflicts: 1},
-		{Seq: 0, Response: 10 * time.Millisecond, Wait: 1 * time.Millisecond, Crack: 5 * time.Millisecond, Conflicts: 2},
-		{Seq: 1, Response: 20 * time.Millisecond, Wait: 2 * time.Millisecond, Crack: 3 * time.Millisecond},
-	}}
-	if s.Total() != 60*time.Millisecond {
-		t.Fatalf("Total = %v", s.Total())
-	}
-	if s.TotalWait() != 6*time.Millisecond {
-		t.Fatalf("TotalWait = %v", s.TotalWait())
-	}
-	if s.TotalCrack() != 9*time.Millisecond {
-		t.Fatalf("TotalCrack = %v", s.TotalCrack())
-	}
-	if s.TotalConflicts() != 3 {
-		t.Fatalf("TotalConflicts = %d", s.TotalConflicts())
-	}
-	s.SortBySeq()
-	if s.Costs[0].Seq != 0 || s.Costs[2].Seq != 2 {
-		t.Fatal("SortBySeq failed")
-	}
-	avg := s.RunningAverage()
-	if avg[0] != 10*time.Millisecond || avg[1] != 15*time.Millisecond || avg[2] != 20*time.Millisecond {
-		t.Fatalf("RunningAverage = %v", avg)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Header: []string{"name", "value"}}
 	tab.Add("scan", "3.8s")

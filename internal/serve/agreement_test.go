@@ -34,12 +34,12 @@ type scanEng struct{ m *baseline.Mutable }
 func (e scanEng) Insert(v int64)           { e.m.Insert(v) }
 func (e scanEng) DeleteValue(v int64) bool { return e.m.DeleteValue(v) }
 func (e scanEng) Count(lo, hi int64) int64 {
-	r, _ := e.m.Count(qctx, lo, hi)
-	return r.Value
+	n, _, _ := e.m.Count(qctx, lo, hi)
+	return n
 }
 func (e scanEng) Sum(lo, hi int64) int64 {
-	r, _ := e.m.Sum(qctx, lo, hi)
-	return r.Value
+	s, _, _ := e.m.Sum(qctx, lo, hi)
+	return s
 }
 
 // clientEng drives one protocol connection; errors panic because the

@@ -40,13 +40,13 @@ func TestCrossEngineChecksumAgreement(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/clients=%d", s.name, clients), func(t *testing.T) {
 				engines := []engine.Engine{
 					baseline.NewScan(d.Values),
-					engine.NewCrack(crackindex.New(d.Values, crackindex.Options{
+					engine.Named(engine.SourceFromIndex(crackindex.New(d.Values, crackindex.Options{
 						Latching: crackindex.LatchPiece,
-					})),
-					engine.NewSharded(shard.New(d.Values, shard.Options{
+					})), "crack"),
+					engine.Named(shard.New(d.Values, shard.Options{
 						Shards: 4, Seed: 5,
 						Index: crackindex.Options{Latching: crackindex.LatchPiece},
-					})),
+					}), "sharded"),
 				}
 				want := harness.Execute(engines[0], qs, clients).Checksum
 				for _, e := range engines[1:] {
@@ -68,10 +68,10 @@ func TestShardedEngineAgainstDuplicates(t *testing.T) {
 	qs := workload.Fixed(workload.NewUniform(workload.Sum, d.Domain, 0.05, 17), 128)
 	for _, clients := range []int{1, 4} {
 		scan := harness.Execute(baseline.NewScan(d.Values), qs, clients)
-		sharded := harness.Execute(engine.NewSharded(shard.New(d.Values, shard.Options{
+		sharded := harness.Execute(engine.Named(shard.New(d.Values, shard.Options{
 			Shards: 8,
 			Index:  crackindex.Options{Latching: crackindex.LatchPiece},
-		})), qs, clients)
+		}), "sharded"), qs, clients)
 		if sharded.Checksum != scan.Checksum {
 			t.Errorf("clients=%d: sharded checksum %d, scan %d", clients, sharded.Checksum, scan.Checksum)
 		}
@@ -79,8 +79,8 @@ func TestShardedEngineAgainstDuplicates(t *testing.T) {
 }
 
 // TestCustomSourceShards builds the sharded column over adaptive-merge
-// and hybrid per-shard indexes through Options.Source +
-// engine.SourceFromEngine, and checks answers and the unified write
+// and hybrid per-shard indexes through Options.Source, and checks
+// answers and the unified write
 // surface: custom-source shards take routed writes through the same
 // epoch chains as cracked shards, and group-applies rebuild them
 // through the source factory.
@@ -95,16 +95,16 @@ func TestCustomSourceShards(t *testing.T) {
 		mk   func(values []int64) engine.AggregateSource
 	}{
 		{"amerge", func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(amerge.New(values, amerge.Options{}))
+			return amerge.New(values, amerge.Options{})
 		}},
 		{"hybrid", func(values []int64) engine.AggregateSource {
-			return engine.SourceFromEngine(hybrid.New(values, hybrid.Options{}))
+			return hybrid.New(values, hybrid.Options{})
 		}},
 	}
 	for _, src := range sources {
 		for _, clients := range []int{1, 4} {
 			col := shard.New(d.Values, shard.Options{Shards: 4, Seed: 5, Source: src.mk})
-			run := harness.Execute(engine.NewShardedNamed(col, "sharded/"+src.name), qs, clients)
+			run := harness.Execute(engine.Named(col, "sharded/"+src.name), qs, clients)
 			if run.Checksum != want {
 				t.Errorf("%s clients=%d: checksum %d, scan %d", src.name, clients, run.Checksum, want)
 			}
@@ -146,7 +146,7 @@ func TestCustomSourceShards(t *testing.T) {
 
 // TestCriticalPathStat checks the fan-out critical-path metric: for a
 // query spanning several shards, Critical must be positive and no
-// larger than the total work (Wait + Crack) ... it can legitimately
+// larger than the total work (Wait + Refine) ... it can legitimately
 // exceed pure refinement time since it includes scan time, but it must
 // never exceed the query's end-to-end response time.
 func TestCriticalPathStat(t *testing.T) {
@@ -155,12 +155,11 @@ func TestCriticalPathStat(t *testing.T) {
 		Shards: 8, Seed: 5,
 		Index: crackindex.Options{Latching: crackindex.LatchPiece},
 	})
-	e := engine.NewSharded(col)
 	start := time.Now()
 	// Clip one value off each end: the fringe shards are only partially
 	// covered, so the query must fan out to real sub-queries instead of
 	// being answered purely from the precomputed aggregates.
-	res, err := e.Sum(context.Background(), 1, d.Domain-1)
+	_, res, err := col.Sum(context.Background(), 1, d.Domain-1)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"adaptix/internal/crackindex"
+	"adaptix/internal/kernel"
 	"adaptix/internal/workload"
 )
 
@@ -94,19 +95,12 @@ func (r *router) fill(cuts []int64, k int) []int64 {
 	return r.fill(cuts, 2*k+2)
 }
 
-func b2u(b bool) uint {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // of returns the number of cuts <= v. (The min is for v == maxKey, which
 // the padding compares <= to as well.)
 func (r *router) of(v int64) int {
 	var k uint
 	for range r.levels {
-		k = 2*k + 1 + b2u(r.tree[k] <= v)
+		k = 2*k + 1 + uint(kernel.B2U(r.tree[k] <= v))
 	}
 	return min(int(k)-len(r.tree), r.n)
 }
@@ -124,10 +118,10 @@ type bucketAgg struct {
 // four cursors and values — inlined into route it spills them.
 func search4(tree []int64, levels int, v0, v1, v2, v3 int64) (k0, k1, k2, k3 uint) {
 	for range levels {
-		k0 = 2*k0 + 1 + b2u(tree[k0] <= v0)
-		k1 = 2*k1 + 1 + b2u(tree[k1] <= v1)
-		k2 = 2*k2 + 1 + b2u(tree[k2] <= v2)
-		k3 = 2*k3 + 1 + b2u(tree[k3] <= v3)
+		k0 = 2*k0 + 1 + uint(kernel.B2U(tree[k0] <= v0))
+		k1 = 2*k1 + 1 + uint(kernel.B2U(tree[k1] <= v1))
+		k2 = 2*k2 + 1 + uint(kernel.B2U(tree[k2] <= v2))
+		k3 = 2*k3 + 1 + uint(kernel.B2U(tree[k3] <= v3))
 	}
 	return k0, k1, k2, k3
 }

@@ -214,7 +214,7 @@ func TestFreshColumnStartsCoarse(t *testing.T) {
 func TestCustomSourceShardsGetNoSeeds(t *testing.T) {
 	d := workload.NewUniqueUniform(20_000, 6)
 	opts := Options{Shards: 4, Seed: 8, Source: func(values []int64) engine.AggregateSource {
-		return engine.SourceFromEngine(amerge.New(values, amerge.Options{}))
+		return amerge.New(values, amerge.Options{})
 	}}
 	c := buildWith(d.Values, opts, 128, 2)
 	if err := c.Validate(); err != nil {

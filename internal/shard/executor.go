@@ -21,7 +21,7 @@ import (
 
 // Count evaluates Q1 — select count(*) where lo <= A < hi — fanning
 // out to the overlapping shards and cracking each as a side effect.
-// The returned OpStats sums the sub-queries' wait/crack time and
+// The returned OpStats sums the sub-queries' wait/refine time and
 // conflicts (total work across cores) and reports the slowest
 // sub-query's elapsed time as Critical (the fan-out critical path).
 func (c *Column) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
@@ -206,7 +206,7 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 		for _, r := range res {
 			total += r.val
 			merged.Wait += r.st.Wait
-			merged.Crack += r.st.Crack
+			merged.Refine += r.st.Refine
 			merged.Touched += r.st.Touched
 			merged.Conflicts += r.st.Conflicts
 			merged.Skipped = merged.Skipped || r.st.Skipped
@@ -222,7 +222,7 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 		merged.Critical = time.Since(t0)
 	}
 	ob.RecordQueryProfile(lo, hi, covered+hits+int64(len(targets)), covered, merged.Touched)
-	ob.RecordQuery(span, merged.Wait, merged.Crack, merged.Critical)
+	ob.RecordQuery(span, merged.Wait, merged.Refine, merged.Critical)
 	c.capture(ctx, wantSum, lo, hi, total, merged.Touched, merged.Epochs)
 	return total, merged, nil
 }

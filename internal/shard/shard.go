@@ -86,8 +86,8 @@ type Options struct {
 	// Source, when non-nil, builds each per-shard index from the
 	// shard's value slice instead of the default cracked index, so the
 	// fan-out executor can drive any engine.AggregateSource — sharded
-	// adaptive merging, sharded hybrid crack-sort (adapt an Engine with
-	// engine.SourceFromEngine). Custom-source shards carry the same
+	// adaptive merging, sharded hybrid crack-sort, the baselines, each
+	// as it is. Custom-source shards carry the same
 	// epoch-chain write surface as cracked shards: Insert and
 	// DeleteValue route into the owning shard's differential epochs,
 	// group-applies rebuild the shard through the Source factory, and

@@ -267,7 +267,7 @@ func TestConvergedFanOutRunsInline(t *testing.T) {
 			if err != nil || got != want {
 				t.Errorf("converged query (sum %t) = %d, %v; want %d", wantSum, got, err, want)
 			}
-			if st.Touched != 0 || st.Crack != 0 || st.Critical <= 0 {
+			if st.Touched != 0 || st.Refine != 0 || st.Critical <= 0 {
 				t.Errorf("converged query (sum %t) cost %+v: want no row touched and a critical path", wantSum, st)
 			}
 		}

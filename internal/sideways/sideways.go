@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"adaptix/internal/cracker"
+	"adaptix/internal/crackindex"
 	"adaptix/internal/directory"
 	"adaptix/internal/latch"
 )
@@ -49,16 +50,6 @@ const (
 type Options struct {
 	// OnConflict selects waiting versus conflict avoidance.
 	OnConflict ConflictPolicy
-}
-
-// OpStats is the per-operation cost breakdown.
-type OpStats struct {
-	// Wait is time spent blocked on the map latch.
-	Wait time.Duration
-	// Crack is time spent reorganizing the map.
-	Crack time.Duration
-	// Skipped reports that the optional crack was forgone.
-	Skipped bool
 }
 
 // Map is one cracker map M(head, tail).
@@ -108,7 +99,7 @@ func (m *Map) Initialized() bool { return m.initDone.Load() }
 
 // ensureInit materializes the (head, tail) pairs under the write
 // latch, charging the copy to the first query's crack time.
-func (m *Map) ensureInit(st *OpStats) {
+func (m *Map) ensureInit(st *crackindex.OpStats) {
 	if m.initDone.Load() {
 		return
 	}
@@ -121,7 +112,7 @@ func (m *Map) ensureInit(st *OpStats) {
 	start := time.Now()
 	m.arr = cracker.NewDual(m.hdr, m.tlr)
 	m.initDone.Store(true)
-	st.Crack += time.Since(start)
+	st.Refine += time.Since(start)
 	m.lt.Unlock()
 }
 
@@ -142,8 +133,8 @@ func (m *Map) crackBoundLocked(v int64) int {
 // The map is cracked on (lo, hi) as a side effect; the aggregation
 // runs under a downgraded (shared) latch over the now-contiguous
 // qualifying pairs.
-func (m *Map) SumTargetWhere(lo, hi int64) (int64, OpStats) {
-	var st OpStats
+func (m *Map) SumTargetWhere(lo, hi int64) (int64, crackindex.OpStats) {
+	var st crackindex.OpStats
 	if lo >= hi {
 		return 0, st
 	}
@@ -170,7 +161,7 @@ func (m *Map) SumTargetWhere(lo, hi int64) (int64, OpStats) {
 	start := time.Now()
 	posLo := m.crackBoundLocked(lo)
 	posHi := m.crackBoundLocked(hi)
-	st.Crack += time.Since(start)
+	st.Refine += time.Since(start)
 	// Downgrade W -> R (§3.3) and aggregate the contiguous tails.
 	m.lt.Downgrade()
 	s := m.arr.SumTail(posLo, posHi)
@@ -180,8 +171,8 @@ func (m *Map) SumTargetWhere(lo, hi int64) (int64, OpStats) {
 
 // CountWhere evaluates select count(*) where lo <= head < hi via the
 // map (boundary positions are permanent once cracked).
-func (m *Map) CountWhere(lo, hi int64) (int64, OpStats) {
-	var st OpStats
+func (m *Map) CountWhere(lo, hi int64) (int64, crackindex.OpStats) {
+	var st crackindex.OpStats
 	if lo >= hi {
 		return 0, st
 	}
@@ -204,7 +195,7 @@ func (m *Map) CountWhere(lo, hi int64) (int64, OpStats) {
 	start := time.Now()
 	posLo := m.crackBoundLocked(lo)
 	posHi := m.crackBoundLocked(hi)
-	st.Crack += time.Since(start)
+	st.Refine += time.Since(start)
 	m.lt.Unlock()
 	return int64(posHi - posLo), st
 }

@@ -70,7 +70,7 @@ func TestLazyInitialization(t *testing.T) {
 		t.Fatal("initialized before first query")
 	}
 	_, st := m.SumTargetWhere(10, 20)
-	if !m.Initialized() || st.Crack == 0 {
+	if !m.Initialized() || st.Refine == 0 {
 		t.Fatal("first query should materialize and charge the map")
 	}
 }
@@ -111,9 +111,9 @@ func TestAdaptiveConvergence(t *testing.T) {
 	for i, q := range qs {
 		_, st := m.SumTargetWhere(q.Lo, q.Hi)
 		if i < 32 {
-			first += int64(st.Crack)
+			first += int64(st.Refine)
 		} else if i >= 96 {
-			last += int64(st.Crack)
+			last += int64(st.Refine)
 		}
 	}
 	if last*2 >= first {

@@ -58,7 +58,7 @@ func (r *Recorder) Signature() Signature {
 		return Signature{}
 	}
 	sig := Signature{
-		Enabled: r.enabled.Load() || r.slots != nil,
+		Enabled: r.enabled.Load() || r.ring != nil,
 		Reads:   r.reads.Load(),
 		Writes:  r.writes.Load(),
 		Dropped: r.dropped.Load(),

@@ -16,10 +16,10 @@
 // optional size-rotated on-disk trace file persists the full stream
 // for offline replay.
 //
-// Recording is wait-free and allocation-free: a writer claims a slot
-// with one atomic add and publishes through per-field atomics guarded
-// by a slot sequence number (odd while mid-write, even once stable) —
-// the same discipline as metrics.Flight. The disabled path is a nil
+// Recording is wait-free and allocation-free: the records live in a
+// metrics.Ring, the lock-free ring under the flight recorder too, and
+// the sink drainer keeps its own cursor over the ring's sequence
+// numbers (drain). The disabled path is a nil
 // check plus one atomic load, so a recorder is threaded through the
 // hot paths unconditionally and stays inside the query path's 0-alloc
 // and ≤5% observability overhead gates.
@@ -144,19 +144,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// slot stores one record entirely in atomics so concurrent
-// record/drain/Retained stay race-free. seq doubles as the publication
-// guard: odd while a writer is mid-update, even (and equal to
-// 2*(recordSeq+1)) once stable — the metrics.Flight discipline.
-type slot struct {
-	seq  atomic.Uint64
-	meta atomic.Uint64 // kind<<56 | method<<48 | epochs<<32 | tag
-	t    atomic.Int64
-	lo   atomic.Int64
-	hi   atomic.Int64
-	res  atomic.Int64
-	tch  atomic.Int64
-}
+// recWords is the width of one record in the ring: meta (kind<<56 |
+// method<<48 | epochs<<32 | tag), t, lo, hi, result, touched.
+const recWords = 6
 
 // Recorder captures one index's workload stream. All recording methods
 // are nil-safe, wait-free, and allocation-free; a disabled recorder
@@ -168,8 +158,7 @@ type Recorder struct {
 	tick        atomic.Uint64 // sampling clock (all operations)
 	method      atomic.Uint32 // capture-side adaptix.Method ordinal
 
-	slots []slot
-	next  atomic.Uint64 // next record sequence number
+	ring *metrics.Ring // nil while disabled
 
 	// Streaming signature state. The last-read fields are a telemetry
 	// sketch: concurrent readers may interleave their updates, which
@@ -222,7 +211,7 @@ func New(o Options, enabled bool, ob *metrics.Observer) (*Recorder, error) {
 	}
 	o = o.withDefaults()
 	r.sampleEvery = uint64(o.SampleEvery)
-	r.slots = make([]slot, o.Ring)
+	r.ring = metrics.NewRing(o.Ring, recWords)
 	if o.Sink != "" {
 		s, err := newTraceSink(o.Sink, o.MaxBytes)
 		if err != nil {
@@ -353,32 +342,22 @@ func (r *Recorder) push(kind RecKind, tag string, lo, hi, result, touched int64,
 	}
 	meta := uint64(kind)<<56 | uint64(r.method.Load()&0xff)<<48 |
 		uint64(uint16(epochs))<<32 | uint64(hashTag(tag))
-	seq := r.next.Add(1) - 1
-	s := &r.slots[seq%uint64(len(r.slots))]
-	s.seq.Store(2*seq + 1)
-	s.meta.Store(meta)
-	s.t.Store(time.Now().UnixNano())
-	s.lo.Store(lo)
-	s.hi.Store(hi)
-	s.res.Store(result)
-	s.tch.Store(touched)
-	s.seq.Store(2 * (seq + 1))
+	r.ring.Push(int64(meta), time.Now().UnixNano(), lo, hi, result, touched)
 }
 
-// decodeSlot reads one stable slot into a Record (caller re-validates
-// the slot sequence afterwards).
-func decodeSlot(s *slot) Record {
-	meta := s.meta.Load()
+// decode unpacks one record's ring words.
+func decode(w *[recWords]int64) Record {
+	meta := uint64(w[0])
 	return Record{
 		Kind:    RecKind(meta >> 56),
 		Method:  uint8(meta >> 48),
 		Epochs:  uint16(meta >> 32),
 		Tag:     uint32(meta),
-		T:       s.t.Load(),
-		Lo:      s.lo.Load(),
-		Hi:      s.hi.Load(),
-		Result:  s.res.Load(),
-		Touched: s.tch.Load(),
+		T:       w[1],
+		Lo:      w[2],
+		Hi:      w[3],
+		Result:  w[4],
+		Touched: w[5],
 	}
 }
 
@@ -401,26 +380,16 @@ func hashTag(s string) uint32 {
 // are skipped rather than returned torn. Nil-safe (nil on a disabled
 // recorder).
 func (r *Recorder) Retained() []Record {
-	if r == nil || r.slots == nil {
+	if r == nil || r.ring == nil {
 		return nil
 	}
-	hi := r.next.Load()
-	lo := uint64(0)
-	if hi > uint64(len(r.slots)) {
-		lo = hi - uint64(len(r.slots))
-	}
+	lo, hi := r.ring.Window()
 	out := make([]Record, 0, hi-lo)
+	var w [recWords]int64
 	for seq := lo; seq < hi; seq++ {
-		s := &r.slots[seq%uint64(len(r.slots))]
-		want := 2 * (seq + 1)
-		if s.seq.Load() != want {
-			continue
+		if r.ring.Read(seq, w[:]) == 0 {
+			out = append(out, decode(&w))
 		}
-		rec := decodeSlot(s)
-		if s.seq.Load() != want {
-			continue // overwritten while decoding: discard the torn read
-		}
-		out = append(out, rec)
 	}
 	return out
 }
@@ -472,36 +441,26 @@ func (r *Recorder) drainLoop() {
 // stops the pass (retried next tick). Runs only on the drainer
 // goroutine, or on Close after the drainer has exited.
 func (r *Recorder) drain() {
-	hi := r.next.Load()
+	floor, hi := r.ring.Window()
 	cur := r.cursor
-	if hi > uint64(len(r.slots)) {
-		if floor := hi - uint64(len(r.slots)); cur < floor {
-			r.noteDrop(int64(floor - cur))
-			cur = floor
-		}
+	if cur < floor {
+		r.noteDrop(int64(floor - cur))
+		cur = floor
 	}
 	lost := false
+	var w [recWords]int64
 	for seq := cur; seq < hi; seq++ {
-		s := &r.slots[seq%uint64(len(r.slots))]
-		want := 2 * (seq + 1)
-		got := s.seq.Load()
-		if got < want {
+		state := r.ring.Read(seq, w[:])
+		if state < 0 {
 			break // claimed but unpublished: retry next tick
 		}
-		if got > want {
-			r.noteDrop(1) // lapped during this pass
+		if state > 0 {
+			r.noteDrop(1) // lapped before or during this read
 			lost = true
 			cur = seq + 1
 			continue
 		}
-		rec := decodeSlot(s)
-		if s.seq.Load() != want {
-			r.noteDrop(1)
-			lost = true
-			cur = seq + 1
-			continue
-		}
-		if err := r.sink.append(rec); err != nil {
+		if err := r.sink.append(decode(&w)); err != nil {
 			// Sink failure (disk full, rotation rename lost a race with
 			// an external mover): account the record and keep capturing
 			// — the in-memory retention and signature stay live.
