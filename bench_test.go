@@ -538,6 +538,70 @@ func BenchmarkColdFirstQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkServe is the serving-front rung: a converged 4-shard column
+// behind a default server on loopback. idle_rtt is one connection with
+// one request in flight, so every query finds its shard idle: the round
+// trip the batch scheduler adds nothing to. closed_loop_2x16 is two
+// connections keeping 16 requests in flight each (the repo benchmark's
+// served_open capacity shape), where batches form behind running ones.
+// Both report req/s beside ns/op; allocs/op counts client and server.
+func BenchmarkServe(b *testing.B) {
+	d := benchData()
+	qs := benchQuerySet(workload.Count, 0.001)
+	want := make([]int64, len(qs))
+	ctx := context.Background()
+	ix, err := adaptix.New(d.Values, adaptix.WithShards(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	for i, q := range qs {
+		want[i] = d.TrueCount(q.Lo, q.Hi)
+		if _, err := ix.Count(ctx, q.Lo, q.Hi); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv, err := ix.ServeAddr("127.0.0.1:0", adaptix.ServeOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	run := func(conns, depth int) func(b *testing.B) {
+		return func(b *testing.B) {
+			clients := make([]*adaptix.ServeClient, conns)
+			for c := range clients {
+				if clients[c], err = adaptix.DialServe(srv.Addr().String()); err != nil {
+					b.Fatal(err)
+				}
+				defer clients[c].Close()
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, cl := range clients {
+				for range depth {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := int(next.Add(1) - 1); i < b.N; i = int(next.Add(1) - 1) {
+							q := qs[i%len(qs)]
+							if n, err := cl.Count(ctx, q.Lo, q.Hi); err != nil || n != want[i%len(qs)] {
+								b.Errorf("Count[%d,%d) = %d, %v; want %d", q.Lo, q.Hi, n, err, want[i%len(qs)])
+								return
+							}
+						}
+					}()
+				}
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		}
+	}
+	b.Run("idle_rtt", run(1, 1))
+	b.Run("closed_loop_2x16", run(2, 16))
+}
+
 func BenchmarkMicro_PBTreeInsert(b *testing.B) {
 	r := workload.NewRNG(9)
 	tr := pbtree.New()

@@ -3,7 +3,7 @@
 // -addr with shared-scan query batching and admission control, plus
 // the observability endpoint (/metrics, /snapshot, /health, ...) on
 // -obs. SIGINT/SIGTERM triggers a graceful drain: stop accepting,
-// flush pending batches, wait for in-flight requests, final
+// dispatch pending batches, wait for in-flight requests, final
 // durability checkpoint, exit 0.
 //
 // Usage:
@@ -39,7 +39,7 @@ func main() {
 	shards := flag.Int("shards", 0, "shard count (0: one per CPU)")
 	dir := flag.String("dir", "", "durable store directory (empty: in-memory)")
 	seed := flag.Uint64("seed", 42, "seed for the generated initial values")
-	window := flag.Duration("window", 0, "batching window (0: default 100us; negative: disabled)")
+	window := flag.Duration("window", 0, "batching cap: longest a query waits behind its shard's running batch (0: default 100us; negative: batching disabled)")
 	maxInFlight := flag.Int("maxinflight", 0, "global in-flight request budget (0: default)")
 	quota := flag.Int("quota", 0, "per-connection in-flight quota (0: default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain budget on SIGTERM")

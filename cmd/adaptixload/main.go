@@ -66,8 +66,10 @@ type Report struct {
 	// Loop names the discipline: "closed" or "open".
 	Loop string `json:"loop"`
 	// Ops, Errors, and Rejected count completed operations, transport
-	// errors, and admission rejects (StatusOverloaded).
+	// errors, and admission rejects (StatusOverloaded); Reads of the Ops
+	// were queries (Count/Sum), the rest writes.
 	Ops      int64 `json:"ops"`
+	Reads    int64 `json:"reads"`
 	Errors   int64 `json:"errors"`
 	Rejected int64 `json:"rejected"`
 	// Elapsed is the wall-clock run time in seconds; QPS is
@@ -88,8 +90,8 @@ type Report struct {
 
 // String renders the human-readable report.
 func (r Report) String() string {
-	s := fmt.Sprintf("%s loop: %d ops in %.2fs = %.0f qps (%d rejected, %d errors)\n",
-		r.Loop, r.Ops, r.Elapsed, r.QPS, r.Rejected, r.Errors)
+	s := fmt.Sprintf("%s loop: %d ops (%d reads) in %.2fs = %.0f qps (%d rejected, %d errors)\n",
+		r.Loop, r.Ops, r.Reads, r.Elapsed, r.QPS, r.Rejected, r.Errors)
 	s += fmt.Sprintf("latency: p50 %dus  p90 %dus  p99 %dus  max %dus\n", r.P50, r.P90, r.P99, r.Max)
 	if r.Rejected > 0 {
 		s += fmt.Sprintf("rejects: p99 %dus\n", r.RejectP99)
@@ -131,8 +133,9 @@ func newMix(c *serve.Client, qs []workload.Query, dom int64, write float64, ttl 
 	}
 }
 
-// step runs one operation; it reports (rejected, error).
-func (m *mix) step() (bool, error) {
+// step runs one operation; it reports whether it was a read, whether it
+// was rejected, and any transport error.
+func (m *mix) step() (read, rejected bool, err error) {
 	ctx := context.Background()
 	if m.ttl > 0 {
 		var cancel context.CancelFunc
@@ -140,22 +143,22 @@ func (m *mix) step() (bool, error) {
 		defer cancel()
 	}
 	if float64(m.r.Intn(1000))/1000 < m.write {
-		var err error
 		if m.r.Intn(2) == 0 {
 			err = m.c.Insert(ctx, m.r.Int64n(m.dom))
 		} else {
 			_, err = m.c.Delete(ctx, m.r.Int64n(m.dom))
 		}
-		return classify(err)
+		rejected, err = classify(err)
+		return false, rejected, err
 	}
 	q := m.pool[m.r.Intn(len(m.pool))]
-	var err error
 	if q.Kind == workload.Count {
 		_, err = m.c.Count(ctx, q.Lo, q.Hi)
 	} else {
 		_, err = m.c.Sum(ctx, q.Lo, q.Hi)
 	}
-	return classify(err)
+	rejected, err = classify(err)
+	return true, rejected, err
 }
 
 func classify(err error) (rejected bool, fatal error) {
@@ -186,7 +189,7 @@ func run(addr string, conns, n int, rate float64, dur time.Duration,
 
 	lat := &metrics.Histogram{}
 	rej := &metrics.Histogram{}
-	var ops, rejected, errs atomic.Int64
+	var ops, reads, rejected, errs atomic.Int64
 
 	qs := sharedPool(dom, pool, sel, seed)
 	mixes := make([]*mix, conns)
@@ -201,7 +204,7 @@ func run(addr string, conns, n int, rate float64, dur time.Duration,
 
 	record := func(m *mix) {
 		t0 := time.Now()
-		r, err := m.step()
+		read, r, err := m.step()
 		d := time.Since(t0).Microseconds()
 		switch {
 		case err != nil:
@@ -211,6 +214,9 @@ func run(addr string, conns, n int, rate float64, dur time.Duration,
 			rej.Record(d)
 		default:
 			ops.Add(1)
+			if read {
+				reads.Add(1)
+			}
 			lat.Record(d)
 		}
 	}
@@ -269,6 +275,7 @@ func run(addr string, conns, n int, rate float64, dur time.Duration,
 	rep := Report{
 		Loop:      loop,
 		Ops:       ops.Load(),
+		Reads:     reads.Load(),
 		Errors:    errs.Load(),
 		Rejected:  rejected.Load(),
 		Elapsed:   elapsed,

@@ -9,7 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaptix/internal/baseline"
 	"adaptix/internal/crackindex"
+	"adaptix/internal/engine"
 	"adaptix/internal/ingest"
 	"adaptix/internal/metrics"
 	"adaptix/internal/serve"
@@ -29,7 +31,7 @@ type ServeBatchingReport struct {
 	// acceptance configuration).
 	Clients int
 	// QPSBatched and QPSUnbatched are served queries/second with the
-	// scheduling window at its default vs disabled.
+	// batch scheduler at its default window vs disabled.
 	QPSBatched   float64
 	QPSUnbatched float64
 	// Speedup is QPSBatched / QPSUnbatched.
@@ -134,12 +136,16 @@ func serveLeg(d *workload.Dataset, cfg Config, window time.Duration, clients, de
 }
 
 // rejectLatency measures the admission-control fast-reject round trip:
-// a budget-1 server with one request parked in a long batching window,
-// then n sequential over-budget probes — every probe must come back
-// StatusOverloaded without queueing behind the window.
+// a budget-1 server with one request parked inside the engine, then n
+// sequential over-budget probes — every probe must come back
+// StatusOverloaded without queueing behind it.
 func rejectLatency(d *workload.Dataset, n int) time.Duration {
+	gate := &gatedScan{entered: make(chan struct{}), open: make(chan struct{})}
 	col := shard.New(d.Values, shard.Options{Shards: 1, Seed: 1,
-		Index: crackindex.Options{Latching: crackindex.LatchPiece}})
+		Source: func(vals []int64) engine.AggregateSource {
+			gate.Scan = baseline.NewScan(vals)
+			return gate
+		}})
 	g := ingest.New(col, ingest.Options{})
 	g.Start()
 	defer g.Close()
@@ -148,7 +154,7 @@ func rejectLatency(d *workload.Dataset, n int) time.Duration {
 		panic(err)
 	}
 	srv := serve.New(serve.Backend{Col: col, Ing: g}, ln, serve.Options{
-		Window: 500 * time.Millisecond, MaxInFlight: 1, ConnQuota: 64,
+		MaxInFlight: 1, ConnQuota: 64,
 	})
 	defer srv.Close()
 	cl, err := serve.Dial(srv.Addr().String())
@@ -157,11 +163,13 @@ func rejectLatency(d *workload.Dataset, n int) time.Duration {
 	}
 	defer cl.Close()
 
-	// Park one admitted query in the window so the budget is full.
-	go cl.Count(qctx, 0, 100)
-	for srv.Stats().InFlight == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	// Park one admitted query in the engine so the budget is full.
+	parked := make(chan error, 1)
+	go func() {
+		_, err := cl.Count(qctx, 0, 100)
+		parked <- err
+	}()
+	<-gate.entered
 
 	h := &metrics.Histogram{}
 	for i := 0; i < n; i++ {
@@ -175,8 +183,29 @@ func rejectLatency(d *workload.Dataset, n int) time.Duration {
 		}
 		h.RecordDuration(time.Since(t0))
 	}
+	close(gate.open)
+	if err := <-parked; err != nil {
+		panic(err)
+	}
 	s := h.Snapshot()
 	return time.Duration(s.Quantile(0.99))
+}
+
+// gatedScan answers like a scan, except that its first Count signals
+// entered and then waits for open: a request held inside the engine
+// for as long as the caller likes, with no clock involved.
+type gatedScan struct {
+	*baseline.Scan
+	once          sync.Once
+	entered, open chan struct{}
+}
+
+func (g *gatedScan) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.open
+	})
+	return g.Scan.Count(ctx, lo, hi)
 }
 
 // ServeBatching runs the serving-front figure: batched vs unbatched

@@ -33,7 +33,7 @@ func TestServeBatchingShapes(t *testing.T) {
 			return fmt.Errorf("batch p99 %d, want >= 2", rep.BatchP99)
 		}
 		// Fast reject: over-budget answers must never queue behind the
-		// 500ms probe window (acceptance: < 1ms).
+		// request parked in the engine (acceptance: < 1ms).
 		if rep.RejectP99 >= time.Millisecond {
 			return fmt.Errorf("reject p99 %v, want < 1ms", rep.RejectP99)
 		}

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +12,8 @@ import (
 	"adaptix/internal/shard"
 )
 
-// DefaultWindow is the batching window: queries arriving within one
-// window that route to the same home shard are coalesced into one
-// executor dispatch.
+// DefaultWindow is the batching cap: a query arriving when its home
+// shard's running batch started longer ago runs on an executor of its own.
 const DefaultWindow = 100 * time.Microsecond
 
 // pendReq is one admitted query parked in the scheduler.
@@ -25,33 +25,29 @@ type pendReq struct {
 	finish   func(Response)
 }
 
-// batch accumulates the requests of one (shard, window) cell.
-type batch struct {
-	reqs []pendReq
+// lane is one home shard's executors and the batch queued behind them.
+type lane struct {
+	running int       // executors serving this shard's batches
+	started time.Time // when the latest of their batches began
+	pending []pendReq // the next batch
+	run     func()    // the executor body, built once: a spawn allocates nothing
 }
 
-// scheduler is the per-shard batch scheduler. Requests landing in the
-// same scheduling window whose lower bound routes to the same shard
-// are dispatched together: one executor goroutine serves the whole
-// batch against warm latches and piece caches, and exact-duplicate
-// (op, lo, hi) bounds execute ONCE — one latch acquisition and one
-// piece traversal (and at most one crack) — with the answer fanned
-// out to every waiter. Batches for different shards dispatch
-// independently and in parallel.
+// scheduler is the per-shard batch scheduler; it arms no timer. A query
+// to a shard with no executor running dispatches at once on a new one;
+// queries arriving while it runs form the shard's next batch, which it
+// takes whole when its batch finishes, so batches grow with the load. A
+// query arriving when the running batch started more than a window ago
+// hands the pending batch to a second executor: a slow execution never
+// holds up the queries behind it. In a batch, exact-duplicate (op, lo,
+// hi) bounds execute ONCE and the answer fans out to every waiter.
 type scheduler struct {
 	col    *shard.Column
 	window time.Duration
 
-	mu      sync.Mutex
-	pending map[int]*batch
-	depth   int // queries currently parked across all shards
-
-	// bounds caches the column's shard cut values for routing; the
-	// cache refreshes when the shard count changes. Routing is a
-	// grouping heuristic — a stale cut can only cost a missed coalesce,
-	// never a wrong answer (execution always goes through the column's
-	// own fan-out).
-	bounds atomic.Pointer[[]int64]
+	mu    sync.Mutex
+	lanes []*lane // by shard ordinal; after a split, a stale lane only misses coalesces
+	depth int     // queries currently parked across all shards
 
 	// Shared observability instruments (owned by the Server).
 	batchSize  *metrics.Histogram
@@ -61,80 +57,80 @@ type scheduler struct {
 	coalesced  *atomic.Int64
 }
 
-// route returns the index of the shard owning value lo under the
-// cached cut snapshot.
-func (s *scheduler) route(lo int64) int {
-	b := s.bounds.Load()
-	if b == nil || s.col.NumShards() != len(*b)+1 {
-		nb := s.col.Bounds()
-		s.bounds.Store(&nb)
-		b = &nb
-	}
-	cuts := *b
-	return sort.Search(len(cuts), func(i int) bool { return cuts[i] > lo })
-}
-
-// enqueue parks r in its home shard's building batch, opening the
-// batch (and arming its window timer) if r is the first request of
+// enqueue parks r in its home shard's pending batch and starts an
+// executor for it when none is running or the running batch has outlived
 // the window.
 func (s *scheduler) enqueue(r pendReq) {
-	home := s.route(r.lo)
+	home := s.col.Home(r.lo)
 	s.mu.Lock()
-	b := s.pending[home]
-	if b == nil {
-		b = &batch{}
-		s.pending[home] = b
-		time.AfterFunc(s.window, func() { s.fire(home, b) })
-	}
-	b.reqs = append(b.reqs, r)
+	l := s.lane(home)
+	l.pending = append(l.pending, r)
 	s.depth++
-	s.mu.Unlock()
-}
-
-// fire dispatches the batch b if it is still the pending batch for
-// its shard (flush may have raced it out of the map; identity makes
-// dispatch exactly-once).
-func (s *scheduler) fire(home int, b *batch) {
-	s.mu.Lock()
-	if s.pending[home] != b {
-		s.mu.Unlock()
-		return
+	if l.running == 0 || time.Since(l.started) > s.window {
+		s.spawn(l)
 	}
-	delete(s.pending, home)
-	s.depth -= len(b.reqs)
-	depth := s.depth
 	s.mu.Unlock()
-	s.exec(b.reqs, depth)
 }
 
-// flush dispatches every pending batch immediately (graceful drain:
-// no request waits out a window that will never fill).
+// lane returns home's lane; s.mu is held.
+func (s *scheduler) lane(home int) *lane {
+	for len(s.lanes) <= home {
+		l := &lane{}
+		l.run = func() { s.drain(l) }
+		s.lanes = append(s.lanes, l)
+	}
+	return s.lanes[home]
+}
+
+// spawn starts one more executor on l; s.mu is held.
+func (s *scheduler) spawn(l *lane) {
+	l.running++
+	l.started = time.Now()
+	go l.run()
+}
+
+// drain is an executor: it serves l's pending batches until none is
+// left, trading buffers with the lane so a busy lane allocates none.
+func (s *scheduler) drain(l *lane) {
+	var spent []pendReq
+	for {
+		s.mu.Lock()
+		if len(l.pending) == 0 {
+			l.running--
+			if cap(spent) > cap(l.pending) {
+				l.pending = spent
+			}
+			s.mu.Unlock()
+			return
+		}
+		batch := l.pending
+		l.pending = spent
+		l.started = time.Now()
+		s.depth -= len(batch)
+		depth := s.depth
+		s.mu.Unlock()
+		s.exec(batch, depth)
+		clear(batch) // drop the finish closures
+		spent = batch[:0]
+	}
+}
+
+// flush gives every pending batch an executor of its own now (graceful
+// drain: nothing waits for a slow batch ahead of it).
 func (s *scheduler) flush() {
 	s.mu.Lock()
-	grabbed := make([]*batch, 0, len(s.pending))
-	for home, b := range s.pending {
-		grabbed = append(grabbed, b)
-		delete(s.pending, home)
-		s.depth -= len(b.reqs)
+	for _, l := range s.lanes {
+		if len(l.pending) > 0 {
+			s.spawn(l)
+		}
 	}
-	depth := s.depth
 	s.mu.Unlock()
-	for _, b := range grabbed {
-		s.exec(b.reqs, depth)
-	}
-}
-
-// boundsKey identifies an exact-duplicate query inside one batch.
-type boundsKey struct {
-	op     Op
-	lo, hi int64
 }
 
 // exec serves one batch: expired requests are answered StatusDeadline
-// without touching the engine, the remainder is grouped by exact
-// bounds, each unique bound executes once under a context bounded by
-// the latest waiter deadline, and the answer fans out to all waiters
-// of that bound.
+// without touching the engine, the rest are sorted in place by (op, lo,
+// hi), and each run of equal bounds executes once, its answer fanned out
+// to the whole run.
 func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 	s.batchSize.Record(int64(len(reqs)))
 	s.queueDepth.Record(int64(depthAfter))
@@ -143,25 +139,18 @@ func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 
 	now := time.Now()
 	var maxDeadline time.Time
-	groups := make(map[boundsKey][]pendReq, len(reqs))
-	order := make([]boundsKey, 0, len(reqs))
+	live := reqs[:0]
 	for _, r := range reqs {
 		if !r.deadline.IsZero() && r.deadline.Before(now) {
 			r.finish(Response{ID: r.id, Op: r.op, Status: StatusDeadline})
 			continue
 		}
-		k := boundsKey{op: r.op, lo: r.lo, hi: r.hi}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		} else {
-			s.coalesced.Add(1)
-		}
-		groups[k] = append(groups[k], r)
+		live = append(live, r)
 		if r.deadline.After(maxDeadline) {
 			maxDeadline = r.deadline
 		}
 	}
-	if len(order) == 0 {
+	if len(live) == 0 {
 		return
 	}
 
@@ -175,7 +164,17 @@ func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 		ctx, cancel = context.WithDeadline(ctx, maxDeadline)
 		defer cancel()
 	}
-	for _, k := range order {
+	slices.SortFunc(live, func(a, b pendReq) int {
+		return cmp.Or(cmp.Compare(a.op, b.op), cmp.Compare(a.lo, b.lo), cmp.Compare(a.hi, b.hi))
+	})
+	for len(live) > 0 {
+		k, n := live[0], 1
+		for n < len(live) && live[n].op == k.op && live[n].lo == k.lo && live[n].hi == k.hi {
+			n++
+		}
+		if n > 1 {
+			s.coalesced.Add(int64(n - 1))
+		}
 		var v int64
 		var err error
 		switch k.op {
@@ -192,8 +191,9 @@ func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 			}
 			v = 0
 		}
-		for _, r := range groups[k] {
+		for _, r := range live[:n] {
 			r.finish(Response{ID: r.id, Op: r.op, Status: status, Value: v})
 		}
+		live = live[n:]
 	}
 }

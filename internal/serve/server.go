@@ -48,11 +48,10 @@ type Backend struct {
 
 // Options tunes the server. The zero value gives the defaults.
 type Options struct {
-	// Window is the batching window: queries arriving within one window
-	// for the same home shard coalesce into one dispatch. 0 means
-	// DefaultWindow; negative disables batching entirely (every query
-	// dispatches immediately on its own goroutine — the unbatched
-	// baseline the ServeBatching experiment compares against).
+	// Window caps how long a query waits behind its home shard's running
+	// batch; none waits for a batch to fill. 0 means DefaultWindow;
+	// negative disables batching (every query dispatches on its own
+	// goroutine — the unbatched baseline ServeBatching compares against).
 	Window time.Duration
 	// MaxInFlight is the global admitted-but-unanswered request budget
 	// (0 = DefaultMaxInFlight). Requests beyond it are rejected with
@@ -154,7 +153,6 @@ func New(b Backend, ln net.Listener, o Options) *Server {
 		s.sc = &scheduler{
 			col:        b.Col,
 			window:     o.Window,
-			pending:    make(map[int]*batch),
 			batchSize:  s.batchSize,
 			queueDepth: s.queueDepth,
 			batches:    &s.batches,
@@ -176,7 +174,7 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 type Stats struct {
 	// Addr is the listener's bound address.
 	Addr string `json:"addr"`
-	// WindowUS is the batching window in microseconds (0 = batching
+	// WindowUS is the batching cap in microseconds (0 = batching
 	// disabled).
 	WindowUS int64 `json:"window_us"`
 	// Conns is the number of live connections.
@@ -501,11 +499,13 @@ func (s *Server) handle(c *conn, q Request) {
 	if q.TTLus > 0 {
 		deadline = time.Now().Add(time.Duration(q.TTLus) * time.Microsecond)
 	}
+	// Counters before the reply (Stats never lags a client), reqWG after
+	// it (Drain never closes the connection ahead of the answer).
 	finish := func(r Response) {
-		c.reply(r)
 		s.served.Add(1)
 		s.inflight.Add(-1)
 		c.quota.Add(-1)
+		c.reply(r)
 		s.reqWG.Done()
 	}
 	if q.Op.batchable() && s.sc != nil {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,6 +53,37 @@ func dialT(t *testing.T, s *Server) *Client {
 	return c
 }
 
+// hold occupies the lane of the shard owning v as if an executor were
+// running a batch there: queries to that shard park behind it, without a
+// timer, until release. release then serves what queued, as a real
+// executor does when its batch finishes.
+func (s *scheduler) hold(v int64) (release func()) {
+	s.mu.Lock()
+	l := s.lane(s.col.Home(v))
+	l.running++
+	l.started = time.Now()
+	s.mu.Unlock()
+	return sync.OnceFunc(func() { s.drain(l) })
+}
+
+// parked returns the number of queries waiting in the scheduler.
+func (s *scheduler) parked() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.depth
+}
+
+// waitParked waits until n queries are parked in s's scheduler.
+func waitParked(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for i := 0; s.sc.parked() < n; i++ {
+		if i > 5000 {
+			t.Fatalf("%d of %d queries parked", s.sc.parked(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestWireBasicOps(t *testing.T) {
 	const rows = 1 << 12
 	s, d := newTestServer(t, rows, Options{})
@@ -87,11 +120,13 @@ func TestWireBasicOps(t *testing.T) {
 
 func TestBatchCoalesce(t *testing.T) {
 	const rows = 1 << 12
-	// A long window guarantees concurrently-issued duplicates land in
-	// one dispatch.
-	s, d := newTestServer(t, rows, Options{Window: 20 * time.Millisecond})
+	// Identical queries parked behind a held executor dispatch as one
+	// batch when it finishes.
+	s, d := newTestServer(t, rows, Options{Window: time.Hour})
 	c := dialT(t, s)
 	want := d.TrueCount(500, 900)
+	release := s.sc.hold(500)
+	t.Cleanup(release)
 
 	const N = 32
 	var wg sync.WaitGroup
@@ -104,6 +139,8 @@ func TestBatchCoalesce(t *testing.T) {
 			vals[i], errs[i] = c.Count(context.Background(), 500, 900)
 		}(i)
 	}
+	waitParked(t, s, N)
+	release()
 	wg.Wait()
 	for i := 0; i < N; i++ {
 		if errs[i] != nil || vals[i] != want {
@@ -123,28 +160,23 @@ func TestBatchCoalesce(t *testing.T) {
 }
 
 func TestAdmissionFastReject(t *testing.T) {
-	// Budget of 1 with a long window: the first query parks in the
-	// batch; the second must be rejected immediately — no queueing
-	// behind the window.
+	// Budget of 1: the first query parks behind a held executor; the
+	// second must be rejected immediately — no queueing behind it.
 	s, _ := newTestServer(t, 1<<10, Options{
-		Window:      50 * time.Millisecond,
+		Window:      time.Hour,
 		MaxInFlight: 1,
 		ConnQuota:   8,
 	})
 	c := dialT(t, s)
+	release := s.sc.hold(0)
+	t.Cleanup(release)
 
 	first := make(chan error, 1)
 	go func() {
 		_, err := c.Count(context.Background(), 0, 100)
 		first <- err
 	}()
-	// Wait for the first request to be admitted.
-	for i := 0; s.Stats().InFlight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s, 1)
 
 	t0 := time.Now()
 	r, err := c.Do(context.Background(), Request{Op: OpCount, Lo: 0, Hi: 100})
@@ -155,13 +187,13 @@ func TestAdmissionFastReject(t *testing.T) {
 	if r.Status != StatusOverloaded {
 		t.Fatalf("over-budget status = %s, want overloaded", r.Status)
 	}
-	// The reject must not have waited out the 50ms batching window.
 	if rtt >= 25*time.Millisecond {
-		t.Fatalf("reject took %v; queued behind the batch window?", rtt)
+		t.Fatalf("reject took %v; queued behind the parked query?", rtt)
 	}
 	if s.Stats().Rejected == 0 {
 		t.Fatal("reject counter did not move")
 	}
+	release()
 	if err := <-first; err != nil {
 		t.Fatalf("first (admitted) request failed: %v", err)
 	}
@@ -169,40 +201,48 @@ func TestAdmissionFastReject(t *testing.T) {
 
 func TestConnQuotaReject(t *testing.T) {
 	s, _ := newTestServer(t, 1<<10, Options{
-		Window:      50 * time.Millisecond,
+		Window:      time.Hour,
 		MaxInFlight: 1024,
 		ConnQuota:   1,
 	})
 	c := dialT(t, s)
+	t.Cleanup(s.sc.hold(0))
 	go c.Count(context.Background(), 0, 100)
-	for i := 0; s.Stats().InFlight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitParked(t, s, 1)
 	r, err := c.Do(context.Background(), Request{Op: OpCount, Lo: 0, Hi: 100})
 	if err != nil || r.Status != StatusOverloaded {
 		t.Fatalf("over-quota: status %s, err %v; want overloaded", r.Status, err)
 	}
-	// A second connection has its own quota and must get through.
+	// A second connection has its own quota and must get through (to a
+	// shard whose executor is free) while the first's is still full.
+	bounds := s.b.Col.Bounds()
+	lo := bounds[len(bounds)-1]
 	c2 := dialT(t, s)
-	if _, err := c2.Count(context.Background(), 0, 100); err != nil {
+	if _, err := c2.Count(context.Background(), lo, lo+100); err != nil {
 		t.Fatalf("fresh connection rejected: %v", err)
 	}
 }
 
 func TestTTLExpiryAtDispatch(t *testing.T) {
-	// TTL far shorter than the window: by dispatch time the request is
-	// dead and must get StatusDeadline without touching the engine.
-	s, _ := newTestServer(t, 1<<10, Options{Window: 30 * time.Millisecond})
+	// A request whose TTL runs out while it waits behind a running batch
+	// must get StatusDeadline without touching the engine.
+	s, _ := newTestServer(t, 1<<10, Options{Window: time.Hour})
 	c := dialT(t, s)
-	r, err := c.Do(context.Background(), Request{Op: OpCount, TTLus: 50, Lo: 0, Hi: 100})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if r.Status != StatusDeadline {
-		t.Fatalf("expired-in-window status = %s, want deadline", r.Status)
+	release := s.sc.hold(0)
+	t.Cleanup(release)
+	res := make(chan Response, 1)
+	go func() {
+		r, err := c.Do(context.Background(), Request{Op: OpCount, TTLus: 50, Lo: 0, Hi: 100})
+		if err != nil {
+			t.Errorf("Do: %v", err)
+		}
+		res <- r
+	}()
+	waitParked(t, s, 1)
+	time.Sleep(time.Millisecond) // well past the 50 µs TTL
+	release()
+	if r := <-res; r.Status != StatusDeadline {
+		t.Fatalf("expired-while-parked status = %s, want deadline", r.Status)
 	}
 }
 
@@ -216,32 +256,34 @@ func TestBadOpRejected(t *testing.T) {
 }
 
 func TestDrainGraceful(t *testing.T) {
-	s, d := newTestServer(t, 1<<12, Options{Window: 10 * time.Millisecond})
+	s, d := newTestServer(t, 1<<12, Options{Window: time.Hour})
 	c := dialT(t, s)
 
-	// Park a request in the batching window, then drain: the request
-	// must still be answered (flush), and drain must return clean.
-	res := make(chan error, 1)
-	go func() {
-		n, err := c.Count(context.Background(), 10, 500)
-		if err == nil && n != d.TrueCount(10, 500) {
-			err = errors.New("wrong count through drain flush")
-		}
-		res <- err
-	}()
-	for i := 0; s.Stats().InFlight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
+	// Park requests behind an executor that never finishes on its own,
+	// then drain: every request must still be answered (flush gives the
+	// pending batch an executor of its own), and drain must return clean.
+	t.Cleanup(s.sc.hold(10))
+	const N = 8
+	res := make(chan error, N)
+	for i := 0; i < N; i++ {
+		go func(hi int64) {
+			n, err := c.Count(context.Background(), 10, hi)
+			if err == nil && n != d.TrueCount(10, hi) {
+				err = errors.New("wrong count through drain flush")
+			}
+			res <- err
+		}(int64(100 + 50*i))
 	}
+	waitParked(t, s, N)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if err := <-res; err != nil {
-		t.Fatalf("in-flight request through drain: %v", err)
+	for i := 0; i < N; i++ {
+		if err := <-res; err != nil {
+			t.Fatalf("in-flight request through drain: %v", err)
+		}
 	}
 	if !s.Stats().Draining {
 		t.Fatal("Draining flag not set")
@@ -249,6 +291,187 @@ func TestDrainGraceful(t *testing.T) {
 	// New connections must be refused after drain.
 	if _, err := net.DialTimeout("tcp", s.Addr().String(), time.Second); err == nil {
 		t.Fatal("listener still accepting after drain")
+	}
+}
+
+// TestIdleShardDispatchesAtOnce: a query to a shard with no batch
+// running waits for nothing, however long the window.
+func TestIdleShardDispatchesAtOnce(t *testing.T) {
+	s, d := newTestServer(t, 1<<12, Options{Window: 200 * time.Millisecond})
+	c := dialT(t, s)
+	t0 := time.Now()
+	n, err := c.Count(context.Background(), 100, 200)
+	if rtt := time.Since(t0); rtt >= 50*time.Millisecond {
+		t.Fatalf("lone Count took %v: it waited for the window", rtt)
+	}
+	if err != nil || n != d.TrueCount(100, 200) {
+		t.Fatalf("Count = %d, %v; want %d", n, err, d.TrueCount(100, 200))
+	}
+}
+
+// TestWindowCapsWaiting: once the running batch has outlived the window,
+// the next query to its shard hands the pending batch to a second
+// executor, so both are answered while the first executor is still busy.
+func TestWindowCapsWaiting(t *testing.T) {
+	s, d := newTestServer(t, 1<<12, Options{Window: time.Minute})
+	c := dialT(t, s)
+	t.Cleanup(s.sc.hold(100))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	first := make(chan error, 1)
+	go func() {
+		n, err := c.Count(ctx, 100, 200)
+		if err == nil && n != d.TrueCount(100, 200) {
+			err = errors.New("wrong count")
+		}
+		first <- err
+	}()
+	waitParked(t, s, 1)
+	s.sc.mu.Lock()
+	s.sc.lanes[s.b.Col.Home(100)].started = time.Now().Add(-time.Hour) // the held batch is now older than the window
+	s.sc.mu.Unlock()
+
+	if n, err := c.Count(ctx, 150, 300); err != nil || n != d.TrueCount(150, 300) {
+		t.Fatalf("second query behind a batch past the window: %d, %v; want %d", n, err, d.TrueCount(150, 300))
+	}
+	if err := <-first; err != nil {
+		t.Fatalf("parked query handed over with the pending batch: %v", err)
+	}
+}
+
+// TestSchedulerStress drives the scheduler from 32 goroutines with random
+// bounds (some already expired) while shards split and merge under them:
+// every request is answered exactly once and correctly, and the
+// scheduler empties and retires its executors.
+func TestSchedulerStress(t *testing.T) {
+	const rows = 1 << 13
+	s, d := newTestServer(t, rows, Options{})
+	col := s.b.Col
+	const senders, perSender = 32, 200
+	answered := make([]atomic.Int32, senders*perSender)
+	var wrong atomic.Int64
+	var pending sync.WaitGroup
+	pending.Add(senders * perSender)
+
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	var splits, merges int
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		r := rand.New(rand.NewPCG(1, 2))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n := col.NumShards(); n >= 8 || (n > 2 && i%2 == 1) {
+				if _, ok := col.MergeShards(r.IntN(n - 1)); ok {
+					merges++
+				}
+			} else if _, ok := col.SplitShard(r.IntN(n)); ok {
+				splits++
+			}
+		}
+	}()
+
+	for g := 0; g < senders; g++ {
+		go func(g int) {
+			r := rand.New(rand.NewPCG(uint64(g), 7))
+			for i := 0; i < perSender; i++ {
+				id := g*perSender + i
+				q := pendReq{id: uint64(id), op: OpCount, lo: r.Int64N(rows)}
+				q.hi = q.lo + 1 + r.Int64N(rows/8)
+				want, status := d.TrueCount(q.lo, q.hi), StatusOK
+				if r.IntN(2) == 0 {
+					q.op, want = OpSum, d.TrueSum(q.lo, q.hi)
+				}
+				if i%16 == 0 {
+					q.deadline, want, status = time.Now().Add(-time.Millisecond), 0, StatusDeadline
+				}
+				q.finish = func(resp Response) {
+					if answered[id].Add(1) == 1 && (resp.ID != q.id || resp.Status != status || resp.Value != want) {
+						wrong.Add(1)
+					}
+					pending.Done()
+				}
+				s.sc.enqueue(q)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		pending.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("requests unanswered after 60s; %d parked", s.sc.parked())
+	}
+	close(stop)
+	churn.Wait()
+	if splits == 0 || merges == 0 {
+		t.Fatalf("no churn under the traffic: %d splits, %d merges", splits, merges)
+	}
+
+	for id := range answered {
+		if n := answered[id].Load(); n != 1 {
+			t.Fatalf("request %d answered %d times", id, n)
+		}
+	}
+	if n := wrong.Load(); n > 0 {
+		t.Fatalf("%d wrong answers", n)
+	}
+	if n := s.sc.parked(); n != 0 {
+		t.Fatalf("scheduler depth %d after every answer", n)
+	}
+	for i := 0; ; i++ {
+		s.sc.mu.Lock()
+		running := 0
+		for _, l := range s.sc.lanes {
+			running += l.running
+		}
+		s.sc.mu.Unlock()
+		if running == 0 {
+			break
+		}
+		if i > 5000 {
+			t.Fatalf("%d executors still running with nothing pending", running)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := col.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStatsNeverLagAnswers: by the time a client holds an answer, Stats
+// already counts it as served and no longer in flight.
+func TestStatsNeverLagAnswers(t *testing.T) {
+	s, _ := newTestServer(t, 1<<10, Options{})
+	c := dialT(t, s)
+	ctx := context.Background()
+	for i := 1; i <= 64; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			_, err = c.Count(ctx, 0, 100)
+		case 1:
+			_, err = c.Sum(ctx, 0, 100)
+		case 2:
+			err = c.Insert(ctx, int64(1<<20+i))
+		case 3:
+			_, _, err = c.Stats(ctx)
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if st := s.Stats(); st.Served < int64(i) || st.InFlight != 0 {
+			t.Fatalf("after answer %d: served %d, in flight %d", i, st.Served, st.InFlight)
+		}
 	}
 }
 

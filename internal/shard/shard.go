@@ -425,6 +425,10 @@ func (c *Column) Bounds() []int64 {
 	return append([]int64(nil), c.m.Load().bounds...)
 }
 
+// Home returns the ordinal of the shard that owns value v under the
+// current shard map (a split or merge renumbers the shards).
+func (c *Column) Home(v int64) int { return c.m.Load().route(v) }
+
 // Rows returns the total number of logical rows across all shards.
 func (c *Column) Rows() int {
 	var n int64
