@@ -123,13 +123,14 @@ func New(values []int64, opts ...Option) (*Index, error) {
 
 // Open opens (or creates) a durable adaptive index in dir: a
 // crash-recoverable store whose refinement knowledge — shard cuts and
-// per-shard crack boundaries — survives process death through a
-// file-backed structural WAL and periodic checkpoints. A fresh store
-// is created over WithValues; an existing store recovers from its
-// snapshot and log (ignoring WithValues). Close takes a final
-// checkpoint, so a clean shutdown loses nothing; see WithLogWrites /
-// WithSyncEvery / WithSyncInterval for the crash loss window of the
-// data tail.
+// every shard's pieces — survives process death. A checkpoint is one
+// snapshot file holding the column's arrays in piece order with their
+// tables of contents; a file-backed WAL holds what happened since. A
+// fresh store is created over WithValues; an existing store adopts its
+// snapshot as is and replays the logged writes past it (ignoring
+// WithValues). Close takes a final checkpoint, so a clean shutdown
+// loses nothing; see WithLogWrites / WithSyncEvery / WithSyncInterval
+// for the crash loss window of the data tail.
 func Open(dir string, opts ...Option) (*Index, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -424,12 +425,13 @@ func (ix *Index) Validate() error { return ix.col.Validate() }
 
 // CrackBoundaries returns every shard's current crack boundary values
 // in shard order (nil for shards of non-Crack methods): the complete
-// refinement knowledge the workload has earned, and exactly what a
-// durable checkpoint persists.
+// refinement knowledge the workload has earned. A durable checkpoint
+// persists every one of them, with its position and prefix sum.
 func (ix *Index) CrackBoundaries() [][]int64 { return ix.col.CrackBoundaries() }
 
 // Checkpoint forces a durability checkpoint now (durable indexes
-// only): data snapshot, crack-boundary records, log-prefix truncation.
+// only): the snapshot of every shard's pieces, then log-prefix
+// truncation.
 // It reports whether a checkpoint was written; an in-memory index
 // always reports false.
 func (ix *Index) Checkpoint() bool {
@@ -445,7 +447,8 @@ func (ix *Index) Recovered() bool { return ix.dur != nil && ix.dur.Recovered() }
 
 // RecoveryStats returns the wall-clock breakdown of the Open that
 // produced this index — checkpoint-snapshot load, structural-WAL scan,
-// and column rebuild (warm crack replay plus the logged data tail).
+// and column rebuild (adopting the snapshot's pieces plus replaying the
+// logged data tail).
 // All zeros for in-memory indexes. The same three durations are
 // published as observer gauges (adaptix_recovery_*_ns).
 func (ix *Index) RecoveryStats() RecoveryBreakdown {

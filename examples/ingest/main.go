@@ -185,5 +185,5 @@ func main() {
 			s.Shard, s.LoVal, s.HiVal, s.Rows, s.Pieces, s.PendingInserts+s.PendingDeletes, s.Epochs)
 	}
 	fmt.Println("\n(the structural WAL behind IngestOptions.Log records every seal, apply,")
-	fmt.Println(" and split; examples/recovery replays one to survive a crash)")
+	fmt.Println(" and split; examples/recovery survives a crash from a checkpoint snapshot)")
 }

@@ -1,16 +1,17 @@
 // Crash recovery: refinement knowledge survives process death.
 //
-// The paper's §4.2 observes that adaptive indexing needs only tiny
-// structural log records — crack boundaries, shard cuts — because
-// index contents are re-creatable from the base data, and that
-// replaying them preserves "the side effects of earlier queries". This
-// example runs the full durable lifecycle through the unified handle:
-// adaptix.Open a store, crack it under a query load, checkpoint, then
-// simulate a crash (the store is abandoned without Close, with a torn
-// record appended to the log tail). Reopening recovers the shard map
-// and every checkpointed crack boundary, so the first query after the
-// crash pays steady-state cost; a cold store built from the same data
-// pays the full cold-start partition passes instead.
+// The paper's §4.2 observes that adaptive-index structure is
+// re-creatable from the base data, and that keeping it preserves "the
+// side effects of earlier queries". A checkpoint here captures that
+// structure whole: the snapshot holds every shard's array in piece
+// order with its table of contents. This example runs the full durable
+// lifecycle through the unified handle: adaptix.Open a store, crack it
+// under a query load, checkpoint, then simulate a crash (the store is
+// abandoned without Close, with a torn record appended to the log
+// tail). Reopening adopts the snapshot — the shard map and every
+// checkpointed piece, with no partition pass — so the first query after
+// the crash pays steady-state cost; a cold store built from the same
+// data pays the full cold-start partition passes instead.
 //
 // Run: go run ./examples/recovery
 package main
@@ -64,8 +65,8 @@ func main() {
 	tearTail(dir)
 	fmt.Printf("checkpoint taken; process \"dies\" with a torn log tail\n")
 
-	// Reopen: the catalog is rebuilt from the checkpoint + tail and
-	// every shard is pre-cracked to its checkpointed boundaries.
+	// Reopen: every shard adopts its checkpointed array and pieces, and
+	// the logged tail past the checkpoint replays on top.
 	//
 	// The abandoned store above is never touched again — a store
 	// directory has one owner at a time, and this in-process crash
@@ -80,7 +81,7 @@ func main() {
 	fmt.Printf("after reopen: %6s cracks, %4d boundaries, %d shards (recovered=%v)\n",
 		"-", boundaries(re), re.NumShards(), re.Recovered())
 	bd := re.RecoveryStats()
-	fmt.Printf("recovery breakdown: checkpoint-load=%v wal-scan=%v crack-replay=%v\n",
+	fmt.Printf("recovery breakdown: checkpoint-load=%v wal-scan=%v restore+tail=%v\n",
 		bd.CheckpointLoad, bd.WALScan, bd.Replay)
 
 	recovered := queryCost(re, 123456, 133456)

@@ -14,14 +14,11 @@ import (
 // by the trace hook (Figure 8 timelines), and the caller's context: a
 // nil ctx means context.Background semantics (never cancelled), and the
 // first context error observed while parked on a latch is recorded in
-// err so the query paths can abandon remaining work promptly. replay
-// marks the replay of a recorded boundary (CrackAt): the crack adds
-// that boundary and nothing else.
+// err so the query paths can abandon remaining work promptly.
 type opCtx struct {
-	tag    string
-	ctx    context.Context
-	err    error
-	replay bool
+	tag string
+	ctx context.Context
+	err error
 	OpStats
 }
 
@@ -84,19 +81,6 @@ func (ix *Index) crackBound(p directory.Ref, v int64, ctx *opCtx) (at bound, ok 
 	}
 }
 
-// CrackAt ensures a crack boundary exists at value v, refining the
-// index without answering a query. It is the replay primitive for
-// boundary knowledge: recovery re-cracks a fresh index at the boundaries
-// an earlier index had earned, so the side effects of earlier queries
-// survive a restart (paper §4.2). It adds exactly that boundary — no
-// waiter's bound, no auxiliary quantile — so a replayed table is the
-// recorded table.
-func (ix *Index) CrackAt(v int64) {
-	ctx := opCtx{replay: true}
-	ix.ensureInit(&ctx)
-	ix.crackBound(directory.Ref{}, v, &ctx)
-}
-
 // auxMinPiece is the piece size, in rows, from which a crack also cuts
 // the piece at sampled quantiles: 16 Ki rows, about what stays resident
 // in L2 while it is partitioned. Below it a crack costs microseconds
@@ -140,7 +124,7 @@ const auxMinPiece = 16 << 10
 // caller is about to read every row of that piece anyway. Without
 // keepMiddle such pivots stay, which is what keeps a zoom-in of ever
 // narrower nested counts from re-partitioning the whole middle every
-// time. A replay (CrackAt) takes no optional pivot at all.
+// time.
 //
 // Safety of the publish: a reader sees the chunk before or after it,
 // never part of it; and the new pieces lie inside p, whose latch the
@@ -161,39 +145,37 @@ func (ix *Index) refine(p piece, a, b int64, keepMiddle bool, ctx *opCtx) (atA, 
 	if b != a {
 		pv = append(pv, b)
 	}
-	if !ctx.replay {
-		required := len(pv)
-		if ix.opts.GroupCracking && ix.opts.Latching == LatchPiece {
-			pv = p.latch.WaiterBounds(pv)
+	required := len(pv)
+	if ix.opts.GroupCracking && ix.opts.Latching == LatchPiece {
+		pv = p.latch.WaiterBounds(pv)
+	}
+	waiters := len(pv)
+	if hi-lo >= ix.auxMin {
+		s := ix.samplePiece(lo, hi)
+		sample = s[:]
+		pv = append(pv, s[2], s[4], s[6])
+	}
+	kept := pv[:required]
+	var grouped, aux int64
+	for i, v := range pv[required:] {
+		if v <= p.loVal() || v >= p.hiVal() || (keepMiddle && a <= v && v <= b) || slices.Contains(kept, v) {
+			continue
 		}
-		waiters := len(pv)
-		if hi-lo >= ix.auxMin {
-			s := ix.samplePiece(lo, hi)
-			sample = s[:]
-			pv = append(pv, s[2], s[4], s[6])
+		kept = append(kept, v)
+		if required+i < waiters {
+			grouped++
+		} else {
+			aux++
 		}
-		kept := pv[:required]
-		var grouped, aux int64
-		for i, v := range pv[required:] {
-			if v <= p.loVal() || v >= p.hiVal() || (keepMiddle && a <= v && v <= b) || slices.Contains(kept, v) {
-				continue
-			}
-			kept = append(kept, v)
-			if required+i < waiters {
-				grouped++
-			} else {
-				aux++
-			}
-		}
-		pv = kept
-		slices.Sort(pv)
-		if grouped > 0 {
-			ix.stats.GroupCracks.Inc()
-			ix.stats.GroupedBounds.Add(grouped)
-		}
-		if aux > 0 {
-			ix.stats.AuxCuts.Add(aux)
-		}
+	}
+	pv = kept
+	slices.Sort(pv)
+	if grouped > 0 {
+		ix.stats.GroupCracks.Inc()
+		ix.stats.GroupedBounds.Add(grouped)
+	}
+	if aux > 0 {
+		ix.stats.AuxCuts.Add(aux)
 	}
 	pos := posBuf[:]
 	if len(pv) > len(pos) {

@@ -130,28 +130,6 @@ func TestCrackMultiMatchesRepeatedCrackInTwo(t *testing.T) {
 	}
 }
 
-func TestCrackAtReplaysBoundaries(t *testing.T) {
-	// A column large enough that a query's crack would add quantile
-	// cuts: replay must restore the recorded table and nothing more.
-	d := workload.NewUniqueUniform(4*auxMinPiece, 61)
-	for _, mode := range []LatchMode{LatchPiece, LatchColumn, LatchNone} {
-		ix := New(d.Values, Options{Latching: mode, GroupCracking: true})
-		for _, b := range []int64{100, 500, 900, 100} { // duplicate is a no-op
-			ix.CrackAt(b)
-		}
-		bs := ix.Boundaries()
-		if len(bs) != 3 || ix.Stats().AuxCuts.Load() != 0 {
-			t.Fatalf("mode %v: %d boundaries, want 3 (%v)", mode, len(bs), bs)
-		}
-		if err := ix.Validate(); err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		if n, _ := ix.Count(100, 900); n != 800 {
-			t.Fatalf("mode %v: Count = %d, want 800", mode, n)
-		}
-	}
-}
-
 func TestDeleteValueNearSentinel(t *testing.T) {
 	// A delete's existence probe (shard.DeleteValue -> baseCount) counts
 	// [v, v+1); for v = maxKey-1 the upper bound is the maxKey sentinel,

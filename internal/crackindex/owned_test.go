@@ -69,8 +69,7 @@ func TestWalkAndSeedRoundTrip(t *testing.T) {
 		}
 		// Empty edge pieces: boundaries below the minimum and above the
 		// maximum value.
-		ix.CrackAt(-5)
-		ix.CrackAt(1 << 40)
+		ix.Count(-5, 1<<40)
 
 		next := carry(ix)
 		if err := next.Validate(); err != nil {

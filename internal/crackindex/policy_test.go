@@ -191,7 +191,6 @@ func TestLatchNoneTakesNoLatch(t *testing.T) {
 		defer close(done)
 		ix.Count(1000, 2000)
 		ix.Sum(40000, 41000)
-		ix.CrackAt(30000)
 	}()
 	select {
 	case <-done:

@@ -48,30 +48,36 @@ func (r prefixRef) count(lo, hi int64) int64 {
 	return int64(r.rank(hi) - r.rank(lo))
 }
 
-// seeded lays vals out piece by piece around the given cut values and
-// builds an index over that array the way a shard rebuild does
-// (NewOwned), including a boundary above every value: an empty tail
-// piece, which is what a shard's top edge looks like once cracked.
+// seeded lays the values below top out piece by piece around the given
+// increasing cut values and builds an index over that array the way a
+// shard rebuild or a recovery does (NewOwned), including a boundary at
+// top: an empty tail piece when top is above every value, which is what
+// a shard's top edge looks like once cracked.
 func seeded(vals []int64, cuts []int64, top int64, opts Options) *Index {
-	out := make([]int64, 0, len(vals))
-	var seeds []BoundaryPosition
-	lo := int64(minKey)
-	for _, hi := range append(slices.Clone(cuts), top) {
-		for _, v := range vals {
-			if v >= lo && v < hi {
-				out = append(out, v)
-			}
+	edges := append(slices.Clone(cuts), top)
+	pieces := make([][]int64, len(edges))
+	for _, v := range vals {
+		i, found := slices.BinarySearch(edges, v)
+		if found {
+			i++
 		}
-		seeds = append(seeds, BoundaryPosition{Value: hi, Pos: len(out)})
-		lo = hi
+		if i < len(edges) {
+			pieces[i] = append(pieces[i], v)
+		}
+	}
+	out := make([]int64, 0, len(vals))
+	seeds := make([]BoundaryPosition, len(edges))
+	for i, piece := range pieces {
+		out = append(out, piece...)
+		seeds[i] = BoundaryPosition{Value: edges[i], Pos: len(out)}
 	}
 	return NewOwned(out, summed(out, seeds), opts)
 }
 
 // TestSumFromBoundariesMatchesReference: however the boundaries of an
 // index came to be — cracked by queries on a lazily built index, seeded
-// by a rebuild, replayed by recovery, or added as waiters' bounds and
-// sampled quantiles — each carries the sum of the values below it, so
+// by a rebuild or a recovery, or added as waiters' bounds and sampled
+// quantiles — each carries the sum of the values below it, so
 // Sum agrees with the sorted reference for every shape of bound pair,
 // in both layouts and all three latch modes, cold and again once both
 // bounds exist.
@@ -91,13 +97,6 @@ func TestSumFromBoundariesMatchesReference(t *testing.T) {
 	}{
 		{"New", func(opts Options) *Index { return New(vals, opts) }},
 		{"NewOwned with seeds", func(opts Options) *Index { return seeded(vals, cuts, top, opts) }},
-		{"CrackAt replay", func(opts Options) *Index {
-			ix := New(vals, opts)
-			for _, v := range []int64{0, -3000, 2500, top} {
-				ix.CrackAt(v)
-			}
-			return ix
-		}},
 		{"group and aux pivots", func(opts Options) *Index {
 			opts.GroupCracking = true
 			ix := New(vals, opts)
@@ -125,8 +124,8 @@ func TestSumFromBoundariesMatchesReference(t *testing.T) {
 			return ix
 		}},
 	}
-	// a < b < c lie strictly inside one piece of every seeded or
-	// replayed table ([-3000, 0)) and are no boundary of any.
+	// a < b < c lie strictly inside one piece of every seeded
+	// table ([-3000, 0)) and are no boundary of any.
 	const a, b, c = -2000, -1000, -500
 	bounds := []struct {
 		name   string
@@ -283,11 +282,13 @@ func TestWideSumsWhileCrackingInside(t *testing.T) {
 	d := workload.NewUniqueUniform(n, 17)
 	ref := newPrefixRef(d.Values)
 	for _, layout := range []cracker.Layout{cracker.LayoutSplit, cracker.LayoutPairs} {
-		ix := New(d.Values, Options{Layout: layout})
 		rng := workload.NewRNG(5)
-		for i := 0; i < 1500; i++ {
-			ix.CrackAt(rng.Int64n(n))
+		cuts := make([]int64, 1500)
+		for i := range cuts {
+			cuts[i] = 1 + rng.Int64n(n-1)
 		}
+		slices.Sort(cuts)
+		ix := seeded(d.Values, slices.Compact(cuts), n, Options{Layout: layout})
 		existing := ix.Boundaries()
 		var stop atomic.Bool
 		var crackers, readers sync.WaitGroup

@@ -91,7 +91,8 @@ func TestFirstLatchersMeetOnOneLatch(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			for k := int64(1); k <= 3; k++ {
-				ix.CrackAt(int64(i)*gap + k)
+				v := int64(i)*gap + k
+				ix.Count(v, v+1)
 			}
 		}
 	}()

@@ -2,45 +2,54 @@
 // sharded adaptive index: a directory-backed store that survives
 // process death with its refinement knowledge intact.
 //
-// The paper's §4.2 insight is that adaptive-index logging is cheap
-// because the log carries *structure*, not contents: crack boundaries,
-// shard cuts, merge steps. This package completes that story end to
-// end. A store directory holds
+// The paper (§3, §4.2) makes every structural change a small system
+// transaction over re-creatable index structure, so the *effect* of all
+// of them can be captured at a checkpoint instead of being logged and
+// re-derived one by one. This package does exactly that. A store
+// directory holds
 //
-//   - base.snap — the column's logical contents as of the newest
-//     checkpoint (written atomically: temp file + rename);
-//   - wal-*.seg — CRC-framed structural log segments (wal.FileSink),
-//     fsynced on every system-transaction commit.
+//   - base.snap — the checkpoint: the column's image at an epoch
+//     watermark W (shard.Column.ImageAt) — the shard cuts and, per shard,
+//     the array in piece order with its seed table (value, position,
+//     prefix sum). It is written to a temp file, fsynced, renamed over
+//     the previous one and made durable by a directory fsync; the rename
+//     is the commit;
+//   - wal-*.seg — CRC-framed log segments (wal.FileSink): the system
+//     transactions of group-applies, splits and merges, fsynced on
+//     commit, and with LogWrites the logical writes, tagged with their
+//     epoch.
 //
-// The ingest coordinator periodically checkpoints: it snapshots the
-// data, serializes the shard cuts and every shard's crack boundaries
-// into wal.Checkpoint records inside one committed system transaction,
-// and truncates the now-dead log prefix. Open recovers by reading the
-// snapshot, folding the checkpoint and all later committed structural
-// records into a wal.Catalog, and rebuilding the column with
-// shard.NewWithBoundsAndCracks — pre-cracked to everything the crashed
-// process had learned, so the first query after reopen pays
-// steady-state cost, not cold-start cost.
+// The ingest coordinator checkpoints periodically (ingest.Checkpoint):
+// it rotates the sink, seals every open epoch at W, captures the image,
+// writes base.snap, and only then deletes the segments before the
+// rotation. Open reads the snapshot, adopts it (shard.Restore: one
+// crackindex.NewOwned per shard — no sample, no build, no crack), and
+// replays the logical writes tagged above the snapshot's W. A restarted
+// store therefore has exactly the pieces it checkpointed, and its first
+// query pays steady-state cost.
 //
-// Durability unit: the checkpoint. Structural operations are durable
-// as soon as they commit (fsync-on-commit); logical contents and crack
-// boundaries are durable as of the last checkpoint (Close always takes
-// a final one, so a clean shutdown loses nothing). Updates routed
-// after the last checkpoint are lost on a crash — in the paper's
-// architecture the base table has its own recovery log and the
-// adaptive index is re-creatable knowledge, so losing the index tail
-// is always safe and never affects correctness of what remains.
+// Durability unit: the snapshot. Structure — shard cuts and pieces — is
+// durable as of the last snapshot; splits and merges after it are
+// re-derived by the rebalancer (structure is re-creatable, §4.2), and
+// refinement after it is re-earned by queries. Data is durable as of the
+// last snapshot too (Close always takes a final one, so a clean shutdown
+// loses nothing), and with LogWrites as of the last fsync of the log:
+// the image and the records above its watermark partition the write
+// history without gap or overlap, whatever point a crash hits.
 //
 // A store directory must be owned by one process at a time; no lock
 // file is taken.
 package durable
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -55,9 +64,9 @@ import (
 // Options configures Open.
 type Options struct {
 	// Values is the column's initial contents when the directory holds
-	// no data snapshot yet (a fresh store, or one that crashed before
-	// its first checkpoint completed). Once a snapshot exists it wins
-	// and Values is ignored.
+	// no snapshot yet (a fresh store, or one that crashed before its
+	// first checkpoint completed). Once a snapshot exists it wins and
+	// Values is ignored.
 	Values []int64
 	// Shard configures the sharded column (shard count, workers,
 	// per-shard index options, ...).
@@ -73,8 +82,8 @@ type Options struct {
 	CheckpointEvery int
 	// LogWrites enables data-tail durability (ingest
 	// Options.LogWrites): routed writes are logged as logical records
-	// and replayed past the checkpoint's epoch watermark on reopen, so
-	// a crash loses at most the not-yet-fsynced log tail instead of
+	// and replayed past the snapshot's epoch watermark on reopen, so a
+	// crash loses at most the not-yet-fsynced log tail instead of
 	// everything since the last checkpoint.
 	LogWrites bool
 	// SyncEvery bounds the not-yet-fsynced tail by record count: with
@@ -92,7 +101,7 @@ type Options struct {
 }
 
 // Column is a durable sharded adaptive index: a shard.Column plus its
-// ingest.Coordinator, wired to a file-backed WAL and checkpointed data
+// ingest.Coordinator, wired to a file-backed WAL and checkpoint
 // snapshots in one directory. Reads go straight to the column; writes
 // route through the coordinator. Safe for concurrent use.
 type Column struct {
@@ -106,28 +115,48 @@ type Column struct {
 }
 
 // RecoveryBreakdown is the wall-clock cost of the three Open phases:
-// loading and validating the checkpoint's data snapshot, scanning and
-// folding the structural WAL, and rebuilding the column (warm crack
-// replay plus the logged data tail). Open also publishes the three
-// durations as observer gauges (adaptix_recovery_*_ns), so the cost of
-// the last recovery is scrapeable at /metrics.
+// loading and validating the snapshot, scanning the WAL, and rebuilding
+// the column (adopting the snapshot plus replaying the logged data
+// tail). Open also publishes the three durations as observer gauges
+// (adaptix_recovery_*_ns), so the cost of the last recovery is
+// scrapeable at /metrics.
 type RecoveryBreakdown struct {
-	// CheckpointLoad is the time spent reading base.snap.
+	// CheckpointLoad is the time spent reading and validating base.snap.
 	CheckpointLoad time.Duration
 	// WALScan is the time spent reading the log segments and folding
 	// them into the recovery catalog.
 	WALScan time.Duration
-	// Replay is the time spent rebuilding the column: shard
-	// partitioning, warm crack-boundary replay, and the logged data
-	// tail.
+	// Replay is the time spent rebuilding the column: shard.Restore
+	// adopting the snapshot's arrays and seed tables (one
+	// crackindex.NewOwned per shard, no partition pass), then the logged
+	// writes above the snapshot's watermark. A fresh store spends it on
+	// shard.New instead.
 	Replay time.Duration
 }
 
+// Seams the in-package crash tests replace to stop or fail a checkpoint
+// at a chosen step; the store itself never changes them.
+var (
+	// snapshotWriter writes a checkpoint's image into dir.
+	snapshotWriter = writeSnapshot
+	// truncator is the WAL sink as the checkpoint writer sees it.
+	truncator = func(s *wal.FileSink) wal.SegmentTruncator { return s }
+	// syncDir makes a rename in dir durable.
+	syncDir = func(dir string) error {
+		d, err := os.Open(dir)
+		if err != nil {
+			return err
+		}
+		defer d.Close()
+		return d.Sync()
+	}
+)
+
 // Open opens the store in dir, creating it (with opts.Values as
-// initial contents) when no store exists, or recovering it from the
-// snapshot and the structural log when one does. The returned column
-// has background maintenance started and an initial checkpoint taken,
-// so a freshly opened store is durable immediately.
+// initial contents) when no snapshot exists, or restoring it from the
+// snapshot and the log tail past the snapshot's watermark when one does.
+// The returned column has background maintenance started and an initial
+// checkpoint taken, so a freshly opened store is durable immediately.
 func Open(dir string, opts Options) (*Column, error) {
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 8
@@ -142,46 +171,42 @@ func Open(dir string, opts Options) (*Column, error) {
 
 	var bd RecoveryBreakdown
 	t0 := time.Now()
-	values, haveSnap, err := readSnapshot(dir)
+	img, recovered, err := readSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
 	bd.CheckpointLoad = time.Since(t0)
-	t0 = time.Now()
-	raw, err := wal.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	if !haveSnap {
-		// No snapshot means creation never reached its first durable
-		// point (a crash can leave bootstrap WAL records behind before
-		// the initial checkpoint's snapshot rename): the authoritative
-		// contents are still the caller's. Any recovered structure is
-		// applied on top of them below.
-		values = opts.Values
-	}
-
 	var col *shard.Column
-	recovered := haveSnap
-	if len(raw) > 0 || haveSnap {
+	if recovered {
+		t0 = time.Now()
+		raw, err := wal.ReadDir(dir)
+		if err != nil {
+			return nil, err
+		}
 		cat, err := wal.Recover(raw)
 		if err != nil {
 			return nil, fmt.Errorf("durable: recover: %w", err)
 		}
 		bd.WALScan = time.Since(t0)
 		t0 = time.Now()
-		col = shard.NewWithBoundsAndCracks(values, cat.ShardBounds[name], cat.ShardCracks[name], opts.Shard)
-		// Epoch ids must stay monotonic across incarnations: reissuing
-		// low ids would let old-incarnation records in stale segments
-		// (a failed post-checkpoint truncation) alias into the new
-		// epoch namespace and replay writes the snapshot already
-		// contains.
-		col.AdvanceEpoch(maxRecoveredEpoch(cat, name))
-		replayTail(col, cat.TailWrites[name])
+		// The snapshot holds every write of an epoch <= its watermark;
+		// the log's records above it are the tail.
+		var tail []wal.TailWrite
+		for _, tw := range cat.TailWrites[name] {
+			if tw.Epoch > img.Epoch {
+				tail = append(tail, tw)
+			}
+		}
+		// Epoch ids stay monotonic across incarnations: the restored
+		// column opens its epochs above every id this log names, so a
+		// stale segment a failed release left behind can never alias into
+		// the new incarnation's epochs.
+		img.Epoch = max(img.Epoch, maxRecoveredEpoch(cat, name))
+		col = shard.Restore(img, opts.Shard)
+		replayTail(col, tail)
 	} else {
-		bd.WALScan = time.Since(t0)
 		t0 = time.Now()
-		col = shard.New(values, opts.Shard)
+		col = shard.New(opts.Values, opts.Shard)
 	}
 	bd.Replay = time.Since(t0)
 	opts.Shard.Obs.RecordRecovery(bd.CheckpointLoad, bd.WALScan, bd.Replay)
@@ -196,13 +221,23 @@ func Open(dir string, opts Options) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !recovered {
+		// No snapshot: no Open ever returned for this directory, so no
+		// write was acknowledged, and whatever segments it holds are
+		// ignored. Delete them — every one but the sink's fresh segment —
+		// before the first snapshot could make them read as its tail.
+		if err := sink.ReleaseBefore(math.MaxInt); err != nil {
+			sink.Close()
+			return nil, err
+		}
+	}
 	iopts := opts.Ingest
 	iopts.Name = name
 	if iopts.Obs == nil {
 		iopts.Obs = opts.Shard.Obs
 	}
 	iopts.Log = wal.New(sink)
-	iopts.Sink = sink
+	iopts.Sink = truncator(sink)
 	iopts.CheckpointEvery = opts.CheckpointEvery
 	iopts.LogWrites = opts.LogWrites || iopts.LogWrites
 	if opts.SyncEvery > 0 {
@@ -211,13 +246,14 @@ func Open(dir string, opts Options) (*Column, error) {
 	if opts.SyncInterval > 0 {
 		iopts.SyncInterval = opts.SyncInterval
 	}
-	iopts.SnapshotWriter = func(vals []int64) error {
-		return writeSnapshot(dir, vals, !opts.NoSync)
+	iopts.SnapshotWriter = func(img shard.Image) error {
+		return snapshotWriter(dir, img, !opts.NoSync)
 	}
 	ing := ingest.New(col, iopts)
 	c := &Column{dir: dir, col: col, ing: ing, sink: sink, recovered: recovered, recovery: bd}
-	// Checkpoint immediately: the fresh log is self-contained from its
-	// first segment, and recovered refinement is re-persisted into it.
+	// Checkpoint immediately: the restored (or built) column becomes the
+	// snapshot, and the segments it supersedes — the replayed tail's
+	// among them — are released.
 	if !ing.Checkpoint() {
 		sink.Close()
 		return nil, errors.New("durable: initial checkpoint failed")
@@ -230,8 +266,8 @@ func Open(dir string, opts Options) (*Column, error) {
 func (c *Column) Dir() string { return c.dir }
 
 // Recovered reports whether Open found an existing store — a durable
-// data snapshot — in the directory (as opposed to creating a fresh
-// one from Options.Values).
+// snapshot — in the directory (as opposed to creating a fresh one from
+// Options.Values).
 func (c *Column) Recovered() bool { return c.recovered }
 
 // Recovery returns the wall-clock breakdown of the Open that produced
@@ -270,9 +306,9 @@ func (c *Column) Apply(ctx context.Context, batch []ingest.Op) (int, error) {
 	return c.ing.Apply(ctx, batch)
 }
 
-// Checkpoint forces a checkpoint now: data snapshot, crack-boundary
-// records, log-prefix truncation. Everything up to this call is
-// durable once it returns true.
+// Checkpoint forces a checkpoint now: the column's image written to
+// base.snap, then the log prefix it supersedes released. Everything up
+// to this call is durable once it returns true.
 func (c *Column) Checkpoint() bool { return c.ing.Checkpoint() }
 
 // Close stops background maintenance, takes a final checkpoint, and
@@ -288,33 +324,26 @@ func (c *Column) Close() error {
 }
 
 // maxRecoveredEpoch returns the highest epoch id the recovered log
-// mentions for name: the checkpoint watermark, sealed and applied
-// ids, and every tail write's tag.
+// mentions for name: sealed and applied ids, and every logical write's
+// tag.
 func maxRecoveredEpoch(cat *wal.Catalog, name string) int64 {
-	m := cat.EpochWatermark[name]
-	if v := cat.AppliedEpoch[name]; v > m {
-		m = v
-	}
+	m := cat.AppliedEpoch[name]
 	for _, id := range cat.SealedEpochs[name] {
-		if id > m {
-			m = id
-		}
+		m = max(m, id)
 	}
 	for _, tw := range cat.TailWrites[name] {
-		if tw.Epoch > m {
-			m = tw.Epoch
-		}
+		m = max(m, tw.Epoch)
 	}
 	return m
 }
 
 // replayTail re-applies the recovered data tail (Options.LogWrites):
-// the snapshot holds the contents up to the checkpoint's epoch
-// watermark; the logical records beyond it — including those of any
-// half-applied epoch whose merge never committed — re-apply in log
-// order. Without logged writes the tail is simply absent, which is
-// the paper's model (the base table has its own log) and never
-// affects the correctness of what remains.
+// the snapshot holds the contents up to its epoch watermark; the
+// logical records beyond it — including those of any half-applied epoch
+// whose merge never committed — re-apply in log order. Without logged
+// writes the tail is simply absent, which is the paper's model (the base
+// table has its own log) and never affects the correctness of what
+// remains.
 //
 // Autonomous logical records can land in the log slightly out of
 // order relative to the in-memory interleaving (the routed write and
@@ -352,82 +381,270 @@ func replayTail(col *shard.Column, tail []wal.TailWrite) {
 	}
 }
 
-// Snapshot file format: magic, value count, values, CRC-32 of all
-// preceding bytes — one self-validating file, replaced atomically.
-const snapMagic = "ADXSNAP1"
+// The snapshot file, every integer little-endian:
+//
+//	magic  "ADXSNAP2"
+//	epoch  int64                    the image's watermark W
+//	shards uint64                   P >= 1
+//	cuts   (P-1) x int64            strictly increasing
+//	P x {  rows uint64, seeds uint64,
+//	       rows x int64             the shard's array in piece order
+//	       seeds x {value int64, pos uint64, sum int64} }
+//	crc    uint32                   CRC-32 (IEEE) of every byte before it
+//
+// One self-validating file, replaced atomically.
+const snapMagic = "ADXSNAP2"
+
+// ErrOldSnapshot reports a base.snap in the earlier format ("ADXSNAP1"),
+// which stored the column's values without its shard map or pieces.
+// Such a store cannot be opened; rebuild it from its values.
+var ErrOldSnapshot = errors.New("durable: snapshot: ADXSNAP1 format (values only) is not supported")
 
 func snapPath(dir string) string { return filepath.Join(dir, "base.snap") }
 
-// writeSnapshot atomically replaces the store's data snapshot.
-func writeSnapshot(dir string, values []int64, sync bool) error {
-	buf := make([]byte, 0, len(snapMagic)+8+8*len(values)+4)
-	buf = append(buf, snapMagic...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(len(values)))
-	buf = append(buf, tmp[:]...)
-	for _, v := range values {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		buf = append(buf, tmp[:]...)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
-	buf = append(buf, crc[:]...)
-
+// writeSnapshot atomically replaces the store's snapshot with img: a
+// temp file written through a buffer with a running CRC, fsynced,
+// renamed over base.snap, and the rename made durable by fsyncing the
+// directory. The rename is the commit; an error at any step — the
+// directory fsync included — fails the checkpoint, so the segments an
+// un-durable rename would still need are kept.
+func writeSnapshot(dir string, img shard.Image, sync bool) error {
 	tmpPath := snapPath(dir) + ".tmp"
-	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.Create(tmpPath)
 	if err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
+	w := snapWriter{w: bufio.NewWriterSize(f, 1<<16)}
+	w.encode(img)
+	err = w.finish()
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpPath, snapPath(dir))
+	}
+	if err == nil && sync {
+		err = syncDir(dir)
+	}
+	if err != nil {
 		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("durable: snapshot: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if err := os.Rename(tmpPath, snapPath(dir)); err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
-	}
-	if sync {
-		if d, err := os.Open(dir); err == nil {
-			_ = d.Sync()
-			d.Close()
-		}
 	}
 	return nil
 }
 
-// readSnapshot loads and validates the data snapshot; ok is false when
-// none exists yet.
-func readSnapshot(dir string) (values []int64, ok bool, err error) {
-	buf, err := os.ReadFile(snapPath(dir))
+// snapWriter encodes a snapshot into a buffered writer, keeping the CRC
+// of everything written. The first error sticks.
+type snapWriter struct {
+	w   *bufio.Writer
+	crc uint32
+	err error
+}
+
+func (s *snapWriter) write(b []byte) {
+	if s.err == nil {
+		s.crc = crc32.Update(s.crc, crc32.IEEETable, b)
+		_, s.err = s.w.Write(b)
+	}
+}
+
+func (s *snapWriter) u64(v uint64) {
+	s.write(binary.LittleEndian.AppendUint64(s.w.AvailableBuffer(), v))
+}
+
+// ints encodes vs straight into the writer's free buffer space, so the
+// image is never copied into a second byte slice of its size.
+func (s *snapWriter) ints(vs []int64) {
+	for len(vs) > 0 && s.err == nil {
+		n := min(len(vs), s.w.Available()/8)
+		if n == 0 {
+			s.err = s.w.Flush()
+			continue
+		}
+		b := s.w.AvailableBuffer()[:8*n]
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+		s.write(b)
+		vs = vs[n:]
+	}
+}
+
+func (s *snapWriter) encode(img shard.Image) {
+	s.write([]byte(snapMagic))
+	s.u64(uint64(img.Epoch))
+	s.u64(uint64(len(img.Shards)))
+	s.ints(img.Bounds)
+	for _, sh := range img.Shards {
+		s.u64(uint64(len(sh.Values)))
+		s.u64(uint64(len(sh.Seeds)))
+		s.ints(sh.Values)
+		for _, b := range sh.Seeds {
+			s.u64(uint64(b.Value))
+			s.u64(uint64(b.Pos))
+			s.u64(uint64(b.Sum))
+		}
+	}
+}
+
+// finish appends the CRC and flushes.
+func (s *snapWriter) finish() error {
+	if s.err == nil {
+		_, s.err = s.w.Write(binary.LittleEndian.AppendUint32(nil, s.crc))
+	}
+	if s.err == nil {
+		s.err = s.w.Flush()
+	}
+	return s.err
+}
+
+// readSnapshot loads and validates the store's snapshot; ok is false
+// when none exists yet.
+func readSnapshot(dir string) (img shard.Image, ok bool, err error) {
+	f, err := os.Open(snapPath(dir))
 	if os.IsNotExist(err) {
-		return nil, false, nil
+		return shard.Image{}, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("durable: snapshot: %w", err)
+		return shard.Image{}, false, fmt.Errorf("durable: snapshot: %w", err)
 	}
-	if len(buf) < len(snapMagic)+8+4 || string(buf[:len(snapMagic)]) != snapMagic {
-		return nil, false, errors.New("durable: snapshot: bad header")
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return shard.Image{}, false, fmt.Errorf("durable: snapshot: %w", err)
 	}
-	body, crc := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if crc32.ChecksumIEEE(body) != crc {
-		return nil, false, errors.New("durable: snapshot: checksum mismatch")
+	img, err = decodeSnapshot(bufio.NewReaderSize(f, 1<<16), st.Size())
+	return img, err == nil, err
+}
+
+// Snapshot decoding errors.
+var (
+	errSnapshotShape    = errors.New("durable: snapshot: malformed")
+	errSnapshotChecksum = errors.New("durable: snapshot: checksum mismatch")
+	errSnapshotLength   = errors.New("durable: snapshot: length mismatch")
+)
+
+// decodeSnapshot decodes a snapshot of size bytes from r. The file is
+// outside input: every declared count is checked against the bytes left
+// before anything is allocated for it; cuts and seed values must be
+// strictly increasing and seed positions non-decreasing and inside their
+// shard (what shard.Restore relies on); and the CRC must match, with no
+// byte after it.
+func decodeSnapshot(r io.Reader, size int64) (shard.Image, error) {
+	d := snapReader{r: r, left: size}
+	magic := string(d.read(len(snapMagic)))
+	if magic == "ADXSNAP1" {
+		return shard.Image{}, ErrOldSnapshot
 	}
-	n := binary.LittleEndian.Uint64(body[len(snapMagic):])
-	if uint64(len(body)-len(snapMagic)-8) != 8*n {
-		return nil, false, errors.New("durable: snapshot: length mismatch")
+	if magic != snapMagic {
+		return shard.Image{}, errors.New("durable: snapshot: bad header")
 	}
-	values = make([]int64, n)
-	p := len(snapMagic) + 8
-	for i := range values {
-		values[i] = int64(binary.LittleEndian.Uint64(body[p+8*i:]))
+	var img shard.Image
+	img.Epoch = int64(d.u64())
+	// Every shard takes a 16-byte header and all but one an 8-byte cut.
+	if p := d.u64(); p == 0 || p > uint64(d.avail()+8)/24 {
+		d.fail(errSnapshotShape)
+	} else {
+		img.Bounds = make([]int64, p-1)
+		img.Shards = make([]shard.ShardImage, p)
 	}
-	return values, true, nil
+	d.ints(img.Bounds)
+	for i := 1; i < len(img.Bounds); i++ {
+		if img.Bounds[i] <= img.Bounds[i-1] {
+			d.fail(errSnapshotShape)
+		}
+	}
+	for i := range img.Shards {
+		rows, seeds := d.u64(), d.u64()
+		if n := uint64(d.avail()); rows > n/8 || seeds > (n-8*rows)/24 {
+			d.fail(errSnapshotShape)
+		}
+		if d.err != nil {
+			break
+		}
+		sh := shard.ShardImage{Values: make([]int64, rows), Seeds: make([]crackindex.BoundaryPosition, seeds)}
+		d.ints(sh.Values)
+		prev := crackindex.BoundaryPosition{Value: math.MinInt64}
+		for j := range sh.Seeds {
+			b := crackindex.BoundaryPosition{Value: int64(d.u64()), Pos: int(d.u64()), Sum: int64(d.u64())}
+			if b.Value <= prev.Value || b.Value == math.MaxInt64 || b.Pos < prev.Pos || uint64(b.Pos) > rows {
+				d.fail(errSnapshotShape)
+			}
+			sh.Seeds[j], prev = b, b
+		}
+		img.Shards[i] = sh
+	}
+	want := d.crc
+	if tail := d.read(4); tail != nil && binary.LittleEndian.Uint32(tail) != want {
+		d.fail(errSnapshotChecksum)
+	}
+	if errors.Is(d.err, io.ErrUnexpectedEOF) || (d.err == nil && d.left != 0) {
+		d.err = errSnapshotLength
+	}
+	if d.err != nil {
+		return shard.Image{}, d.err
+	}
+	return img, nil
+}
+
+// snapReader reads a snapshot stream in small chunks, folding every
+// byte into a running CRC and counting the bytes still unread. After the
+// first error it reads nothing more and returns zeros.
+type snapReader struct {
+	r    io.Reader
+	left int64 // bytes not yet read, the trailing CRC included
+	crc  uint32
+	err  error
+	buf  [4 << 10]byte
+}
+
+func (d *snapReader) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// avail is the number of bytes left before the trailing CRC.
+func (d *snapReader) avail() int64 { return max(d.left-4, 0) }
+
+// read returns the next n <= len(buf) bytes, or nil once reading failed.
+func (d *snapReader) read(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if int64(n) > d.left {
+		d.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	b := d.buf[:n]
+	if _, err := io.ReadFull(d.r, b); err != nil {
+		d.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	d.left -= int64(n)
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, b)
+	return b
+}
+
+func (d *snapReader) u64() uint64 {
+	if b := d.read(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (d *snapReader) ints(dst []int64) {
+	for len(dst) > 0 {
+		n := min(len(dst), len(d.buf)/8)
+		b := d.read(8 * n)
+		if b == nil {
+			return
+		}
+		for i := range dst[:n] {
+			dst[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		dst = dst[n:]
+	}
 }

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -108,8 +110,9 @@ func TestOpenCreateReopenCleanClose(t *testing.T) {
 	if !re.Recovered() {
 		t.Fatal("reopen did not recover")
 	}
-	assertAgreesWithScan(t, re, brute(d.Values), d.Domain)
-	// Clean close loses no refinement: every warm boundary is back.
+	// Clean close loses no refinement and adds none: the reopened store
+	// has exactly the warm store's boundaries. (Compared before any query
+	// of the reopened store refines it further.)
 	reBounds := re.Column().CrackBoundaries()
 	var warmN, reN int
 	for _, s := range warmBounds {
@@ -118,8 +121,57 @@ func TestOpenCreateReopenCleanClose(t *testing.T) {
 	for _, s := range reBounds {
 		reN += len(s)
 	}
-	if reN < warmN {
+	if reN != warmN {
 		t.Fatalf("reopened store has %d crack boundaries, warm store had %d", reN, warmN)
+	}
+	assertAgreesWithScan(t, re, brute(d.Values), d.Domain)
+}
+
+// TestReopenKeepsStructureExactly: with no query at all, Close/Open
+// cycles neither lose nor add a boundary. After every reopen each
+// shard's boundary table — value, position and prefix sum of every
+// boundary, i.e. its BoundaryPositions — is the one the closing
+// checkpoint wrote.
+func TestReopenKeepsStructureExactly(t *testing.T) {
+	dir := t.TempDir()
+	d := workload.NewUniqueUniform(1<<20, 43)
+	c, err := Open(dir, testOptions(d.Values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for cycle := range 4 {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		saved, ok, err := readSnapshot(dir)
+		if err != nil || !ok {
+			t.Fatalf("cycle %d: snapshot: %v %v", cycle, ok, err)
+		}
+		if c, err = Open(dir, testOptions(nil)); err != nil {
+			t.Fatal(err)
+		}
+		got := c.Column().ImageAt(math.MaxInt64)
+		if !slices.Equal(got.Bounds, saved.Bounds) {
+			t.Fatalf("cycle %d: reopened cuts %v, checkpointed %v", cycle, got.Bounds, saved.Bounds)
+		}
+		n := 0
+		for i, sh := range got.Shards {
+			if !slices.Equal(sh.Seeds, saved.Shards[i].Seeds) {
+				t.Fatalf("cycle %d, shard %d: reopened with %d boundaries, checkpointed %d (or at other positions)",
+					cycle, i, len(sh.Seeds), len(saved.Shards[i].Seeds))
+			}
+			n += len(sh.Seeds)
+		}
+		if first < 0 {
+			first = n
+		}
+		if n != first {
+			t.Fatalf("cycle %d: %d boundaries, %d after the first reopen", cycle, n, first)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -270,10 +322,9 @@ func TestRecoverySurvivesDeletedValues(t *testing.T) {
 }
 
 func TestOpenWALOnlyDirectoryKeepsCallerValues(t *testing.T) {
-	// A crash between the bootstrap WAL records and the initial
-	// checkpoint's snapshot rename leaves segments but no base.snap.
-	// Reopening with the same Values must not silently produce an
-	// empty column.
+	// A directory with log segments but no base.snap (a crash before the
+	// first snapshot's rename, or a lost snapshot). Reopening with the
+	// same Values must not silently produce an empty column.
 	dir := t.TempDir()
 	d := workload.NewUniqueUniform(1<<12, 23)
 	c, err := Open(dir, testOptions(d.Values))

@@ -137,6 +137,20 @@ func TestTailReplayPairsMisorderedDeleteWithInsert(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<10, 29)
 	fresh := d.Domain + 7 // never in the base values
 
+	// A store whose process dies right after its initial checkpoint.
+	opts := testOptions(d.Values)
+	opts.LogWrites = true
+	opts.Ingest = ingest.Options{ApplyThreshold: 1 << 30, MinShardRows: 1 << 30}
+	crashed, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Its log tail, tagged above the snapshot's watermark.
+	const epoch = 1 << 40
 	sink, err := wal.NewFileSink(dir, wal.SinkOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +159,10 @@ func TestTailReplayPairsMisorderedDeleteWithInsert(t *testing.T) {
 	for _, r := range []wal.Record{
 		// Pre-crash truth: insert(fresh) then delete(fresh), records
 		// landing in the log in the opposite order.
-		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh, B: 5, C: 1},
-		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh, B: 5, C: 0},
+		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh, B: epoch, C: 1},
+		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh, B: epoch, C: 0},
 		// And a plain surviving tail insert.
-		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh + 1, B: 5, C: 0},
+		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh + 1, B: epoch, C: 0},
 	} {
 		if _, err := log.Append(r); err != nil {
 			t.Fatal(err)
@@ -158,9 +172,6 @@ func TestTailReplayPairsMisorderedDeleteWithInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := testOptions(d.Values)
-	opts.LogWrites = true
-	opts.Ingest = ingest.Options{ApplyThreshold: 1 << 30, MinShardRows: 1 << 30}
 	c, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

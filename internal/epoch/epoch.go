@@ -31,9 +31,9 @@
 //
 // Epoch ids are allocated from one monotonic per-column counter, so a
 // single watermark W orders every epoch of every shard: "contents up
-// to W" is a well-defined cut that checkpoints persist (CkptEpoch) and
-// recovery uses to discard half-applied epochs and replay only the
-// logical records beyond it.
+// to W" is a well-defined cut that a checkpoint's snapshot captures and
+// records with it, and that recovery uses to discard half-applied
+// epochs and replay only the logical records beyond it.
 //
 // Forked chains (the successor published by a group-apply) share the
 // lineage latch and the open epoch file with their ancestor, so a
@@ -325,7 +325,7 @@ func (ch *Chain) SealedSnapshot() (ins, del []int64, watermark int64, epochs int
 
 // Collect returns the merged contents of every epoch with id <=
 // maxEpoch — the materialization input for snapshot-consistent reads
-// (ValuesAt). Epochs past the watermark are excluded even if sealed.
+// (shard.Column.ImageAt). Epochs past the watermark are excluded even if sealed.
 func (ch *Chain) Collect(maxEpoch int64) (ins, del []int64) {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()

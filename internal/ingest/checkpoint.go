@@ -1,35 +1,41 @@
-// Crack-boundary checkpoints: periodically serialize the column's
-// complete refinement knowledge — the shard-map cuts and every shard's
-// crack boundaries — into wal.Checkpoint records, so recovery restores
-// piece-level refinement instead of only the shard map. A checkpoint
-// is one system transaction (fsynced on commit like every structural
-// commit); once it is durable, the log prefix before it is dead and is
-// truncated through the sink (wal.SegmentTruncator).
+// Checkpoints: the snapshot is the checkpoint. The column's image — the
+// shard map, every shard's array in piece order and its seeds, cut at an
+// epoch watermark W — goes to the SnapshotWriter, and the log segments
+// the image supersedes are released. No checkpoint record is logged: a
+// structural change is a system transaction whose effect an image
+// captures whole (paper §4.2), so recovery adopts the image instead of
+// re-deriving it from records.
 package ingest
 
 import (
 	"time"
 
 	"adaptix/internal/metrics"
-	"adaptix/internal/wal"
 )
 
-// Checkpoint serializes the column's current shard cuts and per-shard
-// crack boundaries into one committed checkpoint transaction, and
-// truncates the dead log prefix when a truncating sink is configured.
-// The checkpoint names the epoch it captured (wal.CkptEpoch): every
-// open epoch is sealed first, so the accompanying data snapshot is an
-// exact cut at the watermark and recovery can discard half-applied
-// epochs and replay only the logical records beyond it. When a
-// SnapshotWriter is configured it receives the column's logical
-// contents as of the watermark first, so the data snapshot on disk is
-// always at least as new as the newest committed checkpoint. Reports
-// whether a checkpoint was written (false when no Log is configured or
-// a step failed).
+// Checkpoint hands the column's image to the SnapshotWriter and then
+// releases the log prefix it supersedes, in this order:
+//
+//  1. rotate the sink (wal.SegmentTruncator.MarkCheckpoint): every
+//     record logged from here on lands in the fresh segment or later;
+//  2. seal every shard's open epoch at a common watermark W
+//     (shard.Column.SealAllEpochs): each write routed so far is in an
+//     epoch <= W, each later one lands above it;
+//  3. capture the image as of W (shard.Column.ImageAt) and write it;
+//  4. once the writer reports it durable, delete the segments before the
+//     rotation (ReleaseBefore).
+//
+// A write tagged above W was routed after step 2, hence logged after
+// step 1, so its record is never released; a write tagged at or below W
+// is in the image. The image and the log's records above W therefore
+// partition the write history without gap or overlap, whatever the
+// writers do meanwhile. A failure at any step leaves the previous
+// snapshot and every segment it needs in place. Reports whether the
+// image was written (false without a SnapshotWriter).
 //
 // Checkpoint serializes with Maintain: both hold the maintenance lock,
-// so no structural operation can commit between the snapshot and the
-// checkpoint records that describe it.
+// so no group-apply, split or merge folds a write above W into a shard's
+// base between the seal and the capture.
 func (g *Coordinator) Checkpoint() bool {
 	g.maintMu.Lock()
 	defer g.maintMu.Unlock()
@@ -39,24 +45,10 @@ func (g *Coordinator) Checkpoint() bool {
 // checkpointLocked is Checkpoint under an already-held maintenance
 // lock (Maintain's periodic trigger).
 func (g *Coordinator) checkpointLocked() bool {
-	if g.opts.Log == nil {
+	if g.opts.SnapshotWriter == nil {
 		return false
 	}
 	t0 := time.Now()
-	// Epoch cut first: roll every shard's open epoch so the snapshot
-	// has an exact watermark — contents up to epoch W, nothing beyond.
-	// Writers racing the checkpoint roll over to fresh epochs (they
-	// never park) and their writes, tagged with ids above W, stay out
-	// of the snapshot deterministically; with LogWrites they replay
-	// from their LogicalWrite records instead.
-	watermark := g.col.SealAllEpochs()
-	if g.opts.SnapshotWriter != nil {
-		if err := g.opts.SnapshotWriter(g.col.ValuesAt(watermark)); err != nil {
-			return false
-		}
-	}
-	// Rotate first: the checkpoint records open a fresh segment, so
-	// every earlier segment is superseded once they commit.
 	seg := 0
 	if g.opts.Sink != nil {
 		var err error
@@ -64,47 +56,16 @@ func (g *Coordinator) checkpointLocked() bool {
 			return false
 		}
 	}
-	seq := g.ckpts.Load() + 1 // counted only once durably committed
-	bounds := g.col.Bounds()
-	cracks := g.col.CrackBoundaries()
-	ok := g.structural(func() ([]wal.Record, bool) {
-		n := 2 + len(bounds)
-		for _, set := range cracks {
-			n += len(set)
-		}
-		recs := make([]wal.Record, 0, n)
-		recs = append(recs, wal.Record{
-			Kind: wal.Checkpoint, C: wal.CkptHeader,
-			A: int64(len(cracks)), B: seq,
-		})
-		recs = append(recs, wal.Record{
-			Kind: wal.Checkpoint, C: wal.CkptEpoch, A: watermark,
-		})
-		for _, cut := range bounds {
-			recs = append(recs, wal.Record{Kind: wal.Checkpoint, C: wal.CkptCut, A: cut})
-		}
-		for shardOrd, set := range cracks {
-			for _, b := range set {
-				recs = append(recs, wal.Record{
-					Kind: wal.Checkpoint, C: wal.CkptCrack,
-					A: int64(shardOrd), B: b,
-				})
-			}
-		}
-		return recs, true
-	})
-	if !ok {
-		// The checkpoint never durably committed (structural reports
-		// append/fsync failures): the previous checkpoint stands and
-		// its segments are untouched.
+	if err := g.opts.SnapshotWriter(g.col.ImageAt(g.col.SealAllEpochs())); err != nil {
 		return false
 	}
-	g.ckpts.Store(seq)
+	g.ckpts.Add(1)
 	if g.opts.Sink != nil {
-		// The checkpoint has durably committed (fsync-on-commit), so
-		// the prefix is dead; failure to delete it only wastes space —
-		// a stale segment cannot mask later ones (wal.ReadDir resumes
-		// at segment boundaries past damaged tails).
+		// The snapshot is durable, so the prefix is dead; failure to
+		// delete it only wastes space — a stale segment cannot mask later
+		// ones (wal.ReadDir resumes at segment boundaries past damaged
+		// tails), and recovery filters its records by the snapshot's
+		// watermark.
 		_ = g.opts.Sink.ReleaseBefore(seg)
 	}
 	g.sinceCkpt.Store(0)

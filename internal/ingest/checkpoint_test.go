@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"slices"
 	"testing"
 
 	"adaptix/internal/shard"
@@ -18,40 +19,49 @@ func warmQueries(col *shard.Column, domain int64, n int) {
 	}
 }
 
+// imageSink is a SnapshotWriter that keeps the last image it was handed.
+type imageSink struct {
+	img shard.Image
+	n   int
+}
+
+func (s *imageSink) write(img shard.Image) error {
+	s.img = img
+	s.n++
+	return nil
+}
+
 func TestCheckpointPersistsCutsAndCracks(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<13, 3)
 	col := shard.New(d.Values, pieceOpts())
 	warmQueries(col, d.Domain, 100)
 
 	log := wal.New(nil)
-	g := New(col, Options{Log: log})
+	var snap imageSink
+	g := New(col, Options{Log: log, SnapshotWriter: snap.write})
 	if !g.Checkpoint() {
 		t.Fatal("checkpoint failed")
 	}
-	if g.Stats().Checkpoints != 1 {
-		t.Fatalf("Checkpoints = %d, want 1", g.Stats().Checkpoints)
+	if g.Stats().Checkpoints != 1 || snap.n != 1 {
+		t.Fatalf("Checkpoints = %d, snapshots written = %d, want 1 and 1", g.Stats().Checkpoints, snap.n)
 	}
-
-	var raw []byte
-	for _, r := range log.Records() {
-		raw = append(raw, wal.Encode(r)...)
+	if n := log.Len(); n != 0 {
+		t.Fatalf("a checkpoint appended %d log records, want none", n)
 	}
-	cat, err := wal.Recover(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := col.Bounds()
-	if got := cat.ShardBounds["sharded"]; len(got) != len(bounds) {
-		t.Fatalf("recovered %d cuts, want %d", len(got), len(bounds))
+	if !slices.Equal(snap.img.Bounds, col.Bounds()) {
+		t.Fatalf("image cuts %v, column %v", snap.img.Bounds, col.Bounds())
 	}
 	cracks := col.CrackBoundaries()
-	rec := cat.ShardCracks["sharded"]
-	if len(rec) != len(cracks) {
-		t.Fatalf("recovered %d shard crack sets, want %d", len(rec), len(cracks))
+	if len(snap.img.Shards) != len(cracks) {
+		t.Fatalf("image holds %d shards, column %d", len(snap.img.Shards), len(cracks))
 	}
-	for i := range cracks {
-		if len(rec[i]) != len(cracks[i]) {
-			t.Fatalf("shard %d: recovered %d boundaries, want %d", i, len(rec[i]), len(cracks[i]))
+	for i, sh := range snap.img.Shards {
+		got := make([]int64, len(sh.Seeds))
+		for j, b := range sh.Seeds {
+			got[j] = b.Value
+		}
+		if !slices.Equal(got, cracks[i]) {
+			t.Fatalf("shard %d: image boundaries %v, column %v", i, got, cracks[i])
 		}
 	}
 }
@@ -63,8 +73,8 @@ func TestCheckpointTruncatesLogPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := wal.New(sink)
-	g := New(col, Options{Log: log, Sink: sink, ApplyThreshold: 64})
+	var snap imageSink
+	g := New(col, Options{Log: wal.New(sink), Sink: sink, SnapshotWriter: snap.write, ApplyThreshold: 64})
 
 	// Generate structural traffic, then checkpoint.
 	r := workload.NewRNG(9)
@@ -85,35 +95,17 @@ func TestCheckpointTruncatesLogPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(before) > 1 && len(after) >= len(before) {
-		t.Fatalf("checkpoint did not truncate: %d segments before, %d after", len(before), len(after))
+	if len(before) < 2 || len(after) != 1 || after[0] <= before[len(before)-1] {
+		t.Fatalf("checkpoint did not truncate: segments %v before, %v after", before, after)
 	}
 
-	// The truncated log still recovers the full structural state.
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := wal.ReadDir(sink.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := wal.Recover(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds := col.Bounds()
-	got := cat.ShardBounds["sharded"]
-	if len(got) != len(bounds) {
-		t.Fatalf("recovered cuts %v, want %v", got, bounds)
-	}
-	for i := range bounds {
-		if got[i] != bounds[i] {
-			t.Fatalf("recovered cuts %v, want %v", got, bounds)
-		}
-	}
-	re := shard.NewWithBoundsAndCracks(col.Values(), got, cat.ShardCracks["sharded"], pieceOpts())
+	// The image alone restores the column: same contents, same pieces.
+	re := shard.Restore(snap.img, pieceOpts())
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(re.CrackBoundaries()[0], col.CrackBoundaries()[0]) {
+		t.Fatal("restored shard 0 lost boundaries")
 	}
 	checkAgainstModel(t, re, newModel(col.Values()), d.Domain)
 }
@@ -121,8 +113,8 @@ func TestCheckpointTruncatesLogPrefix(t *testing.T) {
 func TestAutomaticCheckpointCadence(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<13, 7)
 	col := shard.New(d.Values, pieceOpts())
-	log := wal.New(nil)
-	g := New(col, Options{Log: log, ApplyThreshold: 64, CheckpointEvery: 1})
+	var snap imageSink
+	g := New(col, Options{Log: wal.New(nil), SnapshotWriter: snap.write, ApplyThreshold: 64, CheckpointEvery: 1})
 	r := workload.NewRNG(11)
 	for i := 0; i < 300; i++ {
 		if err := g.Insert(qctx, r.Int64n(d.Domain)); err != nil {
@@ -134,7 +126,7 @@ func TestAutomaticCheckpointCadence(t *testing.T) {
 	if st.Applied == 0 {
 		t.Fatal("expected group-applies")
 	}
-	if st.Checkpoints == 0 {
+	if st.Checkpoints == 0 || snap.n == 0 {
 		t.Fatal("CheckpointEvery=1 Maintain pass took no checkpoint")
 	}
 }

@@ -37,20 +37,15 @@
 //     their own consistent snapshot (see internal/shard/update.go).
 //
 // Durability and recovery: structural records flow to the WAL, and
-// the checkpoint writer (checkpoint.go) periodically serializes the
-// complete refinement state — shard cuts plus every shard's crack
-// boundaries — into wal.Checkpoint records, truncating the dead log
-// prefix once the checkpoint commits. Every checkpoint first rolls
-// every shard's open epoch and records the resulting watermark
-// (wal.CkptEpoch): the data snapshot is an exact cut at that epoch, so
-// recovery discards half-applied epochs (a committed EpochSeal with no
-// committed EpochApply) and replays exactly the LogicalWrite records
-// beyond the watermark. wal.Recover folds a checkpoint and the
-// committed records after it into the final cut list, per-shard
-// boundary sets, and the replayable data tail;
-// shard.NewWithBoundsAndCracks rebuilds the column pre-cracked to that
-// knowledge (New bootstrap-logs the initial map so the recovered list
-// is complete even before the first checkpoint). internal/durable
+// the checkpoint writer (checkpoint.go) periodically hands the column's
+// image — shard cuts, every shard's array in piece order and its seeds,
+// cut at an epoch watermark — to Options.SnapshotWriter, then truncates
+// the log prefix the image supersedes. The sink is rotated before the
+// watermark is cut, so every write tagged above the watermark is logged
+// into a segment the truncation keeps: recovery adopts the image
+// (shard.Restore) and replays exactly the LogicalWrite records beyond
+// its watermark, and a half-applied epoch (a committed EpochSeal with no
+// committed EpochApply) is never assumed merged. internal/durable
 // packages the whole lifecycle behind Open/Close.
 package ingest
 
@@ -100,14 +95,13 @@ type Options struct {
 	// maintenance wake-ups. Default ApplyThreshold/2.
 	CheckEvery int
 	// Log, when non-nil, receives structural records (epoch seals and
-	// applies, splits, merges, checkpoints, and the bootstrap shard
-	// map) bracketed in system transactions.
+	// applies, splits, merges) bracketed in system transactions.
 	Log *wal.Log
 	// LogWrites enables data-tail durability: every routed insert and
 	// every delete that found an instance is additionally logged as an
 	// autonomous wal.LogicalWrite record (value + op + epoch id).
-	// Recovery replays the records past the last checkpoint's epoch
-	// watermark on top of the data snapshot, closing the
+	// Recovery replays the records past the last snapshot's epoch
+	// watermark on top of the snapshot, closing the
 	// lose-writes-since-last-checkpoint window for deployments where
 	// adaptix is the primary store. By default logical records are
 	// fsynced with the next system-transaction commit (or an explicit
@@ -135,19 +129,20 @@ type Options struct {
 	// row-count balancing; 1 is a reasonable starting weight.
 	LoadWeight float64
 	// CheckpointEvery is the number of committed structural operations
-	// between automatic crack-boundary checkpoints (see Checkpoint).
-	// Zero disables automatic checkpoints; Checkpoint can still be
-	// called manually and Close always takes a final one when a Log is
+	// between automatic checkpoints (see Checkpoint). Zero disables
+	// automatic checkpoints; Checkpoint can still be called manually and
+	// Close always takes a final one when a SnapshotWriter is
 	// configured.
 	CheckpointEvery int
 	// Sink, when non-nil, is the Log's segment sink; checkpoints rotate
-	// it and truncate the dead log prefix once they commit.
+	// it before they cut the epoch watermark and truncate the dead log
+	// prefix once the snapshot is durable.
 	Sink wal.SegmentTruncator
-	// SnapshotWriter, when non-nil, persists the column's logical
-	// contents; Checkpoint invokes it before logging the checkpoint
-	// records, so the newest data snapshot is never older than the
-	// newest committed checkpoint. An error aborts the checkpoint.
-	SnapshotWriter func(values []int64) error
+	// SnapshotWriter, when non-nil, persists the column's image as of a
+	// checkpoint's epoch watermark and returns only once it is durable;
+	// it is what a checkpoint is. An error aborts the checkpoint and
+	// leaves the log prefix in place.
+	SnapshotWriter func(img shard.Image) error
 	// Txns supplies the transaction manager whose system transactions
 	// wrap structural operations and whose user locks maintenance must
 	// respect. Default: a fresh private manager.
@@ -208,7 +203,7 @@ type Stats struct {
 	GroupSyncs int64
 	// Splits and Merges count rebalancing operations.
 	Splits, Merges int64
-	// Checkpoints counts committed crack-boundary checkpoints.
+	// Checkpoints counts snapshots written by Checkpoint.
 	Checkpoints int64
 	// SkippedMaintenance counts maintenance passes forgone because a
 	// user transaction held a conflicting lock on the column.
@@ -251,29 +246,16 @@ type Coordinator struct {
 	done    chan struct{}
 }
 
-// New creates a coordinator over col. When opts.Log is set, the
-// current shard map is bootstrap-logged (one ShardSplit record per
-// existing cut, inside a system transaction) so that recovery rebuilds
-// the complete map, not only the cuts added later.
+// New creates a coordinator over col.
 func New(col *shard.Column, opts Options) *Coordinator {
 	opts = opts.withDefaults()
-	g := &Coordinator{
+	return &Coordinator{
 		col:    col,
 		opts:   opts,
 		cap:    col.Options().Capture,
 		probe:  opts.Txns.RefinementProbe(opts.Name),
 		notify: make(chan struct{}, 1),
 	}
-	if opts.Log != nil {
-		g.structural(func() ([]wal.Record, bool) {
-			recs := make([]wal.Record, 0, len(col.Bounds()))
-			for _, cut := range col.Bounds() {
-				recs = append(recs, wal.Record{Kind: wal.ShardSplit, A: cut})
-			}
-			return recs, len(recs) > 0
-		})
-	}
-	return g
 }
 
 // Column returns the underlying sharded column (the read surface).
@@ -376,7 +358,7 @@ func (g *Coordinator) Apply(ctx context.Context, batch []Op) (deleted int, err e
 // rides outside any system transaction (Txn 0) and is fsynced with the
 // next commit — or earlier, under the group-commit policy (SyncEvery /
 // SyncInterval); its epoch tag — not its log position — decides during
-// recovery whether the checkpoint snapshot already contains it.
+// recovery whether the snapshot already contains it.
 func (g *Coordinator) logWrite(v, epochID int64, del bool) {
 	if !g.opts.LogWrites || g.opts.Log == nil {
 		return
@@ -455,8 +437,9 @@ func (g *Coordinator) Start() {
 
 // Close stops the background worker (idempotent; a no-op when Start
 // was never called) and runs one final Maintain pass so the column is
-// left merged and balanced, followed by a final checkpoint when a Log
-// is configured, so a clean shutdown persists all refinement earned.
+// left merged and balanced, followed by a final checkpoint when a
+// SnapshotWriter is configured, so a clean shutdown persists all
+// refinement earned.
 func (g *Coordinator) Close() {
 	g.startMu.Lock()
 	stop, done := g.stop, g.done
@@ -468,9 +451,7 @@ func (g *Coordinator) Close() {
 	close(stop)
 	<-done
 	g.Maintain()
-	if g.opts.Log != nil {
-		g.Checkpoint()
-	}
+	g.Checkpoint()
 }
 
 func (g *Coordinator) loop(stop <-chan struct{}, done chan<- struct{}) {
@@ -570,11 +551,9 @@ func (g *Coordinator) applyShard(i int) bool {
 // structural reports true only when the operation happened AND its
 // records (including the commit's fsync) reached the log: a failed
 // append leaves the transaction uncommitted on disk, which recovery
-// ignores, and callers — the checkpoint writer above all — must not
-// treat the operation as durable (truncating the log prefix on the
-// strength of a checkpoint that never hit disk would lose the previous
-// checkpoint too). The in-memory operation itself is not rolled back;
-// it is re-creatable knowledge either way.
+// ignores, and callers must not treat the operation as durable. The
+// in-memory operation itself is not rolled back; it is re-creatable
+// knowledge either way.
 func (g *Coordinator) structural(op func() ([]wal.Record, bool)) bool {
 	var ok bool
 	var logErr error

@@ -272,8 +272,8 @@ func (o *Observer) EpochDepth() (maxChain, sealedUnapplied int64) {
 }
 
 // RecordRecovery publishes the recovery-time breakdown measured by
-// durable Open: checkpoint snapshot load, WAL segment scan, and crack
-// warm-replay + shard rebuild.
+// durable Open: checkpoint snapshot load, WAL segment scan, and the
+// column's restore from the snapshot plus the logged data-tail replay.
 func (o *Observer) RecordRecovery(ckptLoad, walScan, replay time.Duration) {
 	if o == nil {
 		return

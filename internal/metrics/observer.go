@@ -166,7 +166,7 @@ func NewObserver(o ObserverOptions) *Observer {
 		sealedUnapplied: reg.Gauge("adaptix_epoch_sealed_unapplied", "Sealed epoch files not yet group-applied, all shards."),
 		recoverCkptNS:   reg.Gauge("adaptix_recovery_checkpoint_load_ns", "Recovery: checkpoint snapshot load time."),
 		recoverScanNS:   reg.Gauge("adaptix_recovery_wal_scan_ns", "Recovery: WAL segment scan time."),
-		recoverReplayNS: reg.Gauge("adaptix_recovery_crack_replay_ns", "Recovery: crack warm-replay + shard rebuild time."),
+		recoverReplayNS: reg.Gauge("adaptix_recovery_crack_replay_ns", "Recovery: snapshot restore + logged data-tail replay time."),
 	}
 	reg.CounterFunc("adaptix_shard_visits_total",
 		"Per-query shard visits (covered + indexed).",

@@ -293,21 +293,9 @@ func build(values, bounds []int64, opts Options, target, workers int) *Column {
 		scatter(values[lo:hi], ids[lo:hi], next[w*nb:(w+1)*nb], owner, arrs)
 	})
 
-	c := &Column{
-		opts: opts,
-		sem:  make(chan struct{}, opts.Workers),
+	img := Image{Bounds: bounds, Shards: make([]ShardImage, len(arrs))}
+	for i := range arrs {
+		img.Shards[i] = ShardImage{Values: arrs[i], Seeds: seeds[i]}
 	}
-	shards := make([]*part, len(arrs))
-	for i := range shards {
-		lo, hi := int64(minKey), int64(maxKey)
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i < len(bounds) {
-			hi = bounds[i]
-		}
-		shards[i] = c.newPart(lo, hi, arrs[i], seeds[i])
-	}
-	c.m.Store(newShardMap(bounds, shards))
-	return c
+	return Restore(img, opts)
 }

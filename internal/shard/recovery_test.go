@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"math"
 	"slices"
 	"testing"
 
+	"adaptix/internal/amerge"
+	"adaptix/internal/engine"
 	"adaptix/internal/workload"
 )
 
@@ -86,15 +89,16 @@ func TestValuesMaterializesLogicalContents(t *testing.T) {
 }
 
 // Run at a size the build leaves as one piece per shard and at one it
-// lays out in pieces itself: the recovered boundaries are then replayed
-// on top of the build's seeds, and the result holds both.
-func TestNewWithBoundsAndCracksPreCracks(t *testing.T) {
+// lays out in pieces itself: either way the restored column holds
+// exactly the pieces the imaged one had, at the same positions, and has
+// cracked nothing to get them.
+func TestRestoreAdoptsPieces(t *testing.T) {
 	for _, rows := range []int{1 << 13, 1 << 16} {
-		testNewWithBoundsAndCracksPreCracks(t, rows)
+		testRestoreAdoptsPieces(t, rows)
 	}
 }
 
-func testNewWithBoundsAndCracksPreCracks(t *testing.T, rows int) {
+func testRestoreAdoptsPieces(t *testing.T, rows int) {
 	d := workload.NewUniqueUniform(rows, 17)
 	warm := New(d.Values, Options{Shards: 4, Seed: 7, Index: pieceOpts()})
 	seeded := len(slices.Concat(warm.CrackBoundaries()...))
@@ -103,26 +107,25 @@ func testNewWithBoundsAndCracksPreCracks(t *testing.T, rows int) {
 	}
 	warmUp(t, warm, d.Domain)
 
-	bounds, cracks := warm.Bounds(), warm.CrackBoundaries()
-	re := NewWithBoundsAndCracks(warm.Values(), bounds, cracks, Options{Index: pieceOpts()})
+	re := Restore(warm.ImageAt(warm.SealAllEpochs()), Options{Index: pieceOpts()})
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	reCracks := re.CrackBoundaries()
-	for i, want := range cracks {
-		got := map[int64]bool{}
-		for _, b := range reCracks[i] {
-			got[b] = true
+	if !slices.Equal(re.Bounds(), warm.Bounds()) {
+		t.Fatalf("restored bounds %v, imaged %v", re.Bounds(), warm.Bounds())
+	}
+	wm, rm := warm.m.Load(), re.m.Load()
+	for i := range wm.shards {
+		if got, want := rm.shards[i].ix.BoundaryPositions(), wm.shards[i].ix.BoundaryPositions(); !slices.Equal(got, want) {
+			t.Fatalf("shard %d: restored table %v, imaged %v", i, got, want)
 		}
-		for _, b := range want {
-			if !got[b] {
-				t.Fatalf("shard %d: boundary %d not pre-cracked", i, b)
-			}
-		}
+	}
+	if n := totalCracks(re); n != 0 {
+		t.Fatalf("restoring cracked %d times", n)
 	}
 
 	// Refinement equivalence: a fresh query cracks no more on the
-	// rebuilt column than on the warm original.
+	// restored column than on the warm original.
 	lo, hi := d.Domain/3, d.Domain/3+d.Domain/10
 	warmBefore, reBefore := totalCracks(warm), totalCracks(re)
 	wantN := d.TrueCount(lo, hi)
@@ -130,12 +133,10 @@ func testNewWithBoundsAndCracksPreCracks(t *testing.T, rows int) {
 		t.Fatalf("warm Count = %d, want %d", n, wantN)
 	}
 	if n, _, _ := re.Count(qctx, lo, hi); n != wantN {
-		t.Fatalf("rebuilt Count = %d, want %d", n, wantN)
+		t.Fatalf("restored Count = %d, want %d", n, wantN)
 	}
-	warmDelta := totalCracks(warm) - warmBefore
-	reDelta := totalCracks(re) - reBefore
-	if reDelta > warmDelta {
-		t.Fatalf("rebuilt column cracked %d times, warm column %d", reDelta, warmDelta)
+	if reDelta, warmDelta := totalCracks(re)-reBefore, totalCracks(warm)-warmBefore; reDelta > warmDelta {
+		t.Fatalf("restored column cracked %d times, warm column %d", reDelta, warmDelta)
 	}
 
 	// Answers across a query sweep agree with brute force.
@@ -149,26 +150,57 @@ func testNewWithBoundsAndCracksPreCracks(t *testing.T, rows int) {
 	}
 }
 
-func TestNewWithBoundsAndCracksMisalignedListsStillRoute(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 19)
-	// A single flattened list (wrong arity) must still pre-crack: every
-	// boundary routes to the shard whose range contains it.
-	bounds := []int64{1024, 2048, 3072}
-	flat := [][]int64{{100, 1500, 2500, 3500}}
-	c := NewWithBoundsAndCracks(d.Values, bounds, flat, Options{Index: pieceOpts()})
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cracks := c.CrackBoundaries()
-	for shardOrd, want := range map[int]int64{0: 100, 1: 1500, 2: 2500, 3: 3500} {
-		found := false
-		for _, b := range cracks[shardOrd] {
-			if b == want {
-				found = true
+// TestRestoreRoundTrip: a column restored from its image has the same
+// shard map and answers every query the same, for a cracked column and
+// a custom-source one, with writes pending in the imaged chains; the
+// epochs it opens lie above the image's watermark.
+func TestRestoreRoundTrip(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<12, 47)
+	for name, opts := range map[string]Options{
+		"crack": {Shards: 8, Seed: 5, Index: pieceOpts()},
+		"source": {Shards: 8, Seed: 5, Source: func(values []int64) engine.AggregateSource {
+			return amerge.New(values, amerge.Options{})
+		}},
+	} {
+		c := New(d.Values, opts)
+		warmUp(t, c, d.Domain)
+		for i := int64(0); i < 64; i++ {
+			if err := c.Insert(qctx, d.Domain+i); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.DeleteValue(qctx, 3*i); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if !found {
-			t.Fatalf("boundary %d not routed into shard %d (got %v)", want, shardOrd, cracks[shardOrd])
+		w := c.SealAllEpochs()
+		img := c.ImageAt(w)
+		c2 := Restore(img, opts)
+		if err := c2.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(c2.Bounds(), c.Bounds()) {
+			t.Fatalf("%s: restored bounds %v, imaged %v", name, c2.Bounds(), c.Bounds())
+		}
+		if c2.Rows() != c.Rows() {
+			t.Fatalf("%s: restored %d rows, imaged %d", name, c2.Rows(), c.Rows())
+		}
+		for _, s := range c2.Snapshot() {
+			if s.OpenEpoch <= w {
+				t.Fatalf("%s: shard %d opened epoch %d, not above the watermark %d", name, s.Shard, s.OpenEpoch, w)
+			}
+		}
+		r := workload.NewRNG(3)
+		for i := 0; i < 100; i++ {
+			lo := r.Int64n(2 * d.Domain)
+			hi := lo + 1 + r.Int64n(2*d.Domain-lo)
+			if i == 0 {
+				lo, hi = math.MinInt64, math.MaxInt64
+			}
+			a, _, _ := c.Sum(qctx, lo, hi)
+			b, _, _ := c2.Sum(qctx, lo, hi)
+			if a != b {
+				t.Fatalf("%s: Sum[%d,%d) = %d restored, %d imaged", name, lo, hi, b, a)
+			}
 		}
 	}
 }

@@ -227,22 +227,6 @@ type Column struct {
 // nextEpochID allocates the next epoch id.
 func (c *Column) nextEpochID() int64 { return c.epochSeq.Add(1) }
 
-// AdvanceEpoch raises the epoch-id counter to at least seq. Recovery
-// calls this with the highest epoch id the recovered log mentions
-// (watermark, sealed/applied ids, logical-write tags), so ids stay
-// monotonic across process incarnations: without it, a reopened
-// column would reissue low ids, and stale log segments surviving a
-// failed truncation could alias old-incarnation records into the new
-// epoch namespace (re-admitting already-snapshotted writes).
-func (c *Column) AdvanceEpoch(seq int64) {
-	for {
-		cur := c.epochSeq.Load()
-		if cur >= seq || c.epochSeq.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
 // New builds a sharded column over values. Boundary selection samples
 // the input (O(SampleSize log SampleSize)); one range scatter (build)
 // then copies each value once, into its shard's slice — and that slice IS
@@ -261,78 +245,65 @@ func New(values []int64, opts Options) *Column {
 	return build(values, bounds, opts, pieceTarget, buildWorkers(len(values)))
 }
 
-// NewWithBounds builds a sharded column with an explicit shard map:
-// shard i holds values in [bounds[i-1], bounds[i]). This is the
-// recovery path — a shard map recovered from the structural WAL
-// (wal.Recover) rebuilds the column with the boundary knowledge
-// earlier splits and merges earned. Bounds are sanitized (sorted,
-// deduplicated) first.
-func NewWithBounds(values []int64, bounds []int64, opts Options) *Column {
+// Image is a column's physical state as of one epoch watermark: the
+// shard map, and every shard's array in piece order with the seed table
+// of its pieces — exactly what NewOwned builds a shard's index from. A
+// checkpoint persists it (ImageAt) and recovery adopts it (Restore), so
+// a restart keeps every piece the column had, bit for bit.
+type Image struct {
+	// Epoch is the watermark W: the image holds every write of an epoch
+	// <= W and none of a later one.
+	Epoch int64
+	// Bounds is the strictly increasing shard cut values (see Bounds).
+	Bounds []int64
+	// Shards holds one entry per shard, in shard order.
+	Shards []ShardImage
+}
+
+// ShardImage is one shard of an Image: its array in piece order and a
+// seed per piece boundary (the head piece has none; a custom-source
+// shard is one piece).
+type ShardImage struct {
+	Values []int64
+	Seeds  []crackindex.BoundaryPosition
+}
+
+// Restore builds a column over an image: one newPart per shard, whose
+// index adopts the shard's array as is and seeds its table of contents
+// from the image (crackindex.NewOwned; custom-source shards build their
+// source over it) — no sample, no scatter, no crack. The epoch counter
+// resumes at img.Epoch, so every epoch the column opens lies above it.
+// The column takes ownership of the arrays. Seeds are trusted as
+// NewOwned trusts them; Validate checks them against the data.
+func Restore(img Image, opts Options) *Column {
+	if len(img.Shards) != len(img.Bounds)+1 {
+		panic(fmt.Sprintf("shard: image has %d shards for %d bounds", len(img.Shards), len(img.Bounds)))
+	}
 	opts = opts.withDefaults()
-	b := slices.Clone(bounds)
-	slices.Sort(b)
-	return build(values, slices.Compact(b), opts, pieceTarget, buildWorkers(len(values)))
-}
-
-// NewWithBoundsAndCracks builds a sharded column with an explicit
-// shard map AND pre-cracks each shard to a set of crack boundaries —
-// the checkpoint-recovery path. cracks holds one boundary list per
-// shard in ordinal order (wal.Recover's Catalog.ShardCracks); each
-// boundary is routed to the shard whose recovered range contains it,
-// so a misaligned or flattened list still lands correctly. The first
-// query after reopen finds the refinement earned before the crash
-// already in place — on top of the pieces every build lays out —
-// instead of starting from those alone (paper §4.2: "the side effects
-// of earlier queries may be re-created in the new index even without
-// merging").
-func NewWithBoundsAndCracks(values []int64, bounds []int64, cracks [][]int64, opts Options) *Column {
-	c := NewWithBounds(values, bounds, opts)
-	if c.opts.Source != nil {
-		return c
+	c := &Column{
+		opts: opts,
+		sem:  make(chan struct{}, opts.Workers),
 	}
-	m := c.m.Load()
-	perShard := make([][]int64, len(m.shards))
-	for _, set := range cracks {
-		for _, b := range set {
-			i := m.route(b)
-			perShard[i] = append(perShard[i], b)
-			// A boundary exactly at a shard cut is also the left
-			// neighbor's top edge: replaying it there spares that
-			// shard's first edge-clamped query a partition pass.
-			if i > 0 && b == m.shards[i].loVal {
-				perShard[i-1] = append(perShard[i-1], b)
-			}
+	c.epochSeq.Store(img.Epoch)
+	shards := make([]*part, len(img.Shards))
+	for i, s := range img.Shards {
+		lo, hi := int64(minKey), int64(maxKey)
+		if i > 0 {
+			lo = img.Bounds[i-1]
 		}
+		if i < len(img.Bounds) {
+			hi = img.Bounds[i]
+		}
+		shards[i] = c.newPart(lo, hi, s.Values, s.Seeds)
 	}
-	for i, bs := range perShard {
-		slices.Sort(bs)
-		replayCracks(m.shards[i].ix, slices.Compact(bs))
-	}
+	c.m.Store(newShardMap(img.Bounds, shards))
 	return c
-}
-
-// replayCracks re-cracks ix at the sorted boundaries bs, median first
-// and then each half within its own side (the recursion order of
-// cracker.CrackMulti): every level partitions each row once, so the
-// replay costs O(rows · log b) where ascending order — each crack
-// re-partitioning everything to its right — costs O(rows · b). Recovery
-// has only boundary values, no positions, so this is the one rebuild
-// that still cracks; every other rebuild carries the piece table over
-// (update.go).
-func replayCracks(ix *crackindex.Index, bs []int64) {
-	if len(bs) == 0 {
-		return
-	}
-	m := len(bs) / 2
-	ix.CrackAt(bs[m])
-	replayCracks(ix, bs[:m])
-	replayCracks(ix, bs[m+1:])
 }
 
 // newPart builds one shard over vals with assigned range [loVal,
 // hiVal), computing exact aggregates. The part takes ownership of vals.
 // seeds, when non-empty, is the piece table vals is already laid out in
-// (build, carryOver): the fresh index is seeded with it, so the
+// (build, carryOver, Restore): the fresh index is seeded with it, so the
 // refinement knowledge of a predecessor part survives the rebuild (paper
 // §4.2: "the side effects of earlier queries may be re-created in the
 // new index" — here they are carried over, at no cost).
@@ -523,11 +494,9 @@ type ShardStat struct {
 }
 
 // CrackBoundaries returns every shard's current crack boundary values
-// in shard ordinal order (nil for custom-source shards). This is the structure a checkpoint persists: together with
-// Bounds it captures the column's complete refinement knowledge, and
-// NewWithBoundsAndCracks rebuilds an equivalent column from the two.
-// Each shard's list is an atomic snapshot; concurrent queries may add
-// boundaries between shards.
+// in shard ordinal order (nil for custom-source shards). Each shard's
+// list is an atomic snapshot; concurrent queries may add boundaries
+// between shards.
 func (c *Column) CrackBoundaries() [][]int64 {
 	m := c.m.Load()
 	out := make([][]int64, len(m.shards))
@@ -545,27 +514,32 @@ func (c *Column) CrackBoundaries() [][]int64 {
 // epoch file is snapshotted under its latch); a writer racing with the
 // dump is either fully included or fully excluded per shard.
 func (c *Column) Values() []int64 {
-	return c.ValuesAt(math.MaxInt64)
+	var out []int64
+	for _, s := range c.ImageAt(math.MaxInt64).Shards {
+		out = append(out, s.Values...)
+	}
+	return out
 }
 
-// ValuesAt materializes the column's logical contents as of the epoch
-// watermark: every shard's base (read through the latched piece walk,
-// so queries keep cracking meanwhile) plus only the epochs with id <=
-// maxEpoch. With maxEpoch from SealAllEpochs the cut is exact — every
-// epoch at or below the watermark is sealed (immutable), every write
-// beyond it is excluded deterministically — which is what makes the
-// checkpoint snapshot and the logical-record replay after it
-// (wal.Recover's TailWrites) partition the write history without gap
-// or overlap. The checkpoint writer persists this as the base snapshot
-// accompanying a checkpoint.
-func (c *Column) ValuesAt(maxEpoch int64) []int64 {
+// ImageAt captures the column as of the epoch watermark maxEpoch: every
+// shard's base, read through the latched piece walk so queries keep
+// cracking meanwhile, with only the epochs of id <= maxEpoch applied,
+// laid out piece by piece with its seeds (carryOver). With maxEpoch from
+// SealAllEpochs the cut is exact — every epoch at or below the
+// watermark is sealed (immutable), every write beyond it is excluded
+// deterministically — which is what makes a checkpoint's image and the
+// logical-record replay after it partition the write history without gap
+// or overlap.
+func (c *Column) ImageAt(maxEpoch int64) Image {
 	m := c.m.Load()
-	out := layout{vals: make([]int64, 0, c.Rows())}
-	for _, p := range m.shards {
+	img := Image{Epoch: maxEpoch, Bounds: slices.Clone(m.bounds), Shards: make([]ShardImage, len(m.shards))}
+	for i, p := range m.shards {
 		ins, del := p.chain.Collect(maxEpoch)
-		p.carryOver(&out, ins, del)
+		l := layout{vals: make([]int64, 0, max(0, p.baseRows()+len(ins)-len(del)))}
+		p.carryOver(&l, ins, del)
+		img.Shards[i] = ShardImage{Values: l.vals, Seeds: l.seeds}
 	}
-	return out.vals
+	return img
 }
 
 // SealAllEpochs rolls every shard's open epoch past a common cut and
@@ -573,7 +547,7 @@ func (c *Column) ValuesAt(maxEpoch int64) []int64 {
 // at or below it, every future write lands above it. Writers never
 // park — they roll over to the fresh epochs — and empty open epochs
 // are renumbered rather than churned. The checkpoint writer calls this
-// before snapshotting (ValuesAt) so the persisted cut is exact.
+// before capturing its image (ImageAt) so the persisted cut is exact.
 func (c *Column) SealAllEpochs() int64 {
 	c.structMu.Lock()
 	defer c.structMu.Unlock()

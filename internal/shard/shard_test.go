@@ -460,21 +460,3 @@ func TestSplitShardDegenerate(t *testing.T) {
 		t.Fatalf("Count = %d after post-split-failure insert, want 65", n)
 	}
 }
-
-func TestNewWithBoundsRoundTrip(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 47)
-	c := New(d.Values, Options{Shards: 8, Seed: 5, Index: pieceOpts()})
-	c2 := NewWithBounds(d.Values, c.Bounds(), Options{Index: pieceOpts()})
-	if c2.NumShards() != c.NumShards() {
-		t.Fatalf("rebuilt NumShards = %d, want %d", c2.NumShards(), c.NumShards())
-	}
-	b1, b2 := c.Bounds(), c2.Bounds()
-	for i := range b1 {
-		if b1[i] != b2[i] {
-			t.Fatalf("bounds diverge at %d: %d vs %d", i, b1[i], b2[i])
-		}
-	}
-	if err := c2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

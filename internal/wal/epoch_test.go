@@ -1,69 +1,41 @@
 package wal
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// epochCkptTxn builds a committed checkpoint transaction with an epoch
-// watermark: header, CkptEpoch, and the given cuts.
-func epochCkptTxn(txn uint64, obj string, shards int64, watermark int64, cuts ...int64) []Record {
-	recs := []Record{
-		{Txn: txn, Kind: BeginSystem, Object: obj},
-		{Txn: txn, Kind: Checkpoint, Object: obj, C: CkptHeader, A: shards, B: 1},
-		{Txn: txn, Kind: Checkpoint, Object: obj, C: CkptEpoch, A: watermark},
-	}
-	for _, cut := range cuts {
-		recs = append(recs, Record{Txn: txn, Kind: Checkpoint, Object: obj, C: CkptCut, A: cut})
-	}
-	return append(recs, Record{Txn: txn, Kind: CommitSystem, Object: obj})
-}
-
-// TestRecoverEpochWatermarkFiltersTailWrites: logical writes at or
-// below the checkpoint's watermark are already in the snapshot and
-// must be discarded, writes beyond it must survive — regardless of
-// whether their records land before or after the checkpoint records in
-// the log (a writer can race the checkpoint into the sink; the epoch
-// tag, not the log position, decides).
-func TestRecoverEpochWatermarkFiltersTailWrites(t *testing.T) {
+// TestRecoverTailWritesInLogOrder: every logical write comes back in
+// log order with its epoch tag, whether it sits between system
+// transactions or among them; filtering by a snapshot's watermark is
+// the caller's (the log does not know which snapshot it will meet).
+func TestRecoverTailWritesInLogOrder(t *testing.T) {
 	const obj = "col"
-	var recs []Record
-	// Pre-checkpoint writes: epochs 1 and 2 (covered by watermark 2)
-	// and epoch 3 (a writer that rolled past the cut and raced the
-	// checkpoint records into the log).
-	recs = append(recs,
-		Record{Kind: LogicalWrite, Object: obj, A: 100, B: 1, C: 0},
-		Record{Kind: LogicalWrite, Object: obj, A: 200, B: 2, C: 1},
-		Record{Kind: LogicalWrite, Object: obj, A: 300, B: 3, C: 0},
-	)
-	recs = append(recs, epochCkptTxn(7, obj, 2, 2, 500)...)
-	// Post-checkpoint tail: epoch 3 and 4 survive, a stale epoch-2
-	// record (slow goroutine) is discarded.
-	recs = append(recs,
-		Record{Kind: LogicalWrite, Object: obj, A: 400, B: 4, C: 0},
-		Record{Kind: LogicalWrite, Object: obj, A: 250, B: 2, C: 0},
-		Record{Kind: LogicalWrite, Object: obj, A: 500, B: 4, C: 1},
-	)
+	recs := []Record{
+		{Kind: LogicalWrite, Object: obj, A: 100, B: 1, C: 0},
+		{Kind: LogicalWrite, Object: obj, A: 200, B: 2, C: 1},
+		{Txn: 7, Kind: BeginSystem, Object: obj},
+		{Txn: 7, Kind: EpochSeal, Object: obj, A: 0, B: 2, C: 2},
+		{Kind: LogicalWrite, Object: obj, A: 300, B: 3, C: 0},
+		{Txn: 7, Kind: CommitSystem, Object: obj},
+		{Kind: LogicalWrite, Object: obj, A: 250, B: 2, C: 0},
+		{Kind: LogicalWrite, Object: "other", A: 1, B: 1, C: 0},
+	}
 	cat, err := Recover(encodeAll(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cat.EpochWatermark[obj]; got != 2 {
-		t.Fatalf("EpochWatermark = %d, want 2", got)
-	}
 	want := []TailWrite{
+		{Value: 100, Delete: false, Epoch: 1},
+		{Value: 200, Delete: true, Epoch: 2},
 		{Value: 300, Delete: false, Epoch: 3},
-		{Value: 400, Delete: false, Epoch: 4},
-		{Value: 500, Delete: true, Epoch: 4},
+		{Value: 250, Delete: false, Epoch: 2},
 	}
-	got := cat.TailWrites[obj]
-	if len(got) != len(want) {
+	if got := cat.TailWrites[obj]; !slices.Equal(got, want) {
 		t.Fatalf("TailWrites = %+v, want %+v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("TailWrites[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if got, want := cat.ShardBounds[obj], []int64{500}; len(got) != 1 || got[0] != want[0] {
-		t.Errorf("ShardBounds = %v, want %v", got, want)
+	if got := cat.TailWrites["other"]; len(got) != 1 {
+		t.Fatalf("other object's TailWrites = %+v, want one", got)
 	}
 }
 
@@ -75,7 +47,6 @@ func TestRecoverEpochWatermarkFiltersTailWrites(t *testing.T) {
 func TestRecoverDiscardsHalfAppliedEpoch(t *testing.T) {
 	const obj = "col"
 	var recs []Record
-	recs = append(recs, epochCkptTxn(1, obj, 1, 0)...)
 	recs = append(recs,
 		// Epoch 1 sealed and fully applied.
 		Record{Txn: 2, Kind: BeginSystem, Object: obj},
@@ -112,7 +83,7 @@ func TestRecoverDiscardsHalfAppliedEpoch(t *testing.T) {
 	if half != 1 {
 		t.Errorf("half-applied epochs = %d, want 1", half)
 	}
-	// Its write replays from the tail (watermark 0 < epoch 2).
+	// Its write replays from the tail.
 	if tw := cat.TailWrites[obj]; len(tw) != 1 || tw[0].Value != 42 || tw[0].Epoch != 2 {
 		t.Errorf("TailWrites = %+v, want the half-applied epoch's write", tw)
 	}

@@ -15,9 +15,9 @@
 // Segments rotate once they exceed SegmentBytes, which keeps any one
 // file small and — more importantly — gives checkpoint truncation a
 // unit of reclamation: a checkpoint rotates first (MarkCheckpoint), so
-// the checkpoint records open a fresh segment, and once the checkpoint
-// has committed and synced, every earlier segment describes state the
-// checkpoint supersedes and is deleted (ReleaseBefore).
+// every record logged after that lands in a fresh segment, and once its
+// snapshot is durable every earlier segment describes state the
+// snapshot holds and is deleted (ReleaseBefore).
 package wal
 
 import (
@@ -96,16 +96,15 @@ type Syncer interface {
 
 // SegmentTruncator is implemented by sinks that support checkpoint
 // truncation of the dead log prefix. The checkpoint writer
-// (internal/ingest) calls MarkCheckpoint before logging checkpoint
-// records and ReleaseBefore after they have committed and synced.
+// (internal/ingest) calls MarkCheckpoint before it cuts the snapshot's
+// epoch watermark and ReleaseBefore once the snapshot is durable.
 type SegmentTruncator interface {
 	// MarkCheckpoint rotates to a fresh segment and returns its index;
-	// records written afterwards — the checkpoint itself first — land
-	// in that segment or later ones.
+	// records written afterwards land in that segment or later ones.
 	MarkCheckpoint() (int, error)
 	// ReleaseBefore deletes every segment with an index smaller than
-	// seg. Safe to call only after the checkpoint in segment seg has
-	// durably committed.
+	// seg. Safe to call only once a snapshot cut after the rotation to
+	// seg is durable.
 	ReleaseBefore(seg int) error
 }
 
@@ -335,8 +334,8 @@ func (s *FileSink) Close() error {
 // Recover because records of a transaction are contiguous within one
 // process incarnation, later incarnations restart the LSN sequence
 // (Recover discards transactions left open across an LSN
-// discontinuity), and a committed checkpoint supersedes everything
-// before it. A missing or empty directory yields nil.
+// discontinuity), and the caller replays a logical write by its epoch
+// tag, not by its position. A missing or empty directory yields nil.
 func ReadDir(dir string) ([]byte, error) {
 	segs, err := segmentIndexes(dir)
 	if err != nil {

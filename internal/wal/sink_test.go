@@ -161,8 +161,8 @@ func TestFileSinkCheckpointTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The "checkpoint" record lands in the fresh segment.
-	if _, err := l.Append(Record{Kind: Checkpoint, Object: "col", C: CkptHeader, A: 1}); err != nil {
+	// A record logged after the rotation lands in the fresh segment.
+	if _, err := l.Append(Record{Kind: LogicalWrite, Object: "col", A: 1, B: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.ReleaseBefore(seg); err != nil {
@@ -185,8 +185,8 @@ func TestFileSinkCheckpointTruncation(t *testing.T) {
 	if _, err := Replay(img, func(r Record) { kinds = append(kinds, r.Kind) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(kinds) != 1 || kinds[0] != Checkpoint {
-		t.Fatalf("after truncation want only the checkpoint record, got %v", kinds)
+	if len(kinds) != 1 || kinds[0] != LogicalWrite {
+		t.Fatalf("after truncation want only the record logged after the rotation, got %v", kinds)
 	}
 }
 
@@ -249,7 +249,7 @@ func TestReadDirSkipsDamagedEarlierSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A later incarnation writes a checkpoint into fresh segments.
+	// A later incarnation commits a transaction into fresh segments.
 	s2, err := NewFileSink(dir, SinkOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestReadDirSkipsDamagedEarlierSegment(t *testing.T) {
 	l2 := New(s2)
 	for _, r := range []Record{
 		{Kind: BeginSystem, Txn: 1},
-		{Kind: Checkpoint, Txn: 1, Object: "col", C: CkptHeader, A: 1},
+		{Kind: EpochSeal, Txn: 1, Object: "col", B: 42},
 		{Kind: CommitSystem, Txn: 1},
 	} {
 		if _, err := l2.Append(r); err != nil {
@@ -272,23 +272,12 @@ func TestReadDirSkipsDamagedEarlierSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawCkpt bool
-	if _, err := Replay(img, func(r Record) {
-		if r.Kind == Checkpoint {
-			sawCkpt = true
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sawCkpt {
-		t.Fatal("checkpoint behind a damaged segment was not read")
-	}
 	cat, err := Recover(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cat.ShardCracks["col"]; !ok {
-		t.Fatal("checkpoint behind a damaged segment was not recovered")
+	if got := cat.SealedEpochs["col"]; len(got) != 1 || got[0] != 42 {
+		t.Fatalf("SealedEpochs = %v: the transaction behind a damaged segment was not recovered", got)
 	}
 }
 

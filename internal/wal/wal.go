@@ -20,11 +20,15 @@
 //
 // Durability is provided by the file sink (sink.go): CRC-framed
 // records in rotating segment files, fsynced on every system
-// transaction commit. Periodic Checkpoint records (written by
-// internal/ingest) serialize the complete refinement state — shard
-// cuts plus every shard's crack boundaries — so Recover folds a
-// checkpoint and the records after it into a full Catalog and the
-// dead log prefix can be deleted (SegmentTruncator).
+// transaction commit. The log holds no checkpoint: a checkpoint is a
+// data snapshot written outside it (internal/durable's base.snap, which
+// carries the shard map and every shard's pieces), so the structure
+// never has to be re-derived from records. The checkpoint writer rotates
+// the sink before it cuts the snapshot's epoch watermark and deletes the
+// segments before the rotation once the snapshot is durable
+// (SegmentTruncator); what the log then contributes to recovery is the
+// logical-write tail (LogicalWrite records tagged above the watermark)
+// and the epoch ids it mentions.
 package wal
 
 import (
@@ -32,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -51,21 +54,13 @@ const (
 	// MergeStep records that a key range moved from source partitions
 	// into the final partition.
 	MergeStep
-	// Checkpoint records one element of a consistent table-of-contents
-	// snapshot. A checkpoint is a system transaction containing a
-	// header record followed by the full shard-cut list and every
-	// shard's crack boundaries (the C payload field selects the element
-	// kind, see CkptHeader/CkptCut/CkptCrack). Recovery replaces the
-	// object's recovered state with the checkpointed snapshot and
-	// applies later records on top, so the log prefix before a durable
-	// checkpoint is dead and can be truncated.
-	Checkpoint
+	_ // 6 is reserved: no record kind takes it
 	// ShardInsert records that a batch of differential updates was
 	// group-applied (merged) into one shard's cracker array.
 	ShardInsert
 	// ShardSplit records that a shard-map cut was added: a shard was
-	// split at the cut value (also used to bootstrap-log the initial
-	// shard map, so recovery rebuilds the full map).
+	// split at the cut value. Recovery takes the shard map from the
+	// snapshot; a split after it is re-derived by the rebalancer.
 	ShardSplit
 	// ShardMerge records that a shard-map cut was removed: the two
 	// shards adjacent to it were merged.
@@ -78,15 +73,15 @@ const (
 	// merged into one shard's cracker array. An EpochSeal without a
 	// later EpochApply covering its id marks a half-applied epoch: the
 	// merge never committed, so recovery must not assume the base
-	// incorporates it (the checkpoint snapshot is cut at the epoch
-	// watermark, so nothing needs undoing — the epoch's writes simply
-	// replay from LogicalWrite records, or are absent without them).
+	// incorporates it (the snapshot is cut at its epoch watermark, so
+	// nothing needs undoing — the epoch's writes simply replay from
+	// LogicalWrite records, or are absent without them).
 	EpochApply
 	// LogicalWrite records one routed update — value plus operation —
 	// tagged with the epoch it landed in. Optional (ingest
 	// Options.LogWrites): it closes the lose-writes-since-last-
 	// checkpoint window by letting recovery replay the data tail past
-	// the checkpoint's epoch watermark.
+	// the snapshot's epoch watermark.
 	LogicalWrite
 )
 
@@ -103,8 +98,6 @@ func (k Kind) String() string {
 		return "run-created"
 	case MergeStep:
 		return "merge-step"
-	case Checkpoint:
-		return "checkpoint"
 	case ShardInsert:
 		return "shard-insert"
 	case ShardSplit:
@@ -122,35 +115,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Checkpoint element kinds, carried in the C payload field of a
-// Checkpoint record.
-const (
-	// CkptHeader opens a checkpoint: A = shard count, B = checkpoint
-	// sequence number. Recovery resets the object's shard cuts and
-	// crack boundary sets when the checkpoint's transaction commits.
-	CkptHeader int64 = iota
-	// CkptCut carries one shard-map cut value in A. Cuts are logged in
-	// increasing order; a checkpoint holds shard-count minus one.
-	CkptCut
-	// CkptCrack carries one crack boundary: A = shard ordinal, B =
-	// boundary value.
-	CkptCrack
-	// CkptEpoch carries the checkpoint's epoch watermark in A: the
-	// accompanying data snapshot holds the column's contents up to
-	// exactly this epoch (the checkpoint writer seals every open epoch
-	// first, so the cut is exact). Recovery discards LogicalWrite
-	// records at or below the watermark — the snapshot already has
-	// them — and replays only the ones beyond it.
-	CkptEpoch
-)
-
 // Record is one structural log record. The three int64 payload fields
 // are interpreted per kind:
 //
 //	CrackBoundary: A = boundary value
 //	RunCreated:    A = partition id, B = record count
 //	MergeStep:     A = low key, B = high key, C = records moved
-//	Checkpoint:    C = element kind (CkptHeader/CkptCut/CkptCrack/CkptEpoch), A/B per element
 //	ShardInsert:   A = shard ordinal, B = inserts merged, C = deletes merged
 //	ShardSplit:    A = cut value, B = left rows, C = right rows
 //	ShardMerge:    A = removed cut value, B = merged rows
@@ -323,40 +293,23 @@ func Replay(raw []byte, apply func(Record)) (int, error) {
 	return n, nil
 }
 
-// Catalog is the structural table of contents rebuilt by recovery:
-// crack boundaries per column and partitions per index. It
-// demonstrates that structure (not contents) is all the log carries.
+// Catalog is what recovery reads out of the log: crack boundaries per
+// column and partitions per index (the paper-figure engines), and, per
+// sharded column, the committed group-applies, the epoch ids they name,
+// and the logical-write tail. It demonstrates that structure (not
+// contents) is all the log carries.
 type Catalog struct {
 	// Boundaries maps column name to crack boundary values in append
 	// order.
 	Boundaries map[string][]int64
 	// Partitions maps index name to live partition ids.
 	Partitions map[string][]int64
-	// ShardBounds maps sharded-column name to its recovered shard-map
-	// cut values, in increasing order (ShardSplit adds a cut,
-	// ShardMerge removes one; a committed Checkpoint replaces the
-	// list). shard.NewWithBounds rebuilds the shard map from this.
-	ShardBounds map[string][]int64
-	// ShardCracks maps sharded-column name to the per-shard crack
-	// boundary sets of the last committed checkpoint, kept aligned
-	// with ShardBounds across later splits and merges
-	// (len == len(ShardBounds)+1; shard ordinal order). Nil until a
-	// checkpoint has committed. shard.NewWithBoundsAndCracks pre-cracks
-	// a reopened column to these boundaries.
-	ShardCracks map[string][][]int64
 	// ShardApplies maps sharded-column name to the number of committed
 	// group-apply merges (ShardInsert and EpochApply records).
 	ShardApplies map[string]int64
-	// EpochWatermark maps sharded-column name to the last committed
-	// checkpoint's epoch watermark (CkptEpoch): the data snapshot holds
-	// the contents up to exactly this epoch. Zero until a checkpoint
-	// with a watermark has committed.
-	EpochWatermark map[string]int64
-	// TailWrites maps sharded-column name to the logical writes past
-	// the epoch watermark, in log order — the data tail a recovered
-	// column replays on top of the snapshot (Options.LogWrites).
-	// Writes at or below the watermark are discarded: the snapshot
-	// already contains them.
+	// TailWrites maps sharded-column name to its logical writes, in log
+	// order. The caller replays those tagged above its snapshot's epoch
+	// watermark: the snapshot already holds the others.
 	TailWrites map[string][]TailWrite
 	// SealedEpochs maps sharded-column name to the ids of committed
 	// EpochSeal records, in log order. A sealed id above AppliedEpoch
@@ -388,61 +341,21 @@ func Recover(raw []byte) (*Catalog, error) {
 	}
 	open := map[uint64]*pending{}
 	cat := &Catalog{
-		Boundaries:     map[string][]int64{},
-		Partitions:     map[string][]int64{},
-		ShardBounds:    map[string][]int64{},
-		ShardCracks:    map[string][][]int64{},
-		ShardApplies:   map[string]int64{},
-		EpochWatermark: map[string]int64{},
-		TailWrites:     map[string][]TailWrite{},
-		SealedEpochs:   map[string][]int64{},
-		AppliedEpoch:   map[string]int64{},
+		Boundaries:   map[string][]int64{},
+		Partitions:   map[string][]int64{},
+		ShardApplies: map[string]int64{},
+		TailWrites:   map[string][]TailWrite{},
+		SealedEpochs: map[string][]int64{},
+		AppliedEpoch: map[string]int64{},
 	}
-	// held parks an object's recovered tail writes between a
-	// checkpoint's header and its epoch-watermark element: the header
-	// supersedes earlier recovered state, but a logical write can race
-	// the checkpoint records into the log (its epoch decides, not its
-	// position), so the writes are re-admitted by the watermark filter
-	// rather than dropped wholesale.
-	held := map[string][]TailWrite{}
 	applyRec := func(r Record) {
 		switch r.Kind {
 		case CrackBoundary:
 			cat.Boundaries[r.Object] = append(cat.Boundaries[r.Object], r.A)
 		case RunCreated:
 			cat.Partitions[r.Object] = append(cat.Partitions[r.Object], r.A)
-		case Checkpoint:
-			switch r.C {
-			case CkptHeader:
-				// A committed checkpoint supersedes everything recovered
-				// so far for this object.
-				cat.ShardBounds[r.Object] = nil
-				cat.ShardCracks[r.Object] = make([][]int64, r.A)
-				held[r.Object] = cat.TailWrites[r.Object]
-				cat.TailWrites[r.Object] = nil
-			case CkptEpoch:
-				cat.EpochWatermark[r.Object] = r.A
-				var keep []TailWrite
-				for _, tw := range held[r.Object] {
-					if tw.Epoch > r.A {
-						keep = append(keep, tw)
-					}
-				}
-				cat.TailWrites[r.Object] = append(keep, cat.TailWrites[r.Object]...)
-				delete(held, r.Object)
-			case CkptCut:
-				cat.ShardBounds[r.Object] = insertCut(cat.ShardBounds[r.Object], r.A)
-			case CkptCrack:
-				if cr := cat.ShardCracks[r.Object]; r.A >= 0 && r.A < int64(len(cr)) {
-					cr[r.A] = append(cr[r.A], r.B)
-				}
-			}
 		case ShardInsert:
 			cat.ShardApplies[r.Object]++
-		case ShardSplit:
-			cat.splitShard(r.Object, r.A)
-		case ShardMerge:
-			cat.mergeShard(r.Object, r.A)
 		case EpochSeal:
 			cat.SealedEpochs[r.Object] = append(cat.SealedEpochs[r.Object], r.B)
 		case EpochApply:
@@ -451,10 +364,8 @@ func Recover(raw []byte) (*Catalog, error) {
 			}
 			cat.ShardApplies[r.Object]++
 		case LogicalWrite:
-			if r.B > cat.EpochWatermark[r.Object] {
-				cat.TailWrites[r.Object] = append(cat.TailWrites[r.Object],
-					TailWrite{Value: r.A, Delete: r.C != 0, Epoch: r.B})
-			}
+			cat.TailWrites[r.Object] = append(cat.TailWrites[r.Object],
+				TailWrite{Value: r.A, Delete: r.C != 0, Epoch: r.B})
 		}
 	}
 	var prevLSN uint64
@@ -499,76 +410,4 @@ func Recover(raw []byte) (*Catalog, error) {
 		return nil, err
 	}
 	return cat, nil
-}
-
-// insertCut inserts v into the sorted cut list (idempotent).
-func insertCut(cuts []int64, v int64) []int64 {
-	i := sort.Search(len(cuts), func(i int) bool { return cuts[i] >= v })
-	if i < len(cuts) && cuts[i] == v {
-		return cuts
-	}
-	cuts = append(cuts, 0)
-	copy(cuts[i+1:], cuts[i:])
-	cuts[i] = v
-	return cuts
-}
-
-// removeCut removes v from the sorted cut list if present.
-func removeCut(cuts []int64, v int64) []int64 {
-	i := sort.Search(len(cuts), func(i int) bool { return cuts[i] >= v })
-	if i < len(cuts) && cuts[i] == v {
-		return append(cuts[:i], cuts[i+1:]...)
-	}
-	return cuts
-}
-
-// splitShard applies a committed ShardSplit at cut to obj's recovered
-// state: the cut joins the cut list and, when a checkpointed crack set
-// exists, the owning shard's boundaries are divided between the two
-// halves. A boundary equal to the cut goes to BOTH halves — it becomes
-// the left shard's top edge and the right shard's bottom edge, exactly
-// what shard.SplitShard produces in memory.
-func (cat *Catalog) splitShard(obj string, cut int64) {
-	cuts := cat.ShardBounds[obj]
-	i := sort.Search(len(cuts), func(i int) bool { return cuts[i] >= cut })
-	if i < len(cuts) && cuts[i] == cut {
-		return // idempotent: cut already present
-	}
-	if cr := cat.ShardCracks[obj]; len(cr) == len(cuts)+1 {
-		var left, right []int64
-		for _, b := range cr[i] {
-			if b <= cut {
-				left = append(left, b)
-			}
-			if b >= cut {
-				right = append(right, b)
-			}
-		}
-		next := make([][]int64, 0, len(cr)+1)
-		next = append(next, cr[:i]...)
-		next = append(next, left, right)
-		next = append(next, cr[i+1:]...)
-		cat.ShardCracks[obj] = next
-	}
-	cat.ShardBounds[obj] = insertCut(cuts, cut)
-}
-
-// mergeShard applies a committed ShardMerge that removed cut: the two
-// adjacent shards' crack sets are concatenated with the removed cut
-// kept as a crack boundary (mirroring shard.MergeShards).
-func (cat *Catalog) mergeShard(obj string, cut int64) {
-	cuts := cat.ShardBounds[obj]
-	i := sort.Search(len(cuts), func(i int) bool { return cuts[i] >= cut })
-	if i >= len(cuts) || cuts[i] != cut {
-		return // unknown cut: nothing to merge
-	}
-	if cr := cat.ShardCracks[obj]; len(cr) == len(cuts)+1 {
-		merged := append(append(append([]int64(nil), cr[i]...), cut), cr[i+1]...)
-		next := make([][]int64, 0, len(cr)-1)
-		next = append(next, cr[:i]...)
-		next = append(next, merged)
-		next = append(next, cr[i+2:]...)
-		cat.ShardCracks[obj] = next
-	}
-	cat.ShardBounds[obj] = removeCut(cuts, cut)
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -107,7 +108,7 @@ func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		BeginSystem: "begin-system", CommitSystem: "commit-system",
 		CrackBoundary: "crack-boundary", RunCreated: "run-created",
-		MergeStep: "merge-step", Checkpoint: "checkpoint",
+		MergeStep: "merge-step",
 	} {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", k, k.String(), want)
@@ -124,8 +125,6 @@ func TestStructuralOnlyNoContents(t *testing.T) {
 	}
 }
 
-// --- Shard-map structural records (internal/ingest) ---
-
 func encodeAll(recs []Record) []byte {
 	var raw []byte
 	for _, r := range recs {
@@ -134,64 +133,30 @@ func encodeAll(recs []Record) []byte {
 	return raw
 }
 
-func TestRecoverShardMap(t *testing.T) {
+func TestRecoverLSNGapAbandonsOpenTxns(t *testing.T) {
+	// Records lost in a damaged middle segment leave transaction 2's
+	// begin behind a gap from its records and commit. Neither the
+	// stragglers nor the commit may apply — and the stragglers must
+	// not be mistaken for autonomous records.
 	raw := encodeAll([]Record{
-		// Bootstrap map {100, 200} in one committed system txn.
-		{Txn: 1, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 1, Kind: ShardSplit, Object: "R.A", A: 100},
-		{Txn: 1, Kind: ShardSplit, Object: "R.A", A: 200},
-		{Txn: 1, Kind: CommitSystem, Object: "R.A"},
-		// A committed group apply.
-		{Txn: 2, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 2, Kind: ShardInsert, Object: "R.A", A: 1, B: 64, C: 8},
-		{Txn: 2, Kind: CommitSystem, Object: "R.A"},
-		// A committed split at 150 then a committed merge removing 200.
-		{Txn: 3, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 3, Kind: ShardSplit, Object: "R.A", A: 150, B: 500, C: 480},
-		{Txn: 3, Kind: CommitSystem, Object: "R.A"},
-		{Txn: 4, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 4, Kind: ShardMerge, Object: "R.A", A: 200, B: 900},
-		{Txn: 4, Kind: CommitSystem, Object: "R.A"},
+		{LSN: 1, Txn: 1, Kind: BeginSystem},
+		{LSN: 2, Txn: 1, Kind: EpochSeal, Object: "col", B: 1},
+		{LSN: 3, Txn: 1, Kind: CommitSystem},
+		{LSN: 4, Txn: 2, Kind: BeginSystem},
+		// LSNs 5..6 lost with a damaged segment tail.
+		{LSN: 7, Txn: 2, Kind: EpochSeal, Object: "col", B: 3},
+		{LSN: 8, Txn: 2, Kind: CommitSystem},
 	})
 	cat, err := Recover(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{100, 150}
-	got := cat.ShardBounds["R.A"]
-	if len(got) != len(want) {
-		t.Fatalf("ShardBounds = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ShardBounds = %v, want %v", got, want)
-		}
-	}
-	if cat.ShardApplies["R.A"] != 1 {
-		t.Errorf("ShardApplies = %d, want 1", cat.ShardApplies["R.A"])
+	if got := cat.SealedEpochs["col"]; !slices.Equal(got, []int64{1}) {
+		t.Fatalf("SealedEpochs = %v, want [1] (partial txn applied across LSN gap)", got)
 	}
 }
 
-func TestRecoverIgnoresUncommittedRebalance(t *testing.T) {
-	// A crash mid-rebalance: the split's system transaction began and
-	// logged its record, but never committed. Recovery must not apply
-	// it — an aborted structural operation leaves no trace.
-	raw := encodeAll([]Record{
-		{Txn: 1, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 1, Kind: ShardSplit, Object: "R.A", A: 100},
-		{Txn: 1, Kind: CommitSystem, Object: "R.A"},
-		{Txn: 2, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 2, Kind: ShardSplit, Object: "R.A", A: 300},
-		// no CommitSystem: crashed mid-rebalance
-	})
-	cat, err := Recover(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cat.ShardBounds["R.A"]; len(got) != 1 || got[0] != 100 {
-		t.Fatalf("ShardBounds = %v, want [100]", got)
-	}
-}
+// --- Shard-map structural records (internal/ingest) ---
 
 func TestRecoverTruncatedMidRebalance(t *testing.T) {
 	full := encodeAll([]Record{
@@ -212,14 +177,8 @@ func TestRecoverTruncatedMidRebalance(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("Replay applied %d records, want 5 (torn tail dropped)", n)
 	}
-	cat, err := Recover(raw)
-	if err != nil {
+	if _, err := Recover(raw); err != nil {
 		t.Fatal(err)
-	}
-	// The second split's commit was torn off: only the first cut
-	// survives recovery.
-	if got := cat.ShardBounds["R.A"]; len(got) != 1 || got[0] != 100 {
-		t.Fatalf("ShardBounds = %v, want [100]", got)
 	}
 }
 
@@ -237,14 +196,17 @@ func TestRecoverCorruptMidRebalance(t *testing.T) {
 	tail[3] ^= 0xFF // corrupt the tail's first record
 	raw := append(append([]byte{}, prefix...), tail...)
 
-	cat, err := Recover(raw)
+	// Replay stops at the corrupt record: the merge's transaction is
+	// read whole, the split's not at all.
+	n, err := Replay(raw, func(Record) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay stops at the corrupt record: the merge of cut 100 applies
-	// (removing nothing from an empty map), the split of 300 does not.
-	if got := cat.ShardBounds["R.A"]; len(got) != 0 {
-		t.Fatalf("ShardBounds = %v, want empty", got)
+	if n != 3 {
+		t.Fatalf("Replay applied %d records, want 3 (corrupt tail dropped)", n)
+	}
+	if _, err := Recover(raw); err != nil {
+		t.Fatal(err)
 	}
 }
 
