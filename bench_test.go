@@ -29,6 +29,7 @@ import (
 	"adaptix/internal/pbtree"
 	"adaptix/internal/shard"
 	"adaptix/internal/sideways"
+	"adaptix/internal/wal"
 	"adaptix/internal/workload"
 )
 
@@ -740,6 +741,59 @@ func BenchmarkEpochWrite_DuringMerge(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	merger.Wait()
+}
+
+// --- WAL: a logged write, alone and beside an fsync ---
+
+// BenchmarkWALAppend is the logged-write rung: one Append(LogicalWrite)
+// through a segment-file sink. nosync is the append alone (a NoSync
+// sink: encode, frame, write). during_fsync appends while another
+// goroutine fsyncs the same log back to back, so its ns/op shows
+// whether an append waits behind an in-flight fsync.
+func BenchmarkWALAppend(b *testing.B) {
+	run := func(noSync, fsyncing bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			sink, err := wal.NewFileSink(b.TempDir(), wal.SinkOptions{NoSync: noSync})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sink.Close()
+			log := wal.New(sink)
+			stop := make(chan struct{})
+			var syncer sync.WaitGroup
+			defer syncer.Wait()
+			defer close(stop)
+			if fsyncing {
+				syncer.Add(1)
+				go func() {
+					defer syncer.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := log.Sync(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			rec := wal.Record{Kind: wal.LogicalWrite, Object: "sharded", B: 7}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec.A = int64(i)
+				if _, err := log.Append(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+		}
+	}
+	b.Run("nosync", run(true, false))
+	b.Run("during_fsync", run(false, true))
 }
 
 // --- Observability overhead: none vs disabled tracing vs enabled ---

@@ -250,7 +250,8 @@ type (
 	Txn = txn.Txn
 	// LockMode is a transactional lock mode (IS, IX, S, SIX, U, X).
 	LockMode = lockmgr.Mode
-	// StructuralLog is the write-ahead log for structural operations.
+	// StructuralLog is the write-ahead log for structural operations: a
+	// stream of encoded records into its sink.
 	StructuralLog = wal.Log
 )
 
@@ -292,15 +293,18 @@ type sinkConfig struct {
 	sink *wal.FileSink
 }
 
-// WithSink makes the structural log write every record through the
-// given durable sink, fsyncing on system-transaction commits. Without
-// it the log is in-memory only.
+// WithSink makes the structural log stream every record to the given
+// durable sink, fsyncing on system-transaction commits; the log itself
+// then keeps no record. Without it the log's sink is an in-memory byte
+// buffer of encoded records.
 func WithSink(sink *WALFileSink) SinkOption {
 	return func(c *sinkConfig) { c.sink = sink }
 }
 
-// NewStructuralLog returns a structural WAL: in-memory by default,
-// durable when configured with WithSink.
+// NewStructuralLog returns a structural WAL. By default it is in
+// memory: records accumulate, encoded, in a byte buffer that Records
+// decodes. With WithSink it is durable and retains nothing: Records
+// returns nil, and the records live only in the sink's segments.
 func NewStructuralLog(opts ...SinkOption) *StructuralLog {
 	var c sinkConfig
 	for _, o := range opts {

@@ -90,6 +90,57 @@ func TestGroupCommitSyncEvery(t *testing.T) {
 	}
 }
 
+// TestGroupCommitElectsOneSyncer: writers that cross the SyncEvery
+// threshold together elect one syncer, so N logged writes cost at most
+// N/SyncEvery group fsyncs — neither a batch synced twice nor an
+// increment wiped by a concurrent reset. The NoSync file sink is the
+// durable store's write path; over the in-memory log an append takes
+// nanoseconds instead of a write(2), so writers cross the threshold
+// together often enough for a few rounds to catch a double election.
+func TestGroupCommitElectsOneSyncer(t *testing.T) {
+	const writers, perWriter, syncEvery = 8, 2000, 2
+	d := workload.NewUniqueUniform(1<<10, 9)
+	sink, err := wal.NewFileSink(t.TempDir(), wal.SinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	run := func(log *wal.Log) {
+		col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5,
+			Index: crackindex.Options{Latching: crackindex.LatchPiece}})
+		g := New(col, Options{
+			Log: log, LogWrites: true, SyncEvery: syncEvery,
+			ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
+		})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if err := g.Insert(qctx, d.Domain+int64(w*perWriter+i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		st := g.Stats()
+		if st.LoggedWrites != writers*perWriter {
+			t.Fatalf("LoggedWrites = %d, want %d", st.LoggedWrites, writers*perWriter)
+		}
+		if bound := st.LoggedWrites / syncEvery; st.GroupSyncs > bound {
+			t.Fatalf("GroupSyncs = %d for %d writes at SyncEvery %d, want <= %d",
+				st.GroupSyncs, st.LoggedWrites, syncEvery, bound)
+		}
+	}
+	run(wal.New(sink))
+	for range 8 {
+		run(wal.New(nil))
+	}
+}
+
 // TestGroupCommitSyncInterval: with ONLY SyncInterval set (SyncEvery
 // left at its zero default — the documented interval-only
 // configuration), unsynced logical records are fsynced by the

@@ -378,17 +378,18 @@ func (g *Coordinator) logWrite(v, epochID int64, del bool) {
 // last fsync, force one. The unsynced counter is maintained whenever
 // EITHER group-commit bound is active, so an interval-only
 // configuration (SyncInterval set, SyncEvery zero) still sees its
-// pending records at the next tick. The counter swap makes concurrent
-// writers elect exactly one syncer per batch.
+// pending records at the next tick. Concurrent writers that cross the
+// threshold together elect exactly one syncer: only the one whose count
+// is still current resets it, so no increment is lost and one batch
+// never costs two fsyncs.
 func (g *Coordinator) maybeGroupSync() {
 	if g.opts.SyncEvery <= 0 && g.opts.SyncInterval <= 0 {
 		return
 	}
 	n := g.unsynced.Add(1)
-	if g.opts.SyncEvery <= 0 || n < int64(g.opts.SyncEvery) {
+	if g.opts.SyncEvery <= 0 || n < int64(g.opts.SyncEvery) || !g.unsynced.CompareAndSwap(n, 0) {
 		return
 	}
-	g.unsynced.Store(0)
 	if g.opts.Log.Sync() == nil {
 		g.syncs.Add(1)
 		g.opts.Obs.RecordCommitBatch(n)

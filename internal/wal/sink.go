@@ -12,6 +12,13 @@
 // contract (paper §4.2: losing the structural tail is always safe,
 // because adaptive-index structure is re-creatable knowledge).
 //
+// A frame is built in one reused buffer and handed to the OS in one
+// write(2) before Write returns; the sink buffers nothing in user
+// space, so a killed process loses no record whose Write returned. Sync
+// takes the current segment under the sink's lock and fsyncs it outside
+// the lock, so writes continue while an fsync is in flight; rotation
+// and Close wait for in-flight fsyncs before closing their segment.
+//
 // Segments rotate once they exceed SegmentBytes, which keeps any one
 // file small and — more importantly — gives checkpoint truncation a
 // unit of reclamation: a checkpoint rotates first (MarkCheckpoint), so
@@ -79,13 +86,19 @@ type FileSink struct {
 	dir  string
 	opts SinkOptions
 
-	mu     sync.Mutex
-	f      *os.File
-	seg    int   // index of the open segment
-	size   int64 // bytes written to the open segment
-	werr   bool  // a failed write left a partial frame in the segment
-	closed bool
+	mu       sync.Mutex
+	f        *os.File
+	seg      int   // index of the open segment
+	size     int64 // bytes written to the open segment
+	werr     bool  // a failed write left a partial frame in the segment
+	closed   bool
+	frame    []byte         // Write's frame buffer, reused under mu
+	inflight sync.WaitGroup // Syncs fsyncing f outside mu; Add under mu
 }
+
+// fsync forces a segment to stable storage. In-package tests replace it
+// to park an fsync.
+var fsync = (*os.File).Sync
 
 // Syncer is implemented by sinks that can flush buffered writes to
 // stable storage. Log.Append calls Sync after writing a CommitSystem
@@ -167,9 +180,10 @@ func segmentIndexes(dir string) ([]int, error) {
 // outgoing segment first: a transaction's records may straddle a
 // rotation, and the commit's fsync only reaches the segment holding
 // the commit — without this, an acknowledged commit could lose its
-// earlier records to power failure. The directory is synced too so
-// the new segment's existence is durable. Caller must hold s.mu (or
-// be the constructor).
+// earlier records to power failure. The outgoing segment is closed only
+// once every Sync in flight on it has returned. The directory is synced
+// too so the new segment's existence is durable. Caller must hold s.mu
+// (or be the constructor).
 func (s *FileSink) openSegment(i int) error {
 	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(i)),
 		os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
@@ -177,8 +191,9 @@ func (s *FileSink) openSegment(i int) error {
 		return fmt.Errorf("wal: sink: %w", err)
 	}
 	if s.f != nil {
+		s.inflight.Wait()
 		if !s.opts.NoSync {
-			if err := s.f.Sync(); err != nil {
+			if err := fsync(s.f); err != nil {
 				f.Close()
 				return fmt.Errorf("wal: sink: %w", err)
 			}
@@ -205,10 +220,10 @@ func (s *FileSink) syncDir() {
 }
 
 // Write frames one encoded record and appends it to the current
-// segment, rotating first when the segment is full — or when an
-// earlier write failed partway: the garbage frame it left would hide
-// everything appended after it in that segment (deframe stops at the
-// first damaged frame), so the segment is abandoned and the next
+// segment in one write(2), rotating first when the segment is full — or
+// when an earlier write failed partway: the garbage frame it left would
+// hide everything appended after it in that segment (deframe stops at
+// the first damaged frame), so the segment is abandoned and the next
 // record starts a fresh one. Implements io.Writer for Log.
 func (s *FileSink) Write(p []byte) (int, error) {
 	s.mu.Lock()
@@ -222,14 +237,10 @@ func (s *FileSink) Write(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(p)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
-	if _, err := s.f.Write(hdr[:]); err != nil {
-		s.werr = true
-		return 0, fmt.Errorf("wal: sink: %w", err)
-	}
-	if _, err := s.f.Write(p); err != nil {
+	s.frame = binary.LittleEndian.AppendUint32(s.frame[:0], uint32(len(p)))
+	s.frame = binary.LittleEndian.AppendUint32(s.frame, crc32.ChecksumIEEE(p))
+	s.frame = append(s.frame, p...)
+	if _, err := s.f.Write(s.frame); err != nil {
 		s.werr = true
 		return 0, fmt.Errorf("wal: sink: %w", err)
 	}
@@ -239,15 +250,26 @@ func (s *FileSink) Write(p []byte) (int, error) {
 }
 
 // Sync flushes the current segment to stable storage (a no-op under
-// NoSync).
+// NoSync). Every frame whose Write returned before Sync was called is
+// durable when it returns: the fsync of the segment holding it, or, if
+// that segment rotated away meanwhile, the rotation's own fsync, covers
+// it. The fsync runs outside s.mu, so concurrent Writes are not held up
+// by it.
 func (s *FileSink) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.opts.NoSync {
+	if s.opts.NoSync {
 		return nil
 	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	f := s.f
+	s.inflight.Add(1)
+	s.mu.Unlock()
+	defer s.inflight.Done()
 	t0 := time.Now()
-	if err := s.f.Sync(); err != nil {
+	if err := fsync(f); err != nil {
 		return fmt.Errorf("wal: sink: %w", err)
 	}
 	s.opts.Obs.RecordFsync(time.Since(t0))
@@ -304,7 +326,8 @@ func (s *FileSink) Segments() ([]int, error) {
 	return segmentIndexes(s.dir)
 }
 
-// Close syncs and closes the current segment. Further writes fail.
+// Close waits for in-flight Syncs, then syncs and closes the current
+// segment. Further writes fail.
 func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -312,8 +335,9 @@ func (s *FileSink) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.inflight.Wait()
 	if !s.opts.NoSync {
-		if err := s.f.Sync(); err != nil {
+		if err := fsync(s.f); err != nil {
 			s.f.Close()
 			return fmt.Errorf("wal: sink: %w", err)
 		}

@@ -3,13 +3,17 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // appendN appends n committed single-record system transactions
-// through a log backed by sink.
-func appendN(t *testing.T, l *Log, n int, obj string) {
+// through a log backed by sink and returns the records as appended.
+func appendN(t *testing.T, l *Log, n int, obj string) []Record {
 	t.Helper()
+	var out []Record
 	for i := 0; i < n; i++ {
 		txn := uint64(i + 1)
 		for _, r := range []Record{
@@ -17,11 +21,15 @@ func appendN(t *testing.T, l *Log, n int, obj string) {
 			{Kind: ShardSplit, Txn: txn, Object: obj, A: int64(100 + i)},
 			{Kind: CommitSystem, Txn: txn},
 		} {
-			if _, err := l.Append(r); err != nil {
+			lsn, err := l.Append(r)
+			if err != nil {
 				t.Fatalf("append: %v", err)
 			}
+			r.LSN = lsn
+			out = append(out, r)
 		}
 	}
+	return out
 }
 
 func TestFileSinkRoundTrip(t *testing.T) {
@@ -31,9 +39,13 @@ func TestFileSinkRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := New(s)
-	appendN(t, l, 5, "col")
+	want := appendN(t, l, 5, "col")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The log streams: over a file sink it keeps nothing to read back.
+	if recs := l.Records(); recs != nil || l.Len() != 15 {
+		t.Fatalf("Records = %d records, Len = %d; want none kept and 15 LSNs", len(recs), l.Len())
 	}
 
 	raw, err := ReadDir(dir)
@@ -48,7 +60,6 @@ func TestFileSinkRoundTrip(t *testing.T) {
 	if n != 15 || len(got) != 15 {
 		t.Fatalf("replayed %d records, want 15", n)
 	}
-	want := l.Records()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
@@ -313,5 +324,161 @@ func TestFileSinkReopenStartsFreshSegment(t *testing.T) {
 	n, _ := Replay(img, func(Record) {})
 	if n != 12 {
 		t.Fatalf("replayed %d records, want 12", n)
+	}
+}
+
+// TestLogAppendZeroAlloc is the allocation gate of a logged write: the
+// record is encoded into the log's reused buffer, framed into the
+// sink's, and handed to the OS in one write; no copy of it is kept.
+func TestLogAppendZeroAlloc(t *testing.T) {
+	s, err := NewFileSink(t.TempDir(), SinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	l := New(s)
+	rec := Record{Kind: LogicalWrite, Object: "sharded", B: 7}
+	allocs := testing.AllocsPerRun(1000, func() {
+		rec.A++
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Append(LogicalWrite) over a file sink: %v allocs/op, want 0", allocs)
+	}
+}
+
+// parkNextFsync replaces the fsync seam so that the next fsync parks
+// until release is called; parked is closed once it has parked.
+func parkNextFsync(t *testing.T) (parked <-chan error, release func()) {
+	var armed atomic.Bool
+	armed.Store(true)
+	p, r := make(chan error), make(chan struct{})
+	release = sync.OnceFunc(func() { close(r) })
+	orig := fsync
+	fsync = func(f *os.File) error {
+		if armed.CompareAndSwap(true, false) {
+			close(p)
+			<-r
+		}
+		return orig(f)
+	}
+	t.Cleanup(func() {
+		release()
+		fsync = orig
+	})
+	return p, release
+}
+
+// goErr runs f on a new goroutine and delivers its result.
+func goErr(f func() error) <-chan error {
+	ch := make(chan error, 1)
+	go func() { ch <- f() }()
+	return ch
+}
+
+// await returns what ch delivers, failing the test if nothing arrives
+// within ten seconds.
+func await(t *testing.T, ch <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not return", what)
+		return nil
+	}
+}
+
+// stillBlocked fails the test if ch delivers within a short grace. A
+// sink that waits for the parked fsync never delivers early, so the
+// grace only bounds how quickly one that does not wait is caught; the
+// parked fsync then also fails on its closed file.
+func stillBlocked(t *testing.T, ch <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-ch:
+		t.Fatalf("%s returned (%v) while an fsync was parked on its segment", what, err)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestSyncBlocksNoAppend parks an fsync and checks that appends go on
+// meanwhile, that a rotation and Close wait for the parked fsync
+// instead of closing its segment under it, and that every record
+// appended reads back.
+func TestSyncBlocksNoAppend(t *testing.T) {
+	dir := t.TempDir()
+	const frame = frameHeaderSize + recordFixed + len("col") + recordTrailer
+	s, err := NewFileSink(dir, SinkOptions{SegmentBytes: 64 * int64(frame)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := New(s)
+	appendK := func(k int) func() error {
+		return func() error {
+			for i := 0; i < k; i++ {
+				if _, err := l.Append(Record{Kind: LogicalWrite, Object: "col", A: int64(i)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+
+	// Segment 1 holds 64 records. An fsync parked on it blocks none of
+	// the 48 appends that fit.
+	parked, release := parkNextFsync(t)
+	synced := goErr(l.Sync)
+	await(t, parked, "the fsync")
+	if err := await(t, goErr(appendK(48)), "appends behind a parked fsync"); err != nil {
+		t.Fatal(err)
+	}
+	// The 65th record rotates, and the rotation waits for the parked
+	// fsync before it closes segment 1.
+	rotated := goErr(appendK(32))
+	stillBlocked(t, rotated, "a rotation")
+	release()
+	if err := await(t, synced, "the parked Sync"); err != nil {
+		t.Fatalf("parked Sync: %v", err)
+	}
+	if err := await(t, rotated, "the rotating appends"); err != nil {
+		t.Fatal(err)
+	}
+	if segs, err := s.Segments(); err != nil || len(segs) != 2 {
+		t.Fatalf("segments = %v, %v; want 2 after one rotation", segs, err)
+	}
+
+	// Close waits for a parked fsync the same way.
+	parked, release = parkNextFsync(t)
+	synced = goErr(l.Sync)
+	await(t, parked, "the fsync")
+	closed := goErr(s.Close)
+	stillBlocked(t, closed, "Close")
+	release()
+	if err := await(t, synced, "the parked Sync"); err != nil {
+		t.Fatalf("parked Sync: %v", err)
+	}
+	if err := await(t, closed, "Close"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every record appended before a Sync reads back, in LSN order.
+	img, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []uint64
+	if _, err := Replay(img, func(r Record) { lsns = append(lsns, r.LSN) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(lsns) != 80 {
+		t.Fatalf("read back %d records, want 80", len(lsns))
+	}
+	for i, lsn := range lsns {
+		if lsn != uint64(i+1) {
+			t.Fatalf("record %d has LSN %d, want %d", i, lsn, i+1)
+		}
 	}
 }

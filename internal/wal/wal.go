@@ -18,9 +18,17 @@
 // corrupt or truncated record, mimicking standard log-recovery
 // behaviour.
 //
+// A Log is a stream, not a store: it keeps no record it has appended.
+// Each record is encoded into a reused buffer and handed to the sink
+// before Append returns, so what a Log retains is exactly what its sink
+// retains — nothing for the file sink, the encoded bytes for the
+// in-memory log New(nil) builds.
+//
 // Durability is provided by the file sink (sink.go): CRC-framed
 // records in rotating segment files, fsynced on every system
-// transaction commit. The log holds no checkpoint: a checkpoint is a
+// transaction commit. An fsync runs outside both the log's and the
+// sink's append lock, so writers keep appending while it is in flight
+// (group commit). The log holds no checkpoint: a checkpoint is a
 // data snapshot written outside it (internal/durable's base.snap, which
 // carries the shard map and every shard's pieces), so the structure
 // never has to be re-derived from records. The checkpoint writer rotates
@@ -32,6 +40,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -140,99 +149,125 @@ type Record struct {
 	A, B, C int64
 }
 
-// Log is an append-only structural log. The zero value is not usable;
+// Log is an append-only structural log: a stream of encoded records
+// into its sink, retaining none of them. The zero value is not usable;
 // use New.
 type Log struct {
-	mu      sync.Mutex
-	records []Record
+	sink   io.Writer
+	syncer Syncer        // sink as a Syncer, or nil
+	mem    *bytes.Buffer // the sink of an in-memory log, or nil
+
+	mu      sync.Mutex // orders LSN assignment with the sink's writes
 	nextLSN uint64
-	sink    io.Writer // optional durable sink
+	enc     []byte // Append's encode buffer, reused under mu
 }
 
-// New creates a log. sink may be nil (in-memory only); when non-nil,
-// every appended record is encoded and written through.
+// New creates a log that writes every appended record through sink.
+// A nil sink makes an in-memory log: its sink is a byte buffer of
+// encoded records, which Records decodes. A Log over any other sink
+// holds nothing.
 func New(sink io.Writer) *Log {
-	return &Log{nextLSN: 1, sink: sink}
+	l := &Log{nextLSN: 1, sink: sink}
+	if sink == nil {
+		l.mem = new(bytes.Buffer)
+		l.sink = l.mem
+	}
+	l.syncer, _ = l.sink.(Syncer)
+	return l
 }
 
-// Append assigns the next LSN to r, stores it, and (if a sink is
-// configured) writes it durably. When the sink implements Syncer, a
-// CommitSystem record additionally forces the sink to stable storage
-// before Append returns — fsync-on-commit, the write-ahead rule for
-// system transactions. It returns the assigned LSN.
+// Append assigns the next LSN to r and writes it through the sink in
+// one Write call. When the sink implements Syncer, a CommitSystem
+// record additionally forces the sink to stable storage before Append
+// returns — fsync-on-commit, the write-ahead rule for system
+// transactions. The sync starts after the record is written and runs
+// outside the log's lock, so other appends proceed while it is in
+// flight. It returns the assigned LSN. A failed write still consumes
+// its LSN, so recovery sees the gap.
 func (l *Log) Append(r Record) (uint64, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	if l.sink != nil {
-		if _, err := l.sink.Write(Encode(r)); err != nil {
-			return 0, fmt.Errorf("wal: append: %w", err)
-		}
-		if s, ok := l.sink.(Syncer); ok && r.Kind == CommitSystem {
-			if err := s.Sync(); err != nil {
-				return 0, fmt.Errorf("wal: append: %w", err)
-			}
-		}
+	l.enc = AppendEncode(l.enc[:0], r)
+	_, err := l.sink.Write(l.enc)
+	l.mu.Unlock()
+	if err == nil && r.Kind == CommitSystem && l.syncer != nil {
+		err = l.syncer.Sync()
 	}
-	l.records = append(l.records, r)
+	if err != nil {
+		return 0, fmt.Errorf("wal: append: %w", err)
+	}
 	return r.LSN, nil
 }
 
 // Sync forces the sink (when it implements Syncer) to stable storage.
+// It does not take the log's lock: appends proceed while it runs, and
+// every record whose Append returned before Sync was called is covered.
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if s, ok := l.sink.(Syncer); ok {
-		if err := s.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
+	if l.syncer == nil {
+		return nil
+	}
+	if err := l.syncer.Sync(); err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
 	}
 	return nil
 }
 
-// Len returns the number of records appended.
+// Len returns the number of LSNs assigned: the records appended,
+// counting one whose write failed.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return int(l.nextLSN - 1)
 }
 
-// Records returns a copy of all appended records.
+// Records decodes the records of an in-memory log (New(nil)) in append
+// order. A log over any other sink keeps no records and returns nil.
 func (l *Log) Records() []Record {
+	if l.mem == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
+	var out []Record
+	// The buffer holds whole records only, so Replay cannot fail.
+	_, _ = Replay(l.mem.Bytes(), func(r Record) { out = append(out, r) })
 	return out
 }
 
 // Encode serializes r: header(LSN, Txn, kind, lenObject) + object +
 // A,B,C + checksum byte.
 func Encode(r Record) []byte {
-	obj := []byte(r.Object)
-	buf := make([]byte, 0, 8+8+1+4+len(obj)+24+1)
-	var tmp [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		buf = append(buf, tmp[:]...)
-	}
-	put64(r.LSN)
-	put64(r.Txn)
-	buf = append(buf, byte(r.Kind))
-	var l4 [4]byte
-	binary.LittleEndian.PutUint32(l4[:], uint32(len(obj)))
-	buf = append(buf, l4[:]...)
-	buf = append(buf, obj...)
-	put64(uint64(r.A))
-	put64(uint64(r.B))
-	put64(uint64(r.C))
+	return AppendEncode(make([]byte, 0, recordFixed+len(r.Object)+recordTrailer), r)
+}
+
+// recordFixed and recordTrailer are the encoded sizes around a
+// record's object name: LSN, Txn, kind and the name's length before
+// it; A, B, C and the checksum byte after it.
+const (
+	recordFixed   = 8 + 8 + 1 + 4
+	recordTrailer = 24 + 1
+)
+
+// AppendEncode appends the encoding of r (see Encode) to dst and
+// returns the extended slice. It allocates only when dst lacks the
+// capacity.
+func AppendEncode(dst []byte, r Record) []byte {
+	start := len(dst)
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, r.LSN)
+	dst = le.AppendUint64(dst, r.Txn)
+	dst = append(dst, byte(r.Kind))
+	dst = le.AppendUint32(dst, uint32(len(r.Object)))
+	dst = append(dst, r.Object...)
+	dst = le.AppendUint64(dst, uint64(r.A))
+	dst = le.AppendUint64(dst, uint64(r.B))
+	dst = le.AppendUint64(dst, uint64(r.C))
 	var sum byte
-	for _, b := range buf {
+	for _, b := range dst[start:] {
 		sum ^= b
 	}
-	buf = append(buf, sum)
-	return buf
+	return append(dst, sum)
 }
 
 // ErrCorrupt reports a checksum mismatch during decode.
@@ -242,8 +277,7 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // number of bytes consumed. io.ErrUnexpectedEOF means a truncated
 // record (normal at a crashed log tail).
 func Decode(buf []byte) (Record, int, error) {
-	const fixed = 8 + 8 + 1 + 4
-	if len(buf) < fixed {
+	if len(buf) < recordFixed {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
 	var r Record
@@ -251,15 +285,15 @@ func Decode(buf []byte) (Record, int, error) {
 	r.Txn = binary.LittleEndian.Uint64(buf[8:])
 	r.Kind = Kind(buf[16])
 	objLen := int(binary.LittleEndian.Uint32(buf[17:]))
-	total := fixed + objLen + 24 + 1
+	total := recordFixed + objLen + recordTrailer
 	if objLen > 1<<20 {
 		return Record{}, 0, ErrCorrupt
 	}
 	if len(buf) < total {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
-	r.Object = string(buf[fixed : fixed+objLen])
-	p := fixed + objLen
+	r.Object = string(buf[recordFixed : recordFixed+objLen])
+	p := recordFixed + objLen
 	r.A = int64(binary.LittleEndian.Uint64(buf[p:]))
 	r.B = int64(binary.LittleEndian.Uint64(buf[p+8:]))
 	r.C = int64(binary.LittleEndian.Uint64(buf[p+16:]))

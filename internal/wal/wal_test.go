@@ -32,8 +32,12 @@ func TestAppendAssignsLSNs(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(txn uint64, kind uint8, obj string, a, b, c int64) bool {
 		r := Record{LSN: 7, Txn: txn, Kind: Kind(kind%6 + 1), Object: obj, A: a, B: b, C: c}
-		got, n, err := Decode(Encode(r))
-		return err == nil && n == len(Encode(r)) && got == r
+		enc := Encode(r)
+		got, n, err := Decode(enc)
+		// AppendEncode after a prefix leaves the prefix and appends the
+		// same bytes.
+		app := AppendEncode([]byte("xyz"), r)
+		return err == nil && n == len(enc) && got == r && bytes.Equal(app, append([]byte("xyz"), enc...))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
