@@ -500,6 +500,55 @@ func BenchmarkConvergedCount(b *testing.B) {
 	})
 }
 
+// BenchmarkConvergedRead is the converged-read rung of the whole facade:
+// a 4-shard Index over 4 Mi rows that has already answered each of 64 Ki
+// narrow (0.001 %) bounds is asked them again, in parallel, so every
+// shard answers from its table of contents. Such a read refines nothing;
+// run with -cpu 1,2: whatever it still writes to shared memory shows as
+// the gap between the two.
+func BenchmarkConvergedRead(b *testing.B) {
+	d := buildRungData()
+	ix, err := adaptix.New(d.Values, adaptix.WithShards(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	ctx := context.Background()
+	pool := workload.Fixed(workload.NewUniform(workload.Count, d.Domain, 0.00001, 7), 64<<10)
+	for _, q := range pool {
+		if _, err := ix.Count(ctx, q.Lo, q.Hi); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, wantSum := range []bool{false, true} {
+		name := "count"
+		if wantSum {
+			name = "sum"
+		}
+		b.Run(name, func(b *testing.B) {
+			var client atomic.Uint64
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(client.Add(1)) * 7919 // clients start far apart in the pool
+				for pb.Next() {
+					q := pool[i%len(pool)]
+					i++
+					var err error
+					if wantSum {
+						_, err = ix.Sum(ctx, q.Lo, q.Hi)
+					} else {
+						_, err = ix.Count(ctx, q.Lo, q.Hi)
+					}
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 // buildRungData is the repo benchmark's shape: 4 Mi unique rows in
 // random order.
 var buildRungData = sync.OnceValue(func() *workload.Dataset {

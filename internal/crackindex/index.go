@@ -215,8 +215,10 @@ type OpStats struct {
 	Refine time.Duration
 	// Critical is the critical-path time of a fan-out execution: the
 	// slowest sub-query's elapsed time (shard.Column sets it; Wait and
-	// Refine sum total work across all sub-queries instead). Zero for
-	// single-domain operations.
+	// Refine sum total work across all sub-queries instead). It
+	// measures index work, so it is zero when no shard ran a sub-query
+	// (every overlapping shard was covered by the predicate or answered
+	// from its table of contents), and for single-domain operations.
 	Critical time.Duration
 	// Conflicts counts latch acquisitions that were not granted
 	// immediately.

@@ -45,6 +45,7 @@ package epoch
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"adaptix/internal/kernel"
 )
@@ -57,6 +58,11 @@ type File struct {
 	ins    []int64 // sorted pending inserts
 	del    []int64 // sorted pending deletes (anti-matter)
 	sealed bool
+	// n is len(ins)+len(del), stored under mu after every append: a
+	// reader that loads 0 is ordered before the first record and skips
+	// the file without taking mu. A file shared across Fork carries it
+	// along, so every chain listing the file agrees.
+	n atomic.Int64
 }
 
 func newFile(id int64) *File { return &File{id: id} }
@@ -71,11 +77,15 @@ func (f *File) insert(v int64) (int64, bool) {
 		return 0, false
 	}
 	f.ins = InsertSorted(f.ins, v)
+	f.n.Add(1)
 	return f.id, true
 }
 
 // countAdj returns the file's count adjustment for [lo, hi).
 func (f *File) countAdj(lo, hi int64) int64 {
+	if f.n.Load() == 0 {
+		return 0
+	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return CountRange(f.ins, lo, hi) - CountRange(f.del, lo, hi)
@@ -83,6 +93,9 @@ func (f *File) countAdj(lo, hi int64) int64 {
 
 // sumAdj returns the file's sum adjustment for [lo, hi).
 func (f *File) sumAdj(lo, hi int64) int64 {
+	if f.n.Load() == 0 {
+		return 0
+	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return SumRange(f.ins, lo, hi) - SumRange(f.del, lo, hi)
@@ -124,17 +137,40 @@ type Chain struct {
 	mu   *sync.RWMutex // lineage latch, shared across forks
 	next func() int64  // epoch-id allocator (per-column monotonic counter)
 
-	// epochs is the chain in ascending id order; guarded by mu. All
-	// files are sealed except the last, which is open (Close, used
-	// under a part seal, temporarily breaks this until Reopen or the
-	// chain is discarded).
-	epochs []*File
+	// epochs is the chain in ascending id order, published whole under
+	// mu and never modified after: CountAdj and SumAdj load it without
+	// any latch. All files are sealed except the last, which is open
+	// (Close, used under a part seal, temporarily breaks this until
+	// Reopen or the chain is discarded).
+	epochs atomic.Pointer[[]*File]
 }
 
 // NewChain creates a chain with one open epoch. next must return
 // strictly increasing ids (one shared counter per column).
 func NewChain(next func() int64) *Chain {
-	return &Chain{mu: new(sync.RWMutex), next: next, epochs: []*File{newFile(next())}}
+	ch := &Chain{mu: new(sync.RWMutex), next: next}
+	ch.publish([]*File{newFile(next())})
+	return ch
+}
+
+// files returns the published file list; callers must not modify it.
+func (ch *Chain) files() []*File { return *ch.epochs.Load() }
+
+// publish installs fs as the chain's file list; mu is held (or the
+// chain is not shared yet).
+func (ch *Chain) publish(fs []*File) { ch.epochs.Store(&fs) }
+
+// appendOpen publishes a copy of the list with a fresh open epoch at
+// its end; mu is held.
+func (ch *Chain) appendOpen() {
+	fs := ch.files()
+	ch.publish(append(fs[:len(fs):len(fs)], newFile(ch.next())))
+}
+
+// open returns the chain's last (open) file.
+func (ch *Chain) open() *File {
+	fs := ch.files()
+	return fs[len(fs)-1]
 }
 
 // Insert appends one pending insert of v to the open epoch, reporting
@@ -144,7 +180,7 @@ func NewChain(next func() int64) *Chain {
 func (ch *Chain) Insert(v int64) (epochID int64, ok bool) {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	return ch.epochs[len(ch.epochs)-1].insert(v)
+	return ch.open().insert(v)
 }
 
 // Delete appends an anti-matter record for v to the open epoch if a
@@ -157,14 +193,15 @@ func (ch *Chain) Insert(v int64) (epochID int64, ok bool) {
 func (ch *Chain) Delete(v int64, baseCount int64) (epochID int64, deleted, ok bool) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	open := ch.epochs[len(ch.epochs)-1]
+	fs := ch.files()
+	open := fs[len(fs)-1]
 	open.mu.Lock()
 	defer open.mu.Unlock()
 	if open.sealed {
 		return 0, false, false
 	}
 	logical := baseCount
-	for _, f := range ch.epochs[:len(ch.epochs)-1] {
+	for _, f := range fs[:len(fs)-1] {
 		logical += f.countAdj(v, v+1)
 	}
 	logical += CountRange(open.ins, v, v+1) - CountRange(open.del, v, v+1)
@@ -172,29 +209,33 @@ func (ch *Chain) Delete(v int64, baseCount int64) (epochID int64, deleted, ok bo
 		return 0, false, true
 	}
 	open.del = InsertSorted(open.del, v)
+	open.n.Add(1)
 	return open.id, true, true
 }
 
 // CountAdj returns the chain's net count adjustment for [lo, hi)
-// across every visible epoch, and the number of epochs consulted.
+// across every visible epoch, and the number of epochs consulted. It
+// takes no chain latch, and a file's latch only when the file holds
+// records: a read of a chain nothing was written to writes nothing
+// shared. A write whose Insert or Delete returned before CountAdj was
+// called is always seen.
 func (ch *Chain) CountAdj(lo, hi int64) (adj int64, epochs int) {
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
-	for _, f := range ch.epochs {
+	fs := ch.files()
+	for _, f := range fs {
 		adj += f.countAdj(lo, hi)
 	}
-	return adj, len(ch.epochs)
+	return adj, len(fs)
 }
 
 // SumAdj returns the chain's net sum adjustment for [lo, hi) across
-// every visible epoch, and the number of epochs consulted.
+// every visible epoch, and the number of epochs consulted; it latches
+// as CountAdj does.
 func (ch *Chain) SumAdj(lo, hi int64) (adj int64, epochs int) {
-	ch.mu.RLock()
-	defer ch.mu.RUnlock()
-	for _, f := range ch.epochs {
+	fs := ch.files()
+	for _, f := range fs {
 		adj += f.sumAdj(lo, hi)
 	}
-	return adj, len(ch.epochs)
+	return adj, len(fs)
 }
 
 // Pending returns the total pending insert and delete counts across
@@ -202,7 +243,7 @@ func (ch *Chain) SumAdj(lo, hi int64) (adj int64, epochs int) {
 func (ch *Chain) Pending() (ins, del int) {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	for _, f := range ch.epochs {
+	for _, f := range ch.files() {
 		st := f.stat()
 		ins += st.Ins
 		del += st.Del
@@ -214,8 +255,9 @@ func (ch *Chain) Pending() (ins, del int) {
 func (ch *Chain) Stats() []Stat {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	out := make([]Stat, len(ch.epochs))
-	for i, f := range ch.epochs {
+	fs := ch.files()
+	out := make([]Stat, len(fs))
+	for i, f := range fs {
 		out[i] = f.stat()
 	}
 	return out
@@ -225,14 +267,14 @@ func (ch *Chain) Stats() []Stat {
 func (ch *Chain) Len() int {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	return len(ch.epochs)
+	return len(ch.files())
 }
 
 // OpenID returns the open epoch's id.
 func (ch *Chain) OpenID() int64 {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	f := ch.epochs[len(ch.epochs)-1]
+	f := ch.open()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.id
@@ -244,7 +286,7 @@ func (ch *Chain) OpenID() int64 {
 func (ch *Chain) Seal() (Sealed, bool) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	f := ch.epochs[len(ch.epochs)-1]
+	f := ch.open()
 	f.mu.Lock()
 	if len(f.ins) == 0 && len(f.del) == 0 {
 		f.mu.Unlock()
@@ -253,7 +295,7 @@ func (ch *Chain) Seal() (Sealed, bool) {
 	f.sealed = true
 	info := Sealed{ID: f.id, Ins: len(f.ins), Del: len(f.del)}
 	f.mu.Unlock()
-	ch.epochs = append(ch.epochs, newFile(ch.next()))
+	ch.appendOpen()
 	return info, true
 }
 
@@ -265,7 +307,7 @@ func (ch *Chain) Seal() (Sealed, bool) {
 func (ch *Chain) Roll() {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	f := ch.epochs[len(ch.epochs)-1]
+	f := ch.open()
 	f.mu.Lock()
 	if len(f.ins) == 0 && len(f.del) == 0 {
 		f.id = ch.next()
@@ -274,7 +316,7 @@ func (ch *Chain) Roll() {
 	}
 	f.sealed = true
 	f.mu.Unlock()
-	ch.epochs = append(ch.epochs, newFile(ch.next()))
+	ch.appendOpen()
 }
 
 // Close seals the open epoch WITHOUT opening a successor: the full
@@ -284,7 +326,7 @@ func (ch *Chain) Roll() {
 func (ch *Chain) Close() {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	f := ch.epochs[len(ch.epochs)-1]
+	f := ch.open()
 	f.mu.Lock()
 	f.sealed = true
 	f.mu.Unlock()
@@ -295,7 +337,7 @@ func (ch *Chain) Close() {
 func (ch *Chain) Reopen() {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	ch.epochs = append(ch.epochs, newFile(ch.next()))
+	ch.appendOpen()
 }
 
 // SealedSnapshot returns the merged contents of every sealed epoch —
@@ -306,7 +348,7 @@ func (ch *Chain) Reopen() {
 func (ch *Chain) SealedSnapshot() (ins, del []int64, watermark int64, epochs int) {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	for _, f := range ch.epochs {
+	for _, f := range ch.files() {
 		st := f.stat()
 		if !st.Sealed {
 			continue
@@ -329,7 +371,7 @@ func (ch *Chain) SealedSnapshot() (ins, del []int64, watermark int64, epochs int
 func (ch *Chain) Collect(maxEpoch int64) (ins, del []int64) {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
-	for _, f := range ch.epochs {
+	for _, f := range ch.files() {
 		f.mu.RLock()
 		if f.id <= maxEpoch {
 			ins = append(ins, f.ins...)
@@ -349,15 +391,17 @@ func (ch *Chain) Collect(maxEpoch int64) (ins, del []int64) {
 func (ch *Chain) Fork(after int64) *Chain {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	nc := &Chain{mu: ch.mu, next: ch.next}
-	for _, f := range ch.epochs {
+	var fs []*File
+	for _, f := range ch.files() {
 		if f.id > after {
-			nc.epochs = append(nc.epochs, f)
+			fs = append(fs, f)
 		}
 	}
-	if n := len(nc.epochs); n == 0 || nc.epochs[n-1].stat().Sealed {
-		nc.epochs = append(nc.epochs, newFile(ch.next()))
+	if n := len(fs); n == 0 || fs[n-1].stat().Sealed {
+		fs = append(fs, newFile(ch.next()))
 	}
+	nc := &Chain{mu: ch.mu, next: ch.next}
+	nc.publish(fs)
 	return nc
 }
 

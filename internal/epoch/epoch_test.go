@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -213,5 +214,141 @@ func TestConcurrentWritersAcrossSeals(t *testing.T) {
 	ins, del := ch.Pending()
 	if ins != writers*perW || del != 0 {
 		t.Errorf("Pending = %d/%d, want %d/0", ins, del, writers*perW)
+	}
+}
+
+// TestChainReadsStress races latch-free CountAdj/SumAdj readers
+// against writers and every structural operation — Seal, Roll,
+// Close/Reopen and Fork — (run under -race in CI). Each writer reads
+// its own write back right after it returns; readers never see a net
+// count below zero (every delete follows its insert); and the final
+// adjustment equals a serial model of the writes that succeeded.
+func TestChainReadsStress(t *testing.T) {
+	first, _ := newTestChain()
+	var cur atomic.Pointer[Chain] // the chain writers route to
+	cur.Store(first)
+	const writers, perW, rounds = 4, 1000, 200
+	var model [writers]struct{ n, sum int64 }
+	var progress, finished atomic.Int64 // inserts done and writers done: pace the structural operations
+	var writersDone sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writersDone.Add(1)
+		go func(w int) {
+			defer writersDone.Done()
+			defer finished.Add(1)
+			m := &model[w]
+			for i := 0; i < perW; i++ {
+				v := int64(w)<<32 | int64(i)
+				var ch *Chain
+				for ch = cur.Load(); ; ch = cur.Load() {
+					if _, ok := ch.Insert(v); ok {
+						break
+					}
+				}
+				m.n, m.sum = m.n+1, m.sum+v
+				progress.Add(1)
+				if n, _ := ch.CountAdj(v, v+1); n < 1 {
+					t.Errorf("insert of %d invisible to its writer's next CountAdj", v)
+					return
+				}
+				if i%3 != 2 {
+					continue
+				}
+				d := v - 1 // delete the previous insert
+				for ch = cur.Load(); ; ch = cur.Load() {
+					_, deleted, ok := ch.Delete(d, 0)
+					if !ok {
+						continue
+					}
+					if !deleted {
+						t.Errorf("Delete(%d) found no instance of a pending insert", d)
+						return
+					}
+					break
+				}
+				m.n, m.sum = m.n-1, m.sum-d
+				if n, _ := ch.CountAdj(d, d+1); n != 0 {
+					t.Errorf("delete of %d invisible to its writer's next CountAdj (net %d)", d, n)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var readersDone sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readersDone.Add(1)
+		go func() {
+			defer readersDone.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ch := cur.Load()
+				if n, _ := ch.CountAdj(math.MinInt64, math.MaxInt64); n < 0 {
+					t.Errorf("net count %d below zero", n)
+					return
+				}
+				ch.SumAdj(0, 1<<32)
+				runtime.Gosched()
+			}
+		}()
+	}
+	for i := 0; i < rounds; i++ {
+		for progress.Load() < int64(i*writers*perW/rounds) && finished.Load() < writers {
+			runtime.Gosched()
+		}
+		ch := cur.Load()
+		switch i % 4 {
+		case 0:
+			ch.Seal()
+		case 1:
+			ch.Roll()
+		case 2:
+			ch.Close()
+			ch.Reopen()
+		case 3:
+			cur.Store(ch.Fork(0)) // keeps every file; writers on ch re-route once its open file seals
+		}
+	}
+	writersDone.Wait()
+	close(stop)
+	readersDone.Wait()
+
+	var want struct{ n, sum int64 }
+	for _, m := range model {
+		want.n, want.sum = want.n+m.n, want.sum+m.sum
+	}
+	ch := cur.Load()
+	if n, _ := ch.CountAdj(math.MinInt64, math.MaxInt64); n != want.n {
+		t.Errorf("final CountAdj = %d, want %d", n, want.n)
+	}
+	if s, _ := ch.SumAdj(math.MinInt64, math.MaxInt64); s != want.sum {
+		t.Errorf("final SumAdj = %d, want %d", s, want.sum)
+	}
+}
+
+// TestChainReadsDoNotAllocate: a chain read allocates nothing, on an
+// empty chain and on one with sealed and open records.
+func TestChainReadsDoNotAllocate(t *testing.T) {
+	ch, _ := newTestChain()
+	read := func() {
+		ch.CountAdj(10, 20)
+		ch.SumAdj(10, 20)
+	}
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Errorf("empty chain read allocates %v per op", n)
+	}
+	for v := int64(0); v < 32; v++ {
+		ch.Insert(v)
+		if v%8 == 7 {
+			ch.Seal()
+		}
+	}
+	ch.Delete(15, 0)
+	if n := testing.AllocsPerRun(100, read); n != 0 {
+		t.Errorf("non-empty chain read allocates %v per op", n)
 	}
 }

@@ -6,9 +6,9 @@
 // HdrHistogram idea reduced to its essence): Record is a constant-time
 // pair of atomic adds with no allocation, no lock, and no contention
 // beyond the bucket cache line itself, so it is safe to call from the
-// hottest query and write paths. Quantile readout (p50/p99/p999),
-// merging across shards, and snapshot-and-reset all operate on
-// immutable Snapshot copies, never on the live buckets.
+// hottest query and write paths. Quantile readout (p50/p99/p999) and
+// merging across shards operate on immutable Snapshot copies, never on
+// the live buckets.
 //
 // Relative error is bounded by the sub-bucket width: at most 1/16
 // (6.25%) of the value, which is ample for latency quantiles spanning
@@ -69,6 +69,11 @@ func bucketMid(i int) int64 {
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
+	// zeros, when set, counts every observation, the zeros included,
+	// while the recorder records only the non-zero values, each before
+	// the counter's increment: Snapshot derives bucket 0 as the count
+	// minus everything recorded, so a zero costs no write here.
+	zeros *Counter
 }
 
 // Record adds one observation (negative values clamp to zero).
@@ -98,26 +103,24 @@ func (h *Histogram) addSum(v int64) {
 // Snapshot copies the current bucket counts. The copy is not a
 // point-in-time atomic cut across buckets (observations racing the
 // copy may or may not be included), but every observation is counted
-// in exactly one bucket.
+// in exactly one bucket. With a zeros counter, the counter is read
+// first: every observation it counts has had its non-zero value
+// recorded by then, so the derived bucket 0 never counts a non-zero
+// value as zero (an observation racing the copy may be missing from
+// it, as above).
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
+	var all int64
+	if h.zeros != nil {
+		all = h.zeros.Load()
+	}
 	for i := range h.buckets {
 		s.Counts[i] = h.buckets[i].Load()
 	}
 	s.Sum = h.sum.Load()
-	return s
-}
-
-// SnapshotReset atomically extracts and zeroes each bucket. Across any
-// sequence of SnapshotReset calls racing any number of writers, every
-// Record lands in exactly one returned snapshot (totals are
-// conserved), which is what lets a scraper drain per-interval deltas.
-func (h *Histogram) SnapshotReset() HistSnapshot {
-	var s HistSnapshot
-	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].Swap(0)
+	if h.zeros != nil {
+		s.Counts[0] += max(0, all-s.Count())
 	}
-	s.Sum = h.sum.Swap(0)
 	return s
 }
 
@@ -126,8 +129,7 @@ func (h *Histogram) SnapshotReset() HistSnapshot {
 type HistSnapshot struct {
 	// Counts holds the per-bucket observation counts.
 	Counts [histBuckets]int64
-	// Sum is the (approximate, under concurrent reset) sum of all
-	// recorded values.
+	// Sum is the sum of all recorded values.
 	Sum int64
 }
 

@@ -13,6 +13,9 @@
 //     has already computed; none introduces a clock read on a fast
 //     path (latch waits are measured only on the slow path where the
 //     goroutine actually blocked, structural work is milliseconds).
+//     The three per-query histograms record only non-zero values and
+//     derive their zero bucket from the query counter, so a query that
+//     neither waited nor refined costs RecordQuery one atomic add.
 //   - The extra work — end-to-end query timing (an added time.Now
 //     pair) and flight-recorder query spans — runs only when tracing
 //     is enabled, and then only for 1 in SampleEvery queries.
@@ -168,6 +171,9 @@ func NewObserver(o ObserverOptions) *Observer {
 		recoverScanNS:   reg.Gauge("adaptix_recovery_wal_scan_ns", "Recovery: WAL segment scan time."),
 		recoverReplayNS: reg.Gauge("adaptix_recovery_crack_replay_ns", "Recovery: snapshot restore + logged data-tail replay time."),
 	}
+	for _, h := range []*Histogram{ob.queryWait, ob.queryCrack, ob.queryCritical} {
+		h.zeros = ob.queries // RecordQuery skips zeros; Snapshot derives them
+	}
 	reg.CounterFunc("adaptix_shard_visits_total",
 		"Per-query shard visits (covered + indexed).",
 		func() int64 { v, _ := ob.Routing(); return v })
@@ -256,15 +262,24 @@ func (o *Observer) QueryStart() time.Time {
 // RecordQuery closes a query span. wait, crack, and critical are the
 // per-query cost breakdown the engine already computed; start is
 // QueryStart's return (zero when the query was not sampled, in which
-// case only the core histograms record).
+// case only the core histograms record). A zero cost is not recorded:
+// the histograms count it from the query counter, which is incremented
+// after the non-zero costs are recorded (the order Histogram.Snapshot
+// relies on).
 func (o *Observer) RecordQuery(start time.Time, wait, crack, critical time.Duration) {
 	if o == nil {
 		return
 	}
+	if wait != 0 {
+		o.queryWait.RecordDuration(wait)
+	}
+	if crack != 0 {
+		o.queryCrack.RecordDuration(crack)
+	}
+	if critical != 0 {
+		o.queryCritical.RecordDuration(critical)
+	}
 	o.queries.Inc()
-	o.queryWait.RecordDuration(wait)
-	o.queryCrack.RecordDuration(crack)
-	o.queryCritical.RecordDuration(critical)
 	if start.IsZero() {
 		return
 	}

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adaptix/internal/crackindex"
 	"adaptix/internal/metrics"
-	"adaptix/internal/shard"
 )
 
 // DefaultWindow is the batching cap: a query arriving when its home
@@ -23,6 +23,14 @@ type pendReq struct {
 	lo, hi   int64
 	deadline time.Time // zero = none
 	finish   func(Response)
+}
+
+// engine is the query surface the scheduler executes against (a
+// *shard.Column).
+type engine interface {
+	Home(v int64) int
+	Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error)
+	Sum(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error)
 }
 
 // lane is one home shard's executors and the batch queued behind them.
@@ -42,7 +50,7 @@ type lane struct {
 // holds up the queries behind it. In a batch, exact-duplicate (op, lo,
 // hi) bounds execute ONCE and the answer fans out to every waiter.
 type scheduler struct {
-	col    *shard.Column
+	col    engine
 	window time.Duration
 
 	mu    sync.Mutex
@@ -138,7 +146,8 @@ func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 	s.batchedReq.Add(int64(len(reqs)))
 
 	now := time.Now()
-	var maxDeadline time.Time
+	var latest time.Time
+	unbounded := false // some live request has no deadline
 	live := reqs[:0]
 	for _, r := range reqs {
 		if !r.deadline.IsZero() && r.deadline.Before(now) {
@@ -146,8 +155,9 @@ func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 			continue
 		}
 		live = append(live, r)
-		if r.deadline.After(maxDeadline) {
-			maxDeadline = r.deadline
+		unbounded = unbounded || r.deadline.IsZero()
+		if r.deadline.After(latest) {
+			latest = r.deadline
 		}
 	}
 	if len(live) == 0 {
@@ -155,13 +165,13 @@ func (s *scheduler) exec(reqs []pendReq, depthAfter int) {
 	}
 
 	// One context for the whole dispatch, bounded by the LATEST waiter
-	// deadline: the execution must be allowed to run long enough to
-	// serve its most patient waiter, and individual expiry was already
-	// settled at dispatch time.
+	// deadline, and not at all when a waiter has none: the execution
+	// must be allowed to run long enough to serve its most patient
+	// waiter, and individual expiry was already settled at dispatch time.
 	ctx := context.Background()
-	if !maxDeadline.IsZero() {
+	if !unbounded {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, maxDeadline)
+		ctx, cancel = context.WithDeadline(ctx, latest)
 		defer cancel()
 	}
 	slices.SortFunc(live, func(a, b pendReq) int {

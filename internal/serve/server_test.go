@@ -13,6 +13,7 @@ import (
 
 	"adaptix/internal/crackindex"
 	"adaptix/internal/ingest"
+	"adaptix/internal/metrics"
 	"adaptix/internal/shard"
 	"adaptix/internal/workload"
 )
@@ -243,6 +244,69 @@ func TestTTLExpiryAtDispatch(t *testing.T) {
 	release()
 	if r := <-res; r.Status != StatusDeadline {
 		t.Fatalf("expired-while-parked status = %s, want deadline", r.Status)
+	}
+}
+
+// blockingCol parks every query until release is closed or the
+// query's context ends, then answers from the wrapped column.
+type blockingCol struct {
+	*shard.Column
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingCol) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
+	b.entered <- struct{}{}
+	select {
+	case <-b.release:
+	case <-ctx.Done():
+		return 0, crackindex.OpStats{}, ctx.Err()
+	}
+	return b.Column.Count(ctx, lo, hi)
+}
+
+// TestNoTTLRequestInheritsNoDeadline: a request without a TTL batched
+// with one that has a TTL is not bounded by that TTL. The batch's one
+// execution blocks until well past the TTL; the no-TTL request still
+// gets its answer. A batch whose every request has a TTL stays bounded.
+func TestNoTTLRequestInheritsNoDeadline(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<10, 7)
+	col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 3,
+		Index: crackindex.Options{Latching: crackindex.LatchPiece}})
+	run := func(withoutTTL bool) [2]Response {
+		bc := &blockingCol{Column: col, entered: make(chan struct{}, 1), release: make(chan struct{})}
+		sc := &scheduler{col: bc, window: time.Hour,
+			batchSize: &metrics.Histogram{}, queueDepth: &metrics.Histogram{},
+			batches: new(atomic.Int64), batchedReq: new(atomic.Int64), coalesced: new(atomic.Int64)}
+		deadline := time.Now().Add(time.Millisecond)
+		var got [2]Response
+		var wg sync.WaitGroup
+		batch := make([]pendReq, 2)
+		for i := range batch {
+			wg.Add(1)
+			batch[i] = pendReq{id: uint64(i), op: OpCount, lo: 100, hi: 300, deadline: deadline,
+				finish: func(r Response) { got[i] = r; wg.Done() }}
+		}
+		if withoutTTL {
+			batch[1].deadline = time.Time{}
+		}
+		go sc.exec(batch, 0)
+		<-bc.entered
+		time.Sleep(time.Until(deadline) + 2*time.Millisecond)
+		close(bc.release)
+		wg.Wait()
+		return got
+	}
+	want := d.TrueCount(100, 300)
+	got := run(true)
+	if r := got[1]; r.Status != StatusOK || r.Value != want {
+		t.Fatalf("no-TTL request batched with a 1 ms TTL = %s %d, want ok %d", r.Status, r.Value, want)
+	}
+	got = run(false)
+	for i, r := range got {
+		if r.Status != StatusDeadline {
+			t.Fatalf("TTL request %d past its deadline = %s, want deadline", i, r.Status)
+		}
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // out to the overlapping shards and cracking each as a side effect.
 // The returned OpStats sums the sub-queries' wait/refine time and
 // conflicts (total work across cores) and reports the slowest
-// sub-query's elapsed time as Critical (the fan-out critical path).
+// sub-query's elapsed time as Critical (the fan-out critical path): 0
+// when no shard had to run one, because every overlapping shard was
+// covered or answered from its table of contents.
 func (c *Column) Count(ctx context.Context, lo, hi int64) (int64, crackindex.OpStats, error) {
 	return c.query(ctx, false, lo, hi)
 }
@@ -137,9 +139,10 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 	// (part.peek: two latch-free lookups): a goroutine spawn and a
 	// WaitGroup round cost several times what such a sub-query does.
 	// Only the shards that still have to crack become fan-out targets.
+	// A query with no target reads no clock and records no cost
+	// histogram.
 	var total int64
 	var covered, hits int64
-	var t0 time.Time // first index touch: the start of the critical path
 	sc := scratchPool.Get().(*queryScratch)
 	defer sc.release()
 	targets := sc.targets
@@ -161,9 +164,6 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 			covered++
 			continue
 		}
-		if t0.IsZero() {
-			t0 = time.Now()
-		}
 		if v, epochs, ok := s.peek(wantSum, lo, hi); ok {
 			total += v
 			merged.Epochs = max(merged.Epochs, epochs)
@@ -184,6 +184,7 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 	// shard entirely: the remaining sub-queries of a cancelled query
 	// are never executed.
 	if len(targets) > 0 {
+		t0 := time.Now() // the critical path starts with the first sub-query
 		res := sc.res
 		if cap(res) >= len(targets) {
 			res = res[:len(targets)]
@@ -200,7 +201,7 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 			}
 		}
 		v, st, err := targets[0].sub(ctx, wantSum, lo, hi)
-		res[0] = subResult{val: v, st: st, err: err, elapsed: time.Since(t0)} // the inline hits are on this path too
+		res[0] = subResult{val: v, st: st, err: err, elapsed: time.Since(t0)}
 		sc.wg.Wait()
 
 		for _, r := range res {
@@ -218,8 +219,6 @@ func (c *Column) query(ctx context.Context, wantSum bool, lo, hi int64) (int64, 
 				return 0, merged, r.err
 			}
 		}
-	} else if hits > 0 {
-		merged.Critical = time.Since(t0)
 	}
 	ob.RecordQueryProfile(lo, hi, covered+hits+int64(len(targets)), covered, merged.Touched)
 	ob.RecordQuery(span, merged.Wait, merged.Refine, merged.Critical)

@@ -244,7 +244,8 @@ func TestWorkerPoolBounded(t *testing.T) {
 // TestConvergedFanOutRunsInline: a query whose fringe shards both find
 // their clamped bounds among their boundaries is answered on the caller's
 // goroutine — with every worker slot taken it still returns, where a
-// spawned sub-query would wait for a slot forever — and reads no row.
+// spawned sub-query would wait for a slot forever — reads no row, and
+// has no critical path (Critical is 0: no sub-query ran).
 // The same range with one bound moved has to crack one shard and only
 // that one: it needs no worker either (the caller runs the one target).
 func TestConvergedFanOutRunsInline(t *testing.T) {
@@ -267,8 +268,8 @@ func TestConvergedFanOutRunsInline(t *testing.T) {
 			if err != nil || got != want {
 				t.Errorf("converged query (sum %t) = %d, %v; want %d", wantSum, got, err, want)
 			}
-			if st.Touched != 0 || st.Refine != 0 || st.Critical <= 0 {
-				t.Errorf("converged query (sum %t) cost %+v: want no row touched and a critical path", wantSum, st)
+			if st.Touched != 0 || st.Refine != 0 || st.Critical != 0 {
+				t.Errorf("converged query (sum %t) cost %+v: want no row touched and no critical path", wantSum, st)
 			}
 		}
 		if got, st, err := c.Count(qctx, lo, hi+7); err != nil || got != d.TrueCount(lo, hi+7) || st.Touched == 0 {
