@@ -9,6 +9,7 @@ package adaptix_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,20 +377,26 @@ func BenchmarkIngest_Write50pct(b *testing.B) { benchIngestMix(b, 0.50) }
 // --- Microbenchmarks of the substrates ---
 
 func BenchmarkMicro_CrackInTwo_Split(b *testing.B) {
-	benchCrackInTwo(b, cracker.LayoutSplit)
+	benchCrackInTwo(b, func(v []int64) *cracker.Array { return cracker.New(v, cracker.LayoutSplit) })
 }
 
 func BenchmarkMicro_CrackInTwo_Pairs(b *testing.B) {
-	benchCrackInTwo(b, cracker.LayoutPairs)
+	benchCrackInTwo(b, func(v []int64) *cracker.Array { return cracker.New(v, cracker.LayoutPairs) })
 }
 
-func benchCrackInTwo(b *testing.B, layout cracker.Layout) {
+// BenchmarkMicro_CrackInTwo_Owned is the crack of a shard's array: a
+// value-only array (cracker.NewOwned), which moves no row ids.
+func BenchmarkMicro_CrackInTwo_Owned(b *testing.B) {
+	benchCrackInTwo(b, func(v []int64) *cracker.Array { return cracker.NewOwned(slices.Clone(v)) })
+}
+
+func benchCrackInTwo(b *testing.B, build func([]int64) *cracker.Array) {
 	d := benchData()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		a := cracker.New(d.Values, layout)
+		a := build(d.Values)
 		b.StartTimer()
 		a.CrackInTwo(0, a.Len(), int64(benchRows/2))
 	}

@@ -149,7 +149,9 @@ const (
 	SkipOnConflict = crackindex.Skip
 )
 
-// Cracker-array layouts (Figure 7), for CrackOptions.Layout.
+// Cracker-array layouts (Figure 7), for CrackOptions.Layout. They
+// choose the layout of a lazy index over a base column (the paper's
+// figures); an Index's shard arrays store values only, whichever is set.
 const (
 	// LayoutSplit stores rowIDs and values as a pair of arrays.
 	LayoutSplit = cracker.LayoutSplit

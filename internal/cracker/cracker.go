@@ -11,6 +11,8 @@
 //     values — the later design with better cache locality for
 //     operators that touch only one of the two.
 //
+// An array built by NewOwned is value-only: it keeps no rowIDs.
+//
 // The reorganization kernels are crack-in-two (one pivot) and the
 // multi-pivot crack built from it (CrackMulti: both query bounds, queued
 // waiters' bounds and sampled quantiles applied to one piece in
@@ -56,8 +58,8 @@ type Pair struct {
 type Array struct {
 	layout Layout
 	pairs  []Pair   // LayoutPairs
-	vals   []int64  // LayoutSplit
-	ids    []uint32 // LayoutSplit
+	vals   []int64  // LayoutSplit, and a value-only array
+	ids    []uint32 // LayoutSplit; nil in a value-only array
 	n      int
 }
 
@@ -72,35 +74,33 @@ func New(values []int64, layout Layout) *Array {
 		}
 		return a
 	}
-	a := &Array{layout: layout, n: len(values)}
-	a.vals = make([]int64, len(values))
-	copy(a.vals, values)
-	a.ids = positionalIDs(len(values))
+	a := &Array{layout: layout, n: len(values), vals: slices.Clone(values), ids: make([]uint32, len(values))}
+	for i := range a.ids {
+		a.ids[i] = uint32(i)
+	}
 	return a
 }
 
-// NewOwned builds a cracker array that takes ownership of values, with
-// rowIDs assigned positionally. In the split layout values itself
-// becomes the value array — no copy, so the caller must not touch the
-// slice afterwards; the pairs layout interleaves it into a fresh pair
-// array. It is the constructor for callers that assembled the physical
-// order themselves (a shard rebuild that carries an earlier array's
-// pieces over): New's defensive copy would be a second copy of the
-// column for nothing.
-func NewOwned(values []int64, layout Layout) *Array {
-	if layout == LayoutPairs {
-		return New(values, layout)
-	}
-	return &Array{layout: layout, n: len(values), vals: values, ids: positionalIDs(len(values))}
+// NewOwned builds a value-only cracker array that takes ownership of
+// values: values itself becomes the array (no copy; the caller must not
+// touch the slice afterwards), with no rowID column. It is the
+// constructor for callers that assembled the physical order themselves
+// (a shard build's scatter, a rebuild carrying pieces over): that order
+// names no base row and their queries read values only. Layout reports
+// LayoutSplit; the methods returning rowIDs panic.
+func NewOwned(values []int64) *Array {
+	return &Array{layout: LayoutSplit, n: len(values), vals: values}
 }
 
-// positionalIDs returns the rowIDs 0..n-1.
-func positionalIDs(n int) []uint32 {
-	ids := make([]uint32, n)
-	for i := range ids {
-		ids[i] = uint32(i)
+// HasRowIDs reports whether the array keeps a rowID per value: true for
+// New, false for a value-only array (NewOwned).
+func (a *Array) HasRowIDs() bool { return a.layout == LayoutPairs || a.ids != nil }
+
+// mustHaveRowIDs panics on a value-only array.
+func (a *Array) mustHaveRowIDs() {
+	if !a.HasRowIDs() {
+		panic("cracker: rowIDs of a value-only array (NewOwned): build with crackindex.New to keep row ids")
 	}
-	return ids
 }
 
 // Len returns the number of entries.
@@ -117,11 +117,13 @@ func (a *Array) Value(i int) int64 {
 	return a.vals[i]
 }
 
-// RowID returns the base-table row id at position i.
+// RowID returns the base-table row id at position i. It panics on a
+// value-only array (NewOwned).
 func (a *Array) RowID(i int) uint32 {
 	if a.layout == LayoutPairs {
 		return a.pairs[i].RowID
 	}
+	a.mustHaveRowIDs()
 	return a.ids[i]
 }
 
@@ -139,11 +141,40 @@ func (a *Array) CrackInTwo(lo, hi int, pivot int64) int {
 // below the split position, accumulated in the partition pass itself
 // (one AND and one ADD on a value and flag the loop already holds): the
 // index keeps it with the boundary and never reads those rows to sum.
+// A value-only array takes Partition: an ids != nil test inside the
+// id-carrying loop measured no faster than carrying the ids.
 func (a *Array) crackInTwo(lo, hi int, pivot int64) (pos int, below int64) {
-	if a.layout == LayoutPairs {
+	switch {
+	case a.layout == LayoutPairs:
 		return crackInTwoPairs(a.pairs, lo, hi, pivot)
+	case a.ids == nil:
+		pos, below = Partition(a.vals[lo:hi], pivot)
+		return lo + pos, below
 	}
 	return crackInTwoSplit(a.vals, a.ids, lo, hi, pivot)
+}
+
+// Partition is crack-in-two on a value-only slice: it reorders vals so
+// that all values < pivot precede all values >= pivot and returns the
+// split position and the sum of the values below it — crackInTwoSplit
+// without the rowID column, 8 B moved per row instead of 12. A
+// value-only array cracks through it; a shard split cuts the piece its
+// cut falls into with it. The flag is the borrow of SUB/SBB on
+// sign-flipped keys, which depends on the row's value alone: the SETcc
+// of kernel.B2U merges into a register the compiler last used for the
+// vals[pos] load, chaining each row to the previous row's position
+// (2× slower; BenchmarkMicro_CrackInTwo_Owned).
+func Partition(vals []int64, pivot int64) (pos int, below int64) {
+	const sign = 1 << 63
+	p := uint64(pivot) ^ sign
+	for i, v := range vals {
+		vals[i] = vals[pos]
+		vals[pos] = v
+		_, lt := bits.Sub64(uint64(v)^sign, p, 0)
+		pos += int(lt)
+		below += v & -int64(lt)
+	}
+	return pos, below
 }
 
 // crackInTwoSplit is a branch-free Lomuto partition. An uncracked
@@ -311,8 +342,10 @@ func (a *Array) ScanSum(lo, hi int, va, vb int64) int64 {
 
 // AppendRowIDs appends the rowIDs at positions [lo, hi) to dst and
 // returns the extended slice. It implements the output side of the
-// select operator in the Figure 6 plan.
+// select operator in the Figure 6 plan. It panics on a value-only array
+// (NewOwned).
 func (a *Array) AppendRowIDs(dst []uint32, lo, hi int) []uint32 {
+	a.mustHaveRowIDs()
 	if a.layout == LayoutPairs {
 		for _, p := range a.pairs[lo:hi] {
 			dst = append(dst, p.RowID)
@@ -327,49 +360,17 @@ func (a *Array) AppendRowIDs(dst []uint32, lo, hi int) []uint32 {
 // predicate is evaluated as one branch-free 64-row mask per chunk; the
 // output loop then walks only the set bits, so sparse matches skip
 // non-qualifying rows entirely instead of testing them one branch at
-// a time.
+// a time. It panics on a value-only array (NewOwned).
 func (a *Array) AppendRowIDsWhere(dst []uint32, lo, hi int, va, vb int64) []uint32 {
-	if a.layout == LayoutPairs {
-		for start := lo; start < hi; {
-			end := start + kernel.ChunkSize
-			if end > hi {
-				end = hi
-			}
-			m := maskPairs64(a.pairs[start:end], va, vb)
-			for m != 0 {
-				j := bits.TrailingZeros64(m)
-				dst = append(dst, a.pairs[start+j].RowID)
-				m &= m - 1
-			}
-			start = end
+	a.mustHaveRowIDs()
+	var buf [kernel.ChunkSize]int64
+	for start := lo; start < hi; start += kernel.ChunkSize {
+		end := min(start+kernel.ChunkSize, hi)
+		for m := kernel.Mask64(a.View(start, end, buf[:0]), va, vb); m != 0; m &= m - 1 {
+			dst = append(dst, a.RowID(start+bits.TrailingZeros64(m)))
 		}
-		return dst
-	}
-	for start := lo; start < hi; {
-		end := start + kernel.ChunkSize
-		if end > hi {
-			end = hi
-		}
-		m := kernel.Mask64(a.vals[start:end], va, vb)
-		for m != 0 {
-			j := bits.TrailingZeros64(m)
-			dst = append(dst, a.ids[start+j])
-			m &= m - 1
-		}
-		start = end
 	}
 	return dst
-}
-
-// maskPairs64 is kernel.Mask64 for the pairs layout: bit j of the
-// result is set iff lo <= ps[j].Value < hi (len(ps) <= 64).
-func maskPairs64(ps []Pair, lo, hi int64) uint64 {
-	var m uint64
-	for j := range ps {
-		v := ps[j].Value
-		m |= (kernel.B2U(v >= lo) & kernel.B2U(v < hi)) << uint(j)
-	}
-	return m
 }
 
 // Sort fully sorts positions [lo, hi) by value (stable order between
@@ -379,6 +380,10 @@ func (a *Array) Sort(lo, hi int) {
 	if a.layout == LayoutPairs {
 		s := a.pairs[lo:hi]
 		sort.Slice(s, func(i, j int) bool { return s[i].Value < s[j].Value })
+		return
+	}
+	if a.ids == nil {
+		slices.Sort(a.vals[lo:hi])
 		return
 	}
 	sort.Sort(&splitSorter{vals: a.vals[lo:hi], ids: a.ids[lo:hi]})
@@ -416,26 +421,11 @@ func (a *Array) View(lo, hi int, buf []int64) []int64 {
 // Values returns a copy of the value array in current physical order.
 // Intended for tests and visualization.
 func (a *Array) Values() []int64 {
-	out := make([]int64, a.n)
-	if a.layout == LayoutPairs {
-		for i, p := range a.pairs {
-			out[i] = p.Value
-		}
-		return out
-	}
-	copy(out, a.vals)
-	return out
+	return append(make([]int64, 0, a.n), a.View(0, a.n, nil)...)
 }
 
 // RowIDs returns a copy of the rowID array in current physical order.
+// It panics on a value-only array (NewOwned).
 func (a *Array) RowIDs() []uint32 {
-	out := make([]uint32, a.n)
-	if a.layout == LayoutPairs {
-		for i, p := range a.pairs {
-			out[i] = p.RowID
-		}
-		return out
-	}
-	copy(out, a.ids)
-	return out
+	return a.AppendRowIDs(make([]uint32, 0, a.n), 0, a.n)
 }

@@ -1,7 +1,10 @@
 package cracker
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -342,28 +345,28 @@ func TestRowIDsCopy(t *testing.T) {
 	}
 }
 
+// TestNewOwnedAdoptsSplitValuesAndViewsBothLayouts: an owned array
+// adopts the slice itself (the point of owning: no second copy), keeps
+// no rowID column, and cracks, views and sorts to the same values as
+// New's id-carrying arrays in both layouts.
 func TestNewOwnedAdoptsSplitValuesAndViewsBothLayouts(t *testing.T) {
 	for _, layout := range bothLayouts {
 		vals := []int64{30, 10, 20, 10}
-		a := NewOwned(vals, layout)
-		if a.Len() != 4 || a.Layout() != layout {
+		a, ref := NewOwned(vals), New(vals, layout)
+		if a.Len() != 4 || a.Layout() != LayoutSplit || a.HasRowIDs() || !ref.HasRowIDs() {
 			t.Fatalf("%v: bad shape", layout)
 		}
-		for i, want := range []int64{30, 10, 20, 10} {
-			if a.Value(i) != want || a.RowID(i) != uint32(i) {
-				t.Fatalf("%v: pos %d = (%d,%d)", layout, i, a.Value(i), a.RowID(i))
-			}
-		}
-		// Split adopts the slice itself (the point of owning: no second
-		// copy); pairs has to interleave it into its own array.
 		vals[0] = 99
-		if adopted := a.Value(0) == 99; adopted != (layout == LayoutSplit) {
-			t.Fatalf("%v: adopted input = %v", layout, adopted)
+		if a.Value(0) != 99 || ref.Value(0) != 30 {
+			t.Fatalf("%v: owned array did not adopt its input, or New did not copy", layout)
 		}
 		vals[0] = 30
 		pos := a.CrackInTwo(0, 4, 20)
+		if refPos := ref.CrackInTwo(0, 4, 20); pos != refPos || !slices.Equal(a.Values(), ref.Values()) {
+			t.Fatalf("%v: owned crack %v at %d, id-carrying %v at %d", layout, a.Values(), pos, ref.Values(), refPos)
+		}
 		lo, hi := a.View(0, pos, nil), a.View(pos, 4, nil)
-		if len(lo) != 2 || lo[0] != 10 || lo[1] != 10 {
+		if len(lo) != 2 || lo[0] != 10 || lo[1] != 10 || !slices.Equal(lo, ref.View(0, pos, nil)) {
 			t.Fatalf("%v: view below the crack = %v", layout, lo)
 		}
 		for _, v := range hi {
@@ -374,7 +377,82 @@ func TestNewOwnedAdoptsSplitValuesAndViewsBothLayouts(t *testing.T) {
 		if got := a.View(1, 1, nil); len(got) != 0 {
 			t.Fatalf("%v: empty view = %v", layout, got)
 		}
+		a.Sort(0, 4)
+		ref.Sort(0, 4)
+		if !slices.Equal(a.Values(), []int64{10, 10, 20, 30}) || !slices.Equal(a.Values(), ref.Values()) {
+			t.Fatalf("%v: owned sort %v, id-carrying sort %v", layout, a.Values(), ref.Values())
+		}
+		checkAlignment(t, ref, []int64{30, 10, 20, 10})
 	}
+}
+
+// TestValueOnlyRowIDsPanic: every method that returns row ids refuses a
+// value-only array, and names the constructor that keeps them, instead
+// of returning ids that name no base row.
+func TestValueOnlyRowIDsPanic(t *testing.T) {
+	for name, f := range map[string]func(a *Array){
+		"RowID":             func(a *Array) { a.RowID(0) },
+		"RowIDs":            func(a *Array) { a.RowIDs() },
+		"AppendRowIDs":      func(a *Array) { a.AppendRowIDs(nil, 0, 0) },
+		"AppendRowIDsWhere": func(a *Array) { a.AppendRowIDsWhere(nil, 0, 2, 0, 10) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "crackindex.New") {
+					t.Fatalf("panic %q, want one naming crackindex.New", msg)
+				}
+			}()
+			f(NewOwned([]int64{3, 1}))
+		})
+	}
+}
+
+// FuzzCrackMultiValueOnly is the differential test of the two partition
+// bodies: the same input cracked on the same pivots (and sample) by an
+// id-carrying array in each layout and by a value-only one must leave
+// the same value order and the same splits, and the ids must still map
+// every position to its original value. Values are a byte each (so
+// duplicates abound) or, wide, eight bytes each (so the extremes of
+// int64, where a subtracting compare would overflow, occur).
+func FuzzCrackMultiValueOnly(f *testing.F) {
+	f.Add([]byte{9, 3, 7, 1, 250, 3, 128, 0, 64}, []byte{3, 9}, []byte{5}, false)
+	f.Add([]byte{5, 5, 5, 5}, []byte{5, 5, 6}, []byte{}, false)
+	f.Add([]byte{}, []byte{1}, []byte{0, 200}, false)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0},
+		[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{}, true)
+	f.Fuzz(func(t *testing.T, data, pivotBytes, sampleBytes []byte, wide bool) {
+		decode := func(b []byte) []int64 {
+			var out []int64
+			if wide {
+				for ; len(b) >= 8; b = b[8:] {
+					out = append(out, int64(binary.LittleEndian.Uint64(b)))
+				}
+				return out
+			}
+			for _, x := range b {
+				out = append(out, int64(int8(x)))
+			}
+			return out
+		}
+		base, pivots, sample := decode(data), decode(pivotBytes), decode(sampleBytes)
+		slices.Sort(pivots)
+		slices.Sort(sample)
+		owned := NewOwned(slices.Clone(base))
+		want := make([]Split, len(pivots))
+		owned.CrackMulti(0, owned.Len(), pivots, want, sample)
+		for _, layout := range bothLayouts {
+			a := New(base, layout)
+			got := make([]Split, len(pivots))
+			a.CrackMulti(0, a.Len(), pivots, got, sample)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v: splits %v, value-only %v", layout, got, want)
+			}
+			if !slices.Equal(a.Values(), owned.Values()) {
+				t.Fatalf("%v: order %v, value-only %v", layout, a.Values(), owned.Values())
+			}
+			checkAlignment(t, a, base)
+		}
+	})
 }
 
 // TestCrackMultiPostcondition: every pivot gets the position its own

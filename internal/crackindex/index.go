@@ -100,7 +100,9 @@ const (
 
 // Options configures an Index.
 type Options struct {
-	// Layout selects the cracker-array representation (Figure 7).
+	// Layout selects the cracker-array representation (Figure 7) of a
+	// New index. A NewOwned index ignores it: its array stores values
+	// only (cracker.NewOwned), in either layout.
 	Layout cracker.Layout
 	// Latching selects the CC granularity.
 	Latching LatchMode
@@ -309,11 +311,12 @@ func New(base []int64, opts Options) *Index {
 // values < Value, the others values >= Value), and a seed's Sum must be
 // the sum of values[:Pos]: the caller has just passed over every piece,
 // so the constructor reads only the tail piece. Validate checks all
-// three. RowIDs are positional in the array as handed over: an owned
-// array has no separate base column to stay aligned with.
+// three. The array is value-only whatever opts.Layout says: an order
+// the caller assembled names no base row, so the index keeps no row
+// ids and SelectRowIDs panics (New keeps them).
 func NewOwned(values []int64, seeds []BoundaryPosition, opts Options) *Index {
 	ix := New(nil, opts)
-	arr := cracker.NewOwned(values, opts.Layout)
+	arr := cracker.NewOwned(values)
 	entries := make([]directory.Entry, 1, len(seeds)+2)
 	entries[0].Key = minKey
 	tail := entries[0]
@@ -329,6 +332,10 @@ func NewOwned(values []int64, seeds []BoundaryPosition, opts Options) *Index {
 	ix.stats.Boundaries.Add(int64(len(seeds)))
 	return ix
 }
+
+// HasRowIDs reports whether the index keeps a row id per value, as
+// SelectRowIDs needs: a New index does, a NewOwned index does not.
+func (ix *Index) HasRowIDs() bool { return !ix.initDone.Load() || ix.arr.HasRowIDs() }
 
 // Len returns the number of rows the index covers.
 func (ix *Index) Len() int {
@@ -574,10 +581,11 @@ func (ix *Index) Profile() PieceProfile {
 //   - every piece physically contains only values in [loVal, hiVal);
 //   - every boundary's prefix sum (the maxKey sentinel's is the total)
 //     equals the sum of the values below it;
-//   - the rowIDs are a permutation of the positions, and — for an
-//     index built over a base column (New) — every rowID still maps to
-//     its base value. An owned array (NewOwned) has no base to align
-//     with: its values are checked against the piece bounds only.
+//   - for an index built over a base column (New), the rowIDs are a
+//     permutation of the positions and every rowID still maps to its
+//     base value. An owned array (NewOwned) stores values only: there
+//     is nothing to permute, and its values are checked against the
+//     piece bounds and prefix sums above.
 func (ix *Index) Validate() error {
 	if !ix.initDone.Load() {
 		return nil
@@ -614,9 +622,11 @@ func (ix *Index) Validate() error {
 		return fmt.Errorf("crackindex: table of contents runs from a minKey sentinel (%t) to (%d at %d), want (%d at %d)",
 			first.OK(), prev.Key, prev.Pos, int64(maxKey), ix.arr.Len())
 	}
+	if !ix.arr.HasRowIDs() {
+		return nil
+	}
 	// Permutation + alignment with the base column.
-	owned := ix.base == nil
-	if !owned && ix.arr.Len() != len(ix.base) {
+	if ix.arr.Len() != len(ix.base) {
 		return fmt.Errorf("crackindex: array length %d != base %d", ix.arr.Len(), len(ix.base))
 	}
 	seen := make([]bool, ix.arr.Len())
@@ -626,7 +636,7 @@ func (ix *Index) Validate() error {
 			return fmt.Errorf("crackindex: rowID %d out of range or duplicated", id)
 		}
 		seen[id] = true
-		if !owned && ix.base[id] != ix.arr.Value(i) {
+		if ix.base[id] != ix.arr.Value(i) {
 			return fmt.Errorf("crackindex: rowID %d maps to %d, base has %d",
 				id, ix.arr.Value(i), ix.base[id])
 		}

@@ -2,6 +2,7 @@ package crackindex
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,8 @@ import (
 	"adaptix/internal/workload"
 )
 
-// everyMode is every latch mode crossed with both layouts.
+// everyMode is every latch mode crossed with both layouts (a NewOwned
+// index is value-only in either).
 func everyMode() []Options {
 	var out []Options
 	for _, layout := range []cracker.Layout{cracker.LayoutSplit, cracker.LayoutPairs} {
@@ -81,6 +83,9 @@ func TestWalkAndSeedRoundTrip(t *testing.T) {
 		if next.Stats().Cracks.Load() != 0 || next.Stats().CrackTime.Load() != 0 {
 			t.Fatalf("%+v: seeding cracked", opts)
 		}
+		if next.HasRowIDs() || !ix.HasRowIDs() {
+			t.Fatalf("%+v: the owned successor keeps row ids, or the lazy index lost them", opts)
+		}
 		if next.NumPieces() != ix.NumPieces() || next.Len() != len(d.Values) || !next.Initialized() {
 			t.Fatalf("%+v: successor shape: %d pieces over %d rows", opts, next.NumPieces(), next.Len())
 		}
@@ -91,6 +96,29 @@ func TestWalkAndSeedRoundTrip(t *testing.T) {
 		}
 		if err := next.Validate(); err != nil {
 			t.Fatalf("%+v: successor invalid after queries: %v", opts, err)
+		}
+	}
+}
+
+// TestSelectRowIDsPanicsOnOwnedIndex: an owned index stores values only,
+// in either layout; asking it for row ids names the constructor that
+// keeps them instead of cracking and returning ids that name no row.
+func TestSelectRowIDsPanicsOnOwnedIndex(t *testing.T) {
+	for _, opts := range everyMode() {
+		ix := NewOwned([]int64{5, 1, 3}, nil, opts)
+		if ix.HasRowIDs() || !New([]int64{5, 1, 3}, opts).HasRowIDs() {
+			t.Fatalf("%+v: owned index keeps row ids, or a lazy one does not", opts)
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "crackindex.New") {
+					t.Fatalf("%+v: panic %q, want one naming crackindex.New", opts, msg)
+				}
+			}()
+			ix.SelectRowIDs(0, 10)
+		}()
+		if ix.Stats().Cracks.Load() != 0 {
+			t.Fatalf("%+v: the refused SelectRowIDs cracked", opts)
 		}
 	}
 }

@@ -207,26 +207,30 @@ func TestSumWrapsLikeTheReference(t *testing.T) {
 // of Validate, so every test that validates an index checks it.
 func TestValidateCatchesCorruptPrefixSum(t *testing.T) {
 	d := workload.NewUniqueUniform(4096, 3)
-	ix := New(d.Values, Options{})
-	ix.Sum(1000, 2000)
-	if err := ix.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Entries are immutable: corrupt one by rebuilding the table with it
-	// changed — entry 1 is the first real boundary, the last the maxKey
-	// sentinel whose prefix sum is the total.
-	entries := slices.Collect(ix.dir.Ascend)
-	for _, i := range []int{1, len(entries) - 1} {
-		entries[i].Sum++
-		ix.dir.Build(entries)
-		if err := ix.Validate(); err == nil || !strings.Contains(err.Error(), "prefix sum") {
-			t.Fatalf("corrupt prefix sum of entry %d passed Validate: %v", i, err)
+	lazy := New(d.Values, Options{})
+	lazy.Sum(1000, 2000)
+	// The owned, value-only successor has no rowIDs to check: the prefix
+	// sums must be caught all the same.
+	for _, ix := range []*Index{lazy, carry(lazy)} {
+		if err := ix.Validate(); err != nil {
+			t.Fatal(err)
 		}
-		entries[i].Sum--
-	}
-	ix.dir.Build(entries)
-	if err := ix.Validate(); err != nil {
-		t.Fatal(err)
+		// Entries are immutable: corrupt one by rebuilding the table with
+		// it changed — entry 1 is the first real boundary, the last the
+		// maxKey sentinel whose prefix sum is the total.
+		entries := slices.Collect(ix.dir.Ascend)
+		for _, i := range []int{1, len(entries) - 1} {
+			entries[i].Sum++
+			ix.dir.Build(entries)
+			if err := ix.Validate(); err == nil || !strings.Contains(err.Error(), "prefix sum") {
+				t.Fatalf("rowIDs %t: corrupt prefix sum of entry %d passed Validate: %v", ix.HasRowIDs(), i, err)
+			}
+			entries[i].Sum--
+		}
+		ix.dir.Build(entries)
+		if err := ix.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -212,8 +212,12 @@ func (ix *Index) sum(oc *opCtx, lo, hi int64) int64 {
 // SelectRowIDs executes the select operator of the Figure 6 plan:
 // it returns the base-table row ids of all values in [lo, hi),
 // cracking the column as a side effect. The result order follows the
-// current physical order of the cracker array.
+// current physical order of the cracker array. It panics on a NewOwned
+// index, which stores values only: build with New to keep row ids.
 func (ix *Index) SelectRowIDs(lo, hi int64) ([]uint32, OpStats) {
+	if !ix.HasRowIDs() {
+		panic("crackindex: SelectRowIDs on a value-only NewOwned index: build with crackindex.New to keep row ids")
+	}
 	ctx := opCtx{}
 	if lo >= hi {
 		return nil, ctx.OpStats

@@ -26,12 +26,16 @@ func buildWith(values []int64, opts Options, target, workers int) *Column {
 // MaxInt64-1: maxKey is the sentinel no range [lo, hi) can include): every
 // shard's array is exactly the multiset of its range, the seeded table
 // of contents is a piece table of that array (Validate recomputes every
-// position and prefix sum from the data), nothing was cracked, and fresh
-// Counts and Sums are the reference scan's.
+// position and prefix sum from the data), the array stores values only
+// whatever the layout, nothing was cracked, and fresh Counts and Sums
+// are the reference scan's.
 func checkBuild(t *testing.T, values []int64, c *Column) {
 	t.Helper()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if ids := rowIDShards(c); len(ids) != 0 {
+		t.Fatalf("shards %v keep row ids", ids)
 	}
 	sorted := slices.Sorted(slices.Values(values))
 	m := c.m.Load()

@@ -14,7 +14,8 @@ import (
 	"adaptix/internal/workload"
 )
 
-// everyIndexMode is every latch mode crossed with both layouts.
+// everyIndexMode is every latch mode crossed with both layouts (an
+// owned array is value-only in either).
 func everyIndexMode() []crackindex.Options {
 	var out []crackindex.Options
 	for _, layout := range []cracker.Layout{cracker.LayoutSplit, cracker.LayoutPairs} {
@@ -138,6 +139,9 @@ func TestCarryOverMatchesNaiveMerge(t *testing.T) {
 			if err := q.ix.Validate(); err != nil {
 				t.Fatalf("%+v iter %d: successor invalid: %v", ixOpts, iter, err)
 			}
+			if q.ix.HasRowIDs() {
+				t.Fatalf("%+v iter %d: the successor's array keeps row ids, in a layout that should store values only", ixOpts, iter)
+			}
 			if q.ix.Stats().Cracks.Load() != 0 {
 				t.Fatalf("%+v iter %d: seeding the successor cracked", ixOpts, iter)
 			}
@@ -225,6 +229,9 @@ func TestStructuralOpsCarryPiecesOver(t *testing.T) {
 				t.Helper()
 				if err := c.Validate(); err != nil {
 					t.Fatalf("%s: %v", what, err)
+				}
+				if ids := rowIDShards(c); len(ids) != 0 {
+					t.Fatalf("%s: shards %v keep row ids", what, ids)
 				}
 				if want := slices.Sorted(slices.Values(ref)); !slices.Equal(sortedValues(c), want) {
 					t.Fatalf("%s: contents differ from the reference", what)

@@ -67,6 +67,7 @@ import (
 	"sort"
 	"time"
 
+	"adaptix/internal/cracker"
 	"adaptix/internal/crackindex"
 	"adaptix/internal/kernel"
 	"adaptix/internal/metrics"
@@ -612,8 +613,8 @@ func (c *Column) SplitShard(i int) (Split, bool) {
 		if k < len(seeds) {
 			hi = seeds[k].Pos
 		}
-		edge.Pos = lo.Pos + partition(vals[lo.Pos:hi], cut)
-		edge.Sum = lo.Sum + kernel.Sum(vals[lo.Pos:edge.Pos])
+		n, below := cracker.Partition(vals[lo.Pos:hi], cut)
+		edge.Pos, edge.Sum = lo.Pos+n, lo.Sum+below
 	}
 	pos := edge.Pos
 	// Each half keeps the cut as an edge boundary (an empty edge
@@ -672,21 +673,6 @@ func chooseCut(vals []int64, seeds []crackindex.BoundaryPosition) (cut, mn, mx i
 		}
 	}
 	return cut, mn, mx, ok
-}
-
-// partition reorders vals so that all values < pivot precede all values
-// >= pivot and returns the split position (cracker.CrackInTwo's Lomuto
-// pass, on a plain slice that has no rowIDs yet).
-func partition(vals []int64, pivot int64) int {
-	j := 0
-	for i, v := range vals {
-		vals[i] = vals[j]
-		vals[j] = v
-		if v < pivot {
-			j++
-		}
-	}
-	return j
 }
 
 // Merged describes one merge of two adjacent shards (MergeShards).

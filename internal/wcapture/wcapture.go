@@ -188,8 +188,9 @@ type Recorder struct {
 
 // drainInterval is the sink drainer's wake-up period: short enough
 // that a ring sized for bursts rarely wraps past the cursor, long
-// enough to batch encodes behind one buffered writer.
-const drainInterval = 5 * time.Millisecond
+// enough to batch encodes behind one buffered writer. A variable so
+// that tests can take the ticker out and drain at points they choose.
+var drainInterval = 5 * time.Millisecond
 
 // New builds a recorder. With enabled false (the default for every
 // index built without WithWorkloadCapture) the recorder allocates no
