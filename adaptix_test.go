@@ -272,13 +272,20 @@ func TestPublicAPIQueryTagTrace(t *testing.T) {
 	}
 }
 
+// TestPublicAPIStructuralLog checks where a StructuralLog may go on the
+// write path: New rejects one as IngestOptions.Log (an in-memory index
+// has no reader for a write log, which would only grow), and the write
+// path group-applies and splits without one.
 func TestPublicAPIStructuralLog(t *testing.T) {
-	log := adaptix.NewStructuralLog()
 	d := adaptix.NewUniqueDataset(1<<13, 11)
-	ix := mustNew(t, d.Values, adaptix.WithShards(4), adaptix.WithSeed(3),
-		adaptix.WithIngestOptions(adaptix.IngestOptions{
-			Name: "R.A", Log: log, ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5,
-		}))
+	iopts := adaptix.IngestOptions{Name: "R.A", ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5}
+	withLog := iopts
+	withLog.Log = adaptix.NewStructuralLog()
+	if ix, err := adaptix.New(d.Values, adaptix.WithIngestOptions(withLog)); err == nil {
+		ix.Close()
+		t.Fatal("New accepted IngestOptions.Log")
+	}
+	ix := mustNew(t, d.Values, adaptix.WithShards(4), adaptix.WithSeed(3), adaptix.WithIngestOptions(iopts))
 	for i := 0; i < 2000; i++ {
 		if err := ix.Insert(ctx, int64(i%50)); err != nil {
 			t.Fatal(err)
@@ -289,8 +296,8 @@ func TestPublicAPIStructuralLog(t *testing.T) {
 	if st.Ingest.Applied == 0 || st.Ingest.Splits == 0 {
 		t.Fatalf("expected group applies and splits, got %+v", st.Ingest)
 	}
-	if log.Len() == 0 {
-		t.Fatal("nothing logged")
+	if st.Ingest.LoggedWrites != 0 {
+		t.Fatalf("an index without a log logged %d writes", st.Ingest.LoggedWrites)
 	}
 }
 

@@ -3,13 +3,13 @@
 // adaptix.Index handle.
 //
 // The paper's §4.2 argues adaptive indexes can absorb high update
-// rates through differential files while system transactions do the
-// structural work. This example makes that concrete: a skewed insert
-// storm (8 writers pouring into one narrow value band while 4 readers
-// keep querying a quiet range whose answer must never waver) runs
-// against the epoch write path (internal/epoch), where a group-apply
-// merge seals only the current epoch and writers roll over without
-// parking. The per-insert latency histogram is the point: no insert
+// rates through differential files while background structural work,
+// which logs nothing, merges them. This example makes that concrete: a
+// skewed insert storm (8 writers pouring into one narrow value band
+// while 4 readers keep querying a quiet range whose answer must never
+// waver) runs against the epoch write path (internal/epoch), where a
+// group-apply merge seals only the current epoch and writers roll over
+// without parking. The per-insert latency histogram is the point: no insert
 // ever waits for a shard rebuild. See examples/recovery for the durable
 // lifecycle of the same handle.
 //
@@ -49,13 +49,11 @@ type stormResult struct {
 // runStorm pours the skewed insert storm into a fresh index while
 // readers assert the quiet range, measuring every insert.
 func runStorm(data *adaptix.Dataset) stormResult {
-	log := adaptix.NewStructuralLog()
 	ix, err := adaptix.New(data.Values,
 		adaptix.WithShards(4), adaptix.WithSeed(5),
 		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
 		adaptix.WithIngestOptions(adaptix.IngestOptions{
-			Name: "R.A", Log: log,
-			ApplyThreshold: 4096, MinShardRows: 1 << 14, SplitFactor: 1.5,
+			Name: "R.A", ApplyThreshold: 4096, MinShardRows: 1 << 14, SplitFactor: 1.5,
 		}),
 	)
 	if err != nil {
@@ -184,6 +182,6 @@ func main() {
 		fmt.Printf("  shard %d: [%d, %d) rows=%-8d pieces=%-5d pending=%d epochs=%d\n",
 			s.Shard, s.LoVal, s.HiVal, s.Rows, s.Pieces, s.PendingInserts+s.PendingDeletes, s.Epochs)
 	}
-	fmt.Println("\n(the structural WAL behind IngestOptions.Log records every seal, apply,")
-	fmt.Println(" and split; examples/recovery survives a crash from a checkpoint snapshot)")
+	fmt.Println("\n(seals, applies and splits change structure only and log nothing;")
+	fmt.Println(" examples/recovery survives a crash from a checkpoint snapshot)")
 }

@@ -43,8 +43,7 @@ type (
 	// method).
 	HybridOptions = hybrid.Options
 	// IngestOptions configures the write path (WithIngestOptions):
-	// group-apply thresholds, rebalancing factors, structural logging,
-	// and the transaction manager.
+	// group-apply thresholds and rebalancing factors.
 	IngestOptions = ingest.Options
 )
 
@@ -252,8 +251,10 @@ type (
 	Txn = txn.Txn
 	// LockMode is a transactional lock mode (IS, IX, S, SIX, U, X).
 	LockMode = lockmgr.Mode
-	// StructuralLog is the write-ahead log for structural operations: a
-	// stream of encoded records into its sink.
+	// StructuralLog is the write-ahead log: a stream of encoded records
+	// into its sink. Adaptive merging logs its runs and merge steps to
+	// it. A durable store (Open with WithLogWrites) keeps its own, which
+	// receives every write and never structural work.
 	StructuralLog = wal.Log
 )
 
@@ -274,16 +275,16 @@ func NewTxnManager() *TxnManager { return txn.NewManager() }
 // Durable WAL sink (custom structural-log setups; Open wires one up
 // automatically).
 type (
-	// WALFileSink is the durable segment-file sink of the structural
-	// WAL: CRC-framed records, fsync-on-commit, segment rotation, and
+	// WALFileSink is the durable segment-file sink of the WAL:
+	// CRC-framed records, fsync on Sync, segment rotation, and
 	// checkpoint truncation.
 	WALFileSink = wal.FileSink
 	// WALSinkOptions configures a WALFileSink.
 	WALSinkOptions = wal.SinkOptions
 )
 
-// NewWALFileSink opens a segment-file sink over dir for a structural
-// log (see WALFileSink).
+// NewWALFileSink opens a segment-file sink over dir for a log (see
+// WALFileSink).
 func NewWALFileSink(dir string, opts WALSinkOptions) (*WALFileSink, error) {
 	return wal.NewFileSink(dir, opts)
 }
@@ -295,16 +296,16 @@ type sinkConfig struct {
 	sink *wal.FileSink
 }
 
-// WithSink makes the structural log stream every record to the given
-// durable sink, fsyncing on system-transaction commits; the log itself
-// then keeps no record. Without it the log's sink is an in-memory byte
-// buffer of encoded records.
+// WithSink makes the log stream every record to the given durable
+// sink, fsyncing when Sync is called; the log itself then keeps no
+// record. Without it the log's sink is an in-memory byte buffer of
+// encoded records.
 func WithSink(sink *WALFileSink) SinkOption {
 	return func(c *sinkConfig) { c.sink = sink }
 }
 
-// NewStructuralLog returns a structural WAL. By default it is in
-// memory: records accumulate, encoded, in a byte buffer that Records
+// NewStructuralLog returns a WAL (see StructuralLog). By default it is
+// in memory: records accumulate, encoded, in a byte buffer that Records
 // decodes. With WithSink it is durable and retains nothing: Records
 // returns nil, and the records live only in the sink's segments.
 func NewStructuralLog(opts ...SinkOption) *StructuralLog {

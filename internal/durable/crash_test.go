@@ -132,18 +132,26 @@ func (r *crashRig) crash() {
 	r.atCrash = slices.Clone(r.model)
 }
 
+// restart reopens the crash image and carries on with it as the store
+// the rig writes to: the process came back up.
+func (r *crashRig) restart() { r.c = r.reopen() }
+
 // reopen opens the crash image and checks it against the model at the
 // crash: answers on a grid of ranges, every acknowledged write present
-// exactly once, and the structural invariants.
-func (r *crashRig) reopen() {
+// exactly once, the structural invariants, and no checkpoint taken by
+// the Open itself.
+func (r *crashRig) reopen() *Column {
 	r.t.Helper()
 	re, err := Open(r.image, r.opts)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	defer re.Close()
+	r.t.Cleanup(func() { re.Close() })
 	if !re.Recovered() {
 		r.t.Fatal("reopen did not recover the store")
+	}
+	if n := re.Ingestor().Stats().Checkpoints; n != 0 {
+		r.t.Fatalf("reopening took %d checkpoints, want 0: the snapshot just read is the checkpoint", n)
 	}
 	if err := re.Column().Validate(); err != nil {
 		r.t.Fatal(err)
@@ -173,6 +181,7 @@ func (r *crashRig) reopen() {
 		r.t.Fatalf("recovered %d rows, want %d", got, len(want))
 	}
 	assertAgreesWithScan(r.t, re, want, r.fresh+1)
+	return re
 }
 
 // TestCheckpointCrashPoints stops a checkpoint at each of its steps —
@@ -207,6 +216,29 @@ func TestCheckpointCrashPoints(t *testing.T) {
 			r.write(20)
 			r.afterRotation = func() { r.write(5); r.crash() }
 			r.checkpoint(true)
+		}},
+		// A reopened store keeps the snapshot it read and releases
+		// nothing: the tail it replayed stays in the log, unlogged a
+		// second time, next to the writes of the new incarnation. A
+		// crash before its first checkpoint replays both, each once.
+		{"crash after a reopen, before its first checkpoint", func(r *crashRig) {
+			r.write(20)
+			r.crash()
+			r.restart()
+			r.write(20)
+			r.crash()
+		}},
+		// Each reopen adds an incarnation whose log restarts at LSN 1;
+		// every one of them replays once.
+		{"two such reopens in a row", func(r *crashRig) {
+			r.write(10)
+			r.crash()
+			r.restart()
+			r.write(10)
+			r.crash()
+			r.restart()
+			r.write(10)
+			r.crash()
 		}},
 		// The snapshot write fails: the checkpoint fails, nothing is
 		// released, and the writes around it survive a later crash.

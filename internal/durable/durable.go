@@ -2,11 +2,11 @@
 // sharded adaptive index: a directory-backed store that survives
 // process death with its refinement knowledge intact.
 //
-// The paper (§3, §4.2) makes every structural change a small system
-// transaction over re-creatable index structure, so the *effect* of all
-// of them can be captured at a checkpoint instead of being logged and
-// re-derived one by one. This package does exactly that. A store
-// directory holds
+// The paper (§4.2) separates index structure from index contents:
+// structure is re-creatable knowledge, so the *effect* of every
+// structural change can be captured at a checkpoint instead of being
+// logged and re-derived one by one, and only contents need a log. This
+// package does exactly that. A store directory holds
 //
 //   - base.snap — the checkpoint: the column's image at an epoch
 //     watermark W (shard.Column.ImageAt) — the shard cuts and, per shard,
@@ -14,19 +14,22 @@
 //     prefix sum). It is written to a temp file, fsynced, renamed over
 //     the previous one and made durable by a directory fsync; the rename
 //     is the commit;
-//   - wal-*.seg — CRC-framed log segments (wal.FileSink): the system
-//     transactions of group-applies, splits and merges, fsynced on
-//     commit, and with LogWrites the logical writes, tagged with their
-//     epoch.
+//   - wal-*.seg — CRC-framed log segments (wal.FileSink): with
+//     LogWrites, the logical writes, tagged with their epoch and fsynced
+//     in groups. Group-applies, splits and merges write nothing.
 //
 // The ingest coordinator checkpoints periodically (ingest.Checkpoint):
 // it rotates the sink, seals every open epoch at W, captures the image,
 // writes base.snap, and only then deletes the segments before the
 // rotation. Open reads the snapshot, adopts it (shard.Restore: one
 // crackindex.NewOwned per shard — no sample, no build, no crack), and
-// replays the logical writes tagged above the snapshot's W. A restarted
-// store therefore has exactly the pieces it checkpointed, and its first
-// query pays steady-state cost.
+// replays the logical writes tagged above the snapshot's W. It writes no
+// snapshot of its own: the one it read stays the checkpoint, and the
+// replayed tail's segments stay until the next checkpoint releases them
+// (replayed writes are not logged again, and W keeps a second reopen
+// from applying the first tail twice). A restarted store therefore has
+// exactly the pieces it checkpointed, and its first query pays
+// steady-state cost.
 //
 // Durability unit: the snapshot. Structure — shard cuts and pieces — is
 // durable as of the last snapshot; splits and merges after it are
@@ -72,24 +75,24 @@ type Options struct {
 	// per-shard index options, ...).
 	Shard shard.Options
 	// Ingest configures the write-path coordinator (thresholds,
-	// rebalancing factors, Name, Txns). Log, Sink, SnapshotWriter and
+	// rebalancing factors, Name). Log, Sink, SnapshotWriter and
 	// CheckpointEvery are owned by the store and overwritten.
 	Ingest ingest.Options
 	// SegmentBytes is the WAL segment rotation threshold. Default 1 MiB.
 	SegmentBytes int64
-	// CheckpointEvery is the number of committed structural operations
-	// between automatic checkpoints. Default 8.
+	// CheckpointEvery is the number of structural operations between
+	// automatic checkpoints. Default 8.
 	CheckpointEvery int
-	// LogWrites enables data-tail durability (ingest
-	// Options.LogWrites): routed writes are logged as logical records
-	// and replayed past the snapshot's epoch watermark on reopen, so a
-	// crash loses at most the not-yet-fsynced log tail instead of
-	// everything since the last checkpoint.
+	// LogWrites enables data-tail durability: the coordinator gets the
+	// store's log (ingest Options.Log), so routed writes are logged as
+	// logical records and replayed past the snapshot's epoch watermark
+	// on reopen, and a crash loses at most the not-yet-fsynced log tail
+	// instead of everything since the last checkpoint.
 	LogWrites bool
 	// SyncEvery bounds the not-yet-fsynced tail by record count: with
 	// LogWrites, the log is group-commit fsynced after every SyncEvery
-	// logical records (see ingest Options.SyncEvery). Zero keeps
-	// fsync-on-next-commit.
+	// logical records (see ingest Options.SyncEvery). Zero defaults to
+	// the ingest ApplyThreshold.
 	SyncEvery int
 	// SyncInterval bounds the tail in time: unsynced logical records
 	// are fsynced at least every SyncInterval (see ingest
@@ -155,8 +158,9 @@ var (
 // Open opens the store in dir, creating it (with opts.Values as
 // initial contents) when no snapshot exists, or restoring it from the
 // snapshot and the log tail past the snapshot's watermark when one does.
-// The returned column has background maintenance started and an initial
-// checkpoint taken, so a freshly opened store is durable immediately.
+// The returned column has background maintenance started. A fresh store
+// takes its initial checkpoint before Open returns, so it is durable
+// immediately; a restored one already is, and keeps its snapshot.
 func Open(dir string, opts Options) (*Column, error) {
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 8
@@ -189,19 +193,20 @@ func Open(dir string, opts Options) (*Column, error) {
 		}
 		bd.WALScan = time.Since(t0)
 		t0 = time.Now()
-		// The snapshot holds every write of an epoch <= its watermark;
-		// the log's records above it are the tail.
+		// The snapshot holds every write of an epoch <= its watermark W;
+		// the log's records above it are the tail. Epoch ids stay
+		// monotonic across incarnations: the restored column resumes at
+		// max(W, highest tail tag), so the segments it keeps — the
+		// replayed tail's, or stale ones a failed release left behind —
+		// can never alias into the new incarnation's epochs.
 		var tail []wal.TailWrite
+		w := img.Epoch
 		for _, tw := range cat.TailWrites[name] {
-			if tw.Epoch > img.Epoch {
+			if tw.Epoch > w {
 				tail = append(tail, tw)
 			}
+			img.Epoch = max(img.Epoch, tw.Epoch)
 		}
-		// Epoch ids stay monotonic across incarnations: the restored
-		// column opens its epochs above every id this log names, so a
-		// stale segment a failed release left behind can never alias into
-		// the new incarnation's epochs.
-		img.Epoch = max(img.Epoch, maxRecoveredEpoch(cat, name))
 		col = shard.Restore(img, opts.Shard)
 		replayTail(col, tail)
 	} else {
@@ -211,6 +216,9 @@ func Open(dir string, opts Options) (*Column, error) {
 	bd.Replay = time.Since(t0)
 	opts.Shard.Obs.RecordRecovery(bd.CheckpointLoad, bd.WALScan, bd.Replay)
 
+	// NewFileSink fsyncs the segments it finds, the replayed tail's
+	// among them: Open takes no checkpoint over that tail, so it must be
+	// as durable as the writes acknowledged after it.
 	sink, err := wal.NewFileSink(dir, wal.SinkOptions{
 		SegmentBytes: opts.SegmentBytes,
 		NoSync:       opts.NoSync,
@@ -236,10 +244,14 @@ func Open(dir string, opts Options) (*Column, error) {
 	if iopts.Obs == nil {
 		iopts.Obs = opts.Shard.Obs
 	}
-	iopts.Log = wal.New(sink)
+	// The sink stays open without LogWrites too: checkpoints release the
+	// segments an earlier incarnation with logged writes left behind.
+	iopts.Log = nil
+	if opts.LogWrites {
+		iopts.Log = wal.New(sink)
+	}
 	iopts.Sink = truncator(sink)
 	iopts.CheckpointEvery = opts.CheckpointEvery
-	iopts.LogWrites = opts.LogWrites || iopts.LogWrites
 	if opts.SyncEvery > 0 {
 		iopts.SyncEvery = opts.SyncEvery
 	}
@@ -251,10 +263,10 @@ func Open(dir string, opts Options) (*Column, error) {
 	}
 	ing := ingest.New(col, iopts)
 	c := &Column{dir: dir, col: col, ing: ing, sink: sink, recovered: recovered, recovery: bd}
-	// Checkpoint immediately: the restored (or built) column becomes the
-	// snapshot, and the segments it supersedes — the replayed tail's
-	// among them — are released.
-	if !ing.Checkpoint() {
+	// A fresh store checkpoints immediately, so its column is durable
+	// before any write is acknowledged. A restored one already has its
+	// snapshot: rewriting it would only copy what was just read.
+	if !recovered && !ing.Checkpoint() {
 		sink.Close()
 		return nil, errors.New("durable: initial checkpoint failed")
 	}
@@ -323,27 +335,13 @@ func (c *Column) Close() error {
 	return c.sink.Close()
 }
 
-// maxRecoveredEpoch returns the highest epoch id the recovered log
-// mentions for name: sealed and applied ids, and every logical write's
-// tag.
-func maxRecoveredEpoch(cat *wal.Catalog, name string) int64 {
-	m := cat.AppliedEpoch[name]
-	for _, id := range cat.SealedEpochs[name] {
-		m = max(m, id)
-	}
-	for _, tw := range cat.TailWrites[name] {
-		m = max(m, tw.Epoch)
-	}
-	return m
-}
-
 // replayTail re-applies the recovered data tail (Options.LogWrites):
 // the snapshot holds the contents up to its epoch watermark; the
-// logical records beyond it — including those of any half-applied epoch
-// whose merge never committed — re-apply in log order. Without logged
-// writes the tail is simply absent, which is the paper's model (the base
-// table has its own log) and never affects the correctness of what
-// remains.
+// logical records beyond it re-apply in log order, straight into the
+// column — not through the coordinator, so they are not logged again.
+// Without logged writes the tail is simply absent, which is the paper's
+// model (the base table has its own log) and never affects the
+// correctness of what remains.
 //
 // Autonomous logical records can land in the log slightly out of
 // order relative to the in-memory interleaving (the routed write and

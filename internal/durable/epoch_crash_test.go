@@ -9,13 +9,11 @@ import (
 	"adaptix/internal/workload"
 )
 
-// TestCrashBetweenEpochSealAndApply is the half-applied-epoch crash
-// test: the process dies after the EpochSeal transaction committed but
-// before the EpochApply one — the exact window the two-phase group-
-// apply opens. Recovery must discard the half-applied epoch (the
-// snapshot is cut at the checkpoint's watermark, so the sealed epoch's
-// merge never becomes visible) and, with LogWrites on, replay its
-// writes from the logical tail: the reopened store answers exactly.
+// TestCrashBetweenEpochSealAndApply: the process dies after a
+// group-apply sealed an epoch in memory and before it merged it — the
+// window the two-phase group-apply opens. The seal logged nothing, so
+// the log holds only the epoch's logical writes; recovery replays them
+// on top of the snapshot, and the reopened store answers exactly.
 func TestCrashBetweenEpochSealAndApply(t *testing.T) {
 	dir := t.TempDir()
 	d := workload.NewUniqueUniform(1<<12, 19)
@@ -51,57 +49,29 @@ func TestCrashBetweenEpochSealAndApply(t *testing.T) {
 		t.Fatal("SealEpoch(0) found nothing to seal")
 	}
 	// ...crash before the merge. The in-memory column dies with the
-	// process; only the log survives.
+	// process; only the directory survives.
 	if err := c.sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The coordinator's EpochSeal transaction had already committed:
-	// re-create it in the surviving log, with no EpochApply after it.
-	sink2, err := wal.NewFileSink(dir, wal.SinkOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log2 := wal.New(sink2)
-	for _, r := range []wal.Record{
-		{Kind: wal.BeginSystem, Txn: 999, Object: "sharded"},
-		{Kind: wal.EpochSeal, Txn: 999, Object: "sharded", A: int64(se.Shard), B: se.Epoch, C: int64(se.Inserts + se.Deletes)},
-		{Kind: wal.CommitSystem, Txn: 999, Object: "sharded"},
-	} {
-		if _, err := log2.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery must see the half-applied epoch for what it is.
 	raw, err := wal.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := wal.Recover(raw)
-	if err != nil {
+	var kinds []wal.Kind
+	if _, err := wal.Replay(raw, func(r wal.Record) { kinds = append(kinds, r.Kind) }); err != nil {
 		t.Fatal(err)
 	}
-	if cat.AppliedEpoch["sharded"] >= se.Epoch {
-		t.Fatalf("AppliedEpoch = %d: the never-committed merge became visible", cat.AppliedEpoch["sharded"])
+	if len(kinds) != 250 {
+		t.Fatalf("log holds %d records, want the 250 logical writes", len(kinds))
 	}
-	found := false
-	for _, id := range cat.SealedEpochs["sharded"] {
-		if id == se.Epoch {
-			found = true
+	for _, k := range kinds {
+		if k != wal.LogicalWrite {
+			t.Fatalf("log holds a %v record: the seal logged structure", k)
 		}
 	}
-	if !found {
-		t.Fatalf("SealedEpochs = %v: committed seal of epoch %d lost", cat.SealedEpochs["sharded"], se.Epoch)
-	}
-	if len(cat.TailWrites["sharded"]) == 0 {
-		t.Fatal("no tail writes recovered: LogWrites produced nothing to replay")
-	}
 
-	// Reopen: exact answers, the half-applied epoch neither lost nor
+	// Reopen: exact answers, the sealed epoch neither lost nor
 	// double-applied.
 	re, err := Open(dir, opts)
 	if err != nil {
@@ -117,13 +87,88 @@ func TestCrashBetweenEpochSealAndApply(t *testing.T) {
 	}
 	// Epoch ids must stay monotonic across incarnations: the reopened
 	// column's open epochs must sit beyond every id the old log
-	// mentions, or stale segments surviving a failed truncation could
-	// alias old records into the new namespace.
+	// mentions, or the segments it keeps could alias old records into
+	// the new namespace.
 	for _, s := range re.Column().Snapshot() {
 		if s.OpenEpoch <= se.Epoch {
 			t.Errorf("shard %d: open epoch %d not advanced past recovered epoch %d",
 				s.Shard, s.OpenEpoch, se.Epoch)
 		}
+	}
+}
+
+// TestReopenOldLogWithStructuralRecords: a store whose log was written
+// while group-applies, splits and merges still logged system
+// transactions — retired kinds 1, 2 and 7–11 in Txn brackets, one of
+// them never committed, between the logical writes — reopens with every
+// logical write replayed once and its epochs resumed past the highest
+// tag.
+func TestReopenOldLogWithStructuralRecords(t *testing.T) {
+	dir := t.TempDir()
+	d := workload.NewUniqueUniform(1<<10, 31)
+	fresh := d.Domain + 5 // never in the base values
+	opts := testOptions(d.Values)
+	opts.LogWrites = true
+	opts.Ingest = ingest.Options{ApplyThreshold: 1 << 30, MinShardRows: 1 << 30}
+	crashed, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const epoch = 1 << 40
+	sink, err := wal.NewFileSink(dir, wal.SinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := wal.New(sink)
+	for _, r := range []wal.Record{
+		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh, B: epoch},
+		{Txn: 1, Kind: 1},
+		{Txn: 1, Kind: 10, Object: "sharded", A: 0, B: epoch, C: 1},
+		{Txn: 1, Kind: 2},
+		{Txn: 2, Kind: 1},
+		{Txn: 2, Kind: 11, Object: "sharded", A: 0, B: epoch, C: 1},
+		{Txn: 2, Kind: 7, Object: "sharded", A: 0, B: 1},
+		{Txn: 2, Kind: 2},
+		{Kind: wal.LogicalWrite, Object: "sharded", A: 3, B: epoch + 1, C: 1},
+		{Txn: 3, Kind: 1},
+		{Txn: 3, Kind: 8, Object: "sharded", A: 500, B: 10, C: 10},
+		{Kind: wal.LogicalWrite, Object: "sharded", A: fresh + 1, B: epoch + 1},
+		{Txn: 3, Kind: 2},
+		{Txn: 4, Kind: 1},
+		{Txn: 4, Kind: 9, Object: "sharded", A: 500, B: 20},
+	} {
+		if _, err := log.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for v, want := range map[int64]int64{fresh: 1, fresh + 1: 1, 3: 0, 4: 1} {
+		if n, _, _ := c.Count(qctx, v, v+1); n != want {
+			t.Errorf("count(%d) = %d, want %d", v, n, want)
+		}
+	}
+	if got, want := c.Column().Rows(), len(d.Values)+1; got != want {
+		t.Errorf("rows = %d, want %d", got, want)
+	}
+	for _, s := range c.Column().Snapshot() {
+		if s.OpenEpoch <= epoch+1 {
+			t.Errorf("shard %d: open epoch %d not advanced past the log's %d", s.Shard, s.OpenEpoch, epoch+1)
+		}
+	}
+	if err := c.Column().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Checkpoints: the snapshot is the checkpoint. The column's image — the
 // shard map, every shard's array in piece order and its seeds, cut at an
 // epoch watermark W — goes to the SnapshotWriter, and the log segments
-// the image supersedes are released. No checkpoint record is logged: a
-// structural change is a system transaction whose effect an image
-// captures whole (paper §4.2), so recovery adopts the image instead of
-// re-deriving it from records.
+// the image supersedes are released. No checkpoint record is logged, and
+// no structural change is logged either: an image captures the effect
+// of every one of them whole (paper §4.2), so recovery adopts the image
+// instead of re-deriving it from records.
 package ingest
 
 import (

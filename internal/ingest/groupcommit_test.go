@@ -49,44 +49,52 @@ func (s *countingSink) snapshot() (syncs int, runs []int, tail int) {
 // TestGroupCommitSyncEvery: with SyncEvery = N, the log is fsynced at
 // least every N logical records, so a crash can lose at most N-1 of
 // the newest writes — the bounded loss window, asserted as "no fsync
-// gap ever exceeds N records".
+// gap ever exceeds N records". SyncEvery left at zero means N =
+// ApplyThreshold, so the default window is bounded too.
 func TestGroupCommitSyncEvery(t *testing.T) {
-	const syncEvery = 4
-	d := workload.NewUniqueUniform(1<<10, 3)
-	col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5,
-		Index: crackindex.Options{Latching: crackindex.LatchPiece}})
-	sink := &countingSink{}
-	g := New(col, Options{
-		Log: wal.New(sink), LogWrites: true, SyncEvery: syncEvery,
-		// Thresholds high enough that no structural commit (with its
-		// own fsync) interleaves: every sync observed is a group sync.
-		ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
-	})
-	syncs0, _, _ := sink.snapshot() // bootstrap txn commit fsyncs
+	for _, tc := range []struct {
+		name                      string
+		syncEvery, applyThreshold int
+		bound                     int
+	}{
+		{"SyncEvery", 4, 1 << 20, 4},
+		{"default is ApplyThreshold", 0, 8, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := workload.NewUniqueUniform(1<<10, 3)
+			col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5,
+				Index: crackindex.Options{Latching: crackindex.LatchPiece}})
+			sink := &countingSink{}
+			g := New(col, Options{
+				Log: wal.New(sink), SyncEvery: tc.syncEvery,
+				ApplyThreshold: tc.applyThreshold, CheckEvery: 1 << 20,
+			})
 
-	const writes = 21
-	for i := 0; i < writes; i++ {
-		if err := g.Insert(qctx, d.Domain+int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+			const writes = 21
+			for i := 0; i < writes; i++ {
+				if err := g.Insert(qctx, d.Domain+int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	syncs, runs, tail := sink.snapshot()
-	if got := syncs - syncs0; got != writes/syncEvery {
-		t.Errorf("group syncs = %d, want %d", got, writes/syncEvery)
-	}
-	if g.Stats().GroupSyncs != int64(writes/syncEvery) {
-		t.Errorf("Stats.GroupSyncs = %d, want %d", g.Stats().GroupSyncs, writes/syncEvery)
-	}
-	// The loss window: no gap between fsyncs may exceed SyncEvery
-	// records, and the unsynced tail is at most SyncEvery-1.
-	for i, run := range runs {
-		if i > 0 && run > syncEvery { // runs[0] includes the bootstrap txn
-			t.Errorf("fsync gap %d carried %d records, want <= %d", i, run, syncEvery)
-		}
-	}
-	if tail >= syncEvery {
-		t.Errorf("unsynced tail %d records, want < %d", tail, syncEvery)
+			syncs, runs, tail := sink.snapshot()
+			if syncs != writes/tc.bound || g.Stats().GroupSyncs != int64(writes/tc.bound) {
+				t.Errorf("fsyncs = %d, Stats.GroupSyncs = %d, want %d", syncs, g.Stats().GroupSyncs, writes/tc.bound)
+			}
+			// The loss window: no gap between fsyncs may exceed the
+			// bound, every write reached the log, and the unsynced tail
+			// is at most bound-1.
+			logged := tail
+			for i, run := range runs {
+				logged += run
+				if run > tc.bound {
+					t.Errorf("fsync gap %d carried %d records, want <= %d", i, run, tc.bound)
+				}
+			}
+			if logged != writes || tail >= tc.bound {
+				t.Errorf("logged %d records with %d unsynced, want %d and < %d", logged, tail, writes, tc.bound)
+			}
+		})
 	}
 }
 
@@ -109,7 +117,7 @@ func TestGroupCommitElectsOneSyncer(t *testing.T) {
 		col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5,
 			Index: crackindex.Options{Latching: crackindex.LatchPiece}})
 		g := New(col, Options{
-			Log: log, LogWrites: true, SyncEvery: syncEvery,
+			Log: log, SyncEvery: syncEvery,
 			ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
 		})
 		var wg sync.WaitGroup
@@ -141,17 +149,16 @@ func TestGroupCommitElectsOneSyncer(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSyncInterval: with ONLY SyncInterval set (SyncEvery
-// left at its zero default — the documented interval-only
-// configuration), unsynced logical records are fsynced by the
-// background ticker even when the record-count bound never triggers.
+// TestGroupCommitSyncInterval: unsynced logical records are fsynced by
+// the background ticker even when the record-count bound (here the
+// default, ApplyThreshold) never triggers.
 func TestGroupCommitSyncInterval(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<10, 5)
 	col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5,
 		Index: crackindex.Options{Latching: crackindex.LatchPiece}})
 	sink := &countingSink{}
 	g := New(col, Options{
-		Log: wal.New(sink), LogWrites: true,
+		Log:            wal.New(sink),
 		SyncInterval:   5 * time.Millisecond,
 		ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
 	})

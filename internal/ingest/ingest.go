@@ -5,47 +5,45 @@
 // updates land in per-shard epoch chains — versioned differential
 // files (internal/epoch) — and all *structural* work — merging sealed
 // epochs into the cracker arrays, splitting and merging shards — runs
-// in small system transactions (internal/txn) that log structural
-// records to the WAL (internal/wal) and respect user-transaction locks
-// without ever acquiring their own.
+// in the background on re-creatable structure, logging nothing: the
+// paper separates index structure from index contents, and only the
+// contents must survive a crash.
 //
 // Three cooperating pieces:
 //
 //   - The router (Insert / DeleteValue / Apply) forwards writes to the
 //     owning shard's open epoch through shard.Column and counts write
-//     traffic so maintenance runs at the right cadence. With
-//     Options.LogWrites each write also leaves an autonomous
-//     wal.LogicalWrite record tagged with its epoch, closing the
+//     traffic so maintenance runs at the right cadence. With a log
+//     (Options.Log) each write also leaves a wal.LogicalWrite record
+//     tagged with its epoch, closing the
 //     lose-writes-since-last-checkpoint window.
 //   - The group-apply worker batches pending updates per shard: once a
 //     shard's chain exceeds Options.ApplyThreshold, the current epoch
-//     is sealed (one system transaction, wal.EpochSeal — writers roll
-//     over to the next epoch without parking) and the sealed prefix is
-//     merged into a rebuilt cracker array (a second system
-//     transaction, wal.EpochApply), with the old index's
-//     piece table carried over so refinement knowledge earned by
-//     earlier queries survives (the group-apply analogue of the
-//     paper's §7 group cracking: many queued updates, one structural
-//     pass).
+//     is sealed (writers roll over to the next epoch without parking)
+//     and the sealed prefix is merged into a rebuilt cracker array,
+//     with the old index's piece table carried over so refinement
+//     knowledge earned by earlier queries survives (the group-apply
+//     analogue of the paper's §7 group cracking: many queued updates,
+//     one structural pass).
 //   - The rebalancer watches per-shard row counts — and refinement
 //     traffic, with Options.LoadWeight — and splits shards that
-//     drifted above SplitFactor times the mean weight (wal.ShardSplit)
-//     or merges adjacent dwarf shards (wal.ShardMerge), so a skewed
-//     insert storm cannot concentrate all future work in one latch
-//     domain. Readers never block on any of this: structural
-//     operations publish a new shard map while queries in flight keep
-//     their own consistent snapshot (see internal/shard/update.go).
+//     drifted above SplitFactor times the mean weight or merges
+//     adjacent dwarf shards, so a skewed insert storm cannot
+//     concentrate all future work in one latch domain. Readers never
+//     block on any of this: structural operations publish a new shard
+//     map while queries in flight keep their own consistent snapshot
+//     (see internal/shard/update.go).
 //
-// Durability and recovery: structural records flow to the WAL, and
-// the checkpoint writer (checkpoint.go) periodically hands the column's
-// image — shard cuts, every shard's array in piece order and its seeds,
-// cut at an epoch watermark — to Options.SnapshotWriter, then truncates
-// the log prefix the image supersedes. The sink is rotated before the
-// watermark is cut, so every write tagged above the watermark is logged
-// into a segment the truncation keeps: recovery adopts the image
-// (shard.Restore) and replays exactly the LogicalWrite records beyond
-// its watermark, and a half-applied epoch (a committed EpochSeal with no
-// committed EpochApply) is never assumed merged. internal/durable
+// Durability and recovery: the log holds data, the checkpoint holds
+// structure. The checkpoint writer (checkpoint.go) periodically hands
+// the column's image — shard cuts, every shard's array in piece order
+// and its seeds, cut at an epoch watermark — to Options.SnapshotWriter,
+// then truncates the log prefix the image supersedes. The sink is
+// rotated before the watermark is cut, so every write tagged above the
+// watermark is logged into a segment the truncation keeps: recovery
+// adopts the image (shard.Restore) and replays exactly the LogicalWrite
+// records beyond its watermark. A group-apply, split or merge after the
+// image is lost in a crash and simply re-derived. internal/durable
 // packages the whole lifecycle behind Open/Close.
 package ingest
 
@@ -57,7 +55,6 @@ import (
 
 	"adaptix/internal/metrics"
 	"adaptix/internal/shard"
-	"adaptix/internal/txn"
 	"adaptix/internal/wal"
 	"adaptix/internal/wcapture"
 )
@@ -73,8 +70,7 @@ type Op struct {
 
 // Options configures a Coordinator.
 type Options struct {
-	// Name identifies the column in WAL records and user-lock probes.
-	// Default "sharded".
+	// Name identifies the column in WAL records. Default "sharded".
 	Name string
 	// ApplyThreshold is the number of pending differential updates in
 	// one shard that triggers a group-apply merge. Default 512.
@@ -94,28 +90,22 @@ type Options struct {
 	// CheckEvery is the number of routed writes between background
 	// maintenance wake-ups. Default ApplyThreshold/2.
 	CheckEvery int
-	// Log, when non-nil, receives structural records (epoch seals and
-	// applies, splits, merges) bracketed in system transactions.
+	// Log, when non-nil, enables data-tail durability: every routed
+	// insert and every delete that found an instance is logged as one
+	// wal.LogicalWrite record (value + op + epoch id). Recovery replays
+	// the records past the last snapshot's epoch watermark on top of the
+	// snapshot, closing the lose-writes-since-last-checkpoint window for
+	// deployments where adaptix is the primary store. Structural work
+	// logs nothing. Records are fsynced in groups, not per write;
+	// SyncEvery and SyncInterval bound the unsynced window.
 	Log *wal.Log
-	// LogWrites enables data-tail durability: every routed insert and
-	// every delete that found an instance is additionally logged as an
-	// autonomous wal.LogicalWrite record (value + op + epoch id).
-	// Recovery replays the records past the last snapshot's epoch
-	// watermark on top of the snapshot, closing the
-	// lose-writes-since-last-checkpoint window for deployments where
-	// adaptix is the primary store. By default logical records are
-	// fsynced with the next system-transaction commit (or an explicit
-	// Log.Sync), not per write; SyncEvery and SyncInterval bound that
-	// window.
-	LogWrites bool
-	// SyncEvery is the group-commit record bound: with LogWrites, the
-	// log is additionally fsynced after every SyncEvery logical
-	// records, so a crash loses at most SyncEvery-1 of the newest
-	// writes (plus whatever the interval below has not yet covered).
-	// Zero keeps the default fsync-on-next-commit policy; 1 fsyncs
-	// every write.
+	// SyncEvery is the group-commit record bound: with a Log, the log is
+	// fsynced after every SyncEvery logical records, so a crash loses at
+	// most SyncEvery-1 of the newest writes (plus whatever the interval
+	// below has not yet covered). Default ApplyThreshold; 1 fsyncs every
+	// write.
 	SyncEvery int
-	// SyncInterval is the group-commit time bound: with LogWrites, a
+	// SyncInterval is the group-commit time bound: with a Log, a
 	// background ticker fsyncs any unsynced logical records every
 	// SyncInterval, so the loss window is bounded in time even when
 	// the write rate is too low to reach SyncEvery. Zero disables the
@@ -128,8 +118,8 @@ type Options struct {
 	// dwarfs are not merged back together. Zero keeps pure
 	// row-count balancing; 1 is a reasonable starting weight.
 	LoadWeight float64
-	// CheckpointEvery is the number of committed structural operations
-	// between automatic checkpoints (see Checkpoint). Zero disables
+	// CheckpointEvery is the number of structural operations (group-
+	// applies, splits, merges) between automatic checkpoints (see Checkpoint). Zero disables
 	// automatic checkpoints; Checkpoint can still be called manually and
 	// Close always takes a final one when a SnapshotWriter is
 	// configured.
@@ -143,10 +133,6 @@ type Options struct {
 	// it is what a checkpoint is. An error aborts the checkpoint and
 	// leaves the log prefix in place.
 	SnapshotWriter func(img shard.Image) error
-	// Txns supplies the transaction manager whose system transactions
-	// wrap structural operations and whose user locks maintenance must
-	// respect. Default: a fresh private manager.
-	Txns *txn.Manager
 	// Obs, when non-nil, receives write-path observations: routed-write
 	// latency, group-commit batch sizes, and checkpoint durations.
 	// (Structural seal/apply/split/merge durations are recorded by the
@@ -179,8 +165,8 @@ func (o Options) withDefaults() Options {
 			o.CheckEvery = 1
 		}
 	}
-	if o.Txns == nil {
-		o.Txns = txn.NewManager()
+	if o.SyncEvery <= 0 {
+		o.SyncEvery = o.ApplyThreshold
 	}
 	return o
 }
@@ -195,19 +181,16 @@ type Stats struct {
 	// EpochSeals counts epochs sealed ahead of a group-apply merge.
 	EpochSeals int64
 	// LoggedWrites counts wal.LogicalWrite records appended
-	// (Options.LogWrites).
+	// (Options.Log).
 	LoggedWrites int64
 	// GroupSyncs counts group-commit fsyncs forced by
-	// Options.SyncEvery / Options.SyncInterval (system-transaction
-	// commit fsyncs are not counted here).
+	// Options.SyncEvery / Options.SyncInterval: every fsync the
+	// coordinator asks of its log.
 	GroupSyncs int64
 	// Splits and Merges count rebalancing operations.
 	Splits, Merges int64
 	// Checkpoints counts snapshots written by Checkpoint.
 	Checkpoints int64
-	// SkippedMaintenance counts maintenance passes forgone because a
-	// user transaction held a conflicting lock on the column.
-	SkippedMaintenance int64
 }
 
 // Coordinator owns the write path of one sharded column: it routes
@@ -221,10 +204,6 @@ type Coordinator struct {
 	// cached so the write path records without re-copying the column
 	// options per write. Nil-safe and usually inactive.
 	cap *wcapture.Recorder
-	// probe reports a conflicting user-transaction lock on the column:
-	// maintenance, being optional structural work done by system
-	// transactions, is skipped while one exists (paper §3.3).
-	probe func() bool
 
 	writes    atomic.Int64
 	applied   atomic.Int64
@@ -234,7 +213,6 @@ type Coordinator struct {
 	unsynced  atomic.Int64 // logical records appended since the last fsync
 	splits    atomic.Int64
 	merges    atomic.Int64
-	skipped   atomic.Int64
 	ckpts     atomic.Int64
 	sinceCkpt atomic.Int64 // structural ops since the last checkpoint
 
@@ -253,7 +231,6 @@ func New(col *shard.Column, opts Options) *Coordinator {
 		col:    col,
 		opts:   opts,
 		cap:    col.Options().Capture,
-		probe:  opts.Txns.RefinementProbe(opts.Name),
 		notify: make(chan struct{}, 1),
 	}
 }
@@ -264,15 +241,14 @@ func (g *Coordinator) Column() *shard.Column { return g.col }
 // Stats returns a snapshot of the coordinator's activity counters.
 func (g *Coordinator) Stats() Stats {
 	return Stats{
-		Writes:             g.writes.Load(),
-		Applied:            g.applied.Load(),
-		EpochSeals:         g.seals.Load(),
-		LoggedWrites:       g.logged.Load(),
-		GroupSyncs:         g.syncs.Load(),
-		Splits:             g.splits.Load(),
-		Merges:             g.merges.Load(),
-		Checkpoints:        g.ckpts.Load(),
-		SkippedMaintenance: g.skipped.Load(),
+		Writes:       g.writes.Load(),
+		Applied:      g.applied.Load(),
+		EpochSeals:   g.seals.Load(),
+		LoggedWrites: g.logged.Load(),
+		GroupSyncs:   g.syncs.Load(),
+		Splits:       g.splits.Load(),
+		Merges:       g.merges.Load(),
+		Checkpoints:  g.ckpts.Load(),
 	}
 }
 
@@ -353,21 +329,20 @@ func (g *Coordinator) Apply(ctx context.Context, batch []Op) (deleted int, err e
 	return deleted, nil
 }
 
-// logWrite appends one autonomous wal.LogicalWrite record when
-// Options.LogWrites is on: the data-tail durability path. The record
-// rides outside any system transaction (Txn 0) and is fsynced with the
-// next commit — or earlier, under the group-commit policy (SyncEvery /
-// SyncInterval); its epoch tag — not its log position — decides during
-// recovery whether the snapshot already contains it.
+// logWrite appends one wal.LogicalWrite record when the coordinator
+// has a log: the data-tail durability path. The record is fsynced under
+// the group-commit policy (SyncEvery / SyncInterval); its epoch tag —
+// not its log position — decides during recovery whether the snapshot
+// already contains it.
 func (g *Coordinator) logWrite(v, epochID int64, del bool) {
-	if !g.opts.LogWrites || g.opts.Log == nil {
+	if g.opts.Log == nil {
 		return
 	}
 	var op int64
 	if del {
 		op = 1
 	}
-	if g.append(wal.Record{Kind: wal.LogicalWrite, A: v, B: epochID, C: op}) == nil {
+	if _, err := g.opts.Log.Append(wal.Record{Kind: wal.LogicalWrite, Object: g.opts.Name, A: v, B: epochID, C: op}); err == nil {
 		g.logged.Add(1)
 		g.maybeGroupSync()
 	}
@@ -375,19 +350,14 @@ func (g *Coordinator) logWrite(v, epochID int64, del bool) {
 
 // maybeGroupSync enforces the SyncEvery half of the group-commit
 // policy: once SyncEvery logical records have accumulated since the
-// last fsync, force one. The unsynced counter is maintained whenever
-// EITHER group-commit bound is active, so an interval-only
-// configuration (SyncInterval set, SyncEvery zero) still sees its
-// pending records at the next tick. Concurrent writers that cross the
+// last fsync, force one; the interval ticker fsyncs whatever the
+// counter holds when it fires. Concurrent writers that cross the
 // threshold together elect exactly one syncer: only the one whose count
 // is still current resets it, so no increment is lost and one batch
 // never costs two fsyncs.
 func (g *Coordinator) maybeGroupSync() {
-	if g.opts.SyncEvery <= 0 && g.opts.SyncInterval <= 0 {
-		return
-	}
 	n := g.unsynced.Add(1)
-	if g.opts.SyncEvery <= 0 || n < int64(g.opts.SyncEvery) || !g.unsynced.CompareAndSwap(n, 0) {
+	if n < int64(g.opts.SyncEvery) || !g.unsynced.CompareAndSwap(n, 0) {
 		return
 	}
 	if g.opts.Log.Sync() == nil {
@@ -460,7 +430,7 @@ func (g *Coordinator) loop(stop <-chan struct{}, done chan<- struct{}) {
 	// The group-commit interval ticker (Options.SyncInterval) shares
 	// the maintenance goroutine: its tick only fsyncs, never merges.
 	var tick <-chan time.Time
-	if g.opts.SyncInterval > 0 && g.opts.LogWrites && g.opts.Log != nil {
+	if g.opts.SyncInterval > 0 && g.opts.Log != nil {
 		t := time.NewTicker(g.opts.SyncInterval)
 		defer t.Stop()
 		tick = t.C
@@ -480,16 +450,10 @@ func (g *Coordinator) loop(stop <-chan struct{}, done chan<- struct{}) {
 // Maintain runs one synchronous maintenance pass: group-apply every
 // shard whose differential file exceeds ApplyThreshold, then one
 // rebalance pass. It returns the number of structural operations
-// performed. Maintenance is optional structural work: it is skipped
-// entirely while a user transaction holds a conflicting lock on the
-// column (system transactions verify user locks, never acquire any).
+// performed.
 func (g *Coordinator) Maintain() int {
 	g.maintMu.Lock()
 	defer g.maintMu.Unlock()
-	if g.probe() {
-		g.skipped.Add(1)
-		return 0
-	}
 	ops := 0
 	// Descending ordinals: a structural change at shard i never moves
 	// the ordinals of shards below i.
@@ -507,96 +471,18 @@ func (g *Coordinator) Maintain() int {
 	return total
 }
 
-// applyShard group-applies shard i as two system transactions
-// mirroring the two structural steps: an EpochSeal (the open epoch
-// rolls over; writers never park) and, once the background merge has
-// published the rebuilt part, an EpochApply with the merged watermark.
-// A crash between the two leaves a sealed epoch with no committed apply
-// — recovery sees exactly that (wal.Catalog.SealedEpochs vs
-// AppliedEpoch) and does not assume the base incorporates it.
+// applyShard group-applies shard i in the two structural steps: seal
+// the open epoch (writers roll over; they never park), then merge every
+// sealed epoch into a rebuilt part. It reports whether a merge happened.
 func (g *Coordinator) applyShard(i int) bool {
-	g.structural(func() ([]wal.Record, bool) {
-		se, ok := g.col.SealEpoch(i)
-		if !ok {
-			// Nothing newly sealed; earlier sealed epochs (a checkpoint
-			// roll, or a previous pass whose merge step failed) may
-			// still be pending below.
-			return nil, false
-		}
+	if _, ok := g.col.SealEpoch(i); ok {
 		g.seals.Add(1)
-		return []wal.Record{{
-			Kind: wal.EpochSeal,
-			A:    int64(se.Shard), B: se.Epoch, C: int64(se.Inserts + se.Deletes),
-		}}, true
-	})
-	return g.structural(func() ([]wal.Record, bool) {
-		ap, ok := g.col.ApplySealed(i)
-		if !ok {
-			return nil, false
-		}
-		g.applied.Add(1)
-		return []wal.Record{{
-			Kind: wal.EpochApply,
-			A:    int64(ap.Shard), B: ap.Epoch, C: int64(ap.Inserts + ap.Deletes),
-		}}, true
-	})
-}
-
-// structural runs op as one system transaction, bracketing its
-// structural records between BeginSystem and CommitSystem. Records are
-// appended only after op succeeds — the in-memory structure is the
-// source of truth and the log is re-creatable knowledge (§4.2), so an
-// attempt that found nothing to do aborts the transaction and leaves
-// no trace in the log at all.
-//
-// structural reports true only when the operation happened AND its
-// records (including the commit's fsync) reached the log: a failed
-// append leaves the transaction uncommitted on disk, which recovery
-// ignores, and callers must not treat the operation as durable. The
-// in-memory operation itself is not rolled back; it is re-creatable
-// knowledge either way.
-func (g *Coordinator) structural(op func() ([]wal.Record, bool)) bool {
-	var ok bool
-	var logErr error
-	_ = g.opts.Txns.RunSystem(func(st *txn.Txn) error {
-		var recs []wal.Record
-		recs, ok = op()
-		if !ok {
-			return errNothingToDo
-		}
-		id := uint64(st.ID())
-		logErr = g.append(wal.Record{Kind: wal.BeginSystem, Txn: id})
-		for _, r := range recs {
-			if logErr != nil {
-				break
-			}
-			r.Txn = id
-			logErr = g.append(r)
-		}
-		if logErr == nil {
-			logErr = g.append(wal.Record{Kind: wal.CommitSystem, Txn: id})
-		}
-		return nil
-	})
-	return ok && logErr == nil
-}
-
-// errNothingToDo aborts a system transaction whose structural
-// operation found no work; the abort is bookkeeping, not a failure.
-var errNothingToDo = errNothing{}
-
-type errNothing struct{}
-
-// Error implements error.
-func (errNothing) Error() string { return "ingest: nothing to do" }
-
-func (g *Coordinator) append(r wal.Record) error {
-	if g.opts.Log == nil {
-		return nil
 	}
-	if r.Object == "" {
-		r.Object = g.opts.Name
+	// Even with nothing newly sealed, earlier sealed epochs (a checkpoint
+	// roll, or a previous pass whose merge step failed) may be pending.
+	if _, ok := g.col.ApplySealed(i); !ok {
+		return false
 	}
-	_, err := g.opts.Log.Append(r)
-	return err
+	g.applied.Add(1)
+	return true
 }

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"adaptix/internal/crackindex"
-	"adaptix/internal/lockmgr"
 	"adaptix/internal/shard"
-	"adaptix/internal/txn"
 	"adaptix/internal/wal"
 	"adaptix/internal/workload"
 )
@@ -165,37 +163,16 @@ func TestApplyBatchesAndGroupApplyPreserveAnswers(t *testing.T) {
 		t.Error("Stats().Applied = 0 after group applies")
 	}
 
-	// The structural WAL must bracket every epoch seal and apply in a
-	// committed system transaction.
+	// The log holds the batch's writes and nothing of the group-applies:
+	// one LogicalWrite per insert and per delete that found an instance.
 	recs := log.Records()
-	byTxn := map[uint64][]wal.Kind{}
+	if int64(len(recs)) != g.Stats().LoggedWrites || len(recs) == 0 {
+		t.Fatalf("log holds %d records, coordinator logged %d writes", len(recs), g.Stats().LoggedWrites)
+	}
 	for _, r := range recs {
-		byTxn[r.Txn] = append(byTxn[r.Txn], r.Kind)
-	}
-	seals, applies := 0, 0
-	for id, kinds := range byTxn {
-		var begin, commit bool
-		for _, k := range kinds {
-			switch k {
-			case wal.BeginSystem:
-				begin = true
-			case wal.CommitSystem:
-				commit = true
-			case wal.EpochSeal:
-				seals++
-			case wal.EpochApply:
-				applies++
-			}
+		if r.Kind != wal.LogicalWrite || r.Object != "R.A" {
+			t.Fatalf("logged %v record for %q: structure reached the log", r.Kind, r.Object)
 		}
-		if !begin || !commit {
-			t.Errorf("txn %d: records not bracketed (begin=%v commit=%v)", id, begin, commit)
-		}
-	}
-	if seals == 0 {
-		t.Error("no EpochSeal records logged")
-	}
-	if applies == 0 {
-		t.Error("no EpochApply records logged")
 	}
 }
 
@@ -286,11 +263,10 @@ func TestRebalanceSplitsAndMerges(t *testing.T) {
 
 func TestRecoveryRebuildsShardMap(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<13, 19)
-	log := wal.New(nil)
 	col := shard.New(d.Values, pieceOpts())
 	var snap imageSink
 	g := New(col, Options{
-		Name: "R.A", Log: log, SnapshotWriter: snap.write,
+		Name: "R.A", SnapshotWriter: snap.write,
 		ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5,
 	})
 	for i := 0; i < 4000; i++ {
@@ -304,20 +280,6 @@ func TestRecoveryRebuildsShardMap(t *testing.T) {
 	}
 	if !g.Checkpoint() {
 		t.Fatal("checkpoint failed")
-	}
-
-	// The log still counts the group-applies it committed.
-	var raw []byte
-	for _, r := range log.Records() {
-		raw = append(raw, wal.Encode(r)...)
-	}
-	cat, err := wal.Recover(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.ShardApplies["R.A"] != g.Stats().Applied {
-		t.Errorf("recovered %d group applies, coordinator did %d",
-			cat.ShardApplies["R.A"], g.Stats().Applied)
 	}
 
 	// A column restored from the checkpoint's image has the live shard
@@ -335,37 +297,6 @@ func TestRecoveryRebuildsShardMap(t *testing.T) {
 		if a != b {
 			t.Fatalf("Sum[%d,%d): live %d, restored %d", lo, hi, a, b)
 		}
-	}
-}
-
-func TestMaintenanceRespectsUserLocks(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 29)
-	col := shard.New(d.Values, pieceOpts())
-	tm := txn.NewManager()
-	g := New(col, Options{Name: "R.A", ApplyThreshold: 4, Txns: tm})
-	for i := int64(0); i < 64; i++ {
-		if err := g.Insert(qctx, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A user transaction holding an X lock on the column blocks
-	// maintenance (system transactions verify user locks).
-	ut := tm.Begin(txn.User)
-	if err := ut.Lock("R.A", lockmgr.X); err != nil {
-		t.Fatal(err)
-	}
-	if ops := g.Maintain(); ops != 0 {
-		t.Errorf("Maintain did %d structural ops under a user X lock", ops)
-	}
-	if g.Stats().SkippedMaintenance == 0 {
-		t.Error("SkippedMaintenance not counted")
-	}
-	if err := ut.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if ops := g.Maintain(); ops == 0 {
-		t.Error("Maintain still idle after the user lock was released")
 	}
 }
 

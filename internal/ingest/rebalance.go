@@ -6,10 +6,7 @@
 // internal/shard/update.go).
 package ingest
 
-import (
-	"adaptix/internal/shard"
-	"adaptix/internal/wal"
-)
+import "adaptix/internal/shard"
 
 // Rebalance runs one split/merge pass over the current shard map and
 // returns the number of splits and merges performed.
@@ -25,8 +22,9 @@ import (
 // taking fire are not merged back together. The thresholds are
 // hysteretic by construction — a fresh split yields halves of roughly
 // mean weight, far below the split threshold — so the rebalancer
-// cannot oscillate. Each operation is one system transaction with one
-// wal.ShardSplit / wal.ShardMerge record.
+// cannot oscillate. Neither operation logs anything: a shard map is
+// structure, captured by the next checkpoint and re-derived after a
+// crash.
 func (g *Coordinator) Rebalance() (splits, merges int) {
 	stats := g.col.Loads()
 	if len(stats) == 0 {
@@ -112,34 +110,20 @@ func (g *Coordinator) weights(stats []shard.ShardLoad) []float64 {
 	return out
 }
 
-// splitShard splits shard i inside a system transaction, logging a
-// wal.ShardSplit record with the new cut.
+// splitShard splits shard i at its median.
 func (g *Coordinator) splitShard(i int) bool {
-	return g.structural(func() ([]wal.Record, bool) {
-		sp, ok := g.col.SplitShard(i)
-		if !ok {
-			return nil, false
-		}
-		g.splits.Add(1)
-		return []wal.Record{{
-			Kind: wal.ShardSplit,
-			A:    sp.Cut, B: int64(sp.LeftRows), C: int64(sp.RightRows),
-		}}, true
-	})
+	if _, ok := g.col.SplitShard(i); !ok {
+		return false
+	}
+	g.splits.Add(1)
+	return true
 }
 
-// mergeShards merges shards i and i+1 inside a system transaction,
-// logging a wal.ShardMerge record with the removed cut.
+// mergeShards merges shards i and i+1.
 func (g *Coordinator) mergeShards(i int) bool {
-	return g.structural(func() ([]wal.Record, bool) {
-		mg, ok := g.col.MergeShards(i)
-		if !ok {
-			return nil, false
-		}
-		g.merges.Add(1)
-		return []wal.Record{{
-			Kind: wal.ShardMerge,
-			A:    mg.RemovedBound, B: int64(mg.Rows),
-		}}, true
-	})
+	if _, ok := g.col.MergeShards(i); !ok {
+		return false
+	}
+	g.merges.Add(1)
+	return true
 }

@@ -127,7 +127,7 @@ func TestSnapshotReadsExactMidMerge(t *testing.T) {
 }
 
 // TestSealEpochThenApplySealed exercises the two-phase structural API
-// the ingest coordinator logs around (EpochSeal / EpochApply).
+// the ingest coordinator's group-apply runs.
 func TestSealEpochThenApplySealed(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<12, 11)
 	c := New(d.Values, Options{Shards: 2, Seed: 11, Index: crackindex.Options{Latching: crackindex.LatchPiece}})

@@ -433,10 +433,9 @@ type SealedEpoch struct {
 }
 
 // SealEpoch seals shard i's open epoch and opens a fresh successor:
-// the first half of the epoch-chain group-apply, logged separately
-// (wal.EpochSeal) from the merge so recovery can tell a sealed epoch
-// whose merge never committed. Writers never park — they roll over to
-// the new epoch. Reports false when the open epoch is empty.
+// the first half of the epoch-chain group-apply. Writers never park —
+// they roll over to the new epoch. Reports false when the open epoch is
+// empty.
 func (c *Column) SealEpoch(i int) (SealedEpoch, bool) {
 	c.structMu.Lock()
 	defer c.structMu.Unlock()
@@ -484,8 +483,9 @@ type Applied struct {
 // part (its sealed epochs stay visible through its own chain), and
 // writers append to the open epoch throughout — the open epoch file is
 // shared between the old and new chain, so a write racing the publish
-// lands in both views. Callers that need durability log wal.EpochSeal
-// and wal.EpochApply records around this (internal/ingest does).
+// lands in both views. Nothing here needs logging: the merge changes
+// structure, not contents, and the writes it folds in keep their
+// logical records.
 func (c *Column) ApplySealed(i int) (Applied, bool) {
 	c.structMu.Lock()
 	defer c.structMu.Unlock()

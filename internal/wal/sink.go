@@ -1,4 +1,4 @@
-// The durable file sink of the structural log.
+// The durable file sink of the log.
 //
 // A FileSink stores the log as a sequence of segment files
 // ("wal-00000001.seg", ...) in one directory. Each record written
@@ -9,8 +9,8 @@
 // (little-endian, CRC-32/IEEE), so a reader can detect both a torn
 // tail — the process died mid-write — and silent corruption, and stop
 // replay exactly at the last intact frame, the standard log-recovery
-// contract (paper §4.2: losing the structural tail is always safe,
-// because adaptive-index structure is re-creatable knowledge).
+// contract: a torn frame was never acknowledged as durable, because
+// no Sync covering it returned.
 //
 // A frame is built in one reused buffer and handed to the OS in one
 // write(2) before Write returns; the sink buffers nothing in user
@@ -61,8 +61,7 @@ type SinkOptions struct {
 	// guarantees obviously do not hold with NoSync set.
 	NoSync bool
 	// Obs, when non-nil, receives the latency of every explicit Sync —
-	// the fsync-on-commit and group-commit paths whose tail dominates
-	// write latency (rotation- and close-time syncs are not separately
+	// the group-commit path whose tail dominates write latency (rotation- and close-time syncs are not separately
 	// timed) — and the WAL-growth gauges: every framed record adds its
 	// on-disk bytes to the since-last-checkpoint counters the watchdog's
 	// wal-since-checkpoint rule watches (the checkpoint writer resets
@@ -79,9 +78,8 @@ func (o SinkOptions) withDefaults() SinkOptions {
 
 // FileSink is a durable segment-file sink for a Log. It implements
 // io.Writer (one Write call per encoded record — exactly how
-// Log.Append uses its sink) and Syncer, so a Log configured with a
-// FileSink fsyncs on every system-transaction commit. Safe for
-// concurrent use.
+// Log.Append uses its sink) and Syncer, so Log.Sync over a FileSink
+// fsyncs the current segment. Safe for concurrent use.
 type FileSink struct {
 	dir  string
 	opts SinkOptions
@@ -100,9 +98,8 @@ type FileSink struct {
 // to park an fsync.
 var fsync = (*os.File).Sync
 
-// Syncer is implemented by sinks that can flush buffered writes to
-// stable storage. Log.Append calls Sync after writing a CommitSystem
-// record when its sink implements it (fsync-on-commit).
+// Syncer is implemented by sinks that can flush written records to
+// stable storage. Log.Sync calls it when its sink implements it.
 type Syncer interface {
 	Sync() error
 }
@@ -124,7 +121,12 @@ type SegmentTruncator interface {
 // NewFileSink opens a sink over dir, creating the directory if needed.
 // Existing segments are never appended to (their tail may be torn from
 // a previous crash); writing starts in a fresh segment after the
-// highest existing index.
+// highest existing index. Existing segments are fsynced first (unless
+// NoSync), for the reason rotation fsyncs its outgoing segment: a
+// group-commit Sync reaches only the current segment, and a process
+// that crashed may have left an earlier one's records in the page
+// cache, where a power failure would lose them behind newer, synced
+// ones.
 func NewFileSink(dir string, opts SinkOptions) (*FileSink, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -137,6 +139,13 @@ func NewFileSink(dir string, opts SinkOptions) (*FileSink, error) {
 	next := 1
 	if len(segs) > 0 {
 		next = segs[len(segs)-1] + 1
+	}
+	if !opts.NoSync {
+		for _, i := range segs {
+			if err := syncFile(filepath.Join(dir, segmentName(i))); err != nil {
+				return nil, err
+			}
+		}
 	}
 	s := &FileSink{dir: dir, opts: opts}
 	if err := s.openSegment(next); err != nil {
@@ -177,11 +186,11 @@ func segmentIndexes(dir string) ([]int, error) {
 }
 
 // openSegment creates segment i and makes it current, syncing the
-// outgoing segment first: a transaction's records may straddle a
-// rotation, and the commit's fsync only reaches the segment holding
-// the commit — without this, an acknowledged commit could lose its
-// earlier records to power failure. The outgoing segment is closed only
-// once every Sync in flight on it has returned. The directory is synced
+// outgoing segment first: a group-commit Sync reaches only the current
+// segment, so without this the records written before a rotation could
+// be lost to power failure although a later Sync reported them
+// durable. The outgoing segment is closed only once every Sync in
+// flight on it has returned. The directory is synced
 // too so the new segment's existence is durable. Caller must hold s.mu
 // (or be the constructor).
 func (s *FileSink) openSegment(i int) error {
@@ -206,6 +215,19 @@ func (s *FileSink) openSegment(i int) error {
 	s.f, s.seg, s.size, s.werr = f, i, 0, false
 	if !s.opts.NoSync {
 		s.syncDir()
+	}
+	return nil
+}
+
+// syncFile fsyncs the file at path.
+func syncFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("wal: sink: %w", err)
+	}
+	defer f.Close()
+	if err := fsync(f); err != nil {
+		return fmt.Errorf("wal: sink: %w", err)
 	}
 	return nil
 }
@@ -355,11 +377,9 @@ func (s *FileSink) Close() error {
 // a torn pre-crash tail whose segment outlived a failed truncation, or
 // bit rot — drops only the rest of that segment: reading resumes at
 // the next segment boundary, where frames re-align. That is safe for
-// Recover because records of a transaction are contiguous within one
-// process incarnation, later incarnations restart the LSN sequence
-// (Recover discards transactions left open across an LSN
-// discontinuity), and the caller replays a logical write by its epoch
-// tag, not by its position. A missing or empty directory yields nil.
+// Recover because every record stands alone (no record refers to
+// another), and the caller replays a logical write by its epoch tag,
+// not by its position. A missing or empty directory yields nil.
 func ReadDir(dir string) ([]byte, error) {
 	segs, err := segmentIndexes(dir)
 	if err != nil {

@@ -9,18 +9,14 @@ import (
 	"time"
 )
 
-// appendN appends n committed single-record system transactions
-// through a log backed by sink and returns the records as appended.
+// appendN appends n epochs of three logical writes each through a log
+// backed by sink and returns the records as appended.
 func appendN(t *testing.T, l *Log, n int, obj string) []Record {
 	t.Helper()
 	var out []Record
 	for i := 0; i < n; i++ {
-		txn := uint64(i + 1)
-		for _, r := range []Record{
-			{Kind: BeginSystem, Txn: txn},
-			{Kind: ShardSplit, Txn: txn, Object: obj, A: int64(100 + i)},
-			{Kind: CommitSystem, Txn: txn},
-		} {
+		for j := 0; j < 3; j++ {
+			r := Record{Kind: LogicalWrite, Object: obj, A: int64(100 + 3*i + j), B: int64(i + 1), C: int64(j % 2)}
 			lsn, err := l.Append(r)
 			if err != nil {
 				t.Fatalf("append: %v", err)
@@ -234,7 +230,7 @@ func TestFileSinkAbandonsSegmentAfterFailedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 6 {
-		t.Fatalf("replayed %d records, want 6 (both txns readable)", n)
+		t.Fatalf("replayed %d records, want 6 (both incarnations readable)", n)
 	}
 }
 
@@ -260,20 +256,13 @@ func TestReadDirSkipsDamagedEarlierSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A later incarnation commits a transaction into fresh segments.
+	// A later incarnation logs a write into fresh segments.
 	s2, err := NewFileSink(dir, SinkOptions{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := New(s2)
-	for _, r := range []Record{
-		{Kind: BeginSystem, Txn: 1},
-		{Kind: EpochSeal, Txn: 1, Object: "col", B: 42},
-		{Kind: CommitSystem, Txn: 1},
-	} {
-		if _, err := l2.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := New(s2).Append(Record{Kind: LogicalWrite, Object: "col", A: 7, B: 42}); err != nil {
+		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
@@ -287,8 +276,89 @@ func TestReadDirSkipsDamagedEarlierSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cat.SealedEpochs["col"]; len(got) != 1 || got[0] != 42 {
-		t.Fatalf("SealedEpochs = %v: the transaction behind a damaged segment was not recovered", got)
+	// Segment 1 keeps the 8 writes before its torn frame.
+	tail := cat.TailWrites["col"]
+	if len(tail) != 9 || tail[8] != (TailWrite{Value: 7, Epoch: 42}) {
+		t.Fatalf("TailWrites = %+v: the write behind a damaged segment was not recovered", tail)
+	}
+}
+
+// TestReopenedSinkSyncsEarlierSegments checks that a sink opened over a
+// crashed incarnation's segments fsyncs every one of them before it
+// returns, so no write the new sink acknowledges (its Sync reaches only
+// its own segment) can outlive an older record lost to power failure.
+func TestReopenedSinkSyncsEarlierSegments(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := NewFileSink(dir, SinkOptions{SegmentBytes: 128, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	appendN(t, New(s1), 6, "col") // the crashed incarnation synced nothing
+	old, err := s1.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old) < 2 {
+		t.Fatalf("segments = %v, want a rotation", old)
+	}
+
+	var mu sync.Mutex
+	var synced []string
+	orig := fsync
+	fsync = func(f *os.File) error {
+		mu.Lock()
+		synced = append(synced, filepath.Base(f.Name()))
+		mu.Unlock()
+		return orig(f)
+	}
+	t.Cleanup(func() { fsync = orig })
+
+	s2, err := NewFileSink(dir, SinkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	mu.Lock()
+	before := append([]string(nil), synced...)
+	mu.Unlock()
+	var want []string
+	for _, i := range old {
+		want = append(want, segmentName(i))
+	}
+	if len(before) != len(want) {
+		t.Fatalf("NewFileSink fsynced %v, want every earlier segment %v", before, want)
+	}
+	for i := range want {
+		if before[i] != want[i] {
+			t.Fatalf("NewFileSink fsynced %v, want every earlier segment %v", before, want)
+		}
+	}
+	// The first acknowledged write's Sync reaches only the new segment.
+	if _, err := New(s2).Append(Record{Kind: LogicalWrite, Object: "col", A: 1, B: 99}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	last := synced[len(synced)-1]
+	mu.Unlock()
+	if cur := segmentName(old[len(old)-1] + 1); last != cur {
+		t.Fatalf("Sync fsynced %s, want the new segment %s", last, cur)
+	}
+
+	// A NoSync sink fsyncs nothing, earlier segments included.
+	mu.Lock()
+	synced = nil
+	mu.Unlock()
+	s3, err := NewFileSink(dir, SinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3.Close()
+	if len(synced) != 0 {
+		t.Fatalf("a NoSync sink fsynced %v", synced)
 	}
 }
 

@@ -1,17 +1,19 @@
-// Package wal implements a write-ahead log for the *structural*
-// operations of adaptive indexing.
+// Package wal implements the write-ahead log: a stream of small
+// fixed-layout records into a sink.
 //
 // The paper (§4.2) observes that a significant advantage of building
 // adaptive indexes over proven index structures is that "index
 // creation and reorganization don't require logging detailed index
-// contents": the logical contents are derivable from the base data,
-// so only small structural records (a crack boundary was added; a run
-// was created; a merge step committed) need to be durable for the
-// table of contents to be rebuilt after a crash. Losing them entirely
-// would also be correct — adaptive indexes are optional and
-// re-creatable — but replaying them preserves the knowledge gained
-// from earlier query execution ("the side effects of earlier queries
-// may be re-created in the new index even without merging").
+// contents": structure is re-creatable knowledge derived from the
+// data, so only the contents must survive a crash. The log follows
+// that split. What it carries for the sharded column is data — one
+// LogicalWrite per routed write, tagged with its epoch — and nothing
+// about structure: a group-apply, split or merge writes no record,
+// because a checkpoint's snapshot captures the structure whole and
+// everything after it is re-derived by the rebalancer and re-earned by
+// queries. The adaptive-merging reproduction (internal/amerge) still
+// logs its run creations and merge steps, the paper's §3 structural
+// records.
 //
 // Records are encoded with a fixed little-endian binary layout and
 // protected by a simple XOR checksum; Replay stops at the first
@@ -25,18 +27,18 @@
 // in-memory log New(nil) builds.
 //
 // Durability is provided by the file sink (sink.go): CRC-framed
-// records in rotating segment files, fsynced on every system
-// transaction commit. An fsync runs outside both the log's and the
-// sink's append lock, so writers keep appending while it is in flight
-// (group commit). The log holds no checkpoint: a checkpoint is a
-// data snapshot written outside it (internal/durable's base.snap, which
-// carries the shard map and every shard's pieces), so the structure
-// never has to be re-derived from records. The checkpoint writer rotates
-// the sink before it cuts the snapshot's epoch watermark and deletes the
-// segments before the rotation once the snapshot is durable
-// (SegmentTruncator); what the log then contributes to recovery is the
-// logical-write tail (LogicalWrite records tagged above the watermark)
-// and the epoch ids it mentions.
+// records in rotating segment files. Append never fsyncs; the writer
+// decides when (Sync — the ingest coordinator's group commit), and an
+// fsync runs outside both the log's and the sink's append lock, so
+// writers keep appending while it is in flight. The log holds no
+// checkpoint: a checkpoint is a data snapshot written outside it
+// (internal/durable's base.snap, which carries the shard map and every
+// shard's pieces). The checkpoint writer rotates the sink before it
+// cuts the snapshot's epoch watermark and deletes the segments before
+// the rotation once the snapshot is durable (SegmentTruncator); what
+// the log then contributes to recovery is the logical-write tail
+// (Recover: the LogicalWrite records, which the caller filters by the
+// snapshot's watermark).
 package wal
 
 import (
@@ -48,75 +50,36 @@ import (
 	"sync"
 )
 
-// Kind identifies the structural operation a record describes.
+// Kind identifies what a record describes.
 type Kind uint8
 
+// Values 1–3 and 6–11 stay reserved. 6 was never taken; 1–3 and 7–11
+// are the structural kinds that logs written before structure left the
+// log hold (1 BeginSystem, 2 CommitSystem, 3 CrackBoundary,
+// 7 ShardInsert, 8 ShardSplit, 9 ShardMerge, 10 EpochSeal,
+// 11 EpochApply). They still decode, print as Kind(n), and Recover
+// skips them.
 const (
-	// BeginSystem marks the start of a system transaction.
-	BeginSystem Kind = iota + 1
-	// CommitSystem marks its instant commit.
-	CommitSystem
-	// CrackBoundary records that a crack boundary was added to a column.
-	CrackBoundary
 	// RunCreated records that a sorted run (partition) was created.
-	RunCreated
+	RunCreated Kind = 4
 	// MergeStep records that a key range moved from source partitions
 	// into the final partition.
-	MergeStep
-	_ // 6 is reserved: no record kind takes it
-	// ShardInsert records that a batch of differential updates was
-	// group-applied (merged) into one shard's cracker array.
-	ShardInsert
-	// ShardSplit records that a shard-map cut was added: a shard was
-	// split at the cut value. Recovery takes the shard map from the
-	// snapshot; a split after it is re-derived by the rebalancer.
-	ShardSplit
-	// ShardMerge records that a shard-map cut was removed: the two
-	// shards adjacent to it were merged.
-	ShardMerge
-	// EpochSeal records that one shard's open differential epoch was
-	// sealed (the first half of an epoch-chain group-apply; writers
-	// roll to the next epoch without parking).
-	EpochSeal
-	// EpochApply records that every sealed epoch up to a watermark was
-	// merged into one shard's cracker array. An EpochSeal without a
-	// later EpochApply covering its id marks a half-applied epoch: the
-	// merge never committed, so recovery must not assume the base
-	// incorporates it (the snapshot is cut at its epoch watermark, so
-	// nothing needs undoing — the epoch's writes simply replay from
-	// LogicalWrite records, or are absent without them).
-	EpochApply
+	MergeStep Kind = 5
 	// LogicalWrite records one routed update — value plus operation —
-	// tagged with the epoch it landed in. Optional (ingest
-	// Options.LogWrites): it closes the lose-writes-since-last-
-	// checkpoint window by letting recovery replay the data tail past
-	// the snapshot's epoch watermark.
-	LogicalWrite
+	// tagged with the epoch it landed in. A coordinator with a log
+	// appends one per write (ingest Options.Log); recovery replays the
+	// records tagged above the snapshot's epoch watermark, closing the
+	// lose-writes-since-last-checkpoint window.
+	LogicalWrite Kind = 12
 )
 
 // String returns the kind's log-friendly name.
 func (k Kind) String() string {
 	switch k {
-	case BeginSystem:
-		return "begin-system"
-	case CommitSystem:
-		return "commit-system"
-	case CrackBoundary:
-		return "crack-boundary"
 	case RunCreated:
 		return "run-created"
 	case MergeStep:
 		return "merge-step"
-	case ShardInsert:
-		return "shard-insert"
-	case ShardSplit:
-		return "shard-split"
-	case ShardMerge:
-		return "shard-merge"
-	case EpochSeal:
-		return "epoch-seal"
-	case EpochApply:
-		return "epoch-apply"
 	case LogicalWrite:
 		return "logical-write"
 	default:
@@ -124,22 +87,17 @@ func (k Kind) String() string {
 	}
 }
 
-// Record is one structural log record. The three int64 payload fields
-// are interpreted per kind:
+// Record is one log record. The three int64 payload fields are
+// interpreted per kind:
 //
-//	CrackBoundary: A = boundary value
 //	RunCreated:    A = partition id, B = record count
 //	MergeStep:     A = low key, B = high key, C = records moved
-//	ShardInsert:   A = shard ordinal, B = inserts merged, C = deletes merged
-//	ShardSplit:    A = cut value, B = left rows, C = right rows
-//	ShardMerge:    A = removed cut value, B = merged rows
-//	EpochSeal:     A = shard ordinal, B = sealed epoch id, C = records sealed
-//	EpochApply:    A = shard ordinal, B = applied epoch watermark, C = records merged
 //	LogicalWrite:  A = value, B = epoch id, C = op (0 insert, 1 delete)
 type Record struct {
 	// LSN is the log sequence number, assigned by Append.
 	LSN uint64
-	// Txn is the system transaction id.
+	// Txn is the transaction id the writer tags the record with (0 for
+	// an autonomous record).
 	Txn uint64
 	// Kind is the operation.
 	Kind Kind
@@ -149,9 +107,8 @@ type Record struct {
 	A, B, C int64
 }
 
-// Log is an append-only structural log: a stream of encoded records
-// into its sink, retaining none of them. The zero value is not usable;
-// use New.
+// Log is an append-only log: a stream of encoded records into its
+// sink, retaining none of them. The zero value is not usable; use New.
 type Log struct {
 	sink   io.Writer
 	syncer Syncer        // sink as a Syncer, or nil
@@ -177,13 +134,9 @@ func New(sink io.Writer) *Log {
 }
 
 // Append assigns the next LSN to r and writes it through the sink in
-// one Write call. When the sink implements Syncer, a CommitSystem
-// record additionally forces the sink to stable storage before Append
-// returns — fsync-on-commit, the write-ahead rule for system
-// transactions. The sync starts after the record is written and runs
-// outside the log's lock, so other appends proceed while it is in
-// flight. It returns the assigned LSN. A failed write still consumes
-// its LSN, so recovery sees the gap.
+// one Write call. It does not fsync: a record is durable once a later
+// Sync returns. It returns the assigned LSN. A failed write still
+// consumes its LSN.
 func (l *Log) Append(r Record) (uint64, error) {
 	l.mu.Lock()
 	r.LSN = l.nextLSN
@@ -191,9 +144,6 @@ func (l *Log) Append(r Record) (uint64, error) {
 	l.enc = AppendEncode(l.enc[:0], r)
 	_, err := l.sink.Write(l.enc)
 	l.mu.Unlock()
-	if err == nil && r.Kind == CommitSystem && l.syncer != nil {
-		err = l.syncer.Sync()
-	}
 	if err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -327,33 +277,13 @@ func Replay(raw []byte, apply func(Record)) (int, error) {
 	return n, nil
 }
 
-// Catalog is what recovery reads out of the log: crack boundaries per
-// column and partitions per index (the paper-figure engines), and, per
-// sharded column, the committed group-applies, the epoch ids they name,
-// and the logical-write tail. It demonstrates that structure (not
-// contents) is all the log carries.
+// Catalog is what recovery reads out of the log: per sharded column,
+// the logical-write tail.
 type Catalog struct {
-	// Boundaries maps column name to crack boundary values in append
-	// order.
-	Boundaries map[string][]int64
-	// Partitions maps index name to live partition ids.
-	Partitions map[string][]int64
-	// ShardApplies maps sharded-column name to the number of committed
-	// group-apply merges (ShardInsert and EpochApply records).
-	ShardApplies map[string]int64
 	// TailWrites maps sharded-column name to its logical writes, in log
 	// order. The caller replays those tagged above its snapshot's epoch
 	// watermark: the snapshot already holds the others.
 	TailWrites map[string][]TailWrite
-	// SealedEpochs maps sharded-column name to the ids of committed
-	// EpochSeal records, in log order. A sealed id above AppliedEpoch
-	// is a half-applied epoch: its group-apply merge never committed
-	// before the crash, and recovery does not assume the base
-	// incorporates it.
-	SealedEpochs map[string][]int64
-	// AppliedEpoch maps sharded-column name to the highest committed
-	// EpochApply watermark.
-	AppliedEpoch map[string]int64
 }
 
 // TailWrite is one recovered logical write (LogicalWrite record).
@@ -366,78 +296,16 @@ type TailWrite struct {
 	Epoch int64
 }
 
-// Recover rebuilds the catalog from an encoded log image, honouring
-// only records of committed system transactions (a begin without a
-// commit is ignored, as an aborted refinement leaves no trace).
+// Recover reads the logical-write tail out of an encoded log image:
+// every LogicalWrite record, in log order, whatever its Txn. Records of
+// any other kind — amerge's, or the retired structural kinds an older
+// log holds — carry no data and are skipped.
 func Recover(raw []byte) (*Catalog, error) {
-	type pending struct {
-		recs []Record
-	}
-	open := map[uint64]*pending{}
-	cat := &Catalog{
-		Boundaries:   map[string][]int64{},
-		Partitions:   map[string][]int64{},
-		ShardApplies: map[string]int64{},
-		TailWrites:   map[string][]TailWrite{},
-		SealedEpochs: map[string][]int64{},
-		AppliedEpoch: map[string]int64{},
-	}
-	applyRec := func(r Record) {
-		switch r.Kind {
-		case CrackBoundary:
-			cat.Boundaries[r.Object] = append(cat.Boundaries[r.Object], r.A)
-		case RunCreated:
-			cat.Partitions[r.Object] = append(cat.Partitions[r.Object], r.A)
-		case ShardInsert:
-			cat.ShardApplies[r.Object]++
-		case EpochSeal:
-			cat.SealedEpochs[r.Object] = append(cat.SealedEpochs[r.Object], r.B)
-		case EpochApply:
-			if r.B > cat.AppliedEpoch[r.Object] {
-				cat.AppliedEpoch[r.Object] = r.B
-			}
-			cat.ShardApplies[r.Object]++
-		case LogicalWrite:
+	cat := &Catalog{TailWrites: map[string][]TailWrite{}}
+	_, err := Replay(raw, func(r Record) {
+		if r.Kind == LogicalWrite {
 			cat.TailWrites[r.Object] = append(cat.TailWrites[r.Object],
 				TailWrite{Value: r.A, Delete: r.C != 0, Epoch: r.B})
-		}
-	}
-	var prevLSN uint64
-	_, err := Replay(raw, func(r Record) {
-		// An LSN discontinuity marks lost records: a process restart
-		// (the sequence resets to 1) or a damaged segment skipped by
-		// ReadDir. Transactions still open across the gap can never
-		// complete validly — their missing records are unrecoverable —
-		// so they are abandoned, and their later stragglers (records
-		// or a commit arriving after the gap) must not be mistaken for
-		// autonomous work. Hand-built images without LSNs (all zero)
-		// are unaffected.
-		if prevLSN != 0 && r.LSN != prevLSN+1 {
-			for k := range open {
-				delete(open, k)
-			}
-		}
-		prevLSN = r.LSN
-		switch r.Kind {
-		case BeginSystem:
-			open[r.Txn] = &pending{}
-		case CommitSystem:
-			if p := open[r.Txn]; p != nil {
-				for _, pr := range p.recs {
-					applyRec(pr)
-				}
-				delete(open, r.Txn)
-			}
-		default:
-			if p := open[r.Txn]; p != nil {
-				p.recs = append(p.recs, r)
-			} else if r.Txn == 0 {
-				// Autonomous record outside any system txn: apply
-				// directly.
-				applyRec(r)
-			}
-			// A non-zero Txn with no open Begin is an orphan of an
-			// abandoned transaction: ignored.
 		}
 	})
 	if err != nil {

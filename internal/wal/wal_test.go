@@ -10,7 +10,7 @@ import (
 func TestAppendAssignsLSNs(t *testing.T) {
 	l := New(nil)
 	for i := 1; i <= 5; i++ {
-		lsn, err := l.Append(Record{Kind: CrackBoundary, Object: "R.A", A: int64(i)})
+		lsn, err := l.Append(Record{Kind: RunCreated, Object: "R.A", A: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +64,11 @@ func TestDecodeCorrupt(t *testing.T) {
 func TestReplayStopsAtCrashedTail(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
-	l.Append(Record{Txn: 1, Kind: CrackBoundary, Object: "R.A", A: 10})
-	l.Append(Record{Txn: 1, Kind: CrackBoundary, Object: "R.A", A: 20})
+	l.Append(Record{Kind: LogicalWrite, Object: "R.A", A: 10})
+	l.Append(Record{Kind: LogicalWrite, Object: "R.A", A: 20})
 	raw := buf.Bytes()
 	// Simulate a crash mid-write of a third record.
-	partial := append(append([]byte{}, raw...), Encode(Record{Txn: 1, Kind: CrackBoundary, A: 30})[:5]...)
+	partial := append(append([]byte{}, raw...), Encode(Record{Kind: LogicalWrite, A: 30})[:5]...)
 	var seen []int64
 	n, err := Replay(partial, func(r Record) { seen = append(seen, r.A) })
 	if err != nil || n != 2 {
@@ -79,40 +79,128 @@ func TestReplayStopsAtCrashedTail(t *testing.T) {
 	}
 }
 
+// TestRecoverRebuildsCatalog: the catalog is each column's logical
+// writes, in log order; amerge's run and merge records share the log
+// and carry no data for it.
 func TestRecoverRebuildsCatalog(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(&buf)
-	// Committed system txn 1: two boundaries + one run.
-	l.Append(Record{Txn: 1, Kind: BeginSystem})
-	l.Append(Record{Txn: 1, Kind: CrackBoundary, Object: "R.A", A: 100})
-	l.Append(Record{Txn: 1, Kind: CrackBoundary, Object: "R.A", A: 200})
-	l.Append(Record{Txn: 1, Kind: RunCreated, Object: "pbtree", A: 1, B: 5000})
-	l.Append(Record{Txn: 1, Kind: CommitSystem})
-	// Uncommitted system txn 2: must be ignored.
-	l.Append(Record{Txn: 2, Kind: BeginSystem})
-	l.Append(Record{Txn: 2, Kind: CrackBoundary, Object: "R.A", A: 999})
-	// Autonomous record: applied directly.
-	l.Append(Record{Txn: 0, Kind: RunCreated, Object: "pbtree", A: 2, B: 4096})
+	l.Append(Record{Kind: LogicalWrite, Object: "R.A", A: 100, B: 1})
+	l.Append(Record{Kind: RunCreated, Object: "pbtree", A: 1, B: 5000})
+	l.Append(Record{Kind: LogicalWrite, Object: "R.A", A: 200, B: 1, C: 1})
+	l.Append(Record{Kind: MergeStep, Object: "pbtree", A: 0, B: 10, C: 4})
+	l.Append(Record{Kind: LogicalWrite, Object: "R.B", A: 7, B: 2})
 
 	cat, err := Recover(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := cat.Boundaries["R.A"]
-	if len(bs) != 2 || bs[0] != 100 || bs[1] != 200 {
-		t.Fatalf("boundaries = %v", bs)
+	if got, want := cat.TailWrites["R.A"], []TailWrite{{Value: 100, Epoch: 1}, {Value: 200, Delete: true, Epoch: 1}}; !slices.Equal(got, want) {
+		t.Fatalf("R.A tail = %+v, want %+v", got, want)
 	}
-	ps := cat.Partitions["pbtree"]
-	if len(ps) != 2 || ps[0] != 1 || ps[1] != 2 {
-		t.Fatalf("partitions = %v", ps)
+	if got, want := cat.TailWrites["R.B"], []TailWrite{{Value: 7, Epoch: 2}}; !slices.Equal(got, want) {
+		t.Fatalf("R.B tail = %+v, want %+v", got, want)
+	}
+	if len(cat.TailWrites) != 2 {
+		t.Fatalf("catalog names %d columns, want 2: %v", len(cat.TailWrites), cat.TailWrites)
+	}
+}
+
+// TestRecoverTailWritesInLogOrder: every logical write comes back in
+// log order with its epoch tag, whatever else the log holds between
+// them; filtering by a snapshot's watermark is the caller's (the log
+// does not know which snapshot it will meet).
+func TestRecoverTailWritesInLogOrder(t *testing.T) {
+	const obj = "col"
+	recs := []Record{
+		{Kind: LogicalWrite, Object: obj, A: 100, B: 1, C: 0},
+		{Kind: LogicalWrite, Object: obj, A: 200, B: 2, C: 1},
+		{Kind: RunCreated, Object: obj, A: 1, B: 2},
+		{Kind: LogicalWrite, Object: obj, A: 300, B: 3, C: 0},
+		{Kind: LogicalWrite, Object: obj, A: 250, B: 2, C: 0},
+		{Kind: LogicalWrite, Object: "other", A: 1, B: 1, C: 0},
+	}
+	cat, err := Recover(encodeAll(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TailWrite{
+		{Value: 100, Delete: false, Epoch: 1},
+		{Value: 200, Delete: true, Epoch: 2},
+		{Value: 300, Delete: false, Epoch: 3},
+		{Value: 250, Delete: false, Epoch: 2},
+	}
+	if got := cat.TailWrites[obj]; !slices.Equal(got, want) {
+		t.Fatalf("TailWrites = %+v, want %+v", got, want)
+	}
+	if got := cat.TailWrites["other"]; len(got) != 1 {
+		t.Fatalf("other object's TailWrites = %+v, want one", got)
+	}
+}
+
+// TestRecoverOldLogKeepsLogicalTail: a log written while group-applies,
+// splits and merges still logged system transactions holds the retired
+// kinds (1 begin, 2 commit, 3 crack boundary, 7 shard insert, 8 split,
+// 9 merge, 10 epoch seal, 11 epoch apply) in Txn != 0 brackets, some of
+// them never committed, between the Txn 0 logical writes, and restarts
+// its LSNs at each reopen. It still opens: Recover returns exactly the
+// logical writes, in log order, whatever their Txn, and a retired kind
+// prints as Kind(n).
+func TestRecoverOldLogKeepsLogicalTail(t *testing.T) {
+	const obj = "col"
+	raw := encodeAll([]Record{
+		{LSN: 1, Kind: LogicalWrite, Object: obj, A: 10, B: 1},
+		{LSN: 2, Txn: 1, Kind: 1},
+		{LSN: 3, Txn: 1, Kind: 10, Object: obj, A: 0, B: 1, C: 1},
+		{LSN: 4, Txn: 1, Kind: 2},
+		{LSN: 5, Kind: LogicalWrite, Object: obj, A: 20, B: 2, C: 1},
+		{LSN: 6, Txn: 2, Kind: 1},
+		{LSN: 7, Txn: 2, Kind: 11, Object: obj, A: 0, B: 1, C: 1},
+		{LSN: 8, Txn: 2, Kind: 7, Object: obj, A: 0, B: 1},
+		{LSN: 9, Txn: 2, Kind: 2},
+		{LSN: 10, Txn: 3, Kind: 1},
+		{LSN: 11, Txn: 3, Kind: 8, Object: obj, A: 500, B: 4, C: 4},
+		{LSN: 12, Kind: LogicalWrite, Object: obj, A: 30, B: 2},
+		{LSN: 13, Txn: 3, Kind: 2},
+		{LSN: 14, Txn: 4, Kind: 1},
+		{LSN: 15, Txn: 4, Kind: 9, Object: obj, A: 500, B: 8},
+		{LSN: 16, Txn: 4, Kind: 3, Object: obj, A: 77},
+		// Transaction 4 never committed: a reopen restarts the LSNs.
+		{LSN: 1, Kind: LogicalWrite, Object: obj, A: 40, B: 3},
+		// A logical write someone tagged with a Txn outside any bracket.
+		{LSN: 2, Txn: 1, Kind: LogicalWrite, Object: obj, A: 50, B: 3},
+	})
+	cat, err := Recover(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TailWrite{
+		{Value: 10, Epoch: 1},
+		{Value: 20, Delete: true, Epoch: 2},
+		{Value: 30, Epoch: 2},
+		{Value: 40, Epoch: 3},
+		{Value: 50, Epoch: 3},
+	}
+	if got := cat.TailWrites[obj]; !slices.Equal(got, want) {
+		t.Fatalf("TailWrites = %+v, want %+v", got, want)
+	}
+	if len(cat.TailWrites) != 1 {
+		t.Fatalf("catalog names %d columns, want 1", len(cat.TailWrites))
+	}
+	for k, want := range map[Kind]string{
+		1: "Kind(1)", 2: "Kind(2)", 3: "Kind(3)", 7: "Kind(7)", 8: "Kind(8)",
+		9: "Kind(9)", 10: "Kind(10)", 11: "Kind(11)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("retired kind %d prints %q, want %q", uint8(k), got, want)
+		}
 	}
 }
 
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
-		BeginSystem: "begin-system", CommitSystem: "commit-system",
-		CrackBoundary: "crack-boundary", RunCreated: "run-created",
-		MergeStep: "merge-step",
+		RunCreated: "run-created", MergeStep: "merge-step",
+		LogicalWrite: "logical-write",
 	} {
 		if k.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", k, k.String(), want)
@@ -120,12 +208,28 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestEpochKindStrings: the retired epoch kinds (10 EpochSeal,
+// 11 EpochApply) have no names left and print as Kind(n), while the
+// epoch-tagged LogicalWrite keeps its name.
+func TestEpochKindStrings(t *testing.T) {
+	for k, want := range map[Kind]string{
+		10:           "Kind(10)",
+		11:           "Kind(11)",
+		LogicalWrite: "logical-write",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// TestStructuralOnlyNoContents: structure costs the log nothing, and a
+// write costs one small fixed-size record whatever the column's size —
+// the §4.2 "no logging of index contents" property.
 func TestStructuralOnlyNoContents(t *testing.T) {
-	// A crack of a 1M-value column logs ONE small record, independent
-	// of data size — the §4.2 "no logging of index contents" property.
-	enc := Encode(Record{Txn: 1, Kind: CrackBoundary, Object: "R.verylongcolumnname", A: 123456})
+	enc := Encode(Record{Kind: LogicalWrite, Object: "R.verylongcolumnname", A: 123456, B: 1 << 40, C: 1})
 	if len(enc) > 128 {
-		t.Fatalf("structural record is %d bytes; contents are being logged?", len(enc))
+		t.Fatalf("logical-write record is %d bytes; contents are being logged?", len(enc))
 	}
 }
 
@@ -137,91 +241,61 @@ func encodeAll(recs []Record) []byte {
 	return raw
 }
 
-func TestRecoverLSNGapAbandonsOpenTxns(t *testing.T) {
-	// Records lost in a damaged middle segment leave transaction 2's
-	// begin behind a gap from its records and commit. Neither the
-	// stragglers nor the commit may apply — and the stragglers must
-	// not be mistaken for autonomous records.
-	raw := encodeAll([]Record{
-		{LSN: 1, Txn: 1, Kind: BeginSystem},
-		{LSN: 2, Txn: 1, Kind: EpochSeal, Object: "col", B: 1},
-		{LSN: 3, Txn: 1, Kind: CommitSystem},
-		{LSN: 4, Txn: 2, Kind: BeginSystem},
-		// LSNs 5..6 lost with a damaged segment tail.
-		{LSN: 7, Txn: 2, Kind: EpochSeal, Object: "col", B: 3},
-		{LSN: 8, Txn: 2, Kind: CommitSystem},
-	})
-	cat, err := Recover(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cat.SealedEpochs["col"]; !slices.Equal(got, []int64{1}) {
-		t.Fatalf("SealedEpochs = %v, want [1] (partial txn applied across LSN gap)", got)
-	}
-}
-
-// --- Shard-map structural records (internal/ingest) ---
-
+// TestRecoverTruncatedMidRebalance: a rebalance logs nothing, so a
+// crash during one tears at most the logical write in flight: the
+// writes before it come back, the torn one does not.
 func TestRecoverTruncatedMidRebalance(t *testing.T) {
-	full := encodeAll([]Record{
-		{Txn: 1, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 1, Kind: ShardSplit, Object: "R.A", A: 100},
-		{Txn: 1, Kind: CommitSystem, Object: "R.A"},
+	raw := encodeAll([]Record{
+		{Kind: LogicalWrite, Object: "R.A", A: 100, B: 1},
+		{Kind: LogicalWrite, Object: "R.A", A: 200, B: 1},
+		{Kind: LogicalWrite, Object: "R.A", A: 300, B: 2},
 	})
-	commitRec := Encode(Record{Txn: 2, Kind: CommitSystem, Object: "R.A"})
-	raw := append(append([]byte{}, full...),
-		Encode(Record{Txn: 2, Kind: BeginSystem, Object: "R.A"})...)
-	raw = append(raw, Encode(Record{Txn: 2, Kind: ShardSplit, Object: "R.A", A: 300})...)
-	raw = append(raw, commitRec[:len(commitRec)-5]...) // torn commit record
+	torn := Encode(Record{Kind: LogicalWrite, Object: "R.A", A: 400, B: 2})
+	raw = append(raw, torn[:len(torn)-5]...)
 
-	n, err := Replay(raw, func(Record) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("Replay applied %d records, want 5 (torn tail dropped)", n)
-	}
-	if _, err := Recover(raw); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecoverCorruptMidRebalance(t *testing.T) {
-	prefix := encodeAll([]Record{
-		{Txn: 1, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 1, Kind: ShardMerge, Object: "R.A", A: 100},
-		{Txn: 1, Kind: CommitSystem, Object: "R.A"},
-	})
-	tail := encodeAll([]Record{
-		{Txn: 2, Kind: BeginSystem, Object: "R.A"},
-		{Txn: 2, Kind: ShardSplit, Object: "R.A", A: 300},
-		{Txn: 2, Kind: CommitSystem, Object: "R.A"},
-	})
-	tail[3] ^= 0xFF // corrupt the tail's first record
-	raw := append(append([]byte{}, prefix...), tail...)
-
-	// Replay stops at the corrupt record: the merge's transaction is
-	// read whole, the split's not at all.
 	n, err := Replay(raw, func(Record) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 3 {
-		t.Fatalf("Replay applied %d records, want 3 (corrupt tail dropped)", n)
+		t.Fatalf("Replay applied %d records, want 3 (torn tail dropped)", n)
 	}
-	if _, err := Recover(raw); err != nil {
+	cat, err := Recover(raw)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := cat.TailWrites["R.A"]; len(got) != 3 || got[2].Value != 300 {
+		t.Fatalf("TailWrites = %+v, want the three whole writes", got)
 	}
 }
 
-func TestShardKindStrings(t *testing.T) {
-	for k, want := range map[Kind]string{
-		ShardInsert: "shard-insert",
-		ShardSplit:  "shard-split",
-		ShardMerge:  "shard-merge",
-	} {
-		if k.String() != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
-		}
+// TestRecoverCorruptMidRebalance: a corrupt record ends the readable
+// log; the writes before it are recovered, nothing after it is.
+func TestRecoverCorruptMidRebalance(t *testing.T) {
+	prefix := encodeAll([]Record{
+		{Kind: LogicalWrite, Object: "R.A", A: 100, B: 1},
+		{Kind: LogicalWrite, Object: "R.A", A: 200, B: 1, C: 1},
+	})
+	tail := encodeAll([]Record{
+		{Kind: LogicalWrite, Object: "R.A", A: 300, B: 2},
+		{Kind: LogicalWrite, Object: "R.A", A: 400, B: 2},
+	})
+	tail[3] ^= 0xFF // corrupt the tail's first record
+	raw := append(append([]byte{}, prefix...), tail...)
+
+	n, err := Replay(raw, func(Record) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("Replay applied %d records, want 2 (corrupt tail dropped)", n)
+	}
+	cat, err := Recover(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TailWrite{{Value: 100, Epoch: 1}, {Value: 200, Delete: true, Epoch: 1}}
+	if got := cat.TailWrites["R.A"]; !slices.Equal(got, want) {
+		t.Fatalf("TailWrites = %+v, want %+v", got, want)
 	}
 }

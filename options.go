@@ -237,10 +237,10 @@ func WithHybridOptions(o HybridOptions) Option {
 }
 
 // WithIngestOptions configures the write path: group-apply thresholds,
-// rebalancing factors (split/merge/load weighting), maintenance
-// cadence, the structural log, and the transaction manager. Open
-// overrides the fields it owns (Log, Sink, SnapshotWriter,
-// CheckpointEvery).
+// rebalancing factors (split/merge/load weighting) and maintenance
+// cadence. Open overrides the fields it owns (Log, Sink,
+// SnapshotWriter, CheckpointEvery); New rejects a Log, because only a
+// durable store reads its writes back (see WithLogWrites).
 func WithIngestOptions(o IngestOptions) Option {
 	return func(c *config) error {
 		c.ingest = o
@@ -269,9 +269,9 @@ func WithSegmentBytes(n int64) Option {
 	}
 }
 
-// WithCheckpointEvery sets the number of committed structural
-// operations between automatic checkpoints of a durable store
-// (default 8). Open only.
+// WithCheckpointEvery sets the number of structural operations
+// (group-applies, splits, merges) between automatic checkpoints of a
+// durable store (default 8). Open only.
 func WithCheckpointEvery(n int) Option {
 	return func(c *config) error {
 		c.checkpointEvery = n
@@ -296,8 +296,8 @@ func WithLogWrites() Option {
 // WithSyncEvery bounds the crash loss window by record count: with
 // WithLogWrites, the log is group-commit fsynced after every n logical
 // records, so a crash loses at most n-1 of the newest writes. Zero
-// (the default) fsyncs with the next system-transaction commit. Open
-// only.
+// (the default) uses the ingest ApplyThreshold (512 unless
+// WithIngestOptions sets it). Open only.
 func WithSyncEvery(n int) Option {
 	return func(c *config) error {
 		c.syncEvery = n
