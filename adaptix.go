@@ -117,6 +117,10 @@ func New(values []int64, opts ...Option) (*Index, error) {
 		return nil, err
 	}
 	col := shard.New(values, cfg.shardOptions(ob, cap))
+	if err := col.CheckKeys(); err != nil {
+		cap.Close()
+		return nil, fmt.Errorf("adaptix: %w", err)
+	}
 	iopts := cfg.ingest
 	iopts.Obs = ob
 	ing := ingest.New(col, iopts)
@@ -235,7 +239,10 @@ func result(v int64, st OpStats, err error) (Result, error) {
 	return Result{Value: v, OpStats: st}, nil
 }
 
-// Insert adds one logical instance of v. The write lands in the owning
+// Insert adds one logical instance of v. Keys run from math.MinInt64 to
+// math.MaxInt64-1: math.MaxInt64 is the sentinel no half-open range
+// [lo, hi) can include, so Insert refuses it with an error, and New and
+// Open refuse initial values that hold it. The write lands in the owning
 // shard's open differential epoch and is visible to queries
 // immediately; it never parks behind a group-apply merge (writers roll
 // over to the next epoch). A context cancelled before the write routes

@@ -13,8 +13,12 @@
 //	         [-quota 256] [-drain 10s]
 //
 // With -dir the index is durable (adaptix.Open on the directory,
-// creating it with -rows uniform values when fresh); without it the
-// server fronts an in-memory index seeded with -rows values.
+// creating it with -rows uniform values when fresh, every write logged);
+// without it the server fronts an in-memory index seeded with -rows
+// values. A durable server acknowledges a wire write once its log record
+// has reached the kernel, so a SIGKILL loses none of them; a power
+// failure loses at most the 511 newest (the log is fsynced every 512
+// records, the default ingest ApplyThreshold).
 package main
 
 import (
@@ -78,7 +82,7 @@ func run(addr, obsAddr, dir, method string, rows, shards int, seed uint64,
 	var ix *adaptix.Index
 	var err error
 	if dir != "" {
-		ix, err = adaptix.Open(dir, append(opts, adaptix.WithValues(values))...)
+		ix, err = adaptix.Open(dir, append(opts, adaptix.WithValues(values), adaptix.WithLogWrites())...)
 	} else {
 		ix, err = adaptix.New(values, opts...)
 	}

@@ -28,6 +28,10 @@ import (
 // Op is one batched write operation (Index.Apply).
 type Op = ingest.Op
 
+// ErrSentinelKey is the error of an Insert of math.MaxInt64, and of New
+// or Open over initial values that hold it (see Index.Insert).
+var ErrSentinelKey = shard.ErrSentinelKey
+
 // Method-specific option structs, consumed by WithCrackOptions /
 // WithMergeOptions / WithHybridOptions.
 type (

@@ -212,6 +212,9 @@ func Open(dir string, opts Options) (*Column, error) {
 	} else {
 		t0 = time.Now()
 		col = shard.New(opts.Values, opts.Shard)
+		if err := col.CheckKeys(); err != nil {
+			return nil, fmt.Errorf("durable: %w", err)
+		}
 	}
 	bd.Replay = time.Since(t0)
 	opts.Shard.Obs.RecordRecovery(bd.CheckpointLoad, bd.WALScan, bd.Replay)

@@ -107,7 +107,7 @@ func TestCheckpointTruncatesLogPrefix(t *testing.T) {
 	if !slices.Equal(re.CrackBoundaries()[0], col.CrackBoundaries()[0]) {
 		t.Fatal("restored shard 0 lost boundaries")
 	}
-	checkAgainstModel(t, re, newModel(col.Values()), d.Domain)
+	checkAgainstModel(t, re, col.Values(), d.Domain)
 }
 
 func TestAutomaticCheckpointCadence(t *testing.T) {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -11,22 +12,29 @@ import (
 	"adaptix/internal/workload"
 )
 
+var errSink = errors.New("sink failed")
+
 // countingSink is a WAL sink that records every record write and every
 // fsync, so the tests can assert the group-commit policy's bounded
 // loss window: the number of records appended after the last fsync is
-// the data at risk in a crash.
+// the data at risk in a crash. It fails every write from the failAt-th
+// on (never, when 0), and every fsync when failSync is set.
 type countingSink struct {
 	mu            sync.Mutex
 	writes        int
 	syncs         int
 	unsyncedRuns  []int // records between consecutive fsyncs
 	sinceLastSync int
+	failAt        int
+	failSync      bool
 }
 
 func (s *countingSink) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes++
+	if s.writes++; s.failAt > 0 && s.writes >= s.failAt {
+		return 0, errSink
+	}
 	s.sinceLastSync++
 	return len(p), nil
 }
@@ -34,6 +42,9 @@ func (s *countingSink) Write(p []byte) (int, error) {
 func (s *countingSink) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.failSync {
+		return errSink
+	}
 	s.syncs++
 	s.unsyncedRuns = append(s.unsyncedRuns, s.sinceLastSync)
 	s.sinceLastSync = 0
@@ -174,5 +185,50 @@ func TestGroupCommitSyncInterval(t *testing.T) {
 			t.Fatal("interval ticker never fsynced the unsynced record")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLogIsFailStop: a logged write is acknowledged only if its record
+// reached the log. The write whose append or group fsync fails returns
+// the error, and so does every later insert, delete and batch, none of
+// which routes.
+func TestLogIsFailStop(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		sink      *countingSink
+		syncEvery int
+		acked     int // inserts acknowledged before the failing one
+	}{
+		{"append", &countingSink{failAt: 3}, 1 << 20, 2},
+		{"fsync", &countingSink{failSync: true}, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := workload.NewUniqueUniform(1<<10, 3)
+			col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5})
+			g := New(col, Options{
+				Log: wal.New(tc.sink), SyncEvery: tc.syncEvery,
+				ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
+			})
+			for i := range 5 {
+				err := g.Insert(qctx, d.Domain+int64(i))
+				if i < tc.acked && err != nil || i >= tc.acked && !errors.Is(err, errSink) {
+					t.Fatalf("Insert #%d = %v, want %d acknowledged, then the sink's error", i, err, tc.acked)
+				}
+			}
+			if _, err := g.DeleteValue(qctx, 0); !errors.Is(err, errSink) {
+				t.Errorf("DeleteValue after the failure = %v, want the sink's error", err)
+			}
+			if _, err := g.Apply(qctx, []Op{{Value: -1}}); !errors.Is(err, errSink) {
+				t.Errorf("Apply after the failure = %v, want the sink's error", err)
+			}
+			// The failing insert routed before its record failed; the
+			// refused writes never routed.
+			if got, want := col.Rows(), len(d.Values)+tc.acked+1; got != want {
+				t.Errorf("Rows = %d, want %d", got, want)
+			}
+			if st := g.Stats(); st.LoggedWrites != 2 || st.GroupSyncs != 0 {
+				t.Errorf("LoggedWrites %d, GroupSyncs %d, want 2 and 0", st.LoggedWrites, st.GroupSyncs)
+			}
+		})
 	}
 }

@@ -49,6 +49,7 @@ package ingest
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +98,9 @@ type Options struct {
 	// snapshot, closing the lose-writes-since-last-checkpoint window for
 	// deployments where adaptix is the primary store. Structural work
 	// logs nothing. Records are fsynced in groups, not per write;
-	// SyncEvery and SyncInterval bound the unsynced window.
+	// SyncEvery and SyncInterval bound the unsynced window. The log is
+	// fail-stop: the write whose append or fsync fails returns the
+	// error, and so does every later write until the store is reopened.
 	Log *wal.Log
 	// SyncEvery is the group-commit record bound: with a Log, the log is
 	// fsynced after every SyncEvery logical records, so a crash loses at
@@ -216,6 +219,11 @@ type Coordinator struct {
 	ckpts     atomic.Int64
 	sinceCkpt atomic.Int64 // structural ops since the last checkpoint
 
+	// logErr is the first failed append or fsync of Options.Log. After a
+	// failed fsync a later one can report success over pages the kernel
+	// dropped, so from then on no write is acknowledged.
+	logErr atomic.Pointer[error]
+
 	maintMu sync.Mutex // one maintenance pass at a time
 
 	startMu sync.Mutex
@@ -257,7 +265,7 @@ func (g *Coordinator) Stats() Stats {
 // parked behind a structural reroute — returns ctx.Err() with the
 // write not applied.
 func (g *Coordinator) Insert(ctx context.Context, v int64) error {
-	if err := ctx.Err(); err != nil {
+	if err := g.admit(ctx); err != nil {
 		return err
 	}
 	span := g.opts.Obs.WriteStart()
@@ -265,7 +273,9 @@ func (g *Coordinator) Insert(ctx context.Context, v int64) error {
 	if err != nil {
 		return err
 	}
-	g.logWrite(v, eid, false)
+	if err := g.logWrite(v, eid, false); err != nil {
+		return err
+	}
 	g.cap.RecordWrite(v, false, false)
 	g.wrote(1)
 	g.opts.Obs.RecordWrite(span)
@@ -274,7 +284,7 @@ func (g *Coordinator) Insert(ctx context.Context, v int64) error {
 
 // DeleteValue routes one delete, reporting whether an instance existed.
 func (g *Coordinator) DeleteValue(ctx context.Context, v int64) (bool, error) {
-	if err := ctx.Err(); err != nil {
+	if err := g.admit(ctx); err != nil {
 		return false, err
 	}
 	span := g.opts.Obs.WriteStart()
@@ -283,7 +293,9 @@ func (g *Coordinator) DeleteValue(ctx context.Context, v int64) (bool, error) {
 		return false, err
 	}
 	if deleted {
-		g.logWrite(v, eid, true)
+		if err := g.logWrite(v, eid, true); err != nil {
+			return false, err
+		}
 	}
 	g.cap.RecordWrite(v, true, deleted)
 	g.wrote(1)
@@ -301,7 +313,7 @@ func (g *Coordinator) Apply(ctx context.Context, batch []Op) (deleted int, err e
 	for _, op := range batch {
 		// The stop-where-it-stands contract: cancellation between ops
 		// aborts the rest of the batch even when no write ever parks.
-		if err := ctx.Err(); err != nil {
+		if err := g.admit(ctx); err != nil {
 			return deleted, err
 		}
 		span := g.opts.Obs.WriteStart()
@@ -312,7 +324,9 @@ func (g *Coordinator) Apply(ctx context.Context, batch []Op) (deleted int, err e
 			}
 			if ok {
 				deleted++
-				g.logWrite(op.Value, eid, true)
+				if err := g.logWrite(op.Value, eid, true); err != nil {
+					return deleted, err
+				}
 			}
 			g.cap.RecordWrite(op.Value, true, ok)
 		} else {
@@ -320,7 +334,9 @@ func (g *Coordinator) Apply(ctx context.Context, batch []Op) (deleted int, err e
 			if err != nil {
 				return deleted, err
 			}
-			g.logWrite(op.Value, eid, false)
+			if err := g.logWrite(op.Value, eid, false); err != nil {
+				return deleted, err
+			}
 			g.cap.RecordWrite(op.Value, false, false)
 		}
 		g.opts.Obs.RecordWrite(span)
@@ -329,23 +345,45 @@ func (g *Coordinator) Apply(ctx context.Context, batch []Op) (deleted int, err e
 	return deleted, nil
 }
 
+// admit returns the error a write fails with before it routes: its
+// context's, or the log's once the log has failed.
+func (g *Coordinator) admit(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if p := g.logErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// failLog stops the log at its first error and returns the error every
+// write gets from then on.
+func (g *Coordinator) failLog(err error) error {
+	err = fmt.Errorf("ingest: write log failed, writes refused until reopen: %w", err)
+	g.logErr.CompareAndSwap(nil, &err)
+	return *g.logErr.Load()
+}
+
 // logWrite appends one wal.LogicalWrite record when the coordinator
 // has a log: the data-tail durability path. The record is fsynced under
 // the group-commit policy (SyncEvery / SyncInterval); its epoch tag —
 // not its log position — decides during recovery whether the snapshot
-// already contains it.
-func (g *Coordinator) logWrite(v, epochID int64, del bool) {
+// already contains it. A failed append or fsync stops the log
+// (failLog), and the write that hit it returns the error.
+func (g *Coordinator) logWrite(v, epochID int64, del bool) error {
 	if g.opts.Log == nil {
-		return
+		return nil
 	}
 	var op int64
 	if del {
 		op = 1
 	}
-	if _, err := g.opts.Log.Append(wal.Record{Kind: wal.LogicalWrite, Object: g.opts.Name, A: v, B: epochID, C: op}); err == nil {
-		g.logged.Add(1)
-		g.maybeGroupSync()
+	if _, err := g.opts.Log.Append(wal.Record{Kind: wal.LogicalWrite, Object: g.opts.Name, A: v, B: epochID, C: op}); err != nil {
+		return g.failLog(err)
 	}
+	g.logged.Add(1)
+	return g.maybeGroupSync()
 }
 
 // maybeGroupSync enforces the SyncEvery half of the group-commit
@@ -355,15 +393,17 @@ func (g *Coordinator) logWrite(v, epochID int64, del bool) {
 // threshold together elect exactly one syncer: only the one whose count
 // is still current resets it, so no increment is lost and one batch
 // never costs two fsyncs.
-func (g *Coordinator) maybeGroupSync() {
+func (g *Coordinator) maybeGroupSync() error {
 	n := g.unsynced.Add(1)
 	if n < int64(g.opts.SyncEvery) || !g.unsynced.CompareAndSwap(n, 0) {
-		return
+		return nil
 	}
-	if g.opts.Log.Sync() == nil {
-		g.syncs.Add(1)
-		g.opts.Obs.RecordCommitBatch(n)
+	if err := g.opts.Log.Sync(); err != nil {
+		return g.failLog(err)
 	}
+	g.syncs.Add(1)
+	g.opts.Obs.RecordCommitBatch(n)
+	return nil
 }
 
 // groupSyncTick enforces the SyncInterval half: fsync any records the
@@ -373,10 +413,12 @@ func (g *Coordinator) groupSyncTick() {
 	if n == 0 {
 		return
 	}
-	if g.opts.Log.Sync() == nil {
-		g.syncs.Add(1)
-		g.opts.Obs.RecordCommitBatch(n)
+	if err := g.opts.Log.Sync(); err != nil {
+		_ = g.failLog(err) // no write waits on the tick; the next one gets the error
+		return
 	}
+	g.syncs.Add(1)
+	g.opts.Obs.RecordCommitBatch(n)
 }
 
 // wrote counts routed writes and wakes the background worker every

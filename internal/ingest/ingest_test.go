@@ -22,91 +22,34 @@ func pieceOpts() shard.Options {
 	}
 }
 
-// model is a brute-force multiset mirror of the column's contents.
-type model struct{ vals map[int64]int64 }
+// model is a brute-force mirror of the column's contents.
+type model []int64
 
-func newModel(vals []int64) *model {
-	m := &model{vals: map[int64]int64{}}
-	for _, v := range vals {
-		m.vals[v]++
+func (m *model) apply(op Op) {
+	if !op.Delete {
+		*m = append(*m, op.Value)
+	} else if i := slices.Index(*m, op.Value); i >= 0 {
+		*m = slices.Delete(*m, i, i+1)
 	}
-	return m
 }
 
-func (m *model) insert(v int64) { m.vals[v]++ }
-
-func (m *model) delete(v int64) bool {
-	if m.vals[v] > 0 {
-		m.vals[v]--
-		return true
-	}
-	return false
-}
-
-func (m *model) count(lo, hi int64) int64 {
-	var n int64
-	for v, c := range m.vals {
-		if v >= lo && v < hi {
-			n += c
-		}
-	}
-	return n
-}
-
-func (m *model) sum(lo, hi int64) int64 {
-	var s int64
-	for v, c := range m.vals {
-		if v >= lo && v < hi {
-			s += v * c
-		}
-	}
-	return s
-}
-
-func checkAgainstModel(t *testing.T, col *shard.Column, m *model, domain int64) {
+func checkAgainstModel(t *testing.T, col *shard.Column, m model, domain int64) {
 	t.Helper()
 	r := workload.NewRNG(77)
 	for i := 0; i < 200; i++ {
 		lo := r.Int64n(domain)
 		hi := lo + 1 + r.Int64n(domain-lo)
-		if got, _, _ := col.Count(qctx, lo, hi); got != m.count(lo, hi) {
-			t.Fatalf("Count[%d,%d) = %d, want %d", lo, hi, got, m.count(lo, hi))
-		}
-		if got, _, _ := col.Sum(qctx, lo, hi); got != m.sum(lo, hi) {
-			t.Fatalf("Sum[%d,%d) = %d, want %d", lo, hi, got, m.sum(lo, hi))
-		}
-	}
-}
-
-func TestRoutedUpdatesMatchModel(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 3)
-	col := shard.New(d.Values, pieceOpts())
-	g := New(col, Options{ApplyThreshold: 1 << 30}) // no maintenance: raw routing
-	m := newModel(d.Values)
-
-	r := workload.NewRNG(5)
-	domain := d.Domain * 2
-	for i := 0; i < 2000; i++ {
-		v := r.Int64n(domain)
-		switch i % 3 {
-		case 0, 1:
-			if err := g.Insert(qctx, v); err != nil {
-				t.Fatalf("Insert(%d): %v", v, err)
-			}
-			m.insert(v)
-		default:
-			got, err := g.DeleteValue(qctx, v)
-			if err != nil {
-				t.Fatalf("DeleteValue(%d): %v", v, err)
-			}
-			if want := m.delete(v); got != want {
-				t.Fatalf("DeleteValue(%d) = %v, want %v", v, got, want)
+		var n, sum int64
+		for _, v := range m {
+			if v >= lo && v < hi {
+				n, sum = n+1, sum+v
 			}
 		}
-	}
-	checkAgainstModel(t, col, m, domain)
-	if err := col.Validate(); err != nil {
-		t.Fatal(err)
+		gotN, _, _ := col.Count(qctx, lo, hi)
+		gotSum, _, _ := col.Sum(qctx, lo, hi)
+		if gotN != n || gotSum != sum {
+			t.Fatalf("[%d,%d): Count %d, Sum %d; want %d, %d", lo, hi, gotN, gotSum, n, sum)
+		}
 	}
 }
 
@@ -115,7 +58,7 @@ func TestApplyBatchesAndGroupApplyPreserveAnswers(t *testing.T) {
 	col := shard.New(d.Values, pieceOpts())
 	log := wal.New(nil)
 	g := New(col, Options{Name: "R.A", ApplyThreshold: 64, Log: log})
-	m := newModel(d.Values)
+	m := model(slices.Clone(d.Values))
 
 	// Warm some refinement so group-apply has boundaries to replay.
 	for i := int64(0); i < 8; i++ {
@@ -131,11 +74,7 @@ func TestApplyBatchesAndGroupApplyPreserveAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range batch {
-		if op.Delete {
-			m.delete(op.Value)
-		} else {
-			m.insert(op.Value)
-		}
+		m.apply(op)
 	}
 
 	pendingBefore := 0

@@ -433,6 +433,18 @@ func (c *Column) KeyDomain() (lo, hi int64, ok bool) {
 	return lo, hi, lo <= hi
 }
 
+// CheckKeys returns ErrSentinelKey when the column holds math.MaxInt64.
+// New cannot refuse its input, so a caller that takes values from users
+// checks the column it built: the key would be the maximum the build
+// already computed for the last shard's aggregates, so the check reads
+// one atomic per shard and no row.
+func (c *Column) CheckKeys() error {
+	if _, hi, ok := c.KeyDomain(); ok && hi == maxKey {
+		return ErrSentinelKey
+	}
+	return nil
+}
+
 // ShardStat is an observability snapshot of one shard's refinement
 // state.
 type ShardStat struct {

@@ -310,63 +310,6 @@ func TestNegativeValues(t *testing.T) {
 
 // --- Write path and structural operations (update.go) ---
 
-func TestRoutedInsertDeleteSerial(t *testing.T) {
-	d := workload.NewUniqueUniform(1<<12, 31)
-	c := New(d.Values, Options{Shards: 4, Seed: 3, Index: pieceOpts()})
-	for i := int64(0); i < 256; i++ {
-		if err := c.Insert(qctx, i*3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deleted := 0
-	for i := int64(0); i < 256; i++ {
-		ok, err := c.DeleteValue(qctx, i*5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			deleted++
-		}
-	}
-	if deleted == 0 {
-		t.Fatal("no deletes found existing values")
-	}
-	count := func(lo, hi int64) int64 {
-		var n int64
-		for _, v := range d.Values {
-			if v >= lo && v < hi {
-				n++
-			}
-		}
-		for i := int64(0); i < 256; i++ {
-			if v := i * 3; v >= lo && v < hi {
-				n++
-			}
-		}
-		for i := int64(0); i < 256; i++ {
-			v := i * 5
-			// Deleted iff logically present at delete time: initial
-			// uniques [0,n) plus inserted multiples of 3.
-			present := v < d.Domain || (v%3 == 0 && v/3 < 256)
-			if present && v >= lo && v < hi {
-				n--
-			}
-		}
-		return n
-	}
-	r := workload.NewRNG(37)
-	for i := 0; i < 200; i++ {
-		lo := r.Int64n(d.Domain)
-		hi := lo + 1 + r.Int64n(d.Domain-lo)
-		if n, _, _ := c.Count(qctx, lo, hi); n != count(lo, hi) {
-			t.Fatalf("Count[%d,%d) = %d, want %d", lo, hi, n, count(lo, hi))
-		}
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestApplyShardMergesDifferential(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<12, 41)
 	c := New(d.Values, Options{Shards: 4, Seed: 3, Index: pieceOpts()})
@@ -459,5 +402,33 @@ func TestSplitShardDegenerate(t *testing.T) {
 	}
 	if n, _, _ := c.Count(qctx, 0, 1); n != 65 {
 		t.Fatalf("Count = %d after post-split-failure insert, want 65", n)
+	}
+}
+
+// TestCriticalPathStat checks the fan-out critical-path metric: for a
+// query spanning several shards, Critical must be positive and no
+// larger than the total work (Wait + Refine) ... it can legitimately
+// exceed pure refinement time since it includes scan time, but it must
+// never exceed the query's end-to-end response time.
+func TestCriticalPathStat(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<14, 57)
+	col := New(d.Values, Options{
+		Shards: 8, Seed: 5,
+		Index: crackindex.Options{Latching: crackindex.LatchPiece},
+	})
+	start := time.Now()
+	// Clip one value off each end: the fringe shards are only partially
+	// covered, so the query must fan out to real sub-queries instead of
+	// being answered purely from the precomputed aggregates.
+	_, res, err := col.Sum(context.Background(), 1, d.Domain-1)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Critical <= 0 {
+		t.Fatalf("Critical = %v for a fan-out query, want > 0", res.Critical)
+	}
+	if res.Critical > elapsed {
+		t.Errorf("Critical %v exceeds end-to-end response %v", res.Critical, elapsed)
 	}
 }

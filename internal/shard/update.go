@@ -63,6 +63,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sort"
 	"time"
@@ -73,8 +74,15 @@ import (
 	"adaptix/internal/metrics"
 )
 
+// ErrSentinelKey is the error of a write of math.MaxInt64. The key is the
+// sentinel upper bound of the last shard's range [lo, math.MaxInt64),
+// which no half-open query range can include: keys run from
+// math.MinInt64 to math.MaxInt64-1.
+var ErrSentinelKey = errors.New("shard: math.MaxInt64 is the sentinel key and cannot be stored")
+
 // Insert adds one logical instance of v to the column, routing it to
-// the owning shard's open epoch. Safe for concurrent use; an insert
+// the owning shard's open epoch; v = math.MaxInt64 is refused with
+// ErrSentinelKey. Safe for concurrent use; an insert
 // racing with a group-apply merge never parks (it rolls over to the
 // next epoch), and one racing with a split or merge of the owning
 // shard parks until the successor shard map is published, then
@@ -89,8 +97,13 @@ func (c *Column) Insert(ctx context.Context, v int64) error {
 // InsertEpoch is Insert reporting the id of the epoch the value landed
 // in — the version tag a logical WAL record carries so recovery can
 // tell writes captured by a checkpoint snapshot (epoch <= watermark)
-// from writes that must be replayed.
+// from writes that must be replayed. Every routed insert — Insert, a
+// batch, the wire, a replayed log — comes through here, so this is where
+// the sentinel key is refused.
 func (c *Column) InsertEpoch(ctx context.Context, v int64) (int64, error) {
+	if v == maxKey {
+		return 0, ErrSentinelKey
+	}
 	c.opts.Obs.RecordWriteKey(v)
 	for {
 		m := c.m.Load()
@@ -121,6 +134,10 @@ func (c *Column) DeleteValue(ctx context.Context, v int64) (bool, error) {
 // DeleteValueEpoch is DeleteValue reporting the id of the epoch the
 // anti-matter record landed in (0 when no instance existed).
 func (c *Column) DeleteValueEpoch(ctx context.Context, v int64) (deleted bool, epochID int64, err error) {
+	if v == maxKey {
+		// Never stored, and the existence probe [v, v+1) would wrap.
+		return false, 0, nil
+	}
 	c.opts.Obs.RecordWriteKey(v)
 	for {
 		m := c.m.Load()
