@@ -253,8 +253,9 @@ func (ix *Index) Insert(ctx context.Context, v int64) error {
 }
 
 // Delete removes one logical instance of v, reporting whether one
-// existed. Deletion is differential: an anti-matter record cancels one
-// instance at query time.
+// existed. Deletion is differential: it cancels a pending insert of v
+// in its shard's open epoch if there is one, else an anti-matter record
+// cancels one instance at query time.
 func (ix *Index) Delete(ctx context.Context, v int64) (bool, error) {
 	return ix.ing.DeleteValue(ctx, v)
 }

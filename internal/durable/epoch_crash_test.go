@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"os"
 	"sort"
 	"testing"
 
@@ -272,5 +273,91 @@ func TestLogWritesCloseTailDurabilityWindow(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		assertAgreesWithScan(t, re, want, 2*d.Domain)
 		re.Close()
+	}
+}
+
+// TestCancelledPairsRecover: a delete cancels a pending insert only in
+// the insert's own epoch, so the checkpoint image and the log records
+// above its watermark W still partition the write history. An insert
+// checkpointed before its delete leaves the delete above W as
+// anti-matter; an insert and delete in one epoch leave nothing pending
+// and two records that replay to net zero. Either way a crash copy
+// reopens with the value gone.
+func TestCancelledPairsRecover(t *testing.T) {
+	for _, checkpoint := range []bool{true, false} {
+		t.Run(map[bool]string{true: "across a checkpoint", false: "one epoch"}[checkpoint], func(t *testing.T) {
+			dir := t.TempDir()
+			d := workload.NewUniqueUniform(1<<10, 31)
+			v := d.Domain + 3 // never in the base values
+			opts := testOptions(d.Values)
+			opts.LogWrites = true
+			opts.CheckpointEvery = 1 << 30
+			opts.Ingest = ingest.Options{ApplyThreshold: 1 << 30, MinShardRows: 1 << 30}
+			c, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Insert(qctx, v); err != nil {
+				t.Fatal(err)
+			}
+			if checkpoint && !c.Checkpoint() {
+				t.Fatal("Checkpoint() failed")
+			}
+			img, _, err := readSnapshot(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := c.DeleteValue(qctx, v); !ok || err != nil {
+				t.Fatalf("DeleteValue(%d) = %v, %v", v, ok, err)
+			}
+
+			// The differential: anti-matter in an open epoch above W
+			// against the checkpointed insert, or nothing at all.
+			var ins, del int
+			for _, st := range c.Column().Snapshot() {
+				ins, del = ins+st.PendingInserts, del+st.PendingDeletes
+				if open := st.EpochStats[len(st.EpochStats)-1]; open.Del > 0 && open.ID <= img.Epoch {
+					t.Errorf("shard %d: anti-matter in open epoch %d, at or below W = %d", st.Shard, open.ID, img.Epoch)
+				}
+			}
+			if want := map[bool][2]int{true: {1, 1}, false: {0, 0}}[checkpoint]; [2]int{ins, del} != want {
+				t.Errorf("pending inserts/deletes = %d/%d, want %d/%d", ins, del, want[0], want[1])
+			}
+			// The log past the checkpoint: the delete alone (the image
+			// holds the insert), or both writes tagged with one epoch;
+			// every record tagged above W.
+			raw, err := wal.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tags []int64
+			if _, err := wal.Replay(raw, func(r wal.Record) { tags = append(tags, r.B) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(tags) != map[bool]int{true: 1, false: 2}[checkpoint] || tags[0] <= img.Epoch || tags[len(tags)-1] != tags[0] {
+				t.Errorf("log tags %v with W = %d", tags, img.Epoch)
+			}
+
+			// Crash: the directory as it stands, reopened.
+			image := t.TempDir()
+			if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			re, err := Open(image, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if n, _, _ := re.Count(qctx, v, v+1); n != 0 {
+				t.Errorf("Count(%d) = %d after reopen, want 0", v, n)
+			}
+			want := append(brute(nil), d.Values...)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			assertAgreesWithScan(t, re, want, 2*d.Domain)
+			if err := re.Column().Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -8,20 +8,31 @@
 // writers for the whole rebuild ("Main Memory Adaptive Indexing for
 // Multi-core Systems", Alvarez et al., 2014, shows such stalls
 // dominate on many cores). This package versions the differential
-// instead: each shard's pending writes live in an append-only chain of
-// epoch files. A group-apply seals only the *current* epoch — writers
-// immediately append to the freshly opened successor — and the sealed
-// prefix merges into the cracker array in the background. Readers
-// snapshot the base part plus every visible epoch for exact answers
-// mid-merge, the optimistic/multi-version scheme the paper names as
-// the way to keep index maintenance out of transaction critical paths.
+// instead: each shard's pending writes live in a chain of epoch files.
+// A group-apply seals only the *current* epoch — writers immediately
+// write to the freshly opened successor — and the sealed prefix merges
+// into the cracker array in the background. Readers snapshot the base
+// part plus every visible epoch for exact answers mid-merge, the
+// optimistic/multi-version scheme the paper names as the way to keep
+// index maintenance out of transaction critical paths.
+//
+// The open epoch holds the net change per value: a delete that finds a
+// pending insert of its value in the open file removes that insert
+// instead of adding anti-matter, and an insert that finds pending
+// anti-matter of its value removes one record of it. An open file thus
+// never holds both signs of one value, and churn — a value inserted and
+// deleted again before its epoch seals — leaves nothing behind for a
+// group-apply to rebuild. Cancellation never crosses epochs: sealed
+// files are immutable, so a cancelled pair always shares one epoch id,
+// and a checkpoint cut (Roll) falls on one side of the pair or the
+// other, never between.
 //
 // Epoch lifecycle:
 //
 //		open ──Seal/Roll──▶ sealed ──apply──▶ applied ──Fork──▶ pruned
 //
-//	  - open: the chain's last file; writers append under the chain's
-//	    shared read latch.
+//	  - open: the chain's last file; net per value, written under the
+//	    chain's latch (shared for inserts, exclusive for deletes).
 //	  - sealed: immutable; still consulted by readers, waiting for a
 //	    group-apply merge.
 //	  - applied: its contents are folded into a successor part's base
@@ -37,12 +48,13 @@
 //
 // Forked chains (the successor published by a group-apply) share the
 // lineage latch and the open epoch file with their ancestor, so a
-// writer still holding the pre-merge part appends to the same open
+// writer still holding the pre-merge part writes to the same open
 // epoch and is never lost; a writer that finds its open epoch sealed
 // re-routes through the current shard map instead of parking.
 package epoch
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,34 +63,57 @@ import (
 )
 
 // File is one epoch: a sorted multiset of pending inserts and
-// anti-matter deletes. Append-only while open, immutable once sealed.
+// anti-matter deletes. Net per value while open — ins and del never
+// share a value, since a write of one sign removes a pending record of
+// the other sign before it adds one of its own — and immutable once
+// sealed.
 type File struct {
 	mu     sync.RWMutex
 	id     int64
 	ins    []int64 // sorted pending inserts
 	del    []int64 // sorted pending deletes (anti-matter)
 	sealed bool
-	// n is len(ins)+len(del), stored under mu after every append: a
-	// reader that loads 0 is ordered before the first record and skips
-	// the file without taking mu. A file shared across Fork carries it
-	// along, so every chain listing the file agrees.
+	// n is len(ins)+len(del), stored under mu after every change; it
+	// falls when a write cancels a pending record. A reader that loads
+	// 0 is ordered before the first record, or after a cancel that left
+	// the file empty, and skips the file without taking mu: either way
+	// the file's net contribution is zero at that point. A file shared
+	// across Fork carries it along, so every chain listing the file
+	// agrees.
 	n atomic.Int64
 }
 
 func newFile(id int64) *File { return &File{id: id} }
 
-// insert appends v, reporting the epoch id it landed in; ok is false
-// when the file was sealed by a concurrent structural operation (the
-// caller must re-route through the current shard map).
+// insert adds v, reporting the epoch id it landed in: it removes one
+// pending anti-matter record of v if the file holds one, else it adds
+// a pending insert. ok is false when the file was sealed by a
+// concurrent structural operation (the caller must re-route through
+// the current shard map).
 func (f *File) insert(v int64) (int64, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.sealed {
 		return 0, false
 	}
+	if f.cancel(&f.del, v) {
+		return f.id, true
+	}
 	f.ins = InsertSorted(f.ins, v)
 	f.n.Add(1)
 	return f.id, true
+}
+
+// cancel removes one record of v from recs, the file's pending inserts
+// or deletes, reporting whether it held one; f.mu is held and the file
+// is open.
+func (f *File) cancel(recs *[]int64, v int64) bool {
+	i, ok := slices.BinarySearch(*recs, v)
+	if ok {
+		*recs = slices.Delete(*recs, i, i+1)
+		f.n.Add(-1)
+	}
+	return ok
 }
 
 // countAdj returns the file's count adjustment for [lo, hi).
@@ -125,7 +160,7 @@ type Sealed struct {
 	Ins, Del int
 }
 
-// Chain is one shard's append-only chain of epoch files: zero or more
+// Chain is one shard's chain of epoch files: zero or more
 // sealed (immutable, unapplied) epochs followed by exactly one open
 // epoch. All methods are safe for concurrent use.
 //
@@ -173,23 +208,31 @@ func (ch *Chain) open() *File {
 	return fs[len(fs)-1]
 }
 
-// Insert appends one pending insert of v to the open epoch, reporting
-// the epoch id it landed in. ok is false when the open epoch was
-// sealed by a structural operation — the caller re-routes through the
-// current shard map (it never parks).
+// Insert adds one logical instance of v to the open epoch — it
+// cancels one pending anti-matter record of v there if the open epoch
+// holds one, else it adds a pending insert — reporting the epoch id it
+// landed in. ok is false when the open epoch was sealed by a
+// structural operation — the caller re-routes through the current
+// shard map (it never parks).
 func (ch *Chain) Insert(v int64) (epochID int64, ok bool) {
 	ch.mu.RLock()
 	defer ch.mu.RUnlock()
 	return ch.open().insert(v)
 }
 
-// Delete appends an anti-matter record for v to the open epoch if a
-// logical instance exists: baseCount instances in the part's base
-// array (immutable, so the caller may count it outside the latch) plus
-// the chain's net adjustment. The check-and-append is atomic under the
-// lineage latch, so two racing deletes can never over-delete the last
-// instance. ok is false when the open epoch was sealed concurrently
-// (re-route, as with Insert).
+// Delete removes one logical instance of v if one exists: it cancels a
+// pending insert of v in the open epoch or, failing that, adds an
+// anti-matter record to the open epoch when baseCount instances in the
+// part's base array (immutable, so the caller may count it outside the
+// latch) plus the chain's net adjustment leave one. A pending insert in
+// the open epoch proves a live instance whatever baseCount says (every
+// earlier delete of v was admitted only against a live instance, so v's
+// instances before the open epoch never number below zero), and so does
+// a positive net adjustment: a caller may pass baseCount 0 first and
+// count the base only when that finds nothing. The check-and-write is
+// atomic under the lineage latch, so two racing deletes can never
+// over-delete the last instance. ok is false when the open epoch was
+// sealed concurrently (re-route, as with Insert).
 func (ch *Chain) Delete(v int64, baseCount int64) (epochID int64, deleted, ok bool) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -200,11 +243,13 @@ func (ch *Chain) Delete(v int64, baseCount int64) (epochID int64, deleted, ok bo
 	if open.sealed {
 		return 0, false, false
 	}
-	logical := baseCount
+	if open.cancel(&open.ins, v) {
+		return open.id, true, true
+	}
+	logical := baseCount - CountRange(open.del, v, v+1)
 	for _, f := range fs[:len(fs)-1] {
 		logical += f.countAdj(v, v+1)
 	}
-	logical += CountRange(open.ins, v, v+1) - CountRange(open.del, v, v+1)
 	if logical <= 0 {
 		return 0, false, true
 	}
@@ -303,7 +348,9 @@ func (ch *Chain) Seal() (Sealed, bool) {
 // lives in a sealed epoch and every future write lands in an epoch
 // with a later id. A non-empty open epoch is sealed (as Seal); an
 // empty one is simply renumbered past the cut, avoiding empty-file
-// churn on idle shards.
+// churn on idle shards. An open epoch emptied by cancels is empty too:
+// the writes it saw net to zero, so moving them past the cut or not
+// changes neither side of it.
 func (ch *Chain) Roll() {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -386,7 +433,7 @@ func (ch *Chain) Collect(maxEpoch int64) (ins, del []int64) {
 // part: the epochs with id > after (whose contents the new base does
 // NOT yet incorporate), sharing the lineage latch and the file
 // pointers — above all the open epoch, so writers holding the old part
-// keep appending to the same file. The fresh chain gets a new open
+// keep writing to the same file. The fresh chain gets a new open
 // epoch if everything was applied.
 func (ch *Chain) Fork(after int64) *Chain {
 	ch.mu.Lock()

@@ -3,6 +3,7 @@ package epoch
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,6 +51,92 @@ func TestDeleteChecksLogicalExistence(t *testing.T) {
 	}
 	if adj, _ := ch.CountAdj(7, 8); adj != -1 {
 		t.Errorf("net adjustment = %d, want -1 (1 insert - 2 deletes)", adj)
+	}
+}
+
+// assertNetOpen fails the test when the chain's open file holds an
+// insert and an anti-matter record of one value, or when its record
+// count n disagrees with its contents.
+func assertNetOpen(t testing.TB, ch *Chain) {
+	t.Helper()
+	f := ch.open()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for _, v := range f.ins {
+		if CountRange(f.del, v, v+1) > 0 {
+			t.Fatalf("open epoch %d holds both an insert and an anti-matter record of %d", f.id, v)
+		}
+	}
+	if n := f.n.Load(); n != int64(len(f.ins)+len(f.del)) {
+		t.Fatalf("open epoch %d: n = %d over %d records", f.id, n, len(f.ins)+len(f.del))
+	}
+}
+
+// TestSameEpochInsertThenDeleteNetsToZero: a delete that meets a
+// pending insert of its value in the open epoch removes it, so the
+// pair leaves no record behind and the epoch has nothing to seal.
+func TestSameEpochInsertThenDeleteNetsToZero(t *testing.T) {
+	ch, _ := newTestChain()
+	ins, _ := ch.Insert(5)
+	eid, deleted, ok := ch.Delete(5, 0)
+	if !ok || !deleted || eid != ins {
+		t.Fatalf("Delete(5) = epoch %d, deleted=%v ok=%v, want epoch %d of the insert", eid, deleted, ok, ins)
+	}
+	assertNetOpen(t, ch)
+	if n := ch.open().n.Load(); n != 0 {
+		t.Errorf("open file n = %d, want 0", n)
+	}
+	if i, d := ch.Pending(); i != 0 || d != 0 {
+		t.Errorf("Pending() = %d/%d, want 0/0", i, d)
+	}
+	if c, _ := ch.CountAdj(math.MinInt64, math.MaxInt64); c != 0 {
+		t.Errorf("CountAdj = %d, want 0", c)
+	}
+	if s, _ := ch.SumAdj(math.MinInt64, math.MaxInt64); s != 0 {
+		t.Errorf("SumAdj = %d, want 0", s)
+	}
+	if _, sealed := ch.Seal(); sealed {
+		t.Error("Seal() sealed an epoch whose writes cancelled out")
+	}
+}
+
+// TestDeleteOfSealedInsertWritesAntiMatter: cancellation never crosses
+// epochs, so a delete whose insert sits in a sealed epoch writes
+// anti-matter in the open one.
+func TestDeleteOfSealedInsertWritesAntiMatter(t *testing.T) {
+	ch, _ := newTestChain()
+	ch.Insert(5)
+	ch.Seal()
+	open := ch.OpenID()
+	if eid, deleted, ok := ch.Delete(5, 0); !ok || !deleted || eid != open {
+		t.Fatalf("Delete(5) = epoch %d, deleted=%v ok=%v, want the open epoch %d", eid, deleted, ok, open)
+	}
+	assertNetOpen(t, ch)
+	if st := ch.Stats(); len(st) != 2 || st[0].Ins != 1 || st[1].Del != 1 {
+		t.Errorf("Stats() = %+v, want the sealed insert and the open anti-matter", st)
+	}
+	if c, _ := ch.CountAdj(5, 6); c != 0 {
+		t.Errorf("CountAdj(5, 6) = %d, want 0", c)
+	}
+}
+
+// TestInsertCancelsOpenAntiMatter: an insert over anti-matter of its
+// value in the open epoch removes the anti-matter record.
+func TestInsertCancelsOpenAntiMatter(t *testing.T) {
+	ch, _ := newTestChain()
+	del, deleted, _ := ch.Delete(9, 1) // one base instance
+	if !deleted {
+		t.Fatal("Delete(9) found no base instance")
+	}
+	if eid, ok := ch.Insert(9); !ok || eid != del {
+		t.Fatalf("Insert(9) = epoch %d ok=%v, want epoch %d of the anti-matter", eid, ok, del)
+	}
+	assertNetOpen(t, ch)
+	if i, d := ch.Pending(); i != 0 || d != 0 {
+		t.Errorf("Pending() = %d/%d, want 0/0", i, d)
+	}
+	if n := ch.open().n.Load(); n != 0 {
+		t.Errorf("open file n = %d, want 0", n)
 	}
 }
 
@@ -220,14 +307,17 @@ func TestConcurrentWritersAcrossSeals(t *testing.T) {
 // TestChainReadsStress races latch-free CountAdj/SumAdj readers
 // against writers and every structural operation — Seal, Roll,
 // Close/Reopen and Fork — (run under -race in CI). Each writer reads
-// its own write back right after it returns; readers never see a net
-// count below zero (every delete follows its insert); and the final
+// its own write back right after it returns, and churns one key of its
+// own (insert, then delete), so open files shrink as well as grow under
+// the readers; readers never see a net count below zero (every delete
+// follows its insert), nor more churn keys than writers; and the final
 // adjustment equals a serial model of the writes that succeeded.
 func TestChainReadsStress(t *testing.T) {
 	first, _ := newTestChain()
 	var cur atomic.Pointer[Chain] // the chain writers route to
 	cur.Store(first)
 	const writers, perW, rounds = 4, 1000, 200
+	const churn = int64(writers) << 32 // writer w's churn key is churn+w
 	var model [writers]struct{ n, sum int64 }
 	var progress, finished atomic.Int64 // inserts done and writers done: pace the structural operations
 	var writersDone sync.WaitGroup
@@ -271,6 +361,24 @@ func TestChainReadsStress(t *testing.T) {
 					t.Errorf("delete of %d invisible to its writer's next CountAdj (net %d)", d, n)
 					return
 				}
+				// Churn: insert and delete the writer's churn key, which
+				// mostly cancels in the open epoch, so n falls under the
+				// latch-free readers.
+				c := churn + int64(w)
+				for ch = cur.Load(); ; ch = cur.Load() {
+					if _, ok := ch.Insert(c); ok {
+						break
+					}
+				}
+				for ch = cur.Load(); ; ch = cur.Load() {
+					if _, deleted, ok := ch.Delete(c, 0); ok {
+						if !deleted {
+							t.Errorf("Delete(%d) found no instance of a pending insert", c)
+							return
+						}
+						break
+					}
+				}
 			}
 		}(w)
 	}
@@ -289,6 +397,10 @@ func TestChainReadsStress(t *testing.T) {
 				ch := cur.Load()
 				if n, _ := ch.CountAdj(math.MinInt64, math.MaxInt64); n < 0 {
 					t.Errorf("net count %d below zero", n)
+					return
+				}
+				if n, _ := ch.CountAdj(churn, churn+writers); n < 0 || n > writers {
+					t.Errorf("net count %d of the churn keys outside [0, %d]", n, writers)
 					return
 				}
 				ch.SumAdj(0, 1<<32)
@@ -352,3 +464,171 @@ func TestChainReadsDoNotAllocate(t *testing.T) {
 		t.Errorf("non-empty chain read allocates %v per op", n)
 	}
 }
+
+// FuzzChainVsMultiset decodes bytes into chain operations over 8 keys —
+// insert, delete against a base count, cancel, Seal, Roll, Fork past
+// the sealed watermark (a group-apply) and Collect — and checks the
+// chain against a model after every op: each epoch as a net count per
+// key, over a base multiset that a fork folds the applied epochs into.
+// CountAdj, SumAdj, Pending, Stats and Collect must agree with it, the
+// open file must hold one sign per value, and no key's logical count
+// may fall below zero.
+func FuzzChainVsMultiset(f *testing.F) {
+	f.Add([]byte{0, 2, 8, 10, 4, 2, 0, 5, 10, 1, 7, 6, 3})
+	f.Add([]byte{2, 10, 0, 0, 4, 2, 2, 2, 8, 5, 0, 3, 6, 7, 15})
+	f.Add([]byte{9, 17, 25, 4, 26, 18, 5, 1, 3, 6, 34, 42, 7})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const keys = 8
+		key := func(k int) int64 { return int64(k)*3 - 5 } // negatives, zero, and gaps
+		type epochModel struct {
+			id     int64
+			sealed bool
+			net    [keys]int64
+		}
+		ch, seq := newTestChain()
+		var base [keys]int64 // key k starts with k%3 base instances
+		for k := range base {
+			base[k] = int64(k % 3)
+		}
+		epochs := []*epochModel{{id: seq.Load()}}
+		open := func() *epochModel { return epochs[len(epochs)-1] }
+		openNew := func() { epochs = append(epochs, &epochModel{id: seq.Load()}) } // after the op drew its id
+		// Long streams only slow the fuzzer down.
+		for i, b := range ops[:min(len(ops), 64)] {
+			k := int(b>>3) % keys
+			v := key(k)
+			switch b % 8 {
+			case 0, 1:
+				eid, ok := ch.Insert(v)
+				if !ok || eid != open().id {
+					t.Fatalf("op %d: Insert(%d) = epoch %d ok=%v, want epoch %d", i, v, eid, ok, open().id)
+				}
+				open().net[k]++
+			case 2, 3:
+				n := base[k]
+				if b%8 == 3 { // a delete's first attempt counts no base instance
+					n = 0
+				}
+				eid, deleted, ok := ch.Delete(v, n)
+				for _, e := range epochs {
+					n += e.net[k]
+				}
+				// A pending insert in the open epoch is cancelled even
+				// when the counted instances net to zero.
+				want := open().net[k] > 0 || n > 0
+				if !ok || deleted != want || deleted && eid != open().id {
+					t.Fatalf("op %d: delete (%d) of %d = epoch %d deleted=%v ok=%v, want deleted=%v in epoch %d", i, b%8, v, eid, deleted, ok, want, open().id)
+				}
+				if deleted {
+					open().net[k]--
+				}
+			case 4:
+				var ins, del int
+				for _, n := range open().net {
+					ins, del = ins+int(max(n, 0)), del+int(max(-n, 0))
+				}
+				info, ok := ch.Seal()
+				if want := ins+del > 0; ok != want || ok && info != (Sealed{ID: open().id, Ins: ins, Del: del}) {
+					t.Fatalf("op %d: Seal() = %+v ok=%v, want id %d with %d/%d records", i, info, ok, open().id, ins, del)
+				}
+				if ok {
+					open().sealed = true
+					openNew()
+				}
+			case 5:
+				empty := open().net == [keys]int64{}
+				ch.Roll()
+				if empty {
+					open().id = seq.Load()
+				} else {
+					open().sealed = true
+					openNew()
+				}
+			case 6:
+				var watermark int64
+				for _, e := range epochs {
+					if e.sealed {
+						watermark = e.id
+					}
+				}
+				_, _, w, _ := ch.SealedSnapshot()
+				if w != watermark {
+					t.Fatalf("op %d: sealed watermark %d, want %d", i, w, watermark)
+				}
+				ch = ch.Fork(watermark)
+				kept := epochs[:0]
+				for _, e := range epochs {
+					if e.id > watermark {
+						kept = append(kept, e)
+						continue
+					}
+					for k, n := range e.net {
+						base[k] += n
+					}
+				}
+				epochs = kept
+			case 7:
+				w := epochs[int(b>>3)%len(epochs)].id
+				ins, del := ch.Collect(w)
+				var want [keys]int64
+				records := 0 // every file is net per value: one record per unit
+				for _, e := range epochs {
+					if e.id <= w {
+						for k, n := range e.net {
+							want[k] += n
+							records += int(max(n, -n))
+						}
+					}
+				}
+				var got [keys]int64
+				ins, del = slices.Sorted(slices.Values(ins)), slices.Sorted(slices.Values(del))
+				for k := range got {
+					got[k] = CountRange(ins, key(k), key(k)+1) - CountRange(del, key(k), key(k)+1)
+				}
+				if got != want || len(ins)+len(del) != records {
+					t.Fatalf("op %d: Collect(%d) = %v/%v, want net %v", i, w, ins, del, want)
+				}
+			}
+
+			assertNetOpen(t, ch)
+			st := ch.Stats()
+			if len(st) != len(epochs) {
+				t.Fatalf("op %d: chain of %d epochs, want %d", i, len(st), len(epochs))
+			}
+			var pIns, pDel int
+			for j, e := range epochs {
+				want := Stat{ID: e.id, Sealed: e.sealed}
+				for _, n := range e.net {
+					want.Ins, want.Del = want.Ins+int(max(n, 0)), want.Del+int(max(-n, 0))
+				}
+				if st[j] != want {
+					t.Fatalf("op %d: epoch %d is %+v, want %+v", i, j, st[j], want)
+				}
+				pIns, pDel = pIns+want.Ins, pDel+want.Del
+			}
+			var sum int64
+			for k := range keys {
+				var net int64
+				for _, e := range epochs {
+					net += e.net[k]
+				}
+				if base[k]+net < 0 {
+					t.Fatalf("op %d: key %d has logical count %d", i, key(k), base[k]+net)
+				}
+				if c, _ := ch.CountAdj(key(k), key(k)+1); c != net {
+					t.Fatalf("op %d: CountAdj of %d = %d, want %d", i, key(k), c, net)
+				}
+				sum += net * key(k)
+			}
+			if s, _ := ch.SumAdj(math.MinInt64, math.MaxInt64); s != sum {
+				t.Fatalf("op %d: SumAdj = %d, want %d", i, s, sum)
+			}
+			if gi, gd := ch.Pending(); gi != pIns || gd != pDel {
+				t.Fatalf("op %d: Pending() = %d/%d, want %d/%d", i, gi, gd, pIns, pDel)
+			}
+		}
+	})
+}
+
+// sortedCopy returns s sorted, leaving s alone.
+func sortedCopy(s []int64) []int64 { return slices.Sorted(slices.Values(s)) }

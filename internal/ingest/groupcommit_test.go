@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +229,84 @@ func TestLogIsFailStop(t *testing.T) {
 			}
 			if st := g.Stats(); st.LoggedWrites != 2 || st.GroupSyncs != 0 {
 				t.Errorf("LoggedWrites %d, GroupSyncs %d, want 2 and 0", st.LoggedWrites, st.GroupSyncs)
+			}
+		})
+	}
+}
+
+// parkingSink is a WAL sink whose first fsync parks: it reports that it
+// started on entered, then waits for release to close.
+type parkingSink struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *parkingSink) Write(p []byte) (int, error) { return len(p), nil }
+
+func (s *parkingSink) Sync() error {
+	s.once.Do(func() {
+		close(s.entered)
+		<-s.release
+	})
+	return nil
+}
+
+// TestGroupCommitLostElectionWaitsForFsync: a writer whose count
+// reaches SyncEvery but loses the syncer election — to a writer whose
+// count went past the threshold, or to the interval ticker — returns
+// only once the winner's fsync, which covers its record, has completed.
+// The syncElect seam holds the writer between its count and its
+// election while the winner resets the counter and parks in the sink's
+// fsync.
+func TestGroupCommitLostElectionWaitsForFsync(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		win  func(g *Coordinator) error
+	}{
+		{"writer", func(g *Coordinator) error { return g.Insert(qctx, -2) }},
+		{"ticker", func(g *Coordinator) error { g.groupSyncTick(); return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := shard.New(workload.NewUniqueUniform(1<<10, 3).Values, shard.Options{Shards: 2, Seed: 5})
+			sink := &parkingSink{entered: make(chan struct{}), release: make(chan struct{})}
+			g := New(col, Options{
+				Log: wal.New(sink), SyncEvery: 2,
+				ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
+			})
+			held, elect := make(chan struct{}), make(chan struct{})
+			var hold atomic.Bool
+			syncElect = func() {
+				if hold.CompareAndSwap(false, true) { // the first writer only
+					close(held)
+					<-elect
+				}
+			}
+			defer func() { syncElect = func() {} }()
+
+			if err := g.Insert(qctx, -1); err != nil { // count 1: no fsync due
+				t.Fatal(err)
+			}
+			acked := make(chan error, 1)
+			go func() { acked <- g.Insert(qctx, -3) }() // count 2: held before its election
+			<-held
+			won := make(chan error, 1)
+			go func() { won <- tc.win(g) }()
+			<-sink.entered // the winner reset the counter and its fsync is parked
+			close(elect)   // the held writer now loses its election
+			select {
+			case err := <-acked:
+				t.Fatalf("the writer that lost the election was acknowledged (%v) while the fsync covering its record was still running", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(sink.release)
+			if err := <-acked; err != nil {
+				t.Fatalf("held writer: %v", err)
+			}
+			if err := <-won; err != nil {
+				t.Fatalf("winner: %v", err)
+			}
+			if st := g.Stats(); st.GroupSyncs != 1 {
+				t.Errorf("GroupSyncs = %d, want 1: the held writer must wait for the winner's fsync, not run its own", st.GroupSyncs)
 			}
 		})
 	}

@@ -103,10 +103,12 @@ type Options struct {
 	// error, and so does every later write until the store is reopened.
 	Log *wal.Log
 	// SyncEvery is the group-commit record bound: with a Log, the log is
-	// fsynced after every SyncEvery logical records, so a crash loses at
-	// most SyncEvery-1 of the newest writes (plus whatever the interval
-	// below has not yet covered). Default ApplyThreshold; 1 fsyncs every
-	// write.
+	// fsynced after every SyncEvery logical records, and the write that
+	// completes a batch is acknowledged only once an fsync covering it
+	// has completed, so a crash loses at most SyncEvery-1 acknowledged
+	// writes per batch whose fsync has not completed (plus whatever the
+	// interval below has not yet covered). Default ApplyThreshold; 1
+	// fsyncs every write.
 	SyncEvery int
 	// SyncInterval is the group-commit time bound: with a Log, a
 	// background ticker fsyncs any unsynced logical records every
@@ -211,13 +213,20 @@ type Coordinator struct {
 	writes    atomic.Int64
 	applied   atomic.Int64
 	seals     atomic.Int64
-	logged    atomic.Int64
+	logged    atomic.Int64 // logical records appended; a record's count is its sequence
 	syncs     atomic.Int64
 	unsynced  atomic.Int64 // logical records appended since the last fsync
 	splits    atomic.Int64
 	merges    atomic.Int64
 	ckpts     atomic.Int64
 	sinceCkpt atomic.Int64 // structural ops since the last checkpoint
+
+	// syncedThrough is the highest record sequence a completed fsync
+	// covers, raised under syncMu; syncDone is broadcast with it, and
+	// wakes the rare writer that must wait for another writer's fsync.
+	syncMu        sync.Mutex
+	syncDone      sync.Cond
+	syncedThrough int64
 
 	// logErr is the first failed append or fsync of Options.Log. After a
 	// failed fsync a later one can report success over pages the kernel
@@ -235,12 +244,14 @@ type Coordinator struct {
 // New creates a coordinator over col.
 func New(col *shard.Column, opts Options) *Coordinator {
 	opts = opts.withDefaults()
-	return &Coordinator{
+	g := &Coordinator{
 		col:    col,
 		opts:   opts,
 		cap:    col.Options().Capture,
 		notify: make(chan struct{}, 1),
 	}
+	g.syncDone.L = &g.syncMu
+	return g
 }
 
 // Column returns the underlying sharded column (the read surface).
@@ -382,43 +393,79 @@ func (g *Coordinator) logWrite(v, epochID int64, del bool) error {
 	if _, err := g.opts.Log.Append(wal.Record{Kind: wal.LogicalWrite, Object: g.opts.Name, A: v, B: epochID, C: op}); err != nil {
 		return g.failLog(err)
 	}
-	g.logged.Add(1)
-	return g.maybeGroupSync()
+	return g.maybeGroupSync(g.logged.Add(1))
 }
 
+// syncElect runs between a writer's unsynced count reaching SyncEvery
+// and its attempt to become the syncer: a test seam, so a test can let
+// another writer or the interval ticker win the election first.
+var syncElect = func() {}
+
 // maybeGroupSync enforces the SyncEvery half of the group-commit
-// policy: once SyncEvery logical records have accumulated since the
-// last fsync, force one; the interval ticker fsyncs whatever the
-// counter holds when it fires. Concurrent writers that cross the
-// threshold together elect exactly one syncer: only the one whose count
-// is still current resets it, so no increment is lost and one batch
-// never costs two fsyncs.
-func (g *Coordinator) maybeGroupSync() error {
+// policy for the record with sequence seq: once SyncEvery logical
+// records have accumulated since the last fsync, force one; the
+// interval ticker fsyncs whatever the counter holds when it fires.
+// Concurrent writers that cross the threshold together elect exactly
+// one syncer: only the one whose count is still current resets it, so
+// no increment is lost and one batch never costs two fsyncs. A writer
+// that crossed the threshold but lost the election to another writer or
+// to the ticker waits for the winner's fsync, which started after its
+// record was appended, so it is never acknowledged before an fsync
+// covers it.
+func (g *Coordinator) maybeGroupSync(seq int64) error {
 	n := g.unsynced.Add(1)
-	if n < int64(g.opts.SyncEvery) || !g.unsynced.CompareAndSwap(n, 0) {
+	if n < int64(g.opts.SyncEvery) {
 		return nil
 	}
-	if err := g.opts.Log.Sync(); err != nil {
-		return g.failLog(err)
+	syncElect()
+	if !g.unsynced.CompareAndSwap(n, 0) {
+		return g.awaitSync(seq)
 	}
-	g.syncs.Add(1)
-	g.opts.Obs.RecordCommitBatch(n)
+	return g.groupSync(n)
+}
+
+// groupSync fsyncs the log for a batch of n records whose counter the
+// caller has just reset, and publishes the sequence the fsync covers:
+// every record counted before the reset was appended before the fsync.
+func (g *Coordinator) groupSync(n int64) error {
+	through := g.logged.Load()
+	err := g.opts.Log.Sync()
+	if err != nil {
+		err = g.failLog(err)
+	} else {
+		g.syncs.Add(1)
+		g.opts.Obs.RecordCommitBatch(n)
+	}
+	g.syncMu.Lock()
+	if err == nil && through > g.syncedThrough {
+		g.syncedThrough = through
+	}
+	g.syncDone.Broadcast()
+	g.syncMu.Unlock()
+	return err
+}
+
+// awaitSync blocks until a completed fsync covers the record with
+// sequence seq, or the log has failed.
+func (g *Coordinator) awaitSync(seq int64) error {
+	g.syncMu.Lock()
+	defer g.syncMu.Unlock()
+	for g.syncedThrough < seq {
+		if p := g.logErr.Load(); p != nil {
+			return *p
+		}
+		g.syncDone.Wait()
+	}
 	return nil
 }
 
 // groupSyncTick enforces the SyncInterval half: fsync any records the
-// record-count bound has not yet covered.
+// record-count bound has not yet covered. No write waits on a failed
+// tick; the next one gets the error.
 func (g *Coordinator) groupSyncTick() {
-	n := g.unsynced.Swap(0)
-	if n == 0 {
-		return
+	if n := g.unsynced.Swap(0); n > 0 {
+		_ = g.groupSync(n)
 	}
-	if err := g.opts.Log.Sync(); err != nil {
-		_ = g.failLog(err) // no write waits on the tick; the next one gets the error
-		return
-	}
-	g.syncs.Add(1)
-	g.opts.Obs.RecordCommitBatch(n)
 }
 
 // wrote counts routed writes and wakes the background worker every

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -235,5 +236,41 @@ func TestStructuralOpsCutEpochChainsConsistently(t *testing.T) {
 					st.Shard, st.PendingInserts+st.PendingDeletes)
 			}
 		}
+	}
+}
+
+// TestCancellingDeleteProbesNothing: a delete that meets a pending
+// insert of its value in the open epoch cancels it without counting the
+// value's base instances, so it cracks nothing and adds no boundary; a
+// delete with no pending insert to cancel still probes, cracking at v
+// and v+1.
+func TestCancellingDeleteProbesNothing(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<12, 7) // one unrefined piece
+	c := New(d.Values, Options{Shards: 1, Seed: 7,
+		Index: crackindex.Options{Latching: crackindex.LatchPiece}})
+	before := c.CrackBoundaries()
+	const v = 1000 // in the base, not a boundary
+	if err := c.Insert(qctx, v); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.DeleteValue(qctx, v); !ok || err != nil {
+		t.Fatalf("DeleteValue(%d) = %v, %v; want true", v, ok, err)
+	}
+	st := c.Snapshot()[0]
+	if st.Cracks != 0 || !reflect.DeepEqual(c.CrackBoundaries(), before) {
+		t.Errorf("the cancelling delete cracked: Cracks = %d, boundaries %v, before %v", st.Cracks, c.CrackBoundaries(), before)
+	}
+	if st.PendingInserts+st.PendingDeletes != 0 || st.Rows != len(d.Values) {
+		t.Errorf("after the cancel: %d+%d pending writes, %d rows; want none and %d", st.PendingInserts, st.PendingDeletes, st.Rows, len(d.Values))
+	}
+	// Nothing pending to cancel: the delete takes its base instance.
+	if ok, err := c.DeleteValue(qctx, v); !ok || err != nil {
+		t.Fatalf("second DeleteValue(%d) = %v, %v; want true", v, ok, err)
+	}
+	if st := c.Snapshot()[0]; st.Cracks == 0 || st.PendingDeletes != 1 {
+		t.Errorf("the base delete: Cracks = %d, %d pending deletes; want a probe and one anti-matter record", st.Cracks, st.PendingDeletes)
+	}
+	if n, _, _ := c.Count(qctx, v, v+1); n != 0 {
+		t.Errorf("Count(%d) = %d after deleting both instances", v, n)
 	}
 }

@@ -26,8 +26,8 @@
 // few thousand rows for queries to refine. The column is mutable and
 // self-adjusting: the
 // write path (update.go) routes inserts and deletes to the owning
-// shard's epoch chain (internal/epoch) — an append-only chain of
-// versioned differential files — and structural operations swap parts
+// shard's epoch chain (internal/epoch) — a chain of versioned
+// differential files, net per value while open — and structural operations swap parts
 // of the shard map atomically, reusing the piece-latch discipline one
 // level up: readers navigate an immutable map snapshot and never block
 // on a structural change, the same way piece readers never block on a
@@ -165,7 +165,7 @@ type part struct {
 	src          engine.AggregateSource // query surface (adapts ix for cracked shards)
 
 	// chain is the shard's versioned differential: pending writes in
-	// an append-only chain of epoch files (every shard has one,
+	// a chain of epoch files (every shard has one,
 	// including custom-source shards). baseEpoch is the epoch
 	// watermark the base incorporates: the chain holds exactly the
 	// epochs after it.

@@ -57,8 +57,9 @@
 //
 // Readers never block on either shape: a query holding the old map
 // keeps using the old parts, which stay intact and correct (sealed
-// epochs are immutable, the shared open epoch only grows, and the walk
-// holds nothing but one piece's read latch at a time).
+// epochs are immutable, the shared open epoch changes only under its
+// own latch, and the walk holds nothing but one piece's read latch at a
+// time).
 package shard
 
 import (
@@ -124,15 +125,17 @@ func (c *Column) InsertEpoch(ctx context.Context, v int64) (int64, error) {
 }
 
 // DeleteValue removes one logical instance of v, reporting whether one
-// existed. Deletion is differential: an anti-matter record joins the
-// owning shard's open epoch and cancels one instance at query time.
+// existed. Deletion is differential: it cancels a pending insert of v
+// in the owning shard's open epoch if there is one, else an anti-matter
+// record joins that epoch and cancels one instance at query time.
 func (c *Column) DeleteValue(ctx context.Context, v int64) (bool, error) {
 	deleted, _, err := c.DeleteValueEpoch(ctx, v)
 	return deleted, err
 }
 
 // DeleteValueEpoch is DeleteValue reporting the id of the epoch the
-// anti-matter record landed in (0 when no instance existed).
+// delete landed in — the epoch of the insert it cancelled, or of its
+// anti-matter record (0 when no instance existed).
 func (c *Column) DeleteValueEpoch(ctx context.Context, v int64) (deleted bool, epochID int64, err error) {
 	if v == maxKey {
 		// Never stored, and the existence probe [v, v+1) would wrap.
@@ -212,42 +215,51 @@ func (p *part) tryInsert(v int64) (epochID int64, ok bool, wait <-chan struct{})
 	return eid, true, nil
 }
 
+// tryDelete removes one instance of v unless the part is sealed or its
+// open epoch was sealed under a stale reference (as tryInsert). Its
+// first attempt counts no base instance: it succeeds whenever the chain
+// alone proves one — a pending insert of v in the open epoch, which it
+// cancels, or a net insert in a sealed epoch — and such a delete probes
+// nothing, cracks nothing and grows no directory. Only when the chain
+// proves no instance does it count v's base instances and try again.
 func (p *part) tryDelete(ctx context.Context, v int64) (epochID int64, deleted, ok bool, wait <-chan struct{}, err error) {
-	// The existence check against the part's base cracks (or merges,
-	// for custom-source shards) the shard's index as a side effect —
-	// one user operation both querying and optimizing (paper §3). It
-	// runs outside every latch: cracks permute the base, its multiset
-	// never changes, so the count stays valid. It honours the caller's
-	// context — a deadline expiring while the probe is parked on a
-	// piece latch aborts the delete with the write not applied.
+	if epochID, deleted, ok, wait = p.chainDelete(v, 0); !ok || deleted {
+		return epochID, deleted, ok, wait, nil
+	}
 	baseN, err := p.baseCount(ctx, v)
 	if err != nil {
 		return 0, false, false, nil, err
 	}
+	epochID, deleted, ok, wait = p.chainDelete(v, baseN)
+	return epochID, deleted, ok, wait, nil
+}
+
+// chainDelete runs one epoch.Chain.Delete of v against baseN base
+// instances under the part's writer latch.
+func (p *part) chainDelete(v, baseN int64) (epochID int64, deleted, ok bool, wait <-chan struct{}) {
 	p.wmu.RLock()
+	defer p.wmu.RUnlock()
 	if p.sealed {
-		ch := p.replaced
-		p.wmu.RUnlock()
-		return 0, false, false, ch, nil
+		return 0, false, false, p.replaced
 	}
-	eid, deleted, ok2 := p.chain.Delete(v, baseN)
-	if !ok2 {
-		p.wmu.RUnlock()
-		return 0, false, false, nil, nil
-	}
+	epochID, deleted, ok = p.chain.Delete(v, baseN)
 	if deleted {
 		p.agg.rows.Add(-1)
 		p.agg.total.Add(-v)
 	}
-	p.wmu.RUnlock()
-	return eid, deleted, true, nil, nil
+	return epochID, deleted, ok, nil
 }
 
 // baseCount counts the instances of v in the shard's base multiset —
-// the delete-existence witness. Cracked shards probe their index;
-// custom-source shards ask their AggregateSource (refining it as a
-// side effect, like any query). The probe is bounded by the caller's
-// context, like any query.
+// the delete-existence witness of a delete whose instance the epoch
+// chain alone does not prove. Cracked shards probe their index,
+// cracking at v and v+1 as a side effect — one user operation both
+// querying and optimizing (paper §3); custom-source shards ask their
+// AggregateSource (refining it, like any query). It runs outside every
+// latch: cracks permute the base, its multiset never changes, so the
+// count stays valid. The probe honours the caller's context — a
+// deadline expiring while it is parked on a piece latch aborts the
+// delete with the write not applied.
 func (p *part) baseCount(ctx context.Context, v int64) (int64, error) {
 	if p.ix != nil {
 		n, _, err := p.ix.CountCtx(ctx, v, v+1)

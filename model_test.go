@@ -123,7 +123,9 @@ var modelData = sync.OnceValue(func() []contents {
 })
 
 // opMix is the op alphabet of the sequential stream, each op as often
-// as its weight. "apply" is Index.Apply of a batch; "seal" and
+// as its weight. "delete-inserted" deletes one of the last keys the
+// stream inserted, which mostly meets that insert still pending in its
+// shard's open epoch and cancels it. "apply" is Index.Apply of a batch; "seal" and
 // "apply-sealed" are the two steps of one shard's group-apply, and
 // "group-apply" runs both; "crash" copies the store's directory, closes
 // the store and reopens the copy.
@@ -131,7 +133,7 @@ var opMix = []string{
 	"count", "count", "count", "count", "count", "count", "count", "count",
 	"sum", "sum", "sum", "sum", "sum", "sum",
 	"insert", "insert", "insert", "insert", "insert", "insert", "insert", "insert",
-	"delete", "delete", "delete", "delete", "delete", "apply", "apply",
+	"delete", "delete", "delete", "delete", "delete", "delete-inserted", "delete-inserted", "apply", "apply",
 	"maintain", "checkpoint", "seal", "apply-sealed", "group-apply", "split", "merge", "crash",
 }
 
@@ -163,7 +165,9 @@ type modelRun struct {
 	src    *opStream
 	domain int64 // keys are drawn from about [0, domain)
 	sweep  int64 // the sequential-sweep cursor
-	desc   string
+	// inserted holds the keys the stream inserted, in order.
+	inserted []int64
+	desc     string
 	// checkpointed is set while the last op was a checkpoint: a reopen
 	// then keeps every crack boundary.
 	checkpointed bool
@@ -261,10 +265,14 @@ func (h *modelRun) step(i int, op string) {
 		}
 		if v != math.MaxInt64 {
 			h.m.insert(v)
+			h.inserted = append(h.inserted, v)
 		}
 		return
-	case "delete":
+	case "delete", "delete-inserted":
 		v := h.key()
+		if n := len(h.inserted); op == "delete-inserted" && n > 0 {
+			v = h.inserted[n-1-int(h.src.next())%min(n, 4)]
+		}
 		if ok, err := h.ix.Delete(ctx, v); err != nil || ok != h.m.delete(v) {
 			h.fail("Delete(%d) = %v, %v", v, ok, err)
 		}
@@ -379,8 +387,9 @@ func TestModelSentinelValues(t *testing.T) {
 }
 
 // TestModelConcurrent runs every configuration in barrier rounds. In a
-// round, clients own disjoint writes — fresh inserts, and deletes of
-// distinct instances present at its start — and query, while a forcer
+// round, clients own disjoint writes — fresh inserts, deletes of
+// distinct instances present at its start, and deletes of their own
+// fresh inserts — and query, while a forcer
 // loops group-apply, split, merge, maintenance and checkpoints.
 func TestModelConcurrent(t *testing.T) {
 	for i, cfg := range modelConfigs {
@@ -421,13 +430,21 @@ func runRounds(t *testing.T, cfg modelConfig, seed uint64) {
 	}
 	applied := 0
 	for round := range rounds {
-		// Half the writes insert fresh keys, half delete distinct
-		// instances present now; client c owns plan[c*writes:][:writes].
+		// Half the writes insert fresh keys; a quarter delete distinct
+		// instances present now, and a quarter delete the fresh key the
+		// same client inserted just before, which its shard's open
+		// epoch mostly still holds pending: the delete cancels it.
+		// Client c owns plan[c*writes:][:writes].
 		plan, pool := make([]Op, clients*writes), slices.Clone(m)
 		for j := range plan {
-			if j%2 == 0 {
+			switch j % 4 {
+			case 0, 2:
 				plan[j], fresh = Op{Value: fresh[0]}, fresh[1:]
 				ins = append(ins, plan[j].Value)
+				continue
+			case 3:
+				plan[j] = Op{Delete: true, Value: plan[j-1].Value}
+				del = append(del, plan[j].Value)
 				continue
 			}
 			k := r.Intn(len(pool))
