@@ -803,7 +803,7 @@ func BenchmarkEpochWrite_DuringMerge(b *testing.B) {
 
 // BenchmarkWALAppend is the logged-write rung: one Append(LogicalWrite)
 // through a segment-file sink. nosync is the append alone (a NoSync
-// sink: encode, frame, write). during_fsync appends while another
+// sink: encode, then frame into the segment's mapping). during_fsync appends while another
 // goroutine fsyncs the same log back to back, so its ns/op shows
 // whether an append waits behind an in-flight fsync.
 func BenchmarkWALAppend(b *testing.B) {

@@ -16,7 +16,8 @@
 // creating it with -rows uniform values when fresh, every write logged);
 // without it the server fronts an in-memory index seeded with -rows
 // values. A durable server acknowledges a wire write once its log record
-// has reached the kernel, so a SIGKILL loses none of them; a power
+// has been copied into the log segment's shared mapping, that is, into
+// the kernel's page cache, so a SIGKILL loses none of them; a power
 // failure loses at most the 511 newest (the log is fsynced every 512
 // records, the default ingest ApplyThreshold).
 package main

@@ -280,8 +280,9 @@ func NewTxnManager() *TxnManager { return txn.NewManager() }
 // automatically).
 type (
 	// WALFileSink is the durable segment-file sink of the WAL:
-	// CRC-framed records, fsync on Sync, segment rotation, and
-	// checkpoint truncation.
+	// CRC-framed records copied into preallocated, shared-mapped
+	// segments, fsync on Sync, segment rotation, and checkpoint
+	// truncation.
 	WALFileSink = wal.FileSink
 	// WALSinkOptions configures a WALFileSink.
 	WALSinkOptions = wal.SinkOptions

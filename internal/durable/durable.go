@@ -14,7 +14,8 @@
 //     prefix sum). It is written to a temp file, fsynced, renamed over
 //     the previous one and made durable by a directory fsync; the rename
 //     is the commit;
-//   - wal-*.seg — CRC-framed log segments (wal.FileSink): with
+//   - wal-*.seg — CRC-framed log segments, preallocated and mapped
+//     (wal.FileSink; an open or crashed one ends in zeros): with
 //     LogWrites, the logical writes, tagged with their epoch and fsynced
 //     in groups. Group-applies, splits and merges write nothing.
 //
@@ -78,7 +79,9 @@ type Options struct {
 	// rebalancing factors, Name). Log, Sink, SnapshotWriter and
 	// CheckpointEvery are owned by the store and overwritten.
 	Ingest ingest.Options
-	// SegmentBytes is the WAL segment rotation threshold. Default 1 MiB.
+	// SegmentBytes is the WAL segment size: each segment is
+	// preallocated and mapped at it, and rotates once full. Default
+	// 1 MiB.
 	SegmentBytes int64
 	// CheckpointEvery is the number of structural operations between
 	// automatic checkpoints. Default 8.

@@ -12,17 +12,26 @@
 // contract: a torn frame was never acknowledged as durable, because
 // no Sync covering it returned.
 //
-// A frame is built in one reused buffer and handed to the OS in one
-// write(2) before Write returns; the sink buffers nothing in user
-// space, so a killed process loses no record whose Write returned. Sync
-// takes the current segment under the sink's lock and fsyncs it outside
-// the lock, so writes continue while an fsync is in flight; rotation
-// and Close wait for in-flight fsyncs before closing their segment.
+// A segment is preallocated at SegmentBytes when it is created and
+// mapped shared (MAP_SHARED), so a logged write is a copy into the
+// mapping, not a system call: Write puts the CRC and the payload after
+// the segment's last record and stores the length word last. The copy
+// lands in the kernel's page cache, as a write(2) would, so a killed
+// process loses no record whose Write returned; the sink buffers
+// nothing in user space. The preallocated bytes are zero, and a zero
+// length word ends a segment cleanly: a process killed mid-copy leaves
+// one (or a frame whose CRC fails), and every byte after the last
+// record is one. Rotation and Close fsync the segment, unmap it and
+// truncate it to the bytes written, so only the last segment of a
+// crashed incarnation keeps a zero tail. Sync takes the current segment
+// under the sink's lock and fsyncs it outside the lock, so writes
+// continue while an fsync is in flight; rotation and Close wait for
+// in-flight fsyncs before they retire their segment.
 //
-// Segments rotate once they exceed SegmentBytes, which keeps any one
-// file small and — more importantly — gives checkpoint truncation a
-// unit of reclamation: a checkpoint rotates first (MarkCheckpoint), so
-// every record logged after that lands in a fresh segment, and once its
+// Segments rotate once they are full, which keeps any one file small
+// and — more importantly — gives checkpoint truncation a unit of
+// reclamation: a checkpoint rotates first (MarkCheckpoint), so every
+// record logged after that lands in a fresh segment, and once its
 // snapshot is durable every earlier segment describes state the
 // snapshot holds and is deleted (ReleaseBefore).
 package wal
@@ -52,9 +61,10 @@ const maxFramePayload = 1 << 24
 
 // SinkOptions configures a FileSink.
 type SinkOptions struct {
-	// SegmentBytes is the rotation threshold: a record that would grow
-	// the current segment beyond it opens a new segment first. Default
-	// 1 MiB.
+	// SegmentBytes is the size each segment is preallocated and mapped
+	// at, and so the rotation threshold: a record that would grow the
+	// current segment beyond it opens a new segment first (one larger
+	// than SegmentBytes, if the record alone is). Default 1 MiB.
 	SegmentBytes int64
 	// NoSync disables fsync entirely (tests and benchmarks that
 	// simulate crashes by truncating files themselves). Durability
@@ -86,17 +96,21 @@ type FileSink struct {
 
 	mu       sync.Mutex
 	f        *os.File
-	seg      int   // index of the open segment
-	size     int64 // bytes written to the open segment
-	werr     bool  // a failed write left a partial frame in the segment
+	m        []byte // f's shared mapping, len(m) bytes preallocated
+	seg      int    // index of the open segment
+	size     int64  // bytes written to the open segment
 	closed   bool
-	frame    []byte         // Write's frame buffer, reused under mu
 	inflight sync.WaitGroup // Syncs fsyncing f outside mu; Add under mu
 }
 
 // fsync forces a segment to stable storage. In-package tests replace it
 // to park an fsync.
 var fsync = (*os.File).Sync
+
+// preallocate reserves a new segment's bytes on disk before it is
+// mapped, so a copy into the mapping never meets a full disk. In-package
+// tests replace it to fail a rotation.
+var preallocate = reserve
 
 // Syncer is implemented by sinks that can flush written records to
 // stable storage. Log.Sync calls it when its sink implements it.
@@ -148,7 +162,7 @@ func NewFileSink(dir string, opts SinkOptions) (*FileSink, error) {
 		}
 	}
 	s := &FileSink{dir: dir, opts: opts}
-	if err := s.openSegment(next); err != nil {
+	if err := s.openSegment(next, 0); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -185,38 +199,78 @@ func segmentIndexes(dir string) ([]int, error) {
 	return out, nil
 }
 
-// openSegment creates segment i and makes it current, syncing the
-// outgoing segment first: a group-commit Sync reaches only the current
-// segment, so without this the records written before a rotation could
-// be lost to power failure although a later Sync reported them
-// durable. The outgoing segment is closed only once every Sync in
-// flight on it has returned. The directory is synced
-// too so the new segment's existence is durable. Caller must hold s.mu
-// (or be the constructor).
-func (s *FileSink) openSegment(i int) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, segmentName(i)),
-		os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: sink: %w", err)
-	}
+// openSegment creates segment i, preallocated and mapped at
+// SegmentBytes (or at need, if larger), and makes it current. The
+// outgoing segment is synced first, once every Sync in flight on it has
+// returned: a group-commit Sync reaches only the current segment, so
+// without this the records written before a rotation could be lost to
+// power failure although a later Sync reported them durable. A new
+// segment that cannot be reserved or mapped is removed again, and the
+// outgoing one stays current; otherwise the outgoing one is unmapped
+// and truncated to the bytes written. The directory is synced too so
+// the new segment's existence is durable. Caller must hold s.mu (or be
+// the constructor).
+func (s *FileSink) openSegment(i int, need int64) error {
 	if s.f != nil {
 		s.inflight.Wait()
-		if !s.opts.NoSync {
-			if err := fsync(s.f); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: sink: %w", err)
-			}
-		}
-		if err := s.f.Close(); err != nil {
-			f.Close()
+		if err := s.flush(s.f, s.m); err != nil {
 			return fmt.Errorf("wal: sink: %w", err)
 		}
 	}
-	s.f, s.seg, s.size, s.werr = f, i, 0, false
+	path := filepath.Join(s.dir, segmentName(i))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: sink: %w", err)
+	}
+	size := max(s.opts.SegmentBytes, need)
+	var m []byte
+	if err = preallocate(f, size); err == nil {
+		m, err = mapShared(f, size)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return fmt.Errorf("wal: sink: %w", err)
+	}
+	if s.f != nil {
+		// The outgoing segment is durable: a failure to trim it leaves a
+		// zero tail, which reads as its end.
+		err = s.trim()
+	}
+	s.f, s.m, s.seg, s.size = f, m, i, 0
 	if !s.opts.NoSync {
 		s.syncDir()
 	}
+	if err != nil {
+		return fmt.Errorf("wal: sink: %w", err)
+	}
 	return nil
+}
+
+// flush forces f, mapped at m, to stable storage (a no-op under
+// NoSync).
+func (s *FileSink) flush(f *os.File, m []byte) error {
+	if s.opts.NoSync {
+		return nil
+	}
+	if err := flushView(m); err != nil {
+		return err
+	}
+	return fsync(f)
+}
+
+// trim unmaps the current segment, truncates it to the bytes written
+// and closes it.
+func (s *FileSink) trim() error {
+	err := unmap(s.m)
+	if terr := s.f.Truncate(s.size); err == nil {
+		err = terr
+	}
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	s.f, s.m = nil, nil
+	return err
 }
 
 // syncFile fsyncs the file at path.
@@ -241,34 +295,43 @@ func (s *FileSink) syncDir() {
 	}
 }
 
-// Write frames one encoded record and appends it to the current
-// segment in one write(2), rotating first when the segment is full — or
-// when an earlier write failed partway: the garbage frame it left would
-// hide everything appended after it in that segment (deframe stops at
-// the first damaged frame), so the segment is abandoned and the next
-// record starts a fresh one. Implements io.Writer for Log.
+// Write frames one encoded record and copies it into the current
+// segment's mapping, rotating first when the segment is full: the CRC
+// and payload go in first and the length word last, so a process killed
+// mid-copy leaves a zero length word (or a frame whose CRC fails), and
+// either ends the segment at the last whole record. A failed rotation
+// writes nothing. An empty p writes no frame (its zero length word would
+// read as the segment's end). Implements io.Writer for Log.
 func (s *FileSink) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if len(p) > maxFramePayload {
+		return 0, fmt.Errorf("wal: sink: record of %d bytes exceeds the %d-byte frame limit", len(p), maxFramePayload)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, fmt.Errorf("wal: sink: closed")
 	}
 	frame := int64(frameHeaderSize + len(p))
-	if s.werr || (s.size > 0 && s.size+frame > s.opts.SegmentBytes) {
-		if err := s.openSegment(s.seg + 1); err != nil {
+	if s.size+frame > int64(len(s.m)) {
+		if err := s.openSegment(s.seg+1, frame); err != nil {
 			return 0, err
 		}
 	}
-	s.frame = binary.LittleEndian.AppendUint32(s.frame[:0], uint32(len(p)))
-	s.frame = binary.LittleEndian.AppendUint32(s.frame, crc32.ChecksumIEEE(p))
-	s.frame = append(s.frame, p...)
-	if _, err := s.f.Write(s.frame); err != nil {
-		s.werr = true
-		return 0, fmt.Errorf("wal: sink: %w", err)
-	}
+	putFrame(s.m[s.size:s.size+frame], p)
 	s.size += frame
 	s.opts.Obs.AddWALSince(frame, 1)
 	return len(p), nil
+}
+
+// putFrame frames p into b, which holds exactly the frame: the CRC and
+// the payload first, the length word last.
+func putFrame(b, p []byte) {
+	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(p))
+	copy(b[frameHeaderSize:], p)
+	binary.LittleEndian.PutUint32(b, uint32(len(p)))
 }
 
 // Sync flushes the current segment to stable storage (a no-op under
@@ -286,12 +349,12 @@ func (s *FileSink) Sync() error {
 		s.mu.Unlock()
 		return nil
 	}
-	f := s.f
+	f, m := s.f, s.m
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	defer s.inflight.Done()
 	t0 := time.Now()
-	if err := fsync(f); err != nil {
+	if err := s.flush(f, m); err != nil {
 		return fmt.Errorf("wal: sink: %w", err)
 	}
 	s.opts.Obs.RecordFsync(time.Since(t0))
@@ -306,10 +369,10 @@ func (s *FileSink) MarkCheckpoint() (int, error) {
 	if s.closed {
 		return 0, fmt.Errorf("wal: sink: closed")
 	}
-	if s.size == 0 && !s.werr {
+	if s.size == 0 {
 		return s.seg, nil
 	}
-	if err := s.openSegment(s.seg + 1); err != nil {
+	if err := s.openSegment(s.seg+1, 0); err != nil {
 		return 0, err
 	}
 	return s.seg, nil
@@ -348,8 +411,9 @@ func (s *FileSink) Segments() ([]int, error) {
 	return segmentIndexes(s.dir)
 }
 
-// Close waits for in-flight Syncs, then syncs and closes the current
-// segment. Further writes fail.
+// Close waits for in-flight Syncs, then syncs the current segment,
+// unmaps it, truncates it to the bytes written and closes it. Further
+// writes fail.
 func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -358,13 +422,11 @@ func (s *FileSink) Close() error {
 	}
 	s.closed = true
 	s.inflight.Wait()
-	if !s.opts.NoSync {
-		if err := fsync(s.f); err != nil {
-			s.f.Close()
-			return fmt.Errorf("wal: sink: %w", err)
-		}
+	err := s.flush(s.f, s.m)
+	if terr := s.trim(); err == nil {
+		err = terr
 	}
-	if err := s.f.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("wal: sink: %w", err)
 	}
 	return nil
@@ -401,9 +463,14 @@ func ReadDir(dir string) ([]byte, error) {
 }
 
 // deframe extracts the payloads of the intact frames at the front of
-// raw, reporting whether the whole buffer was consumed cleanly.
+// raw, reporting whether the whole buffer was consumed cleanly. A zero
+// length word ends the buffer cleanly: it is the unwritten, zero tail
+// of a preallocated segment (no frame has an empty payload).
 func deframe(raw []byte) (payloads []byte, intact bool) {
 	for len(raw) > 0 {
+		if zeroWord(raw) {
+			return payloads, true
+		}
 		if len(raw) < frameHeaderSize {
 			return payloads, false
 		}
@@ -420,6 +487,17 @@ func deframe(raw []byte) (payloads []byte, intact bool) {
 		raw = raw[frameHeaderSize+int(n):]
 	}
 	return payloads, true
+}
+
+// zeroWord reports whether raw starts with a zero length word; a
+// remainder shorter than a word counts as zero-padded.
+func zeroWord(raw []byte) bool {
+	for _, b := range raw[:min(len(raw), 4)] {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Interface checks.

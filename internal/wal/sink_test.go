@@ -197,43 +197,6 @@ func TestFileSinkCheckpointTruncation(t *testing.T) {
 	}
 }
 
-func TestFileSinkAbandonsSegmentAfterFailedWrite(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileSink(dir, SinkOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := New(s)
-	appendN(t, l, 1, "col")
-	// Simulate a failed write that left a partial frame: garbage in the
-	// current segment plus the sink's failed-write flag.
-	if _, err := s.f.Write([]byte{0x77, 0x00, 0x00}); err != nil {
-		t.Fatal(err)
-	}
-	s.werr = true
-
-	// The next record must land in a fresh segment, not behind the
-	// garbage — and MarkCheckpoint must not reuse the damaged segment.
-	appendN(t, l, 1, "col")
-	if s.seg != 2 {
-		t.Fatalf("write after failure stayed in segment %d", s.seg)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	img, err := ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Replay(img, func(Record) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Fatalf("replayed %d records, want 6 (both incarnations readable)", n)
-	}
-}
-
 func TestReadDirSkipsDamagedEarlierSegment(t *testing.T) {
 	// A stale segment with a torn tail (e.g. a failed truncation after
 	// a crash) must not mask the segments written after it: reading
@@ -398,8 +361,8 @@ func TestFileSinkReopenStartsFreshSegment(t *testing.T) {
 }
 
 // TestLogAppendZeroAlloc is the allocation gate of a logged write: the
-// record is encoded into the log's reused buffer, framed into the
-// sink's, and handed to the OS in one write; no copy of it is kept.
+// record is encoded into the log's reused buffer and framed straight
+// into the segment's mapping; no copy of it is kept.
 func TestLogAppendZeroAlloc(t *testing.T) {
 	s, err := NewFileSink(t.TempDir(), SinkOptions{NoSync: true})
 	if err != nil {

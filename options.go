@@ -259,8 +259,9 @@ func WithValues(values []int64) Option {
 	}
 }
 
-// WithSegmentBytes sets the WAL segment rotation threshold of a
-// durable store (default 1 MiB). Open only.
+// WithSegmentBytes sets the WAL segment size of a durable store: each
+// segment is preallocated and mapped at it, and rotates once full
+// (default 1 MiB). Open only.
 func WithSegmentBytes(n int64) Option {
 	return func(c *config) error {
 		c.segmentBytes = n
