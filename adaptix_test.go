@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptix"
+	"adaptix/internal/crackindex"
 )
 
 // ctx is the uncancellable context the API tests query with.
@@ -164,6 +165,26 @@ func TestPublicAPIOptionValidation(t *testing.T) {
 	}
 	if _, err := adaptix.New(d.Values, adaptix.WithShards(0)); err == nil {
 		t.Fatal("New accepted zero shards")
+	}
+}
+
+// TestNewRejectsLatchNone: an Index promises safe concurrent use, and
+// its write path's maintenance walks a shard's pieces while queries
+// crack them, so a configuration without latches is refused, by New and
+// by Open alike.
+func TestNewRejectsLatchNone(t *testing.T) {
+	d := adaptix.NewUniqueDataset(1000, 3)
+	none := adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: crackindex.LatchNone})
+	if ix, err := adaptix.New(d.Values, none); err == nil {
+		ix.Close()
+		t.Fatal("New accepted LatchNone")
+	}
+	if ix, err := adaptix.Open(t.TempDir(), adaptix.WithValues(d.Values), adaptix.WithNoSync(), none); err == nil {
+		ix.Close()
+		t.Fatal("Open accepted LatchNone")
+	}
+	for _, mode := range []crackindex.LatchMode{adaptix.LatchPiece, adaptix.LatchColumn} {
+		mustNew(t, d.Values, adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: mode}))
 	}
 }
 

@@ -904,7 +904,5 @@ func BenchmarkObsOverhead_Disabled(b *testing.B) {
 }
 
 func BenchmarkObsOverhead_Enabled(b *testing.B) {
-	ob := metrics.NewObserver(metrics.ObserverOptions{})
-	ob.EnableTracing(true)
-	benchObsQueries(b, ob)
+	benchObsQueries(b, metrics.NewObserver(metrics.ObserverOptions{Tracing: true}))
 }

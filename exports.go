@@ -5,7 +5,6 @@ import (
 
 	"adaptix/internal/amerge"
 	"adaptix/internal/column"
-	"adaptix/internal/cracker"
 	"adaptix/internal/crackindex"
 	"adaptix/internal/durable"
 	"adaptix/internal/engine"
@@ -14,7 +13,6 @@ import (
 	"adaptix/internal/health"
 	"adaptix/internal/hybrid"
 	"adaptix/internal/ingest"
-	"adaptix/internal/latch"
 	"adaptix/internal/lockmgr"
 	"adaptix/internal/metrics"
 	"adaptix/internal/shard"
@@ -35,9 +33,9 @@ var ErrSentinelKey = shard.ErrSentinelKey
 // Method-specific option structs, consumed by WithCrackOptions /
 // WithMergeOptions / WithHybridOptions.
 type (
-	// CrackOptions configures latching mode, layout, scheduling,
-	// conflict policy and optimizations of the per-shard cracked
-	// indexes (Crack method).
+	// CrackOptions configures latching mode, scheduling, conflict
+	// policy and optimizations of the per-shard cracked indexes (Crack
+	// method).
 	CrackOptions = crackindex.Options
 	// MergeOptions configures run size, merge budget and conflict
 	// policy of the per-shard adaptive-merging indexes (AMerge method).
@@ -47,7 +45,7 @@ type (
 	// method).
 	HybridOptions = hybrid.Options
 	// IngestOptions configures the write path (WithIngestOptions):
-	// group-apply thresholds and rebalancing factors.
+	// group-apply and split thresholds.
 	IngestOptions = ingest.Options
 )
 
@@ -112,7 +110,7 @@ type (
 
 // Health watchdog (WithHealth, Index.Health, the endpoint's /health).
 type (
-	// HealthOptions tunes the watchdog's rule thresholds and its
+	// HealthOptions tunes the watchdog's WAL-growth threshold and its
 	// background evaluation interval (WithHealth).
 	HealthOptions = health.Options
 	// HealthReport is one full watchdog evaluation: an overall verdict
@@ -133,41 +131,13 @@ const (
 	HealthDegraded = health.Degraded
 )
 
-// Latching modes (paper §5.3), for CrackOptions.Latching.
+// Latching modes (paper §5.3), for CrackOptions.Latching. An Index
+// always latches: WithCrackOptions refuses crackindex's LatchNone.
 const (
 	// LatchPiece: one latch per array piece — the finest granularity.
 	LatchPiece = crackindex.LatchPiece
 	// LatchColumn: one latch per column.
 	LatchColumn = crackindex.LatchColumn
-	// LatchNone: no concurrency control (single-threaded only).
-	LatchNone = crackindex.LatchNone
-)
-
-// Conflict policies for optional refinement (CrackOptions.OnConflict).
-const (
-	// WaitOnConflict blocks until the latch is free.
-	WaitOnConflict = crackindex.Wait
-	// SkipOnConflict forgoes the optional refinement (conflict
-	// avoidance, §3.3).
-	SkipOnConflict = crackindex.Skip
-)
-
-// Cracker-array layouts (Figure 7), for CrackOptions.Layout. They
-// choose the layout of a lazy index over a base column (the paper's
-// figures); an Index's shard arrays store values only, whichever is set.
-const (
-	// LayoutSplit stores rowIDs and values as a pair of arrays.
-	LayoutSplit = cracker.LayoutSplit
-	// LayoutPairs stores an array of rowID-value pairs.
-	LayoutPairs = cracker.LayoutPairs
-)
-
-// Waiting-crack scheduling policies (§5.3), for CrackOptions.Scheduling.
-const (
-	// MiddleFirst wakes the median-bound waiter first.
-	MiddleFirst = latch.MiddleFirst
-	// FIFO wakes waiters in arrival order.
-	FIFO = latch.FIFO
 )
 
 // WithQueryTag returns a context carrying a query tag: trace events

@@ -261,7 +261,7 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 	const n = 1 << 20
 	ix, err := adaptix.New(seqValues(n),
 		adaptix.WithShards(1), // one latch domain: the paper's original setting
-		adaptix.WithHealth(adaptix.HealthOptions{Interval: -1, StagnationWindows: 2}),
+		adaptix.WithHealth(adaptix.HealthOptions{Interval: -1}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +269,9 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 	defer ix.Close()
 
 	ctx := context.Background()
-	// 512 queries fill two convergence windows; on one unrefined piece
-	// each would touch the ~n-sized tail.
-	for i := int64(0); i < 512; i++ {
+	// 2048 queries fill the rule's eight convergence windows; on one
+	// unrefined piece each would touch the ~n-sized tail.
+	for i := int64(0); i < 2048; i++ {
 		if _, err := ix.Count(ctx, i*100, i*100+100); err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,11 @@ func TestHealthConvergenceStagnation(t *testing.T) {
 	if floor := conv.Evidence["min_rows"]; early == 0 || early > floor || late > floor {
 		t.Fatalf("rows touched per query left the floor of %d: %d -> %d (series %v)", floor, early, late, series)
 	}
-	if len(series) < 2 || series[len(series)-1] != late {
+	var tail int64 // the late half of the eight windows the rule reads
+	for _, v := range series[max(0, len(series)-4):] {
+		tail += v
+	}
+	if len(series) < 8 || tail/4 != late {
 		t.Fatalf("series %v inconsistent with the verdict's evidence %+v", series, conv.Evidence)
 	}
 	if code, _ := getJSON(t, ix, "/health"); code != 200 {

@@ -47,64 +47,50 @@ const (
 	RuleConvergence   = "convergence-stagnation"
 )
 
-// Options tunes the watchdog thresholds. The zero value uses the
-// defaults noted per field.
+// Fixed rule thresholds.
+const (
+	// writerStallP99 degrades RuleWriterStall when the writer-park p99
+	// reaches it.
+	writerStallP99 = 100 * time.Millisecond
+	// maxEpochChain degrades RuleEpochChain when any shard's epoch
+	// chain exceeds this many files.
+	maxEpochChain = 32
+	// maxSealedUnapplied degrades RuleSealedBacklog when the total
+	// sealed-but-unapplied epoch files exceed it.
+	maxSealedUnapplied = 64
+	// latchStallsPerSec degrades RuleLatchStorm when the latch-stall
+	// rate between evaluations exceeds it.
+	latchStallsPerSec = 1000
+	// stagnationWindows is how many trailing decay-series points the
+	// convergence rule examines (the rule never fires with fewer points
+	// recorded).
+	stagnationWindows = 8
+	// stagnationMinRows is the mean rows-touched floor below which the
+	// index counts as converged regardless of trend: the piece size
+	// below which a crack stops cutting ahead of demand, so a sweep
+	// through pieces that small stays flat by design and costs
+	// microseconds a query.
+	stagnationMinRows = 16 << 10
+)
+
+// Options tunes the watchdog. The zero value uses the defaults noted
+// per field.
 type Options struct {
 	// Interval is the background evaluation period (default 5s;
 	// negative disables the background loop — Eval still works on
 	// demand, which is how /health stays accurate without a ticker).
 	Interval time.Duration
-	// WriterStallP99 degrades RuleWriterStall when the writer-park p99
-	// reaches it (default 100ms).
-	WriterStallP99 time.Duration
-	// MaxEpochChain degrades RuleEpochChain when any shard's epoch
-	// chain exceeds this many files (default 32).
-	MaxEpochChain int64
-	// MaxSealedUnapplied degrades RuleSealedBacklog when the total
-	// sealed-but-unapplied epoch files exceed it (default 64).
-	MaxSealedUnapplied int64
 	// MaxWALBytes degrades RuleWALGrowth when WAL bytes since the last
 	// checkpoint exceed it (default 256 MiB).
 	MaxWALBytes int64
-	// LatchStallsPerSec degrades RuleLatchStorm when the latch-stall
-	// rate between evaluations exceeds it (default 1000/s).
-	LatchStallsPerSec float64
-	// StagnationWindows is how many trailing decay-series points the
-	// convergence rule examines (default 8; the rule never fires with
-	// fewer points recorded).
-	StagnationWindows int
-	// StagnationMinRows is the mean rows-touched floor below which the
-	// index counts as converged regardless of trend (default 16384: the
-	// piece size below which a crack stops cutting ahead of demand, so
-	// a sweep through pieces that small stays flat by design and costs
-	// microseconds a query).
-	StagnationMinRows int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.Interval == 0 {
 		o.Interval = 5 * time.Second
 	}
-	if o.WriterStallP99 <= 0 {
-		o.WriterStallP99 = 100 * time.Millisecond
-	}
-	if o.MaxEpochChain <= 0 {
-		o.MaxEpochChain = 32
-	}
-	if o.MaxSealedUnapplied <= 0 {
-		o.MaxSealedUnapplied = 64
-	}
 	if o.MaxWALBytes <= 0 {
 		o.MaxWALBytes = 256 << 20
-	}
-	if o.LatchStallsPerSec <= 0 {
-		o.LatchStallsPerSec = 1000
-	}
-	if o.StagnationWindows <= 0 {
-		o.StagnationWindows = 8
-	}
-	if o.StagnationMinRows <= 0 {
-		o.StagnationMinRows = 16 << 10
 	}
 	return o
 }
@@ -257,23 +243,23 @@ func (w *Watchdog) Eval() Report {
 	}
 
 	add(RuleWriterStall,
-		sum.WriterStallP99 >= w.opts.WriterStallP99,
-		fmt.Sprintf("writer-stall p99 %v >= %v", sum.WriterStallP99, w.opts.WriterStallP99),
+		sum.WriterStallP99 >= writerStallP99,
+		fmt.Sprintf("writer-stall p99 %v >= %v", sum.WriterStallP99, writerStallP99),
 		map[string]int64{
 			"p99_ns":       int64(sum.WriterStallP99),
-			"threshold_ns": int64(w.opts.WriterStallP99),
+			"threshold_ns": int64(writerStallP99),
 			"stalls":       sum.WriterStalls,
 		})
 
 	add(RuleEpochChain,
-		maxChain > w.opts.MaxEpochChain,
-		fmt.Sprintf("longest epoch chain %d > %d", maxChain, w.opts.MaxEpochChain),
-		map[string]int64{"max_chain": maxChain, "threshold": w.opts.MaxEpochChain})
+		maxChain > maxEpochChain,
+		fmt.Sprintf("longest epoch chain %d > %d", maxChain, maxEpochChain),
+		map[string]int64{"max_chain": maxChain, "threshold": maxEpochChain})
 
 	add(RuleSealedBacklog,
-		sealed > w.opts.MaxSealedUnapplied,
-		fmt.Sprintf("sealed-unapplied epochs %d > %d", sealed, w.opts.MaxSealedUnapplied),
-		map[string]int64{"sealed_unapplied": sealed, "threshold": w.opts.MaxSealedUnapplied})
+		sealed > maxSealedUnapplied,
+		fmt.Sprintf("sealed-unapplied epochs %d > %d", sealed, maxSealedUnapplied),
+		map[string]int64{"sealed_unapplied": sealed, "threshold": maxSealedUnapplied})
 
 	add(RuleWALGrowth,
 		walBytes > w.opts.MaxWALBytes,
@@ -285,23 +271,23 @@ func (w *Watchdog) Eval() Report {
 		})
 
 	add(RuleLatchStorm,
-		stallRate > w.opts.LatchStallsPerSec,
-		fmt.Sprintf("latch stalls at %.0f/s > %.0f/s", stallRate, w.opts.LatchStallsPerSec),
+		stallRate > latchStallsPerSec,
+		fmt.Sprintf("latch stalls at %.0f/s > %d/s", stallRate, latchStallsPerSec),
 		map[string]int64{
 			"stalls_per_sec": int64(stallRate),
-			"threshold":      int64(w.opts.LatchStallsPerSec),
+			"threshold":      latchStallsPerSec,
 			"stalls_total":   sum.LatchStalls,
 		})
 
 	series := w.ob.ConvergenceSeries()
-	stag, early, late := stagnating(series, w.opts.StagnationWindows, w.opts.StagnationMinRows)
+	stag, early, late := stagnating(series, stagnationWindows, stagnationMinRows)
 	add(RuleConvergence, stag,
 		fmt.Sprintf("rows touched per query not decaying (%d -> %d over %d windows)",
-			early, late, w.opts.StagnationWindows),
+			early, late, stagnationWindows),
 		map[string]int64{
 			"early_mean_rows": early,
 			"late_mean_rows":  late,
-			"min_rows":        w.opts.StagnationMinRows,
+			"min_rows":        stagnationMinRows,
 			"windows":         int64(len(series)),
 		})
 

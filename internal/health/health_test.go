@@ -148,11 +148,11 @@ func TestLatchStormRuleUsesRateBetweenEvals(t *testing.T) {
 
 func TestConvergenceRuleFiresOnFlatSeries(t *testing.T) {
 	ob := newObserver()
-	// Two full windows of a flat, high rows-touched series.
-	for i := 0; i < 2*metrics.ConvWindow; i++ {
+	// The rule's full span of windows of a flat series above its floor.
+	for i := 0; i < stagnationWindows*metrics.ConvWindow; i++ {
 		ob.RecordTouched(50_000)
 	}
-	w := New(Options{StagnationWindows: 2, StagnationMinRows: 1}, ob, nil)
+	w := New(Options{}, ob, nil)
 	r := ruleByName(t, w.Eval(), RuleConvergence)
 	if r.Status != Degraded {
 		t.Fatalf("convergence rule ok on a flat 50k-row series: %+v", r)
@@ -164,14 +164,15 @@ func TestConvergenceRuleFiresOnFlatSeries(t *testing.T) {
 
 func TestConvergenceRulePassesOnDecayingSeries(t *testing.T) {
 	ob := newObserver()
-	// First window means ~50k, second ~5k: a healthy decay.
-	for i := 0; i < metrics.ConvWindow; i++ {
+	// Early windows mean ~50k, late ones ~35k: a healthy decay that
+	// stays above the floor, so the trend alone decides.
+	for i := 0; i < stagnationWindows/2*metrics.ConvWindow; i++ {
 		ob.RecordTouched(50_000)
 	}
-	for i := 0; i < metrics.ConvWindow; i++ {
-		ob.RecordTouched(5_000)
+	for i := 0; i < stagnationWindows/2*metrics.ConvWindow; i++ {
+		ob.RecordTouched(35_000)
 	}
-	w := New(Options{StagnationWindows: 2, StagnationMinRows: 1}, ob, nil)
+	w := New(Options{}, ob, nil)
 	if r := ruleByName(t, w.Eval(), RuleConvergence); r.Status != OK {
 		t.Fatalf("convergence rule fired on a decaying series: %+v", r)
 	}

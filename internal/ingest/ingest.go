@@ -25,10 +25,9 @@
 //     knowledge earned by earlier queries survives (the group-apply
 //     analogue of the paper's §7 group cracking: many queued updates,
 //     one structural pass).
-//   - The rebalancer watches per-shard row counts — and refinement
-//     traffic, with Options.LoadWeight — and splits shards that
-//     drifted above SplitFactor times the mean weight or merges
-//     adjacent dwarf shards, so a skewed insert storm cannot
+//   - The rebalancer watches per-shard row counts and splits shards
+//     that drifted above SplitFactor times the mean or merges adjacent
+//     dwarf shards, so a skewed insert storm cannot
 //     concentrate all future work in one latch domain. Readers never
 //     block on any of this: structural operations publish a new shard
 //     map while queries in flight keep their own consistent snapshot
@@ -79,15 +78,9 @@ type Options struct {
 	// SplitFactor triggers a shard split when a shard's row count
 	// exceeds SplitFactor times the mean. Default 2.
 	SplitFactor float64
-	// MergeFraction triggers a merge of two adjacent shards when their
-	// combined row count falls below MergeFraction times the mean.
-	// Default 0.5.
-	MergeFraction float64
 	// MinShardRows is the smallest shard the rebalancer will split.
 	// Default 2048.
 	MinShardRows int
-	// MaxShards caps the shard count growth. Default 64.
-	MaxShards int
 	// CheckEvery is the number of routed writes between background
 	// maintenance wake-ups. Default ApplyThreshold/2.
 	CheckEvery int
@@ -116,13 +109,6 @@ type Options struct {
 	// the write rate is too low to reach SyncEvery. Zero disables the
 	// ticker. The ticker runs between Start and Close.
 	SyncInterval time.Duration
-	// LoadWeight enables load-aware rebalancing: split and merge
-	// decisions weigh each shard's observed refinement traffic (the
-	// Cracks and Conflicts counters in shard.ShardStat) on top of its
-	// row count, so a small-but-scorching shard splits and two hot
-	// dwarfs are not merged back together. Zero keeps pure
-	// row-count balancing; 1 is a reasonable starting weight.
-	LoadWeight float64
 	// CheckpointEvery is the number of structural operations (group-
 	// applies, splits, merges) between automatic checkpoints (see Checkpoint). Zero disables
 	// automatic checkpoints; Checkpoint can still be called manually and
@@ -155,14 +141,8 @@ func (o Options) withDefaults() Options {
 	if o.SplitFactor <= 1 {
 		o.SplitFactor = 2
 	}
-	if o.MergeFraction <= 0 || o.MergeFraction >= 1 {
-		o.MergeFraction = 0.5
-	}
 	if o.MinShardRows <= 0 {
 		o.MinShardRows = 2048
-	}
-	if o.MaxShards <= 0 {
-		o.MaxShards = 64
 	}
 	if o.CheckEvery <= 0 {
 		o.CheckEvery = o.ApplyThreshold / 2

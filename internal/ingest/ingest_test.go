@@ -163,7 +163,7 @@ func TestRebalanceSplitsAndMerges(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<13, 17)
 	col := shard.New(d.Values, pieceOpts())
 	g := New(col, Options{
-		ApplyThreshold: 128, MinShardRows: 256, SplitFactor: 1.5, MaxShards: 32,
+		ApplyThreshold: 128, MinShardRows: 256, SplitFactor: 1.5,
 	})
 	before := col.NumShards()
 
@@ -196,6 +196,24 @@ func TestRebalanceSplitsAndMerges(t *testing.T) {
 		t.Logf("shards after delete storm: %d (no merge triggered)", col.NumShards())
 	}
 	if err := col.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Two adjacent shards dwarfed by deletes (a residue keeps them
+	// non-empty) fall below mergeFraction of the mean and merge.
+	dwarfs := shard.New(d.Values, pieceOpts())
+	b := dwarfs.Bounds()
+	for v := b[0]; v < b[2]; v++ {
+		if v%8 != 0 {
+			dwarfs.DeleteValue(qctx, v)
+		}
+	}
+	for i := dwarfs.NumShards() - 1; i >= 0; i-- {
+		dwarfs.ApplyShard(i)
+	}
+	if _, merges := New(dwarfs, Options{ApplyThreshold: 1 << 30}).Rebalance(); merges == 0 {
+		t.Fatal("rebalance left adjacent dwarf shards unmerged")
+	}
+	if err := dwarfs.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -82,7 +82,7 @@ func TestFlightConcurrent(t *testing.T) {
 // the flight-recorder dump (the ISSUE's forced-stall test, unit
 // level; the facade-level version lives in the root package).
 func TestObserverStallLandsInFlight(t *testing.T) {
-	ob := NewObserver(ObserverOptions{StallThreshold: time.Microsecond, FlightEvents: 64})
+	ob := NewObserver(ObserverOptions{StallThreshold: time.Microsecond})
 	ob.RecordLatchWait(50*time.Microsecond, true)
 	ob.RecordWriterPark(3, 2*time.Millisecond)
 	ob.RecordLatchWait(time.Nanosecond, false) // under threshold: histogram only
@@ -124,11 +124,10 @@ func TestObserverStallLandsInFlight(t *testing.T) {
 }
 
 func TestObserverSampling(t *testing.T) {
-	ob := NewObserver(ObserverOptions{SampleEvery: 4})
-	if !ob.QueryStart().IsZero() {
+	if !NewObserver(ObserverOptions{SampleEvery: 4}).QueryStart().IsZero() {
 		t.Fatal("QueryStart should be zero while tracing is disabled")
 	}
-	ob.EnableTracing(true)
+	ob := NewObserver(ObserverOptions{Tracing: true, SampleEvery: 4})
 	var sampled int
 	for i := 0; i < 100; i++ {
 		start := ob.QueryStart()
@@ -143,8 +142,14 @@ func TestObserverSampling(t *testing.T) {
 	if got := ob.Registry().Counter("adaptix_queries_total", "").Load(); got != 100 {
 		t.Fatalf("queries counter = %d, want 100 (core histograms record every query)", got)
 	}
-	if got := ob.Registry().Counter("adaptix_sampled_spans_total", "").Load(); got != int64(sampled) {
-		t.Fatalf("sampled spans counter = %d, want %d", got, sampled)
+	var spans HistSnapshot
+	ob.Registry().VisitHistograms(func(name string, s HistSnapshot) {
+		if name == "adaptix_query_latency_ns" {
+			spans = s
+		}
+	})
+	if got := spans.Count(); got != int64(sampled) {
+		t.Fatalf("query latency histogram count = %d, want %d sampled spans", got, sampled)
 	}
 }
 

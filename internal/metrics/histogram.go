@@ -187,17 +187,3 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 func (s *HistSnapshot) QuantileDuration(q float64) time.Duration {
 	return time.Duration(s.Quantile(q))
 }
-
-// Buckets calls f with each non-empty bucket's upper value bound and
-// count, in increasing value order — the Prometheus exposition shape.
-func (s *HistSnapshot) Buckets(f func(upperBound int64, count int64)) {
-	for i := range s.Counts {
-		if s.Counts[i] > 0 {
-			width := int64(1)
-			if i >= histSubBuckets {
-				width = int64(1) << uint(i/histSubBuckets-1)
-			}
-			f(bucketLow(i)+width-1, s.Counts[i])
-		}
-	}
-}

@@ -32,27 +32,26 @@ import (
 
 // Default observer tuning.
 const (
-	// DefaultSampleEvery traces every query once tracing is enabled.
-	DefaultSampleEvery = 1
-	// DefaultStallThreshold flags latch waits and writer parks longer
+	// defaultStallThreshold flags latch waits and writer parks longer
 	// than this as stall events.
-	DefaultStallThreshold = time.Millisecond
-	// DefaultFlightEvents is the flight-recorder ring capacity.
-	DefaultFlightEvents = 4096
+	defaultStallThreshold = time.Millisecond
+	// flightEvents is the flight-recorder ring capacity.
+	flightEvents = 4096
 )
 
-// ObserverOptions tunes an Observer. The zero value uses the defaults
-// above.
+// ObserverOptions tunes an Observer. The zero value records the core
+// histograms and stalls over defaultStallThreshold, and traces nothing.
 type ObserverOptions struct {
+	// Tracing enables per-query end-to-end timing and sampled flight
+	// spans. The core histograms record regardless.
+	Tracing bool
 	// SampleEvery traces 1 in N queries end to end when tracing is
 	// enabled (default 1: every query). Higher values cut tracing
 	// overhead proportionally.
 	SampleEvery int
 	// StallThreshold classifies latch waits and writer parks as stall
-	// events (default 1ms).
+	// events (default defaultStallThreshold).
 	StallThreshold time.Duration
-	// FlightEvents is the flight-recorder capacity (default 4096).
-	FlightEvents int
 }
 
 // Observer aggregates one index's instruments. Create with
@@ -61,15 +60,16 @@ type Observer struct {
 	reg    *Registry
 	flight *Flight
 
-	tracing     atomic.Bool
-	sampleEvery atomic.Int64
-	stallNS     atomic.Int64
-	qctr        atomic.Uint64 // sampling counter
+	// Fixed at construction, before the observer is published.
+	tracing     bool
+	sampleEvery uint64
+	stallNS     int64
+
+	qctr atomic.Uint64 // sampling counter
 
 	// Query path.
 	queries       *Counter
-	sampledSpans  *Counter
-	queryLatency  *Histogram // end-to-end, tracing only
+	queryLatency  *Histogram // end-to-end, tracing only; its count is the sampled spans
 	queryWait     *Histogram // summed latch wait per query
 	queryCrack    *Histogram // summed crack/refine per query
 	queryCritical *Histogram // fan-out critical path per query
@@ -79,8 +79,7 @@ type Observer struct {
 	latchStalls *Counter
 
 	// Write path.
-	writes       *Counter
-	writeLatency *Histogram
+	writeLatency *Histogram // its count is the routed writes
 	writerPark   *Histogram
 	writerStalls *Counter
 
@@ -121,24 +120,23 @@ type Observer struct {
 }
 
 // NewObserver builds an observer with its registry and flight
-// recorder. Tracing starts disabled; enable with EnableTracing.
+// recorder.
 func NewObserver(o ObserverOptions) *Observer {
 	if o.SampleEvery <= 0 {
-		o.SampleEvery = DefaultSampleEvery
+		o.SampleEvery = 1
 	}
 	if o.StallThreshold <= 0 {
-		o.StallThreshold = DefaultStallThreshold
-	}
-	if o.FlightEvents <= 0 {
-		o.FlightEvents = DefaultFlightEvents
+		o.StallThreshold = defaultStallThreshold
 	}
 	reg := NewRegistry()
 	ob := &Observer{
-		reg:    reg,
-		flight: NewFlight(o.FlightEvents),
+		reg:         reg,
+		flight:      NewFlight(flightEvents),
+		tracing:     o.Tracing,
+		sampleEvery: uint64(o.SampleEvery),
+		stallNS:     int64(o.StallThreshold),
 
 		queries:       reg.Counter("adaptix_queries_total", "Range queries answered."),
-		sampledSpans:  reg.Counter("adaptix_sampled_spans_total", "Query spans captured by the flight recorder."),
 		queryLatency:  reg.Histogram("adaptix_query_latency_ns", "End-to-end query latency (tracing only)."),
 		queryWait:     reg.Histogram("adaptix_query_wait_ns", "Per-query summed latch-wait time."),
 		queryCrack:    reg.Histogram("adaptix_query_crack_ns", "Per-query summed crack/refine time."),
@@ -147,7 +145,6 @@ func NewObserver(o ObserverOptions) *Observer {
 		latchWait:   reg.Histogram("adaptix_latch_wait_ns", "Blocked latch acquisitions, wait time."),
 		latchStalls: reg.Counter("adaptix_latch_stalls_total", "Latch waits over the stall threshold."),
 
-		writes:       reg.Counter("adaptix_writes_total", "Routed insert/delete operations."),
 		writeLatency: reg.Histogram("adaptix_write_latency_ns", "Routed write latency (route + epoch append + log)."),
 		writerPark:   reg.Histogram("adaptix_writer_park_ns", "Writer park time on sealed epochs."),
 		writerStalls: reg.Counter("adaptix_writer_stalls_total", "Writer parks over the stall threshold."),
@@ -180,8 +177,6 @@ func NewObserver(o ObserverOptions) *Observer {
 	reg.CounterFunc("adaptix_covered_shards_total",
 		"Shard visits answered by the covered-aggregate fast path.",
 		func() int64 { _, c := ob.Routing(); return c })
-	ob.sampleEvery.Store(int64(o.SampleEvery))
-	ob.stallNS.Store(int64(o.StallThreshold))
 	return ob
 }
 
@@ -201,59 +196,15 @@ func (o *Observer) Flight() *Flight {
 	return o.flight
 }
 
-// EnableTracing turns per-query end-to-end timing and sampled flight
-// spans on or off. The core histograms record regardless.
-func (o *Observer) EnableTracing(on bool) {
-	if o == nil {
-		return
-	}
-	o.tracing.Store(on)
-}
-
-// Tracing reports whether per-query tracing is enabled.
-func (o *Observer) Tracing() bool { return o != nil && o.tracing.Load() }
-
-// SetSampleEvery adjusts the tracing sample rate at runtime (n <= 0
-// resets to every query).
-func (o *Observer) SetSampleEvery(n int) {
-	if o == nil {
-		return
-	}
-	if n <= 0 {
-		n = 1
-	}
-	o.sampleEvery.Store(int64(n))
-}
-
-// SetStallThreshold adjusts the stall classification threshold at
-// runtime (d <= 0 resets to the default).
-func (o *Observer) SetStallThreshold(d time.Duration) {
-	if o == nil {
-		return
-	}
-	if d <= 0 {
-		d = DefaultStallThreshold
-	}
-	o.stallNS.Store(int64(d))
-}
-
-// StallThreshold returns the current stall threshold.
-func (o *Observer) StallThreshold() time.Duration {
-	if o == nil {
-		return DefaultStallThreshold
-	}
-	return time.Duration(o.stallNS.Load())
-}
-
 // QueryStart opens a query span: zero when the observer is nil or
 // tracing is off (the caller then skips the closing time.Since), the
 // current time when this query is being traced.
 func (o *Observer) QueryStart() time.Time {
-	if o == nil || !o.tracing.Load() {
+	if o == nil || !o.tracing {
 		return time.Time{}
 	}
 	n := o.qctr.Add(1)
-	if every := uint64(o.sampleEvery.Load()); every > 1 && n%every != 0 {
+	if every := o.sampleEvery; every > 1 && n%every != 0 {
 		return time.Time{}
 	}
 	return time.Now()
@@ -285,7 +236,6 @@ func (o *Observer) RecordQuery(start time.Time, wait, crack, critical time.Durat
 	}
 	total := time.Since(start)
 	o.queryLatency.RecordDuration(total)
-	o.sampledSpans.Inc()
 	o.flight.Record(EvQuery, -1, total, int64(wait), int64(crack))
 }
 
@@ -297,7 +247,7 @@ func (o *Observer) RecordLatchWait(d time.Duration, reader bool) {
 		return
 	}
 	o.latchWait.RecordDuration(d)
-	if int64(d) >= o.stallNS.Load() {
+	if int64(d) >= o.stallNS {
 		o.latchStalls.Inc()
 		var r int64
 		if reader {
@@ -321,7 +271,6 @@ func (o *Observer) RecordWrite(start time.Time) {
 	if o == nil || start.IsZero() {
 		return
 	}
-	o.writes.Inc()
 	o.writeLatency.RecordDuration(time.Since(start))
 }
 
@@ -333,7 +282,7 @@ func (o *Observer) RecordWriterPark(shard int32, d time.Duration) {
 		return
 	}
 	o.writerPark.RecordDuration(d)
-	if int64(d) >= o.stallNS.Load() {
+	if int64(d) >= o.stallNS {
 		o.writerStalls.Inc()
 		o.flight.Record(EvWriterStall, shard, d, 0, 0)
 	}
@@ -386,7 +335,8 @@ func (o *Observer) RecordCommitBatch(n int64) {
 // wait-vs-refine decomposition and the writer-stall tail as live
 // quantiles instead of offline experiment output).
 type ObsSummary struct {
-	// Queries, Writes, and SampledSpans are lifetime counts.
+	// Queries, Writes, and SampledSpans are lifetime counts (Writes and
+	// SampledSpans are the write- and query-latency histograms' counts).
 	Queries, Writes, SampledSpans int64
 	// LatchStalls and WriterStalls count waits over the stall threshold.
 	LatchStalls, WriterStalls int64
@@ -428,8 +378,8 @@ func (o *Observer) Summary() ObsSummary {
 	fs := o.fsyncDur.Snapshot()
 	return ObsSummary{
 		Queries:      o.queries.Load(),
-		Writes:       o.writes.Load(),
-		SampledSpans: o.sampledSpans.Load(),
+		Writes:       wl.Count(),
+		SampledSpans: ql.Count(),
 		LatchStalls:  o.latchStalls.Load(),
 		WriterStalls: o.writerStalls.Load(),
 

@@ -84,8 +84,7 @@ func parseProm(t *testing.T, body string) []promSample {
 
 func newTestHandler(t *testing.T) (*metrics.Observer, *Handler) {
 	t.Helper()
-	ob := metrics.NewObserver(metrics.ObserverOptions{})
-	ob.EnableTracing(true)
+	ob := metrics.NewObserver(metrics.ObserverOptions{Tracing: true, StallThreshold: time.Microsecond})
 	return ob, NewHandler(ob, func() any {
 		return map[string]any{"rows": 42}
 	}, func() (any, bool) {
@@ -155,7 +154,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 
 func TestVarsIsValidJSON(t *testing.T) {
 	ob, h := newTestHandler(t)
-	ob.RecordWrite(ob.WriteStart())
+	ob.RecordQuery(time.Time{}, 0, 0, 0)
 	w := get(t, h, "/debug/vars")
 	if w.Code != 200 {
 		t.Fatalf("/debug/vars status %d", w.Code)
@@ -168,8 +167,8 @@ func TestVarsIsValidJSON(t *testing.T) {
 	if err := json.Unmarshal(doc["adaptix"], &ours); err != nil {
 		t.Fatalf("adaptix var is not a flat object: %v", err)
 	}
-	if ours["adaptix_writes_total"] != 1 {
-		t.Fatalf("adaptix_writes_total = %d, want 1", ours["adaptix_writes_total"])
+	if ours["adaptix_queries_total"] != 1 {
+		t.Fatalf("adaptix_queries_total = %d, want 1", ours["adaptix_queries_total"])
 	}
 	// The standard process-wide vars must still be present.
 	if _, ok := doc["memstats"]; !ok {
@@ -179,7 +178,6 @@ func TestVarsIsValidJSON(t *testing.T) {
 
 func TestFlightAndSnapshotRoutes(t *testing.T) {
 	ob, h := newTestHandler(t)
-	ob.SetStallThreshold(time.Microsecond)
 	ob.RecordWriterPark(3, time.Millisecond)
 
 	w := get(t, h, "/flight")

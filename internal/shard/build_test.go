@@ -19,7 +19,7 @@ import (
 // shard as one piece.
 func buildWith(values []int64, opts Options, target, workers int) *Column {
 	opts = opts.withDefaults()
-	return build(values, chooseBounds(values, opts.Shards, opts.SampleSize, opts.Seed), opts, target, workers)
+	return build(values, chooseBounds(values, opts.Shards, opts.Seed), opts, target, workers)
 }
 
 // checkBuild holds a fresh column against a sort of its input (keys up to
@@ -289,7 +289,7 @@ func TestRouterMatchesUpperBound(t *testing.T) {
 // arrays that exist already.
 func BenchmarkBuildPass(b *testing.B) {
 	d := workload.NewUniqueUniform(4<<20, 42)
-	bounds := chooseBounds(d.Values, 4, 1024, 1)
+	bounds := chooseBounds(d.Values, 4, 1)
 	cuts := pieceCuts(d.Values, bounds, pieceTarget, 1)
 	rt := newRouter(cuts)
 	nb := len(cuts) + 1

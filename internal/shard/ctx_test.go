@@ -34,8 +34,8 @@ func TestQueryCancelledBeforeDispatch(t *testing.T) {
 // asserted through the ShardStat deltas: the far fringe shard keeps
 // zero cracks and zero pieces.
 //
-// The schedule is deterministic: the test holds the column's only
-// fan-out worker slot, so the second sub-query cannot start before the
+// The schedule is deterministic: the test holds every fan-out worker
+// slot of the column, so the second sub-query cannot start before the
 // cancellation (triggered from inside the first sub-query's crack via
 // the tracer hook) is observed.
 func TestFanOutCancelSkipsRemainingSubQueries(t *testing.T) {
@@ -43,7 +43,7 @@ func TestFanOutCancelSkipsRemainingSubQueries(t *testing.T) {
 	d := workload.NewUniqueUniform(rows, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	c := New(d.Values, Options{
-		Shards: 2, Workers: 1, Seed: 5,
+		Shards: 2, Seed: 5,
 		Index: crackindex.Options{
 			Latching: crackindex.LatchPiece,
 			Tracer: func(e crackindex.TraceEvent) {
@@ -57,9 +57,11 @@ func TestFanOutCancelSkipsRemainingSubQueries(t *testing.T) {
 		t.Skipf("quantile cuts collapsed to %d shards", c.NumShards())
 	}
 
-	// Occupy the single worker slot so the second sub-query cannot
-	// start until after the cancellation.
-	c.sem <- struct{}{}
+	// Occupy every worker slot so the second sub-query cannot start
+	// until after the cancellation.
+	for range cap(c.sem) {
+		c.sem <- struct{}{}
+	}
 	done := make(chan error, 1)
 	go func() {
 		// Clip both ends so each fringe shard is only partially covered
@@ -73,7 +75,9 @@ func TestFanOutCancelSkipsRemainingSubQueries(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled fan-out query never returned")
 	}
-	<-c.sem // release the stolen slot
+	for range cap(c.sem) { // release the stolen slots
+		<-c.sem
+	}
 	if err != context.Canceled {
 		t.Fatalf("Count = %v, want Canceled", err)
 	}

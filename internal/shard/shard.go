@@ -69,14 +69,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Duplicate quantile cuts (heavily skewed or
 	// tiny inputs) can reduce the effective count below P.
 	Shards int
-	// Workers bounds the number of fan-out sub-queries executing
-	// concurrently across ALL queries on this column (the caller's own
-	// goroutine runs one sub-query per query without a slot, so client
-	// concurrency itself is never throttled). Default Shards.
-	Workers int
-	// SampleSize is the number of seeded sample points used to choose
-	// the shard boundaries. Default 1024.
-	SampleSize int
 	// Seed drives the boundary sample. Default 1.
 	Seed uint64
 	// Index configures every per-shard cracked index (latching mode,
@@ -111,12 +103,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers <= 0 {
-		o.Workers = o.Shards
-	}
-	if o.SampleSize <= 0 {
-		o.SampleSize = 1024
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -211,7 +197,11 @@ func (m *shardMap) route(v int64) int { return m.rt.of(v) }
 type Column struct {
 	opts Options
 	m    atomic.Pointer[shardMap]
-	sem  chan struct{} // bounds extra fan-out workers (see Options.Workers)
+	// sem bounds the fan-out sub-queries executing concurrently across
+	// ALL queries on this column to Options.Shards (the caller's own
+	// goroutine runs one sub-query per query without a slot, so client
+	// concurrency itself is never throttled).
+	sem chan struct{}
 
 	// epochSeq allocates epoch ids: one monotonic counter per column,
 	// so a single watermark orders every epoch of every shard (the
@@ -228,7 +218,7 @@ type Column struct {
 func (c *Column) nextEpochID() int64 { return c.epochSeq.Add(1) }
 
 // New builds a sharded column over values. Boundary selection samples
-// the input (O(SampleSize log SampleSize)); one range scatter (build)
+// the input (O(sampleSize log sampleSize)); one range scatter (build)
 // then copies each value once, into its shard's slice — and that slice IS
 // the shard's cracker array: the per-shard index owns it, so the column
 // holds one copy of the data and no first query pays an initialization
@@ -241,7 +231,7 @@ func (c *Column) nextEpochID() int64 { return c.epochSeq.Add(1) }
 // stays a query side effect. (Custom-source shards get no pieces.)
 func New(values []int64, opts Options) *Column {
 	opts = opts.withDefaults()
-	bounds := chooseBounds(values, opts.Shards, opts.SampleSize, opts.Seed)
+	bounds := chooseBounds(values, opts.Shards, opts.Seed)
 	return build(values, bounds, opts, pieceTarget, buildWorkers(len(values)))
 }
 
@@ -282,7 +272,7 @@ func Restore(img Image, opts Options) *Column {
 	opts = opts.withDefaults()
 	c := &Column{
 		opts: opts,
-		sem:  make(chan struct{}, opts.Workers),
+		sem:  make(chan struct{}, opts.Shards),
 	}
 	c.epochSeq.Store(img.Epoch)
 	shards := make([]*part, len(img.Shards))
@@ -362,12 +352,15 @@ func (p *part) setBase(vals []int64, seeds []crackindex.BoundaryPosition, opts O
 	p.src = engine.SourceFromIndex(p.ix)
 }
 
+// sampleSize is the number of seeded sample points chooseBounds draws.
+const sampleSize = 1024
+
 // chooseBounds picks up to shards-1 strictly increasing cut values
 // from a seeded sample of values (equi-depth quantiles of the sample).
 // Duplicate quantiles — skewed data, tiny inputs — are dropped, so the
 // effective shard count can be smaller than requested but every range
 // is non-degenerate.
-func chooseBounds(values []int64, shards, sampleSize int, seed uint64) []int64 {
+func chooseBounds(values []int64, shards int, seed uint64) []int64 {
 	if shards <= 1 || len(values) == 0 {
 		return nil
 	}
@@ -617,9 +610,6 @@ type ShardLoad struct {
 	// Pending counts differential updates (inserts plus deletes) not
 	// yet group-applied, across the whole epoch chain.
 	Pending int
-	// Cracks and Conflicts are the refinement-traffic counters of the
-	// shard's current index incarnation (see ShardStat).
-	Cracks, Conflicts int64
 }
 
 // Loads returns the maintenance view of every shard, in shard order.
@@ -629,10 +619,6 @@ func (c *Column) Loads() []ShardLoad {
 	for i, s := range m.shards {
 		nIns, nDel := s.chain.Pending()
 		out[i] = ShardLoad{Rows: int(s.agg.rows.Load()), Pending: nIns + nDel}
-		if s.ix != nil {
-			st := s.ix.Stats()
-			out[i].Cracks, out[i].Conflicts = st.Cracks.Load(), st.Conflicts.Load()
-		}
 	}
 	return out
 }

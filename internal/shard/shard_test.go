@@ -24,8 +24,8 @@ func TestDefaults(t *testing.T) {
 	if got, want := c.Options().Shards, runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("default Shards = %d, want GOMAXPROCS = %d", got, want)
 	}
-	if c.Options().Workers != c.Options().Shards {
-		t.Errorf("default Workers = %d, want Shards = %d", c.Options().Workers, c.Options().Shards)
+	if cap(c.sem) != c.Options().Shards {
+		t.Errorf("fan-out pool = %d slots, want Shards = %d", cap(c.sem), c.Options().Shards)
 	}
 	if c.Rows() != 3 {
 		t.Errorf("Rows = %d, want 3", c.Rows())
@@ -195,7 +195,7 @@ func TestSnapshotReflectsRefinement(t *testing.T) {
 
 func TestConcurrentQueries(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<14, 17)
-	c := New(d.Values, Options{Shards: 4, Workers: 4, Index: pieceOpts()})
+	c := New(d.Values, Options{Shards: 4, Index: pieceOpts()})
 	qs := workload.Fixed(workload.NewUniform(workload.Sum, d.Domain, 0.02, 19), 256)
 	want := make([]int64, len(qs))
 	for i, q := range qs {
@@ -230,7 +230,10 @@ func TestWorkerPoolBounded(t *testing.T) {
 	// A worker pool of 1 still completes wide fan-outs (no deadlock),
 	// because the caller's goroutine always executes one sub-query.
 	d := workload.NewUniqueUniform(1<<12, 23)
-	c := New(d.Values, Options{Shards: 8, Workers: 1, Index: pieceOpts()})
+	c := New(d.Values, Options{Shards: 8, Index: pieceOpts()})
+	for range cap(c.sem) - 1 { // leave one slot free
+		c.sem <- struct{}{}
+	}
 	r := workload.NewRNG(29)
 	for i := 0; i < 100; i++ {
 		lo := r.Int64n(d.Domain / 2)
@@ -250,12 +253,13 @@ func TestWorkerPoolBounded(t *testing.T) {
 // that one: it needs no worker either (the caller runs the one target).
 func TestConvergedFanOutRunsInline(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<14, 31)
-	c := New(d.Values, Options{Shards: 4, Workers: 1, Index: pieceOpts()})
+	c := New(d.Values, Options{Shards: 4, Index: pieceOpts()})
 	b := c.Bounds()
 	lo, hi := b[0]-100, b[1]+100 // fringes in shards 0 and 2, shard 1 fully covered
 	c.Sum(qctx, lo, hi)
-	c.sem <- struct{}{} // the pool is exhausted from here on
-	defer func() { <-c.sem }()
+	for range cap(c.sem) { // the pool is exhausted from here on
+		c.sem <- struct{}{}
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

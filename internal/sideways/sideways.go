@@ -116,9 +116,9 @@ func (m *Map) ensureInit(st *crackindex.OpStats) {
 	m.lt.Unlock()
 }
 
-// crackBoundLocked ensures a boundary at v; caller holds the write
-// latch.
-func (m *Map) crackBoundLocked(v int64) int {
+// crackBoundLocked ensures a boundary at v and counts the rows it
+// partitioned into st.Touched; caller holds the write latch.
+func (m *Map) crackBoundLocked(v int64, st *crackindex.OpStats) int {
 	lo, hi, exact := m.toc.Span(v, m.arr.Len())
 	if exact {
 		return lo
@@ -126,6 +126,7 @@ func (m *Map) crackBoundLocked(v int64) int {
 	pos := m.arr.CrackInTwo(lo, hi, v)
 	m.toc.Insert(v, pos, 0)
 	m.cracks.Add(1)
+	st.Touched += int64(hi - lo)
 	return pos
 }
 
@@ -155,17 +156,19 @@ func (m *Map) SumTargetWhere(lo, hi int64) (int64, crackindex.OpStats) {
 		_, b, _ := m.toc.Span(hi, m.arr.Len())
 		s := m.arr.ScanSumTail(a, b, lo, hi)
 		m.lt.RUnlock()
+		st.Touched += int64(b - a)
 		return s, st
 	}
 
 	start := time.Now()
-	posLo := m.crackBoundLocked(lo)
-	posHi := m.crackBoundLocked(hi)
+	posLo := m.crackBoundLocked(lo, &st)
+	posHi := m.crackBoundLocked(hi, &st)
 	st.Refine += time.Since(start)
 	// Downgrade W -> R (§3.3) and aggregate the contiguous tails.
 	m.lt.Downgrade()
 	s := m.arr.SumTail(posLo, posHi)
 	m.lt.RUnlock()
+	st.Touched += int64(posHi - posLo)
 	return s, st
 }
 
@@ -190,11 +193,12 @@ func (m *Map) CountWhere(lo, hi int64) (int64, crackindex.OpStats) {
 		_, b, _ := m.toc.Span(hi, m.arr.Len())
 		n := m.arr.ScanCountHead(a, b, lo, hi)
 		m.lt.RUnlock()
+		st.Touched += int64(b - a)
 		return n, st
 	}
 	start := time.Now()
-	posLo := m.crackBoundLocked(lo)
-	posHi := m.crackBoundLocked(hi)
+	posLo := m.crackBoundLocked(lo, &st)
+	posHi := m.crackBoundLocked(hi, &st)
 	st.Refine += time.Since(start)
 	m.lt.Unlock()
 	return int64(posHi - posLo), st

@@ -49,7 +49,7 @@ func TestObserveEndpoint(t *testing.T) {
 	body := w.Body.String()
 	for _, want := range []string{
 		"adaptix_queries_total 50",
-		"adaptix_writes_total 20",
+		"adaptix_write_latency_ns_count 20",
 		`adaptix_query_critical_ns{quantile="0.99"}`,
 		"adaptix_query_latency_ns_count 50", // tracing on, SampleEvery 1
 		"# TYPE adaptix_query_wait_ns summary",

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adaptix/internal/amerge"
+	"adaptix/internal/crackindex"
 	"adaptix/internal/health"
 	"adaptix/internal/hybrid"
 	"adaptix/internal/ingest"
@@ -142,13 +143,11 @@ func (c *config) newRecorder(ob *metrics.Observer) (*wcapture.Recorder, error) {
 
 // newObserver builds the handle's observer from the resolved config.
 func (c *config) newObserver() *metrics.Observer {
-	ob := metrics.NewObserver(metrics.ObserverOptions{
+	return metrics.NewObserver(metrics.ObserverOptions{
+		Tracing:        c.tracing,
 		SampleEvery:    c.obs.SampleEvery,
 		StallThreshold: c.obs.StallThreshold,
-		FlightEvents:   c.obs.FlightEvents,
 	})
-	ob.EnableTracing(c.tracing)
-	return ob
 }
 
 // WithMethod selects the adaptive-indexing method (default Crack).
@@ -177,25 +176,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithWorkers bounds the number of fan-out sub-queries executing
-// concurrently across all queries on the index (default: the shard
-// count). Client goroutines themselves are never throttled.
-func WithWorkers(n int) Option {
-	return func(c *config) error {
-		c.shard.Workers = n
-		return nil
-	}
-}
-
-// WithSampleSize sets the number of seeded sample points used to
-// choose shard boundaries (default 1024).
-func WithSampleSize(n int) Option {
-	return func(c *config) error {
-		c.shard.SampleSize = n
-		return nil
-	}
-}
-
 // WithSeed drives the shard-boundary sample (default 1), making
 // partitioning deterministic per seed.
 func WithSeed(seed uint64) Option {
@@ -206,11 +186,15 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithCrackOptions configures the per-shard cracked indexes of a Crack
-// index: latching mode, layout, scheduling, conflict policy, parallel
-// bound cracking, group cracking, tracing. It has no effect on other
-// methods.
+// index: latching mode, scheduling, conflict policy, parallel bound
+// cracking, group cracking, tracing. It has no effect on other methods.
+// LatchNone is refused: the write path's background maintenance walks a
+// shard's pieces while queries crack them, so an Index always latches.
 func WithCrackOptions(o CrackOptions) Option {
 	return func(c *config) error {
+		if o.Latching == crackindex.LatchNone {
+			return fmt.Errorf("adaptix: WithCrackOptions: LatchNone is not safe for concurrent use")
+		}
 		c.shard.Index = o
 		return nil
 	}
@@ -237,8 +221,7 @@ func WithHybridOptions(o HybridOptions) Option {
 }
 
 // WithIngestOptions configures the write path: group-apply thresholds,
-// rebalancing factors (split/merge/load weighting) and maintenance
-// cadence. Open overrides the fields it owns (Log, Sink,
+// the split thresholds and maintenance cadence. Open overrides the fields it owns (Log, Sink,
 // SnapshotWriter, CheckpointEvery); New rejects a Log, because only a
 // durable store reads its writes back (see WithLogWrites).
 func WithIngestOptions(o IngestOptions) Option {
@@ -339,10 +322,9 @@ type ObsOptions struct {
 	// query regardless.
 	SampleEvery int
 	// StallThreshold classifies latch waits and writer parks as stall
-	// events in the flight recorder (default 1ms).
+	// events in the flight recorder (default 1ms). The recorder keeps
+	// the newest 4096 events.
 	StallThreshold time.Duration
-	// FlightEvents is the flight-recorder ring capacity (default 4096).
-	FlightEvents int
 }
 
 // WithObservability enables per-query span tracing and tunes the
@@ -356,9 +338,6 @@ func WithObservability(o ObsOptions) Option {
 	return func(c *config) error {
 		if o.SampleEvery < 0 {
 			return fmt.Errorf("adaptix: WithObservability: SampleEvery %d must be >= 0", o.SampleEvery)
-		}
-		if o.FlightEvents < 0 {
-			return fmt.Errorf("adaptix: WithObservability: FlightEvents %d must be >= 0", o.FlightEvents)
 		}
 		c.obs = o
 		c.tracing = true
@@ -415,8 +394,10 @@ func WithWorkloadCapture(o CaptureOptions) Option {
 	}
 }
 
-// WithHealth tunes the health watchdog's rule thresholds and enables
-// its background evaluation loop (HealthOptions.Interval, default 5s).
+// WithHealth tunes the health watchdog's WAL-growth threshold and
+// enables its background evaluation loop (HealthOptions.Interval,
+// default 5s); the other rule thresholds are fixed (see
+// docs/OBSERVABILITY.md).
 // Every index has a watchdog without it — Index.Health and the
 // endpoint's /health route evaluate the rule catalog on demand either
 // way — but only WithHealth starts periodic evaluation, which is what
@@ -424,9 +405,6 @@ func WithWorkloadCapture(o CaptureOptions) Option {
 // nobody is scraping.
 func WithHealth(o HealthOptions) Option {
 	return func(c *config) error {
-		if o.StagnationWindows == 1 {
-			return fmt.Errorf("adaptix: WithHealth: StagnationWindows 1 cannot split into early/late halves (use 0 for the default)")
-		}
 		c.health = o
 		c.healthSet = true
 		return nil
@@ -434,7 +412,7 @@ func WithHealth(o HealthOptions) Option {
 }
 
 // healthOptions resolves the watchdog configuration: the user's
-// thresholds under WithHealth, otherwise defaults with the background
+// options under WithHealth, otherwise defaults with the background
 // loop disabled (on-demand evaluation only).
 func (c *config) healthOptions() health.Options {
 	if c.healthSet {
