@@ -422,9 +422,10 @@ const dirRungBoundaries = 32 << 10
 // BenchmarkDirectory measures the table of contents on its own at 32 Ki
 // boundaries (keys 0, 1024, 2048, ...): a converged query's pair of
 // floor lookups (run with -cpu 1,2: readers share nothing but read-only
-// memory), a crack's publish of one or two cuts inside one piece — each
-// copies one chunk; the table is rebuilt, untimed, whenever it has
-// doubled — and a rebuilt shard's bulk build from sorted seeds.
+// memory) in one directory bulk-built from sorted entries and in four
+// grown by publishes, a crack's publish of one or two cuts inside one
+// piece — each copies one chunk; the table is rebuilt, untimed, whenever
+// it has doubled — and a rebuilt shard's bulk build from sorted seeds.
 func BenchmarkDirectory(b *testing.B) {
 	const gap = 1024
 	entries := make([]directory.Entry, dirRungBoundaries)
@@ -439,6 +440,34 @@ func BenchmarkDirectory(b *testing.B) {
 			r := workload.NewRNG(seed.Add(1))
 			var sink int
 			for pb.Next() {
+				lo := r.Int64n(dirRungBoundaries-1) * gap
+				p, q := d.Floor2(lo, lo+gap)
+				sink += q.Pos() - p.Pos()
+			}
+			if sink < 0 {
+				b.Error("positions decreased")
+			}
+		})
+	})
+	// lookup_published reads directories laid out the way a converged
+	// shard's is: four of them (one per shard), each grown from empty by
+	// one-cut publishes in random key order, so their chunks were split
+	// apart over time instead of laid out side by side.
+	b.Run("lookup_published", func(b *testing.B) {
+		dirs := make([]directory.Dir, 4)
+		for i := range dirs {
+			order := make([]int64, dirRungBoundaries)
+			workload.NewRNG(uint64(i)).Perm(order)
+			for _, k := range order {
+				dirs[i].Insert(k*gap, int(k)*gap, k)
+			}
+		}
+		var seed atomic.Uint64
+		b.RunParallel(func(pb *testing.PB) {
+			r := workload.NewRNG(seed.Add(1))
+			var sink int
+			for pb.Next() {
+				d := &dirs[r.Intn(len(dirs))]
 				lo := r.Int64n(dirRungBoundaries-1) * gap
 				p, q := d.Floor2(lo, lo+gap)
 				sink += q.Pos() - p.Pos()

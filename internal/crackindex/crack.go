@@ -89,8 +89,13 @@ func (ix *Index) crackBound(p directory.Ref, v int64, ctx *opCtx) (at bound, ok 
 // 1 Ki / 4 Ki / 16 Ki / 64 Ki, the sequential adversary runs within a
 // tenth of its best up to 16 Ki and a quarter slower at 64 Ki, and the
 // mixed read/write workload pays for the extra pieces below 16 Ki.
-// (shard's build lays a column out in pieces of 4 Ki rows, so there
-// a crack adds no auxiliary cuts until writes have grown a piece.)
+//
+// The two piece sizes of the product relate thus: shard's build lays a
+// fresh column out in pieces of about its pieceTarget (1 Ki rows), the
+// widest of them about twice that, so a fresh column's cracks never reach
+// auxMinPiece and add no auxiliary cuts. Only a piece that writes have
+// grown to 16× the target takes them — which is why the target must
+// stay below half of auxMinPiece.
 const auxMinPiece = 16 << 10
 
 // refine is the one refinement step every crack goes through. p is held

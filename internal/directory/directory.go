@@ -13,11 +13,12 @@
 // cuts fall into and stores the copy into the chunk's top-level slot;
 // only when a chunk outgrows chunkCap is it split and the top level
 // itself replaced, behind one atomic pointer. A reader loads that
-// pointer, binary-searches the first keys, loads one slot and
-// binary-searches one chunk: no mutex, no pointer chase, and whatever
-// version it reaches is a consistent — at worst slightly stale, i.e.
-// coarser — table, because a stale version only lacks boundaries, it
-// never holds a wrong one.
+// pointer, finds its chunk through the top level's radix hint (one table
+// read and a search of a key or two), loads one slot and binary-searches
+// one chunk: no mutex, no pointer chase, and whatever version it reaches
+// is a consistent — at worst slightly stale, i.e. coarser — table,
+// because a stale version only lacks boundaries, it never holds a wrong
+// one.
 //
 // Readers need no synchronization at all. Writers (Insert, Publish,
 // Build, Ref.SetLatch) must be serialized by the caller: the cracked
@@ -28,6 +29,7 @@ package directory
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -38,10 +40,10 @@ import (
 // chunks to chunkFill so that the next few cuts find room. One constant,
 // chosen on BenchmarkDirectory (root bench_test.go) at 32 Ki boundaries,
 // swept over 32 / 64 / 128: a publish copies one chunk, and every split
-// copies the top level, whose size is boundaries/capacity — a two-cut
-// publish costs 5.5 / 2.7 / 2.9 µs and a one-cut publish 1.8 / 1.9 /
-// 2.4 µs, while a pair of lookups (140 / 156 / 168 ns) hardly cares
-// where the two levels are cut. 64 is the knee.
+// copies the top level (and rebuilds its hint), whose size is
+// boundaries/capacity — a two-cut publish costs 5.5 / 2.7 / 2.9 µs and a
+// one-cut publish 1.8 / 1.9 / 2.4 µs, while a pair of lookups (140 / 156
+// / 168 ns) hardly cares where the two levels are cut. 64 is the knee.
 const (
 	chunkCap  = 64
 	chunkFill = chunkCap * 3 / 4
@@ -128,6 +130,70 @@ func (c *chunk) split() []*chunk {
 type top struct {
 	first []int64
 	slots []atomic.Pointer[chunk]
+	hint  hint
+}
+
+// hint is a radix table over a top level's first keys: bucket b covers
+// the key range [base + b<<shift, base + (b+1)<<shift), and jump[b] is
+// the number of first keys (first[1:]) below it. The chunk holding v is
+// then found by one table read plus a search of the keys inside v's
+// bucket — about one, since there are at least as many buckets as keys —
+// instead of a binary search of the whole level, whose probes mispredict
+// on every other step. A converged shard's level holds
+// hundreds of chunks, and a fresh one's seeds add more. The range spans
+// the keys between the trim-th smallest and the trim-th largest, so that
+// a few outliers — a piece starting near either end of the key space —
+// cannot stretch the buckets until all other keys share one; a key
+// outside the range is found by a search of the few keys out there.
+type hint struct {
+	base  int64
+	shift uint
+	jump  []int32 // buckets+1 entries: jump[buckets] counts every key below the last bucket's end
+}
+
+func newTop(first []int64, slots []atomic.Pointer[chunk]) *top {
+	t := &top{first: first, slots: slots}
+	keys := first[1:]
+	n, trim := len(keys), len(keys)/32+1
+	if 2*trim >= n {
+		trim = 0
+	}
+	buckets := 1 << bits.Len(uint(n))
+	h := hint{jump: make([]int32, buckets+1)}
+	if n > 0 {
+		h.base = keys[trim]
+		span := uint64(keys[n-1-trim] - h.base)
+		h.shift = uint(max(bits.Len64(span)-bits.Len(uint(buckets))+1, 0))
+	}
+	for _, k := range keys {
+		switch d := uint64(k-h.base) >> h.shift; {
+		case k < h.base:
+			h.jump[0]++
+		case d < uint64(buckets):
+			h.jump[d+1]++
+		}
+	}
+	for b := range buckets {
+		h.jump[b+1] += h.jump[b]
+	}
+	t.hint = h
+	return t
+}
+
+// chunkOf returns the slot of the chunk that holds v: the number of first
+// keys (first[1:]) <= v.
+func (t *top) chunkOf(v int64) int {
+	h := &t.hint
+	lo, hi := 0, len(t.first)-1
+	switch d := uint64(v-h.base) >> h.shift; {
+	case v < h.base:
+		hi = int(h.jump[0])
+	case d < uint64(len(h.jump)-1):
+		lo, hi = int(h.jump[d]), int(h.jump[d+1])
+	default:
+		lo = int(h.jump[len(h.jump)-1])
+	}
+	return lo + upperBound(t.first[1+lo:1+hi], v)
 }
 
 // replace returns a copy of t with slot ci replaced by parts. The other
@@ -140,10 +206,7 @@ func (t *top) replace(ci int, parts []*chunk) *top {
 		slots[i].Store(c)
 	}
 	first[0] = t.first[ci]
-	return &top{
-		first: slices.Concat(t.first[:ci], first, t.first[ci+1:]),
-		slots: slices.Concat(t.slots[:ci], slots, t.slots[ci+1:]),
-	}
+	return newTop(slices.Concat(t.first[:ci], first, t.first[ci+1:]), slices.Concat(t.slots[:ci], slots, t.slots[ci+1:]))
 }
 
 // upperBound returns the number of elements of the sorted slice a that
@@ -168,7 +231,7 @@ func upperBound(a []int64, v int64) int {
 }
 
 func (t *top) floor(v int64) Ref {
-	ci := upperBound(t.first[1:], v)
+	ci := t.chunkOf(v)
 	c := t.slots[ci].Load()
 	return Ref{t: t, c: c, ci: ci, i: upperBound(c.key, v) - 1}
 }
@@ -345,7 +408,7 @@ func (d *Dir) Publish(cuts []Entry) {
 			d.Build(cuts)
 			return
 		}
-		ci := upperBound(t.first[1:], cuts[0].Key)
+		ci := t.chunkOf(cuts[0].Key)
 		n := len(cuts)
 		if ci+1 < len(t.first) {
 			for n = 1; n < len(cuts) && cuts[n].Key < t.first[ci+1]; n++ {
@@ -365,8 +428,9 @@ func (d *Dir) Publish(cuts []Entry) {
 // Validate checks the directory's own invariants (callers check what the
 // entries say about their array): every chunk holds between one and
 // chunkCap entries, keys are strictly increasing within and across
-// chunks, every top-level first key is its chunk's first key, and the
-// chunks hold exactly Len entries. It must run while no writer does.
+// chunks, every top-level first key is its chunk's first key, the top
+// level's hint finds every first key's chunk, and the chunks hold exactly
+// Len entries. It must run while no writer does.
 func (d *Dir) Validate() error {
 	n := 0
 	if t := d.top.Load(); t != nil {
@@ -386,6 +450,15 @@ func (d *Dir) Validate() error {
 				prev = k
 			}
 			n += len(c.key)
+		}
+		probes := []int64{math.MinInt64, math.MaxInt64}
+		for _, k := range t.first[1:] {
+			probes = append(probes, k-1, k, k+1)
+		}
+		for _, v := range probes {
+			if got, want := t.chunkOf(v), upperBound(t.first[1:], v); got != want {
+				return fmt.Errorf("directory: the top level's hint finds %d in chunk %d, its first keys in chunk %d", v, got, want)
+			}
 		}
 	}
 	if n != d.Len() {

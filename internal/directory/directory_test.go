@@ -407,9 +407,12 @@ func TestReadersDuringPublishes(t *testing.T) {
 
 // FuzzDirectoryVsModel drives a directory and the sorted-slice model with
 // one op stream decoded from the input — single inserts, a crack's
-// multi-cut publish, bulk rebuilds, lookups — over a key domain small
-// enough that neighbours, duplicates and both ends of a chunk are hit,
-// and compares them after every step.
+// multi-cut publish, bulk rebuilds, lookups — and compares them after
+// every step. An op byte below 128 draws its key from a domain small
+// enough that neighbours, duplicates and both ends of a chunk are hit;
+// one of 128 or more from clusters — a tight one, a sparse one, and keys
+// at both ends of the key space — so the top level's hint meets skewed
+// buckets, outlying first keys and a span of nearly 2^64.
 func FuzzDirectoryVsModel(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 1, 15, 3, 2, 0, 3, 12})
 	f.Add([]byte("a crack publishes up to five cuts into one chunk"))
@@ -418,21 +421,40 @@ func FuzzDirectoryVsModel(f *testing.F) {
 		seq = append(seq, 0, byte(i))
 	}
 	f.Add(seq)
+	skew := make([]byte, 0, 600)
+	for i := 0; i < 300; i++ { // clustered keys, both ends of the key space
+		skew = append(skew, 0x80+byte(i%4), byte(i*7))
+	}
+	f.Add(skew)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d Dir
 		var m model
-		key := func(b byte, i int) int64 { return int64(b)*8 + int64(i%3) - 1024 }
+		key := func(op, b byte, i int) int64 {
+			if op < 0x80 {
+				return int64(b)*8 + int64(i%3) - 1024
+			}
+			switch {
+			case b < 32:
+				return math.MinInt64 + 1 + int64(b)
+			case b >= 224:
+				return math.MaxInt64 - 1 - int64(255-b)
+			case b%2 == 0:
+				return 1<<40 + int64(b) // one tight cluster
+			}
+			return int64(b) << 50 // sparse keys in between
+		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
+			k0 := key(op, arg, i)
 			switch op % 4 {
 			case 0:
-				if k := key(arg, i); !m.has(k) {
-					d.Insert(k, entryOf(k).Pos, entryOf(k).Sum)
-					m = m.insert(entryOf(k))
+				if !m.has(k0) {
+					d.Insert(k0, entryOf(k0).Pos, entryOf(k0).Sum)
+					m = m.insert(entryOf(k0))
 				}
 			case 1:
 				var cuts []Entry
-				for k := key(arg, i); k < key(arg, i)+int64(1+op%5); k++ {
+				for k := k0; k < k0+int64(1+op%5) && k >= k0; k++ {
 					if !m.has(k) {
 						cuts = append(cuts, entryOf(k))
 					}
@@ -442,9 +464,39 @@ func FuzzDirectoryVsModel(f *testing.F) {
 			case 2:
 				d.Build(m)
 			case 3:
-				checkProbe(t, &d, m, key(arg, i))
+				checkProbe(t, &d, m, k0)
 			}
 		}
 		check(t, &d, m)
 	})
+}
+
+// TestHintIgnoresOutliers: one chunk starting near either end of the key
+// space would stretch the hint's buckets until every other first key
+// shared one bucket, and every lookup searched the whole level. The
+// hint's range leaves it out, so the other keys still spread one or two
+// to a bucket, and the hint still finds every key's chunk.
+func TestHintIgnoresOutliers(t *testing.T) {
+	for _, outlier := range []int64{math.MinInt64 + 1, math.MaxInt64 - 1} {
+		first := []int64{math.MinInt64, outlier} // first[0] is never compared
+		for k := int64(1); k <= 500; k++ {
+			first = append(first, k*640)
+		}
+		slices.Sort(first[1:])
+		top := newTop(first, make([]atomic.Pointer[chunk], len(first)))
+		for _, k := range first[1:] {
+			for _, v := range []int64{k - 1, k, k + 1} {
+				if got, want := top.chunkOf(v), upperBound(first[1:], v); got != want {
+					t.Fatalf("outlier %d: chunkOf(%d) = %d, want %d", outlier, v, got, want)
+				}
+			}
+		}
+		widest := 0
+		for b := range len(top.hint.jump) - 1 {
+			widest = max(widest, int(top.hint.jump[b+1]-top.hint.jump[b]))
+		}
+		if widest > 2 {
+			t.Fatalf("outlier %d: a hint bucket holds %d of %d first keys", outlier, widest, len(first)-1)
+		}
+	}
 }

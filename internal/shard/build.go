@@ -24,29 +24,43 @@ import (
 // range-partitions, it sorts nothing, and a piece is refined when and
 // where a query bound falls into it. A first crack then partitions one
 // such piece, not a whole shard; that is the entire point, and the
-// smaller the piece the cheaper it is — until the search over the cut
+// smaller the piece the cheaper it is, and the shorter the critical
+// section two clients can collide on — until the search over the cut
 // table (one more level per doubling) and the scatter's write streams
 // (one cache line each) cost the build more than the queries save. It is
-// a constant, not an option: swept over 1 Ki / 4 Ki / 16 Ki / 64 Ki on
-// 4 Mi rows, 4 shards, 2 cores, the build takes 85-105 / 56-74 / 59-64 /
-// 45-64 ms (one piece per shard, routed by sort.Search: 154-182) and a
-// fresh column then answers 1024 uniform 1 % queries at 92 k / 57 k /
-// 31 k / 21 k ops/s (12-15 k), p50 14 / 30 / 41 / 41 us (31-41), and a
-// sequential sweep at 124 k / 56 k / 31 k / 23 k ops/s (14 k), p50 6.4 /
-// 18.5 / 29 / 30 us (31). Build plus those first 1024 queries is least at
-// 4 Ki (82 ms; 106 at 1 Ki, 93 at 16 Ki), which is also the last size a
-// first crack partitions inside L1.
+// a constant, not an option: swept over 512 / 1 Ki / 2 Ki / 4 Ki on 4 Mi
+// rows, 4 shards, 2 cores (three seeds each, with the sample and the
+// table of contents as they are here), the build takes 86-117 / 71-100 /
+// 66-88 / 61-82 ms, and a fresh column then answers 1024 uniform 1 %
+// queries at 88-98 k / 81-98 k / 70-73 k / 49-51 k ops/s, p90 28 / 23-33
+// / 32-36 / 37-53 us, and a sequential sweep at 139-145 k / 115-122 k /
+// 84-92 k / 66-77 k ops/s, p90 16-18 / 15-24 / 68-77 / 79-84 us. The
+// sweep's tail collapses only at 1 Ki and below (its pieces are then
+// partitioned whole within a few queries); uniform queries gain nothing
+// below 1 Ki, while the build pays another level and twice the streams.
+// Build plus the first 1024 queries is still least at 4 Ki on two cores
+// (≈ 87-93 ms, 104-107 at 1 Ki): the build is paid once, the pieces'
+// critical sections by every cold query of the column's life.
 //
-// It sits below crackindex's auxMinPiece (16 Ki rows) on purpose: a piece
-// this small is partitioned faster than the quantile cuts of a large one
-// are sampled, so a fresh column's first cracks add no auxiliary cuts.
-const pieceTarget = 4 << 10
+// Its relation to crackindex's auxMinPiece (16 Ki rows) is written there.
+const pieceTarget = 1 << 10
 
 // samplesPerPiece is how many sample points stand for one piece when the
 // cuts are chosen: a piece's row count then spreads by about 1/sqrt(32)
 // = 18 % around the target and stays under twice the target even at the
 // tail of thousands of pieces.
 const samplesPerPiece = 32
+
+// maxPieceSample caps that sample, so that it does not grow with the
+// piece count: 64 Ki points, 16 per piece on 4 Mi rows, where pieces
+// spread by about a quarter and the widest of 4 Ki is 2.0-2.2 × the
+// target (seeds 1-3). Drawn and radix-sorted on two workers it costs a
+// build what a 32 Ki-point sample drawn anywhere and comparison-sorted on
+// one did (4 Mi rows: 6.8-7.5 against 6.2-7.3 ms; 9.6-10.5 on one worker).
+const maxPieceSample = 64 << 10
+
+// sampleBlock is the number of sample draws one random stream makes.
+const sampleBlock = 4 << 10
 
 // minChunkRows is the least input one build worker is started for.
 const minChunkRows = 64 << 10
@@ -182,20 +196,92 @@ func inChunks(workers, n int, f func(w, lo, hi int)) {
 }
 
 // sortedSample returns size seeded draws from values (all of them when
-// there are no more than that), sorted.
-func sortedSample(values []int64, size int, seed uint64) []int64 {
-	var sample []int64
-	if len(values) <= size {
-		sample = slices.Clone(values)
-	} else {
-		r := workload.NewRNG(seed)
-		sample = make([]int64, size)
-		for i := range sample {
-			sample[i] = values[r.Intn(len(values))]
+// there are no more than that), sorted, drawn and sorted on up to
+// workers goroutines. Draw i comes from the i-th of size equal strata of
+// the input, at a seeded offset — so an input that arrives in key order
+// is cut at its exact quantiles, and any other no worse than by draws
+// from anywhere — and every block of sampleBlock draws has a random
+// stream of its own: the points, and hence the sorted sample, are a
+// function of (values, size, seed) whatever the worker count. Each
+// worker radix-sorts the blocks it drew; the runs are then merged.
+func sortedSample(values []int64, size int, seed uint64, workers int) []int64 {
+	n := len(values)
+	if n <= size {
+		return slices.Sorted(slices.Values(values))
+	}
+	sample, buf := make([]int64, size), make([]int64, size)
+	blocks := (size + sampleBlock - 1) / sampleBlock
+	workers = min(workers, blocks)
+	runs := make([]int, workers+1) // worker w's run is sample[runs[w]:runs[w+1]]
+	inChunks(workers, blocks, func(w, lo, hi int) {
+		from, to := lo*sampleBlock, min(hi*sampleBlock, size)
+		runs[w+1] = to
+		for b := lo; b < hi; b++ {
+			r := workload.NewRNG(seed + uint64(b)*0x9e3779b97f4a7c15)
+			for i := b * sampleBlock; i < min((b+1)*sampleBlock, size); i++ {
+				a, z := i*n/size, (i+1)*n/size
+				sample[i] = values[a+r.Intn(z-a)]
+			}
+		}
+		radixSort(sample[from:to], buf[from:to])
+	})
+	for w := 1; w < workers; w++ { // a few runs, merged in a millisecond or less
+		mid, end := runs[w], runs[w+1]
+		mergeInto(buf[:end], sample[:mid], sample[mid:end])
+		copy(sample, buf[:end])
+	}
+	return sample
+}
+
+// radixSort sorts a, one byte of the (sign-flipped) keys at a time from
+// the least significant, with buf as scratch of the same length. Bytes
+// every key shares take no pass, so a sample of keys below 2^24 takes
+// three: 1.8 ms for 64 Ki points of 4 Mi unique rows, where slices.Sort
+// takes 9 ms and the draw itself 5.5 ms (one core).
+func radixSort(a, buf []int64) {
+	if len(a) == 0 {
+		return
+	}
+	const flip = 1 << 63
+	var count [8][256]int
+	for _, v := range a {
+		u := uint64(v) ^ flip
+		for d := range count {
+			count[d][byte(u>>(8*d))]++
 		}
 	}
-	slices.Sort(sample)
-	return sample
+	src, dst := a, buf
+	for d := range count {
+		c := &count[d]
+		if c[byte((uint64(a[0])^flip)>>(8*d))] == len(a) {
+			continue
+		}
+		pos := 0
+		for i, k := range c {
+			c[i], pos = pos, pos+k
+		}
+		for _, v := range src {
+			b := byte((uint64(v) ^ flip) >> (8 * d))
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// mergeInto merges the sorted a and b into dst, which holds exactly both.
+func mergeInto(dst, a, b []int64) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			dst[k], i = a[i], i+1
+		} else {
+			dst[k], j = b[j], j+1
+		}
+	}
 }
 
 // pieceCuts returns the cut values a fresh column is scattered at: the
@@ -203,12 +289,12 @@ func sortedSample(values []int64, size int, seed uint64) []int64 {
 // target-sized pieces or more, the equi-depth quantiles of a seeded
 // sample that cut it into such pieces. Strictly increasing; no cut at or
 // below the smallest sampled value.
-func pieceCuts(values, bounds []int64, target int, seed uint64) []int64 {
+func pieceCuts(values, bounds []int64, target int, seed uint64, workers int) []int64 {
 	n := len(values)
 	if n < 2*target {
 		return bounds
 	}
-	sample := sortedSample(values, samplesPerPiece*(n/target), seed)
+	sample := sortedSample(values, min(samplesPerPiece*(n/target), maxPieceSample), seed, workers)
 	cuts := make([]int64, 0, len(bounds)+n/target)
 	floor, lo := sample[0], 0
 	for s := 0; s <= len(bounds); s++ {
@@ -254,7 +340,7 @@ func build(values, bounds []int64, opts Options, target, workers int) *Column {
 		// input and nothing more, their rows in input order.
 		target = len(values) + 1
 	}
-	cuts := pieceCuts(values, bounds, target, opts.Seed)
+	cuts := pieceCuts(values, bounds, target, opts.Seed, workers)
 	rt := newRouter(cuts)
 	nb := len(cuts) + 1
 

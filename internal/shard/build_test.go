@@ -126,7 +126,7 @@ func TestBuildVsSort(t *testing.T) {
 		for _, shards := range []int{1, 2, 4, 7} {
 			for _, layout := range []cracker.Layout{cracker.LayoutSplit, cracker.LayoutPairs} {
 				// Targets from "more buckets than rows" to "one piece".
-				for _, target := range []int{1, 16, 300, pieceTarget} {
+				for _, target := range []int{1, 16, 300, pieceTarget, 4 << 10} {
 					t.Run(fmt.Sprintf("%s/s%d/%v/t%d", name, shards, layout, target), func(t *testing.T) {
 						opts := Options{Shards: shards, Seed: 3, Index: crackindex.Options{Layout: layout}}
 						checkBuild(t, vals, buildWith(vals, opts, target, 1+shards%3))
@@ -159,29 +159,62 @@ func FuzzBuildVsSort(f *testing.F) {
 	})
 }
 
-// TestBuildLayoutIgnoresWorkerCount: the arrays and the seeds are the
-// same bytes however many workers laid them out — replays and recovery
-// depend on a column being a function of its input alone.
+// TestBuildLayoutIgnoresWorkerCount: the cuts, the arrays and the seeds
+// are the same bytes however many workers laid them out — replays and
+// recovery depend on a column being a function of its input alone. The
+// second case builds at the default target from rows enough for a
+// capped sample of 16 blocks, which four workers draw and sort in runs
+// of their own before the runs are merged.
 func TestBuildLayoutIgnoresWorkerCount(t *testing.T) {
-	d := workload.NewDuplicates(100_003, 20_000, 9)
-	opts := Options{Shards: 4, Seed: 2}
-	one, four := buildWith(d.Values, opts, 256, 1), buildWith(d.Values, opts, 256, 4)
-	if !slices.Equal(one.Bounds(), four.Bounds()) {
-		t.Fatal("shard bounds differ")
-	}
-	a, b := one.m.Load().shards, four.m.Load().shards
-	var pieces int
-	for i := range a {
-		if !slices.Equal(a[i].ix.PhysicalValues(), b[i].ix.PhysicalValues()) {
-			t.Fatalf("shard %d: arrays differ between 1 and 4 workers", i)
+	for _, c := range []struct {
+		values         []int64
+		target, pieces int
+	}{
+		{workload.NewDuplicates(100_003, 20_000, 9).Values, 256, 200},
+		{workload.NewUniqueUniform(3<<20, 5).Values, pieceTarget, 2 << 10},
+	} {
+		opts := Options{Shards: 4, Seed: 2}
+		bounds := chooseBounds(c.values, opts.Shards, opts.Seed)
+		if size := min(samplesPerPiece*(len(c.values)/c.target), maxPieceSample); size <= 3*sampleBlock {
+			t.Fatalf("%d rows, target %d: a sample of %d points is not drawn by four workers", len(c.values), c.target, size)
 		}
-		if !slices.Equal(a[i].ix.BoundaryPositions(), b[i].ix.BoundaryPositions()) {
-			t.Fatalf("shard %d: seeds differ between 1 and 4 workers", i)
+		if one, four := pieceCuts(c.values, bounds, c.target, opts.Seed, 1), pieceCuts(c.values, bounds, c.target, opts.Seed, 4); !slices.Equal(one, four) {
+			t.Fatalf("target %d: cuts differ between 1 and 4 workers", c.target)
 		}
-		pieces += a[i].ix.NumPieces()
+		one, four := buildWith(c.values, opts, c.target, 1), buildWith(c.values, opts, c.target, 4)
+		if !slices.Equal(one.Bounds(), four.Bounds()) {
+			t.Fatal("shard bounds differ")
+		}
+		a, b := one.m.Load().shards, four.m.Load().shards
+		var pieces int
+		for i := range a {
+			if !slices.Equal(a[i].ix.PhysicalValues(), b[i].ix.PhysicalValues()) {
+				t.Fatalf("target %d, shard %d: arrays differ between 1 and 4 workers", c.target, i)
+			}
+			if !slices.Equal(a[i].ix.BoundaryPositions(), b[i].ix.BoundaryPositions()) {
+				t.Fatalf("target %d, shard %d: seeds differ between 1 and 4 workers", c.target, i)
+			}
+			pieces += a[i].ix.NumPieces()
+		}
+		if pieces < c.pieces {
+			t.Fatalf("target %d: only %d pieces, the target did not take", c.target, pieces)
+		}
 	}
-	if pieces < 200 {
-		t.Fatalf("only %d pieces: the target did not take", pieces)
+}
+
+// TestSortedSampleIgnoresWorkerCount: the merged runs are one sorted
+// sample of the strata, for every worker count, including counts that do
+// not divide the sample's 16 blocks.
+func TestSortedSampleIgnoresWorkerCount(t *testing.T) {
+	values := workload.NewDuplicates(1<<20, 1<<30, 3).Values
+	want := sortedSample(values, maxPieceSample, 7, 1)
+	if len(want) != maxPieceSample || !slices.IsSorted(want) {
+		t.Fatalf("one worker: %d points, sorted %t", len(want), slices.IsSorted(want))
+	}
+	for workers := 2; workers <= 7; workers++ {
+		if got := sortedSample(values, maxPieceSample, 7, workers); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: the sample differs from one worker's", workers)
+		}
 	}
 }
 
@@ -290,7 +323,7 @@ func TestRouterMatchesUpperBound(t *testing.T) {
 func BenchmarkBuildPass(b *testing.B) {
 	d := workload.NewUniqueUniform(4<<20, 42)
 	bounds := chooseBounds(d.Values, 4, 1)
-	cuts := pieceCuts(d.Values, bounds, pieceTarget, 1)
+	cuts := pieceCuts(d.Values, bounds, pieceTarget, 1, 1)
 	rt := newRouter(cuts)
 	nb := len(cuts) + 1
 	ids := make([]uint32, len(d.Values))

@@ -93,7 +93,7 @@ func TestValuesMaterializesLogicalContents(t *testing.T) {
 // exactly the pieces the imaged one had, at the same positions, and has
 // cracked nothing to get them.
 func TestRestoreAdoptsPieces(t *testing.T) {
-	for _, rows := range []int{1 << 13, 1 << 16} {
+	for _, rows := range []int{1 << 11, 1 << 16} {
 		testRestoreAdoptsPieces(t, rows)
 	}
 }

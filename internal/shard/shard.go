@@ -218,7 +218,7 @@ type Column struct {
 func (c *Column) nextEpochID() int64 { return c.epochSeq.Add(1) }
 
 // New builds a sharded column over values. Boundary selection samples
-// the input (O(sampleSize log sampleSize)); one range scatter (build)
+// the input (sampleSize points); one range scatter (build)
 // then copies each value once, into its shard's slice — and that slice IS
 // the shard's cracker array: the per-shard index owns it, so the column
 // holds one copy of the data and no first query pays an initialization
@@ -364,7 +364,7 @@ func chooseBounds(values []int64, shards int, seed uint64) []int64 {
 	if shards <= 1 || len(values) == 0 {
 		return nil
 	}
-	sample := sortedSample(values, sampleSize, seed)
+	sample := sortedSample(values, sampleSize, seed, 1)
 	cuts := make([]int64, 0, shards-1)
 	for i := 1; i < shards; i++ {
 		cut := sample[i*len(sample)/shards]
