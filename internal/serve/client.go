@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,11 +30,18 @@ var (
 // Client is a pipelined protocol client: any number of goroutines may
 // issue requests concurrently over one connection; a single reader
 // goroutine dispatches the out-of-order responses by correlation id.
+//
+// Frames that are ready together leave in one write: a caller queues
+// its frame in pending, and whichever caller finds no write under way
+// becomes the writer and sends everything queued, looping until
+// nothing is.
 type Client struct {
 	nc net.Conn
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	wmu     sync.Mutex // guards pending, spare and writing
+	pending []byte     // frames queued for the next write
+	spare   []byte     // the buffer the last write sent, reused as pending
+	writing bool       // a caller is sending; stays set after a write fails
 
 	nextID atomic.Uint64
 
@@ -51,14 +59,18 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc), nil
+}
+
+// newClient starts a client over an established connection.
+func newClient(nc net.Conn) *Client {
 	c := &Client{
 		nc:   nc,
-		bw:   bufio.NewWriter(nc),
 		pend: make(map[uint64]chan Response),
 		done: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop dispatches responses to their waiters until the connection
@@ -143,16 +155,16 @@ func (c *Client) Do(ctx context.Context, q Request) (Response, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	buf := AppendRequestFrame(nil, q)
-	_, err := c.bw.Write(buf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	c.pending = AppendRequestFrame(c.pending, q)
+	lead := !c.writing
+	c.writing = true
 	c.wmu.Unlock()
-	if err != nil {
-		c.forget(q.ID)
-		c.fail(err)
-		return Response{}, err
+	if lead {
+		if err := c.send(); err != nil {
+			c.forget(q.ID)
+			c.fail(err)
+			return Response{}, err
+		}
 	}
 
 	select {
@@ -165,6 +177,32 @@ func (c *Client) Do(ctx context.Context, q Request) (Response, error) {
 		c.forget(q.ID)
 		return Response{}, c.lastErr
 	}
+}
+
+// send is the writer's loop. It yields once first, so callers that the
+// same response burst made runnable queue their frames behind its own;
+// then it writes everything pending outside wmu until nothing is. A
+// failed write leaves writing set and drops what is queued: the caller
+// fails the client, and every queued caller returns through done.
+func (c *Client) send() error {
+	runtime.Gosched()
+	c.wmu.Lock()
+	for len(c.pending) > 0 {
+		buf := c.pending
+		c.pending = c.spare[:0]
+		c.wmu.Unlock()
+		_, err := c.nc.Write(buf)
+		c.wmu.Lock()
+		if err != nil {
+			c.pending = c.pending[:0]
+			c.wmu.Unlock()
+			return err
+		}
+		c.spare = buf
+	}
+	c.writing = false
+	c.wmu.Unlock()
+	return nil
 }
 
 // forget abandons a pending request (its late response, if any, is

@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,7 +377,8 @@ func (c *conn) shutdown() {
 // writeLoop is the connection's single writer: it encodes responses
 // off the channel, coalescing everything already queued into one
 // buffered write (pipelined clients get one syscall per burst, not per
-// response).
+// response). Once the channel is empty it yields once, so repliers the
+// same batch made runnable can queue theirs into the same write.
 func (c *conn) writeLoop() {
 	bw := bufio.NewWriter(c.nc)
 	buf := make([]byte, 0, FrameHeader+ResponseLen)
@@ -388,38 +391,43 @@ func (c *conn) writeLoop() {
 		case <-c.clsq:
 			// Graceful close: everything already queued goes out, then
 			// the socket closes.
-			for {
-				select {
-				case r := <-c.out:
-					buf = AppendResponseFrame(buf[:0], r)
-					if _, err := bw.Write(buf); err != nil {
-						c.kill()
-						return
-					}
-				default:
-					bw.Flush()
+			for r, ok := c.poll(); ok; r, ok = c.poll() {
+				buf = AppendResponseFrame(buf[:0], r)
+				if _, err := bw.Write(buf); err != nil {
 					c.kill()
 					return
 				}
 			}
+			bw.Flush()
+			c.kill()
+			return
 		}
-		for {
+		for more, yielded := true, false; more; {
 			buf = AppendResponseFrame(buf[:0], r)
 			if _, err := bw.Write(buf); err != nil {
 				c.kill()
 				return
 			}
-			select {
-			case r = <-c.out:
-				continue
-			default:
+			if r, more = c.poll(); !more && !yielded {
+				yielded = true
+				runtime.Gosched()
+				r, more = c.poll()
 			}
-			break
 		}
 		if err := bw.Flush(); err != nil {
 			c.kill()
 			return
 		}
+	}
+}
+
+// poll takes a queued response without blocking.
+func (c *conn) poll() (Response, bool) {
+	select {
+	case r := <-c.out:
+		return r, true
+	default:
+		return Response{}, false
 	}
 }
 
@@ -434,19 +442,32 @@ func (c *conn) reply(r Response) {
 
 // readLoop decodes frames and admits requests until the connection
 // errors, times out mid-frame, or the server shuts down.
+//
+// Waiting for a frame to start is unbounded (idle pipelined connections
+// are legitimate); once its first byte has arrived, the rest of the
+// frame must land within FrameTimeout. A frame already whole in the
+// buffer reads no socket, so it sets no deadline; the deadline is
+// cleared only before a blocking wait on an empty buffer, and only
+// while one is armed.
 func (c *conn) readLoop() {
 	br := bufio.NewReader(c.nc)
 	buf := make([]byte, 0, RequestLen)
+	armed := false
 	for {
-		// Waiting for a frame to start is unbounded (idle pipelined
-		// connections are legitimate); once bytes are buffered or the
-		// first byte arrives, the rest of the frame must land within
-		// FrameTimeout. Peek blocks for the first byte without consuming.
-		c.nc.SetReadDeadline(time.Time{})
-		if _, err := br.Peek(1); err != nil {
-			return
+		if br.Buffered() == 0 {
+			if armed {
+				c.nc.SetReadDeadline(time.Time{})
+				armed = false
+			}
+			// Peek blocks for the first byte without consuming it.
+			if _, err := br.Peek(1); err != nil {
+				return
+			}
 		}
-		c.nc.SetReadDeadline(time.Now().Add(c.s.o.FrameTimeout))
+		if !frameBuffered(br) {
+			c.nc.SetReadDeadline(time.Now().Add(c.s.o.FrameTimeout))
+			armed = true
+		}
 		p, err := ReadFrame(br, buf)
 		if err != nil {
 			return
@@ -458,6 +479,16 @@ func (c *conn) readLoop() {
 		}
 		c.s.handle(c, q)
 	}
+}
+
+// frameBuffered reports whether br already holds a whole frame: its
+// header and the payload the header declares.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < FrameHeader {
+		return false
+	}
+	hdr, _ := br.Peek(FrameHeader) // buffered: reads nothing
+	return br.Buffered() >= FrameHeader+int(binary.LittleEndian.Uint32(hdr))
 }
 
 // handle admits one decoded request and routes it: fast path rejects
