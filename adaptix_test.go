@@ -295,15 +295,20 @@ func TestPublicAPIQueryTagTrace(t *testing.T) {
 	}
 }
 
-// TestPublicAPIStructuralLog checks where a StructuralLog may go on the
+// TestPublicAPIStructuralLog checks where a write log may go on the
 // write path: New rejects one as IngestOptions.Log (an in-memory index
 // has no reader for a write log, which would only grow), and the write
 // path group-applies and splits without one.
 func TestPublicAPIStructuralLog(t *testing.T) {
 	d := adaptix.NewUniqueDataset(1<<13, 11)
-	iopts := adaptix.IngestOptions{Name: "R.A", ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5}
+	iopts := adaptix.IngestOptions{ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5}
+	sink, err := adaptix.NewWALFileSink(t.TempDir(), adaptix.WALSinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
 	withLog := iopts
-	withLog.Log = adaptix.NewStructuralLog()
+	withLog.Log = sink
 	if ix, err := adaptix.New(d.Values, adaptix.WithIngestOptions(withLog)); err == nil {
 		ix.Close()
 		t.Fatal("New accepted IngestOptions.Log")

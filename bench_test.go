@@ -9,6 +9,7 @@ package adaptix_test
 
 import (
 	"context"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -830,15 +831,21 @@ func BenchmarkEpochWrite_DuringMerge(b *testing.B) {
 
 // --- WAL: a logged write, alone and beside an fsync ---
 
-// BenchmarkWALAppend is the logged-write rung: one Append(LogicalWrite)
-// through a segment-file sink. nosync is the append alone (a NoSync
-// sink: encode, then frame into the segment's mapping). during_fsync appends while another
-// goroutine fsyncs the same log back to back, so its ns/op shows
-// whether an append waits behind an in-flight fsync.
+// BenchmarkWALAppend is the logged-write rung through a segment-file
+// sink. nosync is one Append(LogicalWrite) of a Record through a Log
+// (a NoSync sink: encode, then frame into the segment's mapping) —
+// the format logs kept before the compact one. logged_write is the
+// product's logged write: one FileSink.LogWrite, the compact record
+// framed straight into the mapping under the sink's lock. during_fsync
+// appends Records while another goroutine fsyncs the same sink back to
+// back, so its ns/op shows whether an append waits behind an in-flight
+// fsync. B/write is the bytes the segments hold per write, frames
+// included.
 func BenchmarkWALAppend(b *testing.B) {
-	run := func(noSync, fsyncing bool) func(b *testing.B) {
+	run := func(noSync, fsyncing, logged bool) func(b *testing.B) {
 		return func(b *testing.B) {
-			sink, err := wal.NewFileSink(b.TempDir(), wal.SinkOptions{NoSync: noSync})
+			dir := b.TempDir()
+			sink, err := wal.NewFileSink(dir, wal.SinkOptions{NoSync: noSync})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -846,8 +853,11 @@ func BenchmarkWALAppend(b *testing.B) {
 			log := wal.New(sink)
 			stop := make(chan struct{})
 			var syncer sync.WaitGroup
-			defer syncer.Wait()
-			defer close(stop)
+			halt := sync.OnceFunc(func() {
+				close(stop)
+				syncer.Wait()
+			})
+			defer halt()
 			if fsyncing {
 				syncer.Add(1)
 				go func() {
@@ -868,17 +878,48 @@ func BenchmarkWALAppend(b *testing.B) {
 			rec := wal.Record{Kind: wal.LogicalWrite, Object: "sharded", B: 7}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec.A = int64(i)
-				if _, err := log.Append(rec); err != nil {
-					b.Fatal(err)
+			if logged {
+				for i := 0; i < b.N; i++ {
+					if err := sink.LogWrite(int64(i%benchRows), 7, i&1 == 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			} else {
+				for i := 0; i < b.N; i++ {
+					rec.A = int64(i)
+					if _, err := log.Append(rec); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			b.StopTimer()
+			halt()
+			if err := sink.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(dirSize(b, dir))/float64(b.N), "B/write")
 		}
 	}
-	b.Run("nosync", run(true, false))
-	b.Run("during_fsync", run(false, true))
+	b.Run("nosync", run(true, false, false))
+	b.Run("logged_write", run(true, false, true))
+	b.Run("during_fsync", run(false, true, false))
+}
+
+// dirSize returns the total size of the files in dir.
+func dirSize(b *testing.B, dir string) int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
 }
 
 // --- Observability overhead: none vs disabled tracing vs enabled ---

@@ -39,7 +39,6 @@ var configSurface = []string{
 	"IngestOptions.CheckpointEvery",
 	"IngestOptions.Log",
 	"IngestOptions.MinShardRows",
-	"IngestOptions.Name",
 	"IngestOptions.Obs",
 	"IngestOptions.Sink",
 	"IngestOptions.SnapshotWriter",

@@ -53,7 +53,7 @@ func runStorm(data *adaptix.Dataset) stormResult {
 		adaptix.WithShards(4), adaptix.WithSeed(5),
 		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
 		adaptix.WithIngestOptions(adaptix.IngestOptions{
-			Name: "R.A", ApplyThreshold: 4096, MinShardRows: 1 << 14, SplitFactor: 1.5,
+			ApplyThreshold: 4096, MinShardRows: 1 << 14, SplitFactor: 1.5,
 		}),
 	)
 	if err != nil {

@@ -225,10 +225,11 @@ type (
 	Txn = txn.Txn
 	// LockMode is a transactional lock mode (IS, IX, S, SIX, U, X).
 	LockMode = lockmgr.Mode
-	// StructuralLog is the write-ahead log: a stream of encoded records
-	// into its sink. Adaptive merging logs its runs and merge steps to
-	// it. A durable store (Open with WithLogWrites) keeps its own, which
-	// receives every write and never structural work.
+	// StructuralLog is the write-ahead log of Records: a stream of
+	// encoded records into its sink. Adaptive merging logs its runs and
+	// merge steps to it. A durable store (Open with WithLogWrites) logs
+	// every write as a compact record straight into its own WALFileSink,
+	// and never structural work.
 	StructuralLog = wal.Log
 )
 
@@ -252,7 +253,7 @@ type (
 	// WALFileSink is the durable segment-file sink of the WAL:
 	// CRC-framed records copied into preallocated, shared-mapped
 	// segments, fsync on Sync, segment rotation, and checkpoint
-	// truncation.
+	// truncation. Its LogWrite is a durable store's logged write.
 	WALFileSink = wal.FileSink
 	// WALSinkOptions configures a WALFileSink.
 	WALSinkOptions = wal.SinkOptions

@@ -16,8 +16,9 @@
 //     is the commit;
 //   - wal-*.seg — CRC-framed log segments, preallocated and mapped
 //     (wal.FileSink; an open or crashed one ends in zeros): with
-//     LogWrites, the logical writes, tagged with their epoch and fsynced
-//     in groups. Group-applies, splits and merges write nothing.
+//     LogWrites, one compact record per logical write — value, op and
+//     epoch, about 15 bytes framed — fsynced in groups. Group-applies,
+//     splits and merges write nothing.
 //
 // The ingest coordinator checkpoints periodically (ingest.Checkpoint):
 // it rotates the sink, seals every open epoch at W, captures the image,
@@ -76,7 +77,7 @@ type Options struct {
 	// per-shard index options, ...).
 	Shard shard.Options
 	// Ingest configures the write-path coordinator (thresholds,
-	// rebalancing factors, Name). Log, Sink, SnapshotWriter and
+	// rebalancing factors). Log, Sink, SnapshotWriter and
 	// CheckpointEvery are owned by the store and overwritten.
 	Ingest ingest.Options
 	// SegmentBytes is the WAL segment size: each segment is
@@ -171,11 +172,6 @@ func Open(dir string, opts Options) (*Column, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	name := opts.Ingest.Name
-	if name == "" {
-		name = "sharded"
-	}
-
 	var bd RecoveryBreakdown
 	t0 := time.Now()
 	img, recovered, err := readSnapshot(dir)
@@ -201,10 +197,12 @@ func Open(dir string, opts Options) (*Column, error) {
 		// monotonic across incarnations: the restored column resumes at
 		// max(W, highest tail tag), so the segments it keeps — the
 		// replayed tail's, or stale ones a failed release left behind —
-		// can never alias into the new incarnation's epochs.
+		// can never alias into the new incarnation's epochs. The store
+		// logs one column, so every logical write in the log is its own,
+		// in either record format.
 		var tail []wal.TailWrite
 		w := img.Epoch
-		for _, tw := range cat.TailWrites[name] {
+		for _, tw := range cat.Writes {
 			if tw.Epoch > w {
 				tail = append(tail, tw)
 			}
@@ -246,7 +244,6 @@ func Open(dir string, opts Options) (*Column, error) {
 		}
 	}
 	iopts := opts.Ingest
-	iopts.Name = name
 	if iopts.Obs == nil {
 		iopts.Obs = opts.Shard.Obs
 	}
@@ -254,7 +251,7 @@ func Open(dir string, opts Options) (*Column, error) {
 	// segments an earlier incarnation with logged writes left behind.
 	iopts.Log = nil
 	if opts.LogWrites {
-		iopts.Log = wal.New(sink)
+		iopts.Log = sink
 	}
 	iopts.Sink = truncator(sink)
 	iopts.CheckpointEvery = opts.CheckpointEvery

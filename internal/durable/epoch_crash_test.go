@@ -173,6 +173,82 @@ func TestReopenOldLogWithStructuralRecords(t *testing.T) {
 	}
 }
 
+// TestReopenMixedFormatLog: a store whose log tail holds Record-form
+// writes from before the compact format reopens, replays them, and logs
+// its own writes compactly into fresh segments. A crash then leaves
+// both formats in the tail, and the next reopen replays both, in log
+// order: the new delete cancels the old insert.
+func TestReopenMixedFormatLog(t *testing.T) {
+	dir := t.TempDir()
+	d := workload.NewUniqueUniform(1<<10, 37)
+	fresh := d.Domain + 5 // never in the base values
+	opts := testOptions(d.Values)
+	opts.LogWrites = true
+	opts.CheckpointEvery = 1 << 30
+	opts.Ingest = ingest.Options{ApplyThreshold: 1 << 30, MinShardRows: 1 << 30}
+	crashed, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashed.sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const epoch = 1 << 40
+	sink, err := wal.NewFileSink(dir, wal.SinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := wal.New(sink)
+	for _, v := range []int64{fresh, fresh + 1} {
+		if _, err := log.Append(wal.Record{Kind: wal.LogicalWrite, Object: "sharded", A: v, B: epoch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.DeleteValue(qctx, fresh); !ok || err != nil {
+		t.Fatalf("DeleteValue(replayed insert) = %v, %v", ok, err)
+	}
+	if err := c.Insert(qctx, fresh+2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.sink.Close(); err != nil { // crash: no checkpoint
+		t.Fatal(err)
+	}
+	raw, err := wal.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := wal.Recover(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cat.Writes) != 4 || len(cat.TailWrites["sharded"]) != 2 {
+		t.Fatalf("log holds %d writes, %d of them Records; want the 2 old Records and 2 compact writes", len(cat.Writes), len(cat.TailWrites["sharded"]))
+	}
+
+	re, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for v, want := range map[int64]int64{fresh: 0, fresh + 1: 1, fresh + 2: 1} {
+		if n, _, _ := re.Count(qctx, v, v+1); n != want {
+			t.Errorf("count(%d) = %d, want %d", v, n, want)
+		}
+	}
+	if err := re.Column().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTailReplayPairsMisorderedDeleteWithInsert: a delete's logical
 // record can land in the log before the record of the insert whose
 // instance it observed (the routed write and its record are not

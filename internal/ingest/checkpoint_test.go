@@ -36,7 +36,7 @@ func TestCheckpointPersistsCutsAndCracks(t *testing.T) {
 	col := shard.New(d.Values, pieceOpts())
 	warmQueries(col, d.Domain, 100)
 
-	log := wal.New(nil)
+	log := &memLog{}
 	var snap imageSink
 	g := New(col, Options{Log: log, SnapshotWriter: snap.write})
 	if !g.Checkpoint() {
@@ -45,7 +45,7 @@ func TestCheckpointPersistsCutsAndCracks(t *testing.T) {
 	if g.Stats().Checkpoints != 1 || snap.n != 1 {
 		t.Fatalf("Checkpoints = %d, snapshots written = %d, want 1 and 1", g.Stats().Checkpoints, snap.n)
 	}
-	if n := log.Len(); n != 0 {
+	if n := len(log.logged()); n != 0 {
 		t.Fatalf("a checkpoint appended %d log records, want none", n)
 	}
 	if !slices.Equal(snap.img.Bounds, col.Bounds()) {
@@ -74,7 +74,7 @@ func TestCheckpointTruncatesLogPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap imageSink
-	g := New(col, Options{Log: wal.New(sink), Sink: sink, SnapshotWriter: snap.write, ApplyThreshold: 64})
+	g := New(col, Options{Log: sink, Sink: sink, SnapshotWriter: snap.write, ApplyThreshold: 64})
 
 	// Generate structural traffic, then checkpoint.
 	r := workload.NewRNG(9)
@@ -114,7 +114,7 @@ func TestAutomaticCheckpointCadence(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<13, 7)
 	col := shard.New(d.Values, pieceOpts())
 	var snap imageSink
-	g := New(col, Options{Log: wal.New(nil), SnapshotWriter: snap.write, ApplyThreshold: 64, CheckpointEvery: 1})
+	g := New(col, Options{Log: &memLog{}, SnapshotWriter: snap.write, ApplyThreshold: 64, CheckpointEvery: 1})
 	r := workload.NewRNG(11)
 	for i := 0; i < 300; i++ {
 		if err := g.Insert(qctx, r.Int64n(d.Domain)); err != nil {

@@ -15,7 +15,30 @@ import (
 
 var errSink = errors.New("sink failed")
 
-// countingSink is a WAL sink that records every record write and every
+// memLog is an in-memory WriteLog: it keeps every logged write, in
+// order, and its Sync does nothing.
+type memLog struct {
+	mu     sync.Mutex
+	writes []wal.TailWrite
+}
+
+func (l *memLog) LogWrite(v, epoch int64, del bool) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.writes = append(l.writes, wal.TailWrite{Value: v, Delete: del, Epoch: epoch})
+	return nil
+}
+
+func (l *memLog) Sync() error { return nil }
+
+// logged returns a copy of the writes logged so far.
+func (l *memLog) logged() []wal.TailWrite {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]wal.TailWrite(nil), l.writes...)
+}
+
+// countingSink is a write log that counts every logged write and every
 // fsync, so the tests can assert the group-commit policy's bounded
 // loss window: the number of records appended after the last fsync is
 // the data at risk in a crash. It fails every write from the failAt-th
@@ -30,14 +53,14 @@ type countingSink struct {
 	failSync      bool
 }
 
-func (s *countingSink) Write(p []byte) (int, error) {
+func (s *countingSink) LogWrite(int64, int64, bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writes++; s.failAt > 0 && s.writes >= s.failAt {
-		return 0, errSink
+		return errSink
 	}
 	s.sinceLastSync++
-	return len(p), nil
+	return nil
 }
 
 func (s *countingSink) Sync() error {
@@ -78,7 +101,7 @@ func TestGroupCommitSyncEvery(t *testing.T) {
 				Index: crackindex.Options{Latching: crackindex.LatchPiece}})
 			sink := &countingSink{}
 			g := New(col, Options{
-				Log: wal.New(sink), SyncEvery: tc.syncEvery,
+				Log: sink, SyncEvery: tc.syncEvery,
 				ApplyThreshold: tc.applyThreshold, CheckEvery: 1 << 20,
 			})
 
@@ -114,9 +137,9 @@ func TestGroupCommitSyncEvery(t *testing.T) {
 // threshold together elect one syncer, so N logged writes cost at most
 // N/SyncEvery group fsyncs — neither a batch synced twice nor an
 // increment wiped by a concurrent reset. The NoSync file sink is the
-// durable store's write path; over the in-memory log an append takes
-// nanoseconds instead of a write(2), so writers cross the threshold
-// together often enough for a few rounds to catch a double election.
+// durable store's write path; over the in-memory log a write takes
+// even less time, so writers cross the threshold together often
+// enough for a few rounds to catch a double election.
 func TestGroupCommitElectsOneSyncer(t *testing.T) {
 	const writers, perWriter, syncEvery = 8, 2000, 2
 	d := workload.NewUniqueUniform(1<<10, 9)
@@ -125,7 +148,7 @@ func TestGroupCommitElectsOneSyncer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	run := func(log *wal.Log) {
+	run := func(log WriteLog) {
 		col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5,
 			Index: crackindex.Options{Latching: crackindex.LatchPiece}})
 		g := New(col, Options{
@@ -155,9 +178,9 @@ func TestGroupCommitElectsOneSyncer(t *testing.T) {
 				st.GroupSyncs, st.LoggedWrites, syncEvery, bound)
 		}
 	}
-	run(wal.New(sink))
+	run(sink)
 	for range 8 {
-		run(wal.New(nil))
+		run(&memLog{})
 	}
 }
 
@@ -170,7 +193,7 @@ func TestGroupCommitSyncInterval(t *testing.T) {
 		Index: crackindex.Options{Latching: crackindex.LatchPiece}})
 	sink := &countingSink{}
 	g := New(col, Options{
-		Log:            wal.New(sink),
+		Log:            sink,
 		SyncInterval:   5 * time.Millisecond,
 		ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
 	})
@@ -207,7 +230,7 @@ func TestLogIsFailStop(t *testing.T) {
 			d := workload.NewUniqueUniform(1<<10, 3)
 			col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5})
 			g := New(col, Options{
-				Log: wal.New(tc.sink), SyncEvery: tc.syncEvery,
+				Log: tc.sink, SyncEvery: tc.syncEvery,
 				ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
 			})
 			for i := range 5 {
@@ -234,14 +257,14 @@ func TestLogIsFailStop(t *testing.T) {
 	}
 }
 
-// parkingSink is a WAL sink whose first fsync parks: it reports that it
+// parkingSink is a write log whose first fsync parks: it reports that it
 // started on entered, then waits for release to close.
 type parkingSink struct {
 	once             sync.Once
 	entered, release chan struct{}
 }
 
-func (s *parkingSink) Write(p []byte) (int, error) { return len(p), nil }
+func (s *parkingSink) LogWrite(int64, int64, bool) error { return nil }
 
 func (s *parkingSink) Sync() error {
 	s.once.Do(func() {
@@ -270,7 +293,7 @@ func TestGroupCommitLostElectionWaitsForFsync(t *testing.T) {
 			col := shard.New(workload.NewUniqueUniform(1<<10, 3).Values, shard.Options{Shards: 2, Seed: 5})
 			sink := &parkingSink{entered: make(chan struct{}), release: make(chan struct{})}
 			g := New(col, Options{
-				Log: wal.New(sink), SyncEvery: 2,
+				Log: sink, SyncEvery: 2,
 				ApplyThreshold: 1 << 20, CheckEvery: 1 << 20,
 			})
 			held, elect := make(chan struct{}), make(chan struct{})
@@ -309,5 +332,36 @@ func TestGroupCommitLostElectionWaitsForFsync(t *testing.T) {
 				t.Errorf("GroupSyncs = %d, want 1: the held writer must wait for the winner's fsync, not run its own", st.GroupSyncs)
 			}
 		})
+	}
+}
+
+// TestLoggedWriteZeroAlloc is the allocation gate of the product's
+// logged write: an insert and a delete routed through a coordinator
+// logging into a file sink — epoch append, compact record framed into
+// the segment's mapping, group-commit count and fsync election —
+// allocate nothing.
+func TestLoggedWriteZeroAlloc(t *testing.T) {
+	d := workload.NewUniqueUniform(1<<10, 3)
+	col := shard.New(d.Values, shard.Options{Shards: 2, Seed: 5})
+	sink, err := wal.NewFileSink(t.TempDir(), wal.SinkOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	g := New(col, Options{Log: sink, SyncEvery: 16, ApplyThreshold: 1 << 20, CheckEvery: 1 << 20})
+	v := d.Domain + 1
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := g.Insert(qctx, v); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := g.DeleteValue(qctx, v); !ok || err != nil {
+			t.Fatalf("DeleteValue = %v, %v", ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("logged insert + delete: %v allocs/op, want 0", allocs)
+	}
+	if st := g.Stats(); st.LoggedWrites < 2000 || st.GroupSyncs == 0 {
+		t.Fatalf("LoggedWrites %d, GroupSyncs %d: the writes were not logged", st.LoggedWrites, st.GroupSyncs)
 	}
 }

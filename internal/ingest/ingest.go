@@ -14,8 +14,8 @@
 //   - The router (Insert / DeleteValue / Apply) forwards writes to the
 //     owning shard's open epoch through shard.Column and counts write
 //     traffic so maintenance runs at the right cadence. With a log
-//     (Options.Log) each write also leaves a wal.LogicalWrite record
-//     tagged with its epoch, closing the
+//     (Options.Log) each write also leaves one compact, data-only
+//     record — value, op, epoch — closing the
 //     lose-writes-since-last-checkpoint window.
 //   - The group-apply worker batches pending updates per shard: once a
 //     shard's chain exceeds Options.ApplyThreshold, the current epoch
@@ -40,8 +40,8 @@
 // then truncates the log prefix the image supersedes. The sink is
 // rotated before the watermark is cut, so every write tagged above the
 // watermark is logged into a segment the truncation keeps: recovery
-// adopts the image (shard.Restore) and replays exactly the LogicalWrite
-// records beyond its watermark. A group-apply, split or merge after the
+// adopts the image (shard.Restore) and replays exactly the logged
+// writes beyond its watermark. A group-apply, split or merge after the
 // image is lost in a crash and simply re-derived. internal/durable
 // packages the whole lifecycle behind Open/Close.
 package ingest
@@ -68,10 +68,20 @@ type Op struct {
 	Value int64
 }
 
+// WriteLog is the log a coordinator records its writes in
+// (Options.Log); a durable store's is its *wal.FileSink. Both methods
+// are safe for concurrent use.
+type WriteLog interface {
+	// LogWrite appends the record of one routed write: v inserted, or
+	// deleted when del is set, in epoch. It does not fsync.
+	LogWrite(v, epoch int64, del bool) error
+	// Sync makes every record whose LogWrite returned before the call
+	// durable.
+	Sync() error
+}
+
 // Options configures a Coordinator.
 type Options struct {
-	// Name identifies the column in WAL records. Default "sharded".
-	Name string
 	// ApplyThreshold is the number of pending differential updates in
 	// one shard that triggers a group-apply merge. Default 512.
 	ApplyThreshold int
@@ -85,8 +95,8 @@ type Options struct {
 	// maintenance wake-ups. Default ApplyThreshold/2.
 	CheckEvery int
 	// Log, when non-nil, enables data-tail durability: every routed
-	// insert and every delete that found an instance is logged as one
-	// wal.LogicalWrite record (value + op + epoch id). Recovery replays
+	// insert and every delete that found an instance is logged through
+	// one LogWrite call (value + op + epoch id). Recovery replays
 	// the records past the last snapshot's epoch watermark on top of the
 	// snapshot, closing the lose-writes-since-last-checkpoint window for
 	// deployments where adaptix is the primary store. Structural work
@@ -94,7 +104,7 @@ type Options struct {
 	// SyncEvery and SyncInterval bound the unsynced window. The log is
 	// fail-stop: the write whose append or fsync fails returns the
 	// error, and so does every later write until the store is reopened.
-	Log *wal.Log
+	Log WriteLog
 	// SyncEvery is the group-commit record bound: with a Log, the log is
 	// fsynced after every SyncEvery logical records, and the write that
 	// completes a batch is acknowledged only once an fsync covering it
@@ -132,9 +142,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Name == "" {
-		o.Name = "sharded"
-	}
 	if o.ApplyThreshold <= 0 {
 		o.ApplyThreshold = 512
 	}
@@ -165,8 +172,7 @@ type Stats struct {
 	Applied int64
 	// EpochSeals counts epochs sealed ahead of a group-apply merge.
 	EpochSeals int64
-	// LoggedWrites counts wal.LogicalWrite records appended
-	// (Options.Log).
+	// LoggedWrites counts the writes logged (Options.Log).
 	LoggedWrites int64
 	// GroupSyncs counts group-commit fsyncs forced by
 	// Options.SyncEvery / Options.SyncInterval: every fsync the
@@ -356,8 +362,8 @@ func (g *Coordinator) failLog(err error) error {
 	return *g.logErr.Load()
 }
 
-// logWrite appends one wal.LogicalWrite record when the coordinator
-// has a log: the data-tail durability path. The record is fsynced under
+// logWrite logs one write when the coordinator has a log: the
+// data-tail durability path. The record is fsynced under
 // the group-commit policy (SyncEvery / SyncInterval); its epoch tag —
 // not its log position — decides during recovery whether the snapshot
 // already contains it. A failed append or fsync stops the log
@@ -366,11 +372,7 @@ func (g *Coordinator) logWrite(v, epochID int64, del bool) error {
 	if g.opts.Log == nil {
 		return nil
 	}
-	var op int64
-	if del {
-		op = 1
-	}
-	if _, err := g.opts.Log.Append(wal.Record{Kind: wal.LogicalWrite, Object: g.opts.Name, A: v, B: epochID, C: op}); err != nil {
+	if err := g.opts.Log.LogWrite(v, epochID, del); err != nil {
 		return g.failLog(err)
 	}
 	return g.maybeGroupSync(g.logged.Add(1))

@@ -8,7 +8,6 @@ import (
 
 	"adaptix/internal/crackindex"
 	"adaptix/internal/shard"
-	"adaptix/internal/wal"
 	"adaptix/internal/workload"
 )
 
@@ -56,8 +55,8 @@ func checkAgainstModel(t *testing.T, col *shard.Column, m model, domain int64) {
 func TestApplyBatchesAndGroupApplyPreserveAnswers(t *testing.T) {
 	d := workload.NewUniqueUniform(1<<12, 7)
 	col := shard.New(d.Values, pieceOpts())
-	log := wal.New(nil)
-	g := New(col, Options{Name: "R.A", ApplyThreshold: 64, Log: log})
+	log := &memLog{}
+	g := New(col, Options{ApplyThreshold: 64, Log: log})
 	m := model(slices.Clone(d.Values))
 
 	// Warm some refinement so group-apply has boundaries to replay.
@@ -103,14 +102,18 @@ func TestApplyBatchesAndGroupApplyPreserveAnswers(t *testing.T) {
 	}
 
 	// The log holds the batch's writes and nothing of the group-applies:
-	// one LogicalWrite per insert and per delete that found an instance.
-	recs := log.Records()
+	// one record per insert and per delete that found an instance.
+	recs := log.logged()
 	if int64(len(recs)) != g.Stats().LoggedWrites || len(recs) == 0 {
 		t.Fatalf("log holds %d records, coordinator logged %d writes", len(recs), g.Stats().LoggedWrites)
 	}
+	ops := map[Op]int{}
+	for _, op := range batch {
+		ops[op]++
+	}
 	for _, r := range recs {
-		if r.Kind != wal.LogicalWrite || r.Object != "R.A" {
-			t.Fatalf("logged %v record for %q: structure reached the log", r.Kind, r.Object)
+		if ops[Op{Delete: r.Delete, Value: r.Value}]--; ops[Op{Delete: r.Delete, Value: r.Value}] < 0 {
+			t.Fatalf("logged %+v, which no op of the batch wrote", r)
 		}
 	}
 }
@@ -223,7 +226,7 @@ func TestRecoveryRebuildsShardMap(t *testing.T) {
 	col := shard.New(d.Values, pieceOpts())
 	var snap imageSink
 	g := New(col, Options{
-		Name: "R.A", SnapshotWriter: snap.write,
+		SnapshotWriter: snap.write,
 		ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5,
 	})
 	for i := 0; i < 4000; i++ {

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame geometry.
@@ -188,33 +189,45 @@ var (
 // AppendRequestFrame appends q as one complete frame to dst and
 // returns the extended slice.
 func AppendRequestFrame(dst []byte, q Request) []byte {
-	var p [RequestLen]byte
+	dst, p := growFrame(dst, RequestLen)
 	binary.LittleEndian.PutUint64(p[0:], q.ID)
 	p[8] = byte(q.Op)
 	binary.LittleEndian.PutUint32(p[9:], q.TTLus)
 	binary.LittleEndian.PutUint64(p[13:], uint64(q.Lo))
 	binary.LittleEndian.PutUint64(p[21:], uint64(q.Hi))
-	return appendFrame(dst, p[:])
+	sealFrame(dst[len(dst)-FrameHeader-RequestLen:])
+	return dst
 }
 
 // AppendResponseFrame appends r as one complete frame to dst and
 // returns the extended slice.
 func AppendResponseFrame(dst []byte, r Response) []byte {
-	var p [ResponseLen]byte
+	dst, p := growFrame(dst, ResponseLen)
 	binary.LittleEndian.PutUint64(p[0:], r.ID)
 	p[8] = byte(r.Op)
 	p[9] = byte(r.Status)
 	binary.LittleEndian.PutUint64(p[10:], uint64(r.Value))
 	binary.LittleEndian.PutUint64(p[18:], uint64(r.Aux))
-	return appendFrame(dst, p[:])
+	sealFrame(dst[len(dst)-FrameHeader-ResponseLen:])
+	return dst
 }
 
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [FrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// growFrame extends dst by one frame of an n-byte payload and returns
+// the extended slice and the payload's bytes, which the caller encodes
+// in place: no payload is built anywhere else and copied in.
+func growFrame(dst []byte, n int) (out, payload []byte) {
+	dst = slices.Grow(dst, FrameHeader+n)
+	start := len(dst)
+	dst = dst[:start+FrameHeader+n]
+	return dst, dst[start+FrameHeader:]
+}
+
+// sealFrame writes the header of frame, whose payload is encoded: the
+// payload's length and its CRC.
+func sealFrame(frame []byte) {
+	payload := frame[FrameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 }
 
 // DecodeRequest parses a request payload.
@@ -253,21 +266,21 @@ func DecodeResponse(p []byte) (Response, error) {
 // over-allocating. A clean EOF at a frame boundary returns io.EOF; a
 // tear inside a frame returns io.ErrUnexpectedEOF.
 func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [FrameHeader]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return nil, err // io.EOF: clean close between frames
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		if errors.Is(err, io.EOF) {
+	hdr, err := br.Peek(FrameHeader)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, err // io.EOF: clean close between frames
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
+	sum := binary.LittleEndian.Uint32(hdr[4:8])
+	if _, err := br.Discard(FrameHeader); err != nil {
+		return nil, err
+	}
 	if n == 0 || n > MaxFramePayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}

@@ -57,8 +57,8 @@ func TestFileSinkPreallocatesAndTrims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, intact := deframe(raw); !intact || len(p) != 5*(frame-frameHeaderSize) {
-		t.Fatalf("crashed segment: intact %v, %d payload bytes; want its 5 records and a clean end", intact, len(p))
+	if p, intact := deframe(nil, raw); !intact || frameBytes(p) != 5*frame {
+		t.Fatalf("crashed segment: intact %v, %d frame bytes; want its 5 records and a clean end", intact, frameBytes(p))
 	}
 	img, err := ReadDir(dir)
 	if err != nil {
@@ -99,23 +99,36 @@ func TestFileSinkOversizedRecord(t *testing.T) {
 }
 
 // killChildEnv names the log directory of the child process of
-// TestKillLosesNoAcknowledgedRecord; it is set only in the child.
-const killChildEnv = "WAL_KILL_CHILD_DIR"
+// TestKillLosesNoAcknowledgedRecord, and killModeEnv how it logs
+// ("append" or "logwrite"); both are set only in the child.
+const (
+	killChildEnv = "WAL_KILL_CHILD_DIR"
+	killModeEnv  = "WAL_KILL_CHILD_MODE"
+)
 
 // TestKillLosesNoAcknowledgedRecord re-runs the test binary as a child
-// that appends records through a file sink and prints each record's
-// sequence number once its Append has returned, then SIGKILLs it
-// mid-stream. Every record the child acknowledged must read back, in
-// order, and the newest segment must end cleanly: whole frames, then
-// nothing but zeros.
+// that logs records through a file sink — Records through Log.Append,
+// or compact writes through LogWrite, the product's path — and prints
+// each record's sequence number once its call has returned, then
+// SIGKILLs it mid-stream. Every record the child acknowledged must read
+// back, in order, and the newest segment must end cleanly: whole
+// frames, then nothing but zeros.
 func TestKillLosesNoAcknowledgedRecord(t *testing.T) {
 	if dir := os.Getenv(killChildEnv); dir != "" {
-		killChild(dir)
+		killChild(dir, os.Getenv(killModeEnv))
 	}
+	for _, mode := range []string{"append", "logwrite"} {
+		t.Run(mode, func(t *testing.T) { killAndReadBack(t, mode) })
+	}
+}
+
+// killAndReadBack runs one child that logs in mode, kills it, and
+// checks what its directory holds.
+func killAndReadBack(t *testing.T, mode string) {
 	const kill = 3000
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestKillLosesNoAcknowledgedRecord$")
-	cmd.Env = append(os.Environ(), killChildEnv+"="+dir)
+	cmd.Env = append(os.Environ(), killChildEnv+"="+dir, killModeEnv+"="+mode)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
@@ -149,8 +162,8 @@ func TestKillLosesNoAcknowledgedRecord(t *testing.T) {
 	}
 	var got int64
 	if _, err := Replay(img, func(r Record) {
-		if got++; r.A != got {
-			t.Fatalf("record %d holds sequence %d", got, r.A)
+		if got++; r.A != got || mode == "logwrite" && (r.B != got || r.C != got&1) {
+			t.Fatalf("record %d holds sequence %d, epoch %d, op %d", got, r.A, r.B, r.C)
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -166,18 +179,18 @@ func TestKillLosesNoAcknowledgedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, intact := deframe(last)
-	const frame = frameHeaderSize + recordFixed + len("kill") + recordTrailer
-	end := len(p) / (frame - frameHeaderSize) * frame
+	p, intact := deframe(nil, last)
+	end := frameBytes(p)
 	if !intact || !bytes.Equal(last[end:], make([]byte, len(last)-end)) {
-		t.Fatalf("newest segment: intact %v, %d bytes after its %d frames not all zero", intact, len(last)-end, end/frame)
+		t.Fatalf("newest segment: intact %v, %d bytes after its %d frame bytes not all zero", intact, len(last)-end, end)
 	}
 }
 
 // killChild is the child of TestKillLosesNoAcknowledgedRecord: it logs
-// records with sequence numbers 1, 2, ... into dir, printing each one
-// acknowledged, until it is killed.
-func killChild(dir string) {
+// records with sequence numbers 1, 2, ... into dir — as Records, or as
+// compact writes of value and epoch seq, a delete when seq is odd —
+// printing each one acknowledged, until it is killed.
+func killChild(dir, mode string) {
 	s, err := NewFileSink(dir, SinkOptions{SegmentBytes: 4 << 10, NoSync: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -185,7 +198,12 @@ func killChild(dir string) {
 	}
 	l := New(s)
 	for seq := int64(1); seq < 1<<24; seq++ {
-		if _, err := l.Append(Record{Kind: LogicalWrite, Object: "kill", A: seq}); err != nil {
+		if mode == "logwrite" {
+			err = s.LogWrite(seq, seq, seq&1 == 1)
+		} else {
+			_, err = l.Append(Record{Kind: LogicalWrite, Object: "kill", A: seq})
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -203,8 +221,8 @@ func FuzzDeframe(f *testing.F) {
 	f.Add([]byte{}, uint16(9), uint16(0), byte(0xff))
 	f.Add([]byte{1, 7, 1, 8, 1, 9}, uint16(3), uint16(9), byte(0x02))
 	f.Fuzz(func(t *testing.T, data []byte, tail, at uint16, flip byte) {
-		if p, _ := deframe(data[:len(data):len(data)]); len(p) > len(data) {
-			t.Fatalf("%d payload bytes out of %d input bytes", len(p), len(data))
+		if p, _ := deframe(nil, data[:len(data):len(data)]); len(p) > len(data) {
+			t.Fatalf("%d image bytes out of %d input bytes", len(p), len(data))
 		}
 
 		// data read as payloads: a length byte (mod 16, plus one), then
@@ -219,16 +237,17 @@ func FuzzDeframe(f *testing.F) {
 			rest = rest[1+n:]
 		}
 		var frames, want []byte
-		var starts []int
+		var starts, ends []int // each frame's offset, and its entry's end in want
 		for _, p := range payloads {
 			starts = append(starts, len(frames))
 			frames = append(frames, make([]byte, frameHeaderSize+len(p))...)
 			putFrame(frames[starts[len(starts)-1]:], p)
-			want = append(want, p...)
+			want = appendEntry(want, false, p)
+			ends = append(ends, len(want))
 		}
 		for _, raw := range [][]byte{frames, append(bytes.Clone(frames), make([]byte, tail)...)} {
-			if got, intact := deframe(raw); !intact || !bytes.Equal(got, want) {
-				t.Fatalf("%d frames + %d zero bytes: intact %v, %d payload bytes; want %d, intact",
+			if got, intact := deframe(nil, raw); !intact || !bytes.Equal(got, want) {
+				t.Fatalf("%d frames + %d zero bytes: intact %v, %d image bytes; want %d, intact",
 					len(payloads), len(raw)-len(frames), intact, len(got), len(want))
 			}
 		}
@@ -249,9 +268,9 @@ func FuzzDeframe(f *testing.F) {
 			crc32.ChecksumIEEE(h[frameHeaderSize:frameHeaderSize+n]) == binary.LittleEndian.Uint32(h[4:]) {
 			t.Skip("the damaged length frames another payload with a matching CRC")
 		}
-		wantP := want[:starts[k]-frameHeaderSize*k]
-		if got, intact := deframe(bad); intact != (n == 0) || !bytes.Equal(got, wantP) {
-			t.Fatalf("byte %d of frame %d flipped: intact %v, %d payload bytes; want %d, intact %v",
+		wantP := want[:append([]int{0}, ends...)[k]]
+		if got, intact := deframe(nil, bad); intact != (n == 0) || !bytes.Equal(got, wantP) {
+			t.Fatalf("byte %d of frame %d flipped: intact %v, %d image bytes; want %d, intact %v",
 				i, k, intact, len(got), len(wantP), n == 0)
 		}
 	})

@@ -4,24 +4,32 @@
 // ("wal-00000001.seg", ...) in one directory. Each record written
 // through the sink is framed as
 //
-//	[length uint32][crc32(payload) uint32][payload]
+//	[length uint32][crc32 uint32][payload]
 //
-// (little-endian, CRC-32/IEEE), so a reader can detect both a torn
-// tail — the process died mid-write — and silent corruption, and stop
-// replay exactly at the last intact frame, the standard log-recovery
-// contract: a torn frame was never acknowledged as durable, because
-// no Sync covering it returned.
+// (little-endian, CRC-32/IEEE over the payload), so a reader can detect
+// both a torn tail — the process died mid-write — and silent
+// corruption, and stop replay exactly at the last intact frame, the
+// standard log-recovery contract: a torn frame was never acknowledged
+// as durable, because no Sync covering it returned. The length word's
+// top bit marks a frame LogWrite made, whose payload is one compact
+// record; its CRC starts from writeCRCSeed instead of zero, so a
+// flipped mark fails the CRC instead of changing how the payload
+// reads. Every other frame holds what Write was given.
+//
+// The product logs through LogWrite: one logged write is one frame of
+// 11 to 29 bytes (about 15 for a small value), encoded straight into the
+// segment under the sink's one lock.
 //
 // A segment is preallocated at SegmentBytes when it is created and
 // mapped shared (MAP_SHARED), so a logged write is a copy into the
-// mapping, not a system call: Write puts the CRC and the payload after
-// the segment's last record and stores the length word last. The copy
-// lands in the kernel's page cache, as a write(2) would, so a killed
-// process loses no record whose Write returned; the sink buffers
-// nothing in user space. The preallocated bytes are zero, and a zero
-// length word ends a segment cleanly: a process killed mid-copy leaves
-// one (or a frame whose CRC fails), and every byte after the last
-// record is one. Rotation and Close fsync the segment, unmap it and
+// mapping, not a system call: LogWrite and Write put the CRC and the
+// payload after the segment's last record and store the length word
+// last. The copy lands in the kernel's page cache, as a write(2)
+// would, so a killed process loses no record whose call returned; the
+// sink buffers nothing in user space. The preallocated bytes are zero,
+// and a zero length word ends a segment cleanly: a process killed
+// mid-copy leaves one (or a frame whose CRC fails), and every byte
+// after the last record is one. Rotation and Close fsync the segment, unmap it and
 // truncate it to the bytes written, so only the last segment of a
 // crashed incarnation keeps a zero tail. Sync takes the current segment
 // under the sink's lock and fsyncs it outside the lock, so writes
@@ -59,6 +67,18 @@ const frameHeaderSize = 4 + 4
 // corruption during reads.
 const maxFramePayload = 1 << 24
 
+// frameWrite is the length word's mark of a frame LogWrite made; the
+// bits between it and maxFramePayload stay zero.
+const frameWrite = 1 << 31
+
+// writeCRCSeed is the CRC-32 a LogWrite frame's checksum starts from.
+// CRC-32 is linear, so the checksums of one payload under two seeds
+// always differ: a frame whose mark flipped never reads as intact.
+const writeCRCSeed = 0x57414c32
+
+// maxWriteFrame is the room LogWrite needs in a segment.
+const maxWriteFrame = frameHeaderSize + maxWriteRecord
+
 // SinkOptions configures a FileSink.
 type SinkOptions struct {
 	// SegmentBytes is the size each segment is preallocated and mapped
@@ -86,10 +106,11 @@ func (o SinkOptions) withDefaults() SinkOptions {
 	return o
 }
 
-// FileSink is a durable segment-file sink for a Log. It implements
-// io.Writer (one Write call per encoded record — exactly how
-// Log.Append uses its sink) and Syncer, so Log.Sync over a FileSink
-// fsyncs the current segment. Safe for concurrent use.
+// FileSink is a durable segment-file sink. The product's logged writes
+// go through LogWrite; it also implements io.Writer (one Write call
+// per encoded record — exactly how Log.Append uses its sink) and
+// Syncer, so a Log over a FileSink streams into it and Log.Sync fsyncs
+// the current segment. Safe for concurrent use.
 type FileSink struct {
 	dir  string
 	opts SinkOptions
@@ -111,6 +132,18 @@ var fsync = (*os.File).Sync
 // mapped, so a copy into the mapping never meets a full disk. In-package
 // tests replace it to fail a rotation.
 var preallocate = reserve
+
+// syncDir fsyncs a directory, making the creation or removal of a
+// segment in it durable. In-package tests replace it to fail a
+// rotation.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
 // Syncer is implemented by sinks that can flush written records to
 // stable storage. Log.Sync calls it when its sink implements it.
@@ -204,12 +237,13 @@ func segmentIndexes(dir string) ([]int, error) {
 // outgoing segment is synced first, once every Sync in flight on it has
 // returned: a group-commit Sync reaches only the current segment, so
 // without this the records written before a rotation could be lost to
-// power failure although a later Sync reported them durable. A new
-// segment that cannot be reserved or mapped is removed again, and the
+// power failure although a later Sync reported them durable. The
+// directory is synced next, so the new segment's existence is durable
+// before any write is acknowledged into it. A new segment that cannot
+// be reserved, mapped or made durable is removed again, and the
 // outgoing one stays current; otherwise the outgoing one is unmapped
-// and truncated to the bytes written. The directory is synced too so
-// the new segment's existence is durable. Caller must hold s.mu (or be
-// the constructor).
+// and truncated to the bytes written. Caller must hold s.mu (or be the
+// constructor).
 func (s *FileSink) openSegment(i int, need int64) error {
 	if s.f != nil {
 		s.inflight.Wait()
@@ -226,6 +260,11 @@ func (s *FileSink) openSegment(i int, need int64) error {
 	var m []byte
 	if err = preallocate(f, size); err == nil {
 		m, err = mapShared(f, size)
+		if err == nil && !s.opts.NoSync {
+			if err = syncDir(s.dir); err != nil {
+				unmap(m)
+			}
+		}
 	}
 	if err != nil {
 		f.Close()
@@ -238,9 +277,6 @@ func (s *FileSink) openSegment(i int, need int64) error {
 		err = s.trim()
 	}
 	s.f, s.m, s.seg, s.size = f, m, i, 0
-	if !s.opts.NoSync {
-		s.syncDir()
-	}
 	if err != nil {
 		return fmt.Errorf("wal: sink: %w", err)
 	}
@@ -286,15 +322,6 @@ func syncFile(path string) error {
 	return nil
 }
 
-// syncDir fsyncs the sink directory (segment creation and removal are
-// metadata operations; best-effort).
-func (s *FileSink) syncDir() {
-	if d, err := os.Open(s.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
 // Write frames one encoded record and copies it into the current
 // segment's mapping, rotating first when the segment is full: the CRC
 // and payload go in first and the length word last, so a process killed
@@ -332,6 +359,41 @@ func putFrame(b, p []byte) {
 	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(p))
 	copy(b[frameHeaderSize:], p)
 	binary.LittleEndian.PutUint32(b, uint32(len(p)))
+}
+
+// LogWrite logs one write of the column's data tail: v inserted, or
+// deleted when del is set, in epoch (>= 0). The compact record is
+// encoded straight into the current segment's mapping under the sink's
+// lock — CRC and payload first, the length word last, as Write frames —
+// rotating first when fewer than maxWriteFrame bytes are left. It
+// allocates nothing and does not fsync: the write is durable once a
+// later Sync returns. A failed rotation writes nothing.
+func (s *FileSink) LogWrite(v, epoch int64, del bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("wal: sink: closed")
+	}
+	if s.size+maxWriteFrame > int64(len(s.m)) {
+		if err := s.openSegment(s.seg+1, maxWriteFrame); err != nil {
+			return err
+		}
+	}
+	frame := int64(putWriteFrame(s.m[s.size:], v, epoch, del))
+	s.size += frame
+	s.opts.Obs.AddWALSince(frame, 1)
+	return nil
+}
+
+// putWriteFrame frames the compact record of a write at the front of b,
+// which has room for maxWriteFrame bytes, and returns the frame's
+// length: the CRC and the payload first, the length word — with its
+// frameWrite mark — last.
+func putWriteFrame(b []byte, v, epoch int64, del bool) int {
+	p := appendWrite(b[frameHeaderSize:frameHeaderSize], v, epoch, del)
+	binary.LittleEndian.PutUint32(b[4:], crc32.Update(writeCRCSeed, crc32.IEEETable, p))
+	binary.LittleEndian.PutUint32(b, uint32(len(p))|frameWrite)
+	return frameHeaderSize + len(p)
 }
 
 // Sync flushes the current segment to stable storage (a no-op under
@@ -398,7 +460,9 @@ func (s *FileSink) ReleaseBefore(seg int) error {
 		removed = true
 	}
 	if removed && !s.opts.NoSync {
-		s.syncDir()
+		if err := syncDir(s.dir); err != nil {
+			return fmt.Errorf("wal: sink: %w", err)
+		}
 	}
 	return nil
 }
@@ -433,60 +497,70 @@ func (s *FileSink) Close() error {
 }
 
 // ReadDir reads the framed segments in dir in index order and returns
-// the concatenated record payloads — the raw image Recover and Replay
-// consume. A torn or corrupt frame in the NEWEST segment is the normal
-// crashed tail and ends the image there. Damage in an older segment —
-// a torn pre-crash tail whose segment outlived a failed truncation, or
-// bit rot — drops only the rest of that segment: reading resumes at
-// the next segment boundary, where frames re-align. That is safe for
-// Recover because every record stands alone (no record refers to
-// another), and the caller replays a logical write by its epoch tag,
-// not by its position. A missing or empty directory yields nil.
+// their log image — imageMagic, then one entry per intact frame (see
+// appendEntry) — which Recover and Replay consume. A torn or corrupt
+// frame in the NEWEST segment is the normal crashed tail and ends the
+// image there. Damage in an older segment — a torn pre-crash tail whose
+// segment outlived a failed truncation, or bit rot — drops only the
+// rest of that segment: reading resumes at the next segment boundary,
+// where frames re-align. That is safe for Recover because every record
+// stands alone (no record refers to another), and the caller replays a
+// logical write by its epoch tag, not by its position. A directory
+// without a frame yields nil.
 func ReadDir(dir string) ([]byte, error) {
 	segs, err := segmentIndexes(dir)
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
+	out := []byte(imageMagic)
 	for k, i := range segs {
 		raw, err := os.ReadFile(filepath.Join(dir, segmentName(i)))
 		if err != nil {
 			return nil, fmt.Errorf("wal: sink: %w", err)
 		}
-		payloads, intact := deframe(raw)
-		out = append(out, payloads...)
+		var intact bool
+		out, intact = deframe(out, raw)
 		if !intact && k == len(segs)-1 {
 			break // crashed tail of the newest segment
 		}
 	}
+	if len(out) == len(imageMagic) {
+		return nil, nil
+	}
 	return out, nil
 }
 
-// deframe extracts the payloads of the intact frames at the front of
-// raw, reporting whether the whole buffer was consumed cleanly. A zero
-// length word ends the buffer cleanly: it is the unwritten, zero tail
-// of a preallocated segment (no frame has an empty payload).
-func deframe(raw []byte) (payloads []byte, intact bool) {
+// deframe appends to dst the image entries of the intact frames at the
+// front of raw, reporting whether the whole buffer was consumed
+// cleanly. A zero length word ends the buffer cleanly: it is the
+// unwritten, zero tail of a preallocated segment (no frame has an empty
+// payload).
+func deframe(dst, raw []byte) (img []byte, intact bool) {
 	for len(raw) > 0 {
 		if zeroWord(raw) {
-			return payloads, true
+			return dst, true
 		}
 		if len(raw) < frameHeaderSize {
-			return payloads, false
+			return dst, false
 		}
-		n := binary.LittleEndian.Uint32(raw[0:])
+		word := binary.LittleEndian.Uint32(raw[0:])
 		sum := binary.LittleEndian.Uint32(raw[4:])
-		if n > maxFramePayload || len(raw) < frameHeaderSize+int(n) {
-			return payloads, false
+		n, compact := word&^frameWrite, word&frameWrite != 0
+		if n == 0 || n > maxFramePayload || len(raw) < frameHeaderSize+int(n) {
+			return dst, false
 		}
 		payload := raw[frameHeaderSize : frameHeaderSize+int(n)]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return payloads, false
+		var seed uint32
+		if compact {
+			seed = writeCRCSeed
 		}
-		payloads = append(payloads, payload...)
+		if crc32.Update(seed, crc32.IEEETable, payload) != sum {
+			return dst, false
+		}
+		dst = appendEntry(dst, compact, payload)
 		raw = raw[frameHeaderSize+int(n):]
 	}
-	return payloads, true
+	return dst, true
 }
 
 // zeroWord reports whether raw starts with a zero length word; a

@@ -1,5 +1,5 @@
 // Package wal implements the write-ahead log: a stream of small
-// fixed-layout records into a sink.
+// records into a sink.
 //
 // The paper (§4.2) observes that a significant advantage of building
 // adaptive indexes over proven index structures is that "index
@@ -7,7 +7,7 @@
 // contents": structure is re-creatable knowledge derived from the
 // data, so only the contents must survive a crash. The log follows
 // that split. What it carries for the sharded column is data — one
-// LogicalWrite per routed write, tagged with its epoch — and nothing
+// record per routed write, tagged with its epoch — and nothing
 // about structure: a group-apply, split or merge writes no record,
 // because a checkpoint's snapshot captures the structure whole and
 // everything after it is re-derived by the rebalancer and re-earned by
@@ -15,10 +15,18 @@
 // logs its run creations and merge steps, the paper's §3 structural
 // records.
 //
-// Records are encoded with a fixed little-endian binary layout and
-// protected by a simple XOR checksum; Replay stops at the first
-// corrupt or truncated record, mimicking standard log-recovery
-// behaviour.
+// A logged write of the product (FileSink.LogWrite, what the ingest
+// coordinator calls) is a compact, data-only record — a format byte,
+// the value as a zig-zag varint and epoch<<1|op as a uvarint, 3 to 21
+// bytes — framed straight into the sink's segment under the sink's one
+// lock. A store logs one column, so the record carries no name, no LSN
+// and no transaction. Everything else — adaptive merging's records, and
+// the logical writes of logs written before the compact format —
+// is a Record: a fixed little-endian layout (LSN, Txn, kind, object
+// name, three int64s) closed by an XOR checksum byte, appended through
+// a Log. The XOR byte is legacy: the file sink's CRC frame already
+// protects every record. Replay and Recover stop at the first corrupt
+// or truncated record, mimicking standard log-recovery behaviour.
 //
 // A Log is a stream, not a store: it keeps no record it has appended.
 // Each record is encoded into a reused buffer and handed to the sink
@@ -27,18 +35,18 @@
 // in-memory log New(nil) builds.
 //
 // Durability is provided by the file sink (sink.go): CRC-framed
-// records in rotating segment files. Append never fsyncs; the writer
-// decides when (Sync — the ingest coordinator's group commit), and an
-// fsync runs outside both the log's and the sink's append lock, so
-// writers keep appending while it is in flight. The log holds no
-// checkpoint: a checkpoint is a data snapshot written outside it
-// (internal/durable's base.snap, which carries the shard map and every
-// shard's pieces). The checkpoint writer rotates the sink before it
-// cuts the snapshot's epoch watermark and deletes the segments before
-// the rotation once the snapshot is durable (SegmentTruncator); what
-// the log then contributes to recovery is the logical-write tail
-// (Recover: the LogicalWrite records, which the caller filters by the
-// snapshot's watermark).
+// records in rotating segment files, each frame marked with the format
+// it holds. Neither LogWrite nor Append fsyncs; the writer decides when
+// (Sync — the ingest coordinator's group commit), and an fsync runs
+// outside the sink's lock, so writers keep logging while it is in
+// flight. The log holds no checkpoint: a checkpoint is a data snapshot
+// written outside it (internal/durable's base.snap, which carries the
+// shard map and every shard's pieces). The checkpoint writer rotates
+// the sink before it cuts the snapshot's epoch watermark and deletes
+// the segments before the rotation once the snapshot is durable
+// (SegmentTruncator); what the log then contributes to recovery is the
+// logical-write tail (Recover: every logical write in either format,
+// which the caller filters by the snapshot's watermark).
 package wal
 
 import (
@@ -66,9 +74,10 @@ const (
 	// into the final partition.
 	MergeStep Kind = 5
 	// LogicalWrite records one routed update — value plus operation —
-	// tagged with the epoch it landed in. A coordinator with a log
-	// appends one per write (ingest Options.Log); recovery replays the
-	// records tagged above the snapshot's epoch watermark, closing the
+	// tagged with the epoch it landed in: the Record form of a logged
+	// write, as logs written before the compact format (LogWrite) hold
+	// it, and as Replay reports a compact record. Recovery replays the
+	// writes tagged above the snapshot's epoch watermark, closing the
 	// lose-writes-since-last-checkpoint window.
 	LogicalWrite Kind = 12
 )
@@ -257,36 +266,149 @@ func Decode(buf []byte) (Record, int, error) {
 	return r, total, nil
 }
 
-// Replay decodes records from raw until the bytes are exhausted or a
+// Replay decodes records from raw — a log image (ReadDir) or a bare
+// stream of encoded Records — until the bytes are exhausted or a
 // truncated/corrupt tail is found, invoking apply for each complete
-// record. It returns the number of records applied.
+// record; a compact write comes back as its LogicalWrite Record (no
+// LSN, Txn or Object). It returns the number of records applied.
 func Replay(raw []byte, apply func(Record)) (int, error) {
 	n := 0
-	for len(raw) > 0 {
-		r, consumed, err := Decode(raw)
-		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrCorrupt) {
-				return n, nil // normal crashed-tail stop
-			}
-			return n, err
+	scan(raw, func(r Record) {
+		apply(r)
+		n++
+	}, func(w TailWrite) {
+		r := Record{Kind: LogicalWrite, A: w.Value, B: w.Epoch}
+		if w.Delete {
+			r.C = 1
 		}
 		apply(r)
-		raw = raw[consumed:]
 		n++
-	}
+	})
 	return n, nil
 }
 
-// Catalog is what recovery reads out of the log: per sharded column,
-// the logical-write tail.
+// replayRecords decodes the Records of a bare stream into apply and
+// reports whether it consumed every byte.
+func replayRecords(raw []byte, apply func(Record)) bool {
+	for len(raw) > 0 {
+		r, consumed, err := Decode(raw)
+		if err != nil {
+			return false // a truncated or corrupt tail ends the stream
+		}
+		apply(r)
+		raw = raw[consumed:]
+	}
+	return true
+}
+
+// The compact record of a logged write (FileSink.LogWrite):
+//
+//	[writeFormat byte][value: zig-zag varint][epoch<<1 | op: uvarint]
+//
+// op is 1 for a delete and 0 for an insert; epochs are non-negative,
+// so epoch<<1 loses no bit.
+const (
+	writeFormat = 1
+	// maxWriteRecord is the largest compact record: two 10-byte varints.
+	maxWriteRecord = 1 + 2*binary.MaxVarintLen64
+)
+
+// appendWrite appends the compact record of a write to dst. It
+// allocates only when dst lacks the capacity.
+func appendWrite(dst []byte, v, epoch int64, del bool) []byte {
+	tag := uint64(epoch) << 1
+	if del {
+		tag |= 1
+	}
+	dst = append(dst, writeFormat)
+	dst = binary.AppendVarint(dst, v)
+	return binary.AppendUvarint(dst, tag)
+}
+
+// decodeWrite parses a compact record that fills p exactly.
+func decodeWrite(p []byte) (TailWrite, bool) {
+	if len(p) < 3 || p[0] != writeFormat {
+		return TailWrite{}, false
+	}
+	v, n := binary.Varint(p[1:])
+	if n <= 0 {
+		return TailWrite{}, false
+	}
+	tag, m := binary.Uvarint(p[1+n:])
+	if m <= 0 || 1+n+m != len(p) {
+		return TailWrite{}, false
+	}
+	return TailWrite{Value: v, Delete: tag&1 != 0, Epoch: int64(tag >> 1)}, true
+}
+
+// imageMagic opens every log image ReadDir returns. A bare Record
+// stream starts with an LSN, which would have to be about 7·10^17 to
+// spell it.
+const imageMagic = "ADXWAL2\n"
+
+// A log image is imageMagic followed by one entry per intact frame, in
+// log order:
+//
+//	[n<<1 | compact: uvarint][payload: n bytes]
+//
+// compact marks a frame LogWrite made (one compact record); the payload
+// of any other frame is what Write was given (encoded Records). The
+// frames' CRCs were checked when the image was cut, so they are gone.
+func appendEntry(dst []byte, compact bool, payload []byte) []byte {
+	h := uint64(len(payload)) << 1
+	if compact {
+		h |= 1
+	}
+	dst = binary.AppendUvarint(dst, h)
+	return append(dst, payload...)
+}
+
+// scan walks raw — a log image, or a bare Record stream when it does
+// not start with imageMagic — handing Records to record and compact
+// writes to write, in log order, and stops at the first malformed
+// entry or record.
+func scan(raw []byte, record func(Record), write func(TailWrite)) {
+	img, ok := bytes.CutPrefix(raw, []byte(imageMagic))
+	if !ok {
+		replayRecords(raw, record)
+		return
+	}
+	for len(img) > 0 {
+		h, k := binary.Uvarint(img)
+		if k <= 0 || h>>1 > uint64(len(img)-k) {
+			return
+		}
+		p := img[k : k+int(h>>1)]
+		img = img[k+len(p):]
+		if h&1 == 0 {
+			if !replayRecords(p, record) {
+				return
+			}
+			continue
+		}
+		w, ok := decodeWrite(p)
+		if !ok {
+			return
+		}
+		write(w)
+	}
+}
+
+// Catalog is what recovery reads out of the log: the logical-write
+// tail.
 type Catalog struct {
-	// TailWrites maps sharded-column name to its logical writes, in log
-	// order. The caller replays those tagged above its snapshot's epoch
+	// Writes is every logical write the log holds, in log order,
+	// whatever its format: a store logs one column, so this is its tail.
+	// The caller replays those tagged above its snapshot's epoch
 	// watermark: the snapshot already holds the others.
+	Writes []TailWrite
+	// TailWrites maps column name to the logical writes that carry one
+	// — the Record form (LogicalWrite) — in log order. Compact records
+	// carry no name and appear in Writes only.
 	TailWrites map[string][]TailWrite
 }
 
-// TailWrite is one recovered logical write (LogicalWrite record).
+// TailWrite is one recovered logical write.
 type TailWrite struct {
 	// Value is the column value inserted or deleted.
 	Value int64
@@ -296,20 +418,19 @@ type TailWrite struct {
 	Epoch int64
 }
 
-// Recover reads the logical-write tail out of an encoded log image:
-// every LogicalWrite record, in log order, whatever its Txn. Records of
-// any other kind — amerge's, or the retired structural kinds an older
-// log holds — carry no data and are skipped.
+// Recover reads the logical-write tail out of a log image (ReadDir) or
+// a bare Record stream: every compact write and every LogicalWrite
+// Record, in log order, whatever its Txn. Records of any other kind —
+// amerge's, or the retired structural kinds an older log holds — carry
+// no data and are skipped.
 func Recover(raw []byte) (*Catalog, error) {
 	cat := &Catalog{TailWrites: map[string][]TailWrite{}}
-	_, err := Replay(raw, func(r Record) {
+	scan(raw, func(r Record) {
 		if r.Kind == LogicalWrite {
-			cat.TailWrites[r.Object] = append(cat.TailWrites[r.Object],
-				TailWrite{Value: r.A, Delete: r.C != 0, Epoch: r.B})
+			tw := TailWrite{Value: r.A, Delete: r.C != 0, Epoch: r.B}
+			cat.Writes = append(cat.Writes, tw)
+			cat.TailWrites[r.Object] = append(cat.TailWrites[r.Object], tw)
 		}
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, func(w TailWrite) { cat.Writes = append(cat.Writes, w) })
 	return cat, nil
 }

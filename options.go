@@ -265,10 +265,10 @@ func WithCheckpointEvery(n int) Option {
 }
 
 // WithLogWrites enables data-tail durability on a durable store: every
-// routed write is logged as an autonomous logical record (value + op +
-// epoch id) and replayed past the checkpoint's epoch watermark on
-// reopen, so a crash loses at most the not-yet-fsynced log tail
-// instead of everything since the last checkpoint. Open only.
+// routed write is logged as one compact record (value + op + epoch id,
+// about 15 bytes framed) and replayed past the checkpoint's epoch
+// watermark on reopen, so a crash loses at most the not-yet-fsynced log
+// tail instead of everything since the last checkpoint. Open only.
 func WithLogWrites() Option {
 	return func(c *config) error {
 		c.logWrites = true
