@@ -108,9 +108,6 @@ func New(values []int64, opts ...Option) (*Index, error) {
 	if cfg.values != nil {
 		return nil, errors.New("adaptix: WithValues is for Open; pass the values to New directly")
 	}
-	if cfg.ingest.Log != nil {
-		return nil, errors.New("adaptix: IngestOptions.Log is for Open; an in-memory index has no reader for a write log")
-	}
 	ob := cfg.newObserver()
 	cap, err := cfg.newRecorder(ob)
 	if err != nil {

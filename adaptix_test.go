@@ -2,12 +2,12 @@ package adaptix_test
 
 import (
 	"context"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
 
 	"adaptix"
-	"adaptix/internal/crackindex"
 )
 
 // ctx is the uncancellable context the API tests query with.
@@ -170,26 +170,6 @@ func TestPublicAPIOptionValidation(t *testing.T) {
 	}
 }
 
-// TestNewRejectsLatchNone: an Index promises safe concurrent use, and
-// its write path's maintenance walks a shard's pieces while queries
-// crack them, so a configuration without latches is refused, by New and
-// by Open alike.
-func TestNewRejectsLatchNone(t *testing.T) {
-	d := adaptix.NewUniqueDataset(1000, 3)
-	none := adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: crackindex.LatchNone})
-	if ix, err := adaptix.New(d.Values, none); err == nil {
-		ix.Close()
-		t.Fatal("New accepted LatchNone")
-	}
-	if ix, err := adaptix.Open(t.TempDir(), adaptix.WithValues(d.Values), adaptix.WithNoSync(), none); err == nil {
-		ix.Close()
-		t.Fatal("Open accepted LatchNone")
-	}
-	for _, mode := range []crackindex.LatchMode{adaptix.LatchPiece, adaptix.LatchColumn} {
-		mustNew(t, d.Values, adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: mode}))
-	}
-}
-
 func TestPublicAPIStats(t *testing.T) {
 	d := adaptix.NewUniqueDataset(20000, 6)
 	ix := mustNew(t, d.Values, adaptix.WithShards(4), adaptix.WithSeed(3))
@@ -217,102 +197,50 @@ func TestPublicAPIStats(t *testing.T) {
 	}
 }
 
-func TestPublicAPIColumnStore(t *testing.T) {
-	tab := adaptix.NewTable("R")
-	a := adaptix.NewUniqueDataset(5000, 3)
-	bd := adaptix.NewUniqueDataset(5000, 4)
-	if err := tab.AddColumn("A", a.Values); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddColumn("B", bd.Values); err != nil {
-		t.Fatal(err)
-	}
-	ex := adaptix.NewExecutor(tab, adaptix.CrackOptions{Latching: adaptix.LatchPiece})
-	got, _, err := ex.SumFetchWhere("B", "A", 100, 900)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for i, v := range a.Values {
-		if v >= 100 && v < 900 {
-			want += bd.Values[i]
-		}
-	}
-	if got != want {
-		t.Fatalf("SumFetchWhere = %d, want %d", got, want)
-	}
-}
-
-func TestPublicAPITransactions(t *testing.T) {
-	tm := adaptix.NewTxnManager()
-	u := tm.Begin(0) // user
-	if err := u.LockHierarchy([]string{"db", "db/R", "db/R/A"}, adaptix.XLk); err != nil {
-		t.Fatal(err)
-	}
-	if !tm.Locks().HasConflicting("db/R/A", adaptix.SLk, 0) {
-		t.Fatal("lock invisible")
-	}
-	if err := u.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPublicAPIQueryTagTrace: trace events carry the context query tag
-// through the unified API, so the Figure 8 timelines keep their
-// labels.
+// TestPublicAPIQueryTagTrace: the context query tag rides the fan-out
+// into the workload recorder, so every captured query made under a tag
+// carries that tag's hash, at one shard and at four.
 func TestPublicAPIQueryTagTrace(t *testing.T) {
 	d := adaptix.NewUniqueDataset(50000, 9)
-	var mu sync.Mutex
-	tags := map[string]int{}
-	ix := mustNew(t, d.Values, adaptix.WithShards(1), adaptix.WithCrackOptions(adaptix.CrackOptions{
-		Latching: adaptix.LatchPiece,
-		Tracer: func(e adaptix.TraceEvent) {
-			mu.Lock()
-			tags[e.Query]++
-			mu.Unlock()
-		},
-	}))
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			qctx := adaptix.WithQueryTag(ctx, map[int]string{0: "Q1", 1: "Q2", 2: "Q3", 3: "Q4"}[c])
-			qs := adaptix.UniformQueries(adaptix.SumQuery, d.Domain, 0.01, uint64(c+1), 16)
-			for _, q := range qs {
-				want := (q.Lo + q.Hi - 1) * (q.Hi - q.Lo) / 2
-				if s, err := ix.Sum(qctx, q.Lo, q.Hi); err != nil || s.Value != want {
-					panic("sum mismatch")
+	tags := []string{"Q1", "Q2", "Q3", "Q4"}
+	const perTag = 16
+	for _, shards := range []int{1, 4} {
+		ix := mustNew(t, d.Values, adaptix.WithShards(shards),
+			adaptix.WithWorkloadCapture(adaptix.CaptureOptions{}))
+		var wg sync.WaitGroup
+		for c, tag := range tags {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				qctx := adaptix.WithQueryTag(ctx, tag)
+				for _, q := range adaptix.UniformQueries(adaptix.SumQuery, d.Domain, 0.01, uint64(c+1), perTag) {
+					want := (q.Lo + q.Hi - 1) * (q.Hi - q.Lo) / 2
+					if s, err := ix.Sum(qctx, q.Lo, q.Hi); err != nil || s.Value != want {
+						t.Errorf("%d shards, %s: Sum[%d,%d) = %d, %v; want %d", shards, tag, q.Lo, q.Hi, s.Value, err, want)
+					}
 				}
+			}()
+		}
+		wg.Wait()
+		seen := map[uint32]int{}
+		for _, r := range ix.WorkloadTrace() {
+			seen[r.Tag]++
+		}
+		for _, tag := range tags {
+			h := fnv.New32a()
+			h.Write([]byte(tag))
+			if n := seen[h.Sum32()]; n != perTag {
+				t.Errorf("%d shards: %d captured queries tagged %s, want %d (by hash: %v)", shards, n, tag, perTag, seen)
 			}
-		}(c)
-	}
-	wg.Wait()
-	for _, tag := range []string{"Q1", "Q2", "Q3", "Q4"} {
-		if tags[tag] == 0 {
-			t.Fatalf("no trace events tagged %s (saw %v)", tag, tags)
 		}
 	}
 }
 
-// TestPublicAPIStructuralLog checks where a write log may go on the
-// write path: New rejects one as IngestOptions.Log (an in-memory index
-// has no reader for a write log, which would only grow), and the write
-// path group-applies and splits without one.
+// TestPublicAPIStructuralLog: the in-memory write path group-applies
+// and splits without a write log, and logs nothing.
 func TestPublicAPIStructuralLog(t *testing.T) {
 	d := adaptix.NewUniqueDataset(1<<13, 11)
 	iopts := adaptix.IngestOptions{ApplyThreshold: 64, MinShardRows: 256, SplitFactor: 1.5}
-	sink, err := adaptix.NewWALFileSink(t.TempDir(), adaptix.WALSinkOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	withLog := iopts
-	withLog.Log = sink
-	if ix, err := adaptix.New(d.Values, adaptix.WithIngestOptions(withLog)); err == nil {
-		ix.Close()
-		t.Fatal("New accepted IngestOptions.Log")
-	}
 	ix := mustNew(t, d.Values, adaptix.WithShards(4), adaptix.WithSeed(3), adaptix.WithIngestOptions(iopts))
 	for i := 0; i < 2000; i++ {
 		if err := ix.Insert(ctx, int64(i%50)); err != nil {

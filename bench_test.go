@@ -725,8 +725,7 @@ func BenchmarkPublicAPI_SumQueries(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix, err := adaptix.New(d.Values, adaptix.WithShards(1),
-			adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}))
+		ix, err := adaptix.New(d.Values, adaptix.WithShards(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,36 +20,12 @@ var configSurface = []string{
 	"CaptureOptions.Ring",
 	"CaptureOptions.SampleEvery",
 	"CaptureOptions.Sink",
-	"CrackOptions.GroupCracking",
-	"CrackOptions.Latching",
-	"CrackOptions.Layout",
-	"CrackOptions.LockProbe",
-	"CrackOptions.Obs",
-	"CrackOptions.OnConflict",
-	"CrackOptions.ParallelBounds",
-	"CrackOptions.Scheduling",
-	"CrackOptions.Tracer",
 	"HealthOptions.Interval",
 	"HealthOptions.MaxWALBytes",
-	"HybridOptions.Layout",
-	"HybridOptions.OnConflict",
-	"HybridOptions.PartitionSize",
 	"IngestOptions.ApplyThreshold",
 	"IngestOptions.CheckEvery",
-	"IngestOptions.CheckpointEvery",
-	"IngestOptions.Log",
 	"IngestOptions.MinShardRows",
-	"IngestOptions.Obs",
-	"IngestOptions.Sink",
-	"IngestOptions.SnapshotWriter",
 	"IngestOptions.SplitFactor",
-	"IngestOptions.SyncEvery",
-	"IngestOptions.SyncInterval",
-	"MergeOptions.Log",
-	"MergeOptions.MergeBudget",
-	"MergeOptions.OnConflict",
-	"MergeOptions.RunSize",
-	"MergeOptions.TxnMgr",
 	"ObsOptions.SampleEvery",
 	"ObsOptions.StallThreshold",
 	"ServeOptions.ConnQuota",
@@ -57,12 +33,9 @@ var configSurface = []string{
 	"ServeOptions.MaxInFlight",
 	"ServeOptions.Window",
 	"WithCheckpointEvery",
-	"WithCrackOptions",
 	"WithHealth",
-	"WithHybridOptions",
 	"WithIngestOptions",
 	"WithLogWrites",
-	"WithMergeOptions",
 	"WithMethod",
 	"WithNoSync",
 	"WithObservability",
@@ -70,7 +43,6 @@ var configSurface = []string{
 	"WithSeed",
 	"WithSegmentBytes",
 	"WithShards",
-	"WithSink",
 	"WithSyncEvery",
 	"WithSyncInterval",
 	"WithValues",
@@ -102,9 +74,6 @@ func TestConfigSurface(t *testing.T) {
 		}
 	}
 	for name, typ := range map[string]reflect.Type{
-		"CrackOptions":   reflect.TypeFor[CrackOptions](),
-		"MergeOptions":   reflect.TypeFor[MergeOptions](),
-		"HybridOptions":  reflect.TypeFor[HybridOptions](),
 		"IngestOptions":  reflect.TypeFor[IngestOptions](),
 		"ObsOptions":     reflect.TypeFor[ObsOptions](),
 		"CaptureOptions": reflect.TypeFor[CaptureOptions](),

@@ -4,9 +4,11 @@
 // stream through the ONE unified handle — only WithMethod changes:
 // database cracking converges lazily; adaptive merging pays
 // run-sorting up front and converges fast; the hybrid splits the
-// difference. Also shows the structural WAL: merge steps log tiny
-// structural records, never index contents, and run as instantly
-// committed system transactions.
+// difference. Then shows the structural WAL on the reproduction's
+// adaptive-merging index (internal/amerge), driven directly with a log
+// and a transaction manager: merge steps log tiny structural records,
+// never index contents, and run as instantly committed system
+// transactions. Every answer is checked; a wrong one exits non-zero.
 //
 // Run: go run ./examples/adaptivemerge
 package main
@@ -14,9 +16,13 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"time"
 
 	"adaptix"
+	"adaptix/internal/amerge"
+	"adaptix/internal/txn"
+	"adaptix/internal/wal"
 )
 
 func main() {
@@ -24,37 +30,35 @@ func main() {
 	ctx := context.Background()
 	data := adaptix.NewUniqueDataset(rows, 5)
 	qs := adaptix.UniformQueries(adaptix.SumQuery, data.Domain, 0.01, 3, 64)
+	check := func(name string, q adaptix.Query, got int64) {
+		if want := (q.Lo + q.Hi - 1) * (q.Hi - q.Lo) / 2; got != want {
+			fmt.Printf("WRONG: %s sum[%d,%d) = %d, want %d\n", name, q.Lo, q.Hi, got, want)
+			os.Exit(1)
+		}
+	}
 
-	log := adaptix.NewStructuralLog()
-	tm := adaptix.NewTxnManager()
-
-	mk := func(opts ...adaptix.Option) *adaptix.Index {
-		ix, err := adaptix.New(data.Values, append([]adaptix.Option{adaptix.WithShards(1)}, opts...)...)
+	methods := []adaptix.Method{adaptix.Crack, adaptix.AMerge, adaptix.Hybrid}
+	indexes := make([]*adaptix.Index, len(methods))
+	for i, m := range methods {
+		ix, err := adaptix.New(data.Values, adaptix.WithShards(1), adaptix.WithMethod(m))
 		if err != nil {
 			panic(err)
 		}
-		return ix
+		defer ix.Close()
+		indexes[i] = ix
 	}
-	crack := mk(adaptix.WithMethod(adaptix.Crack),
-		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}))
-	merge := mk(adaptix.WithMethod(adaptix.AMerge),
-		adaptix.WithMergeOptions(adaptix.MergeOptions{RunSize: 1 << 16, Log: log, TxnMgr: tm}))
-	hybrid := mk(adaptix.WithMethod(adaptix.Hybrid),
-		adaptix.WithHybridOptions(adaptix.HybridOptions{PartitionSize: 1 << 16}))
-	defer crack.Close()
-	defer merge.Close()
-	defer hybrid.Close()
 
-	fmt.Printf("%-8s %12s %12s %12s\n", "query", "crack", "amerge", "hybrid")
-	indexes := []*adaptix.Index{crack, merge, hybrid}
+	fmt.Printf("%-8s %12s %12s %12s\n", "query", methods[0], methods[1], methods[2])
 	for i, q := range qs {
 		var times [3]time.Duration
-		for e := range indexes {
+		for e, ix := range indexes {
 			start := time.Now()
-			if _, err := indexes[e].Sum(ctx, q.Lo, q.Hi); err != nil {
+			res, err := ix.Sum(ctx, q.Lo, q.Hi)
+			if err != nil {
 				panic(err)
 			}
 			times[e] = time.Since(start)
+			check(methods[e].String(), q, res.Value)
 		}
 		if i < 4 || (i+1)%16 == 0 {
 			fmt.Printf("%-8d %12v %12v %12v\n", i+1,
@@ -64,6 +68,16 @@ func main() {
 		}
 	}
 
+	log := wal.New(nil)
+	tm := txn.NewManager()
+	logged := amerge.New(data.Values, amerge.Options{Log: log, TxnMgr: tm})
+	for _, q := range qs {
+		sum, _, err := logged.Sum(ctx, q.Lo, q.Hi)
+		if err != nil {
+			panic(err)
+		}
+		check("logged amerge", q, sum)
+	}
 	started, finished := tm.Counts()
 	fmt.Printf("\nsystem transactions: %d started, %d instantly committed\n", started, finished)
 	fmt.Printf("structural WAL: %d records (runs + merge steps), no index contents logged:\n", log.Len())

@@ -10,7 +10,8 @@
 // waver) runs against the epoch write path (internal/epoch), where a
 // group-apply merge seals only the current epoch and writers roll over
 // without parking. The per-insert latency histogram is the point: no insert
-// ever waits for a shard rebuild. See examples/recovery for the durable
+// ever waits for a shard rebuild. A reader that sees a wrong sum makes
+// the example exit non-zero. See examples/recovery for the durable
 // lifecycle of the same handle.
 //
 // Run: go run ./examples/ingest
@@ -19,6 +20,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -51,7 +53,6 @@ type stormResult struct {
 func runStorm(data *adaptix.Dataset) stormResult {
 	ix, err := adaptix.New(data.Values,
 		adaptix.WithShards(4), adaptix.WithSeed(5),
-		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
 		adaptix.WithIngestOptions(adaptix.IngestOptions{
 			ApplyThreshold: 4096, MinShardRows: 1 << 14, SplitFactor: 1.5,
 		}),
@@ -102,7 +103,9 @@ func runStorm(data *adaptix.Dataset) stormResult {
 			for i := 0; i < perW; i++ {
 				// Everything lands in [0, 1024): one shard takes it all.
 				t0 := time.Now()
-				_ = ix.Insert(ctx, int64((w*perW+i)%1024))
+				if err := ix.Insert(ctx, int64((w*perW+i)%1024)); err != nil {
+					panic(err)
+				}
 				lats = append(lats, time.Since(t0))
 			}
 			latCh <- lats
@@ -184,4 +187,8 @@ func main() {
 	}
 	fmt.Println("\n(seals, applies and splits change structure only and log nothing;")
 	fmt.Println(" examples/recovery survives a crash from a checkpoint snapshot)")
+	if epoch.violations > 0 {
+		fmt.Printf("WRONG: readers saw %d answers that differ from the quiet range's sum\n", epoch.violations)
+		os.Exit(1)
+	}
 }

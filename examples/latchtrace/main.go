@@ -10,11 +10,13 @@
 // whole column is write-latched per crack and read-latched per sum, so
 // the queries serialize around cracking. With PIECE latches, after the
 // first cracks create pieces, the queries crack and aggregate
-// different pieces in parallel. The trace hook records every latch
-// event; the query labels ride the context (adaptix.WithQueryTag).
+// different pieces in parallel. The latch mode is a knob of the
+// reproduction's cracked-column index (internal/crackindex), which this
+// half drives directly: its trace hook records every latch event, and
+// the query labels ride the context (crackindex.WithTag).
 //
-// The second half drives a bigger concurrent workload with tracing
-// enabled (adaptix.WithObservability) and reads the same story back
+// The second half drives a bigger concurrent workload through the
+// product handle with tracing enabled (adaptix.WithObservability) and reads the same story back
 // from the observability layer instead of a trace hook: the Figure 15
 // wait-vs-refine breakdown from the live histograms (early quarter of
 // the run vs late quarter), and the flight recorder's tail of sampled
@@ -26,28 +28,27 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
 	"adaptix"
+	"adaptix/internal/crackindex"
 )
 
-func run(mode adaptix.CrackOptions, label string) {
+func run(mode crackindex.LatchMode, label string) {
 	data := adaptix.NewUniqueDataset(100, 3)
 
 	var mu sync.Mutex
-	var events []adaptix.TraceEvent
-	mode.Tracer = func(e adaptix.TraceEvent) {
-		mu.Lock()
-		events = append(events, e)
-		mu.Unlock()
-	}
-	ix, err := adaptix.New(data.Values,
-		adaptix.WithShards(1), adaptix.WithCrackOptions(mode))
-	if err != nil {
-		panic(err)
-	}
-	defer ix.Close()
+	var events []crackindex.TraceEvent
+	ix := crackindex.New(data.Values, crackindex.Options{
+		Latching: mode,
+		Tracer: func(e crackindex.TraceEvent) {
+			mu.Lock()
+			events = append(events, e)
+			mu.Unlock()
+		},
+	})
 
 	queries := []struct {
 		tag    string
@@ -63,22 +64,24 @@ func run(mode adaptix.CrackOptions, label string) {
 		wg.Add(1)
 		go func(i int, tag string, lo, hi int64) {
 			defer wg.Done()
-			ctx := adaptix.WithQueryTag(context.Background(), tag)
-			res, err := ix.Sum(ctx, lo, hi)
+			ctx := crackindex.WithTag(context.Background(), tag)
+			sum, _, err := ix.SumCtx(ctx, lo, hi)
 			if err != nil {
 				panic(err)
 			}
-			results[i] = res.Value
+			results[i] = sum
 		}(i, q.tag, q.lo, q.hi)
 	}
 	wg.Wait()
 
 	fmt.Printf("=== %s ===\n", label)
+	wrong := false
 	for i, q := range queries {
 		want := (q.lo + q.hi - 1) * (q.hi - q.lo) / 2
 		status := "ok"
 		if results[i] != want {
 			status = "WRONG"
+			wrong = true
 		}
 		fmt.Printf("%s: sum[%d,%d) = %d (%s)\n", q.tag, q.lo, q.hi, results[i], status)
 	}
@@ -87,6 +90,9 @@ func run(mode adaptix.CrackOptions, label string) {
 		fmt.Printf("  %s\n", e)
 	}
 	fmt.Println()
+	if wrong {
+		os.Exit(1)
+	}
 }
 
 // runObserved replays the same story at workload scale through the
@@ -102,7 +108,6 @@ func runObserved() {
 	data := adaptix.NewUniqueDataset(rows, 3)
 	ix, err := adaptix.New(data.Values,
 		adaptix.WithShards(1), // one latch domain: maximum contention, as in Figure 15
-		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
 		adaptix.WithObservability(adaptix.ObsOptions{
 			SampleEvery:    4,
 			StallThreshold: 100 * time.Microsecond,
@@ -163,7 +168,7 @@ func runObserved() {
 }
 
 func main() {
-	run(adaptix.CrackOptions{Latching: adaptix.LatchColumn}, "column latches (Figure 8, top)")
-	run(adaptix.CrackOptions{Latching: adaptix.LatchPiece}, "piece latches (Figure 8, middle)")
+	run(crackindex.LatchColumn, "column latches (Figure 8, top)")
+	run(crackindex.LatchPiece, "piece latches (Figure 8, middle)")
 	runObserved()
 }

@@ -6,7 +6,9 @@
 // drops while the number of index pieces grows. Then writes through
 // the same handle (no separate write path to wire up) and finishes
 // with the Figure 6 column-store plan (select on A, fetch B,
-// aggregate).
+// aggregate) on the reproduction's column store (internal/column),
+// which sits beside the index rather than behind it. Every answer is
+// checked; a wrong one exits non-zero.
 //
 // Run: go run ./examples/quickstart
 package main
@@ -14,10 +16,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"time"
 
 	"adaptix"
+	"adaptix/internal/column"
+	"adaptix/internal/crackindex"
 )
+
+// check exits non-zero when an answer differs from the expected one.
+func check(what string, got, want int64) {
+	if got != want {
+		fmt.Printf("WRONG: %s = %d, want %d\n", what, got, want)
+		os.Exit(1)
+	}
+}
 
 func main() {
 	const n = 1 << 20
@@ -28,10 +41,7 @@ func main() {
 	// concurrency control, safe for concurrent use. A single shard
 	// keeps this walk-through in the paper's original single-domain
 	// setting; drop WithShards for one shard per CPU.
-	ix, err := adaptix.New(data.Values,
-		adaptix.WithShards(1),
-		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
-	)
+	ix, err := adaptix.New(data.Values, adaptix.WithShards(1))
 	if err != nil {
 		panic(err)
 	}
@@ -45,6 +55,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		check(fmt.Sprintf("sum[%d,%d)", q.Lo, q.Hi), res.Value, (q.Lo+q.Hi-1)*(q.Hi-q.Lo)/2)
 		pieces := 0
 		for _, st := range ix.Stats().Shards {
 			pieces += st.Pieces
@@ -74,10 +85,11 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("after 1000 inserts and 1 delete: count = %d (want %d)\n", res.Value, n+1000-1)
+	check("count after writes", res.Value, n+1000-1)
 
 	// The Figure 6 plan: select sum(B) from R where lo <= A < hi.
 	fmt.Println("\n== column-store plan: select sum(B) from R where 100k <= A < 200k ==")
-	tab := adaptix.NewTable("R")
+	tab := column.NewTable("R")
 	if err := tab.AddColumn("A", data.Values); err != nil {
 		panic(err)
 	}
@@ -85,7 +97,13 @@ func main() {
 	if err := tab.AddColumn("B", b.Values); err != nil {
 		panic(err)
 	}
-	ex := adaptix.NewExecutor(tab, adaptix.CrackOptions{Latching: adaptix.LatchPiece})
+	var want int64
+	for i, a := range data.Values {
+		if a >= 100_000 && a < 200_000 {
+			want += b.Values[i]
+		}
+	}
+	ex := column.NewExecutor(tab, crackindex.Options{})
 	for run := 1; run <= 3; run++ {
 		start := time.Now()
 		sum, _, err := ex.SumFetchWhere("B", "A", 100_000, 200_000)
@@ -93,6 +111,7 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("run %d: sum(B) = %d   (%v)\n", run, sum, time.Since(start).Round(time.Microsecond))
+		check("sum(B)", sum, want)
 	}
 	fmt.Println("\nonly column A was indexed (it carried the predicate); B was not:")
 	if ixA, ok := ex.Index("A"); ok {

@@ -40,7 +40,6 @@ func main() {
 	data := adaptix.NewUniqueDataset(n, 42)
 	shape := []adaptix.Option{
 		adaptix.WithShards(4), adaptix.WithSeed(5),
-		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
 	}
 	ix, err := adaptix.Open(dir, append(shape, adaptix.WithValues(data.Values))...)
 	if err != nil {

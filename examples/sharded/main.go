@@ -13,6 +13,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"time"
 
@@ -34,10 +35,7 @@ func main() {
 	var baseline int64
 	var last *adaptix.Index
 	for _, p := range []int{1, 2, 4, 8} {
-		ix, err := adaptix.New(data.Values,
-			adaptix.WithShards(p), adaptix.WithSeed(5),
-			adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
-		)
+		ix, err := adaptix.New(data.Values, adaptix.WithShards(p), adaptix.WithSeed(5))
 		if err != nil {
 			panic(err)
 		}
@@ -50,6 +48,10 @@ func main() {
 		}
 		fmt.Printf("sharded P=%-4d %10v   %8.0f q/s   checksum %d %s\n",
 			p, run.Elapsed.Round(time.Millisecond), run.Throughput(), run.Checksum, mark)
+		if run.Checksum != baseline {
+			fmt.Println("WRONG: the checksum differs from the P=1 baseline")
+			os.Exit(1)
+		}
 		if last != nil {
 			last.Close()
 		}

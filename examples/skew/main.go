@@ -23,10 +23,7 @@ func main() {
 	const rows = 1 << 20
 	ctx := context.Background()
 	data := adaptix.NewUniqueDataset(rows, 21)
-	ix, err := adaptix.New(data.Values,
-		adaptix.WithShards(1),
-		adaptix.WithCrackOptions(adaptix.CrackOptions{Latching: adaptix.LatchPiece}),
-	)
+	ix, err := adaptix.New(data.Values, adaptix.WithShards(1))
 	if err != nil {
 		panic(err)
 	}

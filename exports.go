@@ -3,22 +3,15 @@ package adaptix
 import (
 	"context"
 
-	"adaptix/internal/amerge"
-	"adaptix/internal/column"
 	"adaptix/internal/crackindex"
 	"adaptix/internal/durable"
 	"adaptix/internal/engine"
 	"adaptix/internal/epoch"
 	"adaptix/internal/harness"
 	"adaptix/internal/health"
-	"adaptix/internal/hybrid"
 	"adaptix/internal/ingest"
-	"adaptix/internal/lockmgr"
 	"adaptix/internal/metrics"
 	"adaptix/internal/shard"
-	"adaptix/internal/sideways"
-	"adaptix/internal/txn"
-	"adaptix/internal/wal"
 	"adaptix/internal/wcapture"
 	"adaptix/internal/workload"
 )
@@ -29,25 +22,6 @@ type Op = ingest.Op
 // ErrSentinelKey is the error of an Insert of math.MaxInt64, and of New
 // or Open over initial values that hold it (see Index.Insert).
 var ErrSentinelKey = shard.ErrSentinelKey
-
-// Method-specific option structs, consumed by WithCrackOptions /
-// WithMergeOptions / WithHybridOptions.
-type (
-	// CrackOptions configures latching mode, scheduling, conflict
-	// policy and optimizations of the per-shard cracked indexes (Crack
-	// method).
-	CrackOptions = crackindex.Options
-	// MergeOptions configures run size, merge budget and conflict
-	// policy of the per-shard adaptive-merging indexes (AMerge method).
-	MergeOptions = amerge.Options
-	// HybridOptions configures partition size, layout and conflict
-	// policy of the per-shard hybrid crack-sort indexes (Hybrid
-	// method).
-	HybridOptions = hybrid.Options
-	// IngestOptions configures the write path (WithIngestOptions):
-	// group-apply and split thresholds.
-	IngestOptions = ingest.Options
-)
 
 // Observability types surfaced by Index.Stats.
 type (
@@ -64,9 +38,6 @@ type (
 	// Result embeds: latch wait, refinement time, fan-out critical
 	// path, conflicts, epoch depth, rows touched, skipped refinement.
 	OpStats = crackindex.OpStats
-	// TraceEvent is a latch/crack trace record (Figure 8 timelines),
-	// delivered to CrackOptions.Tracer.
-	TraceEvent = crackindex.TraceEvent
 	// ObsStats is the quantile readout of the always-on latency
 	// histograms (Stats.Obs, and the endpoint's /snapshot document).
 	ObsStats = metrics.ObsSummary
@@ -131,54 +102,13 @@ const (
 	HealthDegraded = health.Degraded
 )
 
-// Latching modes (paper §5.3), for CrackOptions.Latching. An Index
-// always latches: WithCrackOptions refuses crackindex's LatchNone.
-const (
-	// LatchPiece: one latch per array piece — the finest granularity.
-	LatchPiece = crackindex.LatchPiece
-	// LatchColumn: one latch per column.
-	LatchColumn = crackindex.LatchColumn
-)
-
-// WithQueryTag returns a context carrying a query tag: trace events
-// emitted while serving a query with this context are labelled with
-// the tag (the Figure 8 timeline labels). The tag rides the context
-// through the fan-out executor, so it works for any shard count.
+// WithQueryTag returns a context carrying a query tag. Under
+// WithWorkloadCapture every captured query made with this context
+// carries the tag's hash (WorkloadRecord.Tag), so a trace can be split
+// by caller. The tag rides the context through the fan-out executor,
+// so it works for any shard count.
 func WithQueryTag(ctx context.Context, tag string) context.Context {
 	return crackindex.WithTag(ctx, tag)
-}
-
-// Sideways cracking (reference [22]; §5 "Other Adaptive Indexing
-// Methods").
-type (
-	// SidewaysMap is a cracker map M(head, tail): aligned selection
-	// and projection values reorganized together, so refined ranges
-	// aggregate without positional fetches.
-	SidewaysMap = sideways.Map
-	// SidewaysOptions configures the map's conflict policy.
-	SidewaysOptions = sideways.Options
-)
-
-// NewSidewaysMap creates a cracker map over aligned head/tail columns.
-func NewSidewaysMap(head, tail []int64, opts SidewaysOptions) *SidewaysMap {
-	return sideways.NewMap(head, tail, opts)
-}
-
-// Column-store kernel (paper §5.1, Figure 6).
-type (
-	// Table is a set of aligned dense columns.
-	Table = column.Table
-	// Executor evaluates bulk operator-at-a-time plans with cracking
-	// selects.
-	Executor = column.Executor
-)
-
-// NewTable creates an empty column-store table.
-func NewTable(name string) *Table { return column.NewTable(name) }
-
-// NewExecutor creates a plan executor over tab.
-func NewExecutor(tab *Table, opts CrackOptions) *Executor {
-	return column.NewExecutor(tab, opts)
 }
 
 // Workload generation (paper §6 set-up).
@@ -215,82 +145,4 @@ type RunResult = harness.Run
 // number of concurrent clients, as in the paper's experiments.
 func Run(ix *Index, queries []Query, clients int) *RunResult {
 	return harness.Execute(engine.Named(ix.col, ix.method.String()), queries, clients)
-}
-
-// Transactions and locks (paper §3, Table 1).
-type (
-	// TxnManager creates user and system transactions.
-	TxnManager = txn.Manager
-	// Txn is one transaction.
-	Txn = txn.Txn
-	// LockMode is a transactional lock mode (IS, IX, S, SIX, U, X).
-	LockMode = lockmgr.Mode
-	// StructuralLog is the write-ahead log of Records: a stream of
-	// encoded records into its sink. Adaptive merging logs its runs and
-	// merge steps to it. A durable store (Open with WithLogWrites) logs
-	// every write as a compact record straight into its own WALFileSink,
-	// and never structural work.
-	StructuralLog = wal.Log
-)
-
-// Lock modes.
-const (
-	IS  = lockmgr.IS
-	IX  = lockmgr.IX
-	SLk = lockmgr.S
-	SIX = lockmgr.SIX
-	ULk = lockmgr.U
-	XLk = lockmgr.X
-)
-
-// NewTxnManager returns a transaction manager with a fresh lock
-// manager.
-func NewTxnManager() *TxnManager { return txn.NewManager() }
-
-// Durable WAL sink (custom structural-log setups; Open wires one up
-// automatically).
-type (
-	// WALFileSink is the durable segment-file sink of the WAL:
-	// CRC-framed records copied into preallocated, shared-mapped
-	// segments, fsync on Sync, segment rotation, and checkpoint
-	// truncation. Its LogWrite is a durable store's logged write.
-	WALFileSink = wal.FileSink
-	// WALSinkOptions configures a WALFileSink.
-	WALSinkOptions = wal.SinkOptions
-)
-
-// NewWALFileSink opens a segment-file sink over dir for a log (see
-// WALFileSink).
-func NewWALFileSink(dir string, opts WALSinkOptions) (*WALFileSink, error) {
-	return wal.NewFileSink(dir, opts)
-}
-
-// SinkOption configures NewStructuralLog.
-type SinkOption func(*sinkConfig)
-
-type sinkConfig struct {
-	sink *wal.FileSink
-}
-
-// WithSink makes the log stream every record to the given durable
-// sink, fsyncing when Sync is called; the log itself then keeps no
-// record. Without it the log's sink is an in-memory byte buffer of
-// encoded records.
-func WithSink(sink *WALFileSink) SinkOption {
-	return func(c *sinkConfig) { c.sink = sink }
-}
-
-// NewStructuralLog returns a WAL (see StructuralLog). By default it is
-// in memory: records accumulate, encoded, in a byte buffer that Records
-// decodes. With WithSink it is durable and retains nothing: Records
-// returns nil, and the records live only in the sink's segments.
-func NewStructuralLog(opts ...SinkOption) *StructuralLog {
-	var c sinkConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.sink == nil {
-		return wal.New(nil)
-	}
-	return wal.New(c.sink)
 }

@@ -28,3 +28,22 @@ func TestDurablePathImportsNoTransactions(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeImportsNoReproductionOnly keeps the facade to the index: the
+// root package reaches the reproduction only through the engines behind
+// WithMethod (amerge, hybrid, baseline) and through Run (harness,
+// engine). The column store, sideways cracking, transactions, locks, the
+// write-ahead log and the paper's experiments are driven directly, by
+// the commands and examples that show them.
+func TestFacadeImportsNoReproductionOnly(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{join .Imports \"\\n\"}}", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list .: %v\n%s", err, out)
+	}
+	imports := strings.Fields(string(out))
+	for _, p := range []string{"column", "sideways", "txn", "lockmgr", "wal", "pbtree", "ranges", "experiments"} {
+		if slices.Contains(imports, "adaptix/internal/"+p) {
+			t.Errorf("the root package imports adaptix/internal/%s", p)
+		}
+	}
+}

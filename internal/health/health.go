@@ -21,7 +21,6 @@ package health
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"adaptix/internal/metrics"
@@ -134,8 +133,6 @@ type Watchdog struct {
 	ob    *metrics.Observer
 	depth DepthFunc
 
-	last atomic.Pointer[Report]
-
 	mu         sync.Mutex // serializes Eval (rate bookkeeping + transitions)
 	prevStalls int64
 	prevWhen   time.Time
@@ -191,18 +188,9 @@ func (w *Watchdog) Stop() {
 	<-w.done
 }
 
-// Last returns the most recent report, evaluating once if none exists
-// yet.
-func (w *Watchdog) Last() Report {
-	if r := w.last.Load(); r != nil {
-		return *r
-	}
-	return w.Eval()
-}
-
-// Eval runs the full rule catalog now, publishes the report, refreshes
-// the epoch-depth gauges, and records rule transitions in the flight
-// recorder.
+// Eval runs the full rule catalog now, refreshes the epoch-depth
+// gauges, records rule transitions in the flight recorder, and returns
+// the report.
 func (w *Watchdog) Eval() Report {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -291,7 +279,6 @@ func (w *Watchdog) Eval() Report {
 			"windows":         int64(len(series)),
 		})
 
-	w.last.Store(&rep)
 	return rep
 }
 

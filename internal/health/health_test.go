@@ -1,6 +1,7 @@
 package health
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,7 +97,9 @@ func TestEpochRulesUseDepthSamplerAndSetGauges(t *testing.T) {
 	if ruleByName(t, rep, RuleSealedBacklog).Status != Degraded {
 		t.Fatal("sealed-backlog rule ok at 200 (threshold 64)")
 	}
-	if chain, sealed := ob.EpochDepth(); chain != 100 || sealed != 200 {
+	gauges := map[string]int64{}
+	ob.Registry().VisitGauges(func(name string, v int64) { gauges[name] = v })
+	if chain, sealed := gauges["adaptix_epoch_chain_len_max"], gauges["adaptix_epoch_sealed_unapplied"]; chain != 100 || sealed != 200 {
 		t.Fatalf("eval did not refresh the depth gauges: chain %d sealed %d", chain, sealed)
 	}
 }
@@ -150,7 +153,7 @@ func TestConvergenceRuleFiresOnFlatSeries(t *testing.T) {
 	ob := newObserver()
 	// The rule's full span of windows of a flat series above its floor.
 	for i := 0; i < stagnationWindows*metrics.ConvWindow; i++ {
-		ob.RecordTouched(50_000)
+		ob.RecordQueryProfile(0, 1, 1, 0, 50_000)
 	}
 	w := New(Options{}, ob, nil)
 	r := ruleByName(t, w.Eval(), RuleConvergence)
@@ -167,10 +170,10 @@ func TestConvergenceRulePassesOnDecayingSeries(t *testing.T) {
 	// Early windows mean ~50k, late ones ~35k: a healthy decay that
 	// stays above the floor, so the trend alone decides.
 	for i := 0; i < stagnationWindows/2*metrics.ConvWindow; i++ {
-		ob.RecordTouched(50_000)
+		ob.RecordQueryProfile(0, 1, 1, 0, 50_000)
 	}
 	for i := 0; i < stagnationWindows/2*metrics.ConvWindow; i++ {
-		ob.RecordTouched(35_000)
+		ob.RecordQueryProfile(0, 1, 1, 0, 35_000)
 	}
 	w := New(Options{}, ob, nil)
 	if r := ruleByName(t, w.Eval(), RuleConvergence); r.Status != OK {
@@ -201,12 +204,16 @@ func TestStagnating(t *testing.T) {
 
 func TestStartStopLifecycle(t *testing.T) {
 	ob := newObserver()
-	w := New(Options{Interval: time.Millisecond}, ob, nil)
+	var evals atomic.Int64
+	w := New(Options{Interval: time.Millisecond}, ob, func() (int64, int64) {
+		evals.Add(1)
+		return 0, 0
+	})
 	w.Start()
 	deadline := time.Now().Add(2 * time.Second)
-	for w.last.Load() == nil {
+	for evals.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("background loop never published a report")
+			t.Fatal("background loop never evaluated")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -216,8 +223,8 @@ func TestStartStopLifecycle(t *testing.T) {
 	// Stop without Start must not hang; on-demand Eval works regardless.
 	w2 := New(Options{Interval: -1}, ob, nil)
 	w2.Start() // negative interval: no goroutine
-	if rep := w2.Last(); len(rep.Rules) != 6 {
-		t.Fatalf("on-demand Last: %d rules, want 6", len(rep.Rules))
+	if rep := w2.Eval(); len(rep.Rules) != 6 {
+		t.Fatalf("on-demand Eval: %d rules, want 6", len(rep.Rules))
 	}
 	w2.Stop()
 	New(Options{}, ob, nil).Stop()

@@ -31,15 +31,6 @@ func (o *Observer) SetKeyDomain(lo, hi int64) {
 	o.heat.CompareAndSwap(nil, NewHeatmap(lo, hi))
 }
 
-// RecordRangeQuery marks the buckets a query's half-open predicate
-// [lo, hi) overlaps in the heatmap.
-func (o *Observer) RecordRangeQuery(lo, hi int64) {
-	if o == nil {
-		return
-	}
-	o.heat.Load().RecordRange(lo, hi)
-}
-
 // RecordWriteKey marks a routed insert/delete key in the heatmap.
 func (o *Observer) RecordWriteKey(v int64) {
 	if o == nil {
@@ -94,29 +85,6 @@ func (o *Observer) RecordQueryProfile(lo, hi, visited, covered, touched int64) {
 	o.rout.Add(visited<<routShift | covered)
 }
 
-// RecordRouting records a shard-routing outcome alone (tests and
-// non-query paths; queries use RecordQueryProfile). It lands directly
-// in the cold cumulative counters, bypassing the packed accumulator
-// and its drain cadence.
-func (o *Observer) RecordRouting(visited, covered int64) {
-	if o == nil {
-		return
-	}
-	o.routVisits.Add(visited)
-	o.routCovered.Add(covered)
-}
-
-// RecordTouched records the rows a query physically touched (scanned
-// or cracked, summed across its sub-queries) — the live form of the
-// paper's per-query cost that decays as the index converges. Every
-// ConvWindow queries the window mean is pushed into the decay series.
-func (o *Observer) RecordTouched(n int64) {
-	if o == nil {
-		return
-	}
-	o.recordTouched(n)
-}
-
 // winShift packs the running rows-touched sum and the window's query
 // count into one atomic word: sum in the high bits, count in the low
 // 16. One atomic add maintains both; the closer of a window (the add
@@ -141,19 +109,6 @@ const (
 	// be a power of two dividing ConvWindow.
 	profileSample = 8
 )
-
-func (o *Observer) recordTouched(n int64) {
-	o.queryTouched.recordBucket(n, 1)
-	if n < 0 {
-		n = 0
-	} else if n > touchedCap {
-		n = touchedCap
-	}
-	v := o.win.Add(n<<winShift | 1)
-	if v&winMask == ConvWindow {
-		o.closeWindow()
-	}
-}
 
 // closeWindow runs once per ConvWindow queries: it swaps out the
 // packed accumulators, publishes the window's mean rows-touched into
@@ -212,8 +167,7 @@ func (o *Observer) TouchedSnapshot() HistSnapshot {
 
 // Routing returns the lifetime shard-visit and covered-fast-path
 // counts: the drained cold totals plus the still-packed live window
-// (scaled by the sampling weight). Query-path contributions are
-// sampled estimates; RecordRouting contributions are exact.
+// (scaled by the sampling weight): sampled estimates.
 func (o *Observer) Routing() (visited, covered int64) {
 	if o == nil {
 		return 0, 0
@@ -261,14 +215,6 @@ func (o *Observer) SetEpochDepth(maxChain, sealedUnapplied int64) {
 	}
 	o.chainLenMax.Set(maxChain)
 	o.sealedUnapplied.Set(sealedUnapplied)
-}
-
-// EpochDepth returns the current epoch depth gauges.
-func (o *Observer) EpochDepth() (maxChain, sealedUnapplied int64) {
-	if o == nil {
-		return 0, 0
-	}
-	return o.chainLenMax.Load(), o.sealedUnapplied.Load()
 }
 
 // RecordRecovery publishes the recovery-time breakdown measured by

@@ -8,7 +8,7 @@
 // domain is divided into HeatBuckets equal-width buckets; a range query
 // increments every bucket its predicate overlaps, a write increments
 // the bucket holding its key. Because shards range-partition the same
-// key domain, slicing the merged sketch by a shard's bounds *is* that
+// key domain, slicing the one sketch by a shard's bounds *is* that
 // shard's heatmap (Slice), which is how the facade derives per-shard
 // views without per-shard storage or rebuild-on-split bookkeeping.
 //
@@ -57,12 +57,9 @@ func (h *Heatmap) bucket(v int64) int {
 	return int(u)
 }
 
-// RecordRange records one range query with half-open bounds [lo, hi):
-// every bucket the predicate overlaps gains one read.
-func (h *Heatmap) RecordRange(lo, hi int64) { h.RecordRangeN(lo, hi, 1) }
-
-// RecordRangeN records a range query with weight n — the sampled
-// recording path counts every profileSample-th query with
+// RecordRangeN records a range query with half-open bounds [lo, hi)
+// and weight n: every bucket the predicate overlaps gains n reads. The
+// sampled recording path counts every profileSample-th query with
 // n = profileSample, keeping expected bucket counts unbiased.
 func (h *Heatmap) RecordRangeN(lo, hi, n int64) {
 	if h == nil {
@@ -114,18 +111,9 @@ type HeatSnapshot struct {
 	Writes [HeatBuckets]int64 `json:"writes"`
 }
 
-// Merge adds o's counts into s (domains are assumed aligned; merging
-// sketches from differently-bounded indexes is the caller's mistake).
-func (s *HeatSnapshot) Merge(o *HeatSnapshot) {
-	for i := range s.Reads {
-		s.Reads[i] += o.Reads[i]
-		s.Writes[i] += o.Writes[i]
-	}
-}
-
 // Slice sums the read and write counts of every bucket overlapping the
-// inclusive key range [lo, hi] — the per-shard view of a merged
-// sketch, since shards range-partition the same domain.
+// inclusive key range [lo, hi] — the per-shard view of the sketch,
+// since shards range-partition the same domain.
 func (s *HeatSnapshot) Slice(lo, hi int64) (reads, writes int64) {
 	if s.BucketWidth <= 0 || hi < lo {
 		return 0, 0

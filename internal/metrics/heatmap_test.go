@@ -21,7 +21,7 @@ func TestHeatmapBucketing(t *testing.T) {
 	}
 
 	// A range query touches every overlapped bucket exactly once.
-	h.RecordRange(5, 25) // buckets 0..2 ([5,24] inclusive)
+	h.RecordRangeN(5, 25, 1) // buckets 0..2 ([5,24] inclusive)
 	s = h.Snapshot()
 	for i, want := range []int64{1, 1, 1, 0} {
 		if s.Reads[i] != want {
@@ -29,7 +29,7 @@ func TestHeatmapBucketing(t *testing.T) {
 		}
 	}
 	// An empty range still counts one read at its lower bound.
-	h.RecordRange(12, 12)
+	h.RecordRangeN(12, 12, 1)
 	if s := h.Snapshot(); s.Reads[1] != 2 {
 		t.Fatalf("empty-range read not counted: %v", s.Reads[:4])
 	}
@@ -39,7 +39,7 @@ func TestHeatmapClampsOutOfDomain(t *testing.T) {
 	h := NewHeatmap(100, 200)
 	h.RecordKey(-1000)
 	h.RecordKey(1000)
-	h.RecordRange(-50, 5000)
+	h.RecordRangeN(-50, 5000, 1)
 	s := h.Snapshot()
 	if s.Writes[0] != 1 || s.Writes[HeatBuckets-1] != 1 {
 		t.Fatalf("out-of-domain keys did not clamp to edge buckets: %v", s.Writes)
@@ -72,8 +72,8 @@ func TestHeatmapFullInt64Domain(t *testing.T) {
 
 func TestHeatmapSliceGivesPerShardView(t *testing.T) {
 	h := NewHeatmap(0, 639)
-	h.RecordRange(0, 100)   // buckets 0..9
-	h.RecordRange(300, 320) // buckets 30..31
+	h.RecordRangeN(0, 100, 1)   // buckets 0..9
+	h.RecordRangeN(300, 320, 1) // buckets 30..31
 	h.RecordKey(305)
 	s := h.Snapshot()
 	if r, w := s.Slice(0, 99); r != 10 || w != 0 {
@@ -90,29 +90,9 @@ func TestHeatmapSliceGivesPerShardView(t *testing.T) {
 	}
 }
 
-func TestHeatmapMerge(t *testing.T) {
-	a := NewHeatmap(0, 63)
-	b := NewHeatmap(0, 63)
-	a.RecordKey(0)
-	b.RecordKey(0)
-	b.RecordRange(0, 64)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(&sb)
-	if sa.Writes[0] != 2 {
-		t.Fatalf("merged writes[0] = %d, want 2", sa.Writes[0])
-	}
-	var reads int64
-	for _, v := range sa.Reads {
-		reads += v
-	}
-	if reads != HeatBuckets {
-		t.Fatalf("merged reads total %d, want %d", reads, HeatBuckets)
-	}
-}
-
 func TestHeatmapNilSafe(t *testing.T) {
 	var h *Heatmap
-	h.RecordRange(1, 2)
+	h.RecordRangeN(1, 2, 1)
 	h.RecordKey(3)
 	if s := h.Snapshot(); s.BucketWidth != 0 {
 		t.Fatalf("nil snapshot = %+v, want zero", s)
@@ -121,22 +101,27 @@ func TestHeatmapNilSafe(t *testing.T) {
 
 func TestObserverKeyDomainFirstWins(t *testing.T) {
 	ob := NewObserver(ObserverOptions{})
-	// Recording before the domain is known is a dropped no-op.
-	ob.RecordRangeQuery(0, 10)
+	// Recording before the domain is known is a dropped no-op. A query
+	// profile marks the heatmap on every profileSample-th query.
+	for i := 0; i < profileSample; i++ {
+		ob.RecordQueryProfile(0, 10, 1, 0, 1)
+	}
 	ob.RecordWriteKey(5)
 	if s := ob.Heat(); s.BucketWidth != 0 {
 		t.Fatalf("heat before SetKeyDomain = %+v, want zero", s)
 	}
 	ob.SetKeyDomain(0, 639)
 	ob.SetKeyDomain(0, 1_000_000) // loses: first install wins
-	ob.RecordRangeQuery(0, 10)
+	for i := 0; i < profileSample; i++ {
+		ob.RecordQueryProfile(0, 10, 1, 0, 1)
+	}
 	ob.RecordWriteKey(5)
 	s := ob.Heat()
 	if s.Hi != 639 {
 		t.Fatalf("domain hi = %d, want first-wins 639", s.Hi)
 	}
-	if s.Reads[0] != 1 || s.Writes[0] != 1 {
-		t.Fatalf("post-domain recordings missing: reads[0]=%d writes[0]=%d", s.Reads[0], s.Writes[0])
+	if s.Reads[0] != profileSample || s.Writes[0] != 1 {
+		t.Fatalf("post-domain recordings: reads[0]=%d writes[0]=%d, want %d and 1", s.Reads[0], s.Writes[0], profileSample)
 	}
 }
 
@@ -149,27 +134,33 @@ func TestConvergenceSeriesWindows(t *testing.T) {
 	// must not publish a point.
 	for _, mean := range []int64{1000, 100, 10} {
 		for i := 0; i < ConvWindow; i++ {
-			ob.RecordTouched(mean)
+			ob.RecordQueryProfile(0, 1, 1, 0, mean)
 		}
 	}
-	ob.RecordTouched(5)
+	ob.RecordQueryProfile(0, 1, 1, 0, 5)
 	got := ob.ConvergenceSeries()
 	if len(got) != 3 || got[0] != 1000 || got[1] != 100 || got[2] != 10 {
 		t.Fatalf("series = %v, want [1000 100 10]", got)
 	}
-	// The touched histogram sees every sample, not just window means.
+	// The touched histogram samples 1 query in profileSample with that
+	// weight: every full window counts exactly, the lone query of the
+	// fourth is not sampled.
 	ts := ob.TouchedSnapshot()
-	if n := ts.Count(); n != 3*ConvWindow+1 {
-		t.Fatalf("touched count = %d, want %d", n, 3*ConvWindow+1)
+	if n := ts.Count(); n != 3*ConvWindow {
+		t.Fatalf("touched count = %d, want %d", n, 3*ConvWindow)
 	}
 }
 
 func TestRoutingCounters(t *testing.T) {
 	ob := NewObserver(ObserverOptions{})
-	ob.RecordRouting(4, 3)
-	ob.RecordRouting(2, 0)
-	if v, c := ob.Routing(); v != 6 || c != 3 {
-		t.Fatalf("routing = %d visited %d covered, want 6/3", v, c)
+	// One closed window, drained into the cold totals, plus a live
+	// remainder still packed: both are read back at the sampling weight.
+	const queries = ConvWindow + 2*profileSample
+	for i := 0; i < queries; i++ {
+		ob.RecordQueryProfile(0, 1, 4, 3, 1)
+	}
+	if v, c := ob.Routing(); v != 4*queries || c != 3*queries {
+		t.Fatalf("routing = %d visited %d covered, want %d/%d", v, c, 4*queries, 3*queries)
 	}
 }
 
@@ -185,16 +176,10 @@ func TestConvergenceRecordingDoesNotAllocate(t *testing.T) {
 		}
 	}
 	assertZeroAlloc("RecordQueryProfile", func() { ob.RecordQueryProfile(100, 5000, 4, 2, 123) })
-	assertZeroAlloc("RecordRangeQuery", func() { ob.RecordRangeQuery(100, 5000) })
 	assertZeroAlloc("RecordWriteKey", func() { ob.RecordWriteKey(4242) })
-	assertZeroAlloc("RecordTouched", func() { ob.RecordTouched(123) })
-	assertZeroAlloc("RecordRouting", func() { ob.RecordRouting(4, 2) })
 	var nilOb *Observer
 	assertZeroAlloc("nil observer", func() {
 		nilOb.RecordQueryProfile(1, 2, 1, 0, 3)
-		nilOb.RecordRangeQuery(1, 2)
 		nilOb.RecordWriteKey(3)
-		nilOb.RecordTouched(4)
-		nilOb.RecordRouting(1, 1)
 	})
 }

@@ -6,9 +6,8 @@
 // HdrHistogram idea reduced to its essence): Record is a constant-time
 // pair of atomic adds with no allocation, no lock, and no contention
 // beyond the bucket cache line itself, so it is safe to call from the
-// hottest query and write paths. Quantile readout (p50/p99/p999) and
-// merging across shards operate on immutable Snapshot copies, never on
-// the live buckets.
+// hottest query and write paths. Quantile readout (p50/p99/p999)
+// operates on immutable Snapshot copies, never on the live buckets.
 //
 // Relative error is bounded by the sub-bucket width: at most 1/16
 // (6.25%) of the value, which is ample for latency quantiles spanning
@@ -125,20 +124,12 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is an immutable copy of a histogram's state, the unit
-// of quantile readout and cross-shard merging.
+// of quantile readout.
 type HistSnapshot struct {
 	// Counts holds the per-bucket observation counts.
 	Counts [histBuckets]int64
 	// Sum is the sum of all recorded values.
 	Sum int64
-}
-
-// Merge adds o's counts into s (mergeable across shards or intervals).
-func (s *HistSnapshot) Merge(o *HistSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Sum += o.Sum
 }
 
 // Count returns the total number of observations.
@@ -148,15 +139,6 @@ func (s *HistSnapshot) Count() int64 {
 		n += s.Counts[i]
 	}
 	return n
-}
-
-// Mean returns the mean observed value (0 when empty).
-func (s *HistSnapshot) Mean() float64 {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(n)
 }
 
 // Quantile returns the value at quantile q in [0, 1] (the bucket

@@ -89,8 +89,7 @@ func (c modelConfig) open(t testing.TB, dir string, vals []int64, checkEvery int
 	opts := []Option{
 		WithMethod(c.method), WithShards(c.shards),
 		WithIngestOptions(IngestOptions{ApplyThreshold: 32, MinShardRows: 256, CheckEvery: checkEvery}),
-		WithMergeOptions(MergeOptions{RunSize: 256}),
-		WithHybridOptions(HybridOptions{PartitionSize: 256}),
+		withRunSize(256),
 	}
 	var ix *Index
 	var err error
@@ -103,6 +102,16 @@ func (c modelConfig) open(t testing.TB, dir string, vals []int64, checkEvery int
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// withRunSize sets the AMerge run size and the Hybrid partition size,
+// so that the model's small columns hold several runs and partitions.
+func withRunSize(n int) Option {
+	return func(c *config) error {
+		c.merge.RunSize = n
+		c.hybrid.PartitionSize = n
+		return nil
+	}
 }
 
 // contents is one initial contents of the index.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"adaptix/internal/amerge"
-	"adaptix/internal/crackindex"
 	"adaptix/internal/health"
 	"adaptix/internal/hybrid"
 	"adaptix/internal/ingest"
@@ -64,6 +63,9 @@ type config struct {
 	shards int
 	shard  shard.Options
 	ingest ingest.Options
+	// merge and hybrid are the per-shard options of the AMerge and
+	// Hybrid methods: their package defaults, except in tests that
+	// shrink the runs and partitions.
 	merge  amerge.Options
 	hybrid hybrid.Options
 
@@ -185,48 +187,34 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithCrackOptions configures the per-shard cracked indexes of a Crack
-// index: latching mode, scheduling, conflict policy, parallel bound
-// cracking, group cracking, tracing. It has no effect on other methods.
-// LatchNone is refused: the write path's background maintenance walks a
-// shard's pieces while queries crack them, so an Index always latches.
-func WithCrackOptions(o CrackOptions) Option {
-	return func(c *config) error {
-		if o.Latching == crackindex.LatchNone {
-			return fmt.Errorf("adaptix: WithCrackOptions: LatchNone is not safe for concurrent use")
-		}
-		c.shard.Index = o
-		return nil
-	}
+// IngestOptions tunes the write path (WithIngestOptions). Zero values
+// take the defaults noted on each field. Durability has options of its
+// own: WithSyncEvery, WithSyncInterval and WithCheckpointEvery.
+type IngestOptions struct {
+	// ApplyThreshold is the number of pending writes in one shard that
+	// triggers a group-apply merge (default 512).
+	ApplyThreshold int
+	// SplitFactor splits a shard whose row count exceeds SplitFactor
+	// times the mean (default 2).
+	SplitFactor float64
+	// MinShardRows is the smallest shard the rebalancer splits
+	// (default 2048).
+	MinShardRows int
+	// CheckEvery is the number of routed writes between background
+	// maintenance wake-ups (default ApplyThreshold/2).
+	CheckEvery int
 }
 
-// WithMergeOptions configures the per-shard adaptive-merging indexes
-// of an AMerge index (run size, merge budget, conflict policy). It
-// has no effect on other methods.
-func WithMergeOptions(o MergeOptions) Option {
-	return func(c *config) error {
-		c.merge = o
-		return nil
-	}
-}
-
-// WithHybridOptions configures the per-shard hybrid crack-sort
-// indexes of a Hybrid index (partition size, layout, conflict
-// policy). It has no effect on other methods.
-func WithHybridOptions(o HybridOptions) Option {
-	return func(c *config) error {
-		c.hybrid = o
-		return nil
-	}
-}
-
-// WithIngestOptions configures the write path: group-apply thresholds,
-// the split thresholds and maintenance cadence. Open overrides the fields it owns (Log, Sink,
-// SnapshotWriter, CheckpointEvery); New rejects a Log, because only a
-// durable store reads its writes back (see WithLogWrites).
+// WithIngestOptions configures the write path: the group-apply
+// threshold, the split thresholds and the maintenance cadence.
 func WithIngestOptions(o IngestOptions) Option {
 	return func(c *config) error {
-		c.ingest = o
+		c.ingest = ingest.Options{
+			ApplyThreshold: o.ApplyThreshold,
+			SplitFactor:    o.SplitFactor,
+			MinShardRows:   o.MinShardRows,
+			CheckEvery:     o.CheckEvery,
+		}
 		return nil
 	}
 }
